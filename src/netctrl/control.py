@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import random
 import warnings
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,21 +227,27 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 
     Every product in the index set is inserted into one matrix-space
     basis; since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product
-    is the outer product of two walk-matrix columns.  Insertion stops
-    early only when the span is already all of gl(n, R).
+    is the outer product of two walk-matrix columns.  Each column is first
+    scaled to a primitive integer vector and zero columns are skipped,
+    which changes no span.  Insertion stops early only when the span is
+    already all of gl(n, R).
     """
     members = vertex_set(s, a.n)
     if not members:
         raise ValueError("control set must be nonempty")
     n = a.n
     blocks = _walk_blocks(a, members)
+    cols = {}
+    for j in members:
+        cleared = (intlinalg.clear_denominators(v) for v in blocks[j])
+        cols[j] = [v for v in cleared if v is not None]
     basis = MatrixSpaceBasis(n)
     ambient = n * n
     for k in members:
         for j in members:
-            for m in range(n):
-                for l in range(n):
-                    basis.insert(outer(blocks[k][m], blocks[j][l]))
+            for u in cols[k]:
+                for w in cols[j]:
+                    basis.insert(tuple(tuple(x * y for y in w) for x in u))
                     if basis.dim == ambient:
                         return ambient
     return basis.dim
@@ -249,56 +256,114 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 class _LieEngine:
     """Incremental integer Lie-closure state.
 
-    ``elems`` holds every raw integer matrix whose flattening grew the
-    basis.  All unordered pairs of elems are bracketed exactly once:
-    dequeuing index i brackets it against every j < i, and indices are
-    enqueued in append order, so a pair is handled when its larger index
-    comes up.  ``extend`` may therefore be called again with more
-    generators and only the new pairs are bracketed, which is what lets a
-    harness share closure work along chains of growing control sets.
-    Each stored element is scaled to a primitive integer matrix; scaling
-    spanning-set elements changes neither the span nor its closure.
+    The Lie algebra generated by a set G is the smallest subspace that
+    contains G and is invariant under ad_g = [g, .] for every g in G, since
+    the right-normed brackets [g1, [g2, ..., gk]] span it.  So the engine
+    brackets (generator, element) pairs only: O(dim·|G|) brackets, not the
+    O(dim^2) of all pairs of elements.
+
+    ``elems`` spans the basis: one primitive integer matrix per insert
+    that grew it, the generator itself for a generator and the reduced
+    residue for a bracket.  ``gens`` holds the generators that grew the
+    span, a projector e_j e_j^T as its 0-based index j and any other
+    generator as its integer matrix.  A generator already in the span lies
+    in the algebra of the earlier ones, so it adds nothing and is dropped.
+    ``pending`` holds the (generator, element) index pairs not yet
+    bracketed: a new element is queued against every generator, and a new
+    generator against every earlier element.  Projector pairs go to the
+    front, since ad_{P_j} only copies and negates entries of one row and
+    one column: it needs no product and grows no coefficients.  ``extend``
+    may be called again with more generators and only the new pairs are
+    bracketed, which is what lets a harness share closure work along
+    chains of growing control sets.  Scaling spanning-set elements changes
+    neither the span nor its closure.
     """
 
-    __slots__ = ("side", "basis", "elems", "pending")
+    __slots__ = ("side", "basis", "elems", "gens", "pending")
 
     def __init__(self, side: int):
         self.side = side
         self.basis = intlinalg.EchelonBasis(side * side)
         self.elems: list = []
+        self.gens: list = []
         self.pending = deque()
 
     def copy(self) -> "_LieEngine":
         dup = _LieEngine(self.side)
         dup.basis = self.basis.copy()
         dup.elems = list(self.elems)
+        dup.gens = list(self.gens)
         dup.pending = deque(self.pending)
         return dup
 
-    def _offer(self, mat) -> bool:
-        flat = intlinalg.primitive(intlinalg.flatten(mat))
-        if flat is None or not self.basis.insert(flat):
-            return False
+    def _offer(self, flat):
+        """Insert a flattened matrix; return its residue if the span grew.
+
+        The residue modulo the earlier span is the row the insert added:
+        its pivot is the one new pivot column, by which the pivot sum grew.
+        It is zero on every earlier pivot column, so more of its projector
+        brackets vanish before they reach an insert than those of the raw
+        matrix would.  Returns None when the span did not grow.
+        """
+        pivots = self.basis.pivots
+        before = sum(pivots)
+        if not self.basis.insert(flat):
+            return None
+        return self.basis.rows[bisect_left(pivots, sum(pivots) - before)]
+
+    def _keep(self, flat) -> None:
         n = self.side
         self.elems.append(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
-        self.pending.append(len(self.elems) - 1)
-        return True
+
+    def _queue(self, pairs) -> None:
+        for g, e in pairs:
+            if isinstance(self.gens[g], int):
+                self.pending.appendleft((g, e))
+            else:
+                self.pending.append((g, e))
+
+    def _bracket(self, g, x):
+        """[g, x] flattened and made primitive; None when it is zero."""
+        n = self.side
+        if isinstance(g, int):
+            # ad_{P_j} x = e_j x[j, :] - x[:, j] e_j^T: row j of x, minus column j
+            flat = [0] * (n * n)
+            flat[g * n : (g + 1) * n] = x[g]
+            for r in range(n):
+                flat[r * n + g] -= x[r][g]
+            return intlinalg.primitive(flat)
+        return intlinalg.primitive(intlinalg.flatten(intlinalg.int_commutator(g, x)))
 
     def extend(self, int_generators, cap: int) -> int:
         """Add generators, restore bracket closure, return the dimension."""
+        n = self.side
         for gen in int_generators:
             if self.basis.dim >= cap:
                 return self.basis.dim
-            self._offer(gen)
-        while self.pending and self.basis.dim < cap:
-            i = self.pending.popleft()
-            x = self.elems[i]
-            for j in range(i):
-                c = intlinalg.int_commutator(x, self.elems[j])
-                if not intlinalg.int_is_zero(c):
-                    self._offer(c)
-                    if self.basis.dim >= cap:
-                        return self.basis.dim
+            flat = intlinalg.primitive(intlinalg.flatten(gen))
+            if flat is None or self._offer(flat) is None:
+                continue
+            # the element is the generator itself, not its residue: then
+            # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
+            # new generator's pairs are queued
+            self._keep(flat)
+            support = [i for i, x in enumerate(flat) if x]
+            # one nonzero, on the diagonal: the projector e_j e_j^T
+            if len(support) == 1 and support[0] % (n + 1) == 0:
+                self.gens.append(support[0] // (n + 1))
+            else:
+                self.gens.append(self.elems[-1])
+            g = len(self.gens) - 1
+            self._queue((g, e) for e in range(len(self.elems) - 1))
+        gens, elems, pending = self.gens, self.elems, self.pending
+        while pending and self.basis.dim < cap:
+            g, e = pending.popleft()
+            flat = self._bracket(gens[g], elems[e])
+            residue = None if flat is None else self._offer(flat)
+            if residue is not None:
+                self._keep(residue)
+                e = len(elems) - 1
+                self._queue((h, e) for h in range(len(gens)))
         return self.basis.dim
 
 
@@ -311,7 +376,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
       cap: stop once the dimension reaches this value; defaults to n^2,
         the dimension of gl(n, R), which no closure exceeds.
       max_order: refuse sides beyond this; exact closure cost grows
-        steeply with n (vectors of length n^2, O(dim^2) brackets).
+        steeply with n (vectors of length n^2, O(dim·|G|) brackets for
+        |G| generators).
         Defaults to 12, or the NETCTRL_MAX_ORDER environment variable;
         going past 12 emits a warning.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from .graphs import Graph, adjacency_sets, check_vertex, degree
+from .graphs import Graph, adjacency_sets, degree
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 16
 

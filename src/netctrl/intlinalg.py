@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def primitive(values) -> tuple:
@@ -20,17 +21,13 @@ def primitive(values) -> tuple:
     Returns None for the zero vector.
     """
     vec = tuple(values)
-    g = 0
-    for x in vec:
-        if x:
-            g = math.gcd(g, x)
+    g = math.gcd(*vec)
     if g == 0:
         return None
-    for x in vec:
-        if x:
-            if x < 0:
-                g = -g
-            break
+    if next(filter(None, vec)) < 0:
+        g = -g
+    if g == 1:
+        return vec
     return tuple(x // g for x in vec)
 
 
@@ -140,17 +137,13 @@ def int_identity(n: int) -> tuple:
 
 def int_mat_mul(a, b) -> tuple:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def int_commutator(a, b) -> tuple:
     ab = int_mat_mul(a, b)
     ba = int_mat_mul(b, a)
     return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
-
-
-def int_is_zero(m) -> bool:
-    return all(x == 0 for row in m for x in row)
 
 
 def flatten(m) -> tuple:

@@ -34,7 +34,7 @@ from netctrl import (
     report_from_dict,
     walk_matrix,
 )
-from netctrl.control import control_generators
+from netctrl.control import _LieEngine, control_generators
 from netctrl.linalg import mat_mul
 
 from . import oracles
@@ -42,6 +42,7 @@ from . import oracles
 P4_ADJ = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
 MIXED_CYCLE = [[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]]
 BLOCK_PAIRED = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+C4_ADJ = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
 
 
 def symmetric_strategy(max_side=4, lo=-4, hi=4):
@@ -291,6 +292,45 @@ class TestLieClosure:
             for y in mats:
                 bracket = mat_mul(x, y) - mat_mul(y, x)
                 assert basis.contains(bracket)
+
+
+class TestIncrementalLieEngine:
+    """The engine driven the way the sweeps drive it, against the oracle.
+
+    A first, then one projector per extend call on a copy of the parent
+    state; the parent must keep its own dimension.
+    """
+
+    @pytest.mark.parametrize("entries, members, final_dim", [
+        (MIXED_CYCLE, (1, 3), 8),
+        (BLOCK_PAIRED, (1, 3), 8),
+        (C4_ADJ, (1,), 9),
+        # the algebra of (1, 3) is gl(2) + gl(2), which already holds e_2 e_2^T
+        (BLOCK_PAIRED, (1, 3, 2), 8),
+    ])
+    def test_prefix_chain_matches_oracle(self, entries, members, final_dim):
+        n = len(entries)
+        a = tuple(tuple(row) for row in entries)
+        root = _LieEngine(n)
+        assert root.extend([a], n * n) == 1
+        engine = root
+        for k, j in enumerate(members, 1):
+            parent_dim = engine.basis.dim
+            child = engine.copy()
+            p = tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n))
+            dim = child.extend([p], n * n)
+            assert engine.basis.dim == parent_dim
+            assert dim == oracles.control_lie_dim_bruteforce(entries, members[:k])
+            if dim == parent_dim:
+                assert child.gens == engine.gens
+            engine = child
+        assert dim == final_dim
+        # a sibling grown from the root after its descendants sees none of them
+        assert root.extend([p], n * n) == oracles.control_lie_dim_bruteforce(entries, (j,))
+        gens = list(engine.gens)
+        assert engine.extend([a], n * n) == final_dim
+        assert engine.gens == gens
+        assert not engine.pending
 
 
 class TestLieControllable:
