@@ -158,6 +158,8 @@ def _render_report_text(report) -> str:
 
 def _run_analyze(args) -> int:
     g = _load_graph(args.graph)
+    # before the O(n^2) matrix build, so an over-cap order fails at once
+    control.check_lie_order(g.order)
     a = control.build_matrix(g, args.matrix)
     report = control.analyze(a, _parse_set(args.set_spec))
     if args.report == "json":

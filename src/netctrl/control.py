@@ -13,20 +13,27 @@ control set S of vertices, each by exact computation:
 The quantum-control condition lives in u(n) over the complex numbers, but
 it holds iff the real gl(n, R) condition does, so nothing here touches
 complex arithmetic.
+
+Every reported number is exact.  A full result (walk rank n, product-span
+dimension n^2, Lie dimension n^2) is first sought modulo one fixed prime on
+integer-scaled data: each element found there is the reduction of an
+integer combination of genuine elements, so a dimension modulo the prime is
+at most the rational one and a full one proves it.  Only a deficient result
+is recomputed over the integers.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import warnings
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import graphs, intlinalg
-from .forcing import is_zfs, vertex_set
+from .forcing import is_zfs, order_cap, vertex_set
 from .graphs import Graph
 from .linalg import (
     MatrixSpaceBasis,
@@ -48,16 +55,25 @@ CHECK_SKIPPED = "hypothesis not met"
 
 DEFAULT_LIE_MAX_ORDER = 12
 
+# the largest prime below 2^30: residues stay one-digit Python integers
+_PRIME = 1_073_741_789
 
-def _order_cap(default: int) -> int:
-    # NETCTRL_MAX_ORDER overrides the exact-arithmetic cost guardrails
-    raw = os.environ.get("NETCTRL_MAX_ORDER")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}") from None
+
+def check_lie_order(n: int, max_order=None) -> None:
+    """Refuse an order past the Lie-closure cap.
+
+    The cap is ``max_order``, by default 12 or the NETCTRL_MAX_ORDER
+    environment variable.
+
+    Raises:
+      ValueError: ``n`` exceeds the cap.
+    """
+    if max_order is None:
+        max_order = order_cap(DEFAULT_LIE_MAX_ORDER)
+    if n > max_order:
+        raise ValueError(
+            f"order {n} exceeds the Lie-closure cap {max_order}; pass a larger max_order to override"
+        )
 
 
 @dataclass(frozen=True)
@@ -186,17 +202,53 @@ def projector(j: int, n: int) -> RationalMatrix:
     return outer(v, v)
 
 
-def _walk_blocks(a: PatternMatrix, members) -> dict:
-    """Columns e_j, A e_j, ..., A^{n-1} e_j for each control vertex j."""
-    blocks = {}
+def _control_set(a: PatternMatrix, s) -> tuple:
+    members = vertex_set(s, a.n)
+    if not members:
+        raise ValueError("control set must be nonempty")
+    return members
+
+
+def _int_rows(m: RationalMatrix):
+    """``m`` scaled to a primitive integer matrix of row tuples; None if zero."""
+    flat = intlinalg.clear_denominators([x for row in m.entries for x in row])
+    if flat is None:
+        return None
+    k = m.cols
+    return tuple(flat[i * k : (i + 1) * k] for i in range(m.rows))
+
+
+def _int_walk(int_a, n: int, members) -> RationalMatrix:
+    """The walk-matrix columns, as the integer rows of a matrix.
+
+    ``int_a`` is A scaled to a primitive integer matrix, None for A = 0.
+    Each row is a primitive integer multiple of a nonzero column A^k e_j,
+    so the rows span what the walk-matrix columns span.  Once a power is
+    zero every later one is too, and those columns are left out.
+    """
+    rows = []
     for j in members:
-        v = basis_column(j, a.n)
-        block = []
-        for _ in range(a.n):
-            block.append(v)
-            v = mat_vec(a.matrix, v)
-        blocks[j] = block
-    return blocks
+        v = tuple(int(i == j - 1) for i in range(n))
+        rows.append(v)
+        for _ in range(n - 1 if int_a is not None else 0):
+            v = intlinalg.primitive([sum(map(mul, row, v)) for row in int_a])
+            if v is None:
+                break
+            rows.append(v)
+    return RationalMatrix(tuple(rows))
+
+
+def _full_mod_p(walk: RationalMatrix, n: int) -> bool:
+    """Whether the walk rank is n modulo the prime, which proves it is n.
+
+    When it is not, the mod-p product span and Lie closure cannot be full
+    either: the span W of the walk columns mod p is a proper subspace that
+    holds e_j for each control vertex j and is mapped into itself by A and
+    by each such e_j e_j^T, so every product A^m e_k e_j^T A^l and every
+    bracket maps W into W, which not every matrix does.  Deficient
+    instances therefore go straight to the exact route.
+    """
+    return rank(walk, _PRIME) == n
 
 
 def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
@@ -208,18 +260,31 @@ def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
     Raises:
       ValueError: empty control set or labels out of range.
     """
-    members = vertex_set(s, a.n)
-    if not members:
-        raise ValueError("control set must be nonempty")
-    blocks = _walk_blocks(a, members)
-    cols = [col for j in members for col in blocks[j]]
+    members = _control_set(a, s)
+    cols = []
+    for j in members:
+        v = basis_column(j, a.n)
+        for _ in range(a.n):
+            cols.append(v)
+            v = mat_vec(a.matrix, v)
     return RationalMatrix(tuple(zip(*cols)))
 
 
 def kalman_controllable(a: PatternMatrix, s) -> tuple:
-    """Kalman decision: (walk_rank == n, walk_rank), both exact."""
-    r = rank(walk_matrix(a, s))
-    return r == a.n, r
+    """Kalman decision: (walk_rank == n, walk_rank), both exact.
+
+    A full rank is certified modulo a prime; a smaller rank there is
+    recomputed exactly.
+
+    Raises:
+      ValueError: empty control set or labels out of range.
+    """
+    n = a.n
+    walk = _int_walk(_int_rows(a.matrix), n, _control_set(a, s))
+    r = rank(walk, _PRIME)
+    if r < n:
+        r = rank(walk)
+    return r == n, r
 
 
 def p_span_dim(a: PatternMatrix, s) -> int:
@@ -227,29 +292,37 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 
     Every product in the index set is inserted into one matrix-space
     basis; since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product
-    is the outer product of two walk-matrix columns.  Each column is first
-    scaled to a primitive integer vector and zero columns are skipped,
-    which changes no span.  Insertion stops early only when the span is
-    already all of gl(n, R).
+    is the outer product of two walk-matrix columns, and the products over
+    all pairs k, j in S are the outer products of all pairs of columns.
+    Each column is scaled to a primitive integer vector and zero columns
+    are skipped, which changes no span.  Insertion stops early only when
+    the span is already all of gl(n, R).
+
+    The result is exact.  The span is first taken modulo a prime, where
+    n^2 certifies n^2; any smaller result is recomputed exactly.
+
+    Raises:
+      ValueError: empty control set or labels out of range.
     """
-    members = vertex_set(s, a.n)
-    if not members:
-        raise ValueError("control set must be nonempty")
     n = a.n
-    blocks = _walk_blocks(a, members)
-    cols = {}
-    for j in members:
-        cleared = (intlinalg.clear_denominators(v) for v in blocks[j])
-        cols[j] = [v for v in cleared if v is not None]
-    basis = MatrixSpaceBasis(n)
+    walk = _int_walk(_int_rows(a.matrix), n, _control_set(a, s))
+    if _full_mod_p(walk, n):
+        p = _PRIME
+        cols = [tuple(x % p for x in u) for u in walk.entries]
+        dim = _product_span_dim(cols, n, p)
+        if dim == n * n:
+            return dim
+    return _product_span_dim(walk.entries, n)
+
+
+def _product_span_dim(cols, n: int, modulus=None) -> int:
+    basis = MatrixSpaceBasis(n, modulus)
     ambient = n * n
-    for k in members:
-        for j in members:
-            for u in cols[k]:
-                for w in cols[j]:
-                    basis.insert(tuple(tuple(x * y for y in w) for x in u))
-                    if basis.dim == ambient:
-                        return ambient
+    for u in cols:
+        for w in cols:
+            basis.insert(tuple(tuple(x * y for y in w) for x in u))
+            if basis.dim == ambient:
+                return ambient
     return basis.dim
 
 
@@ -277,13 +350,17 @@ class _LieEngine:
     bracketed, which is what lets a harness share closure work along
     chains of growing control sets.  Scaling spanning-set elements changes
     neither the span nor its closure.
+
+    With a prime ``modulus`` the same closure runs over the integers modulo
+    that prime and brackets are reduced instead of made primitive.  Its
+    dimension is at most the rational one, so n^2 there proves n^2.
     """
 
     __slots__ = ("side", "basis", "elems", "gens", "pending")
 
-    def __init__(self, side: int):
+    def __init__(self, side: int, modulus=None):
         self.side = side
-        self.basis = intlinalg.EchelonBasis(side * side)
+        self.basis = intlinalg.EchelonBasis(side * side, modulus)
         self.elems: list = []
         self.gens: list = []
         self.pending = deque()
@@ -322,8 +399,19 @@ class _LieEngine:
             else:
                 self.pending.append((g, e))
 
+    def _normalize(self, flat):
+        """A flattened integer matrix as it is offered; None when it is zero.
+
+        Exact: made primitive.  Modulo p: left for the insert to reduce, so
+        only checked for a nonzero residue.
+        """
+        p = self.basis.modulus
+        if p is None:
+            return intlinalg.primitive(flat)
+        return flat if any(x % p for x in flat) else None
+
     def _bracket(self, g, x):
-        """[g, x] flattened and made primitive; None when it is zero."""
+        """[g, x] flattened and normalized; None when it is zero."""
         n = self.side
         if isinstance(g, int):
             # ad_{P_j} x = e_j x[j, :] - x[:, j] e_j^T: row j of x, minus column j
@@ -331,8 +419,8 @@ class _LieEngine:
             flat[g * n : (g + 1) * n] = x[g]
             for r in range(n):
                 flat[r * n + g] -= x[r][g]
-            return intlinalg.primitive(flat)
-        return intlinalg.primitive(intlinalg.flatten(intlinalg.int_commutator(g, x)))
+            return self._normalize(flat)
+        return self._normalize(intlinalg.flatten(intlinalg.int_commutator(g, x)))
 
     def extend(self, int_generators, cap: int) -> int:
         """Add generators, restore bracket closure, return the dimension."""
@@ -340,7 +428,7 @@ class _LieEngine:
         for gen in int_generators:
             if self.basis.dim >= cap:
                 return self.basis.dim
-            flat = intlinalg.primitive(intlinalg.flatten(gen))
+            flat = self._normalize(intlinalg.flatten(gen))
             if flat is None or self._offer(flat) is None:
                 continue
             # the element is the generator itself, not its residue: then
@@ -383,13 +471,11 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
 
     Returns:
       (dim, basis) with basis the canonical echelon MatrixSpaceBasis of
-      the closure.
+      the closure, computed exactly.
 
     Raises:
       ValueError: no generators, mismatched sides, or order over max_order.
     """
-    if max_order is None:
-        max_order = _order_cap(DEFAULT_LIE_MAX_ORDER)
     mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
     if not mats:
         raise ValueError("need at least one generator")
@@ -397,19 +483,12 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     for m in mats:
         if not m.is_square() or m.rows != n:
             raise ValueError("generators must be square matrices of one common side")
-    if n > max_order:
-        raise ValueError(
-            f"order {n} exceeds the Lie-closure cap {max_order}; pass a larger max_order to override"
-        )
+    check_lie_order(n, max_order)
     if n > DEFAULT_LIE_MAX_ORDER:
         warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=2)
     if cap is None:
         cap = n * n
-    int_gens = []
-    for m in mats:
-        flat = intlinalg.clear_denominators([x for row in m.entries for x in row])
-        if flat is not None:
-            int_gens.append(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+    int_gens = [g for g in map(_int_rows, mats) if g is not None]
     engine = _LieEngine(n)
     dim = engine.extend(int_gens, cap)
     basis = MatrixSpaceBasis(n)
@@ -426,12 +505,27 @@ def control_generators(a: PatternMatrix, members) -> list:
 
 
 def lie_controllable(a: PatternMatrix, s) -> tuple:
-    """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S})."""
-    members = vertex_set(s, a.n)
-    if not members:
-        raise ValueError("control set must be nonempty")
+    """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S}).
+
+    Both are exact.  The closure is first run modulo a prime, where n^2
+    certifies n^2; any smaller dimension is recomputed by ``lie_closure``.
+
+    Raises:
+      ValueError: empty control set, labels out of range, or an order past
+        the Lie-closure cap.
+    """
+    members = _control_set(a, s)
+    n = a.n
+    check_lie_order(n)
+    int_a = _int_rows(a.matrix)
+    if _full_mod_p(_int_walk(int_a, n, members), n):
+        gens = [] if int_a is None else [int_a]
+        for j in members:
+            gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
+        if _LieEngine(n, _PRIME).extend(gens, n * n) == n * n:
+            return True, n * n
     dim, _ = lie_closure(control_generators(a, members))
-    return dim == a.n * a.n, dim
+    return dim == n * n, dim
 
 
 @dataclass(frozen=True)
@@ -502,10 +596,13 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     connected patterns with same-sign off-diagonal entries (the sign-mixed
     and disconnected counterexamples are genuine), plus the unconditional
     identity p_span_dim = walk_rank^2.
+
+    Raises:
+      ValueError: empty control set, labels out of range, or an order past
+        the Lie-closure cap (checked before any work is done).
     """
-    members = vertex_set(s, a.n)
-    if not members:
-        raise ValueError("control set must be nonempty")
+    members = _control_set(a, s)
+    check_lie_order(a.n)
     kalman, walk_rank = kalman_controllable(a, members)
     p_dim = p_span_dim(a, members)
     lie, lie_dim = lie_controllable(a, members)
@@ -595,11 +692,9 @@ def distance_power_defects(a: PatternMatrix) -> tuple:
                 dist[(k, j)] = d
                 maxd = max(maxd, d)
     powers = [intlinalg.int_identity(n)]
-    cleared = intlinalg.clear_denominators([x for row in a.matrix.entries for x in row])
-    if cleared is None:
+    step = _int_rows(a.matrix)
+    if step is None:
         step = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    else:
-        step = tuple(cleared[i * n : (i + 1) * n] for i in range(n))
     for _ in range(maxd):
         powers.append(intlinalg.int_mat_mul(powers[-1], step))
     defects = []

@@ -18,8 +18,12 @@ from .graphs import Graph, adjacency_sets, degree
 DEFAULT_MIN_ZFS_MAX_ORDER = 16
 
 
-def _order_cap(default: int) -> int:
-    # NETCTRL_MAX_ORDER overrides the exact-arithmetic cost guardrails
+def order_cap(default: int) -> int:
+    """An order guardrail: ``default``, or NETCTRL_MAX_ORDER when it is set.
+
+    One variable raises or lowers every exact-arithmetic cost guardrail (the
+    exhaustive forcing-set search here, the Lie closure in ``control``).
+    """
     raw = os.environ.get("NETCTRL_MAX_ORDER")
     if raw is None:
         return default
@@ -79,7 +83,7 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     variable; pass a value explicitly for larger graphs).
     """
     if max_order is None:
-        max_order = _order_cap(DEFAULT_MIN_ZFS_MAX_ORDER)
+        max_order = order_cap(DEFAULT_MIN_ZFS_MAX_ORDER)
     n = g.order
     if n > max_order:
         raise ValueError(

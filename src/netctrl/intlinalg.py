@@ -6,11 +6,16 @@ independence nor the subspace it spans, so every incoming vector is cleared
 of denominators and divided by its content first.  Elimination is
 fraction-free (cross-multiplication), which keeps every intermediate value
 an integer; Python integers make it exact at any size.
+
+An echelon basis can also run modulo a prime.  For integer vectors the rank
+modulo p is at most the rank over the rationals, so a full rank found
+modulo p proves full rank over the rationals; a smaller one proves nothing.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from operator import mul
 
@@ -43,18 +48,27 @@ def clear_denominators(values) -> tuple:
 
 
 class EchelonBasis:
-    """Incremental reduced echelon basis of primitive integer rows.
+    """Incremental echelon basis of integer rows, exact or modulo a prime.
 
-    Rows are kept fully reduced: every pivot column is zero in every other
-    row, pivot columns strictly increase, each row is primitive with a
-    positive pivot.  This form is the canonical representative of the row
-    span, so two bases are equal iff they span the same subspace.
+    Exact (``modulus`` None): rows are kept fully reduced: every pivot
+    column is zero in every other row, pivot columns strictly increase, each
+    row is primitive with a positive pivot.  This form is the canonical
+    representative of the row span, so two bases are equal iff they span the
+    same subspace.
+
+    Modulo a prime p: entries are residues in 0..p-1 and every row is monic
+    (its pivot entry is 1).  Rows stay in echelon form but are not
+    back-substituted, since this mode is read only for its dimension and for
+    the rows it adds.  For integer input that dimension is at most the exact
+    one: each stored row is the reduction of an integer combination of the
+    inserted vectors.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "modulus")
 
-    def __init__(self, ambient: int):
+    def __init__(self, ambient: int, modulus=None):
         self.ambient = ambient
+        self.modulus = modulus
         self.rows: list = []
         self.pivots: list = []
 
@@ -63,7 +77,7 @@ class EchelonBasis:
         return len(self.rows)
 
     def copy(self) -> "EchelonBasis":
-        dup = EchelonBasis(self.ambient)
+        dup = EchelonBasis(self.ambient, self.modulus)
         dup.rows = list(self.rows)
         dup.pivots = list(self.pivots)
         return dup
@@ -71,16 +85,28 @@ class EchelonBasis:
     def reduce(self, values):
         """Residue of an integer vector modulo the current span.
 
-        Returns a primitive integer tuple, or None when the vector already
-        lies in the span.
+        Returns None when the vector already lies in the span.  Exact: a
+        primitive integer tuple.  Modulo p: a list of residues, not yet
+        monic; the one ``% p`` pass comes after all row operations, since
+        the pivot entries are 1 and only the entry on each pivot is read.
         """
         v = list(values)
+        p = self.modulus
+        if p is None:
+            for c, row in zip(self.pivots, self.rows):
+                vc = v[c]
+                if vc:
+                    pc = row[c]
+                    v = [pc * a - vc * b for a, b in zip(v, row)]
+            return primitive(v)
+        # pivots ascend and each row is zero left of its pivot, so a pivot
+        # entry of v is final once the rows before it are subtracted
         for c, row in zip(self.pivots, self.rows):
-            vc = v[c]
+            vc = v[c] % p
             if vc:
-                p = row[c]
-                v = [p * a - vc * b for a, b in zip(v, row)]
-        return primitive(v)
+                v = [a - vc * b for a, b in zip(v, row)]
+        v = [a % p for a in v]
+        return v if any(v) else None
 
     def insert(self, values) -> bool:
         """Add an integer vector to the span; True iff the dimension grew."""
@@ -92,14 +118,17 @@ class EchelonBasis:
         c_new = 0
         while not v[c_new]:
             c_new += 1
-        p_new = v[c_new]
-        for i, row in enumerate(self.rows):
-            rc = row[c_new]
-            if rc:
-                self.rows[i] = primitive(p_new * a - rc * b for a, b in zip(row, v))
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < c_new:
-            pos += 1
+        p = self.modulus
+        if p is None:
+            p_new = v[c_new]
+            for i, row in enumerate(self.rows):
+                rc = row[c_new]
+                if rc:
+                    self.rows[i] = primitive(p_new * a - rc * b for a, b in zip(row, v))
+        else:
+            inv = pow(v[c_new], -1, p)
+            v = tuple(a * inv % p for a in v)
+        pos = bisect_left(self.pivots, c_new)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, c_new)
         return True
@@ -109,22 +138,13 @@ class EchelonBasis:
 
     def rational_rows(self) -> tuple:
         """The rows as exact rationals, scaled so every leading entry is 1."""
+        if self.modulus is not None:
+            raise ValueError("a basis modulo a prime has no rational rows")
         out = []
         for c, row in zip(self.pivots, self.rows):
             p = row[c]
             out.append(tuple(Fraction(x, p) for x in row))
         return tuple(out)
-
-
-def int_rank(rows) -> int:
-    """Exact rank over the rationals of a matrix given as integer rows."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    basis = EchelonBasis(len(rows[0]))
-    for row in rows:
-        basis.insert(row)
-    return basis.dim
 
 
 # ---------------------------------------------------------------------------

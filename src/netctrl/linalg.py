@@ -133,22 +133,19 @@ def commutator(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     return mat_mul(x, y) - mat_mul(y, x)
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals.
+def rank(m: RationalMatrix, modulus=None) -> int:
+    """Exact rank over the rationals, or over the integers modulo a prime.
 
     Rows are individually scaled to primitive integer vectors first (rank
-    is invariant under row scaling), then reduced fraction-free.
+    is invariant under row scaling), then reduced fraction-free, or modulo
+    ``modulus`` when it is given.  The rank modulo a prime is at most the
+    rank over the rationals.
     """
-    rows = []
+    basis = intlinalg.EchelonBasis(m.cols, modulus)
     for row in m.entries:
         cleared = intlinalg.clear_denominators(row)
-        if cleared is not None:
-            rows.append(cleared)
-    if not rows:
-        return 0
-    basis = intlinalg.EchelonBasis(m.cols)
-    for row in rows:
-        basis.insert(row)
+        if cleared is not None and basis.insert(cleared) and basis.dim == m.cols:
+            break
     return basis.dim
 
 
@@ -159,13 +156,17 @@ class MatrixSpaceBasis:
     row-echelon form of the span with leading entries 1, so it is a
     canonical representative: two spans are equal iff their bases compare
     equal.  Mutation happens only through :meth:`insert` (single writer).
+
+    With a prime ``modulus`` the span is taken over the integers modulo
+    that prime, after each matrix is cleared to a primitive integer one;
+    only its dimension is meaningful, and that is at most the rational one.
     """
 
-    def __init__(self, side: int):
+    def __init__(self, side: int, modulus=None):
         if side < 1:
             raise ValueError("matrix side must be >= 1")
         self.side = side
-        self._inner = intlinalg.EchelonBasis(side * side)
+        self._inner = intlinalg.EchelonBasis(side * side, modulus)
 
     @property
     def dim_ambient(self) -> int:
@@ -174,10 +175,6 @@ class MatrixSpaceBasis:
     @property
     def dim(self) -> int:
         return self._inner.dim
-
-    @property
-    def pivot_columns(self) -> tuple:
-        return tuple(self._inner.pivots)
 
     def copy(self) -> "MatrixSpaceBasis":
         dup = MatrixSpaceBasis(self.side)

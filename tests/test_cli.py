@@ -207,6 +207,23 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", [
+        "40\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 40)),
+        "99999999\n1 2\n",
+    ], ids=["path-40", "declared-order"])
+    def test_over_cap_order_fails_before_any_work(self, capsys, tmp_path, monkeypatch, text):
+        def refuse(*args):
+            raise AssertionError("matrix work started past the order cap")
+
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        monkeypatch.setattr(netctrl.control, "build_matrix", refuse)
+        monkeypatch.setattr(netctrl.control, "p_span_dim", refuse)
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "analyze", "--graph", str(path), "--set", "1")
+        assert code == 2
+        assert "exceeds the Lie-closure cap 12" in err
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys, tmp_path):

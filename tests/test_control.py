@@ -34,7 +34,9 @@ from netctrl import (
     report_from_dict,
     walk_matrix,
 )
+from netctrl import control
 from netctrl.control import _LieEngine, control_generators
+from netctrl.intlinalg import EchelonBasis
 from netctrl.linalg import mat_mul
 
 from . import oracles
@@ -349,6 +351,12 @@ class TestLieControllable:
         with pytest.raises(ValueError):
             lie_controllable(a, [])
 
+    def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
+        # the path is controllable, so the modular closure alone would succeed
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        with pytest.raises(ValueError, match="exceeds the Lie-closure cap 12"):
+            lie_controllable(adjacency_matrix(path_graph(13)), [1])
+
 
 class TestAnalyze:
     def test_path_controllable_instance(self):
@@ -407,6 +415,16 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(adjacency_matrix(path_graph(3)), [])
 
+    def test_over_cap_order_fails_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decision started past the order cap")
+
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        for name in ("kalman_controllable", "p_span_dim", "lie_controllable"):
+            monkeypatch.setattr(control, name, refuse)
+        with pytest.raises(ValueError, match="exceeds the Lie-closure cap 12"):
+            analyze(adjacency_matrix(path_graph(40)), [1])
+
     def test_report_dict_round_trip(self):
         rep = analyze(adjacency_matrix(cycle_graph(4)), [1, 2])
         assert report_from_dict(rep.to_dict()) == rep
@@ -433,6 +451,102 @@ class TestAnalyze:
         assert kalman_controllable(a, s)[1] == kalman_controllable(scaled, s)[1]
         assert p_span_dim(a, s) == p_span_dim(scaled, s)
         assert lie_controllable(a, s)[1] == lie_controllable(scaled, s)[1]
+
+
+def _echelon_input():
+    def build(draw):
+        k = draw(st.integers(min_value=1, max_value=5))
+        row = st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k)
+        return k, draw(st.lists(row, max_size=7))
+    return st.composite(build)()
+
+
+class TestModularRoute:
+    """The decisions with a small prime in place of the working one.
+
+    Small primes make deficient residues common, so both the certified
+    route and the exact fallback run; every answer must stay the exact one.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_strategy())
+    def test_small_primes_match_oracles(self, inst):
+        a, s = inst
+        entries = [list(r) for r in a.matrix.entries]
+        want = (
+            oracles.walk_rank_bruteforce(entries, s),
+            oracles.pspan_dim_bruteforce(entries, s),
+            oracles.control_lie_dim_bruteforce(entries, s),
+        )
+        for p in (2, 3, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(control, "_PRIME", p)
+                got = (kalman_controllable(a, s)[1], p_span_dim(a, s), lie_controllable(a, s)[1])
+            assert got == want, f"prime {p}"
+
+    @staticmethod
+    def _spy_on_rank(monkeypatch):
+        calls = []
+        real = control.rank
+
+        def spy(m, modulus=None):
+            r = real(m, modulus)
+            calls.append((modulus, r))
+            return r
+
+        monkeypatch.setattr(control, "rank", spy)
+        return calls
+
+    def test_walk_rank_deficient_mod_p_falls_back(self, monkeypatch):
+        monkeypatch.setattr(control, "_PRIME", 2)
+        calls = self._spy_on_rank(monkeypatch)
+        # A e_1 = (1, 2) is e_1 modulo 2, yet the walk rank is 2
+        a = pattern_matrix([[1, 2], [2, 1]])
+        assert kalman_controllable(a, [1]) == (True, 2)
+        assert calls == [(2, 1), (None, 2)]
+        calls.clear()
+        # no modular attempt at the span or the closure, which could not be full
+        assert p_span_dim(a, [1]) == 4
+        assert lie_controllable(a, [1]) == (True, 4)
+        assert calls == [(2, 1), (2, 1)]
+
+    def test_walk_is_cleared_before_reduction(self, monkeypatch):
+        monkeypatch.setattr(control, "_PRIME", 2)
+        calls = self._spy_on_rank(monkeypatch)
+        # A is scaled to [[0, 1], [1, 0]] first, so its walk is full modulo 2
+        assert kalman_controllable(pattern_matrix([[0, 2], [2, 0]]), [1]) == (True, 2)
+        assert calls == [(2, 2)]
+
+    def test_lie_closure_deficient_mod_p_falls_back(self, monkeypatch):
+        entries = [[1, 1], [1, -2]]
+        a = pattern_matrix(entries)
+        gens = [tuple(map(tuple, entries)), ((1, 0), (0, 0))]
+        # modulo 2, [P, A] = A - P: the closure stops at dimension 2
+        assert _LieEngine(2, 2).extend(gens, 4) == 2
+        assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
+        exact_runs = []
+        real = control.lie_closure
+        monkeypatch.setattr(control, "lie_closure", lambda g: exact_runs.append(g) or real(g))
+        assert lie_controllable(a, [1]) == (True, 4)
+        assert not exact_runs
+        monkeypatch.setattr(control, "_PRIME", 2)
+        assert lie_controllable(a, [1]) == (True, 4)
+        assert len(exact_runs) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), _echelon_input())
+    def test_modular_echelon_never_exceeds_exact_rank(self, p, case):
+        k, rows = case
+        exact, modular = EchelonBasis(k), EchelonBasis(k, modulus=p)
+        for row in rows:
+            exact.insert(row)
+            modular.insert(row)
+            assert modular.dim <= exact.dim
+        assert exact.dim == oracles.frac_rank(rows)
+        for c, row in zip(modular.pivots, modular.rows):
+            assert row[c] == 1 and not any(row[:c])
+            assert all(0 <= x < p for x in row)
+        assert modular.pivots == sorted(modular.pivots)
 
 
 class TestDistancePowers:
