@@ -30,6 +30,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from . import graphs, intlinalg
@@ -290,13 +291,14 @@ def kalman_controllable(a: PatternMatrix, s) -> tuple:
 def p_span_dim(a: PatternMatrix, s) -> int:
     """Dimension of span{A^m e_k e_j^T A^l : k, j in S, 0 <= m, l <= n-1}.
 
-    Every product in the index set is inserted into one matrix-space
-    basis; since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product
-    is the outer product of two walk-matrix columns, and the products over
+    Since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product is the
+    outer product u w^T of two walk-matrix columns, and the products over
     all pairs k, j in S are the outer products of all pairs of columns.
-    Each column is scaled to a primitive integer vector and zero columns
-    are skipped, which changes no span.  Insertion stops early only when
-    the span is already all of gl(n, R).
+    That set is closed under transpose, so it spans what the symmetric and
+    skew parts of u w^T span over unordered pairs {u, w}, which is what is
+    inserted (see ``_ProductSpan``).  Each column is scaled to a primitive
+    integer vector and zero columns are skipped, which changes no span.
+    Insertion stops early only when the span is already all of gl(n, R).
 
     The result is exact.  The span is first taken modulo a prime, where
     n^2 certifies n^2; any smaller result is recomputed exactly.
@@ -306,28 +308,103 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     """
     n = a.n
     walk = _int_walk(_int_rows(a.matrix), n, _control_set(a, s))
-    if _full_mod_p(walk, n):
-        p = _PRIME
-        cols = [tuple(x % p for x in u) for u in walk.entries]
-        dim = _product_span_dim(cols, n, p)
-        if dim == n * n:
-            return dim
-    return _product_span_dim(walk.entries, n)
+    for p in (_PRIME, None) if _full_mod_p(walk, n) else (None,):
+        cols = walk.entries if p is None else [tuple(x % p for x in u) for u in walk.entries]
+        span = _ProductSpan(n, p)
+        for i, u in enumerate(cols):
+            for w in cols[i:]:
+                span.insert(u, w)
+                if span.dim == n * n:
+                    return n * n
+    return span.dim
 
 
-def _product_span_dim(cols, n: int, modulus=None) -> int:
-    basis = MatrixSpaceBasis(n, modulus)
-    ambient = n * n
-    for u in cols:
-        for w in cols:
-            basis.insert(tuple(tuple(x * y for y in w) for x in u))
-            if basis.dim == ambient:
-                return ambient
-    return basis.dim
+class _ProductSpan:
+    """Span of outer products u w^T, closed under transpose, in two parts.
+
+    ``insert(u, w)`` adds u w^T and w u^T to the span, through their
+    symmetric part u w^T + w u^T and skew part u w^T - w u^T (only the
+    former when u = w), an invertible change of generators.  Both parts go
+    into one echelon basis of ambient n^2 whose coordinates are the i <= j
+    entries of a symmetric matrix followed by the i < j entries of a skew
+    one, so a part is zero on the other block and only meets rows of its
+    own kind.  Each part is a genuine integer element of the span, so a
+    dimension modulo a prime is still at most the exact one; modulo 2 the
+    change of generators is not invertible (the symmetric part has an even
+    diagonal), and there the span can come out smaller.
+    """
+
+    __slots__ = ("side", "basis")
+
+    def __init__(self, side: int, modulus=None):
+        self.side = side
+        self.basis = intlinalg.EchelonBasis(side * side, modulus)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    def copy(self) -> "_ProductSpan":
+        dup = _ProductSpan.__new__(_ProductSpan)
+        dup.side = self.side
+        dup.basis = self.basis.copy()
+        return dup
+
+    def parts(self, u, w) -> list:
+        """The packed parts of u w^T: symmetric, then skew unless u = w."""
+        n = self.side
+        if u == w:
+            return [[x * y for i, x in enumerate(u) for y in u[i:]] + [0] * (n * (n - 1) // 2)]
+        sym, skew = [], []
+        for i in range(n):
+            ui, wi = u[i], w[i]
+            sym.append(2 * ui * wi)
+            for j in range(i + 1, n):
+                a, b = ui * w[j], wi * u[j]
+                sym.append(a + b)
+                skew.append(a - b)
+        return [sym + [0] * len(skew), [0] * len(sym) + skew]
+
+    def insert(self, u, w) -> bool:
+        """Add u w^T and w u^T; True iff the dimension grew."""
+        grew = False
+        for part in self.parts(u, w):
+            grew = self.basis.insert(part) or grew
+        return grew
+
+
+_SYM, _SKEW = 0, 1
+
+
+@lru_cache(maxsize=None)
+def _packing(n: int, parity: int) -> list:
+    """The (i, j) positions a packed matrix of this parity stores, in order."""
+    return [(i, j) for i in range(n) for j in range(i + parity, n)]
+
+
+@lru_cache(maxsize=None)
+def _projector_maps(n: int) -> tuple:
+    """Per parity and vertex j, where ad_{P_j} sends packed entries.
+
+    Entry [parity][j] is (keep, negate), lists of (source, target) indices
+    from the packing of that parity to the packing of the other one: the
+    entries (j, c) with c > j are copied and the entries (c, j) with c < j
+    are copied negated.  Every other target entry is zero.
+    """
+    index = [{pos: k for k, pos in enumerate(_packing(n, parity))} for parity in (_SYM, _SKEW)]
+    maps = []
+    for parity in (_SYM, _SKEW):
+        src, dst = index[parity], index[1 - parity]
+        maps.append([
+            ([(src[j, c], dst[j, c]) for c in range(j + 1, n)],
+             [(src[c, j], dst[c, j]) for c in range(j)])
+            for j in range(n)
+        ])
+    return tuple(maps)
 
 
 class _LieEngine:
-    """Incremental integer Lie-closure state.
+    """Incremental integer Lie-closure state, split into symmetric and skew parts.
 
     The Lie algebra generated by a set G is the smallest subspace that
     contains G and is invariant under ad_g = [g, .] for every g in G, since
@@ -335,46 +412,72 @@ class _LieEngine:
     brackets (generator, element) pairs only: O(dim·|G|) brackets, not the
     O(dim^2) of all pairs of elements.
 
-    ``elems`` spans the basis: one primitive integer matrix per insert
-    that grew it, the generator itself for a generator and the reduced
-    residue for a bracket.  ``gens`` holds the generators that grew the
-    span, a projector e_j e_j^T as its 0-based index j and any other
+    Every generator is symmetric, and gl(n) = Sym + Skew is a Z/2 grading:
+    [Sym, Sym] and [Skew, Skew] lie in Skew, [Sym, Skew] in Sym.  So every
+    element is kept pure, symmetric or skew, each bracket with a generator
+    flips its parity, and the closure is the direct sum of its symmetric
+    and skew parts.  ``bases`` holds one echelon basis per parity on packed
+    coordinates (the i <= j entries of a symmetric matrix, the i < j
+    entries of a skew one); the dimension is the sum of the two.
+
+    ``elems`` spans the closure: one (parity, packed, matrix) triple per
+    insert that grew it, the generator itself for a generator and the
+    reduced residue for a bracket.  ``gens`` holds the generators that grew
+    the span, a projector e_j e_j^T as its 0-based index j and any other
     generator as its integer matrix.  A generator already in the span lies
     in the algebra of the earlier ones, so it adds nothing and is dropped.
     ``pending`` holds the (generator, element) index pairs not yet
     bracketed: a new element is queued against every generator, and a new
     generator against every earlier element.  Projector pairs go to the
-    front, since ad_{P_j} only copies and negates entries of one row and
-    one column: it needs no product and grows no coefficients.  ``extend``
-    may be called again with more generators and only the new pairs are
-    bracketed, which is what lets a harness share closure work along
-    chains of growing control sets.  Scaling spanning-set elements changes
-    neither the span nor its closure.
+    front: ad_{P_j} copies one row and one column of packed entries, one of
+    them negated, and needs no product.  For a matrix generator g and
+    X^T = sign·X, gX = sign·(Xg)^T, so [g, X] takes one product
+    (``intlinalg.int_commutator``).  ``extend`` may be called again with
+    more generators and only the new pairs are bracketed, which is what
+    lets a harness share closure work along chains of growing control
+    sets.  Scaling spanning-set elements changes neither the span nor its
+    closure.
 
     With a prime ``modulus`` the same closure runs over the integers modulo
-    that prime and brackets are reduced instead of made primitive.  Its
-    dimension is at most the rational one, so n^2 there proves n^2.
+    that prime and brackets are reduced instead of made primitive.  Each
+    part's rows are reductions of integer combinations of genuine integer
+    elements of that part, so each part's dimension modulo any prime, 2
+    included, is at most its rational one, and n^2 there proves n^2.
+    Modulo 2 the parts need not form a direct sum, which only lowers the
+    modular result.
     """
 
-    __slots__ = ("side", "basis", "elems", "gens", "pending")
+    __slots__ = ("side", "bases", "elems", "gens", "pending", "_pack", "_proj")
 
     def __init__(self, side: int, modulus=None):
         self.side = side
-        self.basis = intlinalg.EchelonBasis(side * side, modulus)
+        self.bases = (
+            intlinalg.EchelonBasis(side * (side + 1) // 2, modulus),
+            intlinalg.EchelonBasis(side * (side - 1) // 2, modulus),
+        )
         self.elems: list = []
         self.gens: list = []
         self.pending = deque()
+        self._pack = (_packing(side, _SYM), _packing(side, _SKEW))
+        self._proj = _projector_maps(side)
+
+    @property
+    def dim(self) -> int:
+        return self.bases[_SYM].dim + self.bases[_SKEW].dim
 
     def copy(self) -> "_LieEngine":
-        dup = _LieEngine(self.side)
-        dup.basis = self.basis.copy()
+        dup = _LieEngine.__new__(_LieEngine)
+        dup.side = self.side
+        dup.bases = (self.bases[_SYM].copy(), self.bases[_SKEW].copy())
         dup.elems = list(self.elems)
         dup.gens = list(self.gens)
         dup.pending = deque(self.pending)
+        dup._pack = self._pack
+        dup._proj = self._proj
         return dup
 
-    def _offer(self, flat):
-        """Insert a flattened matrix; return its residue if the span grew.
+    def _offer(self, parity: int, packed):
+        """Insert a packed element; return its residue if the span grew.
 
         The residue modulo the earlier span is the row the insert added:
         its pivot is the one new pivot column, by which the pivot sum grew.
@@ -382,15 +485,21 @@ class _LieEngine:
         brackets vanish before they reach an insert than those of the raw
         matrix would.  Returns None when the span did not grow.
         """
-        pivots = self.basis.pivots
+        basis = self.bases[parity]
+        pivots = basis.pivots
         before = sum(pivots)
-        if not self.basis.insert(flat):
+        if not basis.insert(packed):
             return None
-        return self.basis.rows[bisect_left(pivots, sum(pivots) - before)]
+        return basis.rows[bisect_left(pivots, sum(pivots) - before)]
 
-    def _keep(self, flat) -> None:
+    def _keep(self, parity: int, packed) -> None:
         n = self.side
-        self.elems.append(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+        x = [[0] * n for _ in range(n)]
+        sign = -1 if parity == _SKEW else 1
+        for (i, j), v in zip(self._pack[parity], packed):
+            x[i][j] = v
+            x[j][i] = sign * v
+        self.elems.append((parity, packed, tuple(map(tuple, x))))
 
     def _queue(self, pairs) -> None:
         for g, e in pairs:
@@ -399,68 +508,77 @@ class _LieEngine:
             else:
                 self.pending.append((g, e))
 
-    def _normalize(self, flat):
-        """A flattened integer matrix as it is offered; None when it is zero.
+    def _normalize(self, packed):
+        """A packed integer element as it is offered; None when it is zero.
 
         Exact: made primitive.  Modulo p: left for the insert to reduce, so
         only checked for a nonzero residue.
         """
-        p = self.basis.modulus
+        p = self.bases[_SYM].modulus
         if p is None:
-            return intlinalg.primitive(flat)
-        return flat if any(x % p for x in flat) else None
+            return intlinalg.primitive(packed)
+        return packed if any(x % p for x in packed) else None
 
-    def _bracket(self, g, x):
-        """[g, x] flattened and normalized; None when it is zero."""
-        n = self.side
+    def _bracket(self, g, elem):
+        """[g, elem] packed in the opposite parity and normalized; None when zero."""
+        parity, packed, x = elem
         if isinstance(g, int):
-            # ad_{P_j} x = e_j x[j, :] - x[:, j] e_j^T: row j of x, minus column j
-            flat = [0] * (n * n)
-            flat[g * n : (g + 1) * n] = x[g]
-            for r in range(n):
-                flat[r * n + g] -= x[r][g]
-            return self._normalize(flat)
-        return self._normalize(intlinalg.flatten(intlinalg.int_commutator(g, x)))
+            # ad_{P_j} X = e_j X[j, :] - X[:, j] e_j^T: the packed entries
+            # (j, c) with c > j are kept, those (c, j) with c < j negated
+            keep, negate = self._proj[parity][g]
+            out = [0] * len(self._pack[1 - parity])
+            for src, dst in keep:
+                out[dst] = packed[src]
+            for src, dst in negate:
+                out[dst] = -packed[src]
+            return self._normalize(out)
+        r = intlinalg.int_commutator(g, x, -1 if parity == _SKEW else 1)
+        if parity == _SYM:
+            return self._normalize([v for i, row in enumerate(r) for v in row[i + 1:]])
+        return self._normalize([v for i, row in enumerate(r) for v in row[i:]])
 
     def extend(self, int_generators, cap: int) -> int:
-        """Add generators, restore bracket closure, return the dimension."""
-        n = self.side
+        """Add symmetric generators, restore bracket closure, return the dimension."""
         for gen in int_generators:
-            if self.basis.dim >= cap:
-                return self.basis.dim
-            flat = self._normalize(intlinalg.flatten(gen))
-            if flat is None or self._offer(flat) is None:
+            if self.dim >= cap:
+                return self.dim
+            packed = self._normalize([v for i, row in enumerate(gen) for v in row[i:]])
+            if packed is None or self._offer(_SYM, packed) is None:
                 continue
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
-            self._keep(flat)
-            support = [i for i, x in enumerate(flat) if x]
+            self._keep(_SYM, packed)
+            support = [k for k, v in enumerate(packed) if v]
+            i, j = self._pack[_SYM][support[0]]
             # one nonzero, on the diagonal: the projector e_j e_j^T
-            if len(support) == 1 and support[0] % (n + 1) == 0:
-                self.gens.append(support[0] // (n + 1))
+            if len(support) == 1 and i == j:
+                self.gens.append(j)
             else:
-                self.gens.append(self.elems[-1])
+                self.gens.append(self.elems[-1][2])
             g = len(self.gens) - 1
             self._queue((g, e) for e in range(len(self.elems) - 1))
         gens, elems, pending = self.gens, self.elems, self.pending
-        while pending and self.basis.dim < cap:
+        while pending and self.dim < cap:
             g, e = pending.popleft()
-            flat = self._bracket(gens[g], elems[e])
-            residue = None if flat is None else self._offer(flat)
+            parity = 1 - elems[e][0]
+            packed = self._bracket(gens[g], elems[e])
+            residue = None if packed is None else self._offer(parity, packed)
             if residue is not None:
-                self._keep(residue)
+                self._keep(parity, residue)
                 e = len(elems) - 1
                 self._queue((h, e) for h in range(len(gens)))
-        return self.basis.dim
+        return self.dim
 
 
 def lie_closure(generators, cap=None, max_order=None) -> tuple:
     """Smallest subspace containing the generators and closed under [x, y].
 
     Args:
-      generators: square RationalMatrix values (or nested rationals), all
-        of one side n.
+      generators: symmetric square RationalMatrix values (or nested
+        rationals), all of one side n.  The closure is computed on its
+        symmetric and skew parts separately, which needs every generator
+        symmetric.
       cap: stop once the dimension reaches this value; defaults to n^2,
         the dimension of gl(n, R), which no closure exceeds.
       max_order: refuse sides beyond this; exact closure cost grows
@@ -470,11 +588,13 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         going past 12 emits a warning.
 
     Returns:
-      (dim, basis) with basis the canonical echelon MatrixSpaceBasis of
-      the closure, computed exactly.
+      (dim, basis) with basis the MatrixSpaceBasis of the closure in
+      row-major coordinates, computed exactly; its canonical reduced form
+      is what ``vectors()``, ``matrices()`` and ``==`` read.
 
     Raises:
-      ValueError: no generators, mismatched sides, or order over max_order.
+      ValueError: no generators, mismatched sides, a generator that is not
+        symmetric, or order over max_order.
     """
     mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
     if not mats:
@@ -483,6 +603,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     for m in mats:
         if not m.is_square() or m.rows != n:
             raise ValueError("generators must be square matrices of one common side")
+        if not m.is_symmetric():
+            raise ValueError("generators must be symmetric")
     check_lie_order(n, max_order)
     if n > DEFAULT_LIE_MAX_ORDER:
         warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=2)
@@ -492,7 +614,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     engine = _LieEngine(n)
     dim = engine.extend(int_gens, cap)
     basis = MatrixSpaceBasis(n)
-    basis._inner = engine.basis
+    for _, _, x in engine.elems:
+        basis.insert(x)
     return dim, basis
 
 

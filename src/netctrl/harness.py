@@ -19,8 +19,10 @@ kind, and check the exact assertions on every selected control set:
 A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  Subsets of one matrix are processed along
 a tree ordered by largest element, so each child extends its parent's
-walk, product-span, and Lie bases instead of starting over; the echelon
-forms are canonical, so the shared results equal the one-shot ones.
+walk, product-span, and Lie bases instead of starting over.  Only
+dimensions are read from the shared state, and a dimension does not depend
+on the order in which a span was built, so the shared results equal the
+one-shot ones.
 """
 
 from __future__ import annotations
@@ -339,7 +341,7 @@ class _NodeState:
 
     def __init__(self, n: int):
         self.walk = intlinalg.EchelonBasis(n)
-        self.pspan = intlinalg.EchelonBasis(n * n)
+        self.pspan = control._ProductSpan(n)
         self.lie = control._LieEngine(n)
 
     def copy(self) -> "_NodeState":
@@ -348,10 +350,6 @@ class _NodeState:
         dup.pspan = self.pspan.copy()
         dup.lie = self.lie.copy()
         return dup
-
-
-def _outer_flat(u, w) -> tuple:
-    return tuple(a * b for a in u for b in w)
 
 
 def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) -> None:
@@ -367,19 +365,16 @@ def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) 
     amb = n * n
     if state.pspan.dim >= amb:
         return
-    # new span products are exactly the pairs involving j
+    # new span products are exactly the pairs involving j, each unordered
+    # pair of columns taken once; stop as soon as either part fills the span
+    span = state.pspan
     for k in members:
         cols_k = session.cols[k]
         for m in range(n):
-            cjm = cols_j[m]
             ckm = cols_k[m]
-            for l in range(n):
-                state.pspan.insert(_outer_flat(ckm, cols_j[l]))
-                if state.pspan.dim == amb:
-                    return
-                if k != j:
-                    state.pspan.insert(_outer_flat(cjm, cols_k[l]))
-                    if state.pspan.dim == amb:
+            for l in range(m if k == j else 0, n):
+                for part in span.parts(ckm, cols_j[l]):
+                    if span.basis.insert(part) and span.basis.dim == amb:
                         return
 
 
@@ -404,7 +399,7 @@ def _iter_unit(session: _Session, children: dict, check_set: set):
             mem = members + (j,)
             _extend_state(st, session, mem, j)
             if mem in check_set:
-                yield mem, st.walk.dim, st.lie.basis.dim, st.pspan.dim
+                yield mem, st.walk.dim, st.lie.dim, st.pspan.dim
             stack.append((mem, st))
 
 

@@ -7,6 +7,11 @@ of denominators and divided by its content first.  Elimination is
 fraction-free (cross-multiplication), which keeps every intermediate value
 an integer; Python integers make it exact at any size.
 
+An echelon basis keeps its rows in echelon form only: an insert reduces the
+new vector against the stored rows and never rewrites them.  Dimensions,
+membership and the residue an insert adds need nothing more; the canonical
+reduced form is computed on demand, where it is read.
+
 An echelon basis can also run modulo a prime.  For integer vectors the rank
 modulo p is at most the rank over the rationals, so a full rank found
 modulo p proves full rank over the rationals; a smaller one proves nothing.
@@ -50,18 +55,25 @@ def clear_denominators(values) -> tuple:
 class EchelonBasis:
     """Incremental echelon basis of integer rows, exact or modulo a prime.
 
-    Exact (``modulus`` None): rows are kept fully reduced: every pivot
-    column is zero in every other row, pivot columns strictly increase, each
-    row is primitive with a positive pivot.  This form is the canonical
-    representative of the row span, so two bases are equal iff they span the
-    same subspace.
+    Rows are stored in ascending pivot order, each zero left of its pivot.
+    An insert stores the reduced residue of the new vector in its place
+    without back-substituting it into the older rows: every reading on the
+    hot path
+    (``dim``, ``reduce``, ``contains`` and the row an insert adds) needs
+    the echelon form only.
+
+    Exact (``modulus`` None): each row is primitive with a positive pivot.
+    The residue of a vector is zero on every pivot column, which fixes it
+    up to scale, so the row an insert adds is the same whatever form the
+    older rows are in.  ``reduced_rows`` and ``rational_rows`` compute the
+    canonical reduced form on demand: two bases span the same subspace iff
+    those compare equal.
 
     Modulo a prime p: entries are residues in 0..p-1 and every row is monic
-    (its pivot entry is 1).  Rows stay in echelon form but are not
-    back-substituted, since this mode is read only for its dimension and for
-    the rows it adds.  For integer input that dimension is at most the exact
-    one: each stored row is the reduction of an integer combination of the
-    inserted vectors.
+    (its pivot entry is 1).  This mode is read only for its dimension and
+    for the rows it adds.  For integer input that dimension is at most the
+    exact one: each stored row is the reduction of an integer combination
+    of the inserted vectors.
     """
 
     __slots__ = ("ambient", "rows", "pivots", "modulus")
@@ -89,6 +101,8 @@ class EchelonBasis:
         primitive integer tuple.  Modulo p: a list of residues, not yet
         monic; the one ``% p`` pass comes after all row operations, since
         the pivot entries are 1 and only the entry on each pivot is read.
+        Pivots ascend and each row is zero left of its pivot, so a pivot
+        entry of the vector is final once the rows before it are applied.
         """
         v = list(values)
         p = self.modulus
@@ -99,8 +113,6 @@ class EchelonBasis:
                     pc = row[c]
                     v = [pc * a - vc * b for a, b in zip(v, row)]
             return primitive(v)
-        # pivots ascend and each row is zero left of its pivot, so a pivot
-        # entry of v is final once the rows before it are subtracted
         for c, row in zip(self.pivots, self.rows):
             vc = v[c] % p
             if vc:
@@ -119,13 +131,7 @@ class EchelonBasis:
         while not v[c_new]:
             c_new += 1
         p = self.modulus
-        if p is None:
-            p_new = v[c_new]
-            for i, row in enumerate(self.rows):
-                rc = row[c_new]
-                if rc:
-                    self.rows[i] = primitive(p_new * a - rc * b for a, b in zip(row, v))
-        else:
+        if p is not None:
             inv = pow(v[c_new], -1, p)
             v = tuple(a * inv % p for a in v)
         pos = bisect_left(self.pivots, c_new)
@@ -136,15 +142,31 @@ class EchelonBasis:
     def contains(self, values) -> bool:
         return self.reduce(values) is None
 
-    def rational_rows(self) -> tuple:
-        """The rows as exact rationals, scaled so every leading entry is 1."""
+    def reduced_rows(self) -> tuple:
+        """The canonical form of the span: the fully reduced primitive rows.
+
+        Every pivot column is zero in every other row, pivots ascend and
+        each row is primitive with a positive pivot.  Computed from the
+        echelon rows by one back-substitution pass, last row first.
+        """
         if self.modulus is not None:
-            raise ValueError("a basis modulo a prime has no rational rows")
-        out = []
-        for c, row in zip(self.pivots, self.rows):
-            p = row[c]
-            out.append(tuple(Fraction(x, p) for x in row))
-        return tuple(out)
+            raise ValueError("a basis modulo a prime has no canonical rational form")
+        rows = list(self.rows)
+        for i in range(len(rows) - 1, 0, -1):
+            c, row = self.pivots[i], rows[i]
+            pc = row[c]
+            for k in range(i):
+                rc = rows[k][c]
+                if rc:
+                    rows[k] = primitive(pc * a - rc * b for a, b in zip(rows[k], row))
+        return tuple(rows)
+
+    def rational_rows(self) -> tuple:
+        """The canonical rows as exact rationals, scaled so every leading entry is 1."""
+        return tuple(
+            tuple(Fraction(x, row[c]) for x in row)
+            for c, row in zip(self.pivots, self.reduced_rows())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +182,17 @@ def int_mat_mul(a, b) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def int_commutator(a, b) -> tuple:
-    ab = int_mat_mul(a, b)
+def int_commutator(a, b, sign: int) -> tuple:
+    """[a, b] = ab - ba for a symmetric ``a`` and b^T = sign * b.
+
+    ``sign`` is 1 for a symmetric ``b`` and -1 for a skew one.  Then
+    ab = (b^T a^T)^T = sign * (ba)^T, so the one product ba gives the
+    bracket: [a, b] = sign * (ba)^T - ba.  Returns its integer rows.
+    """
     ba = int_mat_mul(b, a)
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
+    if sign > 0:
+        return tuple(tuple(x - y for x, y in zip(col, row)) for col, row in zip(zip(*ba), ba))
+    return tuple(tuple(-x - y for x, y in zip(col, row)) for col, row in zip(zip(*ba), ba))
 
 
 def flatten(m) -> tuple:

@@ -152,21 +152,18 @@ def rank(m: RationalMatrix, modulus=None) -> int:
 class MatrixSpaceBasis:
     """Linearly independent set of n-by-n matrices in echelon form.
 
-    Matrices are vectorized row-major; the stored basis is the reduced
-    row-echelon form of the span with leading entries 1, so it is a
+    Matrices are vectorized row-major and kept in an exact echelon basis.
+    Reading the basis (``vectors``, ``matrices``, ``==``) computes the
+    reduced row-echelon form of the span with leading entries 1, a
     canonical representative: two spans are equal iff their bases compare
     equal.  Mutation happens only through :meth:`insert` (single writer).
-
-    With a prime ``modulus`` the span is taken over the integers modulo
-    that prime, after each matrix is cleared to a primitive integer one;
-    only its dimension is meaningful, and that is at most the rational one.
     """
 
-    def __init__(self, side: int, modulus=None):
+    def __init__(self, side: int):
         if side < 1:
             raise ValueError("matrix side must be >= 1")
         self.side = side
-        self._inner = intlinalg.EchelonBasis(side * side, modulus)
+        self._inner = intlinalg.EchelonBasis(side * side)
 
     @property
     def dim_ambient(self) -> int:
@@ -221,16 +218,10 @@ class MatrixSpaceBasis:
     def __eq__(self, other):
         if not isinstance(other, MatrixSpaceBasis):
             return NotImplemented
-        return self.side == other.side and self._inner.rows == other._inner.rows
+        return self.side == other.side and self._inner.reduced_rows() == other._inner.reduced_rows()
 
     def __repr__(self):
         return f"MatrixSpaceBasis(side={self.side}, dim={self.dim})"
-
-
-def span_insert(b: MatrixSpaceBasis, m) -> tuple:
-    """Insert ``m`` into ``b`` in place; returns ``(b, grew)``."""
-    grew = b.insert(m)
-    return b, grew
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from netctrl import (
     walk_matrix,
 )
 from netctrl import control
-from netctrl.control import _LieEngine, control_generators
+from netctrl.control import _LieEngine, _ProductSpan, _int_walk, control_generators
 from netctrl.intlinalg import EchelonBasis
 from netctrl.linalg import mat_mul
 
@@ -213,6 +213,18 @@ class TestProductSpan:
         assert p_span_dim(a, s) == oracles.pspan_dim_bruteforce(entries, s)
 
     @settings(max_examples=40, deadline=None)
+    @given(symmetric_strategy(max_side=3))
+    def test_split_span_matches_literal_products(self, inst):
+        a, s = inst
+        entries = [list(r) for r in a.matrix.entries]
+        cols = _int_walk(control._int_rows(a.matrix), a.n, s).entries
+        span = _ProductSpan(a.n)
+        for i, u in enumerate(cols):
+            for w in cols[i:]:
+                span.insert(u, w)
+        assert span.dim == oracles.pspan_dim_bruteforce(entries, s)
+
+    @settings(max_examples=40, deadline=None)
     @given(symmetric_strategy())
     def test_equals_walk_rank_squared(self, inst):
         a, s = inst
@@ -245,6 +257,10 @@ class TestLieClosure:
         a = adjacency_matrix(path_graph(4))
         dim, _ = lie_closure(control_generators(a, (2,)), cap=5)
         assert dim == 5
+
+    def test_asymmetric_generator_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            lie_closure([matrix([[0, 1], [1, 0]]), matrix([[0, 1], [0, 0]])])
 
     def test_no_generators_rejected(self):
         with pytest.raises(ValueError):
@@ -317,11 +333,11 @@ class TestIncrementalLieEngine:
         assert root.extend([a], n * n) == 1
         engine = root
         for k, j in enumerate(members, 1):
-            parent_dim = engine.basis.dim
+            parent_dim = engine.dim
             child = engine.copy()
             p = tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n))
             dim = child.extend([p], n * n)
-            assert engine.basis.dim == parent_dim
+            assert engine.dim == parent_dim
             assert dim == oracles.control_lie_dim_bruteforce(entries, members[:k])
             if dim == parent_dim:
                 assert child.gens == engine.gens
@@ -333,6 +349,40 @@ class TestIncrementalLieEngine:
         assert engine.extend([a], n * n) == final_dim
         assert engine.gens == gens
         assert not engine.pending
+
+
+def _control_engine(a, s, modulus=None):
+    n = a.n
+    gens = [tuple(tuple(int(x) for x in row) for row in a.matrix.entries)]
+    for j in s:
+        gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
+    engine = _LieEngine(n, modulus)
+    engine.extend(gens, n * n)
+    return engine
+
+
+class TestSplitLieEngine:
+    """The closure kept as symmetric and skew parts, against the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_strategy())
+    def test_matches_fixpoint_oracle(self, inst):
+        a, s = inst
+        engine = _control_engine(a, s)
+        assert engine.dim == oracles.control_lie_dim_bruteforce(
+            [list(r) for r in a.matrix.entries], s)
+        for parity, _, x in engine.elems:
+            sign = -1 if parity else 1
+            assert x == tuple(tuple(sign * v for v in col) for col in zip(*x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), symmetric_strategy())
+    def test_modular_never_exceeds_exact(self, p, inst):
+        a, s = inst
+        exact = _control_engine(a, s)
+        modular = _control_engine(a, s, p)
+        for part in (0, 1):
+            assert modular.bases[part].dim <= exact.bases[part].dim
 
 
 class TestLieControllable:
@@ -521,8 +571,9 @@ class TestModularRoute:
         entries = [[1, 1], [1, -2]]
         a = pattern_matrix(entries)
         gens = [tuple(map(tuple, entries)), ((1, 0), (0, 0))]
-        # modulo 2, [P, A] = A - P: the closure stops at dimension 2
-        assert _LieEngine(2, 2).extend(gens, 4) == 2
+        # modulo 2 the symmetric and skew parts agree off the diagonal: the
+        # split closure stops at dimension 3
+        assert _LieEngine(2, 2).extend(gens, 4) == 3
         assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
         exact_runs = []
         real = control.lie_closure

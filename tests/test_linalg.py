@@ -17,11 +17,11 @@ from netctrl import (
     matrix,
     parse_matrix,
     rank,
-    span_insert,
 )
+from netctrl.intlinalg import EchelonBasis, int_commutator, int_mat_mul
 from netctrl.linalg import basis_column, mat_vec, outer, zero_matrix
 
-from .oracles import frac_rank
+from .oracles import FractionBasis, frac_rank
 
 fraction_entries = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -137,6 +137,64 @@ class TestCommutator:
         assert commutator(x + y, z) == commutator(x, z) + commutator(y, z)
 
 
+def _sym_and_signed_pair():
+    """A symmetric integer a, a symmetric or skew b of the same side, b's sign."""
+    def build(draw):
+        n = draw(st.integers(min_value=1, max_value=4))
+        sign = draw(st.sampled_from([1, -1]))
+        ent = st.integers(min_value=-9, max_value=9)
+        a = [[0] * n for _ in range(n)]
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(ent)
+                if i < j or sign > 0:
+                    b[i][j] = draw(ent)
+                    b[j][i] = sign * b[i][j]
+        return tuple(map(tuple, a)), tuple(map(tuple, b)), sign
+    return st.composite(build)()
+
+
+class TestIntegerCommutator:
+    @settings(max_examples=60)
+    @given(_sym_and_signed_pair())
+    def test_one_product_bracket_is_ab_minus_ba(self, case):
+        a, b, sign = case
+        ab, ba = int_mat_mul(a, b), int_mat_mul(b, a)
+        want = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
+        assert int_commutator(a, b, sign) == want
+
+
+class TestExactEchelonBasis:
+    """Echelon rows on insert, the canonical reduced form only when read."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(lambda k: st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k),
+            max_size=7)),
+        st.randoms(use_true_random=False),
+    )
+    def test_rational_rows_match_fraction_oracle_in_any_order(self, rows, rnd):
+        if not rows:
+            return
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        oracle = FractionBasis(len(rows[0]))
+        for row in rows:
+            oracle.insert(row)
+        basis = EchelonBasis(len(rows[0]))
+        for row in shuffled:
+            before = list(basis.rows)
+            basis.insert(row)
+            # no older row is rewritten
+            assert all(r in basis.rows for r in before)
+        for c, row in zip(basis.pivots, basis.rows):
+            assert row[c] > 0 and not any(row[:c])
+        assert basis.pivots == sorted(basis.pivots)
+        assert basis.rational_rows() == tuple(tuple(r) for r in oracle.rows)
+
+
 class TestRank:
     def test_spec_values(self):
         assert rank(zero_matrix(3, 3)) == 0
@@ -235,13 +293,6 @@ class TestMatrixSpaceBasis:
         c = b.copy()
         c.insert(matrix([[0, 1], [0, 0]]))
         assert b.dim == 1 and c.dim == 2
-
-    def test_span_insert_reports_growth(self):
-        b = MatrixSpaceBasis(2)
-        _, grew = span_insert(b, matrix([[1, 1], [1, 1]]))
-        assert grew
-        _, grew = span_insert(b, matrix([[3, 3], [3, 3]]))
-        assert not grew
 
     @settings(max_examples=40)
     @given(st.lists(square_strategy(side=2), min_size=1, max_size=5))
