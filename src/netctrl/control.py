@@ -174,6 +174,29 @@ def random_same_sign_matrix(g: Graph, seed: int) -> PatternMatrix:
     return pattern_matrix(RationalMatrix(tuple(tuple(row) for row in entries)))
 
 
+def parse_kind(kind: str) -> tuple:
+    """Parse a matrix-kind spec into (name, seed, label_invariant).
+
+    "adjacency" and "laplacian" carry no seed.  They are label-invariant:
+    relabeling the graph by a permutation P turns the matrix A into
+    P A P^T, so every rank and dimension decided here is unchanged once the
+    control set is relabeled too.  "random:SEED" draws its weights in
+    sorted-edge order, so a relabeled graph gets other weights and the kind
+    is not label-invariant.
+
+    Raises:
+      ValueError: unknown or malformed kind spec.
+    """
+    if kind in ("adjacency", "laplacian"):
+        return kind, None, True
+    if kind.startswith("random:"):
+        try:
+            return "random", int(kind.split(":", 1)[1]), False
+        except ValueError:
+            raise ValueError(f"malformed matrix kind {kind!r}; want random:SEED") from None
+    raise ValueError(f"unknown matrix kind {kind!r}; want adjacency, laplacian, or random:SEED")
+
+
 def build_matrix(g: Graph, kind: str) -> PatternMatrix:
     """Build a matrix for ``g`` from a kind spec.
 
@@ -184,17 +207,12 @@ def build_matrix(g: Graph, kind: str) -> PatternMatrix:
     Raises:
       ValueError: unknown or malformed kind spec.
     """
-    if kind == "adjacency":
+    name, seed, _ = parse_kind(kind)
+    if name == "adjacency":
         return adjacency_matrix(g)
-    if kind == "laplacian":
+    if name == "laplacian":
         return laplacian_matrix(g)
-    if kind.startswith("random:"):
-        try:
-            seed = int(kind.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed matrix kind {kind!r}; want random:SEED") from None
-        return random_same_sign_matrix(g, seed)
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    return random_same_sign_matrix(g, seed)
 
 
 def projector(j: int, n: int) -> RationalMatrix:
@@ -571,6 +589,12 @@ class _LieEngine:
         return self.dim
 
 
+def _warn_if_past_default(n: int) -> None:
+    """Warn that an exact closure past the default order cap may be very slow."""
+    if n > DEFAULT_LIE_MAX_ORDER:
+        warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=3)
+
+
 def lie_closure(generators, cap=None, max_order=None) -> tuple:
     """Smallest subspace containing the generators and closed under [x, y].
 
@@ -606,8 +630,7 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         if not m.is_symmetric():
             raise ValueError("generators must be symmetric")
     check_lie_order(n, max_order)
-    if n > DEFAULT_LIE_MAX_ORDER:
-        warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=2)
+    _warn_if_past_default(n)
     if cap is None:
         cap = n * n
     int_gens = [g for g in map(_int_rows, mats) if g is not None]
@@ -631,7 +654,10 @@ def lie_controllable(a: PatternMatrix, s) -> tuple:
     """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S}).
 
     Both are exact.  The closure is first run modulo a prime, where n^2
-    certifies n^2; any smaller dimension is recomputed by ``lie_closure``.
+    certifies n^2; any smaller dimension is recomputed by the same engine
+    over the integers, which only counts the dimension (``lie_closure``
+    also builds the canonical basis it returns).  Past the default order
+    cap that exact route warns, as ``lie_closure`` does.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past
@@ -641,13 +667,13 @@ def lie_controllable(a: PatternMatrix, s) -> tuple:
     n = a.n
     check_lie_order(n)
     int_a = _int_rows(a.matrix)
-    if _full_mod_p(_int_walk(int_a, n, members), n):
-        gens = [] if int_a is None else [int_a]
-        for j in members:
-            gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
-        if _LieEngine(n, _PRIME).extend(gens, n * n) == n * n:
-            return True, n * n
-    dim, _ = lie_closure(control_generators(a, members))
+    gens = [] if int_a is None else [int_a]
+    for j in members:
+        gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
+    if _full_mod_p(_int_walk(int_a, n, members), n) and _LieEngine(n, _PRIME).extend(gens, n * n) == n * n:
+        return True, n * n
+    _warn_if_past_default(n)
+    dim = _LieEngine(n).extend(gens, n * n)
     return dim == n * n, dim
 
 

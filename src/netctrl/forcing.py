@@ -16,13 +16,17 @@ import os
 from .graphs import Graph, adjacency_sets, degree
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 16
+# one forcing closure is about n^2 steps on a path and one set per vertex:
+# about 1 s at 2,000 vertices
+DEFAULT_CLOSURE_MAX_ORDER = 2_000
 
 
 def order_cap(default: int) -> int:
     """An order guardrail: ``default``, or NETCTRL_MAX_ORDER when it is set.
 
-    One variable raises or lowers every exact-arithmetic cost guardrail (the
-    exhaustive forcing-set search here, the Lie closure in ``control``).
+    One variable raises or lowers every cost guardrail (the exhaustive
+    forcing-set search and the command-line forcing closure here, the Lie
+    closure in ``control``).
     """
     raw = os.environ.get("NETCTRL_MAX_ORDER")
     if raw is None:
@@ -40,6 +44,24 @@ def vertex_set(members, order: int) -> tuple:
         if not (1 <= v <= order):
             raise ValueError(f"vertex {v} out of range 1..{order}")
     return tuple(out)
+
+
+def check_closure_order(n: int) -> None:
+    """Refuse a graph order past the forcing-closure cap.
+
+    The cap is 2,000, or the NETCTRL_MAX_ORDER environment variable.  It
+    guards a forcing closure on a graph read from outside, whose declared
+    order alone sets the memory ``closure`` takes; ``closure`` itself, and
+    so ``min_zfs``, does not check it.
+
+    Raises:
+      ValueError: ``n`` exceeds the cap.
+    """
+    cap = order_cap(DEFAULT_CLOSURE_MAX_ORDER)
+    if n > cap:
+        raise ValueError(
+            f"order {n} exceeds the forcing-closure cap {cap}; set NETCTRL_MAX_ORDER to override"
+        )
 
 
 def closure(g: Graph, s) -> tuple:

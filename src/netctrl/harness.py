@@ -1,9 +1,8 @@
 """Systematic verification sweeps over graphs, matrices, and control sets.
 
 The sweeps enumerate connected graphs (exhaustively over labeled graphs up
-to order 5, seeded random samples at orders 6 and 7, duplicates allowed
-since no isomorphism reduction is attempted), build each configured matrix
-kind, and check the exact assertions on every selected control set:
+to order 5, seeded random samples at orders 6 and 7), build each configured
+matrix kind, and check the exact assertions on every selected control set:
 
 * kalman_iff_lie: the Kalman walk-rank verdict and the Lie-algebra
   verdict agree (needs a connected, same-sign instance);
@@ -23,15 +22,27 @@ walk, product-span, and Lie bases instead of starting over.  Only
 dimensions are read from the shared state, and a dimension does not depend
 on the order in which a span was built, so the shared results equal the
 one-shot ones.
+
+Every instance is still checked and counted per labeled (graph, control
+set) pair, but for a label-invariant kind (adjacency, laplacian) the
+dimensions are computed once per isomorphism class: relabeling a graph and
+its control set by one permutation conjugates the matrix and the
+projectors, which changes no rank or dimension, and preserves forcing.  Per
+order the labeled graphs are mapped onto a canonical representative, one
+subset tree runs per (representative, kind) over every relabeled subset the
+class needs, and each labeled pair reads its dimensions off that table.
+The table lives inside one sweep call.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import control, forcing, graphs, intlinalg
 from .graphs import Graph
@@ -39,18 +50,6 @@ from .linalg import format_matrix, parse_matrix, rank
 
 MAX_SWEEP_ORDER = 7
 SAMPLES_PER_LARGE_ORDER = 3
-
-
-def _validate_kind(kind: str) -> None:
-    if kind in ("adjacency", "laplacian"):
-        return
-    if kind.startswith("random:"):
-        try:
-            int(kind.split(":", 1)[1])
-            return
-        except ValueError:
-            pass
-    raise ValueError(f"unknown matrix kind {kind!r}; want adjacency, laplacian, or random:SEED")
 
 
 def _parse_policy(policy: str) -> tuple:
@@ -91,7 +90,7 @@ class SweepConfig:
         if not kinds:
             raise ValueError("matrix_kinds must be nonempty")
         for kind in kinds:
-            _validate_kind(kind)
+            control.parse_kind(kind)
         object.__setattr__(self, "matrix_kinds", kinds)
         policy = "zfs" if self.subset_policy == "zfs_only" else self.subset_policy
         _parse_policy(policy)
@@ -209,10 +208,11 @@ def _outcome(config: dict, instances: int, counts: Counter, violations: list) ->
 # ---------------------------------------------------------------------------
 
 def connected_graphs(n: int):
-    """All labeled connected graphs on vertices 1..n, no isomorphism reduction.
+    """All labeled connected graphs on vertices 1..n, isomorphic ones included.
 
     Yields in ascending edge-bitmask order over the sorted vertex pairs;
-    exhaustive enumeration is limited to n <= 5 (2^10 masks).
+    exhaustive enumeration is limited to n <= 5 (2^10 masks).  The sweeps
+    group them into isomorphism classes with ``_canonical_labeling``.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -235,6 +235,41 @@ def _iter_graphs(cfg: SweepConfig):
                 yield graphs.random_connected(
                     n, Fraction(1, 2), seed=cfg.seed * 1_000_003 + n * 101 + i
                 )
+
+
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple:
+    """The sorted vertex pairs of order n, and every relabeling's action on them.
+
+    Each relabeling is a pair (pi, bits): pi[v] is the new label of vertex
+    v (pi[0] is unused) and bits[i] is the edge-bitmask bit of the image of
+    pair i.
+    """
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    index = {p: i for i, p in enumerate(pairs)}
+    perms = []
+    for image in itertools.permutations(range(1, n + 1)):
+        pi = (0,) + image
+        bits = tuple(1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in pairs)
+        perms.append((pi, bits))
+    return tuple(pairs), tuple(perms)
+
+
+def _canonical_labeling(g: Graph) -> tuple:
+    """A canonical representative of g's isomorphism class, and a map onto it.
+
+    The representative is the relabeling of g with the least edge bitmask
+    over the sorted vertex pairs, found by trying every permutation (n! of
+    them, so meant for small n; McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60 (2014), give the general
+    method).  Returns (representative, pi), where pi[v] is the label that
+    vertex v of g has in the representative, so isomorphic graphs get one
+    representative.
+    """
+    pairs, perms = _relabelings(g.order)
+    edges = [pairs.index(e) for e in g.edges]
+    best, pi = min((sum([bits[i] for i in edges]), pi) for pi, bits in perms)
+    return graphs.graph(g.order, [p for i, p in enumerate(pairs) if best >> i & 1]), pi
 
 
 def _all_nonempty_subsets(n: int) -> list:
@@ -301,22 +336,17 @@ class _Session:
     dimension (columns and products scale by nonzero rationals).
     """
 
-    __slots__ = ("graph", "kind", "a", "n", "int_a", "cols", "hyp")
+    __slots__ = ("graph", "kind", "a", "n", "int_a", "cols", "hyp", "_defects")
 
     def __init__(self, g: Graph, kind: str):
         self.graph = g
         self.kind = kind
+        self._defects = None
         self.a = control.build_matrix(g, kind)
         n = g.order
         self.n = n
-        flat = intlinalg.clear_denominators(
-            [x for row in self.a.matrix.entries for x in row]
-        )
+        self.int_a = control._int_rows(self.a.matrix)
         zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        if flat is None:
-            self.int_a = None
-        else:
-            self.int_a = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         powers = [intlinalg.int_identity(n)]
         for _ in range(n - 1):
             if self.int_a is None:
@@ -332,6 +362,12 @@ class _Session:
             for j in range(1, n + 1)
         }
         self.hyp = self.a.sign_class != control.MIXED and graphs.is_connected(self.a.pattern)
+
+    def defects(self) -> tuple:
+        """``control.distance_power_defects`` of the matrix, computed once."""
+        if self._defects is None:
+            self._defects = control.distance_power_defects(self.a)
+        return self._defects
 
 
 class _NodeState:
@@ -378,29 +414,91 @@ def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) 
                         return
 
 
+def _tree_order(children: dict):
+    """Every member tuple of a subset tree, depth first.
+
+    The children of one node come one after another in ascending order,
+    and the subtree of the last of them is visited first.
+    """
+    stack = [()]
+    while stack:
+        members = stack.pop()
+        for j in children.get(members, ()):
+            mem = members + (j,)
+            yield mem
+            stack.append(mem)
+
+
 def _iter_unit(session: _Session, children: dict, check_set: set):
     """Walk the subset tree, yielding (members, walk_rank, lie_dim, p_span_dim).
 
-    Parent state is copied for all children but the last, which takes
-    ownership; dimensions are snapshotted at yield time so later reuse of
-    a state object cannot disturb reported values.
+    Nodes come in ``_tree_order``.  Parent state is copied for all children
+    but the last, which takes ownership; dimensions are snapshotted at yield
+    time so later reuse of a state object cannot disturb reported values.
     """
     n = session.n
     root = _NodeState(n)
     if session.int_a is not None:
         root.lie.extend([session.int_a], n * n)
-    stack = [((), root)]
-    while stack:
-        members, state = stack.pop()
-        kids = children.get(members, ())
-        last = len(kids) - 1
-        for idx, j in enumerate(kids):
-            st = state if idx == last else state.copy()
-            mem = members + (j,)
-            _extend_state(st, session, mem, j)
-            if mem in check_set:
-                yield mem, st.walk.dim, st.lie.dim, st.pspan.dim
-            stack.append((mem, st))
+    states = {(): root}
+    for mem in _tree_order(children):
+        parent, j = mem[:-1], mem[-1]
+        st = states.pop(parent) if j == children[parent][-1] else states[parent].copy()
+        _extend_state(st, session, mem, j)
+        if mem in check_set:
+            yield mem, st.walk.dim, st.lie.dim, st.pspan.dim
+        if mem in children:
+            states[mem] = st
+
+
+def _units(cfg: SweepConfig, select):
+    """Every (labeled graph, kind) unit of a sweep, in enumeration order.
+
+    ``select(g, zfs_map)`` gives the subsets to check on g; it is called for
+    every graph of an order, in enumeration order, before that order's first
+    unit is yielded.  Yields (g, kind, zfs_map, session, dims), where dims
+    iterates (members, walk_rank, lie_dim, p_span_dim) over the selected
+    subsets in ``_iter_unit`` order on g's own subset tree.
+
+    For a label-invariant kind, session belongs to g's canonical
+    representative and the dimensions are read off a table: one
+    ``_iter_unit`` walk per (representative, kind) over the union of the
+    relabeled subsets pi(S) its class needs, made once per order.  For any
+    other kind, session is g's own and dims is ``_iter_unit`` itself.
+    """
+    invariant = dict.fromkeys(k for k in cfg.matrix_kinds if control.parse_kind(k)[2])
+    for _, batch in itertools.groupby(_iter_graphs(cfg), key=lambda g: g.order):
+        rows = []
+        classes: dict = {}
+        for g in batch:
+            zfs_map = _zfs_statuses(g)
+            subsets = select(g, zfs_map)
+            if not subsets:
+                continue
+            rep = relabel = None
+            if invariant:
+                rep, pi = _canonical_labeling(g)
+                relabel = {s: tuple(sorted(pi[v] for v in s)) for s in subsets}
+                classes.setdefault(rep, set()).update(relabel.values())
+            rows.append((g, zfs_map, subsets, rep, relabel))
+        tables = {}
+        for rep, wanted in classes.items():
+            children = _children_map(wanted)
+            for kind in invariant:
+                session = _Session(rep, kind)
+                table = {m: dims for m, *dims in _iter_unit(session, children, wanted)}
+                tables[rep, kind] = session, table
+        for g, zfs_map, subsets, rep, relabel in rows:
+            children = _children_map(subsets)
+            check_set = set(subsets)
+            for kind in cfg.matrix_kinds:
+                if kind in invariant:
+                    session, table = tables[rep, kind]
+                    dims = [(m, *table[relabel[m]]) for m in _tree_order(children) if m in check_set]
+                else:
+                    session = _Session(g, kind)
+                    dims = _iter_unit(session, children, check_set)
+                yield g, kind, zfs_map, session, dims
 
 
 def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str) -> Violation:
@@ -431,49 +529,45 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     violations: list = []
     instances = 0
     rng = _policy_rng(cfg)
-    for g in _iter_graphs(cfg):
-        zfs_map = _zfs_statuses(g)
-        family = _subset_family(cfg, g, zfs_map, rng)
-        if not family:
-            continue
-        children = _children_map(family)
-        check_set = set(family)
+    units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
+    for g, kind, zfs_map, session, dims in units:
         nsq = g.order * g.order
-        for kind in cfg.matrix_kinds:
-            session = _Session(g, kind)
+        if session.hyp:
+            counts["distance_power_nonzero"] += 1
+            defects = session.defects()
+            if defects and session.graph != g:
+                # found on the representative: report them in g's labels
+                defects = control.distance_power_defects(control.build_matrix(g, kind))
+            if defects:
+                violations.append(_graph_violation(
+                    g, kind, (), "distance_power_nonzero",
+                    f"zero entries at (k, j, d) = {sorted(defects)}",
+                ))
+        for members, walk_rank, lie_dim, p_dim in dims:
+            instances += 1
+            kalman = walk_rank == g.order
+            lie = lie_dim == nsq
             if session.hyp:
-                counts["distance_power_nonzero"] += 1
-                defects = control.distance_power_defects(session.a)
-                if defects:
+                counts["kalman_iff_lie"] += 1
+                if kalman != lie:
                     violations.append(_graph_violation(
-                        g, kind, (), "distance_power_nonzero",
-                        f"zero entries at (k, j, d) = {sorted(defects)}",
+                        g, kind, members, "kalman_iff_lie",
+                        f"walk_rank {walk_rank} but lie_dim {lie_dim}",
                     ))
-            for members, walk_rank, lie_dim, p_dim in _iter_unit(session, children, check_set):
-                instances += 1
-                kalman = walk_rank == g.order
-                lie = lie_dim == nsq
-                if session.hyp:
-                    counts["kalman_iff_lie"] += 1
-                    if kalman != lie:
-                        violations.append(_graph_violation(
-                            g, kind, members, "kalman_iff_lie",
-                            f"walk_rank {walk_rank} but lie_dim {lie_dim}",
-                        ))
-                    counts["zfs_implies_lie"] += 1
-                    if zfs_map[members] and not lie:
-                        violations.append(_graph_violation(
-                            g, kind, members, "zfs_implies_lie",
-                            f"zero forcing set with lie_dim {lie_dim} < {nsq}",
-                        ))
-                else:
-                    counts["hypothesis_skipped"] += 1
-                counts["span_dimension_identity"] += 1
-                if p_dim != walk_rank * walk_rank:
+                counts["zfs_implies_lie"] += 1
+                if zfs_map[members] and not lie:
                     violations.append(_graph_violation(
-                        g, kind, members, "span_dimension_identity",
-                        f"p_span_dim {p_dim} but walk_rank {walk_rank}",
+                        g, kind, members, "zfs_implies_lie",
+                        f"zero forcing set with lie_dim {lie_dim} < {nsq}",
                     ))
+            else:
+                counts["hypothesis_skipped"] += 1
+            counts["span_dimension_identity"] += 1
+            if p_dim != walk_rank * walk_rank:
+                violations.append(_graph_violation(
+                    g, kind, members, "span_dimension_identity",
+                    f"p_span_dim {p_dim} but walk_rank {walk_rank}",
+                ))
     config = dict(op="equivalence", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -491,31 +585,25 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
     instances = 0
     rng = _policy_rng(cfg)
     base, _, _ = _parse_policy(cfg.subset_policy)
-    for g in _iter_graphs(cfg):
-        zfs_map = _zfs_statuses(g)
+
+    def targets(g: Graph, zfs_map: dict) -> list:
         if base == "all":
-            targets = [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
-        else:
-            family = _subset_family(cfg, g, zfs_map, rng)
-            targets = _minimal_members(family, zfs_map)
-        if not targets:
-            continue
-        children = _children_map(targets)
-        check_set = set(targets)
+            return [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
+        return _minimal_members(_subset_family(cfg, g, zfs_map, rng), zfs_map)
+
+    for g, kind, _, session, dims in _units(cfg, targets):
         nsq = g.order * g.order
-        for kind in cfg.matrix_kinds:
-            session = _Session(g, kind)
-            for members, _, lie_dim, _ in _iter_unit(session, children, check_set):
-                if not session.hyp:
-                    counts["hypothesis_skipped"] += 1
-                    continue
-                instances += 1
-                counts["zfs_implies_lie"] += 1
-                if lie_dim != nsq:
-                    violations.append(_graph_violation(
-                        g, kind, members, "zfs_implies_lie",
-                        f"zero forcing set with lie_dim {lie_dim} < {nsq}",
-                    ))
+        for members, _, lie_dim, _ in dims:
+            if not session.hyp:
+                counts["hypothesis_skipped"] += 1
+                continue
+            instances += 1
+            counts["zfs_implies_lie"] += 1
+            if lie_dim != nsq:
+                violations.append(_graph_violation(
+                    g, kind, members, "zfs_implies_lie",
+                    f"zero forcing set with lie_dim {lie_dim} < {nsq}",
+                ))
     config = dict(op="zfs_implication", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 

@@ -123,6 +123,28 @@ class TestZfsCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("env, text, cap", [
+        (None, "200000\n1 2\n", 2000),
+        (None, "99999999\n1 2\n", 2000),
+        ("3", P4_TEXT, 3),
+    ], ids=["declared-order", "huge-declared-order", "env-lowered"])
+    def test_over_cap_order_fails_before_the_closure(self, capsys, tmp_path, monkeypatch,
+                                                      env, text, cap):
+        def refuse(*args):
+            raise AssertionError("forcing closure started past the order cap")
+
+        if env is None:
+            monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("NETCTRL_MAX_ORDER", env)
+        monkeypatch.setattr(netctrl.forcing, "closure", refuse)
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "zfs", "--graph", str(path), "--set", "1")
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the forcing-closure cap {cap}" in err
+
     def test_set_and_minimum_mutually_exclusive(self, p4):
         with pytest.raises(SystemExit) as exc:
             main(["zfs", "--graph", p4, "--set", "1", "--minimum"])

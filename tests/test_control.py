@@ -142,6 +142,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_matrix(g, "random:x")
 
+    def test_parse_kind_reports_label_invariance(self):
+        assert control.parse_kind("adjacency") == ("adjacency", None, True)
+        assert control.parse_kind("laplacian") == ("laplacian", None, True)
+        assert control.parse_kind("random:7") == ("random", 7, False)
+        for bad in ("hadamard", "random:", "random:x", "Adjacency"):
+            with pytest.raises(ValueError):
+                control.parse_kind(bad)
+
 
 class TestWalkMatrix:
     def test_path_single_vertex(self):
@@ -401,6 +409,30 @@ class TestLieControllable:
         with pytest.raises(ValueError):
             lie_controllable(a, [])
 
+    def test_exact_fallback_builds_no_basis_and_matches_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lie_closure built a basis only to read its dimension")
+
+        monkeypatch.setattr(control, "lie_closure", refuse)
+        cases = [
+            (pattern_matrix(MIXED_CYCLE), (1, 3)),
+            (pattern_matrix(BLOCK_PAIRED), (1, 3)),
+            (adjacency_matrix(cycle_graph(4)), (1,)),
+            (adjacency_matrix(complete_graph(4)), (2,)),
+            (laplacian_matrix(cycle_graph(4)), (1, 3)),
+            (pattern_matrix([[1, 0], [0, 2]]), (1,)),
+        ]
+        for a, s in cases:
+            want = oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], s)
+            assert want < a.n * a.n
+            assert lie_controllable(a, s) == (False, want)
+
+    def test_exact_fallback_past_twelve_warns(self, monkeypatch):
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "13")
+        with pytest.warns(UserWarning):
+            controllable, dim = lie_controllable(adjacency_matrix(complete_graph(13)), [1])
+        assert not controllable and dim < 13 * 13
+
     def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
         # the path is controllable, so the modular closure alone would succeed
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
@@ -575,14 +607,16 @@ class TestModularRoute:
         # split closure stops at dimension 3
         assert _LieEngine(2, 2).extend(gens, 4) == 3
         assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
-        exact_runs = []
-        real = control.lie_closure
-        monkeypatch.setattr(control, "lie_closure", lambda g: exact_runs.append(g) or real(g))
+        runs = []
+        real = control._LieEngine
+        monkeypatch.setattr(control, "_LieEngine",
+                            lambda side, modulus=None: runs.append(modulus) or real(side, modulus))
         assert lie_controllable(a, [1]) == (True, 4)
-        assert not exact_runs
+        assert runs == [control._PRIME]
         monkeypatch.setattr(control, "_PRIME", 2)
         assert lie_controllable(a, [1]) == (True, 4)
-        assert len(exact_runs) == 1
+        # one exact closure, the fallback
+        assert runs[1:] == [2, None]
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), _echelon_input())

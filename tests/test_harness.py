@@ -1,6 +1,7 @@
 """Verification sweeps, violation records, and worked-example replication."""
 
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from netctrl import (
     connected_graphs,
     cycle_graph,
     format_matrix,
+    graph,
     path_graph,
     recheck,
     replicate_examples,
@@ -20,15 +22,20 @@ from netctrl import (
     sweep_zfs_implication,
     violation_from_dict,
 )
+from netctrl import control, harness
 from netctrl.harness import (
     _all_nonempty_subsets,
+    _canonical_labeling,
     _children_map,
     _iter_graphs,
     _iter_unit,
     _minimal_members,
     _Session,
+    _units,
     _zfs_statuses,
 )
+
+from . import oracles
 
 MIXED_CYCLE = [[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]]
 
@@ -133,6 +140,126 @@ class TestSharedEngine:
                 assert p_dim == rep.p_span_dim
                 seen += 1
             assert seen == len(subsets)
+
+
+def _relabeled(g, pi):
+    return graph(g.order, [(pi[u], pi[v]) for u, v in g.edges])
+
+
+def _all_subsets(g, zfs_map):
+    return _all_nonempty_subsets(g.order)
+
+
+class TestOrbitRoute:
+    def test_graph_orbit_counts_and_maps(self):
+        counts = []
+        for n in range(1, 6):
+            reps = set()
+            for g in connected_graphs(n):
+                rep, pi = _canonical_labeling(g)
+                assert sorted(pi[1:]) == list(range(1, n + 1))
+                assert _relabeled(g, pi) == rep
+                reps.add(rep)
+            counts.append(len(reps))
+        assert counts == [1, 1, 2, 6, 21]
+
+    def test_isomorphic_graphs_share_a_representative(self):
+        rng = random.Random(5)
+        for g in connected_graphs(5):
+            image = list(range(1, 6))
+            rng.shuffle(image)
+            other = _relabeled(g, (0, *image))
+            assert _canonical_labeling(other)[0] == _canonical_labeling(g)[0]
+
+    def test_dimensions_match_the_labeled_route(self):
+        cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "laplacian", "random:101"))
+        units = 0
+        for g, kind, _, _, dims in _units(cfg, _all_subsets):
+            subsets = _all_nonempty_subsets(g.order)
+            labeled = _iter_unit(_Session(g, kind), _children_map(subsets), set(subsets))
+            assert list(dims) == list(labeled)
+            units += 1
+        assert units == 3 * (1 + 1 + 4 + 38)
+
+    def test_random_relabelings_agree_with_oracles(self):
+        rng = random.Random(2024)
+        pool = list(connected_graphs(5))
+        for i in range(6):
+            kind = ("adjacency", "laplacian")[i % 2]
+            g = rng.choice(pool)
+            image = list(range(1, 6))
+            rng.shuffle(image)
+            h = _relabeled(g, (0, *image))
+            s = tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 2))))
+            rep, pi = _canonical_labeling(h)
+            mapped = tuple(sorted(pi[v] for v in s))
+            [(_, walk, lie, pspan)] = _iter_unit(
+                _Session(rep, kind), _children_map([mapped]), {mapped}
+            )
+            a = [list(row) for row in build_matrix(h, kind).matrix.entries]
+            assert walk == oracles.walk_rank_bruteforce(a, s)
+            assert pspan == oracles.pspan_dim_bruteforce(a, s)
+            # the all-pairs fixpoint oracle takes seconds at order 5
+            if i < 2:
+                assert lie == oracles.control_lie_dim_bruteforce(a, s)
+
+    def test_violations_keep_labels_and_order(self, monkeypatch):
+        # a label-invariant fault: every two-vertex set loses one Lie
+        # dimension, and every edge between vertices of degree >= 2 is
+        # reported as a distance-power defect
+        engine = harness._iter_unit
+
+        def faulty_unit(session, children, check_set):
+            for members, walk, lie, pspan in engine(session, children, check_set):
+                yield members, walk, lie - (len(members) == 2), pspan
+
+        def faulty_defects(a):
+            deg = {v: sum(v in e for e in a.pattern.edges) for v in a.pattern.vertices}
+            return tuple((u, v, 1) for u, v in sorted(a.pattern.edges) if min(deg[u], deg[v]) >= 2)
+
+        monkeypatch.setattr(harness, "_iter_unit", faulty_unit)
+        monkeypatch.setattr(control, "distance_power_defects", faulty_defects)
+        cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "laplacian"),
+                          subset_policy="random:6:3")
+        orbit = (sweep_equivalence(cfg), sweep_zfs_implication(cfg))
+        checks = {v.check for out in orbit for v in out.violations}
+        assert checks == {"kalman_iff_lie", "zfs_implies_lie", "distance_power_nonzero"}
+        # the same sweeps with every kind taken through the labeled route
+        parse = control.parse_kind
+        monkeypatch.setattr(control, "parse_kind", lambda kind: parse(kind)[:2] + (False,))
+        labeled = (sweep_equivalence(cfg), sweep_zfs_implication(cfg))
+        assert [out.to_json() for out in orbit] == [out.to_json() for out in labeled]
+
+    def test_random_kinds_pay_nothing_new(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a random kind was canonicalized")
+
+        built = []
+        build = control.build_matrix
+        monkeypatch.setattr(harness, "_canonical_labeling", refuse)
+        monkeypatch.setattr(control, "build_matrix", lambda g, kind: built.append(g) or build(g, kind))
+        out = sweep_equivalence(SweepConfig(max_order=4, matrix_kinds=("random:101",)))
+        assert out.passed
+        assert len(built) == 1 + 1 + 4 + 38
+
+    def test_each_sweep_call_walks_afresh(self, monkeypatch):
+        calls = []
+        engine = harness._iter_unit
+
+        def counting(session, children, check_set):
+            calls.append(session.kind)
+            return engine(session, children, check_set)
+
+        monkeypatch.setattr(harness, "_iter_unit", counting)
+        cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "random:4"))
+        first = sweep_equivalence(cfg).to_json()
+        per_call = list(calls)
+        second = sweep_equivalence(cfg).to_json()
+        assert first == second
+        assert calls == per_call + per_call
+        # one walk per graph class for adjacency, one per labeled graph for random
+        assert per_call.count("adjacency") == 1 + 1 + 2 + 6
+        assert per_call.count("random:4") == 1 + 1 + 4 + 38
 
 
 class TestSweepEquivalence:
