@@ -14,12 +14,18 @@ The quantum-control condition lives in u(n) over the complex numbers, but
 it holds iff the real gl(n, R) condition does, so nothing here touches
 complex arithmetic.
 
+All three are read off one engine: a ``_NodeState`` holds the walk,
+product-span and Lie bases of a control set, and ``_extend_state`` grows it
+by one control vertex.  The one-shot decisions grow a fresh root by each
+control vertex in turn; the sweeps in ``harness`` grow each child of a
+subset prefix tree from its parent.
+
 Every reported number is exact.  A full result (walk rank n, product-span
 dimension n^2, Lie dimension n^2) is first sought modulo one fixed prime on
 integer-scaled data: each element found there is the reduction of an
 integer combination of genuine elements, so a dimension modulo the prime is
 at most the rational one and a full one proves it.  Only a deficient result
-is recomputed over the integers.
+is recomputed over the integers (``_dimensions``).
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .linalg import (
     mat_vec,
     matrix,
     outer,
-    rank,
+    rank,  # noqa: F401 -- unused here, but bench/spans.py traces control.rank
 )
 
 ALL_POSITIVE = "all_positive_offdiag"
@@ -237,39 +243,6 @@ def _int_rows(m: RationalMatrix):
     return tuple(flat[i * k : (i + 1) * k] for i in range(m.rows))
 
 
-def _int_walk(int_a, n: int, members) -> RationalMatrix:
-    """The walk-matrix columns, as the integer rows of a matrix.
-
-    ``int_a`` is A scaled to a primitive integer matrix, None for A = 0.
-    Each row is a primitive integer multiple of a nonzero column A^k e_j,
-    so the rows span what the walk-matrix columns span.  Once a power is
-    zero every later one is too, and those columns are left out.
-    """
-    rows = []
-    for j in members:
-        v = tuple(int(i == j - 1) for i in range(n))
-        rows.append(v)
-        for _ in range(n - 1 if int_a is not None else 0):
-            v = intlinalg.primitive([sum(map(mul, row, v)) for row in int_a])
-            if v is None:
-                break
-            rows.append(v)
-    return RationalMatrix(tuple(rows))
-
-
-def _full_mod_p(walk: RationalMatrix, n: int) -> bool:
-    """Whether the walk rank is n modulo the prime, which proves it is n.
-
-    When it is not, the mod-p product span and Lie closure cannot be full
-    either: the span W of the walk columns mod p is a proper subspace that
-    holds e_j for each control vertex j and is mapped into itself by A and
-    by each such e_j e_j^T, so every product A^m e_k e_j^T A^l and every
-    bracket maps W into W, which not every matrix does.  Deficient
-    instances therefore go straight to the exact route.
-    """
-    return rank(walk, _PRIME) == n
-
-
 def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
     """The n-by-(n·|S|) extended walk matrix of (A, S).
 
@@ -289,67 +262,19 @@ def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*cols)))
 
 
-def kalman_controllable(a: PatternMatrix, s) -> tuple:
-    """Kalman decision: (walk_rank == n, walk_rank), both exact.
-
-    A full rank is certified modulo a prime; a smaller rank there is
-    recomputed exactly.
-
-    Raises:
-      ValueError: empty control set or labels out of range.
-    """
-    n = a.n
-    walk = _int_walk(_int_rows(a.matrix), n, _control_set(a, s))
-    r = rank(walk, _PRIME)
-    if r < n:
-        r = rank(walk)
-    return r == n, r
-
-
-def p_span_dim(a: PatternMatrix, s) -> int:
-    """Dimension of span{A^m e_k e_j^T A^l : k, j in S, 0 <= m, l <= n-1}.
-
-    Since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product is the
-    outer product u w^T of two walk-matrix columns, and the products over
-    all pairs k, j in S are the outer products of all pairs of columns.
-    That set is closed under transpose, so it spans what the symmetric and
-    skew parts of u w^T span over unordered pairs {u, w}, which is what is
-    inserted (see ``_ProductSpan``).  Each column is scaled to a primitive
-    integer vector and zero columns are skipped, which changes no span.
-    Insertion stops early only when the span is already all of gl(n, R).
-
-    The result is exact.  The span is first taken modulo a prime, where
-    n^2 certifies n^2; any smaller result is recomputed exactly.
-
-    Raises:
-      ValueError: empty control set or labels out of range.
-    """
-    n = a.n
-    walk = _int_walk(_int_rows(a.matrix), n, _control_set(a, s))
-    for p in (_PRIME, None) if _full_mod_p(walk, n) else (None,):
-        cols = walk.entries if p is None else [tuple(x % p for x in u) for u in walk.entries]
-        span = _ProductSpan(n, p)
-        for i, u in enumerate(cols):
-            for w in cols[i:]:
-                span.insert(u, w)
-                if span.dim == n * n:
-                    return n * n
-    return span.dim
-
-
 class _ProductSpan:
     """Span of outer products u w^T, closed under transpose, in two parts.
 
-    ``insert(u, w)`` adds u w^T and w u^T to the span, through their
-    symmetric part u w^T + w u^T and skew part u w^T - w u^T (only the
-    former when u = w), an invertible change of generators.  Both parts go
-    into one echelon basis of ambient n^2 whose coordinates are the i <= j
-    entries of a symmetric matrix followed by the i < j entries of a skew
-    one, so a part is zero on the other block and only meets rows of its
-    own kind.  Each part is a genuine integer element of the span, so a
-    dimension modulo a prime is still at most the exact one; modulo 2 the
-    change of generators is not invertible (the symmetric part has an even
-    diagonal), and there the span can come out smaller.
+    u w^T and w u^T enter the span through their symmetric part
+    u w^T + w u^T and skew part u w^T - w u^T (only the former when u = w),
+    an invertible change of generators.  Both parts go into one echelon
+    basis of ambient n^2 whose coordinates are the i <= j entries of a
+    symmetric matrix followed by the i < j entries of a skew one, so a part
+    is zero on the other block and only meets rows of its own kind.  Each
+    part is a genuine integer element of the span, so a dimension modulo a
+    prime is still at most the exact one; modulo 2 the change of generators
+    is not invertible (the symmetric part has an even diagonal), and there
+    the span can come out smaller.
     """
 
     __slots__ = ("side", "basis")
@@ -382,13 +307,6 @@ class _ProductSpan:
                 sym.append(a + b)
                 skew.append(a - b)
         return [sym + [0] * len(skew), [0] * len(sym) + skew]
-
-    def insert(self, u, w) -> bool:
-        """Add u w^T and w u^T; True iff the dimension grew."""
-        grew = False
-        for part in self.parts(u, w):
-            grew = self.basis.insert(part) or grew
-        return grew
 
 
 _SYM, _SKEW = 0, 1
@@ -589,10 +507,10 @@ class _LieEngine:
         return self.dim
 
 
-def _warn_if_past_default(n: int) -> None:
+def _warn_if_past_default(n: int, stacklevel: int = 3) -> None:
     """Warn that an exact closure past the default order cap may be very slow."""
     if n > DEFAULT_LIE_MAX_ORDER:
-        warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=3)
+        warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=stacklevel)
 
 
 def lie_closure(generators, cap=None, max_order=None) -> tuple:
@@ -650,6 +568,195 @@ def control_generators(a: PatternMatrix, members) -> list:
     return gens
 
 
+# ---------------------------------------------------------------------------
+# The decision engine: one state per control set, grown one vertex at a time
+# ---------------------------------------------------------------------------
+
+_PARTS = ("walk", "pspan", "lie")
+
+
+class _Session:
+    """Integer data shared by every control set of one matrix.
+
+    ``int_a`` is A scaled to a primitive integer matrix, None for A = 0.
+    ``columns(j)`` is the walk of vertex j, built once on demand: e_j, then
+    each A v made primitive, n vectors at most.  Each is a nonzero multiple
+    of a walk-matrix column A^k e_j, so they span what block j spans and
+    their outer products span its products.  Once a power is zero every
+    later one is too, and those are left out.  ``columns(j, p)`` reduces
+    the same integer columns modulo p, so A is cleared of denominators and
+    content before anything is reduced.
+    """
+
+    __slots__ = ("a", "n", "int_a", "_cols", "_defects")
+
+    def __init__(self, a: PatternMatrix):
+        self.a = a
+        self.n = a.n
+        self.int_a = _int_rows(a.matrix)
+        self._cols: dict = {}
+        self._defects = None
+
+    def columns(self, j: int, modulus=None) -> tuple:
+        cols = self._cols.get((j, modulus))
+        if cols is not None:
+            return cols
+        if modulus is not None:
+            cols = tuple(tuple(x % modulus for x in u) for u in self.columns(j))
+        else:
+            v = tuple(int(i == j - 1) for i in range(self.n))
+            cols = [v]
+            for _ in range(self.n - 1 if self.int_a is not None else 0):
+                v = intlinalg.primitive([sum(map(mul, row, v)) for row in self.int_a])
+                if v is None:
+                    break
+                cols.append(v)
+            cols = tuple(cols)
+        self._cols[j, modulus] = cols
+        return cols
+
+    def defects(self) -> tuple:
+        """``distance_power_defects`` of the matrix, computed once."""
+        if self._defects is None:
+            self._defects = distance_power_defects(self.a)
+        return self._defects
+
+
+class _NodeState:
+    """Walk, product-span and Lie bases of one control set.
+
+    A fresh state is the root: the empty control set, with A alone in the
+    Lie closure; ``_extend_state`` adds one control vertex.  ``parts``
+    names the bases the state holds; the others are None and never grown,
+    so a caller pays only for what it reads.  With a prime ``modulus``
+    every part runs modulo it.
+    """
+
+    __slots__ = ("modulus", "walk", "pspan", "lie")
+
+    def __init__(self, session: _Session, modulus=None, parts=_PARTS):
+        n = session.n
+        self.modulus = modulus
+        self.walk = intlinalg.EchelonBasis(n, modulus) if "walk" in parts else None
+        self.pspan = _ProductSpan(n, modulus) if "pspan" in parts else None
+        self.lie = None
+        if "lie" in parts:
+            self.lie = _LieEngine(n, modulus)
+            if session.int_a is not None:
+                self.lie.extend([session.int_a], n * n)
+
+    def copy(self) -> "_NodeState":
+        dup = _NodeState.__new__(_NodeState)
+        dup.modulus = self.modulus
+        for name in _PARTS:
+            part = getattr(self, name)
+            setattr(dup, name, None if part is None else part.copy())
+        return dup
+
+
+def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) -> None:
+    """Grow a parent's bases by control vertex j (members already include j)."""
+    n = session.n
+    cols_j = session.columns(j, state.modulus)
+    if state.walk is not None:
+        for col in cols_j:
+            state.walk.insert(col)
+    if state.lie is not None:
+        proj = tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n))
+        state.lie.extend([proj], n * n)
+    span = state.pspan
+    amb = n * n
+    if span is None or span.dim >= amb:
+        return
+    # new span products are exactly the pairs involving j, each unordered
+    # pair of columns taken once; stop as soon as either part fills the span
+    for k in members:
+        cols_k = session.columns(k, state.modulus)
+        for m, ckm in enumerate(cols_k):
+            for ckj in cols_j[m if k == j else 0:]:
+                for part in span.parts(ckm, ckj):
+                    if span.basis.insert(part) and span.basis.dim == amb:
+                        return
+
+
+def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
+    """The exact dimensions named by ``parts`` for (A, members), in that order.
+
+    This is the one place that chooses between the modular and the exact
+    route.  Each part is grown on a fresh root, one control vertex at a
+    time.  Modulo the prime a dimension is at most the rational one, so a
+    full one (walk rank n, span or Lie dimension n^2) proves it; any other
+    is recomputed over the integers.
+
+    The walk is taken first, alone, modulo the prime.  When its rank there
+    is below n, the modular span and closure cannot be full either, so
+    every part goes straight to the exact route.  Every product part has
+    its image in the span U of the reduced walk columns, a proper subspace.
+    The Krylov space of A modulo the prime from the e_j (j in S) lies in U,
+    so it is proper too; it holds each e_j and is mapped into itself by A
+    and by each e_j e_j^T, hence by every bracket, which not every matrix
+    does.  Skipping those modular attempts saves their cost and changes no
+    answer, since the exact route decides alone.
+    """
+    n = a.n
+    session = _Session(a)
+    full = {"walk": n, "pspan": n * n, "lie": n * n}
+
+    def grown(modulus, held) -> dict:
+        state = _NodeState(session, modulus, held)
+        for k, j in enumerate(members, 1):
+            _extend_state(state, session, members[:k], j)
+        return {name: getattr(state, name).dim for name in held}
+
+    dims = grown(_PRIME, ("walk",))
+    exact = parts
+    if dims["walk"] == n:
+        rest = [name for name in parts if name != "walk"]
+        if rest:
+            dims.update(grown(_PRIME, rest))
+        exact = [name for name in parts if dims[name] < full[name]]
+    if exact:
+        if "lie" in exact:
+            _warn_if_past_default(n, stacklevel=4)
+        dims.update(grown(None, exact))
+    return tuple(dims[name] for name in parts)
+
+
+def kalman_controllable(a: PatternMatrix, s) -> tuple:
+    """Kalman decision: (walk_rank == n, walk_rank), both exact.
+
+    A full rank is certified modulo a prime; a smaller rank there is
+    recomputed exactly.
+
+    Raises:
+      ValueError: empty control set or labels out of range.
+    """
+    (r,) = _dimensions(a, _control_set(a, s), ("walk",))
+    return r == a.n, r
+
+
+def p_span_dim(a: PatternMatrix, s) -> int:
+    """Dimension of span{A^m e_k e_j^T A^l : k, j in S, 0 <= m, l <= n-1}.
+
+    Since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product is the
+    outer product u w^T of two walk-matrix columns, and the products over
+    all pairs k, j in S are the outer products of all pairs of columns.
+    That set is closed under transpose, so it spans what the symmetric and
+    skew parts of u w^T span over unordered pairs {u, w}, which is what is
+    inserted (see ``_ProductSpan``).  Each column is scaled to a primitive
+    integer vector and zero columns are skipped, which changes no span.
+    Insertion stops early only when the span is already all of gl(n, R).
+
+    The result is exact.  The span is first taken modulo a prime, where
+    n^2 certifies n^2; any smaller result is recomputed exactly.
+
+    Raises:
+      ValueError: empty control set or labels out of range.
+    """
+    (dim,) = _dimensions(a, _control_set(a, s), ("pspan",))
+    return dim
+
+
 def lie_controllable(a: PatternMatrix, s) -> tuple:
     """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S}).
 
@@ -664,17 +771,9 @@ def lie_controllable(a: PatternMatrix, s) -> tuple:
         the Lie-closure cap.
     """
     members = _control_set(a, s)
-    n = a.n
-    check_lie_order(n)
-    int_a = _int_rows(a.matrix)
-    gens = [] if int_a is None else [int_a]
-    for j in members:
-        gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
-    if _full_mod_p(_int_walk(int_a, n, members), n) and _LieEngine(n, _PRIME).extend(gens, n * n) == n * n:
-        return True, n * n
-    _warn_if_past_default(n)
-    dim = _LieEngine(n).extend(gens, n * n)
-    return dim == n * n, dim
+    check_lie_order(a.n)
+    (dim,) = _dimensions(a, members, ("lie",))
+    return dim == a.n * a.n, dim
 
 
 @dataclass(frozen=True)
@@ -752,9 +851,9 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     """
     members = _control_set(a, s)
     check_lie_order(a.n)
-    kalman, walk_rank = kalman_controllable(a, members)
-    p_dim = p_span_dim(a, members)
-    lie, lie_dim = lie_controllable(a, members)
+    walk_rank, p_dim, lie_dim = _dimensions(a, members, _PARTS)
+    kalman = walk_rank == a.n
+    lie = lie_dim == a.n * a.n
     zfs_status = is_zfs(a.pattern, members)
     connected = graphs.is_connected(a.pattern)
     same_sign = a.sign_class != MIXED
@@ -832,22 +931,16 @@ def distance_power_defects(a: PatternMatrix) -> tuple:
     different components are skipped.  Returns a tuple of (k, j, d).
     """
     n = a.n
-    dist = {}
-    maxd = 0
+    session = _Session(a)
+    defects = []
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):
             d = graphs.distance(a.pattern, k, j)
-            if d != float("inf"):
-                dist[(k, j)] = d
-                maxd = max(maxd, d)
-    powers = [intlinalg.int_identity(n)]
-    step = _int_rows(a.matrix)
-    if step is None:
-        step = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    for _ in range(maxd):
-        powers.append(intlinalg.int_mat_mul(powers[-1], step))
-    defects = []
-    for (k, j), d in sorted(dist.items()):
-        if powers[d][k - 1][j - 1] == 0:
-            defects.append((k, j, d))
+            if d == float("inf"):
+                continue
+            # the entry is entry k of A^d e_j, which the walk column d of
+            # vertex j holds up to a nonzero scale (left out when zero)
+            cols = session.columns(j)
+            if d >= len(cols) or cols[d][k - 1] == 0:
+                defects.append((k, j, d))
     return tuple(defects)

@@ -217,17 +217,6 @@ def distance(g: Graph, u: int, v: int):
     return float("inf")
 
 
-def neighborhood(g: Graph, v: int) -> tuple:
-    """Sorted tuple of vertices adjacent to v."""
-    check_vertex(g, v)
-    out = set()
-    for a, b in g.edges:
-        if a == v:
-            out.add(b)
-        elif b == v:
-            out.add(a)
-    return tuple(sorted(out))
-
-
 def degree(g: Graph, v: int) -> int:
-    return len(neighborhood(g, v))
+    check_vertex(g, v)
+    return len(adjacency_sets(g)[v])

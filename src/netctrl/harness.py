@@ -16,12 +16,16 @@ matrix kind, and check the exact assertions on every selected control set:
   symmetric matrix, walk rank n iff Lie dimension n^2.
 
 A violation never raises; it is recorded with enough data to re-run the
-single instance in isolation.  Subsets of one matrix are processed along
-a tree ordered by largest element, so each child extends its parent's
-walk, product-span, and Lie bases instead of starting over.  Only
-dimensions are read from the shared state, and a dimension does not depend
-on the order in which a span was built, so the shared results equal the
-one-shot ones.
+single instance in isolation.  The dimensions come from the decision
+engine in ``control``: subsets of one matrix are processed along a tree
+ordered by largest element, so each child's ``control._NodeState`` extends
+its parent's walk, product-span, and Lie bases instead of starting over.
+Only dimensions are read from the shared state, and a dimension does not
+depend on the order in which a span was built, so the shared results equal
+those of a fresh root grown by one control set alone.  ``recheck`` re-runs
+an instance that way, with no prefix-tree or orbit sharing; the
+structurally independent route is the brute-force oracles of the test
+suite (``tests/oracles.py``).
 
 Every instance is still checked and counted per labeled (graph, control
 set) pair, but for a label-invariant kind (adjacency, laplacian) the
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import control, forcing, graphs, intlinalg
+from . import control, forcing, graphs
 from .graphs import Graph
 from .linalg import format_matrix, parse_matrix, rank
 
@@ -92,9 +96,7 @@ class SweepConfig:
         for kind in kinds:
             control.parse_kind(kind)
         object.__setattr__(self, "matrix_kinds", kinds)
-        policy = "zfs" if self.subset_policy == "zfs_only" else self.subset_policy
-        _parse_policy(policy)
-        object.__setattr__(self, "subset_policy", policy)
+        _parse_policy(self.subset_policy)
 
     def to_dict(self) -> dict:
         return {
@@ -149,8 +151,11 @@ def violation_from_dict(d: dict) -> Violation:
 def recheck(v: Violation) -> bool:
     """Re-run the single instance behind a violation record.
 
-    Uses the one-shot public path (analyze and friends), not the sweep
-    engine, so an engine finding is confirmed independently.  Returns
+    Uses the one-shot public path (``analyze``), which grows the engine's
+    state from a fresh root by this one control set, with no prefix-tree
+    or orbit sharing: a finding of the sharing is confirmed without it.
+    It is the same engine, so the structurally independent check is the
+    brute-force oracles of the test suite (``tests/oracles.py``).  Returns
     True when the recorded failure reproduces.
     """
     g = graphs.graph(v.order, v.edges)
@@ -325,94 +330,8 @@ def _children_map(subsets) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Shared-state engine for one (graph, matrix kind) pair
+# Prefix-tree walks over control's decision engine
 # ---------------------------------------------------------------------------
-
-class _Session:
-    """Exact integer data shared by every control set of one matrix.
-
-    Powers of A are rescaled to primitive integer matrices; each power is
-    scaled independently, which changes no rank, span dimension, or Lie
-    dimension (columns and products scale by nonzero rationals).
-    """
-
-    __slots__ = ("graph", "kind", "a", "n", "int_a", "cols", "hyp", "_defects")
-
-    def __init__(self, g: Graph, kind: str):
-        self.graph = g
-        self.kind = kind
-        self._defects = None
-        self.a = control.build_matrix(g, kind)
-        n = g.order
-        self.n = n
-        self.int_a = control._int_rows(self.a.matrix)
-        zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        powers = [intlinalg.int_identity(n)]
-        for _ in range(n - 1):
-            if self.int_a is None:
-                powers.append(zero)
-                continue
-            raw = intlinalg.flatten(intlinalg.int_mat_mul(powers[-1], self.int_a))
-            prim = intlinalg.primitive(raw)
-            powers.append(
-                zero if prim is None else tuple(prim[i * n : (i + 1) * n] for i in range(n))
-            )
-        self.cols = {
-            j: tuple(tuple(p[i][j - 1] for i in range(n)) for p in powers)
-            for j in range(1, n + 1)
-        }
-        self.hyp = self.a.sign_class != control.MIXED and graphs.is_connected(self.a.pattern)
-
-    def defects(self) -> tuple:
-        """``control.distance_power_defects`` of the matrix, computed once."""
-        if self._defects is None:
-            self._defects = control.distance_power_defects(self.a)
-        return self._defects
-
-
-class _NodeState:
-    """Walk, product-span, and Lie bases of one control set."""
-
-    __slots__ = ("walk", "pspan", "lie")
-
-    def __init__(self, n: int):
-        self.walk = intlinalg.EchelonBasis(n)
-        self.pspan = control._ProductSpan(n)
-        self.lie = control._LieEngine(n)
-
-    def copy(self) -> "_NodeState":
-        dup = _NodeState.__new__(_NodeState)
-        dup.walk = self.walk.copy()
-        dup.pspan = self.pspan.copy()
-        dup.lie = self.lie.copy()
-        return dup
-
-
-def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) -> None:
-    """Grow a parent's bases by control vertex j (members already include j)."""
-    n = session.n
-    cols_j = session.cols[j]
-    for col in cols_j:
-        state.walk.insert(col)
-    proj = tuple(
-        tuple(1 if r == j - 1 and c == j - 1 else 0 for c in range(n)) for r in range(n)
-    )
-    state.lie.extend([proj], n * n)
-    amb = n * n
-    if state.pspan.dim >= amb:
-        return
-    # new span products are exactly the pairs involving j, each unordered
-    # pair of columns taken once; stop as soon as either part fills the span
-    span = state.pspan
-    for k in members:
-        cols_k = session.cols[k]
-        for m in range(n):
-            ckm = cols_k[m]
-            for l in range(m if k == j else 0, n):
-                for part in span.parts(ckm, cols_j[l]):
-                    if span.basis.insert(part) and span.basis.dim == amb:
-                        return
-
 
 def _tree_order(children: dict):
     """Every member tuple of a subset tree, depth first.
@@ -429,22 +348,20 @@ def _tree_order(children: dict):
             stack.append(mem)
 
 
-def _iter_unit(session: _Session, children: dict, check_set: set):
+def _iter_unit(session, children: dict, check_set: set):
     """Walk the subset tree, yielding (members, walk_rank, lie_dim, p_span_dim).
 
-    Nodes come in ``_tree_order``.  Parent state is copied for all children
+    ``session`` is a ``control._Session``.  Nodes come in ``_tree_order``,
+    each grown from its parent's ``control._NodeState`` by
+    ``control._extend_state``.  Parent state is copied for all children
     but the last, which takes ownership; dimensions are snapshotted at yield
     time so later reuse of a state object cannot disturb reported values.
     """
-    n = session.n
-    root = _NodeState(n)
-    if session.int_a is not None:
-        root.lie.extend([session.int_a], n * n)
-    states = {(): root}
+    states = {(): control._NodeState(session)}
     for mem in _tree_order(children):
         parent, j = mem[:-1], mem[-1]
         st = states.pop(parent) if j == children[parent][-1] else states[parent].copy()
-        _extend_state(st, session, mem, j)
+        control._extend_state(st, session, mem, j)
         if mem in check_set:
             yield mem, st.walk.dim, st.lie.dim, st.pspan.dim
         if mem in children:
@@ -485,7 +402,7 @@ def _units(cfg: SweepConfig, select):
         for rep, wanted in classes.items():
             children = _children_map(wanted)
             for kind in invariant:
-                session = _Session(rep, kind)
+                session = control._Session(control.build_matrix(rep, kind))
                 table = {m: dims for m, *dims in _iter_unit(session, children, wanted)}
                 tables[rep, kind] = session, table
         for g, zfs_map, subsets, rep, relabel in rows:
@@ -496,9 +413,14 @@ def _units(cfg: SweepConfig, select):
                     session, table = tables[rep, kind]
                     dims = [(m, *table[relabel[m]]) for m in _tree_order(children) if m in check_set]
                 else:
-                    session = _Session(g, kind)
+                    session = control._Session(control.build_matrix(g, kind))
                     dims = _iter_unit(session, children, check_set)
                 yield g, kind, zfs_map, session, dims
+
+
+def _hypothesis(a: control.PatternMatrix) -> bool:
+    """The theorems' hypothesis: connected pattern, same-sign off-diagonal entries."""
+    return a.sign_class != control.MIXED and graphs.is_connected(a.pattern)
 
 
 def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str) -> Violation:
@@ -532,10 +454,11 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
     for g, kind, zfs_map, session, dims in units:
         nsq = g.order * g.order
-        if session.hyp:
+        hyp = _hypothesis(session.a)
+        if hyp:
             counts["distance_power_nonzero"] += 1
             defects = session.defects()
-            if defects and session.graph != g:
+            if defects and session.a.pattern != g:
                 # found on the representative: report them in g's labels
                 defects = control.distance_power_defects(control.build_matrix(g, kind))
             if defects:
@@ -547,7 +470,7 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
             instances += 1
             kalman = walk_rank == g.order
             lie = lie_dim == nsq
-            if session.hyp:
+            if hyp:
                 counts["kalman_iff_lie"] += 1
                 if kalman != lie:
                     violations.append(_graph_violation(
@@ -593,8 +516,9 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
 
     for g, kind, _, session, dims in _units(cfg, targets):
         nsq = g.order * g.order
+        hyp = _hypothesis(session.a)
         for members, _, lie_dim, _ in dims:
-            if not session.hyp:
+            if not hyp:
                 counts["hypothesis_skipped"] += 1
                 continue
             instances += 1

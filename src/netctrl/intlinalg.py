@@ -173,10 +173,6 @@ class EchelonBasis:
 # Integer matrices as tuples of row tuples
 # ---------------------------------------------------------------------------
 
-def int_identity(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def int_mat_mul(a, b) -> tuple:
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
@@ -193,7 +189,3 @@ def int_commutator(a, b, sign: int) -> tuple:
     if sign > 0:
         return tuple(tuple(x - y for x, y in zip(col, row)) for col, row in zip(zip(*ba), ba))
     return tuple(tuple(-x - y for x, y in zip(col, row)) for col, row in zip(zip(*ba), ba))
-
-
-def flatten(m) -> tuple:
-    return tuple(x for row in m for x in row)

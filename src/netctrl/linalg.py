@@ -42,13 +42,6 @@ class RationalMatrix:
     def is_symmetric(self) -> bool:
         return self.is_square() and self.entries == tuple(zip(*self.entries))
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def int_entries(self) -> tuple:
-        """Rows as plain ints; only valid when is_integer()."""
-        return tuple(tuple(int(x) for x in row) for row in self.entries)
-
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
         return RationalMatrix(tuple(tuple(x * c for x in row) for row in self.entries))
@@ -79,10 +72,6 @@ def matrix(rows) -> RationalMatrix:
 
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-
-def zero_matrix(rows: int, cols: int) -> RationalMatrix:
-    return RationalMatrix(tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
 
 
 def basis_column(j: int, n: int) -> tuple:

@@ -35,7 +35,7 @@ from netctrl import (
     walk_matrix,
 )
 from netctrl import control
-from netctrl.control import _LieEngine, _ProductSpan, _int_walk, control_generators
+from netctrl.control import _LieEngine, _ProductSpan, _Session, control_generators
 from netctrl.intlinalg import EchelonBasis
 from netctrl.linalg import mat_mul
 
@@ -225,11 +225,13 @@ class TestProductSpan:
     def test_split_span_matches_literal_products(self, inst):
         a, s = inst
         entries = [list(r) for r in a.matrix.entries]
-        cols = _int_walk(control._int_rows(a.matrix), a.n, s).entries
+        session = _Session(a)
+        cols = [u for j in s for u in session.columns(j)]
         span = _ProductSpan(a.n)
         for i, u in enumerate(cols):
             for w in cols[i:]:
-                span.insert(u, w)
+                for part in span.parts(u, w):
+                    span.basis.insert(part)
         assert span.dim == oracles.pspan_dim_bruteforce(entries, s)
 
     @settings(max_examples=40, deadline=None)
@@ -507,6 +509,25 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="exceeds the Lie-closure cap 12"):
             analyze(adjacency_matrix(path_graph(40)), [1])
 
+    @pytest.mark.parametrize("g, s, most", [(path_graph(4), (2,), 8), (cycle_graph(6), (1,), 12)],
+                             ids=["P4", "C6"])
+    def test_walk_is_not_rebuilt_per_decision(self, monkeypatch, g, s, most):
+        # the walk is one modular pass, plus one exact pass when deficient
+        # (the cycle): 4 and 12 inserts, where three separate decisions took
+        # 12 and 24
+        a = adjacency_matrix(g)
+        walk_inserts = []
+        real = EchelonBasis.insert
+
+        def counting(basis, values):
+            if basis.ambient == a.n:
+                walk_inserts.append(basis.modulus)
+            return real(basis, values)
+
+        monkeypatch.setattr(EchelonBasis, "insert", counting)
+        analyze(a, s)
+        assert len(walk_inserts) <= most
+
     def test_report_dict_round_trip(self):
         rep = analyze(adjacency_matrix(cycle_graph(4)), [1, 2])
         assert report_from_dict(rep.to_dict()) == rep
@@ -567,37 +588,41 @@ class TestModularRoute:
             assert got == want, f"prime {p}"
 
     @staticmethod
-    def _spy_on_rank(monkeypatch):
-        calls = []
-        real = control.rank
+    def _spy_on_states(monkeypatch):
+        """Every engine state a decision grows, as (modulus, {part: dim})."""
+        states = []
 
-        def spy(m, modulus=None):
-            r = real(m, modulus)
-            calls.append((modulus, r))
-            return r
+        class Spy(control._NodeState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
 
-        monkeypatch.setattr(control, "rank", spy)
-        return calls
+        monkeypatch.setattr(control, "_NodeState", Spy)
+        return lambda: [
+            (st.modulus, {name: getattr(st, name).dim
+                          for name in ("walk", "pspan", "lie") if getattr(st, name) is not None})
+            for st in states
+        ]
 
     def test_walk_rank_deficient_mod_p_falls_back(self, monkeypatch):
         monkeypatch.setattr(control, "_PRIME", 2)
-        calls = self._spy_on_rank(monkeypatch)
+        grown = self._spy_on_states(monkeypatch)
         # A e_1 = (1, 2) is e_1 modulo 2, yet the walk rank is 2
         a = pattern_matrix([[1, 2], [2, 1]])
         assert kalman_controllable(a, [1]) == (True, 2)
-        assert calls == [(2, 1), (None, 2)]
-        calls.clear()
+        assert grown() == [(2, {"walk": 1}), (None, {"walk": 2})]
         # no modular attempt at the span or the closure, which could not be full
         assert p_span_dim(a, [1]) == 4
         assert lie_controllable(a, [1]) == (True, 4)
-        assert calls == [(2, 1), (2, 1)]
+        assert grown()[2:] == [(2, {"walk": 1}), (None, {"pspan": 4}),
+                               (2, {"walk": 1}), (None, {"lie": 4})]
 
     def test_walk_is_cleared_before_reduction(self, monkeypatch):
         monkeypatch.setattr(control, "_PRIME", 2)
-        calls = self._spy_on_rank(monkeypatch)
+        grown = self._spy_on_states(monkeypatch)
         # A is scaled to [[0, 1], [1, 0]] first, so its walk is full modulo 2
         assert kalman_controllable(pattern_matrix([[0, 2], [2, 0]]), [1]) == (True, 2)
-        assert calls == [(2, 2)]
+        assert grown() == [(2, {"walk": 2})]
 
     def test_lie_closure_deficient_mod_p_falls_back(self, monkeypatch):
         entries = [[1, 1], [1, -2]]

@@ -19,7 +19,7 @@ from netctrl import (
     random_connected,
     to_dot,
 )
-from netctrl.graphs import adjacency_sets, degree, neighborhood
+from netctrl.graphs import adjacency_sets, degree
 
 
 def random_graph_strategy(max_order=6):
@@ -165,9 +165,10 @@ class TestTraversal:
 
     def test_neighborhood_and_degree(self):
         g = path_graph(4)
-        assert neighborhood(g, 2) == (1, 3)
         assert degree(g, 2) == 2
         assert degree(g, 1) == 1
+        with pytest.raises(ValueError):
+            degree(g, 5)
 
     def test_adjacency_sets(self):
         g = cycle_graph(3)

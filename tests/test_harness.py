@@ -30,7 +30,6 @@ from netctrl.harness import (
     _iter_graphs,
     _iter_unit,
     _minimal_members,
-    _Session,
     _units,
     _zfs_statuses,
 )
@@ -46,10 +45,6 @@ class TestSweepConfig:
         assert cfg.matrix_kinds == ("adjacency", "laplacian")
         assert cfg.subset_policy == "all"
         assert cfg.seed == 0
-
-    def test_zfs_only_normalizes(self):
-        cfg = SweepConfig(max_order=2, subset_policy="zfs_only")
-        assert cfg.subset_policy == "zfs"
 
     def test_random_policy_accepted(self):
         cfg = SweepConfig(max_order=2, subset_policy="random:5:7")
@@ -70,7 +65,7 @@ class TestSweepConfig:
             SweepConfig(max_order=2, matrix_kinds=("random:x",))
 
     def test_bad_policies_rejected(self):
-        for policy in ("some", "random:2", "random:0:1", "random:a:b"):
+        for policy in ("some", "zfs_only", "random:2", "random:0:1", "random:a:b"):
             with pytest.raises(ValueError):
                 SweepConfig(max_order=2, subset_policy=policy)
 
@@ -118,7 +113,18 @@ class TestSubsetMachinery:
         assert kids == {(): (1, 2), (1,): (2, 3)}
 
 
+def _session(g, kind):
+    return control._Session(build_matrix(g, kind))
+
+
 class TestSharedEngine:
+    """Prefix-tree sharing against a fresh root.
+
+    ``analyze`` grows the same engine state from a fresh root by one control
+    set alone, so this checks the sharing along the subset tree, not the
+    engine itself; ``tests/oracles.py`` is the independent check of that.
+    """
+
     def test_matches_one_shot_analysis(self):
         cases = [
             (cycle_graph(4), "adjacency"),
@@ -126,7 +132,7 @@ class TestSharedEngine:
             (cycle_graph(5), "random:2"),
         ]
         for g, kind in cases:
-            session = _Session(g, kind)
+            session = _session(g, kind)
             subsets = _all_nonempty_subsets(g.order)
             children = _children_map(subsets)
             a = build_matrix(g, kind)
@@ -176,7 +182,7 @@ class TestOrbitRoute:
         units = 0
         for g, kind, _, _, dims in _units(cfg, _all_subsets):
             subsets = _all_nonempty_subsets(g.order)
-            labeled = _iter_unit(_Session(g, kind), _children_map(subsets), set(subsets))
+            labeled = _iter_unit(_session(g, kind), _children_map(subsets), set(subsets))
             assert list(dims) == list(labeled)
             units += 1
         assert units == 3 * (1 + 1 + 4 + 38)
@@ -194,7 +200,7 @@ class TestOrbitRoute:
             rep, pi = _canonical_labeling(h)
             mapped = tuple(sorted(pi[v] for v in s))
             [(_, walk, lie, pspan)] = _iter_unit(
-                _Session(rep, kind), _children_map([mapped]), {mapped}
+                _session(rep, kind), _children_map([mapped]), {mapped}
             )
             a = [list(row) for row in build_matrix(h, kind).matrix.entries]
             assert walk == oracles.walk_rank_bruteforce(a, s)
@@ -244,12 +250,20 @@ class TestOrbitRoute:
 
     def test_each_sweep_call_walks_afresh(self, monkeypatch):
         calls = []
+        kinds = {}
         engine = harness._iter_unit
+        build = control.build_matrix
+
+        def building(g, kind):
+            a = build(g, kind)
+            kinds[id(a)] = kind
+            return a
 
         def counting(session, children, check_set):
-            calls.append(session.kind)
+            calls.append(kinds[id(session.a)])
             return engine(session, children, check_set)
 
+        monkeypatch.setattr(control, "build_matrix", building)
         monkeypatch.setattr(harness, "_iter_unit", counting)
         cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "random:4"))
         first = sweep_equivalence(cfg).to_json()

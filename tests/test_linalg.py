@@ -19,7 +19,7 @@ from netctrl import (
     rank,
 )
 from netctrl.intlinalg import EchelonBasis, int_commutator, int_mat_mul
-from netctrl.linalg import basis_column, mat_vec, outer, zero_matrix
+from netctrl.linalg import basis_column, mat_vec, outer
 
 from .oracles import FractionBasis, frac_rank
 
@@ -58,11 +58,9 @@ class TestRationalMatrix:
         m = matrix([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().entries == ((1, 4), (2, 5), (3, 6))
 
-    def test_symmetry_and_integrality(self):
+    def test_symmetry(self):
         assert matrix([[0, 1], [1, 0]]).is_symmetric()
         assert not matrix([[0, 1], [2, 0]]).is_symmetric()
-        assert matrix([[1, 2], [3, 4]]).is_integer()
-        assert not matrix([["1/2", 0], [0, 1]]).is_integer()
 
     def test_arithmetic(self):
         a = matrix([[1, 2], [3, 4]])
@@ -124,12 +122,12 @@ class TestCommutator:
     def test_commuting_matrices_vanish(self):
         a = matrix([[1, 0], [0, 2]])
         b = matrix([[3, 0], [0, 4]])
-        assert commutator(a, b) == zero_matrix(2, 2)
+        assert commutator(a, b) == matrix([[0, 0], [0, 0]])
 
     @settings(max_examples=40)
     @given(square_strategy(), square_strategy())
     def test_antisymmetry(self, x, y):
-        assert commutator(x, y) == zero_matrix(3, 3) - commutator(y, x)
+        assert commutator(x, y) == matrix([[0] * 3] * 3) - commutator(y, x)
 
     @settings(max_examples=40)
     @given(square_strategy(), square_strategy(), square_strategy())
@@ -197,7 +195,7 @@ class TestExactEchelonBasis:
 
 class TestRank:
     def test_spec_values(self):
-        assert rank(zero_matrix(3, 3)) == 0
+        assert rank(matrix([[0] * 3] * 3)) == 0
         assert rank(identity(4)) == 4
         assert rank(matrix([[1, 2], [2, 4]])) == 1
         a = matrix([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
@@ -235,8 +233,8 @@ class TestMatrixSpaceBasis:
 
     def test_zero_matrix_never_grows(self):
         b = MatrixSpaceBasis(2)
-        assert not b.insert(zero_matrix(2, 2))
-        assert b.contains(zero_matrix(2, 2))
+        assert not b.insert(matrix([[0, 0], [0, 0]]))
+        assert b.contains(matrix([[0, 0], [0, 0]]))
 
     def test_contains_identity_from_diagonal_units(self):
         b = MatrixSpaceBasis(2)
