@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +78,8 @@ def check_lie_order(n: int, max_order=None) -> None:
         max_order = order_cap(DEFAULT_LIE_MAX_ORDER)
     if n > max_order:
         raise ValueError(
-            f"order {n} exceeds the Lie-closure cap {max_order}; pass a larger max_order to override"
+            f"order {n} exceeds the Lie-closure cap {max_order}; "
+            "set NETCTRL_MAX_ORDER or a larger max_order argument to override"
         )
 
 
@@ -262,51 +262,33 @@ def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*cols)))
 
 
-class _ProductSpan:
-    """Span of outer products u w^T, closed under transpose, in two parts.
+def _span_parts(u, w) -> list:
+    """The packed parts of the outer product u w^T: symmetric, then skew unless u = w.
 
-    u w^T and w u^T enter the span through their symmetric part
-    u w^T + w u^T and skew part u w^T - w u^T (only the former when u = w),
-    an invertible change of generators.  Both parts go into one echelon
-    basis of ambient n^2 whose coordinates are the i <= j entries of a
-    symmetric matrix followed by the i < j entries of a skew one, so a part
-    is zero on the other block and only meets rows of its own kind.  Each
-    part is a genuine integer element of the span, so a dimension modulo a
-    prime is still at most the exact one; modulo 2 the change of generators
-    is not invertible (the symmetric part has an even diagonal), and there
-    the span can come out smaller.
+    The span of outer products u w^T is closed under transpose, so u w^T
+    and w u^T enter it through their symmetric part u w^T + w u^T and skew
+    part u w^T - w u^T (only the former when u = w), an invertible change
+    of generators.  Both parts go into one echelon basis of ambient n^2
+    whose coordinates are the i <= j entries of a symmetric matrix followed
+    by the i < j entries of a skew one, so a part is zero on the other block
+    and only meets rows of its own kind.  Each part is a genuine integer
+    element of the span, so a dimension modulo a prime is still at most the
+    exact one; modulo 2 the change of generators is not invertible (the
+    symmetric part has an even diagonal), and there the span can come out
+    smaller.
     """
-
-    __slots__ = ("side", "basis")
-
-    def __init__(self, side: int, modulus=None):
-        self.side = side
-        self.basis = intlinalg.EchelonBasis(side * side, modulus)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def copy(self) -> "_ProductSpan":
-        dup = _ProductSpan.__new__(_ProductSpan)
-        dup.side = self.side
-        dup.basis = self.basis.copy()
-        return dup
-
-    def parts(self, u, w) -> list:
-        """The packed parts of u w^T: symmetric, then skew unless u = w."""
-        n = self.side
-        if u == w:
-            return [[x * y for i, x in enumerate(u) for y in u[i:]] + [0] * (n * (n - 1) // 2)]
-        sym, skew = [], []
-        for i in range(n):
-            ui, wi = u[i], w[i]
-            sym.append(2 * ui * wi)
-            for j in range(i + 1, n):
-                a, b = ui * w[j], wi * u[j]
-                sym.append(a + b)
-                skew.append(a - b)
-        return [sym + [0] * len(skew), [0] * len(sym) + skew]
+    n = len(u)
+    if u == w:
+        return [[x * y for i, x in enumerate(u) for y in u[i:]] + [0] * (n * (n - 1) // 2)]
+    sym, skew = [], []
+    for i in range(n):
+        ui, wi = u[i], w[i]
+        sym.append(2 * ui * wi)
+        for j in range(i + 1, n):
+            a, b = ui * w[j], wi * u[j]
+            sym.append(a + b)
+            skew.append(a - b)
+    return [sym + [0] * len(skew), [0] * len(sym) + skew]
 
 
 _SYM, _SKEW = 0, 1
@@ -356,11 +338,11 @@ class _LieEngine:
     coordinates (the i <= j entries of a symmetric matrix, the i < j
     entries of a skew one); the dimension is the sum of the two.
 
-    ``elems`` spans the closure: one (parity, packed, matrix) triple per
-    insert that grew it, the generator itself for a generator and the
-    reduced residue for a bracket.  ``gens`` holds the generators that grew
-    the span, a projector e_j e_j^T as its 0-based index j and any other
-    generator as its integer matrix.  A generator already in the span lies
+    ``elems`` spans the closure: one (parity, packed) pair per insert that
+    grew it, the generator itself for a generator and the reduced residue
+    for a bracket.  ``gens`` holds the generators that grew the span, a
+    projector e_j e_j^T as its 0-based index j and any other generator as
+    the integer matrix passed in.  A generator already in the span lies
     in the algebra of the earlier ones, so it adds nothing and is dropped.
     ``pending`` holds the (generator, element) index pairs not yet
     bracketed: a new element is queued against every generator, and a new
@@ -412,30 +394,29 @@ class _LieEngine:
         dup._proj = self._proj
         return dup
 
-    def _offer(self, parity: int, packed):
-        """Insert a packed element; return its residue if the span grew.
+    def _offer(self, parity: int, packed, residue: bool = True) -> bool:
+        """Insert a packed element; keep it and return True if the span grew.
 
-        The residue modulo the earlier span is the row the insert added:
-        its pivot is the one new pivot column, by which the pivot sum grew.
-        It is zero on every earlier pivot column, so more of its projector
+        With ``residue`` (a bracket) the element kept is the row the insert
+        added, zero on every earlier pivot column, so more of its projector
         brackets vanish before they reach an insert than those of the raw
-        matrix would.  Returns None when the span did not grow.
+        bracket would.  Without it (a generator) it is kept as offered.
         """
-        basis = self.bases[parity]
-        pivots = basis.pivots
-        before = sum(pivots)
-        if not basis.insert(packed):
-            return None
-        return basis.rows[bisect_left(pivots, sum(pivots) - before)]
+        row = self.bases[parity].insert(packed)
+        if row is None:
+            return False
+        self.elems.append((parity, row if residue else packed))
+        return True
 
-    def _keep(self, parity: int, packed) -> None:
+    def _matrix(self, parity: int, packed) -> tuple:
+        """The full integer matrix of a packed element."""
         n = self.side
         x = [[0] * n for _ in range(n)]
         sign = -1 if parity == _SKEW else 1
         for (i, j), v in zip(self._pack[parity], packed):
             x[i][j] = v
             x[j][i] = sign * v
-        self.elems.append((parity, packed, tuple(map(tuple, x))))
+        return tuple(map(tuple, x))
 
     def _queue(self, pairs) -> None:
         for g, e in pairs:
@@ -457,7 +438,7 @@ class _LieEngine:
 
     def _bracket(self, g, elem):
         """[g, elem] packed in the opposite parity and normalized; None when zero."""
-        parity, packed, x = elem
+        parity, packed = elem
         if isinstance(g, int):
             # ad_{P_j} X = e_j X[j, :] - X[:, j] e_j^T: the packed entries
             # (j, c) with c > j are kept, those (c, j) with c < j negated
@@ -468,7 +449,7 @@ class _LieEngine:
             for src, dst in negate:
                 out[dst] = -packed[src]
             return self._normalize(out)
-        r = intlinalg.int_commutator(g, x, -1 if parity == _SKEW else 1)
+        r = intlinalg.int_commutator(g, self._matrix(parity, packed), -1 if parity == _SKEW else 1)
         if parity == _SYM:
             return self._normalize([v for i, row in enumerate(r) for v in row[i + 1:]])
         return self._normalize([v for i, row in enumerate(r) for v in row[i:]])
@@ -479,19 +460,15 @@ class _LieEngine:
             if self.dim >= cap:
                 return self.dim
             packed = self._normalize([v for i, row in enumerate(gen) for v in row[i:]])
-            if packed is None or self._offer(_SYM, packed) is None:
-                continue
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
-            self._keep(_SYM, packed)
+            if packed is None or not self._offer(_SYM, packed, residue=False):
+                continue
             support = [k for k, v in enumerate(packed) if v]
             i, j = self._pack[_SYM][support[0]]
             # one nonzero, on the diagonal: the projector e_j e_j^T
-            if len(support) == 1 and i == j:
-                self.gens.append(j)
-            else:
-                self.gens.append(self.elems[-1][2])
+            self.gens.append(j if len(support) == 1 and i == j else gen)
             g = len(self.gens) - 1
             self._queue((g, e) for e in range(len(self.elems) - 1))
         gens, elems, pending = self.gens, self.elems, self.pending
@@ -499,9 +476,7 @@ class _LieEngine:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
             packed = self._bracket(gens[g], elems[e])
-            residue = None if packed is None else self._offer(parity, packed)
-            if residue is not None:
-                self._keep(parity, residue)
+            if packed is not None and self._offer(parity, packed):
                 e = len(elems) - 1
                 self._queue((h, e) for h in range(len(gens)))
         return self.dim
@@ -555,8 +530,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     engine = _LieEngine(n)
     dim = engine.extend(int_gens, cap)
     basis = MatrixSpaceBasis(n)
-    for _, _, x in engine.elems:
-        basis.insert(x)
+    for parity, packed in engine.elems:
+        basis.insert(engine._matrix(parity, packed))
     return dim, basis
 
 
@@ -638,7 +613,7 @@ class _NodeState:
         n = session.n
         self.modulus = modulus
         self.walk = intlinalg.EchelonBasis(n, modulus) if "walk" in parts else None
-        self.pspan = _ProductSpan(n, modulus) if "pspan" in parts else None
+        self.pspan = intlinalg.EchelonBasis(n * n, modulus) if "pspan" in parts else None
         self.lie = None
         if "lie" in parts:
             self.lie = _LieEngine(n, modulus)
@@ -674,8 +649,8 @@ def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) 
         cols_k = session.columns(k, state.modulus)
         for m, ckm in enumerate(cols_k):
             for ckj in cols_j[m if k == j else 0:]:
-                for part in span.parts(ckm, ckj):
-                    if span.basis.insert(part) and span.basis.dim == amb:
+                for part in _span_parts(ckm, ckj):
+                    if span.insert(part) and span.dim == amb:
                         return
 
 
@@ -743,7 +718,7 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     all pairs k, j in S are the outer products of all pairs of columns.
     That set is closed under transpose, so it spans what the symmetric and
     skew parts of u w^T span over unordered pairs {u, w}, which is what is
-    inserted (see ``_ProductSpan``).  Each column is scaled to a primitive
+    inserted (see ``_span_parts``).  Each column is scaled to a primitive
     integer vector and zero columns are skipped, which changes no span.
     Insertion stops early only when the span is already all of gl(n, R).
 
@@ -832,18 +807,57 @@ def report_from_dict(d: dict) -> ControllabilityReport:
     )
 
 
+_HYPOTHESIS_TEXT = "requires a connected pattern with same-sign off-diagonal entries"
+
+
 def _check(name: str, status: str, detail: str) -> dict:
     return {"check": name, "status": status, "detail": detail}
+
+
+def _hypotheses(a: PatternMatrix) -> dict:
+    """The theorems' hypotheses on A: a connected pattern, same-sign off-diagonal entries."""
+    return {"connected": graphs.is_connected(a.pattern), "same_sign": a.sign_class != MIXED}
+
+
+def _consistency(n: int, walk_rank: int, p_dim: int, lie_dim: int, zfs_status: bool, hyp: bool) -> tuple:
+    """The theorem checks on one instance's numbers, one record each.
+
+    In order: the Kalman and Lie verdicts agree, and a zero forcing set is
+    Lie controllable, both only when ``hyp`` (the hypotheses hold; the
+    sign-mixed and disconnected counterexamples are genuine); and
+    p_span_dim = walk_rank^2, unconditionally.  ``analyze`` reports these
+    records and the sweeps count them, so both read one rule.
+    """
+    lie = lie_dim == n * n
+    if not hyp:
+        kalman_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
+        zfs_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
+    else:
+        if (walk_rank == n) == lie:
+            kalman_lie = (CHECK_PASSED, f"walk_rank {walk_rank} and lie_dim {lie_dim} agree on controllability")
+        else:
+            kalman_lie = (CHECK_VIOLATED, f"walk_rank {walk_rank} but lie_dim {lie_dim}")
+        if not zfs_status:
+            zfs_lie = (CHECK_PASSED, "control set is not a zero forcing set, nothing to imply")
+        elif lie:
+            zfs_lie = (CHECK_PASSED, "zero forcing set and lie_controllable")
+        else:
+            zfs_lie = (CHECK_VIOLATED, f"zero forcing set with lie_dim {lie_dim} < {n * n}")
+    if p_dim == walk_rank * walk_rank:
+        span = (CHECK_PASSED, f"p_span_dim {p_dim} equals walk_rank^2")
+    else:
+        span = (CHECK_VIOLATED, f"p_span_dim {p_dim} but walk_rank {walk_rank}")
+    return (_check("kalman_iff_lie", *kalman_lie), _check("zfs_implies_lie", *zfs_lie),
+            _check("span_dimension_identity", *span))
 
 
 def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     """Run every controllability decision on one instance and cross-check.
 
-    The consistency records cover the equivalence of the Kalman and Lie
-    verdicts and the forcing-set implication, both of which hold only for
-    connected patterns with same-sign off-diagonal entries (the sign-mixed
-    and disconnected counterexamples are genuine), plus the unconditional
-    identity p_span_dim = walk_rank^2.
+    The consistency records are those of ``_consistency``: the equivalence
+    of the Kalman and Lie verdicts and the forcing-set implication under
+    the hypotheses of ``_hypotheses``, plus the unconditional identity
+    p_span_dim = walk_rank^2.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past
@@ -852,73 +866,21 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     members = _control_set(a, s)
     check_lie_order(a.n)
     walk_rank, p_dim, lie_dim = _dimensions(a, members, _PARTS)
-    kalman = walk_rank == a.n
-    lie = lie_dim == a.n * a.n
     zfs_status = is_zfs(a.pattern, members)
-    connected = graphs.is_connected(a.pattern)
-    same_sign = a.sign_class != MIXED
-    hyp = connected and same_sign
-
-    consistency = []
-    if not hyp:
-        consistency.append(_check(
-            "kalman_iff_lie", CHECK_SKIPPED,
-            "requires a connected pattern with same-sign off-diagonal entries",
-        ))
-    elif kalman == lie:
-        consistency.append(_check(
-            "kalman_iff_lie", CHECK_PASSED,
-            f"walk_rank {walk_rank} and lie_dim {lie_dim} agree on controllability",
-        ))
-    else:
-        consistency.append(_check(
-            "kalman_iff_lie", CHECK_VIOLATED,
-            f"kalman_controllable is {kalman} but lie_controllable is {lie}",
-        ))
-
-    if not hyp:
-        consistency.append(_check(
-            "zfs_implies_lie", CHECK_SKIPPED,
-            "requires a connected pattern with same-sign off-diagonal entries",
-        ))
-    elif not zfs_status:
-        consistency.append(_check(
-            "zfs_implies_lie", CHECK_PASSED,
-            "control set is not a zero forcing set, nothing to imply",
-        ))
-    elif lie:
-        consistency.append(_check(
-            "zfs_implies_lie", CHECK_PASSED,
-            "zero forcing set and lie_controllable",
-        ))
-    else:
-        consistency.append(_check(
-            "zfs_implies_lie", CHECK_VIOLATED,
-            f"control set is a zero forcing set but lie_dim is {lie_dim} < {a.n * a.n}",
-        ))
-
-    if p_dim == walk_rank * walk_rank:
-        consistency.append(_check(
-            "span_dimension_identity", CHECK_PASSED,
-            f"p_span_dim {p_dim} equals walk_rank^2",
-        ))
-    else:
-        consistency.append(_check(
-            "span_dimension_identity", CHECK_VIOLATED,
-            f"p_span_dim {p_dim} differs from walk_rank^2 = {walk_rank * walk_rank}",
-        ))
-
+    hypotheses = _hypotheses(a)
     return ControllabilityReport(
         n=a.n,
         control_set=members,
         walk_rank=walk_rank,
-        kalman_controllable=kalman,
+        kalman_controllable=walk_rank == a.n,
         p_span_dim=p_dim,
         lie_dim=lie_dim,
-        lie_controllable=lie,
+        lie_controllable=lie_dim == a.n * a.n,
         zfs_status=zfs_status,
-        hypotheses={"connected": connected, "same_sign": same_sign},
-        consistency=tuple(consistency),
+        hypotheses=hypotheses,
+        consistency=_consistency(
+            a.n, walk_rank, p_dim, lie_dim, zfs_status, all(hypotheses.values())
+        ),
     )
 
 

@@ -110,7 +110,7 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     if n > max_order:
         raise ValueError(
             f"order {n} exceeds the exhaustive-search cap {max_order}; "
-            f"pass max_order={n} to override"
+            "set NETCTRL_MAX_ORDER or a larger max_order argument to override"
         )
     lower = max(1, min(degree(g, v) for v in g.vertices))
     for k in range(lower, n + 1):

@@ -15,6 +15,13 @@ matrix kind, and check the exact assertions on every selected control set:
 * single_vector_equivalence: for one control vector and an arbitrary
   symmetric matrix, walk rank n iff Lie dimension n^2.
 
+The first three are the records of ``control._consistency``, the table of
+theorem checks that ``analyze`` reports too: a sweep counts each asserted
+record under its check, once per instance under hypothesis_skipped when
+the hypotheses of ``control._hypotheses`` fail, and turns each violated
+record into a ``Violation`` with the record's detail, so ``recheck`` and
+the sweeps read one rule.
+
 A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  The dimensions come from the decision
 engine in ``control``: subsets of one matrix are processed along a tree
@@ -418,12 +425,7 @@ def _units(cfg: SweepConfig, select):
                 yield g, kind, zfs_map, session, dims
 
 
-def _hypothesis(a: control.PatternMatrix) -> bool:
-    """The theorems' hypothesis: connected pattern, same-sign off-diagonal entries."""
-    return a.sign_class != control.MIXED and graphs.is_connected(a.pattern)
-
-
-def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str) -> Violation:
+def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str, matrix="") -> Violation:
     return Violation(
         order=g.order,
         edges=tuple(sorted(g.edges)),
@@ -431,7 +433,18 @@ def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str) -> Vi
         subset=tuple(subset),
         check=check,
         detail=detail,
+        matrix=matrix,
     )
+
+
+def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
+    """Count each asserted check record under its check; record each violated one."""
+    for rec in records:
+        if rec["status"] == control.CHECK_SKIPPED:
+            continue
+        counts[rec["check"]] += 1
+        if rec["status"] == control.CHECK_VIOLATED:
+            violations.append(_graph_violation(g, kind, members, rec["check"], rec["detail"], matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +466,7 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     rng = _policy_rng(cfg)
     units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
     for g, kind, zfs_map, session, dims in units:
-        nsq = g.order * g.order
-        hyp = _hypothesis(session.a)
+        hyp = all(control._hypotheses(session.a).values())
         if hyp:
             counts["distance_power_nonzero"] += 1
             defects = session.defects()
@@ -468,29 +480,10 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
                 ))
         for members, walk_rank, lie_dim, p_dim in dims:
             instances += 1
-            kalman = walk_rank == g.order
-            lie = lie_dim == nsq
-            if hyp:
-                counts["kalman_iff_lie"] += 1
-                if kalman != lie:
-                    violations.append(_graph_violation(
-                        g, kind, members, "kalman_iff_lie",
-                        f"walk_rank {walk_rank} but lie_dim {lie_dim}",
-                    ))
-                counts["zfs_implies_lie"] += 1
-                if zfs_map[members] and not lie:
-                    violations.append(_graph_violation(
-                        g, kind, members, "zfs_implies_lie",
-                        f"zero forcing set with lie_dim {lie_dim} < {nsq}",
-                    ))
-            else:
+            if not hyp:
                 counts["hypothesis_skipped"] += 1
-            counts["span_dimension_identity"] += 1
-            if p_dim != walk_rank * walk_rank:
-                violations.append(_graph_violation(
-                    g, kind, members, "span_dimension_identity",
-                    f"p_span_dim {p_dim} but walk_rank {walk_rank}",
-                ))
+            records = control._consistency(g.order, walk_rank, p_dim, lie_dim, zfs_map[members], hyp)
+            _tally(records, counts, violations, g, kind, members)
     config = dict(op="equivalence", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -515,19 +508,15 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
         return _minimal_members(_subset_family(cfg, g, zfs_map, rng), zfs_map)
 
     for g, kind, _, session, dims in _units(cfg, targets):
-        nsq = g.order * g.order
-        hyp = _hypothesis(session.a)
-        for members, _, lie_dim, _ in dims:
+        hyp = all(control._hypotheses(session.a).values())
+        for members, walk_rank, lie_dim, p_dim in dims:
             if not hyp:
                 counts["hypothesis_skipped"] += 1
                 continue
             instances += 1
-            counts["zfs_implies_lie"] += 1
-            if lie_dim != nsq:
-                violations.append(_graph_violation(
-                    g, kind, members, "zfs_implies_lie",
-                    f"zero forcing set with lie_dim {lie_dim} < {nsq}",
-                ))
+            # every target is a forcing set
+            zfs_lie = control._consistency(g.order, walk_rank, p_dim, lie_dim, True, True)[1]
+            _tally([zfs_lie], counts, violations, g, kind, members)
     config = dict(op="zfs_implication", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -560,26 +549,12 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
         text = format_matrix(a.matrix)
         counts["single_vector_equivalence"] += 1
         if report.kalman_controllable != report.lie_controllable:
-            violations.append(Violation(
-                order=n,
-                edges=tuple(sorted(a.pattern.edges)),
-                kind="explicit",
-                subset=(ctrl,),
-                check="single_vector_equivalence",
-                detail=f"walk_rank {report.walk_rank} but lie_dim {report.lie_dim}",
-                matrix=text,
+            violations.append(_graph_violation(
+                a.pattern, "explicit", (ctrl,), "single_vector_equivalence",
+                f"walk_rank {report.walk_rank} but lie_dim {report.lie_dim}", text,
             ))
-        counts["span_dimension_identity"] += 1
-        if report.p_span_dim != report.walk_rank * report.walk_rank:
-            violations.append(Violation(
-                order=n,
-                edges=tuple(sorted(a.pattern.edges)),
-                kind="explicit",
-                subset=(ctrl,),
-                check="span_dimension_identity",
-                detail=f"p_span_dim {report.p_span_dim} but walk_rank {report.walk_rank}",
-                matrix=text,
-            ))
+        span = [c for c in report.consistency if c["check"] == "span_dimension_identity"]
+        _tally(span, counts, violations, a.pattern, "explicit", (ctrl,), text)
     config = {"op": "single_vector", "samples": samples, "seed": seed}
     return _outcome(config, samples, counts, violations)
 

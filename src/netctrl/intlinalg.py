@@ -120,13 +120,18 @@ class EchelonBasis:
         v = [a % p for a in v]
         return v if any(v) else None
 
-    def insert(self, values) -> bool:
-        """Add an integer vector to the span; True iff the dimension grew."""
+    def insert(self, values):
+        """Add an integer vector to the span; return the row it adds, or None.
+
+        The row is the residue of the vector modulo the earlier span (monic
+        modulo p); None means the vector already lay in the span, so the
+        dimension grew iff the result is truthy.
+        """
         if len(values) != self.ambient:
             raise ValueError(f"expected length {self.ambient}, got {len(values)}")
         v = self.reduce(values)
         if v is None:
-            return False
+            return None
         c_new = 0
         while not v[c_new]:
             c_new += 1
@@ -137,7 +142,7 @@ class EchelonBasis:
         pos = bisect_left(self.pivots, c_new)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, c_new)
-        return True
+        return v
 
     def contains(self, values) -> bool:
         return self.reduce(values) is None

@@ -183,7 +183,7 @@ class MatrixSpaceBasis:
         cleared = intlinalg.clear_denominators(self._vectorize(m))
         if cleared is None:
             return False
-        return self._inner.insert(cleared)
+        return self._inner.insert(cleared) is not None
 
     def contains(self, m) -> bool:
         """Exact span-membership test; does not mutate the basis."""

@@ -123,6 +123,17 @@ class TestZfsCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_minimum_over_cap_names_the_variable(self, capsys, tmp_path, monkeypatch):
+        # the command line has no max_order flag: the message must name what overrides it
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        path = tmp_path / "p17.txt"
+        path.write_text("17\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 17)))
+        code, out, err = run_cli(capsys, "zfs", "--graph", str(path), "--minimum")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the exhaustive-search cap 16" in err
+        assert "NETCTRL_MAX_ORDER" in err
+
     @pytest.mark.parametrize("env, text, cap", [
         (None, "200000\n1 2\n", 2000),
         (None, "99999999\n1 2\n", 2000),
@@ -230,9 +241,10 @@ class TestAnalyzeCommand:
         assert "error:" in err
 
     @pytest.mark.parametrize("text", [
+        "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)),
         "40\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 40)),
         "99999999\n1 2\n",
-    ], ids=["path-40", "declared-order"])
+    ], ids=["path-13", "path-40", "declared-order"])
     def test_over_cap_order_fails_before_any_work(self, capsys, tmp_path, monkeypatch, text):
         def refuse(*args):
             raise AssertionError("matrix work started past the order cap")
@@ -245,6 +257,30 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--graph", str(path), "--set", "1")
         assert code == 2
         assert "exceeds the Lie-closure cap 12" in err
+        assert "NETCTRL_MAX_ORDER" in err
+
+    def test_theorem_violation_exits_3_with_the_sweep_details(self, capsys, p4, monkeypatch):
+        # an injected engine fault: P4 with the forcing set {1} loses one Lie dimension
+        monkeypatch.setattr(netctrl.control, "_dimensions", lambda a, members, parts: (4, 16, 15))
+        code, _, err = run_cli(capsys, "analyze", "--graph", p4, "--set", "1")
+        assert code == 3
+        [line] = [row for row in err.splitlines() if row.startswith("THEOREM-VIOLATION: ")]
+        # the same dimensions reach a sweep through its prefix-tree walk
+        engine = netctrl.harness._iter_unit
+
+        def faulty_unit(session, children, check_set):
+            for members, *dims in engine(session, children, check_set):
+                yield (members, 4, 15, 16) if session.n == 4 else (members, *dims)
+
+        monkeypatch.setattr(netctrl.harness, "_iter_unit", faulty_unit)
+        cfg = netctrl.SweepConfig(max_order=4, matrix_kinds=("adjacency",),
+                                  subset_policy="singletons")
+        found = {v.check: v for v in netctrl.sweep_equivalence(cfg).violations
+                 if v.edges == ((1, 2), (2, 3), (3, 4)) and v.subset == (1,)}
+        checks = ("kalman_iff_lie", "zfs_implies_lie")
+        assert tuple(found) == checks
+        assert line == "THEOREM-VIOLATION: " + "; ".join(f"{c}: {found[c].detail}" for c in checks)
+        assert all(netctrl.recheck(v) for v in found.values())
 
 
 class TestVerifyCommand:

@@ -35,7 +35,7 @@ from netctrl import (
     walk_matrix,
 )
 from netctrl import control
-from netctrl.control import _LieEngine, _ProductSpan, _Session, control_generators
+from netctrl.control import _LieEngine, _Session, _span_parts, control_generators
 from netctrl.intlinalg import EchelonBasis
 from netctrl.linalg import mat_mul
 
@@ -227,11 +227,11 @@ class TestProductSpan:
         entries = [list(r) for r in a.matrix.entries]
         session = _Session(a)
         cols = [u for j in s for u in session.columns(j)]
-        span = _ProductSpan(a.n)
+        span = EchelonBasis(a.n * a.n)
         for i, u in enumerate(cols):
             for w in cols[i:]:
-                for part in span.parts(u, w):
-                    span.basis.insert(part)
+                for part in _span_parts(u, w):
+                    span.insert(part)
         assert span.dim == oracles.pspan_dim_bruteforce(entries, s)
 
     @settings(max_examples=40, deadline=None)
@@ -381,9 +381,11 @@ class TestSplitLieEngine:
         engine = _control_engine(a, s)
         assert engine.dim == oracles.control_lie_dim_bruteforce(
             [list(r) for r in a.matrix.entries], s)
-        for parity, _, x in engine.elems:
+        for parity, packed in engine.elems:
+            x = engine._matrix(parity, packed)
             sign = -1 if parity else 1
             assert x == tuple(tuple(sign * v for v in col) for col in zip(*x))
+            assert engine.bases[parity].contains(packed)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([2, 3, 5]), symmetric_strategy())

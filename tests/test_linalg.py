@@ -184,9 +184,10 @@ class TestExactEchelonBasis:
         basis = EchelonBasis(len(rows[0]))
         for row in shuffled:
             before = list(basis.rows)
-            basis.insert(row)
-            # no older row is rewritten
+            added = basis.insert(row)
+            # no older row is rewritten, and the insert returns the one row it adds
             assert all(r in basis.rows for r in before)
+            assert [r for r in basis.rows if r not in before] == ([added] if added else [])
         for c, row in zip(basis.pivots, basis.rows):
             assert row[c] > 0 and not any(row[:c])
         assert basis.pivots == sorted(basis.pivots)
