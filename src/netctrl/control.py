@@ -593,7 +593,7 @@ class _Session:
     def defects(self) -> tuple:
         """``distance_power_defects`` of the matrix, computed once."""
         if self._defects is None:
-            self._defects = distance_power_defects(self.a)
+            self._defects = distance_power_defects(self.a, self)
         return self._defects
 
 
@@ -884,16 +884,19 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     )
 
 
-def distance_power_defects(a: PatternMatrix) -> tuple:
+def distance_power_defects(a: PatternMatrix, session=None) -> tuple:
     """Pairs where the distance-power entry (A^d(k,j))_{kj} vanishes.
 
     For a connected pattern with same-sign off-diagonal entries every
     walk of minimal length d(k, j) contributes a product of one sign, so
     the entry cannot cancel and the result should be empty.  Pairs in
     different components are skipped.  Returns a tuple of (k, j, d).
+    The walk columns are read from ``session``, a ``_Session`` of ``a``
+    (a fresh one by default), so a sweep builds them once per matrix.
     """
     n = a.n
-    session = _Session(a)
+    if session is None:
+        session = _Session(a)
     defects = []
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):

@@ -47,6 +47,7 @@ The table lives inside one sweep call.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
@@ -100,8 +101,10 @@ class SweepConfig:
         kinds = tuple(self.matrix_kinds)
         if not kinds:
             raise ValueError("matrix_kinds must be nonempty")
-        for kind in kinds:
-            control.parse_kind(kind)
+        keys = [control.parse_kind(kind)[:2] for kind in kinds]
+        for i, kind in enumerate(kinds):
+            if keys[i] in keys[:i]:
+                raise ValueError(f"matrix kind {kind!r} is listed more than once")
         object.__setattr__(self, "matrix_kinds", kinds)
         _parse_policy(self.subset_policy)
 
@@ -563,6 +566,49 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
 # Worked-example replication
 # ---------------------------------------------------------------------------
 
+# The worked fixtures: id, description, matrix entries, control set, and the
+# facts the paper states, read off one ``analyze`` report or ``_EXTRA_FACTS``.
+_EXAMPLES = (
+    ("a", "path on four vertices, control at the second vertex",
+     [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], (2,), {
+         "walk_matrix": [[0, 1, 0, 2], [1, 0, 2, 0], [0, 1, 0, 3], [0, 0, 1, 0]],
+         "walk_rank": 4,
+         "lie_dim": 16,
+         "zfs_status": False,
+     }),
+    ("b", "four-cycle pattern with one negative edge pair, controls at opposite vertices",
+     [[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]], (1, 3), {
+         "walk_rank": 4,
+         "kalman_controllable": True,
+         "lie_dim_at_most_8": True,
+         "lie_dim": 8,
+         "lie_controllable": False,
+     }),
+    ("c", "two disjoint edges as diagonal blocks, one control vertex per block",
+     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], (1, 3), {
+         "block_walk_ranks": [2, 2],
+         "walk_rank": 4,
+         "kalman_controllable": True,
+         "lie_dim_at_most_8": True,
+         "lie_dim": 8,
+         "lie_controllable": False,
+     }),
+)
+
+_EXTRA_FACTS = {
+    "walk_matrix": lambda a, report: [
+        [int(x) for x in row] for row in control.walk_matrix(a, report["control_set"]).entries
+    ],
+    "lie_dim_at_most_8": lambda a, report: report["lie_dim"] <= 8,
+    # the walk rank of each 2x2 diagonal block, controlled at its first vertex
+    "block_walk_ranks": lambda a, report: [
+        rank(control.walk_matrix(control.pattern_matrix(
+            [row[k:k + 2] for row in a.matrix.entries[k:k + 2]]), (1,)))
+        for k in range(0, a.n, 2)
+    ],
+}
+
+
 def replicate_examples() -> tuple:
     """Re-run the three worked fixtures and compare every stated fact exactly.
 
@@ -571,96 +617,18 @@ def replicate_examples() -> tuple:
     compared for deep equality.
     """
     rows = []
-
-    g = graphs.path_graph(4)
-    a = control.adjacency_matrix(g)
-    wm = control.walk_matrix(a, (2,))
-    _, walk_rank = control.kalman_controllable(a, (2,))
-    _, lie_dim = control.lie_controllable(a, (2,))
-    expected = {
-        "walk_matrix": [[0, 1, 0, 2], [1, 0, 2, 0], [0, 1, 0, 3], [0, 0, 1, 0]],
-        "walk_rank": 4,
-        "lie_dim": 16,
-        "zfs_status": False,
-    }
-    computed = {
-        "walk_matrix": [[int(x) for x in row] for row in wm.entries],
-        "walk_rank": walk_rank,
-        "lie_dim": lie_dim,
-        "zfs_status": forcing.is_zfs(g, (2,)),
-    }
-    rows.append({
-        "id": "a",
-        "description": "path on four vertices, control at the second vertex",
-        "expected": expected,
-        "computed": computed,
-        "match": expected == computed,
-    })
-
-    mixed = control.pattern_matrix(
-        [[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]]
-    )
-    kalman, walk_rank = control.kalman_controllable(mixed, (1, 3))
-    lie, lie_dim = control.lie_controllable(mixed, (1, 3))
-    expected = {
-        "walk_rank": 4,
-        "kalman_controllable": True,
-        "lie_dim_at_most_8": True,
-        "lie_dim": 8,
-        "lie_controllable": False,
-    }
-    computed = {
-        "walk_rank": walk_rank,
-        "kalman_controllable": kalman,
-        "lie_dim_at_most_8": lie_dim <= 8,
-        "lie_dim": lie_dim,
-        "lie_controllable": lie,
-    }
-    rows.append({
-        "id": "b",
-        "description": "four-cycle pattern with one negative edge pair, controls at opposite vertices",
-        "expected": expected,
-        "computed": computed,
-        "match": expected == computed,
-    })
-
-    block = control.pattern_matrix(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    )
-    sub1 = control.pattern_matrix(
-        [[block.matrix[r, c] for c in (0, 1)] for r in (0, 1)]
-    )
-    sub2 = control.pattern_matrix(
-        [[block.matrix[r, c] for c in (2, 3)] for r in (2, 3)]
-    )
-    block_ranks = [
-        rank(control.walk_matrix(sub1, (1,))),
-        rank(control.walk_matrix(sub2, (1,))),
-    ]
-    kalman, walk_rank = control.kalman_controllable(block, (1, 3))
-    lie, lie_dim = control.lie_controllable(block, (1, 3))
-    expected = {
-        "block_walk_ranks": [2, 2],
-        "walk_rank": 4,
-        "kalman_controllable": True,
-        "lie_dim_at_most_8": True,
-        "lie_dim": 8,
-        "lie_controllable": False,
-    }
-    computed = {
-        "block_walk_ranks": block_ranks,
-        "walk_rank": walk_rank,
-        "kalman_controllable": kalman,
-        "lie_dim_at_most_8": lie_dim <= 8,
-        "lie_dim": lie_dim,
-        "lie_controllable": lie,
-    }
-    rows.append({
-        "id": "c",
-        "description": "two disjoint edges as diagonal blocks, one control vertex per block",
-        "expected": expected,
-        "computed": computed,
-        "match": expected == computed,
-    })
-
+    for ident, description, entries, s, expected in _EXAMPLES:
+        a = control.pattern_matrix(entries)
+        report = control.analyze(a, s).to_dict()
+        computed = {
+            fact: _EXTRA_FACTS[fact](a, report) if fact in _EXTRA_FACTS else report[fact]
+            for fact in expected
+        }
+        rows.append({
+            "id": ident,
+            "description": description,
+            "expected": copy.deepcopy(expected),
+            "computed": computed,
+            "match": expected == computed,
+        })
     return tuple(rows)

@@ -122,15 +122,13 @@ def commutator(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     return mat_mul(x, y) - mat_mul(y, x)
 
 
-def rank(m: RationalMatrix, modulus=None) -> int:
-    """Exact rank over the rationals, or over the integers modulo a prime.
+def rank(m: RationalMatrix) -> int:
+    """Exact rank over the rationals.
 
     Rows are individually scaled to primitive integer vectors first (rank
-    is invariant under row scaling), then reduced fraction-free, or modulo
-    ``modulus`` when it is given.  The rank modulo a prime is at most the
-    rank over the rationals.
+    is invariant under row scaling), then reduced fraction-free.
     """
-    basis = intlinalg.EchelonBasis(m.cols, modulus)
+    basis = intlinalg.EchelonBasis(m.cols)
     for row in m.entries:
         cleared = intlinalg.clear_denominators(row)
         if cleared is not None and basis.insert(cleared) and basis.dim == m.cols:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import netctrl
-from netctrl import analyze, adjacency_matrix, path_graph, report_from_dict
+from netctrl import analyze, adjacency_matrix, control, path_graph, report_from_dict
 from netctrl.cli import main
 
 P4_TEXT = "4\n1 2\n2 3\n3 4\n"
@@ -310,6 +310,10 @@ class TestVerifyCommand:
         assert run_cli(capsys, "verify", "--max-order", "9")[0] == 2
         assert run_cli(capsys, "verify", "--max-order", "2", "--kinds", "x")[0] == 2
         assert run_cli(capsys, "verify", "--max-order", "2", "--subsets", "few")[0] == 2
+        for kinds, named in (("adjacency,adjacency", "'adjacency'"), ("random:5,random:05", "'random:05'")):
+            code, out, err = run_cli(capsys, "verify", "--max-order", "2", "--kinds", kinds)
+            assert (code, out) == (2, "")
+            assert named in err
 
 
 class TestExamplesCommand:
@@ -325,6 +329,29 @@ class TestExamplesCommand:
         rows = json.loads(out)
         assert [r["id"] for r in rows] == ["a", "b", "c"]
         assert all(r["match"] for r in rows)
+
+    def test_mismatch_exits_3(self, capsys, monkeypatch):
+        # a fault that loses one Lie dimension whenever the closure is full
+        dimensions = control._dimensions
+
+        def deficient(a, members, parts):
+            dims = dimensions(a, members, parts)
+            full = a.n * a.n
+            return tuple(d - (name == "lie" and d == full) for name, d in zip(parts, dims))
+
+        monkeypatch.setattr(control, "_dimensions", deficient)
+        code, out, _ = run_cli(capsys, "examples")
+        assert code == 3
+        walk = '"walk_matrix": [[0, 1, 0, 2], [1, 0, 2, 0], [0, 1, 0, 3], [0, 0, 1, 0]]'
+        assert out.splitlines() == [
+            "id  match  description",
+            "a   no     path on four vertices, control at the second vertex",
+            f'    expected: {{"lie_dim": 16, {walk}, "walk_rank": 4, "zfs_status": false}}',
+            f'    computed: {{"lie_dim": 15, {walk}, "walk_rank": 4, "zfs_status": false}}',
+            "b   yes    four-cycle pattern with one negative edge pair, controls at opposite vertices",
+            "c   yes    two disjoint edges as diagonal blocks, one control vertex per block",
+            "EXAMPLE MISMATCH",
+        ]
 
 
 class TestPlumbing:

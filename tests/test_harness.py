@@ -63,6 +63,11 @@ class TestSweepConfig:
             SweepConfig(max_order=2, matrix_kinds=("adjacency", "hadamard"))
         with pytest.raises(ValueError):
             SweepConfig(max_order=2, matrix_kinds=("random:x",))
+        # a kind listed twice, compared by parsed name and seed
+        for kinds in (("adjacency", "adjacency"), ("random:5", "laplacian", "random:05")):
+            with pytest.raises(ValueError, match=repr(kinds[-1])):
+                SweepConfig(max_order=2, matrix_kinds=kinds)
+        assert SweepConfig(max_order=2, matrix_kinds=("random:5", "random:6")).matrix_kinds == ("random:5", "random:6")
 
     def test_bad_policies_rejected(self):
         for policy in ("some", "zfs_only", "random:2", "random:0:1", "random:a:b"):
@@ -219,7 +224,7 @@ class TestOrbitRoute:
             for members, walk, lie, pspan in engine(session, children, check_set):
                 yield members, walk, lie - (len(members) == 2), pspan
 
-        def faulty_defects(a):
+        def faulty_defects(a, session=None):
             deg = {v: sum(v in e for e in a.pattern.edges) for v in a.pattern.vertices}
             return tuple((u, v, 1) for u, v in sorted(a.pattern.edges) if min(deg[u], deg[v]) >= 2)
 
@@ -247,6 +252,27 @@ class TestOrbitRoute:
         out = sweep_equivalence(SweepConfig(max_order=4, matrix_kinds=("random:101",)))
         assert out.passed
         assert len(built) == 1 + 1 + 4 + 38
+
+    def test_one_session_per_matrix(self, monkeypatch):
+        # the distance powers read the walk columns of the session the
+        # subset tree already built: one session per graph class for a
+        # label-invariant kind, one per labeled graph otherwise
+        built = []
+
+        class Counting(control._Session):
+            __slots__ = ()
+
+            def __init__(self, a):
+                built.append(a)
+                super().__init__(a)
+
+        monkeypatch.setattr(control, "_Session", Counting)
+        for kind, sessions in (("adjacency", 1 + 1 + 2 + 6), ("random:3", 1 + 1 + 4 + 38)):
+            built.clear()
+            out = sweep_equivalence(SweepConfig(max_order=4, matrix_kinds=(kind,)))
+            assert out.passed
+            assert out.check_counts["distance_power_nonzero"] == 1 + 1 + 4 + 38
+            assert len(built) == sessions
 
     def test_each_sweep_call_walks_afresh(self, monkeypatch):
         calls = []
@@ -438,6 +464,34 @@ class TestReplicateExamples:
         for row in rows:
             assert row["match"], row
             assert row["expected"] == row["computed"]
+
+    def test_expected_facts_are_the_papers(self):
+        # the facts the paper states for its three worked examples, so the
+        # fixture table cannot drift from them
+        deficient = {
+            "walk_rank": 4,
+            "kalman_controllable": True,
+            "lie_dim_at_most_8": True,
+            "lie_dim": 8,
+            "lie_controllable": False,
+        }
+        papers = {
+            "a": {
+                "walk_matrix": [[0, 1, 0, 2], [1, 0, 2, 0], [0, 1, 0, 3], [0, 0, 1, 0]],
+                "walk_rank": 4,
+                "lie_dim": 16,
+                "zfs_status": False,
+            },
+            "b": deficient,
+            "c": {"block_walk_ranks": [2, 2], **deficient},
+        }
+        rows = replicate_examples()
+        assert {row["id"]: row["expected"] for row in rows} == papers
+        for row in rows:
+            assert list(row["computed"]) == list(papers[row["id"]])
+        # each call returns fresh rows: editing one leaves the table alone
+        rows[0]["expected"]["walk_matrix"][0][0] = 9
+        assert {row["id"]: row["expected"] for row in replicate_examples()} == papers
 
     def test_rows_are_json_ready(self):
         json.dumps(list(replicate_examples()))
