@@ -7,8 +7,8 @@ given and unmet, 2 input error, 3 theorem violation or example mismatch.
 
 The NETCTRL_MAX_ORDER environment variable raises the cost guardrails
 (the exhaustive minimum-forcing-set cap, the forcing-closure cap of
-``zfs --set`` and the Lie closure order cap); it is read through
-``forcing.order_cap``.
+``zfs --set`` and the Lie closure order cap); it is read by the one order
+guard, ``forcing.check_order``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _run_zfs(args) -> int:
         _emit(text, args.out)
         return 0
     # before the closure builds one neighbor set per declared vertex
-    forcing.check_closure_order(g.order)
+    forcing.check_order(g.order, "forcing-closure", forcing.DEFAULT_CLOSURE_MAX_ORDER)
     members = forcing.vertex_set(_parse_set(args.set_spec), g.order)
     black, chronicle = forcing.closure(g, members)
     ok = len(black) == g.order

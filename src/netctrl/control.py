@@ -33,13 +33,13 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import graphs, intlinalg
-from .forcing import is_zfs, order_cap, vertex_set
+from .forcing import check_order, is_zfs, vertex_set
 from .graphs import Graph
 from .linalg import (
     MatrixSpaceBasis,
@@ -66,21 +66,12 @@ _PRIME = 1_073_741_789
 
 
 def check_lie_order(n: int, max_order=None) -> None:
-    """Refuse an order past the Lie-closure cap.
+    """Raise ValueError for an order past the Lie-closure cap (``forcing.check_order``).
 
     The cap is ``max_order``, by default 12 or the NETCTRL_MAX_ORDER
     environment variable.
-
-    Raises:
-      ValueError: ``n`` exceeds the cap.
     """
-    if max_order is None:
-        max_order = order_cap(DEFAULT_LIE_MAX_ORDER)
-    if n > max_order:
-        raise ValueError(
-            f"order {n} exceeds the Lie-closure cap {max_order}; "
-            "set NETCTRL_MAX_ORDER or a larger max_order argument to override"
-        )
+    check_order(n, "Lie-closure", DEFAULT_LIE_MAX_ORDER, max_order)
 
 
 @dataclass(frozen=True)
@@ -777,34 +768,39 @@ class ControllabilityReport:
         return tuple(c for c in self.consistency if c["status"] == CHECK_VIOLATED)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "control_set": list(self.control_set),
-            "walk_rank": self.walk_rank,
-            "kalman_controllable": self.kalman_controllable,
-            "p_span_dim": self.p_span_dim,
-            "lie_dim": self.lie_dim,
-            "lie_controllable": self.lie_controllable,
-            "zfs_status": self.zfs_status,
-            "hypotheses": dict(self.hypotheses),
-            "consistency": [dict(c) for c in self.consistency],
-        }
+        return _image(self)
 
 
 def report_from_dict(d: dict) -> ControllabilityReport:
     """Rebuild a report from its to_dict() image (inverse round-trip)."""
-    return ControllabilityReport(
-        n=d["n"],
-        control_set=tuple(d["control_set"]),
-        walk_rank=d["walk_rank"],
-        kalman_controllable=d["kalman_controllable"],
-        p_span_dim=d["p_span_dim"],
-        lie_dim=d["lie_dim"],
-        lie_controllable=d["lie_controllable"],
-        zfs_status=d["zfs_status"],
-        hypotheses=dict(d["hypotheses"]),
-        consistency=tuple(dict(c) for c in d["consistency"]),
-    )
+    return _from_image(ControllabilityReport, d)
+
+
+def _image(value):
+    """The JSON image of a record: a dataclass's fields in order, tuples as lists, dicts copied."""
+    if is_dataclass(value):
+        return {f.name: _image(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_image(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _image(x) for k, x in value.items()}
+    return value
+
+
+def _from_image(cls, d: dict):
+    """Rebuild a record dataclass from its ``_image``, lists as tuples.
+
+    A field missing from ``d`` keeps its default; one without a default
+    raises KeyError.
+    """
+    def frozen(value):
+        if isinstance(value, list):
+            return tuple(map(frozen, value))
+        if isinstance(value, dict):
+            return {k: frozen(x) for k, x in value.items()}
+        return value
+
+    return cls(**{f.name: frozen(d[f.name]) for f in fields(cls) if f.name in d or f.default is MISSING})
 
 
 _HYPOTHESIS_TEXT = "requires a connected pattern with same-sign off-diagonal entries"

@@ -16,25 +16,36 @@ import os
 from .graphs import Graph, adjacency_sets, degree
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 16
-# one forcing closure is about n^2 steps on a path and one set per vertex:
-# about 1 s at 2,000 vertices
+# the cap of `netctrl zfs --set` (``closure`` itself checks none): one
+# forcing closure is about n^2 steps on a path and one set per declared
+# vertex, about 1 s at 2,000 vertices
 DEFAULT_CLOSURE_MAX_ORDER = 2_000
 
 
-def order_cap(default: int) -> int:
-    """An order guardrail: ``default``, or NETCTRL_MAX_ORDER when it is set.
+def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
+    """The one order guard of every cost cap: refuse ``n`` past the cap.
 
-    One variable raises or lowers every cost guardrail (the exhaustive
-    forcing-set search and the command-line forcing closure here, the Lie
-    closure in ``control``).
+    The cap is ``max_order`` when given, else NETCTRL_MAX_ORDER when it is
+    set, else ``default``; one variable raises or lowers every cap (the
+    exhaustive forcing-set search and the command-line forcing closure
+    here, the Lie closure in ``control``).  The refusal names what overrides
+    the cap: the variable, or the argument when one was passed.
+
+    Raises:
+      ValueError: ``n`` exceeds the cap, or NETCTRL_MAX_ORDER is not an
+        integer.
     """
-    raw = os.environ.get("NETCTRL_MAX_ORDER")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}") from None
+    if max_order is None:
+        raw = os.environ.get("NETCTRL_MAX_ORDER")
+        try:
+            cap = default if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}") from None
+        override = "set NETCTRL_MAX_ORDER"
+    else:
+        cap, override = max_order, "pass a larger max_order argument"
+    if n > cap:
+        raise ValueError(f"order {n} exceeds the {cap_name} cap {cap}; {override} to override")
 
 
 def vertex_set(members, order: int) -> tuple:
@@ -44,24 +55,6 @@ def vertex_set(members, order: int) -> tuple:
         if not (1 <= v <= order):
             raise ValueError(f"vertex {v} out of range 1..{order}")
     return tuple(out)
-
-
-def check_closure_order(n: int) -> None:
-    """Refuse a graph order past the forcing-closure cap.
-
-    The cap is 2,000, or the NETCTRL_MAX_ORDER environment variable.  It
-    guards a forcing closure on a graph read from outside, whose declared
-    order alone sets the memory ``closure`` takes; ``closure`` itself, and
-    so ``min_zfs``, does not check it.
-
-    Raises:
-      ValueError: ``n`` exceeds the cap.
-    """
-    cap = order_cap(DEFAULT_CLOSURE_MAX_ORDER)
-    if n > cap:
-        raise ValueError(
-            f"order {n} exceeds the forcing-closure cap {cap}; set NETCTRL_MAX_ORDER to override"
-        )
 
 
 def closure(g: Graph, s) -> tuple:
@@ -104,14 +97,8 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     ``max_order`` (default 16, or the NETCTRL_MAX_ORDER environment
     variable; pass a value explicitly for larger graphs).
     """
-    if max_order is None:
-        max_order = order_cap(DEFAULT_MIN_ZFS_MAX_ORDER)
     n = g.order
-    if n > max_order:
-        raise ValueError(
-            f"order {n} exceeds the exhaustive-search cap {max_order}; "
-            "set NETCTRL_MAX_ORDER or a larger max_order argument to override"
-        )
+    check_order(n, "exhaustive-search", DEFAULT_MIN_ZFS_MAX_ORDER, max_order)
     lower = max(1, min(degree(g, v) for v in g.vertices))
     for k in range(lower, n + 1):
         for cand in itertools.combinations(g.vertices, k):

@@ -5,22 +5,24 @@ to order 5, seeded random samples at orders 6 and 7), build each configured
 matrix kind, and check the exact assertions on every selected control set:
 
 * kalman_iff_lie: the Kalman walk-rank verdict and the Lie-algebra
-  verdict agree (needs a connected, same-sign instance);
-* zfs_implies_lie: a zero forcing control set is Lie controllable
-  (same hypotheses);
+  verdict agree;
+* zfs_implies_lie: a zero forcing control set is Lie controllable;
 * span_dimension_identity: the product-span dimension is the square of
-  the walk rank (unconditional);
+  the walk rank;
 * distance_power_nonzero: the (k, j) entry of A^d(k,j) is nonzero, once
-  per connected same-sign matrix;
+  per matrix;
 * single_vector_equivalence: for one control vector and an arbitrary
   symmetric matrix, walk rank n iff Lie dimension n^2.
 
-The first three are the records of ``control._consistency``, the table of
-theorem checks that ``analyze`` reports too: a sweep counts each asserted
-record under its check, once per instance under hypothesis_skipped when
-the hypotheses of ``control._hypotheses`` fail, and turns each violated
-record into a ``Violation`` with the record's detail, so ``recheck`` and
-the sweeps read one rule.
+The graph sweeps build only connected graphs, and every matrix kind is
+same-sign off the diagonal (adjacency +1, laplacian -1, random:SEED
+1..9), so the theorems' hypotheses (``control._hypotheses``) hold on
+every instance and every check is asserted; ``analyze``, which takes
+arbitrary matrices, still gates on them.  The first three checks are the
+records of ``control._consistency``, the table of theorem checks that
+``analyze`` reports too: a sweep counts each record under its check and
+turns each violated record into a ``Violation`` with the record's detail,
+so ``recheck`` and the sweeps read one rule.
 
 A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  The dimensions come from the decision
@@ -109,12 +111,7 @@ class SweepConfig:
         _parse_policy(self.subset_policy)
 
     def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "matrix_kinds": list(self.matrix_kinds),
-            "subset_policy": self.subset_policy,
-            "seed": self.seed,
-        }
+        return control._image(self)
 
 
 @dataclass(frozen=True)
@@ -135,27 +132,11 @@ class Violation:
     matrix: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "edges": [list(e) for e in self.edges],
-            "kind": self.kind,
-            "subset": list(self.subset),
-            "check": self.check,
-            "detail": self.detail,
-            "matrix": self.matrix,
-        }
+        return control._image(self)
 
 
 def violation_from_dict(d: dict) -> Violation:
-    return Violation(
-        order=d["order"],
-        edges=tuple((e[0], e[1]) for e in d["edges"]),
-        kind=d["kind"],
-        subset=tuple(d["subset"]),
-        check=d["check"],
-        detail=d["detail"],
-        matrix=d.get("matrix", ""),
-    )
+    return control._from_image(Violation, d)
 
 
 def recheck(v: Violation) -> bool:
@@ -195,13 +176,7 @@ class SweepOutcome:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "instances_checked": self.instances_checked,
-            "check_counts": dict(self.check_counts),
-            "violations": [v.to_dict() for v in self.violations],
-            "passed": self.passed,
-        }
+        return control._image(self)
 
     def to_json(self) -> str:
         """Canonical serialization; identical configs give identical bytes."""
@@ -441,10 +416,8 @@ def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str, matri
 
 
 def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
-    """Count each asserted check record under its check; record each violated one."""
+    """Count each check record under its check; record each violated one."""
     for rec in records:
-        if rec["status"] == control.CHECK_SKIPPED:
-            continue
         counts[rec["check"]] += 1
         if rec["status"] == control.CHECK_VIOLATED:
             violations.append(_graph_violation(g, kind, members, rec["check"], rec["detail"], matrix))
@@ -457,11 +430,11 @@ def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, memb
 def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     """Check the Kalman/Lie equivalence and its companion identities.
 
-    Per selected (graph, kind, subset) instance: kalman_iff_lie and
-    zfs_implies_lie under the connectivity and sign hypotheses (instances
-    failing them are counted under hypothesis_skipped, never asserted),
-    and span_dimension_identity unconditionally.  Once per (graph, kind):
-    distance_power_nonzero.  instances_checked counts subset instances.
+    Per selected (graph, kind, subset) instance: kalman_iff_lie,
+    zfs_implies_lie and span_dimension_identity, all asserted, since every
+    sweep matrix meets the connectivity and sign hypotheses.  Once per
+    (graph, kind): distance_power_nonzero.  instances_checked counts
+    subset instances.
     """
     counts: Counter = Counter()
     violations: list = []
@@ -469,23 +442,19 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     rng = _policy_rng(cfg)
     units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
     for g, kind, zfs_map, session, dims in units:
-        hyp = all(control._hypotheses(session.a).values())
-        if hyp:
-            counts["distance_power_nonzero"] += 1
-            defects = session.defects()
-            if defects and session.a.pattern != g:
-                # found on the representative: report them in g's labels
-                defects = control.distance_power_defects(control.build_matrix(g, kind))
-            if defects:
-                violations.append(_graph_violation(
-                    g, kind, (), "distance_power_nonzero",
-                    f"zero entries at (k, j, d) = {sorted(defects)}",
-                ))
+        counts["distance_power_nonzero"] += 1
+        defects = session.defects()
+        if defects and session.a.pattern != g:
+            # found on the representative: report them in g's labels
+            defects = control.distance_power_defects(control.build_matrix(g, kind))
+        if defects:
+            violations.append(_graph_violation(
+                g, kind, (), "distance_power_nonzero",
+                f"zero entries at (k, j, d) = {sorted(defects)}",
+            ))
         for members, walk_rank, lie_dim, p_dim in dims:
             instances += 1
-            if not hyp:
-                counts["hypothesis_skipped"] += 1
-            records = control._consistency(g.order, walk_rank, p_dim, lie_dim, zfs_map[members], hyp)
+            records = control._consistency(g.order, walk_rank, p_dim, lie_dim, zfs_map[members], True)
             _tally(records, counts, violations, g, kind, members)
     config = dict(op="equivalence", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
@@ -510,12 +479,8 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
             return [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
         return _minimal_members(_subset_family(cfg, g, zfs_map, rng), zfs_map)
 
-    for g, kind, _, session, dims in _units(cfg, targets):
-        hyp = all(control._hypotheses(session.a).values())
+    for g, kind, _, _, dims in _units(cfg, targets):
         for members, walk_rank, lie_dim, p_dim in dims:
-            if not hyp:
-                counts["hypothesis_skipped"] += 1
-                continue
             instances += 1
             # every target is a forcing set
             zfs_lie = control._consistency(g.order, walk_rank, p_dim, lie_dim, True, True)[1]

@@ -156,6 +156,14 @@ class TestZfsCommand:
         assert out == ""
         assert f"exceeds the forcing-closure cap {cap}" in err
 
+    def test_closure_refusal_names_only_the_variable(self, capsys, p4, monkeypatch):
+        # zfs --set takes no max_order, so its refusal must not offer one
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "3")
+        code, out, err = run_cli(capsys, "zfs", "--graph", p4, "--set", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: order 4 exceeds the forcing-closure cap 3; "
+                       "set NETCTRL_MAX_ORDER to override\n")
+
     def test_set_and_minimum_mutually_exclusive(self, p4):
         with pytest.raises(SystemExit) as exc:
             main(["zfs", "--graph", p4, "--set", "1", "--minimum"])
@@ -259,6 +267,12 @@ class TestAnalyzeCommand:
         assert "exceeds the Lie-closure cap 12" in err
         assert "NETCTRL_MAX_ORDER" in err
 
+    def test_non_integer_cap_variable_is_input_error(self, capsys, p4, monkeypatch):
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "lots")
+        code, out, err = run_cli(capsys, "analyze", "--graph", p4, "--set", "1")
+        assert (code, out) == (2, "")
+        assert "NETCTRL_MAX_ORDER must be an integer, got 'lots'" in err
+
     def test_theorem_violation_exits_3_with_the_sweep_details(self, capsys, p4, monkeypatch):
         # an injected engine fault: P4 with the forcing set {1} loses one Lie dimension
         monkeypatch.setattr(netctrl.control, "_dimensions", lambda a, members, parts: (4, 16, 15))
@@ -305,6 +319,39 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "equivalence: 15 instances, 0 violations" in out
+
+    def test_zfs_subsets_policy(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-order", "3", "--kinds", "adjacency", "--subsets", "zfs",
+        )
+        assert code == 0
+        assert "equivalence: 26 instances, 0 violations" in out
+        assert out.rstrip().endswith("PASSED")
+
+    def test_violations_exit_3_one_line_each(self, capsys, tmp_path, monkeypatch):
+        # an injected engine fault: every span and Lie dimension one short
+        engine = netctrl.harness._iter_unit
+
+        def faulty_unit(session, children, check_set):
+            for members, walk_rank, lie_dim, p_dim in engine(session, children, check_set):
+                yield members, walk_rank, lie_dim - 1, p_dim - 1
+
+        monkeypatch.setattr(netctrl.harness, "_iter_unit", faulty_unit)
+        out_path = tmp_path / "outcome.json"
+        code, out, _ = run_cli(capsys, "verify", "--max-order", "2", "--kinds", "adjacency",
+                               "--out", str(out_path))
+        assert code == 3
+        doc = json.loads(out_path.read_text())
+        found = doc["equivalence"]["violations"] + doc["zfs_implication"]["violations"]
+        assert {v["check"] for v in found} == {
+            "kalman_iff_lie", "zfs_implies_lie", "span_dimension_identity"}
+        lines = [row for row in out.splitlines() if row.startswith("  ")]
+        assert lines == [
+            f"  {v['check']}: order {v['order']}, kind {v['kind']}, "
+            f"subset {{{', '.join(map(str, v['subset']))}}}: {v['detail']}"
+            for v in found
+        ]
+        assert out.rstrip().endswith("FAILED")
 
     def test_bad_config_is_input_error(self, capsys):
         assert run_cli(capsys, "verify", "--max-order", "9")[0] == 2
@@ -366,6 +413,13 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "zfs", "--graph", str(bad), "--set", "1")
         assert code == 2
         assert "line 3" in err
+
+    def test_loop_edge_names_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "loop.txt"
+        bad.write_text("3\n1 2\n2 2\n")
+        code, out, err = run_cli(capsys, "analyze", "--graph", str(bad), "--set", "1")
+        assert (code, out) == (2, "")
+        assert "line 3: loop edge not allowed" in err
 
     def test_malformed_set(self, capsys, p4):
         code, _, err = run_cli(capsys, "zfs", "--graph", p4, "--set", "1,x")

@@ -302,6 +302,14 @@ class TestLieClosure:
             dim, _ = lie_closure([matrix(big)])
         assert dim == 0
 
+    def test_refusal_names_the_argument_that_set_the_cap(self, monkeypatch):
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "13")
+        path3 = matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        with pytest.raises(ValueError) as exc:
+            lie_closure([path3], max_order=2)
+        assert str(exc.value) == (
+            "order 3 exceeds the Lie-closure cap 2; pass a larger max_order argument to override")
+
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy(max_side=3))
     def test_matches_fixpoint_oracle(self, inst):

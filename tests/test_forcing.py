@@ -164,3 +164,14 @@ class TestMinZfs:
     def test_explicit_max_order_beats_env(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "3")
         assert min_zfs(path_graph(4), max_order=4)[0] == 1
+
+    def test_refusal_names_what_overrides_the_cap(self, monkeypatch):
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        with pytest.raises(ValueError) as exc:
+            min_zfs(path_graph(17))
+        assert str(exc.value) == (
+            "order 17 exceeds the exhaustive-search cap 16; set NETCTRL_MAX_ORDER to override")
+        with pytest.raises(ValueError) as exc:
+            min_zfs(path_graph(5), max_order=4)
+        assert str(exc.value) == (
+            "order 5 exceeds the exhaustive-search cap 4; pass a larger max_order argument to override")

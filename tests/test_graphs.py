@@ -83,6 +83,17 @@ class TestParsing:
         with pytest.raises(GraphFormatError):
             parse_graph("0\n")
 
+    @pytest.mark.parametrize("text, line, words", [
+        ("# order\n4 5\n1 2\n", 2, "expected the graph order"),
+        ("four\n1 2\n", 1, "order is not an integer"),
+        ("3\n1 2\n\n2 x\n", 4, "vertices are not integers"),
+        ("3\n1 2\n3 3\n", 3, "loop edge not allowed"),
+    ], ids=["two-token-order", "non-integer-order", "non-integer-vertex", "loop-edge"])
+    def test_malformed_lines_name_their_line(self, text, line, words):
+        with pytest.raises(GraphFormatError, match=words) as exc:
+            parse_graph(text)
+        assert exc.value.line_number == line
+
     @settings(max_examples=60)
     @given(random_graph_strategy())
     def test_format_parse_round_trip(self, g):
@@ -142,6 +153,11 @@ class TestRandomConnected:
     def test_probability_zero_exhausts_tries(self):
         with pytest.raises(ValueError):
             random_connected(3, 0, seed=0, max_tries=50)
+
+    def test_sparse_draws_run_out_of_tries(self):
+        msg = r"no connected graph found in 3 draws \(n=6, p=1/1000, seed=0\)"
+        with pytest.raises(RuntimeError, match=msg):
+            random_connected(6, "1/1000", seed=0, max_tries=3)
 
 
 class TestTraversal:

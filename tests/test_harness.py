@@ -351,6 +351,25 @@ class TestSweepEquivalence:
         # one subset per graph: 1 + 1 + 4 + 38 + 728 exhaustive, 3 sampled
         assert out.instances_checked == 775
 
+    def test_zfs_policy_visits_every_forcing_set(self):
+        # both sweeps visit every forcing set, so they check as many instances
+        for kinds, count in ((("adjacency",), 420), (("random:3", "laplacian"), 840)):
+            eq = sweep_equivalence(SweepConfig(max_order=4, matrix_kinds=kinds, subset_policy="zfs"))
+            imp = sweep_zfs_implication(SweepConfig(max_order=4, matrix_kinds=kinds))
+            assert eq.passed and imp.passed
+            assert eq.instances_checked == imp.instances_checked == count
+            assert eq.check_counts["zfs_implies_lie"] == count
+
+    def test_every_sweep_matrix_meets_the_hypotheses(self):
+        # the sweeps assert every check unconditionally, which rests on this
+        cfg = SweepConfig(max_order=6, seed=3)
+        sweep_graphs = [g for g in _iter_graphs(cfg) if g.order != 5]
+        assert len(sweep_graphs) == 1 + 1 + 4 + 38 + 3
+        for g in sweep_graphs:
+            for kind in ("adjacency", "laplacian", "random:3"):
+                a = build_matrix(g, kind)
+                assert control._hypotheses(a) == {"connected": True, "same_sign": True}
+
 
 class TestSweepZfsImplication:
     def test_policy_all_asserts_every_forcing_set(self):
@@ -389,6 +408,26 @@ class TestSweepSingleVector:
         }
         assert out.to_json() == sweep_single_vector(40, 9).to_json()
         assert out.config == {"op": "single_vector", "samples": 40, "seed": 9}
+
+    def test_violations_are_recorded_and_recheck(self, monkeypatch):
+        # an injected engine fault: every span and Lie dimension one short
+        engine = control._dimensions
+
+        def faulty(a, members, parts):
+            return tuple(d - (name != "walk") for name, d in zip(parts, engine(a, members, parts)))
+
+        monkeypatch.setattr(control, "_dimensions", faulty)
+        out = sweep_single_vector(12, 9)
+        assert not out.passed
+        by_check = {}
+        for v in out.violations:
+            by_check.setdefault(v.check, []).append(v)
+        assert set(by_check) == {"single_vector_equivalence", "span_dimension_identity"}
+        assert len(by_check["span_dimension_identity"]) == 12
+        assert all(v.detail.startswith("p_span_dim ") for v in by_check["span_dimension_identity"])
+        assert all(recheck(v) for v in out.violations)
+        monkeypatch.undo()
+        assert not any(recheck(v) for v in out.violations)
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
