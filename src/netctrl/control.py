@@ -291,25 +291,36 @@ def _packing(n: int, parity: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + parity, n)]
 
 
-@lru_cache(maxsize=None)
-def _projector_maps(n: int) -> tuple:
-    """Per parity and vertex j, where ad_{P_j} sends packed entries.
+def _ad_map(g, n: int) -> tuple:
+    """ad_g = [g, .] on packed coordinates, for a symmetric integer matrix g.
 
-    Entry [parity][j] is (keep, negate), lists of (source, target) indices
-    from the packing of that parity to the packing of the other one: the
-    entries (j, c) with c > j are copied and the entries (c, j) with c < j
-    are copied negated.  Every other target entry is zero.
+    Entry [parity][k] lists the (target, coefficient) pairs of [g, U_k] in
+    the other parity's packing, U_k the packed unit of that parity.  As g is
+    symmetric, [g, E_rc] is row r of g placed in column c minus row c of g
+    placed in row r: O(n) pairs per unit, fewer where g is sparse.
     """
-    index = [{pos: k for k, pos in enumerate(_packing(n, parity))} for parity in (_SYM, _SKEW)]
+    rows = [[(a, v) for a, v in enumerate(row) if v] for row in g]
     maps = []
     for parity in (_SYM, _SKEW):
-        src, dst = index[parity], index[1 - parity]
-        maps.append([
-            ([(src[j, c], dst[j, c]) for c in range(j + 1, n)],
-             [(src[c, j], dst[c, j]) for c in range(j)])
-            for j in range(n)
-        ])
+        # U_k is E_ij + E_ji (E_ii when i = j) or, skew, E_ij - E_ji
+        target = {pos: k for k, pos in enumerate(_packing(n, 1 - parity))}
+        images = []
+        for i, j in _packing(n, parity):
+            acc: dict = {}
+            for r, c, s in ((i, j, 1),) if i == j else ((i, j, 1), (j, i, 1 - 2 * parity)):
+                for a, v in rows[r]:
+                    acc[a, c] = acc.get((a, c), 0) + s * v
+                for b, v in rows[c]:
+                    acc[r, b] = acc.get((r, b), 0) - s * v
+            images.append(tuple((target[pos], v) for pos, v in acc.items() if v and pos in target))
+        maps.append(tuple(images))
     return tuple(maps)
+
+
+@lru_cache(maxsize=None)
+def _projector_ad(n: int, j: int) -> tuple:
+    """``_ad_map`` of the projector e_j e_j^T (0-based j)."""
+    return _ad_map([[int(r == c == j) for c in range(n)] for r in range(n)], n)
 
 
 class _LieEngine:
@@ -331,21 +342,21 @@ class _LieEngine:
 
     ``elems`` spans the closure: one (parity, packed) pair per insert that
     grew it, the generator itself for a generator and the reduced residue
-    for a bracket.  ``gens`` holds the generators that grew the span, a
-    projector e_j e_j^T as its 0-based index j and any other generator as
-    the integer matrix passed in.  A generator already in the span lies
-    in the algebra of the earlier ones, so it adds nothing and is dropped.
-    ``pending`` holds the (generator, element) index pairs not yet
-    bracketed: a new element is queued against every generator, and a new
-    generator against every earlier element.  Projector pairs go to the
-    front: ad_{P_j} copies one row and one column of packed entries, one of
-    them negated, and needs no product.  For a matrix generator g and
-    X^T = sign·X, gX = sign·(Xg)^T, so [g, X] takes one product
-    (``intlinalg.int_commutator``).  ``extend`` may be called again with
-    more generators and only the new pairs are bracketed, which is what
-    lets a harness share closure work along chains of growing control
-    sets.  Scaling spanning-set elements changes neither the span nor its
-    closure.
+    for a bracket.  ``gens`` holds, per generator that grew the span, its
+    ``_ad_map`` and whether it is a projector e_j e_j^T.  A generator
+    already in the span lies in the algebra of the earlier ones, so it adds
+    nothing and is dropped.  ``pending`` holds the (generator, element)
+    index pairs not yet bracketed: a new element is queued against every
+    generator, and a new generator against every earlier element.
+    Projector pairs go to the front, since their maps are the sparsest.
+    ad_g is linear on packed coordinates, so every bracket is one loop:
+    [g, X] is the sum of x_k times the image of the unit U_k over the
+    nonzero entries x_k of X.  A projector's map is cached per (n, j); any
+    other generator's is built when it is added, so A's once per root
+    engine, shared by its copies.  ``extend`` may be called again with more
+    generators and only the new pairs are bracketed, which is what lets a
+    harness share closure work along chains of growing control sets.
+    Scaling spanning-set elements changes neither the span nor its closure.
 
     With a prime ``modulus`` the same closure runs over the integers modulo
     that prime and brackets are reduced instead of made primitive.  Each
@@ -356,7 +367,7 @@ class _LieEngine:
     modular result.
     """
 
-    __slots__ = ("side", "bases", "elems", "gens", "pending", "_pack", "_proj")
+    __slots__ = ("side", "bases", "elems", "gens", "pending")
 
     def __init__(self, side: int, modulus=None):
         self.side = side
@@ -367,8 +378,6 @@ class _LieEngine:
         self.elems: list = []
         self.gens: list = []
         self.pending = deque()
-        self._pack = (_packing(side, _SYM), _packing(side, _SKEW))
-        self._proj = _projector_maps(side)
 
     @property
     def dim(self) -> int:
@@ -381,8 +390,6 @@ class _LieEngine:
         dup.elems = list(self.elems)
         dup.gens = list(self.gens)
         dup.pending = deque(self.pending)
-        dup._pack = self._pack
-        dup._proj = self._proj
         return dup
 
     def _offer(self, parity: int, packed, residue: bool = True) -> bool:
@@ -404,14 +411,14 @@ class _LieEngine:
         n = self.side
         x = [[0] * n for _ in range(n)]
         sign = -1 if parity == _SKEW else 1
-        for (i, j), v in zip(self._pack[parity], packed):
+        for (i, j), v in zip(_packing(n, parity), packed):
             x[i][j] = v
             x[j][i] = sign * v
         return tuple(map(tuple, x))
 
     def _queue(self, pairs) -> None:
         for g, e in pairs:
-            if isinstance(self.gens[g], int):
+            if self.gens[g][1]:
                 self.pending.appendleft((g, e))
             else:
                 self.pending.append((g, e))
@@ -427,23 +434,15 @@ class _LieEngine:
             return intlinalg.primitive(packed)
         return packed if any(x % p for x in packed) else None
 
-    def _bracket(self, g, elem):
-        """[g, elem] packed in the opposite parity and normalized; None when zero."""
+    def _bracket(self, ad, elem):
+        """[g, elem] packed in the opposite parity and normalized, ``ad`` the map of g; None when zero."""
         parity, packed = elem
-        if isinstance(g, int):
-            # ad_{P_j} X = e_j X[j, :] - X[:, j] e_j^T: the packed entries
-            # (j, c) with c > j are kept, those (c, j) with c < j negated
-            keep, negate = self._proj[parity][g]
-            out = [0] * len(self._pack[1 - parity])
-            for src, dst in keep:
-                out[dst] = packed[src]
-            for src, dst in negate:
-                out[dst] = -packed[src]
-            return self._normalize(out)
-        r = intlinalg.int_commutator(g, self._matrix(parity, packed), -1 if parity == _SKEW else 1)
-        if parity == _SYM:
-            return self._normalize([v for i, row in enumerate(r) for v in row[i + 1:]])
-        return self._normalize([v for i, row in enumerate(r) for v in row[i:]])
+        out = [0] * self.bases[1 - parity].ambient
+        for x, image in zip(packed, ad[parity]):
+            if x:
+                for t, v in image:
+                    out[t] += v * x
+        return self._normalize(out)
 
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
@@ -457,16 +456,17 @@ class _LieEngine:
             if packed is None or not self._offer(_SYM, packed, residue=False):
                 continue
             support = [k for k, v in enumerate(packed) if v]
-            i, j = self._pack[_SYM][support[0]]
+            i, j = _packing(self.side, _SYM)[support[0]]
             # one nonzero, on the diagonal: the projector e_j e_j^T
-            self.gens.append(j if len(support) == 1 and i == j else gen)
+            projector = len(support) == 1 and i == j
+            self.gens.append((_projector_ad(self.side, j) if projector else _ad_map(gen, self.side), projector))
             g = len(self.gens) - 1
             self._queue((g, e) for e in range(len(self.elems) - 1))
         gens, elems, pending = self.gens, self.elems, self.pending
         while pending and self.dim < cap:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
-            packed = self._bracket(gens[g], elems[e])
+            packed = self._bracket(gens[g][0], elems[e])
             if packed is not None and self._offer(parity, packed):
                 e = len(elems) - 1
                 self._queue((h, e) for h in range(len(gens)))
@@ -624,7 +624,7 @@ def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) 
     """Grow a parent's bases by control vertex j (members already include j)."""
     n = session.n
     cols_j = session.columns(j, state.modulus)
-    if state.walk is not None:
+    if state.walk is not None and state.walk.dim < n:
         for col in cols_j:
             state.walk.insert(col)
     if state.lie is not None:

@@ -6,6 +6,7 @@ are session fixtures shared by the criteria that consume them, and every
 comparison is exact (integer or rational equality, never approximate).
 """
 
+import hashlib
 import time
 
 import pytest
@@ -36,6 +37,14 @@ from . import oracles
 KINDS = ("adjacency", "laplacian", "random:101", "random:202", "random:303")
 SINGLE_VECTOR_SAMPLES = 200
 SINGLE_VECTOR_SEED = 424242
+
+# sha256 of each order-5 outcome's to_json(): the same bytes on every run,
+# so a change to any verdict, count or violation shows without another sweep
+OUTCOME_SHA256 = {
+    "outcome5": "db26bea366eef392cf141c71c07fd0c5eb3aa5c34fc914bbb3c35d17bdcea909",
+    "outcome6": "871560a958ee9ee701259d68b11b87a66c69f342b2f955621e53cd680d5ec17d",
+    "outcome9": "dbc208539adfe43b9cd57ead45d8b1e6b2dd5c49a034d484967b349f5bea624d",
+}
 
 MIXED_CYCLE = [[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]]
 BLOCK_PAIRED = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -192,3 +201,9 @@ def test_criterion_11_bit_identical_reruns(outcome5, outcome9):
     again9 = sweep_single_vector(SINGLE_VECTOR_SAMPLES, SINGLE_VECTOR_SEED)
     assert again9.to_json() == outcome9.to_json()
     print("criterion 11 PASS: sweep reruns serialize bit-identically")
+
+
+def test_outcome_bytes_are_pinned(outcome5, outcome6, outcome9):
+    outcomes = {"outcome5": outcome5, "outcome6": outcome6, "outcome9": outcome9}
+    got = {name: hashlib.sha256(o.to_json().encode()).hexdigest() for name, o in outcomes.items()}
+    assert got == OUTCOME_SHA256

@@ -35,8 +35,8 @@ from netctrl import (
     walk_matrix,
 )
 from netctrl import control
-from netctrl.control import _LieEngine, _Session, _span_parts, control_generators
-from netctrl.intlinalg import EchelonBasis
+from netctrl.control import _LieEngine, _Session, _ad_map, _packing, _span_parts, control_generators
+from netctrl.intlinalg import EchelonBasis, int_commutator, primitive
 from netctrl.linalg import mat_mul
 
 from . import oracles
@@ -403,6 +403,74 @@ class TestSplitLieEngine:
         modular = _control_engine(a, s, p)
         for part in (0, 1):
             assert modular.bases[part].dim <= exact.bases[part].dim
+
+
+@st.composite
+def _ad_generator(draw):
+    """(n, g): a symmetric integer g of side 1..6, including the sparse shapes the engine meets.
+
+    Shapes: a projector e_j e_j^T, a diagonal matrix with no entry 1 (so
+    not a projector), a symmetric matrix with some rows (and so columns)
+    zero, and any symmetric matrix.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from(["projector", "diagonal", "zero rows", "any"]))
+    if shape == "projector":
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        return n, tuple(tuple(int(r == c == j) for c in range(n)) for r in range(n))
+    g = [[0] * n for _ in range(n)]
+    if shape == "diagonal":
+        for i in range(n):
+            g[i][i] = draw(st.sampled_from([-3, -1, 0, 2, 5]))
+        return n, tuple(map(tuple, g))
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(min_value=-4, max_value=4))
+    if shape == "zero rows":
+        for r in draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, unique=True)):
+            for c in range(n):
+                g[r][c] = g[c][r] = 0
+    return n, tuple(map(tuple, g))
+
+
+def _packed(x, parity):
+    return tuple(x[i][j] for i, j in _packing(len(x), parity))
+
+
+class TestAdMap:
+    """ad_g on packed coordinates against the matrix commutator.
+
+    At n = 1 the skew packing is empty, so both parities' maps are checked
+    on their degenerate sides too.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(_ad_generator())
+    def test_unit_images_are_packed_commutators(self, case):
+        n, g = case
+        ad = _ad_map(g, n)
+        for parity in (0, 1):
+            sign = 1 - 2 * parity
+            assert len(ad[parity]) == len(_packing(n, parity))
+            for (i, j), image in zip(_packing(n, parity), ad[parity]):
+                unit = [[0] * n for _ in range(n)]
+                unit[i][j], unit[j][i] = 1, sign
+                assert all(v for _, v in image)
+                assert len({t for t, _ in image}) == len(image)
+                got = [0] * len(_packing(n, 1 - parity))
+                for t, v in image:
+                    got[t] = v
+                assert tuple(got) == _packed(int_commutator(g, unit, sign), 1 - parity)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_ad_generator(), st.integers(min_value=0, max_value=1), st.data())
+    def test_bracket_is_the_packed_commutator(self, case, parity, data):
+        n, g = case
+        size = len(_packing(n, parity))
+        packed = tuple(data.draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=size, max_size=size)))
+        engine = _LieEngine(n)
+        want = _packed(int_commutator(g, engine._matrix(parity, packed), 1 - 2 * parity), 1 - parity)
+        assert engine._bracket(_ad_map(g, n), (parity, packed)) == primitive(want)
 
 
 class TestLieControllable:
