@@ -14,6 +14,7 @@ guard, ``forcing.check_order``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -189,16 +190,17 @@ def _run_verify(args) -> int:
         subset_policy=args.subsets,
         seed=args.seed,
     )
-    equivalence = harness.sweep_equivalence(cfg)
-    implication = harness.sweep_zfs_implication(cfg)
-    passed = equivalence.passed and implication.passed
-    if args.out:
-        payload = {
-            "equivalence": equivalence.to_dict(),
-            "zfs_implication": implication.to_dict(),
-            "passed": passed,
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
+    # opened before the sweeps, so a path that cannot be written fails at once
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
+        equivalence = harness.sweep_equivalence(cfg)
+        implication = harness.sweep_zfs_implication(cfg)
+        passed = equivalence.passed and implication.passed
+        if handle:
+            payload = {
+                "equivalence": equivalence.to_dict(),
+                "zfs_implication": implication.to_dict(),
+                "passed": passed,
+            }
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     for name, outcome in (("equivalence", equivalence), ("zfs_implication", implication)):

@@ -18,23 +18,20 @@ The graph sweeps build only connected graphs, and every matrix kind is
 same-sign off the diagonal (adjacency +1, laplacian -1, random:SEED
 1..9), so the theorems' hypotheses (``control._hypotheses``) hold on
 every instance and every check is asserted; ``analyze``, which takes
-arbitrary matrices, still gates on them.  The first three checks are the
-records of ``control._consistency``, the table of theorem checks that
-``analyze`` reports too: a sweep counts each record under its check and
-turns each violated record into a ``Violation`` with the record's detail,
-so ``recheck`` and the sweeps read one rule.
+arbitrary matrices, still gates on them.  The first three checks are
+those of ``control._consistency``, the table of theorem checks that
+``analyze`` reports too: a sweep counts each check and turns each violated
+one into a ``Violation`` with the check's detail, so ``recheck`` and the
+sweeps read one rule.
 
 A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  The dimensions come from the decision
-engine in ``control``: subsets of one matrix are processed along a tree
-ordered by largest element, so each child's ``control._NodeState`` extends
-its parent's walk, product-span, and Lie bases instead of starting over.
-Only dimensions are read from the shared state, and a dimension does not
-depend on the order in which a span was built, so the shared results equal
-those of a fresh root grown by one control set alone.  ``recheck`` re-runs
-an instance that way, with no prefix-tree or orbit sharing; the
-structurally independent route is the brute-force oracles of the test
-suite (``tests/oracles.py``).
+engine in ``control``: ``control._grow`` takes every subset of one matrix
+at once and grows them along their prefix tree, sharing each parent's
+walk, product-span and Lie bases with its children.  This module only
+reads the tables it returns.  ``recheck`` re-runs an instance from a fresh
+root, with no prefix-tree or orbit sharing; the structurally independent
+route is the brute-force oracles of the test suite (``tests/oracles.py``).
 
 Every instance is still checked and counted per labeled (graph, control
 set) pair, but for a label-invariant kind (adjacency, laplacian) the
@@ -42,7 +39,7 @@ dimensions are computed once per isomorphism class: relabeling a graph and
 its control set by one permutation conjugates the matrix and the
 projectors, which changes no rank or dimension, and preserves forcing.  Per
 order the labeled graphs are mapped onto a canonical representative, one
-subset tree runs per (representative, kind) over every relabeled subset the
+``_grow`` runs per (representative, kind) over every relabeled subset the
 class needs, and each labeled pair reads its dimensions off that table.
 The table lives inside one sweep call.
 """
@@ -305,68 +302,21 @@ def _minimal_members(family, zfs_map: dict) -> list:
     return out
 
 
-def _children_map(subsets) -> dict:
-    """Prefix tree of the target subsets: parent tuple -> sorted new elements."""
-    kids = {}
-    for s in subsets:
-        for i in range(len(s)):
-            kids.setdefault(s[:i], set()).add(s[i])
-    return {parent: tuple(sorted(c)) for parent, c in kids.items()}
-
-
-# ---------------------------------------------------------------------------
-# Prefix-tree walks over control's decision engine
-# ---------------------------------------------------------------------------
-
-def _tree_order(children: dict):
-    """Every member tuple of a subset tree, depth first.
-
-    The children of one node come one after another in ascending order,
-    and the subtree of the last of them is visited first.
-    """
-    stack = [()]
-    while stack:
-        members = stack.pop()
-        for j in children.get(members, ()):
-            mem = members + (j,)
-            yield mem
-            stack.append(mem)
-
-
-def _iter_unit(session, children: dict, check_set: set):
-    """Walk the subset tree, yielding (members, walk_rank, lie_dim, p_span_dim).
-
-    ``session`` is a ``control._Session``.  Nodes come in ``_tree_order``,
-    each grown from its parent's ``control._NodeState`` by
-    ``control._extend_state``.  Parent state is copied for all children
-    but the last, which takes ownership; dimensions are snapshotted at yield
-    time so later reuse of a state object cannot disturb reported values.
-    """
-    states = {(): control._NodeState(session)}
-    for mem in _tree_order(children):
-        parent, j = mem[:-1], mem[-1]
-        st = states.pop(parent) if j == children[parent][-1] else states[parent].copy()
-        control._extend_state(st, session, mem, j)
-        if mem in check_set:
-            yield mem, st.walk.dim, st.lie.dim, st.pspan.dim
-        if mem in children:
-            states[mem] = st
-
-
 def _units(cfg: SweepConfig, select):
     """Every (labeled graph, kind) unit of a sweep, in enumeration order.
 
     ``select(g, zfs_map)`` gives the subsets to check on g; it is called for
     every graph of an order, in enumeration order, before that order's first
-    unit is yielded.  Yields (g, kind, zfs_map, session, dims), where dims
-    iterates (members, walk_rank, lie_dim, p_span_dim) over the selected
-    subsets in ``_iter_unit`` order on g's own subset tree.
+    unit is yielded.  Yields (g, kind, zfs_map, session, table), where
+    table maps each selected subset, in ``select`` order, to its dims
+    (walk_rank, p_span_dim, lie_dim).
 
-    For a label-invariant kind, session belongs to g's canonical
-    representative and the dimensions are read off a table: one
-    ``_iter_unit`` walk per (representative, kind) over the union of the
-    relabeled subsets pi(S) its class needs, made once per order.  For any
-    other kind, session is g's own and dims is ``_iter_unit`` itself.
+    Every kind reads its dims off a ``control._grow`` table.  For a
+    label-invariant kind, session belongs to g's canonical representative
+    and the table is that class's: one ``_grow`` per (representative, kind)
+    over the union of the relabeled subsets pi(S) its class needs, made
+    once per order and read through pi.  For any other kind, session is
+    g's own and the table is g's, one ``_grow`` per (g, kind).
     """
     invariant = dict.fromkeys(k for k in cfg.matrix_kinds if control.parse_kind(k)[2])
     for _, batch in itertools.groupby(_iter_graphs(cfg), key=lambda g: g.order):
@@ -385,22 +335,18 @@ def _units(cfg: SweepConfig, select):
             rows.append((g, zfs_map, subsets, rep, relabel))
         tables = {}
         for rep, wanted in classes.items():
-            children = _children_map(wanted)
             for kind in invariant:
                 session = control._Session(control.build_matrix(rep, kind))
-                table = {m: dims for m, *dims in _iter_unit(session, children, wanted)}
-                tables[rep, kind] = session, table
+                tables[rep, kind] = session, control._grow(session, wanted)
         for g, zfs_map, subsets, rep, relabel in rows:
-            children = _children_map(subsets)
-            check_set = set(subsets)
             for kind in cfg.matrix_kinds:
                 if kind in invariant:
-                    session, table = tables[rep, kind]
-                    dims = [(m, *table[relabel[m]]) for m in _tree_order(children) if m in check_set]
+                    session, shared = tables[rep, kind]
+                    table = {s: shared[relabel[s]] for s in subsets}
                 else:
                     session = control._Session(control.build_matrix(g, kind))
-                    dims = _iter_unit(session, children, check_set)
-                yield g, kind, zfs_map, session, dims
+                    table = control._grow(session, subsets)
+                yield g, kind, zfs_map, session, table
 
 
 def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str, matrix="") -> Violation:
@@ -415,12 +361,13 @@ def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str, matri
     )
 
 
-def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
-    """Count each check record under its check; record each violated one."""
-    for rec in records:
-        counts[rec["check"]] += 1
-        if rec["status"] == control.CHECK_VIOLATED:
-            violations.append(_graph_violation(g, kind, members, rec["check"], rec["detail"], matrix))
+def _tally(checks, dims, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
+    """Count each ``control._consistency`` check; record each violated one with its detail."""
+    for check, status, template in checks:
+        counts[check] += 1
+        if status == control.CHECK_VIOLATED:
+            detail = control._detail(template, g.order, *dims)
+            violations.append(_graph_violation(g, kind, members, check, detail, matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +388,7 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     instances = 0
     rng = _policy_rng(cfg)
     units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
-    for g, kind, zfs_map, session, dims in units:
+    for g, kind, zfs_map, session, table in units:
         counts["distance_power_nonzero"] += 1
         defects = session.defects()
         if defects and session.a.pattern != g:
@@ -452,10 +399,10 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
                 g, kind, (), "distance_power_nonzero",
                 f"zero entries at (k, j, d) = {sorted(defects)}",
             ))
-        for members, walk_rank, lie_dim, p_dim in dims:
+        for members, dims in table.items():
             instances += 1
-            records = control._consistency(g.order, walk_rank, p_dim, lie_dim, zfs_map[members], True)
-            _tally(records, counts, violations, g, kind, members)
+            checks = control._consistency(g.order, *dims, zfs_map[members], True)
+            _tally(checks, dims, counts, violations, g, kind, members)
     config = dict(op="equivalence", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -479,12 +426,12 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
             return [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
         return _minimal_members(_subset_family(cfg, g, zfs_map, rng), zfs_map)
 
-    for g, kind, _, _, dims in _units(cfg, targets):
-        for members, walk_rank, lie_dim, p_dim in dims:
+    for g, kind, _, _, table in _units(cfg, targets):
+        for members, dims in table.items():
             instances += 1
             # every target is a forcing set
-            zfs_lie = control._consistency(g.order, walk_rank, p_dim, lie_dim, True, True)[1]
-            _tally([zfs_lie], counts, violations, g, kind, members)
+            zfs_lie = control._consistency(g.order, *dims, True, True)[1]
+            _tally([zfs_lie], dims, counts, violations, g, kind, members)
     config = dict(op="zfs_implication", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -521,8 +468,9 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
                 a.pattern, "explicit", (ctrl,), "single_vector_equivalence",
                 f"walk_rank {report.walk_rank} but lie_dim {report.lie_dim}", text,
             ))
-        span = [c for c in report.consistency if c["check"] == "span_dimension_identity"]
-        _tally(span, counts, violations, a.pattern, "explicit", (ctrl,), text)
+        dims = (report.walk_rank, report.p_span_dim, report.lie_dim)
+        span = control._consistency(n, *dims, False, False)[2]
+        _tally([span], dims, counts, violations, a.pattern, "explicit", (ctrl,), text)
     config = {"op": "single_vector", "samples": samples, "seed": seed}
     return _outcome(config, samples, counts, violations)
 

@@ -280,13 +280,13 @@ class TestAnalyzeCommand:
         assert code == 3
         [line] = [row for row in err.splitlines() if row.startswith("THEOREM-VIOLATION: ")]
         # the same dimensions reach a sweep through its prefix-tree walk
-        engine = netctrl.harness._iter_unit
+        engine = netctrl.control._grow
 
-        def faulty_unit(session, children, check_set):
-            for members, *dims in engine(session, children, check_set):
-                yield (members, 4, 15, 16) if session.n == 4 else (members, *dims)
+        def faulty_grow(session, subsets):
+            table = engine(session, subsets)
+            return {members: (4, 16, 15) for members in table} if session.n == 4 else table
 
-        monkeypatch.setattr(netctrl.harness, "_iter_unit", faulty_unit)
+        monkeypatch.setattr(netctrl.control, "_grow", faulty_grow)
         cfg = netctrl.SweepConfig(max_order=4, matrix_kinds=("adjacency",),
                                   subset_policy="singletons")
         found = {v.check: v for v in netctrl.sweep_equivalence(cfg).violations
@@ -330,13 +330,13 @@ class TestVerifyCommand:
 
     def test_violations_exit_3_one_line_each(self, capsys, tmp_path, monkeypatch):
         # an injected engine fault: every span and Lie dimension one short
-        engine = netctrl.harness._iter_unit
+        engine = netctrl.control._grow
 
-        def faulty_unit(session, children, check_set):
-            for members, walk_rank, lie_dim, p_dim in engine(session, children, check_set):
-                yield members, walk_rank, lie_dim - 1, p_dim - 1
+        def faulty_grow(session, subsets):
+            return {members: (walk_rank, p_dim - 1, lie_dim - 1)
+                    for members, (walk_rank, p_dim, lie_dim) in engine(session, subsets).items()}
 
-        monkeypatch.setattr(netctrl.harness, "_iter_unit", faulty_unit)
+        monkeypatch.setattr(netctrl.control, "_grow", faulty_grow)
         out_path = tmp_path / "outcome.json"
         code, out, _ = run_cli(capsys, "verify", "--max-order", "2", "--kinds", "adjacency",
                                "--out", str(out_path))
@@ -352,6 +352,17 @@ class TestVerifyCommand:
             for v in found
         ]
         assert out.rstrip().endswith("FAILED")
+
+    def test_unwritable_out_fails_before_sweeping(self, capsys, tmp_path, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(netctrl.harness, "sweep_equivalence", refuse)
+        monkeypatch.setattr(netctrl.harness, "sweep_zfs_implication", refuse)
+        code, out, err = run_cli(capsys, "verify", "--max-order", "5",
+                                 "--out", str(tmp_path / "missing" / "x.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_bad_config_is_input_error(self, capsys):
         assert run_cli(capsys, "verify", "--max-order", "9")[0] == 2

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netctrl import (
     SweepConfig,
@@ -15,6 +17,7 @@ from netctrl import (
     format_matrix,
     graph,
     path_graph,
+    pattern_matrix,
     recheck,
     replicate_examples,
     sweep_equivalence,
@@ -26,9 +29,7 @@ from netctrl import control, harness
 from netctrl.harness import (
     _all_nonempty_subsets,
     _canonical_labeling,
-    _children_map,
     _iter_graphs,
-    _iter_unit,
     _minimal_members,
     _units,
     _zfs_statuses,
@@ -113,13 +114,46 @@ class TestSubsetMachinery:
         family = _all_nonempty_subsets(4)
         assert set(_minimal_members(family, zfs_map)) == {(1,), (4,), (2, 3)}
 
-    def test_children_map_prefix_tree(self):
-        kids = _children_map([(1, 2), (1, 3), (2,)])
-        assert kids == {(): (1, 2), (1,): (2, 3)}
+    def test_grow_walks_the_prefix_tree(self, monkeypatch):
+        grown = []
+        extend = control._extend_state
+
+        def recording(state, session, members, j):
+            grown.append(members)
+            extend(state, session, members, j)
+
+        monkeypatch.setattr(control, "_extend_state", recording)
+        dims = control._grow(_session(path_graph(3), "adjacency"), [(1, 2), (1, 3), (2,)])
+        assert list(dims) == [(1, 2), (1, 3), (2,)]
+        # the nodes of the tree: () -> 1, 2 and (1,) -> 2, 3, each grown once
+        assert sorted(grown) == [(1,), (1, 2), (1, 3), (2,)]
 
 
 def _session(g, kind):
     return control._Session(build_matrix(g, kind))
+
+
+@st.composite
+def _matrix_and_family(draw):
+    """A symmetric integer matrix of order at most 5 and a family of control sets.
+
+    Signs are mixed and zeros common, so disconnected patterns occur.  The
+    family may be empty; it repeats some sets and holds a prefix of each,
+    so its sets come duplicated, nested and disjoint.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    # zeros half the time, so that deficient walks and closures are common
+    weight = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = draw(weight)
+    subset = st.lists(st.integers(min_value=1, max_value=n), min_size=1, unique=True)
+    family = [tuple(sorted(s)) for s in draw(st.lists(subset, max_size=4))]
+    if family:
+        family += draw(st.lists(st.sampled_from(family), max_size=3))
+    family += [s[:draw(st.integers(min_value=1, max_value=len(s)))] for s in family]
+    return entries, draw(st.permutations(family))
 
 
 class TestSharedEngine:
@@ -139,18 +173,30 @@ class TestSharedEngine:
         for g, kind in cases:
             session = _session(g, kind)
             subsets = _all_nonempty_subsets(g.order)
-            children = _children_map(subsets)
             a = build_matrix(g, kind)
             seen = 0
-            for members, walk_rank, lie_dim, p_dim in _iter_unit(
-                session, children, set(subsets)
-            ):
+            for members, (walk_rank, p_dim, lie_dim) in control._grow(session, subsets).items():
                 rep = analyze(a, members)
                 assert walk_rank == rep.walk_rank
                 assert lie_dim == rep.lie_dim
                 assert p_dim == rep.p_span_dim
                 seen += 1
             assert seen == len(subsets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrix_and_family())
+    def test_grow_matches_fresh_roots_and_oracles(self, inst):
+        entries, family = inst
+        a = pattern_matrix(entries)
+        table = control._grow(control._Session(a), family)
+        assert set(table) == set(family)
+        for members, dims in table.items():
+            assert dims == control._dimensions(a, members, control._PARTS)
+            walk, pspan, _ = dims
+            assert walk == oracles.walk_rank_bruteforce(entries, members)
+            # the literal-product oracle takes a fifth of a second at order 5
+            if a.n <= 4:
+                assert pspan == oracles.pspan_dim_bruteforce(entries, members)
 
 
 def _relabeled(g, pi):
@@ -185,10 +231,10 @@ class TestOrbitRoute:
     def test_dimensions_match_the_labeled_route(self):
         cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "laplacian", "random:101"))
         units = 0
-        for g, kind, _, _, dims in _units(cfg, _all_subsets):
+        for g, kind, _, _, table in _units(cfg, _all_subsets):
             subsets = _all_nonempty_subsets(g.order)
-            labeled = _iter_unit(_session(g, kind), _children_map(subsets), set(subsets))
-            assert list(dims) == list(labeled)
+            labeled = control._grow(_session(g, kind), subsets)
+            assert list(table.items()) == list(labeled.items())
             units += 1
         assert units == 3 * (1 + 1 + 4 + 38)
 
@@ -204,9 +250,7 @@ class TestOrbitRoute:
             s = tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 2))))
             rep, pi = _canonical_labeling(h)
             mapped = tuple(sorted(pi[v] for v in s))
-            [(_, walk, lie, pspan)] = _iter_unit(
-                _session(rep, kind), _children_map([mapped]), {mapped}
-            )
+            [(walk, pspan, lie)] = control._grow(_session(rep, kind), [mapped]).values()
             a = [list(row) for row in build_matrix(h, kind).matrix.entries]
             assert walk == oracles.walk_rank_bruteforce(a, s)
             assert pspan == oracles.pspan_dim_bruteforce(a, s)
@@ -218,17 +262,17 @@ class TestOrbitRoute:
         # a label-invariant fault: every two-vertex set loses one Lie
         # dimension, and every edge between vertices of degree >= 2 is
         # reported as a distance-power defect
-        engine = harness._iter_unit
+        engine = control._grow
 
-        def faulty_unit(session, children, check_set):
-            for members, walk, lie, pspan in engine(session, children, check_set):
-                yield members, walk, lie - (len(members) == 2), pspan
+        def faulty_grow(session, subsets):
+            return {members: (walk, pspan, lie - (len(members) == 2))
+                    for members, (walk, pspan, lie) in engine(session, subsets).items()}
 
         def faulty_defects(a, session=None):
             deg = {v: sum(v in e for e in a.pattern.edges) for v in a.pattern.vertices}
             return tuple((u, v, 1) for u, v in sorted(a.pattern.edges) if min(deg[u], deg[v]) >= 2)
 
-        monkeypatch.setattr(harness, "_iter_unit", faulty_unit)
+        monkeypatch.setattr(control, "_grow", faulty_grow)
         monkeypatch.setattr(control, "distance_power_defects", faulty_defects)
         cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "laplacian"),
                           subset_policy="random:6:3")
@@ -277,7 +321,7 @@ class TestOrbitRoute:
     def test_each_sweep_call_walks_afresh(self, monkeypatch):
         calls = []
         kinds = {}
-        engine = harness._iter_unit
+        engine = control._grow
         build = control.build_matrix
 
         def building(g, kind):
@@ -285,12 +329,12 @@ class TestOrbitRoute:
             kinds[id(a)] = kind
             return a
 
-        def counting(session, children, check_set):
+        def counting(session, subsets):
             calls.append(kinds[id(session.a)])
-            return engine(session, children, check_set)
+            return engine(session, subsets)
 
         monkeypatch.setattr(control, "build_matrix", building)
-        monkeypatch.setattr(harness, "_iter_unit", counting)
+        monkeypatch.setattr(control, "_grow", counting)
         cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "random:4"))
         first = sweep_equivalence(cfg).to_json()
         per_call = list(calls)
