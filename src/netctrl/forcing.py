@@ -2,34 +2,34 @@
 
 A black vertex forces its unique white neighbor; the closure iterates this
 until no force applies.  Forces are applied one at a time, always choosing
-the smallest eligible forcer (ties on the forced vertex cannot occur since
-an eligible forcer has exactly one white neighbor), so the recorded
-chronicle is deterministic.  The final black set does not depend on the
-order of forces.
+the smallest eligible forcer (an eligible forcer has exactly one white
+neighbor, so the forced vertex is never tied), which makes the chronicle
+deterministic; the final black set does not depend on the order of forces.
+A heap of eligible forcers over neighbor sets of the edge list takes
+O(m log n) time, in memory independent of the declared order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
+from collections import defaultdict
 
-from .graphs import Graph, adjacency_sets, degree
+# adjacency_sets is unused here, but bench/spans.py traces forcing.adjacency_sets
+from .graphs import Graph, adjacency_sets, degree  # noqa: F401
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 16
-# the cap of `netctrl zfs --set` (``closure`` itself checks none): one
-# forcing closure is about n^2 steps on a path and one set per declared
-# vertex, about 1 s at 2,000 vertices
-DEFAULT_CLOSURE_MAX_ORDER = 2_000
 
 
 def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
     """The one order guard of every cost cap: refuse ``n`` past the cap.
 
     The cap is ``max_order`` when given, else NETCTRL_MAX_ORDER when it is
-    set, else ``default``; one variable raises or lowers every cap (the
-    exhaustive forcing-set search and the command-line forcing closure
-    here, the Lie closure in ``control``).  The refusal names what overrides
-    the cap: the variable, or the argument when one was passed.
+    set, else ``default``; one variable raises or lowers both caps (the
+    exhaustive forcing-set search here, the Lie closure in ``control``).
+    The refusal names what overrides the cap: the variable, or the argument
+    when one was passed.
 
     Raises:
       ValueError: ``n`` exceeds the cap, or NETCTRL_MAX_ORDER is not an
@@ -65,20 +65,29 @@ def closure(g: Graph, s) -> tuple:
     ``(forcer, forced)`` steps that produced it.
     """
     start = vertex_set(s, g.order)
-    adj = adjacency_sets(g)
+    nbrs = defaultdict(set)
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     black = set(start)
+    # black vertex -> white neighbors; a count only falls, so stale heap entries read 0
+    white = {v: len(nbrs[v] - black) for v in start}
+    ready = [v for v in start if white[v] == 1]  # sorted, so already a heap
     chronicle = []
-    while True:
-        step = None
-        for forcer in sorted(black):
-            white = [w for w in adj[forcer] if w not in black]
-            if len(white) == 1:
-                step = (forcer, white[0])
-                break
-        if step is None:
-            break
-        black.add(step[1])
-        chronicle.append(step)
+    while ready:
+        forcer = heapq.heappop(ready)
+        if white[forcer] != 1:
+            continue
+        (forced,) = nbrs[forcer] - black
+        black.add(forced)
+        chronicle.append((forcer, forced))
+        white[forced] = len(nbrs[forced] - black)
+        for w in nbrs[forced] & black:
+            white[w] -= 1
+            if white[w] == 1:
+                heapq.heappush(ready, w)
+        if white[forced] == 1:
+            heapq.heappush(ready, forced)
     return tuple(sorted(black)), tuple(chronicle)
 
 

@@ -97,9 +97,9 @@ class SweepConfig:
     def __post_init__(self):
         if not (1 <= self.max_order <= MAX_SWEEP_ORDER):
             raise ValueError(f"max_order must be in 1..{MAX_SWEEP_ORDER}, got {self.max_order}")
-        kinds = tuple(self.matrix_kinds)
+        kinds = () if isinstance(self.matrix_kinds, str) else tuple(self.matrix_kinds)
         if not kinds:
-            raise ValueError("matrix_kinds must be nonempty")
+            raise ValueError(f"matrix_kinds must be a nonempty tuple of kinds, got {self.matrix_kinds!r}")
         keys = [control.parse_kind(kind)[:2] for kind in kinds]
         for i, kind in enumerate(kinds):
             if keys[i] in keys[:i]:

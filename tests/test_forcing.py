@@ -1,5 +1,8 @@
 """Zero forcing closure, ZFS decision, and exact minimum search."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,29 @@ def graph_and_subset():
         s = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True))
         return g, tuple(s)
     return st.composite(build)()
+
+
+def assert_smallest_forcer_chronicle(g, s):
+    """Replay ``closure(g, s)`` step by step against the chronicle rule.
+
+    Each force comes from the smallest black vertex with exactly one white
+    neighbor, and forces that neighbor; at the end no black vertex has
+    exactly one white neighbor.
+    """
+    adj = adjacency_sets(g)
+    black, chron = closure(g, s)
+    seen = set(s)
+
+    def ready():
+        return [v for v in sorted(seen) if len(adj[v] - seen) == 1]
+
+    for forcer, forced in chron:
+        assert forcer in seen
+        assert adj[forcer] - seen == {forced}
+        assert ready()[0] == forcer
+        seen.add(forced)
+    assert ready() == []
+    assert tuple(sorted(seen)) == black
 
 
 class TestVertexSet:
@@ -65,18 +91,7 @@ class TestClosure:
         assert chron[0][0] == 1
 
     def test_chronicle_replays(self):
-        g = cycle_graph(6)
-        start = (1, 2)
-        black, chron = closure(g, start)
-        adj = adjacency_sets(g)
-        seen = set(start)
-        for forcer, forced in chron:
-            assert forcer in seen
-            assert forced not in seen
-            white = [w for w in adj[forcer] if w not in seen]
-            assert white == [forced]
-            seen.add(forced)
-        assert tuple(sorted(seen)) == black
+        assert_smallest_forcer_chronicle(cycle_graph(6), (1, 2))
 
     @settings(max_examples=80)
     @given(graph_and_subset())
@@ -84,6 +99,37 @@ class TestClosure:
         g, s = gs
         black, _ = closure(g, s)
         assert set(black) == forcing_closure_bruteforce(adjacency_sets(g), g.order, s)
+
+    @settings(max_examples=500, deadline=None)
+    @given(graph_and_subset())
+    def test_chronicle_takes_the_smallest_ready_forcer(self, gs):
+        assert_smallest_forcer_chronicle(*gs)
+
+    def test_chronicle_rule_on_seeded_random_graphs(self):
+        rng = random.Random(20111)
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            p = rng.choice((0.05, 0.1, 0.2, 0.4))
+            edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                     if rng.random() < p]
+            s = rng.sample(range(1, n + 1), rng.randint(1, max(1, n // 3)))
+            assert_smallest_forcer_chronicle(graph(n, edges), s)
+
+    def test_long_path_forces_from_one_end(self):
+        n = 100_000
+        black, chron = closure(path_graph(n), (1,))
+        assert black == tuple(range(1, n + 1))
+        assert chron == tuple((v, v + 1) for v in range(1, n))
+
+    def test_memory_does_not_grow_with_the_declared_order(self):
+        g = graph(10**6, [(1, 2)])
+        tracemalloc.start()
+        try:
+            assert closure(g, (1,)) == ((1, 2), ((1, 2),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestIsZfs:

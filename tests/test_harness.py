@@ -64,6 +64,9 @@ class TestSweepConfig:
             SweepConfig(max_order=2, matrix_kinds=("adjacency", "hadamard"))
         with pytest.raises(ValueError):
             SweepConfig(max_order=2, matrix_kinds=("random:x",))
+        # a bare string is not iterated letter by letter
+        with pytest.raises(ValueError, match="nonempty tuple of kinds, got 'adjacency'"):
+            SweepConfig(max_order=3, matrix_kinds="adjacency")
         # a kind listed twice, compared by parsed name and seed
         for kinds in (("adjacency", "adjacency"), ("random:5", "laplacian", "random:05")):
             with pytest.raises(ValueError, match=repr(kinds[-1])):
