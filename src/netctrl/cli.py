@@ -77,14 +77,6 @@ def _parse_set(spec: str) -> tuple:
         raise ValueError(f"malformed vertex set {spec!r}; want e.g. 1,3") from None
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def _fmt_set(members) -> str:
     return "{" + ", ".join(str(v) for v in members) + "}"
 
@@ -93,7 +85,7 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _run_zfs(args) -> int:
+def _run_zfs(args, out) -> int:
     g = _load_graph(args.graph)
     if args.minimum:
         if args.expect:
@@ -110,7 +102,7 @@ def _run_zfs(args) -> int:
                 f"order: {g.order}\n"
                 f"zero forcing number = {number}; witness = {_fmt_set(witness)}"
             )
-        _emit(text, args.out)
+        print(text, file=out)
         return 0
     members = forcing.vertex_set(_parse_set(args.set_spec), g.order)
     black, chronicle = forcing.closure(g, members)
@@ -130,7 +122,7 @@ def _run_zfs(args) -> int:
             f"{verdict}; closure = {_fmt_set(black)}\n"
             f"chronicle: {steps}"
         )
-    _emit(text, args.out)
+    print(text, file=out)
     if args.expect == "zfs" and not ok:
         return 1
     if args.expect == "not-zfs" and ok:
@@ -157,7 +149,7 @@ def _render_report_text(report) -> str:
     return "\n".join(lines)
 
 
-def _run_analyze(args) -> int:
+def _run_analyze(args, out) -> int:
     g = _load_graph(args.graph)
     # before the O(n^2) matrix build, so an over-cap order fails at once
     control.check_lie_order(g.order)
@@ -167,7 +159,7 @@ def _run_analyze(args) -> int:
         text = json.dumps(report.to_dict(), indent=2)
     else:
         text = _render_report_text(report)
-    _emit(text, args.out)
+    print(text, file=out)
     if report.theorem_violations:
         print("THEOREM-VIOLATION: " + "; ".join(
             f"{c['check']}: {c['detail']}" for c in report.theorem_violations
@@ -180,26 +172,24 @@ def _run_analyze(args) -> int:
     return 0
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, out) -> int:
     cfg = harness.SweepConfig(
         max_order=args.max_order,
         matrix_kinds=tuple(args.kinds.split(",")),
         subset_policy=args.subsets,
         seed=args.seed,
     )
-    # opened before the sweeps, so a path that cannot be written fails at once
-    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
-        equivalence = harness.sweep_equivalence(cfg)
-        implication = harness.sweep_zfs_implication(cfg)
-        passed = equivalence.passed and implication.passed
-        if handle:
-            payload = {
-                "equivalence": equivalence.to_dict(),
-                "zfs_implication": implication.to_dict(),
-                "passed": passed,
-            }
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    equivalence = harness.sweep_equivalence(cfg)
+    implication = harness.sweep_zfs_implication(cfg)
+    passed = equivalence.passed and implication.passed
+    if out:
+        payload = {
+            "equivalence": equivalence.to_dict(),
+            "zfs_implication": implication.to_dict(),
+            "passed": passed,
+        }
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
     for name, outcome in (("equivalence", equivalence), ("zfs_implication", implication)):
         print(
             f"{name}: {outcome.instances_checked} instances, "
@@ -212,7 +202,7 @@ def _run_verify(args) -> int:
     return 0 if passed else 3
 
 
-def _run_examples(args) -> int:
+def _run_examples(args, out) -> int:
     rows = harness.replicate_examples()
     if args.report == "json":
         text = json.dumps(list(rows), indent=2)
@@ -226,7 +216,7 @@ def _run_examples(args) -> int:
         ok = all(row["match"] for row in rows)
         lines.append("all examples match" if ok else "EXAMPLE MISMATCH")
         text = "\n".join(lines)
-    _emit(text, args.out)
+    print(text, file=out)
     return 0 if all(row["match"] for row in rows) else 3
 
 
@@ -240,7 +230,10 @@ def main(argv=None) -> int:
         "examples": _run_examples,
     }
     try:
-        return runners[args.subcommand](args)
+        # opened (and truncated) before any work, as a shell redirect would,
+        # so a path that cannot be written fails at once
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
+            return runners[args.subcommand](args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

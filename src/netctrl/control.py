@@ -132,27 +132,29 @@ def pattern_matrix(m) -> PatternMatrix:
     return PatternMatrix(n=n, matrix=m, sign_class=sign_class, pattern=graphs.graph(n, edges))
 
 
+def _edge_matrix(g: Graph, weights, diagonal) -> PatternMatrix:
+    """Fill a graph-built matrix: weights on the sorted edges, then the diagonal.
+
+    Weight i goes to both entries of the i-th edge of ``sorted(g.edges)``
+    and ``diagonal[j]`` to (j, j); every other entry is zero.
+    """
+    entries = [[Fraction(0)] * g.order for _ in range(g.order)]
+    for (u, v), w in zip(sorted(g.edges), weights, strict=True):
+        entries[u - 1][v - 1] = entries[v - 1][u - 1] = Fraction(w)
+    for j, d in enumerate(diagonal):
+        entries[j][j] = Fraction(d)
+    return pattern_matrix(RationalMatrix(tuple(map(tuple, entries))))
+
+
 def adjacency_matrix(g: Graph) -> PatternMatrix:
     """The 0/1 adjacency matrix of ``g`` (zero diagonal)."""
-    nbrs = graphs.adjacency_sets(g)
-    rows = tuple(
-        tuple(Fraction(1 if v in nbrs[u] else 0) for v in g.vertices)
-        for u in g.vertices
-    )
-    return pattern_matrix(RationalMatrix(rows))
+    return _edge_matrix(g, [1] * len(g.edges), [0] * g.order)
 
 
 def laplacian_matrix(g: Graph) -> PatternMatrix:
     """The combinatorial Laplacian D - A; off-diagonal entries are -1 on edges."""
-    nbrs = graphs.adjacency_sets(g)
-    rows = tuple(
-        tuple(
-            Fraction(len(nbrs[u]) if u == v else (-1 if v in nbrs[u] else 0))
-            for v in g.vertices
-        )
-        for u in g.vertices
-    )
-    return pattern_matrix(RationalMatrix(rows))
+    nbrs = graphs.neighbours(g)
+    return _edge_matrix(g, [-1] * len(g.edges), [len(nbrs.get(v, ())) for v in g.vertices])
 
 
 def random_same_sign_matrix(g: Graph, seed: int) -> PatternMatrix:
@@ -163,14 +165,8 @@ def random_same_sign_matrix(g: Graph, seed: int) -> PatternMatrix:
     (sorted edges first, then the diagonal), so a seed pins the matrix.
     """
     rng = random.Random(seed)
-    entries = [[Fraction(0)] * g.order for _ in range(g.order)]
-    for u, v in sorted(g.edges):
-        w = Fraction(rng.randint(1, 9))
-        entries[u - 1][v - 1] = w
-        entries[v - 1][u - 1] = w
-    for j in range(g.order):
-        entries[j][j] = Fraction(rng.randint(-9, 9))
-    return pattern_matrix(RationalMatrix(tuple(tuple(row) for row in entries)))
+    weights = [rng.randint(1, 9) for _ in g.edges]
+    return _edge_matrix(g, weights, [rng.randint(-9, 9) for _ in g.vertices])
 
 
 def parse_kind(kind: str) -> tuple:

@@ -5,8 +5,9 @@ until no force applies.  Forces are applied one at a time, always choosing
 the smallest eligible forcer (an eligible forcer has exactly one white
 neighbor, so the forced vertex is never tied), which makes the chronicle
 deterministic; the final black set does not depend on the order of forces.
-A heap of eligible forcers over neighbor sets of the edge list takes
-O(m log n) time, in memory independent of the declared order.
+A heap of eligible forcers over ``graphs.neighbours``, the one neighbour
+map of the edge list, takes O(m log n) time in O(m) memory, independent of
+the declared order; the map is built once per graph, not once per set.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from collections import defaultdict
 
 # adjacency_sets is unused here, but bench/spans.py traces forcing.adjacency_sets
-from .graphs import Graph, adjacency_sets, degree  # noqa: F401
+from .graphs import Graph, adjacency_sets, degree, neighbours, vertex_set  # noqa: F401
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 16
 
@@ -48,15 +48,6 @@ def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
         raise ValueError(f"order {n} exceeds the {cap_name} cap {cap}; {override} to override")
 
 
-def vertex_set(members, order: int) -> tuple:
-    """Normalize an iterable of vertex labels to a sorted duplicate-free tuple."""
-    out = sorted(set(members))
-    for v in out:
-        if not (1 <= v <= order):
-            raise ValueError(f"vertex {v} out of range 1..{order}")
-    return tuple(out)
-
-
 def closure(g: Graph, s) -> tuple:
     """Run the forcing process from the black set ``s``.
 
@@ -65,13 +56,10 @@ def closure(g: Graph, s) -> tuple:
     ``(forcer, forced)`` steps that produced it.
     """
     start = vertex_set(s, g.order)
-    nbrs = defaultdict(set)
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    nbrs = neighbours(g)
     black = set(start)
     # black vertex -> white neighbors; a count only falls, so stale heap entries read 0
-    white = {v: len(nbrs[v] - black) for v in start}
+    white = {v: len(nbrs.get(v, frozenset()) - black) for v in start}
     ready = [v for v in start if white[v] == 1]  # sorted, so already a heap
     chronicle = []
     while ready:

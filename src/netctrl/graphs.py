@@ -4,6 +4,9 @@ Vertices are always exactly ``1..n``.  The canonical interchange format is an
 edge-list text document: the first significant line holds the order ``n``,
 every following line holds one edge ``u v``.  Lines starting with ``#`` are
 comments, blank lines are skipped, CRLF is tolerated.
+
+Every neighbour query reads one map, ``neighbours(g)``: built from the edge
+list in O(m) memory whatever the declared order, and cached for one graph.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class GraphFormatError(ValueError):
@@ -56,18 +60,35 @@ def graph(order: int, edges=()) -> Graph:
     return Graph(order, frozenset(normalized))
 
 
-def adjacency_sets(g: Graph) -> dict:
-    """Vertex -> set of neighbors."""
-    adj = {v: set() for v in g.vertices}
+@lru_cache(maxsize=1)
+def neighbours(g: Graph) -> dict:
+    """Vertex -> frozenset of neighbours, for the vertices that lie on an edge.
+
+    The one neighbour build of the package.  A vertex with no edge has no
+    entry (read it as ``.get(v, ())``), so the map is O(m) whatever the
+    declared order.  The last graph's map is cached and shared: treat it as
+    read-only (its values are frozensets).
+    """
+    adj = {}
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return {v: frozenset(ws) for v, ws in adj.items()}
 
 
-def check_vertex(g: Graph, v: int) -> None:
-    if not (1 <= v <= g.order):
-        raise ValueError(f"vertex {v} out of range 1..{g.order}")
+def adjacency_sets(g: Graph) -> dict:
+    """Vertex -> set of neighbors, one fresh mutable entry per vertex."""
+    nbrs = neighbours(g)
+    return {v: set(nbrs.get(v, ())) for v in g.vertices}
+
+
+def vertex_set(members, order: int) -> tuple:
+    """Normalize an iterable of vertex labels to a sorted duplicate-free tuple."""
+    out = sorted(set(members))
+    for v in out:
+        if not (1 <= v <= order):
+            raise ValueError(f"vertex {v} out of range 1..{order}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +206,12 @@ def random_connected(n: int, edge_probability, seed: int, max_tries: int = 10_00
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 1."""
-    adj = adjacency_sets(g)
+    nbrs = neighbours(g)
     seen = {1}
     stack = [1]
     while stack:
         u = stack.pop()
-        for w in adj[u]:
+        for w in nbrs.get(u, ()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -199,16 +220,16 @@ def is_connected(g: Graph) -> bool:
 
 def distance(g: Graph, u: int, v: int):
     """Shortest-path edge count between u and v; math.inf when unreachable."""
-    check_vertex(g, u)
-    check_vertex(g, v)
+    vertex_set((u,), g.order)
+    vertex_set((v,), g.order)
     if u == v:
         return 0
-    adj = adjacency_sets(g)
+    nbrs = neighbours(g)
     dist = {u: 0}
     queue = deque([u])
     while queue:
         x = queue.popleft()
-        for w in adj[x]:
+        for w in nbrs.get(x, ()):
             if w not in dist:
                 dist[w] = dist[x] + 1
                 if w == v:
@@ -218,5 +239,5 @@ def distance(g: Graph, u: int, v: int):
 
 
 def degree(g: Graph, v: int) -> int:
-    check_vertex(g, v)
-    return len(adjacency_sets(g)[v])
+    vertex_set((v,), g.order)
+    return len(neighbours(g).get(v, ()))

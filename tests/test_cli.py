@@ -434,6 +434,30 @@ class TestPlumbing:
         assert out == ""
         assert "zero forcing set" in target.read_text()
 
+    @pytest.mark.parametrize("argv, module, name", [
+        (("zfs", "--graph", "P4", "--minimum"), netctrl.forcing, "min_zfs"),
+        (("analyze", "--graph", "P4", "--set", "1"), netctrl.control, "analyze"),
+        (("examples",), netctrl.harness, "replicate_examples"),
+    ], ids=["zfs", "analyze", "examples"])
+    def test_unwritable_out_fails_before_any_work(self, capsys, tmp_path, monkeypatch, p4,
+                                                  argv, module, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran")
+
+        monkeypatch.setattr(module, name, refuse)
+        argv = [p4 if arg == "P4" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.txt"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_out_is_truncated_before_any_work(self, capsys, p4, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("stale\n")
+        code, _, err = run_cli(capsys, "zfs", "--graph", p4, "--set", "1,x", "--out", str(target))
+        assert code == 2
+        assert "malformed vertex set" in err
+        assert target.read_text() == ""
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])

@@ -1,5 +1,7 @@
 """Controllability decisions: walk rank, product span, Lie closure, analyze."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,33 @@ class TestBuilders:
         b = random_same_sign_matrix(g, 7)
         assert a.matrix == b.matrix
         assert a.matrix != random_same_sign_matrix(g, 8).matrix
+
+    def test_random_matrix_draw_order_is_pinned(self):
+        g = cycle_graph(5)
+        rng = random.Random(7)
+        want = [[0] * 5 for _ in range(5)]
+        for u, v in sorted(g.edges):
+            want[u - 1][v - 1] = want[v - 1][u - 1] = rng.randint(1, 9)
+        for j in range(5):
+            want[j][j] = rng.randint(-9, 9)
+        literal = [[8, 6, 0, 0, 3], [6, -6, 7, 0, 0], [0, 7, 2, 1, 0], [0, 0, 1, 9, 2], [3, 0, 0, 2, -8]]
+        assert want == literal
+        assert random_same_sign_matrix(g, 7).matrix == matrix(literal)
+
+    def test_adjacency_and_laplacian_match_their_definitions(self):
+        cases = [graph(1, []), graph(6, [(2, 4)])]
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for r in range(len(pairs) + 1):
+                cases.extend(graph(n, chosen) for chosen in itertools.combinations(pairs, r))
+        for g in cases:
+            adj = [[int(tuple(sorted((u, v))) in g.edges) for v in g.vertices] for u in g.vertices]
+            lap = [
+                [sum(adj[u]) if u == v else -adj[u][v] for v in range(g.order)]
+                for u in range(g.order)
+            ]
+            assert adjacency_matrix(g).matrix == matrix(adj)
+            assert laplacian_matrix(g).matrix == matrix(lap)
 
     def test_random_matrix_pattern_and_ranges(self):
         g = cycle_graph(6)

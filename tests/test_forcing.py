@@ -17,6 +17,7 @@ from netctrl import (
     path_graph,
     vertex_set,
 )
+from netctrl import graphs
 from netctrl.graphs import adjacency_sets
 
 from .oracles import forcing_closure_bruteforce, min_zfs_size_bruteforce
@@ -68,6 +69,9 @@ class TestVertexSet:
 
     def test_empty_ok(self):
         assert vertex_set([], 3) == ()
+
+    def test_one_definition(self):
+        assert vertex_set is graphs.vertex_set
 
 
 class TestClosure:

@@ -1,5 +1,8 @@
 """Graph type, parsing, generators, and traversal helpers."""
 
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,8 @@ from netctrl import (
     random_connected,
     to_dot,
 )
-from netctrl.graphs import adjacency_sets, degree
+from netctrl import forcing
+from netctrl.graphs import adjacency_sets, degree, neighbours
 
 
 def random_graph_strategy(max_order=6):
@@ -186,6 +190,22 @@ class TestTraversal:
         with pytest.raises(ValueError):
             degree(g, 5)
 
+    def test_isolated_vertex_has_degree_zero(self):
+        g = graph(5, [(1, 2)])
+        assert [degree(g, v) for v in g.vertices] == [1, 1, 0, 0, 0]
+
+    def test_labels_out_of_range_are_refused(self):
+        g = path_graph(4)
+        cases = (
+            (lambda: degree(g, 5), 5),
+            (lambda: distance(g, 1, 5), 5),
+            (lambda: distance(g, 0, 2), 0),
+            (lambda: distance(g, 5, 0), 5),
+        )
+        for call, label in cases:
+            with pytest.raises(ValueError, match=rf"^vertex {label} out of range 1\.\.4$"):
+                call()
+
     def test_adjacency_sets(self):
         g = cycle_graph(3)
         adj = adjacency_sets(g)
@@ -199,3 +219,32 @@ class TestTraversal:
             for v in vs:
                 for w in vs:
                     assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
+
+
+class TestNeighbours:
+    @settings(max_examples=60)
+    @given(random_graph_strategy(max_order=7))
+    def test_agrees_with_adjacency_sets(self, g):
+        nbrs = neighbours(g)
+        adj = adjacency_sets(g)
+        assert set(nbrs) == {v for v in g.vertices if adj[v]}
+        for v, ws in nbrs.items():
+            assert type(ws) is frozenset
+            assert ws == adj[v]
+
+    def test_memory_does_not_grow_with_the_declared_order(self):
+        g = graph(10**6, [(1, 2)])
+        neighbours.cache_clear()
+        tracemalloc.start()
+        try:
+            assert neighbours(g) == {1: frozenset({2}), 2: frozenset({1})}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_min_zfs_builds_the_map_once(self):
+        g = random_connected(14, Fraction(1, 2), seed=5)
+        neighbours.cache_clear()
+        forcing.min_zfs(g)
+        assert neighbours.cache_info().misses == 1
