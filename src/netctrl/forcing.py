@@ -1,13 +1,26 @@
 """Zero forcing: closure, forcing-set decision, and exact minimum.
 
 A black vertex forces its unique white neighbor; the closure iterates this
-until no force applies.  Forces are applied one at a time, always choosing
-the smallest eligible forcer (an eligible forcer has exactly one white
-neighbor, so the forced vertex is never tied), which makes the chronicle
-deterministic; the final black set does not depend on the order of forces.
-A heap of eligible forcers over ``graphs.neighbours``, the one neighbour
-map of the edge list, takes O(m log n) time in O(m) memory, independent of
-the declared order; the map is built once per graph, not once per set.
+until no force applies.  The final black set does not depend on the order
+of forces, so the package runs two closures over ``graphs.neighbours``, the
+one neighbour map of the edge list, each built for what it serves:
+
+* ``closure`` (and ``is_zfs`` through it) applies forces one at a time,
+  always choosing the smallest eligible forcer (an eligible forcer has
+  exactly one white neighbor, so the forced vertex is never tied), which
+  makes the chronicle deterministic.  A heap of eligible forcers takes
+  O(m log n) time in O(m) memory, independent of the declared order, so
+  ``netctrl zfs --set`` works at any order.
+* ``_close`` is the kernel of the exhaustive queries, ``min_zfs`` and the
+  sweeps' forcing maps.  It runs on Python ints, bit v for vertex v, over
+  a neighbour-mask table from ``_masks``.  The table takes O(n^2) bits, so
+  it serves only queries already capped by order, never ``closure``: do
+  not merge the two.
+
+``min_zfs`` scans candidate masks by size, then in lexicographic vertex
+order, and returns the first that turns every vertex black: the
+lexicographically least forcing set of minimum size, which ``is_zfs``
+confirms.
 """
 
 from __future__ import annotations
@@ -85,20 +98,58 @@ def is_zfs(g: Graph, s) -> bool:
     return len(black) == g.order
 
 
+def _masks(g: Graph) -> list:
+    """Neighbour masks of g: entry v has bit w set for each neighbour w of v.
+
+    Indexed by vertex (entry 0 is unused); a vertex with no edge has mask 0.
+    """
+    nbrs = neighbours(g)
+    return [0] + [sum(1 << w for w in nbrs.get(v, ())) for v in g.vertices]
+
+
+def _mask(vertices) -> int:
+    """The vertex set as a mask, bit v for vertex v."""
+    return sum(1 << v for v in vertices)
+
+
+def _close(nb: list, black: int) -> int:
+    """The final black mask of the forcing process from the mask ``black``.
+
+    ``todo`` holds the black vertices that may have exactly one white
+    neighbour: a vertex's white count only falls, and only when a neighbour
+    turns black, so a popped vertex is queued again only then.
+    """
+    todo = black
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        w = nb[low.bit_length() - 1] & ~black
+        if w and not w & (w - 1):
+            black |= w
+            todo |= nb[w.bit_length() - 1] & black | w
+    return black
+
+
 def min_zfs(g: Graph, max_order=None) -> tuple:
     """Exact zero forcing number with a lexicographically-least witness.
 
     Enumerates candidate sets by increasing size starting from the minimum
     degree (a valid lower bound), in lexicographic order within each size,
-    and returns the first success.  Exhaustive, so exponential: guarded by
-    ``max_order`` (default 16, or the NETCTRL_MAX_ORDER environment
-    variable; pass a value explicitly for larger graphs).
+    and returns the first success, so the witness is the lexicographically
+    least forcing set of that size.  Each candidate is one vertex mask
+    closed by ``_close``; only the winner becomes a vertex tuple.
+    Exhaustive, so exponential: guarded by ``max_order`` (default 16, or
+    the NETCTRL_MAX_ORDER environment variable; pass a value explicitly for
+    larger graphs).
     """
     n = g.order
     check_order(n, "exhaustive-search", DEFAULT_MIN_ZFS_MAX_ORDER, max_order)
     lower = max(1, min(degree(g, v) for v in g.vertices))
+    nb = _masks(g)
+    full = _mask(g.vertices)
+    bits = [1 << v for v in g.vertices]
     for k in range(lower, n + 1):
-        for cand in itertools.combinations(g.vertices, k):
-            if is_zfs(g, cand):
-                return k, cand
+        for cand in itertools.combinations(bits, k):
+            if _close(nb, sum(cand)) == full:
+                return k, tuple(b.bit_length() - 1 for b in cand)
     raise AssertionError("unreachable: the full vertex set is always a forcing set")

@@ -267,7 +267,8 @@ def _all_nonempty_subsets(n: int) -> list:
 
 
 def _zfs_statuses(g: Graph) -> dict:
-    return {s: forcing.is_zfs(g, s) for s in _all_nonempty_subsets(g.order)}
+    nb, full = forcing._masks(g), forcing._mask(g.vertices)
+    return {s: forcing._close(nb, forcing._mask(s)) == full for s in _all_nonempty_subsets(g.order)}
 
 
 def _subset_family(cfg: SweepConfig, g: Graph, zfs_map: dict, rng) -> list:

@@ -1,5 +1,6 @@
 """Zero forcing closure, ZFS decision, and exact minimum search."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -17,7 +18,7 @@ from netctrl import (
     path_graph,
     vertex_set,
 )
-from netctrl import graphs
+from netctrl import forcing, graphs
 from netctrl.graphs import adjacency_sets
 
 from .oracles import forcing_closure_bruteforce, min_zfs_size_bruteforce
@@ -32,6 +33,33 @@ def graph_and_subset():
         s = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True))
         return g, tuple(s)
     return st.composite(build)()
+
+
+def every_small_graph(max_order=5):
+    """Every labeled graph of order 1..max_order."""
+    for n in range(1, max_order + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def sparse_graph(draw, max_order=8):
+    """A graph of order <= max_order with at most as many edges as vertices,
+    so isolated vertices are common."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
+    return graph(n, chosen)
+
+
+def lexicographic_min_zfs(g):
+    """The first forcing set of a plain scan by size, then lexicographically."""
+    for k in range(1, g.order + 1):
+        for cand in itertools.combinations(g.vertices, k):
+            if is_zfs(g, cand):
+                return k, cand
+    raise AssertionError("unreachable")
 
 
 def assert_smallest_forcer_chronicle(g, s):
@@ -136,6 +164,19 @@ class TestClosure:
         assert peak < 2**20
 
 
+class TestMaskClosure:
+    def test_agrees_with_oracle_on_every_small_graph_and_subset(self):
+        for g in every_small_graph():
+            nb, adj = forcing._masks(g), adjacency_sets(g)
+            for r in range(g.order + 1):
+                for s in itertools.combinations(g.vertices, r):
+                    want = forcing_closure_bruteforce(adj, g.order, s)
+                    assert forcing._close(nb, forcing._mask(s)) == forcing._mask(want), (g, s)
+
+    def test_isolated_vertex_has_an_empty_mask(self):
+        assert forcing._masks(graph(3, [(1, 3)])) == [0, 0b1000, 0, 0b10]
+
+
 class TestIsZfs:
     def test_empty_set_never_forces(self):
         assert not is_zfs(path_graph(3), [])
@@ -172,6 +213,15 @@ class TestMinZfs:
         assert size == 2
         assert witness == (1, 2)
         assert min_zfs(path_graph(4))[1] == (1,)
+
+    def test_isolated_vertices_stay_in_the_witness(self):
+        assert min_zfs(graph(4, [(1, 2)])) == (3, (1, 3, 4))
+        assert min_zfs(graph(5, [(2, 4)])) == (4, (1, 2, 3, 5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_graph())
+    def test_matches_a_plain_lexicographic_scan(self, g):
+        assert min_zfs(g) == lexicographic_min_zfs(g)
 
     def test_witness_actually_forces(self):
         g = graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])

@@ -1,5 +1,6 @@
 """Verification sweeps, violation records, and worked-example replication."""
 
+import itertools
 import json
 import random
 
@@ -16,6 +17,7 @@ from netctrl import (
     cycle_graph,
     format_matrix,
     graph,
+    is_zfs,
     path_graph,
     pattern_matrix,
     recheck,
@@ -116,6 +118,14 @@ class TestSubsetMachinery:
         zfs_map = _zfs_statuses(g)
         family = _all_nonempty_subsets(4)
         assert set(_minimal_members(family, zfs_map)) == {(1,), (4,), (2, 3)}
+
+    def test_zfs_statuses_match_is_zfs_on_every_small_graph(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for mask in range(1 << len(pairs)):
+                g = graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                want = {s: is_zfs(g, s) for s in _all_nonempty_subsets(n)}
+                assert _zfs_statuses(g) == want, g
 
     def test_grow_walks_the_prefix_tree(self, monkeypatch):
         grown = []
