@@ -61,7 +61,7 @@ CHECK_PASSED = "passed"
 CHECK_VIOLATED = "violated"
 CHECK_SKIPPED = "hypothesis not met"
 
-DEFAULT_LIE_MAX_ORDER = 12
+DEFAULT_LIE_MAX_ORDER = 16
 
 # the largest prime below 2^30: residues stay one-digit Python integers
 _PRIME = 1_073_741_789
@@ -70,7 +70,7 @@ _PRIME = 1_073_741_789
 def check_lie_order(n: int, max_order=None) -> None:
     """Raise ValueError for an order past the Lie-closure cap (``forcing.check_order``).
 
-    The cap is ``max_order``, by default 12 or the NETCTRL_MAX_ORDER
+    The cap is ``max_order``, by default 16 or the NETCTRL_MAX_ORDER
     environment variable.
     """
     check_order(n, "Lie-closure", DEFAULT_LIE_MAX_ORDER, max_order)
@@ -490,8 +490,13 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
       max_order: refuse sides beyond this; exact closure cost grows
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
         |G| generators).
-        Defaults to 12, or the NETCTRL_MAX_ORDER environment variable;
-        going past 12 emits a warning.
+        Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
+        going past 16 emits a warning.  This closure returns a basis, so
+        it always runs exactly, never modulo the prime: with
+        ``control_generators`` of a ``random:7`` matrix and S = {1} the
+        complete graph took 0.47 s at n = 12, 3.0 s at n = 14 and 14 s
+        at n = 16, the path and the cycle 0.3 s or less at n = 16
+        (2-CPU x86, Python 3.11).
 
     Returns:
       (dim, basis) with basis the MatrixSpaceBasis of the closure in
@@ -838,41 +843,34 @@ def _hypotheses(a: PatternMatrix) -> dict:
 
 
 def _consistency(n: int, walk_rank: int, p_dim: int, lie_dim: int, zfs_status: bool, hyp: bool) -> tuple:
-    """The theorem checks on one instance's numbers: (check, status, template) each.
+    """The theorem checks on one instance's numbers: (check, status, detail) each.
 
     In order: the Kalman and Lie verdicts agree, and a zero forcing set is
     Lie controllable, both only when ``hyp`` (the hypotheses hold; the
     sign-mixed and disconnected counterexamples are genuine); and
     p_span_dim = walk_rank^2, unconditionally.  ``analyze`` reports these
-    checks and the sweeps count them, so both read one rule.  A check's
-    detail is its template filled in by ``_detail``, which only the readers
-    of a detail pay for.
+    records and the sweeps count them, so both read one rule.
     """
     lie = lie_dim == n * n
     if not hyp:
         kalman_lie = zfs_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
     else:
         if (walk_rank == n) == lie:
-            kalman_lie = (CHECK_PASSED, "walk_rank {walk_rank} and lie_dim {lie_dim} agree on controllability")
+            kalman_lie = (CHECK_PASSED, f"walk_rank {walk_rank} and lie_dim {lie_dim} agree on controllability")
         else:
-            kalman_lie = (CHECK_VIOLATED, "walk_rank {walk_rank} but lie_dim {lie_dim}")
+            kalman_lie = (CHECK_VIOLATED, f"walk_rank {walk_rank} but lie_dim {lie_dim}")
         if not zfs_status:
             zfs_lie = (CHECK_PASSED, "control set is not a zero forcing set, nothing to imply")
         elif lie:
             zfs_lie = (CHECK_PASSED, "zero forcing set and lie_controllable")
         else:
-            zfs_lie = (CHECK_VIOLATED, "zero forcing set with lie_dim {lie_dim} < {full}")
+            zfs_lie = (CHECK_VIOLATED, f"zero forcing set with lie_dim {lie_dim} < {n * n}")
     if p_dim == walk_rank * walk_rank:
-        span = (CHECK_PASSED, "p_span_dim {p_dim} equals walk_rank^2")
+        span = (CHECK_PASSED, f"p_span_dim {p_dim} equals walk_rank^2")
     else:
-        span = (CHECK_VIOLATED, "p_span_dim {p_dim} but walk_rank {walk_rank}")
+        span = (CHECK_VIOLATED, f"p_span_dim {p_dim} but walk_rank {walk_rank}")
     return (("kalman_iff_lie", *kalman_lie), ("zfs_implies_lie", *zfs_lie),
             ("span_dimension_identity", *span))
-
-
-def _detail(template: str, n: int, walk_rank: int, p_dim: int, lie_dim: int) -> str:
-    """A ``_consistency`` template filled in with the instance's numbers."""
-    return template.format(walk_rank=walk_rank, p_dim=p_dim, lie_dim=lie_dim, full=n * n)
 
 
 def analyze(a: PatternMatrix, s) -> ControllabilityReport:
@@ -889,11 +887,10 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     """
     members = _control_set(a, s)
     check_lie_order(a.n)
-    dims = _dimensions(a, members, _PARTS)
-    walk_rank, p_dim, lie_dim = dims
+    walk_rank, p_dim, lie_dim = _dimensions(a, members, _PARTS)
     zfs_status = is_zfs(a.pattern, members)
     hypotheses = _hypotheses(a)
-    checks = _consistency(a.n, *dims, zfs_status, all(hypotheses.values()))
+    checks = _consistency(a.n, walk_rank, p_dim, lie_dim, zfs_status, all(hypotheses.values()))
     return ControllabilityReport(
         n=a.n,
         control_set=members,
@@ -905,8 +902,7 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
         zfs_status=zfs_status,
         hypotheses=hypotheses,
         consistency=tuple(
-            {"check": check, "status": status, "detail": _detail(template, a.n, *dims)}
-            for check, status, template in checks
+            {"check": check, "status": status, "detail": detail} for check, status, detail in checks
         ),
     )
 

@@ -32,7 +32,7 @@ import os
 # adjacency_sets is unused here, but bench/spans.py traces forcing.adjacency_sets
 from .graphs import Graph, adjacency_sets, degree, neighbours, vertex_set  # noqa: F401
 
-DEFAULT_MIN_ZFS_MAX_ORDER = 16
+DEFAULT_MIN_ZFS_MAX_ORDER = 18
 
 
 def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
@@ -138,7 +138,7 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     and returns the first success, so the witness is the lexicographically
     least forcing set of that size.  Each candidate is one vertex mask
     closed by ``_close``; only the winner becomes a vertex tuple.
-    Exhaustive, so exponential: guarded by ``max_order`` (default 16, or
+    Exhaustive, so exponential: guarded by ``max_order`` (default 18, or
     the NETCTRL_MAX_ORDER environment variable; pass a value explicitly for
     larger graphs).
     """

@@ -19,10 +19,13 @@ same-sign off the diagonal (adjacency +1, laplacian -1, random:SEED
 1..9), so the theorems' hypotheses (``control._hypotheses``) hold on
 every instance and every check is asserted; ``analyze``, which takes
 arbitrary matrices, still gates on them.  The first three checks are
-those of ``control._consistency``, the table of theorem checks that
-``analyze`` reports too: a sweep counts each check and turns each violated
-one into a ``Violation`` with the check's detail, so ``recheck`` and the
-sweeps read one rule.
+the records of ``control._consistency``, the table of theorem checks that
+``analyze`` reports too, and single_vector_equivalence is its
+kalman_iff_lie record asserted without hypotheses
+(``_single_vector_checks``).  Every check is one (check, status, detail)
+record: a sweep counts each record and turns each violated one into a
+``Violation`` with its detail, and ``recheck`` reads the same records, so
+each theorem is stated once.
 
 A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  The dimensions come from the decision
@@ -155,11 +158,23 @@ def recheck(v: Violation) -> bool:
         return bool(control.distance_power_defects(a))
     report = control.analyze(a, v.subset)
     if v.check == "single_vector_equivalence":
-        return report.kalman_controllable != report.lie_controllable
-    return any(
-        c["check"] == v.check and c["status"] == control.CHECK_VIOLATED
-        for c in report.consistency
-    )
+        records = _single_vector_checks(report)
+    else:
+        records = [(c["check"], c["status"], c["detail"]) for c in report.consistency]
+    return any(check == v.check and status == control.CHECK_VIOLATED for check, status, _ in records)
+
+
+def _single_vector_checks(report) -> tuple:
+    """The records of one single-vector sample, read off its ``analyze`` report.
+
+    For one control vector, walk rank n iff Lie dimension n^2 needs no
+    hypothesis, so the first record is ``control._consistency``'s
+    kalman_iff_lie asserted (``hyp=True``) and renamed; the second is the
+    span identity.
+    """
+    dims = (report.walk_rank, report.p_span_dim, report.lie_dim)
+    (_, status, detail), _, span = control._consistency(report.n, *dims, False, True)
+    return ("single_vector_equivalence", status, detail), span
 
 
 @dataclass(frozen=True)
@@ -350,25 +365,15 @@ def _units(cfg: SweepConfig, select):
                 yield g, kind, zfs_map, session, table
 
 
-def _graph_violation(g: Graph, kind: str, subset, check: str, detail: str, matrix="") -> Violation:
-    return Violation(
-        order=g.order,
-        edges=tuple(sorted(g.edges)),
-        kind=kind,
-        subset=tuple(subset),
-        check=check,
-        detail=detail,
-        matrix=matrix,
-    )
-
-
-def _tally(checks, dims, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
-    """Count each ``control._consistency`` check; record each violated one with its detail."""
-    for check, status, template in checks:
+def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
+    """Count each (check, status, detail) record; record each violated one with its detail."""
+    for check, status, detail in records:
         counts[check] += 1
         if status == control.CHECK_VIOLATED:
-            detail = control._detail(template, g.order, *dims)
-            violations.append(_graph_violation(g, kind, members, check, detail, matrix))
+            violations.append(Violation(
+                order=g.order, edges=tuple(sorted(g.edges)), kind=kind, subset=tuple(members),
+                check=check, detail=detail, matrix=matrix,
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +395,17 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     rng = _policy_rng(cfg)
     units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
     for g, kind, zfs_map, session, table in units:
-        counts["distance_power_nonzero"] += 1
         defects = session.defects()
         if defects and session.a.pattern != g:
             # found on the representative: report them in g's labels
             defects = control.distance_power_defects(control.build_matrix(g, kind))
-        if defects:
-            violations.append(_graph_violation(
-                g, kind, (), "distance_power_nonzero",
-                f"zero entries at (k, j, d) = {sorted(defects)}",
-            ))
+        status = control.CHECK_VIOLATED if defects else control.CHECK_PASSED
+        detail = f"zero entries at (k, j, d) = {sorted(defects)}"
+        _tally([("distance_power_nonzero", status, detail)], counts, violations, g, kind, ())
         for members, dims in table.items():
             instances += 1
             checks = control._consistency(g.order, *dims, zfs_map[members], True)
-            _tally(checks, dims, counts, violations, g, kind, members)
+            _tally(checks, counts, violations, g, kind, members)
     config = dict(op="equivalence", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -430,9 +432,8 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
     for g, kind, _, _, table in _units(cfg, targets):
         for members, dims in table.items():
             instances += 1
-            # every target is a forcing set
-            zfs_lie = control._consistency(g.order, *dims, True, True)[1]
-            _tally([zfs_lie], dims, counts, violations, g, kind, members)
+            # every target is a forcing set; keep the zfs_implies_lie record
+            _tally(control._consistency(g.order, *dims, True, True)[1:2], counts, violations, g, kind, members)
     config = dict(op="zfs_implication", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 
@@ -461,17 +462,8 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
                 entries[j][k] = val
         ctrl = rng.randint(1, n)
         a = control.pattern_matrix(entries)
-        report = control.analyze(a, (ctrl,))
-        text = format_matrix(a.matrix)
-        counts["single_vector_equivalence"] += 1
-        if report.kalman_controllable != report.lie_controllable:
-            violations.append(_graph_violation(
-                a.pattern, "explicit", (ctrl,), "single_vector_equivalence",
-                f"walk_rank {report.walk_rank} but lie_dim {report.lie_dim}", text,
-            ))
-        dims = (report.walk_rank, report.p_span_dim, report.lie_dim)
-        span = control._consistency(n, *dims, False, False)[2]
-        _tally([span], dims, counts, violations, a.pattern, "explicit", (ctrl,), text)
+        records = _single_vector_checks(control.analyze(a, (ctrl,)))
+        _tally(records, counts, violations, a.pattern, "explicit", (ctrl,), format_matrix(a.matrix))
     config = {"op": "single_vector", "samples": samples, "seed": seed}
     return _outcome(config, samples, counts, violations)
 

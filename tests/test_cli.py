@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ C4_TEXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 C5_TEXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 ENTRY_POINT = "netctrl.cli:entry"
 
 # What a console-script launcher does: load the entry point named by the
@@ -126,12 +128,12 @@ class TestZfsCommand:
     def test_minimum_over_cap_names_the_variable(self, capsys, tmp_path, monkeypatch):
         # the command line has no max_order flag: the message must name what overrides it
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
-        path = tmp_path / "p17.txt"
-        path.write_text("17\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 17)))
+        path = tmp_path / "p19.txt"
+        path.write_text("19\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 19)))
         code, out, err = run_cli(capsys, "zfs", "--graph", str(path), "--minimum")
         assert code == 2
         assert out == ""
-        assert "exceeds the exhaustive-search cap 16" in err
+        assert "exceeds the exhaustive-search cap 18" in err
         assert "NETCTRL_MAX_ORDER" in err
 
     def test_set_runs_on_a_large_declared_order(self, capsys, tmp_path, monkeypatch):
@@ -237,10 +239,10 @@ class TestAnalyzeCommand:
         assert "error:" in err
 
     @pytest.mark.parametrize("text", [
-        "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)),
+        "17\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 17)),
         "40\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 40)),
         "99999999\n1 2\n",
-    ], ids=["path-13", "path-40", "declared-order"])
+    ], ids=["path-17", "path-40", "declared-order"])
     def test_over_cap_order_fails_before_any_work(self, capsys, tmp_path, monkeypatch, text):
         def refuse(*args):
             raise AssertionError("matrix work started past the order cap")
@@ -252,7 +254,7 @@ class TestAnalyzeCommand:
         path.write_text(text)
         code, _, err = run_cli(capsys, "analyze", "--graph", str(path), "--set", "1")
         assert code == 2
-        assert "exceeds the Lie-closure cap 12" in err
+        assert "exceeds the Lie-closure cap 16" in err
         assert "NETCTRL_MAX_ORDER" in err
 
     def test_non_integer_cap_variable_is_input_error(self, capsys, p4, monkeypatch):
@@ -398,6 +400,37 @@ class TestExamplesCommand:
             "c   yes    two disjoint edges as diagonal blocks, one control vertex per block",
             "EXAMPLE MISMATCH",
         ]
+
+
+def readme_transcripts() -> list:
+    """(command, printed text) for each `$ ` line in README's untagged code blocks."""
+    out, fence, printed = [], None, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fence, printed = (line[3:] if fence is None else None), None
+        elif fence == "" and line.startswith("$ "):
+            printed = []
+            out.append((line[2:], printed))
+        elif printed is not None:
+            printed.append(line)
+    return [(command, "\n".join(printed).rstrip("\n")) for command, printed in out]
+
+
+class TestReadme:
+    def test_transcripts_match_the_command_line(self, capsys, tmp_path, monkeypatch):
+        transcripts = readme_transcripts()
+        assert transcripts[0][0] == "cat p4.txt"
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        (tmp_path / "p4.txt").write_text(transcripts[0][1] + "\n")
+        runs = [(shlex.split(command), printed) for command, printed in transcripts[1:]]
+        assert [argv[:2] for argv, _ in runs] == [
+            ["netctrl", sub] for sub in ("zfs", "zfs", "analyze", "verify", "examples")
+        ]
+        for argv, printed in runs:
+            code, out, err = run_cli(capsys, *argv[1:])
+            assert (code, err) == (0, ""), argv
+            assert out.splitlines() == printed.splitlines(), argv
 
 
 class TestPlumbing:

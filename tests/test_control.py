@@ -310,29 +310,29 @@ class TestLieClosure:
             lie_closure([matrix([[1]]), matrix([[1, 0], [0, 1]])])
 
     def test_order_cap_raises(self):
-        big = [[0] * 13 for _ in range(13)]
+        big = [[0] * 17 for _ in range(17)]
         with pytest.raises(ValueError):
             lie_closure([matrix(big)])
 
-    def test_order_past_twelve_warns(self):
-        big = [[Fraction(0)] * 13 for _ in range(13)]
+    def test_order_past_the_default_cap_warns(self):
+        big = [[Fraction(0)] * 17 for _ in range(17)]
         big[0][0] = Fraction(1)
         with pytest.warns(UserWarning):
-            dim, _ = lie_closure([matrix(big)], max_order=13)
+            dim, _ = lie_closure([matrix(big)], max_order=17)
         assert dim == 1
 
     def test_env_var_adjusts_cap(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "2")
         with pytest.raises(ValueError):
             lie_closure([matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])])
-        monkeypatch.setenv("NETCTRL_MAX_ORDER", "13")
-        big = [[Fraction(0)] * 13 for _ in range(13)]
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
+        big = [[Fraction(0)] * 17 for _ in range(17)]
         with pytest.warns(UserWarning):
             dim, _ = lie_closure([matrix(big)])
         assert dim == 0
 
     def test_refusal_names_the_argument_that_set_the_cap(self, monkeypatch):
-        monkeypatch.setenv("NETCTRL_MAX_ORDER", "13")
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
         path3 = matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         with pytest.raises(ValueError) as exc:
             lie_closure([path3], max_order=2)
@@ -536,17 +536,17 @@ class TestLieControllable:
             assert want < a.n * a.n
             assert lie_controllable(a, s) == (False, want)
 
-    def test_exact_fallback_past_twelve_warns(self, monkeypatch):
-        monkeypatch.setenv("NETCTRL_MAX_ORDER", "13")
+    def test_exact_fallback_past_the_default_cap_warns(self, monkeypatch):
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
         with pytest.warns(UserWarning):
-            controllable, dim = lie_controllable(adjacency_matrix(complete_graph(13)), [1])
-        assert not controllable and dim < 13 * 13
+            controllable, dim = lie_controllable(adjacency_matrix(complete_graph(17)), [1])
+        assert not controllable and dim < 17 * 17
 
     def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
         # the path is controllable, so the modular closure alone would succeed
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
-        with pytest.raises(ValueError, match="exceeds the Lie-closure cap 12"):
-            lie_controllable(adjacency_matrix(path_graph(13)), [1])
+        with pytest.raises(ValueError, match="exceeds the Lie-closure cap 16"):
+            lie_controllable(adjacency_matrix(path_graph(17)), [1])
 
 
 class TestAnalyze:
@@ -613,7 +613,7 @@ class TestAnalyze:
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
         for name in ("kalman_controllable", "p_span_dim", "lie_controllable"):
             monkeypatch.setattr(control, name, refuse)
-        with pytest.raises(ValueError, match="exceeds the Lie-closure cap 12"):
+        with pytest.raises(ValueError, match="exceeds the Lie-closure cap 16"):
             analyze(adjacency_matrix(path_graph(40)), [1])
 
     @pytest.mark.parametrize("g, s, most", [(path_graph(4), (2,), 8), (cycle_graph(6), (1,), 12)],

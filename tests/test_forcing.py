@@ -238,13 +238,13 @@ class TestMinZfs:
         assert min_zfs(g)[0] == min_zfs_size_bruteforce(adjacency_sets(g), g.order)
 
     def test_order_cap_raises(self):
-        g = path_graph(17)
+        g = path_graph(19)
         with pytest.raises(ValueError):
             min_zfs(g)
 
     def test_explicit_max_order_overrides_cap(self):
-        g = path_graph(17)
-        assert min_zfs(g, max_order=17) == (1, (1,))
+        g = path_graph(19)
+        assert min_zfs(g, max_order=19) == (1, (1,))
 
     def test_env_var_lowers_cap(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "3")
@@ -253,8 +253,8 @@ class TestMinZfs:
         assert min_zfs(path_graph(3))[0] == 1
 
     def test_env_var_raises_cap(self, monkeypatch):
-        monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
-        assert min_zfs(path_graph(17))[0] == 1
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "19")
+        assert min_zfs(path_graph(19))[0] == 1
 
     def test_env_var_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "lots")
@@ -268,9 +268,9 @@ class TestMinZfs:
     def test_refusal_names_what_overrides_the_cap(self, monkeypatch):
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
         with pytest.raises(ValueError) as exc:
-            min_zfs(path_graph(17))
+            min_zfs(path_graph(19))
         assert str(exc.value) == (
-            "order 17 exceeds the exhaustive-search cap 16; set NETCTRL_MAX_ORDER to override")
+            "order 19 exceeds the exhaustive-search cap 18; set NETCTRL_MAX_ORDER to override")
         with pytest.raises(ValueError) as exc:
             min_zfs(path_graph(5), max_order=4)
         assert str(exc.value) == (

@@ -18,6 +18,7 @@ from netctrl import (
     format_matrix,
     graph,
     is_zfs,
+    parse_matrix,
     path_graph,
     pattern_matrix,
     recheck,
@@ -482,6 +483,13 @@ class TestSweepSingleVector:
         assert set(by_check) == {"single_vector_equivalence", "span_dimension_identity"}
         assert len(by_check["span_dimension_identity"]) == 12
         assert all(v.detail.startswith("p_span_dim ") for v in by_check["span_dimension_identity"])
+        # each detail carries that sample's numbers under the fault
+        for v in out.violations:
+            walk, pspan, lie = engine(pattern_matrix(parse_matrix(v.matrix)), v.subset, control._PARTS)
+            assert v.detail == {
+                "single_vector_equivalence": f"walk_rank {walk} but lie_dim {lie - 1}",
+                "span_dimension_identity": f"p_span_dim {pspan - 1} but walk_rank {walk}",
+            }[v.check]
         assert all(recheck(v) for v in out.violations)
         monkeypatch.undo()
         assert not any(recheck(v) for v in out.violations)
