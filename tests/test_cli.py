@@ -128,12 +128,12 @@ class TestZfsCommand:
     def test_minimum_over_cap_names_the_variable(self, capsys, tmp_path, monkeypatch):
         # the command line has no max_order flag: the message must name what overrides it
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
-        path = tmp_path / "p19.txt"
-        path.write_text("19\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 19)))
+        path = tmp_path / "p21.txt"
+        path.write_text("21\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 21)))
         code, out, err = run_cli(capsys, "zfs", "--graph", str(path), "--minimum")
         assert code == 2
         assert out == ""
-        assert "exceeds the exhaustive-search cap 18" in err
+        assert "exceeds the exhaustive-search cap 20" in err
         assert "NETCTRL_MAX_ORDER" in err
 
     def test_set_runs_on_a_large_declared_order(self, capsys, tmp_path, monkeypatch):

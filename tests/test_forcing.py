@@ -177,6 +177,49 @@ class TestMaskClosure:
         assert forcing._masks(graph(3, [(1, 3)])) == [0, 0b1000, 0, 0b10]
 
 
+def wavefront(g):
+    return forcing._wavefront(forcing._masks(g), g.vertices, forcing._mask(g.vertices))
+
+
+class TestWavefront:
+    def test_matches_bruteforce_on_every_small_graph(self):
+        # isolated vertices and disconnected graphs included
+        for g in every_small_graph():
+            assert wavefront(g) == min_zfs_size_bruteforce(adjacency_sets(g), g.order), g
+
+    def test_matches_bruteforce_on_seeded_random_graphs(self):
+        rng = random.Random(1723)
+        for _ in range(150):
+            n = rng.randint(6, 9)
+            p = rng.choice((0.15, 0.3, 0.5, 0.75))
+            g = graph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                          if rng.random() < p])
+            assert wavefront(g) == min_zfs_size_bruteforce(adjacency_sets(g), g.order), g
+
+    # closed forms past brute force: the twin classes keep each search small
+
+    def test_star(self):
+        g = graph(40, [(1, j) for j in range(2, 41)])
+        assert wavefront(g) == 38
+        assert min_zfs(g, max_order=40) == (38, tuple(range(2, 40)))
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 9), (5, 7), (12, 15)])
+    def test_complete_bipartite(self, a, b):
+        g = graph(a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)])
+        assert wavefront(g) == a + b - 2
+        assert min_zfs(g, max_order=a + b)[0] == a + b - 2
+
+    def test_complete(self):
+        g = complete_graph(30)
+        assert wavefront(g) == 29
+        assert min_zfs(g, max_order=30) == (29, tuple(range(1, 30)))
+
+    def test_empty(self):
+        g = graph(20, [])
+        assert wavefront(g) == 20
+        assert min_zfs(g, max_order=20) == (20, tuple(range(1, 21)))
+
+
 class TestIsZfs:
     def test_empty_set_never_forces(self):
         assert not is_zfs(path_graph(3), [])
@@ -238,13 +281,13 @@ class TestMinZfs:
         assert min_zfs(g)[0] == min_zfs_size_bruteforce(adjacency_sets(g), g.order)
 
     def test_order_cap_raises(self):
-        g = path_graph(19)
+        g = path_graph(21)
         with pytest.raises(ValueError):
             min_zfs(g)
 
     def test_explicit_max_order_overrides_cap(self):
-        g = path_graph(19)
-        assert min_zfs(g, max_order=19) == (1, (1,))
+        g = path_graph(21)
+        assert min_zfs(g, max_order=21) == (1, (1,))
 
     def test_env_var_lowers_cap(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "3")
@@ -253,8 +296,8 @@ class TestMinZfs:
         assert min_zfs(path_graph(3))[0] == 1
 
     def test_env_var_raises_cap(self, monkeypatch):
-        monkeypatch.setenv("NETCTRL_MAX_ORDER", "19")
-        assert min_zfs(path_graph(19))[0] == 1
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "21")
+        assert min_zfs(path_graph(21))[0] == 1
 
     def test_env_var_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "lots")
@@ -268,9 +311,9 @@ class TestMinZfs:
     def test_refusal_names_what_overrides_the_cap(self, monkeypatch):
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
         with pytest.raises(ValueError) as exc:
-            min_zfs(path_graph(19))
+            min_zfs(path_graph(21))
         assert str(exc.value) == (
-            "order 19 exceeds the exhaustive-search cap 18; set NETCTRL_MAX_ORDER to override")
+            "order 21 exceeds the exhaustive-search cap 20; set NETCTRL_MAX_ORDER to override")
         with pytest.raises(ValueError) as exc:
             min_zfs(path_graph(5), max_order=4)
         assert str(exc.value) == (

@@ -494,6 +494,30 @@ class TestSweepSingleVector:
         monkeypatch.undo()
         assert not any(recheck(v) for v in out.violations)
 
+        # a second fault moves the two apart: the Lie dimension reads full and
+        # the span two over, so only a deficient sample (walk rank < n) breaks
+        # the equivalence, and its detail must name its own walk rank and Lie
+        # dimension, not n and the span dimension
+        def lie_full(a, members, parts):
+            walk, pspan, _ = engine(a, members, parts)
+            return walk, pspan + 2, a.n * a.n
+
+        monkeypatch.setattr(control, "_dimensions", lie_full)
+        out = sweep_single_vector(40, 9)
+        equivalence = [v for v in out.violations if v.check == "single_vector_equivalence"]
+        assert len(equivalence) == 1
+        assert len(out.violations) == 41
+        for v in out.violations:
+            walk, pspan, _ = engine(pattern_matrix(parse_matrix(v.matrix)), v.subset, control._PARTS)
+            assert v.detail == {
+                "single_vector_equivalence": f"walk_rank {walk} but lie_dim {v.order ** 2}",
+                "span_dimension_identity": f"p_span_dim {pspan + 2} but walk_rank {walk}",
+            }[v.check]
+        assert equivalence[0].detail == "walk_rank 1 but lie_dim 4"
+        assert all(recheck(v) for v in out.violations)
+        monkeypatch.undo()
+        assert not any(recheck(v) for v in out.violations)
+
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             sweep_single_vector(0, 1)
