@@ -65,7 +65,7 @@ def _load_graph(path: str) -> graphs.Graph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read graph file {path}: {exc}") from None
     return graphs.parse_graph(text)
 

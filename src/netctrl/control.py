@@ -18,9 +18,10 @@ All three are read off one engine: a ``_NodeState`` holds the walk,
 product-span and Lie bases of a control set, and ``_extend_state`` grows it
 by one control vertex.  ``_grow`` is the one routine that drives it: given
 a family of control sets, it grows each node of their prefix tree from its
-parent and returns the dimensions of every set.  The one-shot decisions
-pass it a single set; the sweeps in ``harness`` pass every subset of a
-matrix at once and only read the table it returns.
+parent and returns the dimensions of every set, growing only the parts a
+caller names.  The one-shot decisions pass it a single set; the sweeps in
+``harness`` pass every subset of a matrix at once and only read the table
+it returns.
 
 Every reported number is exact.  A full result (walk rank n, product-span
 dimension n^2, Lie dimension n^2) is first sought modulo one fixed prime on
@@ -316,9 +317,15 @@ def _ad_map(g, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _projector_rows(n: int, j: int) -> tuple:
+    """The projector e_j e_j^T (0-based j) as integer row tuples."""
+    return tuple(tuple(int(r == c == j) for c in range(n)) for r in range(n))
+
+
+@lru_cache(maxsize=None)
 def _projector_ad(n: int, j: int) -> tuple:
     """``_ad_map`` of the projector e_j e_j^T (0-based j)."""
-    return _ad_map([[int(r == c == j) for c in range(n)] for r in range(n)], n)
+    return _ad_map(_projector_rows(n, j), n)
 
 
 class _LieEngine:
@@ -624,18 +631,25 @@ class _NodeState:
 
 
 def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) -> None:
-    """Grow a parent's bases by control vertex j (members already include j)."""
+    """Grow a parent's bases by control vertex j (members already include j).
+
+    The walk columns are read only when a walk or span part still grows, so
+    a Lie-only state never builds them.
+    """
     n = session.n
-    cols_j = session.columns(j, state.modulus)
-    if state.walk is not None and state.walk.dim < n:
-        for col in cols_j:
-            state.walk.insert(col)
     if state.lie is not None:
-        proj = tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n))
-        state.lie.extend([proj], n * n)
-    span = state.pspan
+        state.lie.extend([_projector_rows(n, j - 1)], n * n)
+    walk, span = state.walk, state.pspan
     amb = n * n
-    if span is None or span.dim >= amb:
+    walk_open = walk is not None and walk.dim < n
+    span_open = span is not None and span.dim < amb
+    if not (walk_open or span_open):
+        return
+    cols_j = session.columns(j, state.modulus)
+    if walk_open:
+        for col in cols_j:
+            walk.insert(col)
+    if not span_open:
         return
     # new span products are exactly the pairs involving j, each unordered
     # pair of columns taken once; stop as soon as either part fills the span
@@ -842,34 +856,43 @@ def _hypotheses(a: PatternMatrix) -> dict:
     return {"connected": graphs.is_connected(a.pattern), "same_sign": a.sign_class != MIXED}
 
 
+def _zfs_implies_lie(n: int, lie_dim: int, zfs_status: bool, hyp: bool) -> tuple:
+    """The zfs_implies_lie record: a zero forcing set is Lie controllable.
+
+    Asserted only when ``hyp`` (the hypotheses hold; the sign-mixed and
+    disconnected counterexamples are genuine).  It reads the Lie dimension
+    alone, so the implication sweep grows nothing else.
+    """
+    if not hyp:
+        zfs_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
+    elif not zfs_status:
+        zfs_lie = (CHECK_PASSED, "control set is not a zero forcing set, nothing to imply")
+    elif lie_dim == n * n:
+        zfs_lie = (CHECK_PASSED, "zero forcing set and lie_controllable")
+    else:
+        zfs_lie = (CHECK_VIOLATED, f"zero forcing set with lie_dim {lie_dim} < {n * n}")
+    return ("zfs_implies_lie", *zfs_lie)
+
+
 def _consistency(n: int, walk_rank: int, p_dim: int, lie_dim: int, zfs_status: bool, hyp: bool) -> tuple:
     """The theorem checks on one instance's numbers: (check, status, detail) each.
 
-    In order: the Kalman and Lie verdicts agree, and a zero forcing set is
-    Lie controllable, both only when ``hyp`` (the hypotheses hold; the
-    sign-mixed and disconnected counterexamples are genuine); and
-    p_span_dim = walk_rank^2, unconditionally.  ``analyze`` reports these
-    records and the sweeps count them, so both read one rule.
+    In order: the Kalman and Lie verdicts agree, only when ``hyp`` (the
+    hypotheses hold); the ``_zfs_implies_lie`` record; and p_span_dim =
+    walk_rank^2, unconditionally.  ``analyze`` reports these records and
+    the sweeps count them, so both read one rule.
     """
-    lie = lie_dim == n * n
     if not hyp:
-        kalman_lie = zfs_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
+        kalman_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
+    elif (walk_rank == n) == (lie_dim == n * n):
+        kalman_lie = (CHECK_PASSED, f"walk_rank {walk_rank} and lie_dim {lie_dim} agree on controllability")
     else:
-        if (walk_rank == n) == lie:
-            kalman_lie = (CHECK_PASSED, f"walk_rank {walk_rank} and lie_dim {lie_dim} agree on controllability")
-        else:
-            kalman_lie = (CHECK_VIOLATED, f"walk_rank {walk_rank} but lie_dim {lie_dim}")
-        if not zfs_status:
-            zfs_lie = (CHECK_PASSED, "control set is not a zero forcing set, nothing to imply")
-        elif lie:
-            zfs_lie = (CHECK_PASSED, "zero forcing set and lie_controllable")
-        else:
-            zfs_lie = (CHECK_VIOLATED, f"zero forcing set with lie_dim {lie_dim} < {n * n}")
+        kalman_lie = (CHECK_VIOLATED, f"walk_rank {walk_rank} but lie_dim {lie_dim}")
     if p_dim == walk_rank * walk_rank:
         span = (CHECK_PASSED, f"p_span_dim {p_dim} equals walk_rank^2")
     else:
         span = (CHECK_VIOLATED, f"p_span_dim {p_dim} but walk_rank {walk_rank}")
-    return (("kalman_iff_lie", *kalman_lie), ("zfs_implies_lie", *zfs_lie),
+    return (("kalman_iff_lie", *kalman_lie), _zfs_implies_lie(n, lie_dim, zfs_status, hyp),
             ("span_dimension_identity", *span))
 
 

@@ -31,10 +31,14 @@ A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  The dimensions come from the decision
 engine in ``control``: ``control._grow`` takes every subset of one matrix
 at once and grows them along their prefix tree, sharing each parent's
-walk, product-span and Lie bases with its children.  This module only
-reads the tables it returns.  ``recheck`` re-runs an instance from a fresh
-root, with no prefix-tree or orbit sharing; the structurally independent
-route is the brute-force oracles of the test suite (``tests/oracles.py``).
+bases with its children.  It grows only the parts a sweep's checks read:
+the walk, product-span and Lie bases for the equivalence sweep, the Lie
+closure alone for the implication sweep, whose one record
+(``control._zfs_implies_lie``) reads only the Lie dimension.  This module
+only reads the tables it returns.  ``recheck`` re-runs an instance from a
+fresh root, with no prefix-tree or orbit sharing; the structurally
+independent route is the brute-force oracles of the test suite
+(``tests/oracles.py``).
 
 Every instance is still checked and counted per labeled (graph, control
 set) pair, but for a label-invariant kind (adjacency, laplacian) the
@@ -318,14 +322,16 @@ def _minimal_members(family, zfs_map: dict) -> list:
     return out
 
 
-def _units(cfg: SweepConfig, select):
+def _units(cfg: SweepConfig, select, parts=control._PARTS):
     """Every (labeled graph, kind) unit of a sweep, in enumeration order.
 
     ``select(g, zfs_map)`` gives the subsets to check on g; it is called for
     every graph of an order, in enumeration order, before that order's first
     unit is yielded.  Yields (g, kind, zfs_map, session, table), where
-    table maps each selected subset, in ``select`` order, to its dims
-    (walk_rank, p_span_dim, lie_dim).
+    table maps each selected subset, in ``select`` order, to its dims: the
+    dimensions named by ``parts`` (a subset of ``control._PARTS``), in that
+    order, by default (walk_rank, p_span_dim, lie_dim).  Only those parts
+    are grown.
 
     Every kind reads its dims off a ``control._grow`` table.  For a
     label-invariant kind, session belongs to g's canonical representative
@@ -353,7 +359,7 @@ def _units(cfg: SweepConfig, select):
         for rep, wanted in classes.items():
             for kind in invariant:
                 session = control._Session(control.build_matrix(rep, kind))
-                tables[rep, kind] = session, control._grow(session, wanted)
+                tables[rep, kind] = session, control._grow(session, wanted, parts=parts)
         for g, zfs_map, subsets, rep, relabel in rows:
             for kind in cfg.matrix_kinds:
                 if kind in invariant:
@@ -361,7 +367,7 @@ def _units(cfg: SweepConfig, select):
                     table = {s: shared[relabel[s]] for s in subsets}
                 else:
                     session = control._Session(control.build_matrix(g, kind))
-                    table = control._grow(session, subsets)
+                    table = control._grow(session, subsets, parts=parts)
                 yield g, kind, zfs_map, session, table
 
 
@@ -416,7 +422,8 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
     With subset_policy "all" every forcing subset is asserted; any other
     policy asserts the minimal-by-inclusion forcing sets among its
     candidates.  Traversal is pruned to branches that still lead to a
-    target, so non-forcing regions of the subset tree cost nothing.
+    target, so non-forcing regions of the subset tree cost nothing, and
+    only the Lie closure is grown, since the one record reads nothing else.
     """
     counts: Counter = Counter()
     violations: list = []
@@ -429,11 +436,11 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
             return [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
         return _minimal_members(_subset_family(cfg, g, zfs_map, rng), zfs_map)
 
-    for g, kind, _, _, table in _units(cfg, targets):
-        for members, dims in table.items():
+    for g, kind, _, _, table in _units(cfg, targets, ("lie",)):
+        for members, (lie_dim,) in table.items():
             instances += 1
-            # every target is a forcing set; keep the zfs_implies_lie record
-            _tally(control._consistency(g.order, *dims, True, True)[1:2], counts, violations, g, kind, members)
+            # every target is a forcing set
+            _tally([control._zfs_implies_lie(g.order, lie_dim, True, True)], counts, violations, g, kind, members)
     config = dict(op="zfs_implication", **cfg.to_dict())
     return _outcome(config, instances, counts, violations)
 

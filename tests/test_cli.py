@@ -272,9 +272,13 @@ class TestAnalyzeCommand:
         # the same dimensions reach a sweep through its prefix-tree walk
         engine = netctrl.control._grow
 
-        def faulty_grow(session, subsets):
-            table = engine(session, subsets)
-            return {members: (4, 16, 15) for members in table} if session.n == 4 else table
+        fault = {"walk": 4, "pspan": 16, "lie": 15}
+
+        def faulty_grow(session, subsets, parts):
+            table = engine(session, subsets, parts=parts)
+            if session.n != 4:
+                return table
+            return {members: tuple(fault[name] for name in parts) for members in table}
 
         monkeypatch.setattr(netctrl.control, "_grow", faulty_grow)
         cfg = netctrl.SweepConfig(max_order=4, matrix_kinds=("adjacency",),
@@ -322,9 +326,9 @@ class TestVerifyCommand:
         # an injected engine fault: every span and Lie dimension one short
         engine = netctrl.control._grow
 
-        def faulty_grow(session, subsets):
-            return {members: (walk_rank, p_dim - 1, lie_dim - 1)
-                    for members, (walk_rank, p_dim, lie_dim) in engine(session, subsets).items()}
+        def faulty_grow(session, subsets, parts):
+            return {members: tuple(d - (name in ("pspan", "lie")) for name, d in zip(parts, dims))
+                    for members, dims in engine(session, subsets, parts=parts).items()}
 
         monkeypatch.setattr(netctrl.control, "_grow", faulty_grow)
         out_path = tmp_path / "outcome.json"
@@ -438,6 +442,14 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "zfs", "--graph", "/no/such/file", "--set", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_graph_file_not_utf8_names_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "zfs", "--graph", str(bad), "--set", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read graph file {bad}: ")
+        assert "can't decode byte 0xff" in err
 
     def test_malformed_graph_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

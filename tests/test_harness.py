@@ -212,6 +212,48 @@ class TestSharedEngine:
             if a.n <= 4:
                 assert pspan == oracles.pspan_dim_bruteforce(entries, members)
 
+    def test_lie_only_grow_is_the_lie_column(self):
+        # every labeled graph of order <= 4, disconnected ones included
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            subsets = _all_nonempty_subsets(n)
+            for mask in range(1 << len(pairs)):
+                g = graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                for kind in ("adjacency", "laplacian", "random:3"):
+                    full = control._grow(_session(g, kind), subsets)
+                    lie = control._grow(_session(g, kind), subsets, parts=("lie",))
+                    assert lie == {s: dims[2:] for s, dims in full.items()}, (g, kind)
+
+    def test_lie_only_grow_never_reads_walk_columns(self, monkeypatch):
+        def refuse(session, j, modulus=None):
+            raise AssertionError("a Lie-only state read the walk columns")
+
+        monkeypatch.setattr(control._Session, "columns", refuse)
+        for g in (path_graph(5), cycle_graph(5)):
+            for kind in ("adjacency", "random:7"):
+                for modulus in (None, control._PRIME):
+                    table = control._grow(_session(g, kind), _all_nonempty_subsets(5), modulus, ("lie",))
+                    assert len(table) == 31
+        # an end vertex of a path is a zero forcing set
+        assert control._grow(_session(path_graph(5), "adjacency"), [(1,)], parts=("lie",)) == {(1,): (25,)}
+
+    def test_each_sweep_grows_only_what_it_reads(self, monkeypatch):
+        asked = {}
+        engine = control._grow
+        cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "random:4"),
+                          subset_policy="random:6:3")
+        for sweep in (sweep_equivalence, sweep_zfs_implication):
+            seen = asked.setdefault(sweep.__name__, set())
+
+            def recording(session, subsets, parts, seen=seen):
+                seen.add(parts)
+                return engine(session, subsets, parts=parts)
+
+            monkeypatch.setattr(control, "_grow", recording)
+            assert sweep(cfg).passed
+        assert asked == {"sweep_equivalence": {control._PARTS},
+                         "sweep_zfs_implication": {("lie",)}}
+
 
 def _relabeled(g, pi):
     return graph(g.order, [(pi[u], pi[v]) for u, v in g.edges])
@@ -278,9 +320,10 @@ class TestOrbitRoute:
         # reported as a distance-power defect
         engine = control._grow
 
-        def faulty_grow(session, subsets):
-            return {members: (walk, pspan, lie - (len(members) == 2))
-                    for members, (walk, pspan, lie) in engine(session, subsets).items()}
+        def faulty_grow(session, subsets, parts):
+            return {members: tuple(d - (name == "lie" and len(members) == 2)
+                                   for name, d in zip(parts, dims))
+                    for members, dims in engine(session, subsets, parts=parts).items()}
 
         def faulty_defects(a, session=None):
             deg = {v: sum(v in e for e in a.pattern.edges) for v in a.pattern.vertices}
@@ -343,9 +386,9 @@ class TestOrbitRoute:
             kinds[id(a)] = kind
             return a
 
-        def counting(session, subsets):
+        def counting(session, subsets, parts):
             calls.append(kinds[id(session.a)])
-            return engine(session, subsets)
+            return engine(session, subsets, parts=parts)
 
         monkeypatch.setattr(control, "build_matrix", building)
         monkeypatch.setattr(control, "_grow", counting)
