@@ -290,28 +290,50 @@ def _packing(n: int, parity: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + parity, n)]
 
 
+@lru_cache(maxsize=None)
+def _packed_index(n: int, parity: int) -> tuple:
+    """Packed coordinate of each (row, column) position of this parity's packing.
+
+    Returns the table by rows and by columns: entry [r][c] of the first and
+    [c][r] of the second is the index k of (r, c) in ``_packing(n, parity)``,
+    None off the stored triangle.
+    """
+    table = [[None] * n for _ in range(n)]
+    for k, (i, j) in enumerate(_packing(n, parity)):
+        table[i][j] = k
+    return tuple(map(tuple, table)), tuple(zip(*table))
+
+
 def _ad_map(g, n: int) -> tuple:
     """ad_g = [g, .] on packed coordinates, for a symmetric integer matrix g.
 
     Entry [parity][k] lists the (target, coefficient) pairs of [g, U_k] in
     the other parity's packing, U_k the packed unit of that parity.  As g is
     symmetric, [g, E_rc] is row r of g placed in column c minus row c of g
-    placed in row r: O(n) pairs per unit, fewer where g is sparse.
+    placed in row r: O(n) pairs per unit, fewer where g is sparse.  Only
+    the entries on the target packing's triangle are summed: [g, U_k] is
+    symmetric or skew, so those determine it.
     """
     rows = [[(a, v) for a, v in enumerate(row) if v] for row in g]
     maps = []
     for parity in (_SYM, _SKEW):
         # U_k is E_ij + E_ji (E_ii when i = j) or, skew, E_ij - E_ji
-        target = {pos: k for k, pos in enumerate(_packing(n, 1 - parity))}
+        by_row, by_col = _packed_index(n, 1 - parity)
         images = []
         for i, j in _packing(n, parity):
             acc: dict = {}
             for r, c, s in ((i, j, 1),) if i == j else ((i, j, 1), (j, i, 1 - 2 * parity)):
+                col = by_col[c]
                 for a, v in rows[r]:
-                    acc[a, c] = acc.get((a, c), 0) + s * v
+                    k = col[a]
+                    if k is not None:
+                        acc[k] = acc.get(k, 0) + s * v
+                row = by_row[r]
                 for b, v in rows[c]:
-                    acc[r, b] = acc.get((r, b), 0) - s * v
-            images.append(tuple((target[pos], v) for pos, v in acc.items() if v and pos in target))
+                    k = row[b]
+                    if k is not None:
+                        acc[k] = acc.get(k, 0) - s * v
+            images.append(tuple((k, v) for k, v in acc.items() if v))
         maps.append(tuple(images))
     return tuple(maps)
 
@@ -343,7 +365,8 @@ class _LieEngine:
     flips its parity, and the closure is the direct sum of its symmetric
     and skew parts.  ``bases`` holds one echelon basis per parity on packed
     coordinates (the i <= j entries of a symmetric matrix, the i < j
-    entries of a skew one); the dimension is the sum of the two.
+    entries of a skew one); ``dim``, the sum of their dimensions, is kept
+    as a running count that ``_offer`` raises.
 
     ``elems`` spans the closure: one (parity, packed) pair per insert that
     grew it, the generator itself for a generator and the reduced residue
@@ -372,7 +395,7 @@ class _LieEngine:
     modular result.
     """
 
-    __slots__ = ("side", "bases", "elems", "gens", "pending")
+    __slots__ = ("side", "bases", "dim", "elems", "gens", "pending")
 
     def __init__(self, side: int, modulus=None):
         self.side = side
@@ -380,18 +403,16 @@ class _LieEngine:
             intlinalg.EchelonBasis(side * (side + 1) // 2, modulus),
             intlinalg.EchelonBasis(side * (side - 1) // 2, modulus),
         )
+        self.dim = 0
         self.elems: list = []
         self.gens: list = []
         self.pending = deque()
-
-    @property
-    def dim(self) -> int:
-        return self.bases[_SYM].dim + self.bases[_SKEW].dim
 
     def copy(self) -> "_LieEngine":
         dup = _LieEngine.__new__(_LieEngine)
         dup.side = self.side
         dup.bases = (self.bases[_SYM].copy(), self.bases[_SKEW].copy())
+        dup.dim = self.dim
         dup.elems = list(self.elems)
         dup.gens = list(self.gens)
         dup.pending = deque(self.pending)
@@ -408,6 +429,7 @@ class _LieEngine:
         row = self.bases[parity].insert(packed)
         if row is None:
             return False
+        self.dim += 1
         self.elems.append((parity, row if residue else packed))
         return True
 

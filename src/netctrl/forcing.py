@@ -48,7 +48,7 @@ def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
 
     Raises:
       ValueError: ``n`` exceeds the cap, or NETCTRL_MAX_ORDER is not an
-        integer.
+        integer or is below 1.
     """
     if max_order is None:
         raw = os.environ.get("NETCTRL_MAX_ORDER")
@@ -56,6 +56,8 @@ def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
             cap = default if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}") from None
+        if cap < 1:
+            raise ValueError(f"NETCTRL_MAX_ORDER must be a positive integer, got {raw!r}")
         override = "set NETCTRL_MAX_ORDER"
     else:
         cap, override = max_order, "pass a larger max_order argument"

@@ -46,6 +46,45 @@ class FractionBasis:
         return True
 
 
+class ModularEchelon:
+    """Row echelon basis modulo a prime, full-length row operations.
+
+    Like the package's modular basis it keeps its rows in echelon form only
+    (no back-substitution) and makes each row monic, but every operation
+    runs over the whole vector and is reduced modulo p at once; the inverse
+    comes from Fermat's little theorem.
+    """
+
+    def __init__(self, ambient, p):
+        self.ambient = ambient
+        self.p = p
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def insert(self, vec):
+        """The monic row the vector adds as a tuple, or None if it adds none."""
+        p = self.p
+        v = [x % p for x in vec]
+        assert len(v) == self.ambient
+        for piv, row in zip(self.pivots, self.rows):
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        inv = pow(v[piv], p - 2, p)
+        v = tuple(x * inv % p for x in v)
+        pos = sum(1 for q in self.pivots if q < piv)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, piv)
+        return v
+
+
 def frac_rank(rows):
     rows = list(rows)
     if not rows:

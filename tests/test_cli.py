@@ -263,6 +263,16 @@ class TestAnalyzeCommand:
         assert (code, out) == (2, "")
         assert "NETCTRL_MAX_ORDER must be an integer, got 'lots'" in err
 
+    @pytest.mark.parametrize("raw", ["-1", "0"])
+    def test_cap_variable_below_one_is_input_error(self, capsys, p4, monkeypatch, raw):
+        # the refusal names the variable as wrong, not as the way to raise the cap
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", raw)
+        for argv in (("zfs", "--graph", p4, "--minimum"), ("analyze", "--graph", p4, "--set", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert f"NETCTRL_MAX_ORDER must be a positive integer, got '{raw}'" in err
+            assert "to override" not in err
+
     def test_theorem_violation_exits_3_with_the_sweep_details(self, capsys, p4, monkeypatch):
         # an injected engine fault: P4 with the forcing set {1} loses one Lie dimension
         monkeypatch.setattr(netctrl.control, "_dimensions", lambda a, members, parts: (4, 16, 15))

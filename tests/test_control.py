@@ -466,6 +466,23 @@ def _packed(x, parity):
     return tuple(x[i][j] for i, j in _packing(len(x), parity))
 
 
+def _assert_unit_images(n, g):
+    """Every image of ``_ad_map(g, n)`` is the packed commutator [g, U_k] of its unit."""
+    ad = _ad_map(g, n)
+    for parity in (0, 1):
+        sign = 1 - 2 * parity
+        assert len(ad[parity]) == len(_packing(n, parity))
+        for (i, j), image in zip(_packing(n, parity), ad[parity]):
+            unit = [[0] * n for _ in range(n)]
+            unit[i][j], unit[j][i] = 1, sign
+            assert all(v for _, v in image)
+            assert len({t for t, _ in image}) == len(image)
+            got = [0] * len(_packing(n, 1 - parity))
+            for t, v in image:
+                got[t] = v
+            assert tuple(got) == _packed(int_commutator(g, unit, sign), 1 - parity)
+
+
 class TestAdMap:
     """ad_g on packed coordinates against the matrix commutator.
 
@@ -476,20 +493,17 @@ class TestAdMap:
     @settings(max_examples=120, deadline=None)
     @given(_ad_generator())
     def test_unit_images_are_packed_commutators(self, case):
-        n, g = case
-        ad = _ad_map(g, n)
-        for parity in (0, 1):
-            sign = 1 - 2 * parity
-            assert len(ad[parity]) == len(_packing(n, parity))
-            for (i, j), image in zip(_packing(n, parity), ad[parity]):
-                unit = [[0] * n for _ in range(n)]
-                unit[i][j], unit[j][i] = 1, sign
-                assert all(v for _, v in image)
-                assert len({t for t, _ in image}) == len(image)
-                got = [0] * len(_packing(n, 1 - parity))
-                for t, v in image:
-                    got[t] = v
-                assert tuple(got) == _packed(int_commutator(g, unit, sign), 1 - parity)
+        _assert_unit_images(*case)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_seeded_unit_images_are_packed_commutators(self, n):
+        rng = random.Random(n)
+        for _ in range(6):
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.choice((0, 0, 1, -2, 3, 7))
+            _assert_unit_images(n, tuple(map(tuple, g)))
 
     @settings(max_examples=120, deadline=None)
     @given(_ad_generator(), st.integers(min_value=0, max_value=1), st.data())
@@ -550,6 +564,13 @@ class TestLieControllable:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("family", [path_graph, cycle_graph])
+    def test_order_20_runs_the_modular_kernel_at_ambient_400(self, monkeypatch, family):
+        # past the bench's orders: a banded path and a cycle, full in every part
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "20")
+        rep = analyze(build_matrix(family(20), "random:7"), [1])
+        assert (rep.walk_rank, rep.p_span_dim, rep.lie_dim) == (20, 400, 400)
+
     def test_path_controllable_instance(self):
         a = adjacency_matrix(path_graph(4))
         rep = analyze(a, [1])

@@ -1,5 +1,6 @@
 """Exact rational matrices, rank, and canonical matrix-space bases."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,11 @@ from netctrl import (
     parse_matrix,
     rank,
 )
+from netctrl.control import _PRIME
 from netctrl.intlinalg import EchelonBasis, int_commutator, int_mat_mul
 from netctrl.linalg import basis_column, mat_vec, outer
 
-from .oracles import FractionBasis, frac_rank
+from .oracles import FractionBasis, ModularEchelon, frac_rank
 
 fraction_entries = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -192,6 +194,52 @@ class TestExactEchelonBasis:
             assert row[c] > 0 and not any(row[:c])
         assert basis.pivots == sorted(basis.pivots)
         assert basis.rational_rows() == tuple(tuple(r) for r in oracle.rows)
+
+
+@st.composite
+def _sparse_rows(draw):
+    """An ambient size and vectors mostly zero: windows with zeros on both
+    sides, zero vectors, and combinations of earlier vectors."""
+    k = draw(st.integers(min_value=1, max_value=9))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -5, 7, _PRIME + 3, -2 * _PRIME])
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        shape = draw(st.sampled_from(["window", "window", "zero", "combination"]))
+        if shape == "zero":
+            rows.append([0] * k)
+        elif shape == "combination" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(st.integers(min_value=-3, max_value=3)), draw(st.integers(min_value=-3, max_value=3))
+            rows.append([a * s + b * t for s, t in zip(x, y)])
+        else:
+            lo = draw(st.integers(min_value=0, max_value=k - 1))
+            hi = draw(st.integers(min_value=lo + 1, max_value=k))
+            rows.append([0] * lo + [draw(entries) for _ in range(lo, hi)] + [0] * (k - hi))
+    return k, rows
+
+
+class TestModularEchelon:
+    """The modular row operations over each row's support against full-length ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, _PRIME]), _sparse_rows(), st.lists(st.booleans(), max_size=10))
+    def test_support_kernel_matches_full_length_oracle(self, p, case, copies):
+        k, rows = case
+        basis, oracle = EchelonBasis(k, modulus=p), ModularEchelon(k, p)
+        forks = []
+        for step, row in enumerate(rows):
+            if step < len(copies) and copies[step]:
+                # the original must not see what its copy takes in
+                forks.append((basis, copy.deepcopy(oracle)))
+                basis = basis.copy()
+            member = basis.contains(row)
+            added = basis.insert(row)
+            assert added == oracle.insert(row)
+            assert member == (added is None)
+            assert (basis.dim, basis.pivots, basis.rows) == (oracle.dim, oracle.pivots, oracle.rows)
+        for basis, oracle in forks:
+            for row in rows:
+                assert basis.insert(row) == oracle.insert(row)
 
 
 class TestRank:
