@@ -454,8 +454,8 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
     walk_rank = n iff lie_dim = n^2, plus the span identity.  No graph
     hypotheses are involved.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if type(samples) is not int or samples < 1:  # bool is an int subclass
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     counts: Counter = Counter()
     violations: list = []
     rng = random.Random(seed)

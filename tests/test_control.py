@@ -339,6 +339,12 @@ class TestLieClosure:
         assert str(exc.value) == (
             "order 3 exceeds the Lie-closure cap 2; pass a larger max_order argument to override")
 
+    @pytest.mark.parametrize("bad", ["5", 5.0, True, False, 0, -5])
+    def test_max_order_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError) as exc:
+            lie_closure([matrix([[0, 1], [1, 0]])], max_order=bad)
+        assert str(exc.value) == f"max_order must be a positive integer, got {bad!r}"
+
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy(max_side=3))
     def test_matches_fixpoint_oracle(self, inst):

@@ -181,6 +181,31 @@ def wavefront(g):
     return forcing._wavefront(forcing._masks(g), g.vertices, forcing._mask(g.vertices))
 
 
+def seeded_graphs():
+    """150 seeded graphs of order 6..9 at four densities."""
+    rng = random.Random(1723)
+    for _ in range(150):
+        n = rng.randint(6, 9)
+        p = rng.choice((0.15, 0.3, 0.5, 0.75))
+        yield graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+def wavefront_closures(monkeypatch, gs) -> int:
+    """The ``_close`` calls ``_wavefront`` makes over the graphs ``gs``."""
+    calls = 0
+    close = forcing._close
+
+    def counted(nb, black):
+        nonlocal calls
+        calls += 1
+        return close(nb, black)
+
+    monkeypatch.setattr(forcing, "_close", counted)
+    for g in gs:
+        wavefront(g)
+    return calls
+
+
 class TestWavefront:
     def test_matches_bruteforce_on_every_small_graph(self):
         # isolated vertices and disconnected graphs included
@@ -188,13 +213,27 @@ class TestWavefront:
             assert wavefront(g) == min_zfs_size_bruteforce(adjacency_sets(g), g.order), g
 
     def test_matches_bruteforce_on_seeded_random_graphs(self):
-        rng = random.Random(1723)
-        for _ in range(150):
-            n = rng.randint(6, 9)
-            p = rng.choice((0.15, 0.3, 0.5, 0.75))
-            g = graph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
-                          if rng.random() < p])
+        for g in seeded_graphs():
             assert wavefront(g) == min_zfs_size_bruteforce(adjacency_sets(g), g.order), g
+
+    def test_a_costly_first_full_mask_does_not_hide_z(self):
+        # the first full mask queued is N[1], coloured from the empty mask for
+        # 3; the cheaper path colours 2 and then 3 for 1 each, and 1 forces 4
+        g = graph(4, [(1, 2), (1, 3), (1, 4)])
+        assert min_zfs_size_bruteforce(adjacency_sets(g), g.order) == 2
+        assert wavefront(g) == 2
+
+    # closures made with the bound in place; without it they were 4,543 and 5,092
+
+    def test_bound_saves_closures_on_seeded_random_graphs(self, monkeypatch):
+        assert wavefront_closures(monkeypatch, seeded_graphs()) <= 2_585
+
+    def test_bound_saves_closures_on_the_spider(self, monkeypatch):
+        # nine legs of length 2 on vertex 1, order 19: the slowest search at the cap
+        g = graph(19, [(1, 2 * i) for i in range(1, 10)] + [(2 * i, 2 * i + 1) for i in range(1, 10)])
+        assert wavefront_closures(monkeypatch, [g]) <= 4_448
+        monkeypatch.undo()
+        assert wavefront(g) == 8
 
     # closed forms past brute force: the twin classes keep each search small
 
@@ -307,6 +346,12 @@ class TestMinZfs:
     def test_explicit_max_order_beats_env(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "3")
         assert min_zfs(path_graph(4), max_order=4)[0] == 1
+
+    @pytest.mark.parametrize("bad", ["5", 5.0, True, False, 0, -5])
+    def test_max_order_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError) as exc:
+            min_zfs(path_graph(4), max_order=bad)
+        assert str(exc.value) == f"max_order must be a positive integer, got {bad!r}"
 
     def test_refusal_names_what_overrides_the_cap(self, monkeypatch):
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)

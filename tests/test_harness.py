@@ -565,6 +565,12 @@ class TestSweepSingleVector:
         with pytest.raises(ValueError):
             sweep_single_vector(0, 1)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", -1])
+    def test_samples_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError) as exc:
+            sweep_single_vector(bad, 1)
+        assert str(exc.value) == f"samples must be a positive integer, got {bad!r}"
+
     def test_json_is_loadable(self):
         out = sweep_single_vector(5, 2)
         doc = json.loads(out.to_json())
