@@ -257,15 +257,17 @@ def _span_parts(u, w) -> list:
 
     The span of outer products u w^T is closed under transpose, so u w^T
     and w u^T enter it through their symmetric part u w^T + w u^T and skew
-    part u w^T - w u^T (only the former when u = w), an invertible change
-    of generators.  Both parts go into one echelon basis of ambient n^2
-    whose coordinates are the i <= j entries of a symmetric matrix followed
-    by the i < j entries of a skew one, so a part is zero on the other block
-    and only meets rows of its own kind.  Each part is a genuine integer
-    element of the span, so a dimension modulo a prime is still at most the
-    exact one; modulo 2 the change of generators is not invertible (the
-    symmetric part has an even diagonal), and there the span can come out
-    smaller.
+    part u w^T - w u^T (u u^T alone when u = w), an invertible change of
+    generators.  Both parts go into one echelon basis of ambient n^2 whose
+    coordinates are the i <= j entries of a symmetric matrix followed by the
+    i < j entries of a skew one, so a part is zero on the other block.
+
+    ``_extend_state`` passes echelon rows u, w with pivots c_u < c_w (or
+    u = w).  Then each part is zero before packed position (c_u, c_w) of
+    its block and holds u[c_u] * w[c_w] there (u[c_u]^2 for u = w): a
+    product of pivot entries, never the doubled diagonal entry 2 u_i w_i.
+    So the parts of distinct row pairs have distinct leading positions and
+    stay independent modulo every prime, 2 included.
     """
     n = len(u)
     if u == w:
@@ -520,17 +522,20 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
         |G| generators).
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
-        going past 16 emits a warning.  This closure returns a basis, so
-        it always runs exactly, never modulo the prime: with
-        ``control_generators`` of a ``random:7`` matrix and S = {1} the
-        complete graph took 0.47 s at n = 12, 3.0 s at n = 14 and 14 s
-        at n = 16, the path and the cycle 0.3 s or less at n = 16
-        (2-CPU x86, Python 3.11).
+        an exact closure past 16 emits a warning.
+
+    The closure is first run modulo the prime when ``cap`` allows n^2.  A
+    full dimension there proves the rational one, and the canonical basis
+    of gl(n, R) is the unit matrices, so that basis is returned at once
+    (``MatrixSpaceBasis.full``).  Any other closure runs exactly: with
+    ``control_generators`` of a ``random:7`` matrix and S = {1} the exact
+    closure of the complete graph took 3.1 s at n = 14 and 15 s at n = 16,
+    its modular one 0.19 s at n = 16 (2-CPU x86, Python 3.11).
 
     Returns:
       (dim, basis) with basis the MatrixSpaceBasis of the closure in
-      row-major coordinates, computed exactly; its canonical reduced form
-      is what ``vectors()``, ``matrices()`` and ``==`` read.
+      row-major coordinates, exact; its canonical reduced form is what
+      ``vectors()``, ``matrices()`` and ``==`` read.
 
     Raises:
       ValueError: no generators, mismatched sides, a generator that is not
@@ -546,10 +551,12 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         if not m.is_symmetric():
             raise ValueError("generators must be symmetric")
     check_lie_order(n, max_order)
-    _warn_if_past_default(n)
     if cap is None:
         cap = n * n
     int_gens = [g for g in map(_int_rows, mats) if g is not None]
+    if cap >= n * n and _LieEngine(n, _PRIME).extend(int_gens, n * n) == n * n:
+        return n * n, MatrixSpaceBasis.full(n)
+    _warn_if_past_default(n)
     engine = _LieEngine(n)
     dim = engine.extend(int_gens, cap)
     basis = MatrixSpaceBasis(n)
@@ -626,8 +633,9 @@ class _NodeState:
     A fresh state is the root: the empty control set, with A alone in the
     Lie closure; ``_extend_state`` adds one control vertex.  ``parts``
     names the bases the state holds; the others are None and never grown,
-    so a caller pays only for what it reads.  With a prime ``modulus``
-    every part runs modulo it.
+    so a caller pays only for what it reads.  The span grows from the
+    walk's echelon rows, so the walk is kept whenever the span is.  With a
+    prime ``modulus`` every part runs modulo it.
     """
 
     __slots__ = ("modulus", "walk", "pspan", "lie")
@@ -635,7 +643,7 @@ class _NodeState:
     def __init__(self, session: _Session, modulus=None, parts=_PARTS):
         n = session.n
         self.modulus = modulus
-        self.walk = intlinalg.EchelonBasis(n, modulus) if "walk" in parts else None
+        self.walk = intlinalg.EchelonBasis(n, modulus) if {"walk", "pspan"} & set(parts) else None
         self.pspan = intlinalg.EchelonBasis(n * n, modulus) if "pspan" in parts else None
         self.lie = None
         if "lie" in parts:
@@ -653,35 +661,46 @@ class _NodeState:
 
 
 def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) -> None:
-    """Grow a parent's bases by control vertex j (members already include j).
+    """Grow a parent's bases by control vertex j; ``members``, the grown set, names the node.
 
-    The walk columns are read only when a walk or span part still grows, so
-    a Lie-only state never builds them.
+    The walk takes the columns of j; the product span then grows from the
+    walk's echelon rows, not from the columns.  By bilinearity the outer
+    products of the walk columns span what the outer products of any basis
+    of their span do, so the span's new elements are the ``_span_parts`` of
+    the row pairs (r_a, r_b), r_a at or before r_b in pivot order, with at
+    least one of them new.  With pivots c_a <= c_b such a part is zero
+    before packed position (c_a, c_b) of its own block and nonzero there.
+    A new walk row is zero on every older walk pivot, so a new part is zero
+    on every span pivot stored before this call; the symmetric parts go in
+    by ascending (c_a, c_b), then the skew parts, so each is zero on the
+    pivots of the batch before it too.  So every insert grows and none makes
+    a row operation, and the span's dimension is the square of the walk's.
+    Modulo p each part is a nonzero multiple of the reduction of an integer
+    element of the span, so its dimension there is still at most the exact
+    one.  The walk columns are read only when the walk still grows, so a
+    Lie-only state never builds them.
     """
     n = session.n
     if state.lie is not None:
         state.lie.extend([_projector_rows(n, j - 1)], n * n)
     walk, span = state.walk, state.pspan
-    amb = n * n
-    walk_open = walk is not None and walk.dim < n
-    span_open = span is not None and span.dim < amb
-    if not (walk_open or span_open):
+    if walk is None or walk.dim == n:
         return
-    cols_j = session.columns(j, state.modulus)
-    if walk_open:
-        for col in cols_j:
-            walk.insert(col)
-    if not span_open:
+    old = set(walk.pivots)
+    for col in session.columns(j, state.modulus):
+        walk.insert(col)
+    if span is None or len(old) == walk.dim:
         return
-    # new span products are exactly the pairs involving j, each unordered
-    # pair of columns taken once; stop as soon as either part fills the span
-    for k in members:
-        cols_k = session.columns(k, state.modulus)
-        for m, ckm in enumerate(cols_k):
-            for ckj in cols_j[m if k == j else 0:]:
-                for part in _span_parts(ckm, ckj):
-                    if span.insert(part) and span.dim == amb:
-                        return
+    rows = [(c in old, row) for c, row in zip(walk.pivots, walk.rows)]
+    sym, skew = [], []
+    for a, (old_a, r_a) in enumerate(rows):
+        for old_b, r_b in rows[a:]:
+            if not (old_a and old_b):
+                sym_part, *skew_part = _span_parts(r_a, r_b)
+                sym.append(sym_part)
+                skew += skew_part
+    for part in sym + skew:
+        span.insert(part)
 
 
 def _grow(session: _Session, subsets, modulus=None, parts=_PARTS) -> dict:
@@ -773,12 +792,12 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 
     Since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product is the
     outer product u w^T of two walk-matrix columns, and the products over
-    all pairs k, j in S are the outer products of all pairs of columns.
-    That set is closed under transpose, so it spans what the symmetric and
-    skew parts of u w^T span over unordered pairs {u, w}, which is what is
-    inserted (see ``_span_parts``).  Each column is scaled to a primitive
-    integer vector and zero columns are skipped, which changes no span.
-    Insertion stops early only when the span is already all of gl(n, R).
+    all pairs k, j in S are the outer products of all pairs of columns.  By
+    bilinearity those span what the outer products of any basis of the
+    columns' span do, so the span grows from the walk's echelon rows: as a
+    control vertex adds rows, the symmetric and skew parts of each new row
+    pair go in (see ``_extend_state`` and ``_span_parts``).  Every such
+    insert grows the span, which therefore has dimension walk_rank^2.
 
     The result is exact.  The span is first taken modulo a prime, where
     n^2 certifies n^2; any smaller result is recomputed exactly.
@@ -903,6 +922,13 @@ def _consistency(n: int, walk_rank: int, p_dim: int, lie_dim: int, zfs_status: b
     hypotheses hold); the ``_zfs_implies_lie`` record; and p_span_dim =
     walk_rank^2, unconditionally.  ``analyze`` reports these records and
     the sweeps count them, so both read one rule.
+
+    The engine grows the span from the walk's echelon rows, r^2 independent
+    parts for walk rank r (``_extend_state``), so span_dimension_identity
+    holds by construction and checks the engine against itself.  The
+    independent checks are the oracles' literal products
+    (``tests/oracles.py::pspan_dim_bruteforce``) for the span and
+    kalman_iff_lie, whose Lie dimension no walk row enters, for the walk.
     """
     if not hyp:
         kalman_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)

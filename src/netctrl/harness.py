@@ -102,8 +102,9 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.max_order <= MAX_SWEEP_ORDER):
-            raise ValueError(f"max_order must be in 1..{MAX_SWEEP_ORDER}, got {self.max_order}")
+        # bool is an int subclass, as in forcing.check_order
+        if type(self.max_order) is not int or not 1 <= self.max_order <= MAX_SWEEP_ORDER:
+            raise ValueError(f"max_order must be an int in 1..{MAX_SWEEP_ORDER}, got {self.max_order!r}")
         kinds = () if isinstance(self.matrix_kinds, str) else tuple(self.matrix_kinds)
         if not kinds:
             raise ValueError(f"matrix_kinds must be a nonempty tuple of kinds, got {self.matrix_kinds!r}")

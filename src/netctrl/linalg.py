@@ -143,7 +143,8 @@ class MatrixSpaceBasis:
     Reading the basis (``vectors``, ``matrices``, ``==``) computes the
     reduced row-echelon form of the span with leading entries 1, a
     canonical representative: two spans are equal iff their bases compare
-    equal.  Mutation happens only through :meth:`insert` (single writer).
+    equal.  Mutation happens only through :meth:`insert` (single writer);
+    :meth:`full` builds the whole space without it.
     """
 
     def __init__(self, side: int):
@@ -151,6 +152,20 @@ class MatrixSpaceBasis:
             raise ValueError("matrix side must be >= 1")
         self.side = side
         self._inner = intlinalg.EchelonBasis(side * side)
+
+    @classmethod
+    def full(cls, side: int) -> "MatrixSpaceBasis":
+        """All n-by-n matrices, spanned by the unit matrices.
+
+        Their vectors are the n^2 unit rows with pivots 0 .. n^2 - 1, which
+        is already the canonical reduced form, so the rows are set directly
+        instead of inserted one by one.
+        """
+        basis = cls(side)
+        amb = side * side
+        basis._inner.rows = [tuple(int(i == k) for i in range(amb)) for k in range(amb)]
+        basis._inner.pivots = list(range(amb))
+        return basis
 
     @property
     def dim_ambient(self) -> int:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,10 +37,10 @@ from netctrl import (
     report_from_dict,
     walk_matrix,
 )
-from netctrl import control
+from netctrl import control, harness
 from netctrl.control import _LieEngine, _Session, _ad_map, _packing, _span_parts, control_generators
 from netctrl.intlinalg import EchelonBasis, int_commutator, primitive
-from netctrl.linalg import mat_mul
+from netctrl.linalg import MatrixSpaceBasis, mat_mul
 
 from . import oracles
 
@@ -263,6 +264,51 @@ class TestProductSpan:
                     span.insert(part)
         assert span.dim == oracles.pspan_dim_bruteforce(entries, s)
 
+    @pytest.mark.parametrize("g, kind", [
+        (cycle_graph(3), "adjacency"), (cycle_graph(4), "adjacency"),
+        (complete_graph(4), "adjacency"), (cycle_graph(4), "random:2"), (path_graph(4), "random:3"),
+    ], ids=["C3", "C4", "K4", "C4-random:2", "P4-random:3"])
+    def test_every_subset_matches_literal_products(self, monkeypatch, g, kind):
+        # the cycles and K4 have deficient walks on some sets; small primes
+        # make the modular walk deficient on more and send them exact
+        a = build_matrix(g, kind)
+        entries = [[int(x) for x in row] for row in a.matrix.entries]
+        for k in range(1, g.order + 1):
+            for s in itertools.combinations(range(1, g.order + 1), k):
+                want = oracles.pspan_dim_bruteforce(entries, s)
+                for p in (control._PRIME, 2, 3, 5):
+                    monkeypatch.setattr(control, "_PRIME", p)
+                    assert p_span_dim(a, s) == want, (s, p)
+
+    def test_span_inserts_grow_without_row_operations(self, monkeypatch):
+        # a new span part is zero on every stored pivot, so reducing it
+        # makes no row operation, and it is never already in the span
+        seen = {"inserts": 0, "modular": 0}
+        real = EchelonBasis.insert
+
+        def checking(basis, values):
+            caller = sys._getframe(1)
+            if caller.f_code is not control._extend_state.__code__ or basis is not caller.f_locals["span"]:
+                return real(basis, values)
+            p = basis.modulus
+            hit = [c for c in basis.pivots if (values[c] % p if p else values[c])]
+            assert not hit, f"a span part meets stored pivots {hit}"
+            row = real(basis, values)
+            assert row is not None, "a span part did not grow the span"
+            seen["inserts"] += 1
+            seen["modular"] += p is not None
+            return row
+
+        monkeypatch.setattr(EchelonBasis, "insert", checking)
+        cfg = harness.SweepConfig(max_order=4, matrix_kinds=("adjacency", "random:4"))
+        assert harness.sweep_equivalence(cfg).passed
+        assert harness.sweep_zfs_implication(cfg).passed
+        exact = seen["inserts"]
+        assert exact > 0
+        rep = analyze(build_matrix(cycle_graph(6), "random:1"), (1, 4))
+        assert (rep.walk_rank, rep.p_span_dim) == (6, 36)
+        assert seen["modular"] == seen["inserts"] - exact == 36
+
     @settings(max_examples=40, deadline=None)
     @given(symmetric_strategy())
     def test_equals_walk_rank_squared(self, inst):
@@ -291,6 +337,66 @@ class TestLieClosure:
         a = pattern_matrix(MIXED_CYCLE)
         dim, _ = lie_closure(control_generators(a, (1, 3)))
         assert dim == 8
+
+    @staticmethod
+    def _exact_closure(gens):
+        """The closure's basis built by the exact engine and inserted element by element."""
+        n = gens[0].rows
+        engine = _LieEngine(n)
+        dim = engine.extend([g for g in map(control._int_rows, gens) if g is not None], n * n)
+        basis = MatrixSpaceBasis(n)
+        for parity, packed in engine.elems:
+            basis.insert(engine._matrix(parity, packed))
+        return dim, basis
+
+    @staticmethod
+    def _engine_runs(monkeypatch):
+        runs = []
+        real = control._LieEngine
+        monkeypatch.setattr(control, "_LieEngine",
+                            lambda side, modulus=None: runs.append(modulus) or real(side, modulus))
+        return runs
+
+    @pytest.mark.parametrize("gens", [
+        [matrix([[2]])],
+        control_generators(adjacency_matrix(path_graph(4)), (2,)),
+        control_generators(random_same_sign_matrix(complete_graph(5), 7), (1,)),
+    ], ids=["scalar", "P4", "K5-random:7"])
+    def test_full_closure_is_the_unit_basis(self, monkeypatch, gens):
+        want_dim, want = self._exact_closure(gens)
+        runs = self._engine_runs(monkeypatch)
+        dim, basis = lie_closure(gens)
+        n = basis.side
+        # the modular closure alone: no exact engine ran
+        assert runs == [control._PRIME]
+        assert dim == want_dim == basis.dim == n * n
+        assert basis == want and basis.vectors() == want.vectors()
+        assert basis == MatrixSpaceBasis.full(n)
+
+    def test_deficient_closure_is_the_exact_basis(self, monkeypatch):
+        gens = control_generators(pattern_matrix(MIXED_CYCLE), (1, 3))
+        want_dim, want = self._exact_closure(gens)
+        runs = self._engine_runs(monkeypatch)
+        dim, basis = lie_closure(gens)
+        assert runs == [control._PRIME, None]
+        assert dim == want_dim == 8
+        assert basis == want and basis.vectors() == want.vectors()
+
+    def test_capped_closure_runs_exactly(self, monkeypatch):
+        gens = control_generators(adjacency_matrix(path_graph(4)), (2,))
+        runs = self._engine_runs(monkeypatch)
+        dim, basis = lie_closure(gens, cap=5)
+        assert runs == [None] and dim == basis.dim == 5
+
+    @settings(max_examples=25, deadline=None)
+    @given(symmetric_strategy(max_side=3))
+    def test_matches_the_exact_closure(self, inst):
+        a, s = inst
+        gens = control_generators(a, s)
+        dim, basis = lie_closure(gens)
+        want_dim, want = self._exact_closure(gens)
+        assert dim == want_dim
+        assert basis == want and basis.vectors() == want.vectors()
 
     def test_cap_stops_early(self):
         a = adjacency_matrix(path_graph(4))
@@ -646,9 +752,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("g, s, most", [(path_graph(4), (2,), 8), (cycle_graph(6), (1,), 12)],
                              ids=["P4", "C6"])
     def test_walk_is_not_rebuilt_per_decision(self, monkeypatch, g, s, most):
-        # the walk is one modular pass, plus one exact pass when deficient
-        # (the cycle): 4 and 12 inserts, where three separate decisions took
-        # 12 and 24
+        # the walk is one modular pass, one more under the modular span that
+        # grows from its rows, or one exact pass when deficient (the cycle):
+        # 8 and 12 inserts, where three separate decisions took 12 and 24
         a = adjacency_matrix(g)
         walk_inserts = []
         real = EchelonBasis.insert
@@ -748,7 +854,8 @@ class TestModularRoute:
         # no modular attempt at the span or the closure, which could not be full
         assert p_span_dim(a, [1]) == 4
         assert lie_controllable(a, [1]) == (True, 4)
-        assert grown()[2:] == [(2, {"walk": 1}), (None, {"pspan": 4}),
+        # the span's state holds the walk, whose echelon rows it grows from
+        assert grown()[2:] == [(2, {"walk": 1}), (None, {"walk": 2, "pspan": 4}),
                                (2, {"walk": 1}), (None, {"lie": 4})]
 
     def test_walk_is_cleared_before_reduction(self, monkeypatch):

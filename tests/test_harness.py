@@ -60,6 +60,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(max_order=8)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None, 0, -1])
+    def test_max_order_must_be_an_int_in_range(self, bad):
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(max_order=bad)
+        assert str(exc.value) == f"max_order must be an int in 1..7, got {bad!r}"
+
     def test_bad_kinds_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(max_order=2, matrix_kinds=())
