@@ -252,6 +252,15 @@ def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*cols)))
 
 
+_SYM, _SKEW = 0, 1
+
+
+@lru_cache(maxsize=None)
+def _packing(n: int, parity: int) -> list:
+    """The (i, j) positions a packed matrix of this parity stores, in order."""
+    return [(i, j) for i in range(n) for j in range(i + parity, n)]
+
+
 def _span_parts(u, w) -> list:
     """The packed parts of the outer product u w^T: symmetric, then skew unless u = w.
 
@@ -259,8 +268,8 @@ def _span_parts(u, w) -> list:
     and w u^T enter it through their symmetric part u w^T + w u^T and skew
     part u w^T - w u^T (u u^T alone when u = w), an invertible change of
     generators.  Both parts go into one echelon basis of ambient n^2 whose
-    coordinates are the i <= j entries of a symmetric matrix followed by the
-    i < j entries of a skew one, so a part is zero on the other block.
+    coordinates are the ``_packing`` of a symmetric matrix followed by that
+    of a skew one, so a part is zero on the other block.
 
     ``_extend_state`` passes echelon rows u, w with pivots c_u < c_w (or
     u = w).  Then each part is zero before packed position (c_u, c_w) of
@@ -270,26 +279,12 @@ def _span_parts(u, w) -> list:
     stay independent modulo every prime, 2 included.
     """
     n = len(u)
+    sym_at, skew_at = _packing(n, _SYM), _packing(n, _SKEW)
     if u == w:
-        return [[x * y for i, x in enumerate(u) for y in u[i:]] + [0] * (n * (n - 1) // 2)]
-    sym, skew = [], []
-    for i in range(n):
-        ui, wi = u[i], w[i]
-        sym.append(2 * ui * wi)
-        for j in range(i + 1, n):
-            a, b = ui * w[j], wi * u[j]
-            sym.append(a + b)
-            skew.append(a - b)
+        return [[u[i] * u[j] for i, j in sym_at] + [0] * len(skew_at)]
+    sym = [u[i] * w[j] + w[i] * u[j] for i, j in sym_at]
+    skew = [u[i] * w[j] - w[i] * u[j] for i, j in skew_at]
     return [sym + [0] * len(skew), [0] * len(sym) + skew]
-
-
-_SYM, _SKEW = 0, 1
-
-
-@lru_cache(maxsize=None)
-def _packing(n: int, parity: int) -> list:
-    """The (i, j) positions a packed matrix of this parity stores, in order."""
-    return [(i, j) for i in range(n) for j in range(i + parity, n)]
 
 
 @lru_cache(maxsize=None)
@@ -401,10 +396,8 @@ class _LieEngine:
 
     def __init__(self, side: int, modulus=None):
         self.side = side
-        self.bases = (
-            intlinalg.EchelonBasis(side * (side + 1) // 2, modulus),
-            intlinalg.EchelonBasis(side * (side - 1) // 2, modulus),
-        )
+        self.bases = tuple(intlinalg.EchelonBasis(len(_packing(side, parity)), modulus)
+                           for parity in (_SYM, _SKEW))
         self.dim = 0
         self.elems: list = []
         self.gens: list = []
@@ -478,7 +471,7 @@ class _LieEngine:
         for gen in int_generators:
             if self.dim >= cap:
                 return self.dim
-            packed = self._normalize([v for i, row in enumerate(gen) for v in row[i:]])
+            packed = self._normalize([gen[i][j] for i, j in _packing(self.side, _SYM)])
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
@@ -660,8 +653,8 @@ class _NodeState:
         return dup
 
 
-def _extend_state(state: _NodeState, session: _Session, members: tuple, j: int) -> None:
-    """Grow a parent's bases by control vertex j; ``members``, the grown set, names the node.
+def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
+    """Grow a parent's bases by control vertex j.
 
     The walk takes the columns of j; the product span then grows from the
     walk's echelon rows, not from the columns.  By bilinearity the outer
@@ -724,7 +717,7 @@ def _grow(session: _Session, subsets, modulus=None, parts=_PARTS) -> dict:
         for j in children:
             members = parent + (j,)
             state = base if j == children[-1] else base.copy()
-            _extend_state(state, session, members, j)
+            _extend_state(state, session, j)
             if members in dims:
                 dims[members] = tuple(getattr(state, name).dim for name in parts)
             if members in kids:
@@ -735,38 +728,39 @@ def _grow(session: _Session, subsets, modulus=None, parts=_PARTS) -> dict:
 def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     """The exact dimensions named by ``parts`` for (A, members), in that order.
 
-    This is the one place that chooses between the modular and the exact
-    route.  Each stage grows its parts for the one set by ``_grow``.  Modulo
-    the prime a dimension is at most the rational one, so a full one (walk
-    rank n, span or Lie dimension n^2) proves it; any other is recomputed
-    over the integers.
+    The one place that chooses between the modular and the exact route,
+    and the decisions' one check of the Lie-closure cap, made before any
+    work when ``parts`` names the Lie part.  Modulo the prime a dimension
+    is at most the rational one, so a full one (walk rank n, span or Lie
+    dimension n^2) proves it.  Each stage grows its parts by ``_grow``:
 
-    The walk is taken first, alone, modulo the prime.  When its rank there
-    is below n, the modular span and closure cannot be full either, so
-    every part goes straight to the exact route.  Every product part has
-    its image in the span U of the reduced walk columns, a proper subspace.
-    The Krylov space of A modulo the prime from the e_j (j in S) lies in U,
-    so it is proper too; it holds each e_j and is mapped into itself by A
-    and by each e_j e_j^T, hence by every bracket, which not every matrix
-    does.  Skipping those modular attempts saves their cost and changes no
-    answer, since the exact route decides alone.  The modular walk pays
-    off at large n: at n = 60 the exact one is two orders of magnitude
-    slower, though at n <= 8 it is a little faster.
+    1. Modulo the prime, the walk, and in the same state the span when it
+       is asked (it grows from the walk's rows with no row operation).
+    2. Modulo the prime, the Lie closure, on a full walk only.  Otherwise
+       the Krylov space of A from the e_j (j in S) is proper there; it
+       holds each e_j and is mapped into itself by A and each e_j e_j^T,
+       hence by every bracket, which not every matrix does, so the closure
+       cannot be full.  Skipping it took ``analyze`` with S = {1} on the
+       adjacency matrices of cycle-16 and complete-16 from 17 and 9 ms to
+       12 and 4 ms (2-CPU x86, Python 3.11).
+    3. Exactly, only the parts that came out short.
+
+    The modular walk pays off at large n: at n = 60 the exact one is two
+    orders of magnitude slower, though at n <= 8 it is a little faster.
     """
     n = a.n
+    if "lie" in parts:
+        check_lie_order(n)
     session = _Session(a)
     full = {"walk": n, "pspan": n * n, "lie": n * n}
 
     def grown(modulus, held) -> dict:
         return dict(zip(held, _grow(session, [members], modulus, held)[members]))
 
-    dims = grown(_PRIME, ("walk",))
-    exact = parts
-    if dims["walk"] == n:
-        rest = [name for name in parts if name != "walk"]
-        if rest:
-            dims.update(grown(_PRIME, rest))
-        exact = [name for name in parts if dims[name] < full[name]]
+    dims = grown(_PRIME, ("walk", "pspan") if "pspan" in parts else ("walk",))
+    if "lie" in parts and dims["walk"] == n:
+        dims.update(grown(_PRIME, ("lie",)))
+    exact = [name for name in parts if dims.get(name, 0) < full[name]]
     if exact:
         if "lie" in exact:
             _warn_if_past_default(n, stacklevel=4)
@@ -799,8 +793,8 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     pair go in (see ``_extend_state`` and ``_span_parts``).  Every such
     insert grows the span, which therefore has dimension walk_rank^2.
 
-    The result is exact.  The span is first taken modulo a prime, where
-    n^2 certifies n^2; any smaller result is recomputed exactly.
+    The result is exact.  The span is first grown modulo a prime, with its
+    walk, where n^2 certifies n^2; any smaller result is recomputed exactly.
 
     Raises:
       ValueError: empty control set or labels out of range.
@@ -812,19 +806,17 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 def lie_controllable(a: PatternMatrix, s) -> tuple:
     """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S}).
 
-    Both are exact.  The closure is first run modulo a prime, where n^2
-    certifies n^2; any smaller dimension is recomputed by the same engine
-    over the integers, which only counts the dimension (``lie_closure``
-    also builds the canonical basis it returns).  Past the default order
-    cap that exact route warns, as ``lie_closure`` does.
+    Both are exact.  The closure is first run modulo a prime (on a full
+    walk there), where n^2 certifies n^2; any other dimension is recomputed
+    by the same engine over the integers, which only counts the dimension
+    (``lie_closure`` also builds the canonical basis it returns).  Past the
+    default order cap that exact route warns, as ``lie_closure`` does.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past
-        the Lie-closure cap.
+        the Lie-closure cap (checked by ``_dimensions`` before any work).
     """
-    members = _control_set(a, s)
-    check_lie_order(a.n)
-    (dim,) = _dimensions(a, members, ("lie",))
+    (dim,) = _dimensions(a, _control_set(a, s), ("lie",))
     return dim == a.n * a.n, dim
 
 
@@ -950,14 +942,13 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     The consistency records are those of ``_consistency``: the equivalence
     of the Kalman and Lie verdicts and the forcing-set implication under
     the hypotheses of ``_hypotheses``, plus the unconditional identity
-    p_span_dim = walk_rank^2.
+    p_span_dim = walk_rank^2.  One ``_dimensions`` call grows all three.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past
-        the Lie-closure cap (checked before any work is done).
+        the Lie-closure cap (checked by ``_dimensions`` before any work).
     """
     members = _control_set(a, s)
-    check_lie_order(a.n)
     walk_rank, p_dim, lie_dim = _dimensions(a, members, _PARTS)
     zfs_status = is_zfs(a.pattern, members)
     hypotheses = _hypotheses(a)

@@ -11,20 +11,21 @@ one neighbour map of the edge list, each built for what it serves:
   makes the chronicle deterministic.  A heap of eligible forcers takes
   O(m log n) time in O(m) memory, independent of the declared order, so
   ``netctrl zfs --set`` works at any order.
-* ``_close`` is the kernel of the exhaustive queries, ``min_zfs`` and the
-  sweeps' forcing maps.  It runs on Python ints, bit v for vertex v, over
-  a neighbour-mask table from ``_masks``.  The table takes O(n^2) bits, so
+* ``_close`` is the kernel of the exhaustive queries: ``min_zfs`` and
+  ``zfs_statuses``, the sweeps' forcing maps (kept out of the package's
+  public names).  It runs on Python ints, bit v for vertex v, over a
+  neighbour-mask table from ``_masks``.  The table takes O(n^2) bits, so
   it serves only queries already capped by order, never ``closure``: do
   not merge the two.
 
 ``min_zfs`` finds the zero forcing number Z by the wavefront search of
-``_wavefront``, then scans candidate masks of size Z in lexicographic
-vertex order and returns the first that turns every vertex black: the
-lexicographically least forcing set of minimum size, which ``is_zfs``
-confirms.  Both halves cost: on the spider with nine legs of length 2
-(order 19), the slowest graph seen at the exhaustive-search cap, the
-wavefront makes 4,448 closures and the scan 42,486, about 0.3 s in all
-(2-CPU x86, Python 3.11).
+``_wavefront``, then scans the candidate masks of size Z alone, in
+lexicographic vertex order, and returns the first that turns every vertex
+black: the lexicographically least forcing set of minimum size, which
+``is_zfs`` confirms.  Both halves cost: on the spider with nine legs of
+length 2 (order 19), the slowest graph seen at the exhaustive-search cap,
+the wavefront makes 4,448 closures and the scan 42,486, about 0.3 s in
+all (2-CPU x86, Python 3.11).
 """
 
 from __future__ import annotations
@@ -139,6 +140,12 @@ def _close(nb: list, black: int) -> int:
     return black
 
 
+def zfs_statuses(g: Graph, subsets) -> dict:
+    """{s: whether s is a zero forcing set of g} for each vertex tuple s in ``subsets``."""
+    nb, full = _masks(g), _mask(g.vertices)
+    return {s: _close(nb, _mask(s)) == full for s in subsets}
+
+
 def _wavefront(nb: list, vertices, full: int) -> int:
     """Z(G) by a least-cost search over closed masks (the wavefront search of
     Brimkov, Fast & Hicks, "Computational approaches for zero forcing and
@@ -207,12 +214,13 @@ def _wavefront(nb: list, vertices, full: int) -> int:
 def min_zfs(g: Graph, max_order=None) -> tuple:
     """Exact zero forcing number with a lexicographically-least witness.
 
-    ``_wavefront`` finds Z(G) first.  Then candidate sets are scanned by
-    increasing size from Z(G), in lexicographic order within each size, and
-    the first success is returned, so the witness is the lexicographically
-    least forcing set of minimum size.  Each candidate is one vertex mask
-    closed by ``_close``; only the winner becomes a vertex tuple.  The scan
-    of the final size is what still costs, up to C(n, Z) closures, so the
+    ``_wavefront`` finds Z(G) first.  Then the candidate sets of size Z(G)
+    alone are scanned in lexicographic order and the first success is
+    returned, so the witness is the lexicographically least forcing set of
+    minimum size.  A scan with no success means the wavefront reported a Z
+    below the true one, and raises AssertionError.  Each candidate is one
+    vertex mask closed by ``_close``; only the winner becomes a vertex
+    tuple.  The scan is what still costs, up to C(n, Z) closures, so the
     search is exponential: guarded by ``max_order`` (default 20, or the
     NETCTRL_MAX_ORDER environment variable; pass a positive int explicitly
     for larger graphs).  At the cap the worst case was the spider with
@@ -225,8 +233,8 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     nb = _masks(g)
     full = _mask(g.vertices)
     bits = [1 << v for v in g.vertices]
-    for k in range(_wavefront(nb, g.vertices, full), n + 1):
-        for cand in itertools.combinations(bits, k):
-            if _close(nb, sum(cand)) == full:
-                return k, tuple(b.bit_length() - 1 for b in cand)
-    raise AssertionError("unreachable: the full vertex set is always a forcing set")
+    z = _wavefront(nb, g.vertices, full)
+    for cand in itertools.combinations(bits, z):
+        if _close(nb, sum(cand)) == full:
+            return z, tuple(b.bit_length() - 1 for b in cand)
+    raise AssertionError(f"unreachable: no forcing set of size {z}, the zero forcing number found")

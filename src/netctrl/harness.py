@@ -286,11 +286,6 @@ def _all_nonempty_subsets(n: int) -> list:
     ]
 
 
-def _zfs_statuses(g: Graph) -> dict:
-    nb, full = forcing._masks(g), forcing._mask(g.vertices)
-    return {s: forcing._close(nb, forcing._mask(s)) == full for s in _all_nonempty_subsets(g.order)}
-
-
 def _subset_family(cfg: SweepConfig, g: Graph, zfs_map: dict, rng) -> list:
     base, count, _ = _parse_policy(cfg.subset_policy)
     if base == "all":
@@ -346,7 +341,7 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
         rows = []
         classes: dict = {}
         for g in batch:
-            zfs_map = _zfs_statuses(g)
+            zfs_map = forcing.zfs_statuses(g, _all_nonempty_subsets(g.order))
             subsets = select(g, zfs_map)
             if not subsets:
                 continue

@@ -133,7 +133,11 @@ def walk_rank_bruteforce(a, members):
 
 
 def pspan_dim_bruteforce(a, members):
-    """Insert every literal product A^m (e_k e_j^T) A^l, no outer shortcut."""
+    """Insert every literal product A^m (e_k e_j^T) A^l, no outer shortcut.
+
+    Stops once the basis holds n^2 products: no span of n-by-n matrices is
+    larger.
+    """
     n = len(a)
     powers = [[[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]]
     for _ in range(n - 1):
@@ -146,11 +150,16 @@ def pspan_dim_bruteforce(a, members):
                 left = mat_mul(powers[m], ekj)
                 for l in range(n):
                     basis.insert(flatten(mat_mul(left, powers[l])))
+                    if basis.dim == n * n:
+                        return basis.dim
     return basis.dim
 
 
 def lie_dim_bruteforce(gens):
-    """All-pairs commutator fixpoint with plain Fraction arithmetic."""
+    """All-pairs commutator fixpoint with plain Fraction arithmetic.
+
+    Stops once the basis holds n^2 elements, all of gl(n).
+    """
     n = len(gens[0])
     basis = FractionBasis(n * n)
     elems = []
@@ -165,6 +174,8 @@ def lie_dim_bruteforce(gens):
             for y in list(elems):
                 c = mat_sub(mat_mul(x, y), mat_mul(y, x))
                 if basis.insert(flatten(c)):
+                    if basis.dim == n * n:
+                        return basis.dim
                     elems.append(c)
                     changed = True
     return basis.dim

@@ -267,7 +267,8 @@ class TestProductSpan:
     @pytest.mark.parametrize("g, kind", [
         (cycle_graph(3), "adjacency"), (cycle_graph(4), "adjacency"),
         (complete_graph(4), "adjacency"), (cycle_graph(4), "random:2"), (path_graph(4), "random:3"),
-    ], ids=["C3", "C4", "K4", "C4-random:2", "P4-random:3"])
+        (cycle_graph(5), "random:3"),
+    ], ids=["C3", "C4", "K4", "C4-random:2", "P4-random:3", "C5-random:3"])
     def test_every_subset_matches_literal_products(self, monkeypatch, g, kind):
         # the cycles and K4 have deficient walks on some sets; small primes
         # make the modular walk deficient on more and send them exact
@@ -749,12 +750,20 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="exceeds the Lie-closure cap 16"):
             analyze(adjacency_matrix(path_graph(40)), [1])
 
-    @pytest.mark.parametrize("g, s, most", [(path_graph(4), (2,), 8), (cycle_graph(6), (1,), 12)],
+    def test_decisions_without_a_lie_part_ignore_the_cap(self, monkeypatch):
+        # the cap guards the Lie closure alone: the walk and the span run on
+        # the path of order 40 with no override set
+        monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
+        a = adjacency_matrix(path_graph(40))
+        assert kalman_controllable(a, [1]) == (True, 40)
+        assert p_span_dim(a, [1]) == 1600
+
+    @pytest.mark.parametrize("g, s, most", [(path_graph(4), (2,), 4), (cycle_graph(6), (1,), 12)],
                              ids=["P4", "C6"])
     def test_walk_is_not_rebuilt_per_decision(self, monkeypatch, g, s, most):
-        # the walk is one modular pass, one more under the modular span that
-        # grows from its rows, or one exact pass when deficient (the cycle):
-        # 8 and 12 inserts, where three separate decisions took 12 and 24
+        # the walk is one modular pass, which the modular span grows from in
+        # the same state, plus one exact pass when deficient (the cycle): 4
+        # and 12 inserts, where three separate decisions took 12 and 24
         a = adjacency_matrix(g)
         walk_inserts = []
         real = EchelonBasis.insert
@@ -851,11 +860,11 @@ class TestModularRoute:
         a = pattern_matrix([[1, 2], [2, 1]])
         assert kalman_controllable(a, [1]) == (True, 2)
         assert grown() == [(2, {"walk": 1}), (None, {"walk": 2})]
-        # no modular attempt at the span or the closure, which could not be full
         assert p_span_dim(a, [1]) == 4
         assert lie_controllable(a, [1]) == (True, 4)
-        # the span's state holds the walk, whose echelon rows it grows from
-        assert grown()[2:] == [(2, {"walk": 1}), (None, {"walk": 2, "pspan": 4}),
+        # the span grows modulo p with the walk it grows from, in one state;
+        # only the closure, which could not be full, is skipped modulo p
+        assert grown()[2:] == [(2, {"walk": 1, "pspan": 1}), (None, {"walk": 2, "pspan": 4}),
                                (2, {"walk": 1}), (None, {"lie": 4})]
 
     def test_walk_is_cleared_before_reduction(self, monkeypatch):

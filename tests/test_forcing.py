@@ -305,6 +305,13 @@ class TestMinZfs:
     def test_matches_a_plain_lexicographic_scan(self, g):
         assert min_zfs(g) == lexicographic_min_zfs(g)
 
+    def test_a_wavefront_below_z_is_caught(self, monkeypatch):
+        # only the size the wavefront reports is scanned, so a Z too low
+        # finds no forcing set there and must not fall through to a larger size
+        monkeypatch.setattr(forcing, "_wavefront", lambda nb, vertices, full: 1)
+        with pytest.raises(AssertionError):
+            min_zfs(cycle_graph(5))
+
     def test_witness_actually_forces(self):
         g = graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
         size, witness = min_zfs(g)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +30,13 @@ from netctrl import (
     violation_from_dict,
 )
 from netctrl import control, harness
+from netctrl.forcing import zfs_statuses
 from netctrl.harness import (
     _all_nonempty_subsets,
     _canonical_labeling,
     _iter_graphs,
     _minimal_members,
     _units,
-    _zfs_statuses,
 )
 
 from . import oracles
@@ -122,8 +123,8 @@ class TestGraphEnumeration:
 class TestSubsetMachinery:
     def test_minimal_members_of_path4(self):
         g = path_graph(4)
-        zfs_map = _zfs_statuses(g)
         family = _all_nonempty_subsets(4)
+        zfs_map = zfs_statuses(g, family)
         assert set(_minimal_members(family, zfs_map)) == {(1,), (4,), (2, 3)}
 
     def test_zfs_statuses_match_is_zfs_on_every_small_graph(self):
@@ -132,15 +133,16 @@ class TestSubsetMachinery:
             for mask in range(1 << len(pairs)):
                 g = graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
                 want = {s: is_zfs(g, s) for s in _all_nonempty_subsets(n)}
-                assert _zfs_statuses(g) == want, g
+                assert zfs_statuses(g, _all_nonempty_subsets(n)) == want, g
 
     def test_grow_walks_the_prefix_tree(self, monkeypatch):
         grown = []
         extend = control._extend_state
 
-        def recording(state, session, members, j):
-            grown.append(members)
-            extend(state, session, members, j)
+        def recording(state, session, j):
+            # the node being grown is _grow's local ``members``
+            grown.append(sys._getframe(1).f_locals["members"])
+            extend(state, session, j)
 
         monkeypatch.setattr(control, "_extend_state", recording)
         dims = control._grow(_session(path_graph(3), "adjacency"), [(1, 2), (1, 3), (2,)])
@@ -485,7 +487,7 @@ class TestSweepZfsImplication:
         expected = 0
         for n in range(1, 4):
             for g in connected_graphs(n):
-                expected += sum(_zfs_statuses(g).values())
+                expected += sum(zfs_statuses(g, _all_nonempty_subsets(n)).values())
         assert expected == 26
         assert out.instances_checked == 26
         assert out.check_counts == {"zfs_implies_lie": 26}
