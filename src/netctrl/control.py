@@ -23,12 +23,10 @@ caller names.  The one-shot decisions pass it a single set; the sweeps in
 ``harness`` pass every subset of a matrix at once and only read the table
 it returns.
 
-Every reported number is exact.  A full result (walk rank n, product-span
-dimension n^2, Lie dimension n^2) is first sought modulo one fixed prime on
-integer-scaled data: each element found there is the reduction of an
-integer combination of genuine elements, so a dimension modulo the prime is
-at most the rational one and a full one proves it.  Only a deficient result
-is recomputed over the integers (``_dimensions``).
+Every reported number is exact.  Each element found modulo one fixed
+prime, on integer-scaled data, reduces an integer combination of genuine
+elements, so a dimension there is at most the rational one: a full one
+proves it, and only a deficient one is recomputed exactly (``_dimensions``).
 """
 
 from __future__ import annotations
@@ -448,13 +446,12 @@ class _LieEngine:
     def _normalize(self, packed):
         """A packed integer element as it is offered; None when it is zero.
 
-        Exact: made primitive.  Modulo p: left for the insert to reduce, so
-        only checked for a nonzero residue.
+        Exact: made primitive.  Modulo p: left for the insert, which drops
+        one that is zero modulo p, as it adds nothing there.
         """
-        p = self.bases[_SYM].modulus
-        if p is None:
+        if self.bases[_SYM].modulus is None:
             return intlinalg.primitive(packed)
-        return packed if any(x % p for x in packed) else None
+        return packed if any(packed) else None
 
     def _bracket(self, ad, elem):
         """[g, elem] packed in the opposite parity and normalized, ``ad`` the map of g; None when zero."""
@@ -509,8 +506,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         rationals), all of one side n.  The closure is computed on its
         symmetric and skew parts separately, which needs every generator
         symmetric.
-      cap: stop once the dimension reaches this value; defaults to n^2,
-        the dimension of gl(n, R), which no closure exceeds.
+      cap: a positive int; stop once the dimension reaches it.  Defaults
+        to n^2, the dimension of gl(n, R), which no closure exceeds.
       max_order: refuse sides beyond this; exact closure cost grows
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
         |G| generators).
@@ -532,7 +529,7 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
 
     Raises:
       ValueError: no generators, mismatched sides, a generator that is not
-        symmetric, or order over max_order.
+        symmetric, a cap that is not a positive int, or order over max_order.
     """
     mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
     if not mats:
@@ -546,6 +543,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     check_lie_order(n, max_order)
     if cap is None:
         cap = n * n
+    elif type(cap) is not int or cap < 1:  # bool is an int subclass
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
     int_gens = [g for g in map(_int_rows, mats) if g is not None]
     if cap >= n * n and _LieEngine(n, _PRIME).extend(int_gens, n * n) == n * n:
         return n * n, MatrixSpaceBasis.full(n)
@@ -628,25 +627,22 @@ class _NodeState:
     names the bases the state holds; the others are None and never grown,
     so a caller pays only for what it reads.  The span grows from the
     walk's echelon rows, so the walk is kept whenever the span is.  With a
-    prime ``modulus`` every part runs modulo it.
+    prime ``modulus`` every basis runs modulo it and carries it, and only
+    what can come out full is grown there (``_dimensions``).
     """
 
-    __slots__ = ("modulus", "walk", "pspan", "lie")
+    __slots__ = ("walk", "pspan", "lie")
 
     def __init__(self, session: _Session, modulus=None, parts=_PARTS):
         n = session.n
-        self.modulus = modulus
         self.walk = intlinalg.EchelonBasis(n, modulus) if {"walk", "pspan"} & set(parts) else None
         self.pspan = intlinalg.EchelonBasis(n * n, modulus) if "pspan" in parts else None
-        self.lie = None
-        if "lie" in parts:
-            self.lie = _LieEngine(n, modulus)
-            if session.int_a is not None:
-                self.lie.extend([session.int_a], n * n)
+        self.lie = _LieEngine(n, modulus) if "lie" in parts else None
+        if self.lie is not None and session.int_a is not None:
+            self.lie.extend([session.int_a], n * n)
 
     def copy(self) -> "_NodeState":
         dup = _NodeState.__new__(_NodeState)
-        dup.modulus = self.modulus
         for name in _PARTS:
             part = getattr(self, name)
             setattr(dup, name, None if part is None else part.copy())
@@ -669,9 +665,10 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     pivots of the batch before it too.  So every insert grows and none makes
     a row operation, and the span's dimension is the square of the walk's.
     Modulo p each part is a nonzero multiple of the reduction of an integer
-    element of the span, so its dimension there is still at most the exact
-    one.  The walk columns are read only when the walk still grows, so a
-    Lie-only state never builds them.
+    element of the span, so a full span proves the rational one there too;
+    it needs a full walk, so it waits for one and then grows from all its
+    rows in one batch.  The walk columns are read only when the walk still
+    grows, so a Lie-only state never builds them.
     """
     n = session.n
     if state.lie is not None:
@@ -679,10 +676,11 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     walk, span = state.walk, state.pspan
     if walk is None or walk.dim == n:
         return
-    old = set(walk.pivots)
-    for col in session.columns(j, state.modulus):
+    # the rows the span has grown from: none modulo p, where it waits
+    old = set(walk.pivots) if walk.modulus is None else ()
+    for col in session.columns(j, walk.modulus):
         walk.insert(col)
-    if span is None or len(old) == walk.dim:
+    if span is None or len(old) == walk.dim or (walk.modulus is not None and walk.dim < n):
         return
     rows = [(c in old, row) for c, row in zip(walk.pivots, walk.rows)]
     sym, skew = [], []
@@ -730,12 +728,14 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
 
     The one place that chooses between the modular and the exact route,
     and the decisions' one check of the Lie-closure cap, made before any
-    work when ``parts`` names the Lie part.  Modulo the prime a dimension
-    is at most the rational one, so a full one (walk rank n, span or Lie
-    dimension n^2) proves it.  Each stage grows its parts by ``_grow``:
+    work when ``parts`` names the Lie part.  The rule: modulo the prime a
+    dimension is at most the rational one, so a full one (walk rank n, span
+    or Lie dimension n^2) proves it, only what can come out full is grown
+    there, and only a deficient one is recomputed exactly.  Each stage
+    grows its parts by ``_grow``:
 
     1. Modulo the prime, the walk, and in the same state the span when it
-       is asked (it grows from the walk's rows with no row operation).
+       is asked, which waits for a full walk (``_extend_state``).
     2. Modulo the prime, the Lie closure, on a full walk only.  Otherwise
        the Krylov space of A from the e_j (j in S) is proper there; it
        holds each e_j and is mapped into itself by A and each e_j e_j^T,
@@ -786,15 +786,10 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 
     Since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product is the
     outer product u w^T of two walk-matrix columns, and the products over
-    all pairs k, j in S are the outer products of all pairs of columns.  By
-    bilinearity those span what the outer products of any basis of the
-    columns' span do, so the span grows from the walk's echelon rows: as a
-    control vertex adds rows, the symmetric and skew parts of each new row
-    pair go in (see ``_extend_state`` and ``_span_parts``).  Every such
-    insert grows the span, which therefore has dimension walk_rank^2.
-
-    The result is exact.  The span is first grown modulo a prime, with its
-    walk, where n^2 certifies n^2; any smaller result is recomputed exactly.
+    all pairs k, j in S are the outer products of all pairs of columns.
+    The engine grows their span from the walk's echelon rows, so it has
+    dimension walk_rank^2 (``_extend_state``).  The result is exact
+    (``_dimensions``); modulo the prime the span waits for a full walk.
 
     Raises:
       ValueError: empty control set or labels out of range.

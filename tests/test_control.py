@@ -452,6 +452,12 @@ class TestLieClosure:
             lie_closure([matrix([[0, 1], [1, 0]])], max_order=bad)
         assert str(exc.value) == f"max_order must be a positive integer, got {bad!r}"
 
+    @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, "5"])
+    def test_cap_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError) as exc:
+            lie_closure([matrix([[0, 1], [1, 0]])], cap=bad)
+        assert str(exc.value) == f"cap must be a positive integer, got {bad!r}"
+
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy(max_side=3))
     def test_matches_fixpoint_oracle(self, inst):
@@ -847,9 +853,11 @@ class TestModularRoute:
                 states.append(self)
 
         monkeypatch.setattr(control, "_NodeState", Spy)
+        # a state keeps no modulus of its own: its bases carry it
         return lambda: [
-            (st.modulus, {name: getattr(st, name).dim
-                          for name in ("walk", "pspan", "lie") if getattr(st, name) is not None})
+            ((st.walk if st.walk is not None else st.lie.bases[0]).modulus,
+             {name: getattr(st, name).dim
+              for name in ("walk", "pspan", "lie") if getattr(st, name) is not None})
             for st in states
         ]
 
@@ -862,10 +870,32 @@ class TestModularRoute:
         assert grown() == [(2, {"walk": 1}), (None, {"walk": 2})]
         assert p_span_dim(a, [1]) == 4
         assert lie_controllable(a, [1]) == (True, 4)
-        # the span grows modulo p with the walk it grows from, in one state;
-        # only the closure, which could not be full, is skipped modulo p
-        assert grown()[2:] == [(2, {"walk": 1, "pspan": 1}), (None, {"walk": 2, "pspan": 4}),
+        # the span shares the walk's state modulo p but waits there for a
+        # full walk, as the closure does: neither could come out full
+        assert grown()[2:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
                                (2, {"walk": 1}), (None, {"lie": 4})]
+
+    @pytest.mark.parametrize("g, kind, s, modular, exact", [
+        (cycle_graph(8), "adjacency", (1,), 0, 25),
+        (cycle_graph(6), "random:1", (1, 4), 36, 0),
+    ], ids=["C8-short-walk", "C6-random:1-full-walk"])
+    def test_modular_span_grows_only_beside_a_full_walk(self, monkeypatch, g, kind, s, modular, exact):
+        # cycle-8 from one vertex has walk rank 5: a modular span beside it
+        # has 25 < 64 elements and cannot certify, so only the exact stage
+        # grows one; a full walk grows all 36 modulo p and no exact one
+        a = build_matrix(g, kind)
+        inserts = {None: 0, control._PRIME: 0}
+        real = EchelonBasis.insert
+
+        def counting(basis, values):
+            if basis.ambient == a.n * a.n:
+                inserts[basis.modulus] += 1
+            return real(basis, values)
+
+        monkeypatch.setattr(EchelonBasis, "insert", counting)
+        rep = analyze(a, s)
+        assert inserts == {control._PRIME: modular, None: exact}
+        assert rep.p_span_dim == rep.walk_rank ** 2 == modular + exact
 
     def test_walk_is_cleared_before_reduction(self, monkeypatch):
         monkeypatch.setattr(control, "_PRIME", 2)

@@ -67,6 +67,12 @@ class TestSweepConfig:
             SweepConfig(max_order=bad)
         assert str(exc.value) == f"max_order must be an int in 1..7, got {bad!r}"
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
+    def test_seed_must_be_an_int(self, bad):
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(max_order=2, seed=bad)
+        assert str(exc.value) == f"seed must be an int, got {bad!r}"
+
     def test_bad_kinds_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(max_order=2, matrix_kinds=())
@@ -578,6 +584,13 @@ class TestSweepSingleVector:
         with pytest.raises(ValueError) as exc:
             sweep_single_vector(bad, 1)
         assert str(exc.value) == f"samples must be a positive integer, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", None])
+    def test_seed_must_be_an_int(self, bad):
+        # None would seed from OS entropy, and no run could be replayed
+        with pytest.raises(ValueError) as exc:
+            sweep_single_vector(5, bad)
+        assert str(exc.value) == f"seed must be an int, got {bad!r}"
 
     def test_json_is_loadable(self):
         out = sweep_single_vector(5, 2)
