@@ -179,11 +179,11 @@ def parse_kind(kind: str) -> tuple:
     is not label-invariant.
 
     Raises:
-      ValueError: unknown or malformed kind spec.
+      ValueError: unknown or malformed kind spec, or one that is not a string.
     """
     if kind in ("adjacency", "laplacian"):
         return kind, None, True
-    if kind.startswith("random:"):
+    if isinstance(kind, str) and kind.startswith("random:"):
         try:
             return "random", int(kind.split(":", 1)[1]), False
         except ValueError:
@@ -255,34 +255,8 @@ _SYM, _SKEW = 0, 1
 
 @lru_cache(maxsize=None)
 def _packing(n: int, parity: int) -> list:
-    """The (i, j) positions a packed matrix of this parity stores, in order."""
+    """The (i, j) positions a packed Lie element of this parity stores, in order."""
     return [(i, j) for i in range(n) for j in range(i + parity, n)]
-
-
-def _span_parts(u, w) -> list:
-    """The packed parts of the outer product u w^T: symmetric, then skew unless u = w.
-
-    The span of outer products u w^T is closed under transpose, so u w^T
-    and w u^T enter it through their symmetric part u w^T + w u^T and skew
-    part u w^T - w u^T (u u^T alone when u = w), an invertible change of
-    generators.  Both parts go into one echelon basis of ambient n^2 whose
-    coordinates are the ``_packing`` of a symmetric matrix followed by that
-    of a skew one, so a part is zero on the other block.
-
-    ``_extend_state`` passes echelon rows u, w with pivots c_u < c_w (or
-    u = w).  Then each part is zero before packed position (c_u, c_w) of
-    its block and holds u[c_u] * w[c_w] there (u[c_u]^2 for u = w): a
-    product of pivot entries, never the doubled diagonal entry 2 u_i w_i.
-    So the parts of distinct row pairs have distinct leading positions and
-    stay independent modulo every prime, 2 included.
-    """
-    n = len(u)
-    sym_at, skew_at = _packing(n, _SYM), _packing(n, _SKEW)
-    if u == w:
-        return [[u[i] * u[j] for i, j in sym_at] + [0] * len(skew_at)]
-    sym = [u[i] * w[j] + w[i] * u[j] for i, j in sym_at]
-    skew = [u[i] * w[j] - w[i] * u[j] for i, j in skew_at]
-    return [sym + [0] * len(skew), [0] * len(sym) + skew]
 
 
 @lru_cache(maxsize=None)
@@ -381,8 +355,12 @@ class _LieEngine:
     harness share closure work along chains of growing control sets.
     Scaling spanning-set elements changes neither the span nor its closure.
 
-    With a prime ``modulus`` the same closure runs over the integers modulo
-    that prime and brackets are reduced instead of made primitive.  Each
+    A generator and a bracket are offered as they are, unscaled: the
+    insert alone scales what it stores.  Exactly, its residue comes out
+    primitive, and scaling the offered vector by k scales each of its row
+    operations by k, so the stored row is the one a primitive offer gives.
+    With a prime ``modulus`` the basis carries it, the same closure runs
+    over the integers modulo that prime and each stored row is monic.  Each
     part's rows are reductions of integer combinations of genuine integer
     elements of that part, so each part's dimension modulo any prime, 2
     included, is at most its rational one, and n^2 there proves n^2.
@@ -443,36 +421,26 @@ class _LieEngine:
             else:
                 self.pending.append((g, e))
 
-    def _normalize(self, packed):
-        """A packed integer element as it is offered; None when it is zero.
-
-        Exact: made primitive.  Modulo p: left for the insert, which drops
-        one that is zero modulo p, as it adds nothing there.
-        """
-        if self.bases[_SYM].modulus is None:
-            return intlinalg.primitive(packed)
-        return packed if any(packed) else None
-
     def _bracket(self, ad, elem):
-        """[g, elem] packed in the opposite parity and normalized, ``ad`` the map of g; None when zero."""
+        """[g, elem] packed in the opposite parity, ``ad`` the map of g; None when zero."""
         parity, packed = elem
         out = [0] * self.bases[1 - parity].ambient
         for x, image in zip(packed, ad[parity]):
             if x:
                 for t, v in image:
                     out[t] += v * x
-        return self._normalize(out)
+        return out if any(out) else None
 
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
         for gen in int_generators:
             if self.dim >= cap:
                 return self.dim
-            packed = self._normalize([gen[i][j] for i, j in _packing(self.side, _SYM)])
+            packed = tuple(gen[i][j] for i, j in _packing(self.side, _SYM))
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
-            if packed is None or not self._offer(_SYM, packed, residue=False):
+            if not any(packed) or not self._offer(_SYM, packed, residue=False):
                 continue
             support = [k for k, v in enumerate(packed) if v]
             i, j = _packing(self.side, _SYM)[support[0]]
@@ -655,20 +623,20 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     The walk takes the columns of j; the product span then grows from the
     walk's echelon rows, not from the columns.  By bilinearity the outer
     products of the walk columns span what the outer products of any basis
-    of their span do, so the span's new elements are the ``_span_parts`` of
-    the row pairs (r_a, r_b), r_a at or before r_b in pivot order, with at
-    least one of them new.  With pivots c_a <= c_b such a part is zero
-    before packed position (c_a, c_b) of its own block and nonzero there.
-    A new walk row is zero on every older walk pivot, so a new part is zero
-    on every span pivot stored before this call; the symmetric parts go in
-    by ascending (c_a, c_b), then the skew parts, so each is zero on the
-    pivots of the batch before it too.  So every insert grows and none makes
-    a row operation, and the span's dimension is the square of the walk's.
-    Modulo p each part is a nonzero multiple of the reduction of an integer
-    element of the span, so a full span proves the rational one there too;
-    it needs a full walk, so it waits for one and then grows from all its
-    rows in one batch.  The walk columns are read only when the walk still
-    grows, so a Lie-only state never builds them.
+    of their span do, so the span's new elements are the row-major
+    flattenings of r_a r_b^T over the ordered pairs of walk rows with at
+    least one of them new.  With pivots c_a and c_b such a product is zero
+    before position c_a·n + c_b and holds the product of the two pivot
+    entries there.  A new walk row is zero on every older walk pivot, so a
+    new product is zero on every span pivot stored before this call; the
+    products go in by ascending (c_a, c_b), so each is zero on the pivots
+    of the batch before it too.  So every insert grows and none makes a row
+    operation, and the span's dimension is the square of the walk's.
+    Modulo p each product is the reduction of an integer element of the
+    span, so a full span proves the rational one there too; it needs a full
+    walk, so it waits for one and then grows from all its rows in one
+    batch.  The walk columns are read only when the walk still grows, so a
+    Lie-only state never builds them.
     """
     n = session.n
     if state.lie is not None:
@@ -683,15 +651,10 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     if span is None or len(old) == walk.dim or (walk.modulus is not None and walk.dim < n):
         return
     rows = [(c in old, row) for c, row in zip(walk.pivots, walk.rows)]
-    sym, skew = [], []
-    for a, (old_a, r_a) in enumerate(rows):
-        for old_b, r_b in rows[a:]:
+    for old_a, r_a in rows:
+        for old_b, r_b in rows:
             if not (old_a and old_b):
-                sym_part, *skew_part = _span_parts(r_a, r_b)
-                sym.append(sym_part)
-                skew += skew_part
-    for part in sym + skew:
-        span.insert(part)
+                span.insert([x * y for x in r_a for y in r_b])
 
 
 def _grow(session: _Session, subsets, modulus=None, parts=_PARTS) -> dict:
@@ -787,8 +750,9 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     Since A is symmetric, e_j^T A^l = (A^l e_j)^T, so each product is the
     outer product u w^T of two walk-matrix columns, and the products over
     all pairs k, j in S are the outer products of all pairs of columns.
-    The engine grows their span from the walk's echelon rows, so it has
-    dimension walk_rank^2 (``_extend_state``).  The result is exact
+    The engine grows their span from the row-major outer products of the
+    walk's echelon rows, one per ordered pair, so it has dimension
+    walk_rank^2 (``_extend_state``).  The result is exact
     (``_dimensions``); modulo the prime the span waits for a full walk.
 
     Raises:
@@ -910,11 +874,11 @@ def _consistency(n: int, walk_rank: int, p_dim: int, lie_dim: int, zfs_status: b
     walk_rank^2, unconditionally.  ``analyze`` reports these records and
     the sweeps count them, so both read one rule.
 
-    The engine grows the span from the walk's echelon rows, r^2 independent
-    parts for walk rank r (``_extend_state``), so span_dimension_identity
-    holds by construction and checks the engine against itself.  The
-    independent checks are the oracles' literal products
-    (``tests/oracles.py::pspan_dim_bruteforce``) for the span and
+    The engine grows the span from the outer products of the walk's
+    echelon rows, r^2 independent ones for walk rank r (``_extend_state``),
+    so span_dimension_identity holds by construction and checks the engine
+    against itself.  The independent checks are the oracles' literal
+    products (``tests/oracles.py::pspan_dim_bruteforce``) for the span and
     kalman_iff_lie, whose Lie dimension no walk row enters, for the walk.
     """
     if not hyp:

@@ -27,6 +27,13 @@ class GraphFormatError(ValueError):
         self.line_number = line_number
 
 
+def _label(v) -> int:
+    """``v`` itself if it is an int; else ValueError naming it."""
+    if type(v) is not int:  # bool is an int subclass
+        raise ValueError(f"vertex label {v!r} is not an int")
+    return v
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``1..order``.
@@ -39,10 +46,10 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"graph order must be >= 1, got {self.order}")
+        if type(self.order) is not int or self.order < 1:  # bool is an int subclass
+            raise ValueError(f"graph order must be an int >= 1, got {self.order!r}")
         for u, v in self.edges:
-            if not (1 <= u < v <= self.order):
+            if not (1 <= _label(u) < _label(v) <= self.order):
                 raise ValueError(f"invalid edge ({u}, {v}) for order {self.order}")
 
     @property
@@ -56,7 +63,7 @@ def graph(order: int, edges=()) -> Graph:
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop edge ({u}, {v}) not allowed")
-        normalized.add((min(u, v), max(u, v)))
+        normalized.add((u, v) if _label(u) < _label(v) else (v, u))
     return Graph(order, frozenset(normalized))
 
 
@@ -83,12 +90,12 @@ def adjacency_sets(g: Graph) -> dict:
 
 
 def vertex_set(members, order: int) -> tuple:
-    """Normalize an iterable of vertex labels to a sorted duplicate-free tuple."""
-    out = sorted(set(members))
-    for v in out:
-        if not (1 <= v <= order):
+    """Normalize an iterable of int vertex labels in 1..order to a sorted duplicate-free tuple."""
+    members = tuple(members)
+    for v in members:
+        if not (1 <= _label(v) <= order):
             raise ValueError(f"vertex {v} out of range 1..{order}")
-    return tuple(out)
+    return tuple(sorted(set(members)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ SAMPLES_PER_LARGE_ORDER = 3
 def _parse_policy(policy: str) -> tuple:
     if policy in ("all", "singletons", "zfs"):
         return policy, None, None
-    if policy.startswith("random:"):
+    if isinstance(policy, str) and policy.startswith("random:"):
         parts = policy.split(":")
         if len(parts) == 3:
             try:

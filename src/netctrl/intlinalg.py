@@ -18,9 +18,10 @@ modulo p proves full rank over the rationals; a smaller one proves nothing.
 There each stored row also keeps its support, the columns from its pivot to
 its last nonzero entry, and a row operation runs over that slice alone:
 outside it the row is zero, so the full-length operation would leave those
-entries as they were.  Sparse and banded rows (a product-span part is zero
-on the other parity's block, a path's walk products are banded) then cost
-what they hold, not the ambient length.
+entries as they were.  Sparse and banded rows (the row-major outer product
+u w^T of two walk rows is zero outside the rows where u is nonzero, a
+path's walk rows are banded) then cost what they hold, not the ambient
+length.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ from netctrl import (
     walk_matrix,
 )
 from netctrl import control, harness
-from netctrl.control import _LieEngine, _Session, _ad_map, _packing, _span_parts, control_generators
-from netctrl.intlinalg import EchelonBasis, int_commutator, primitive
+from netctrl.control import _LieEngine, _Session, _ad_map, _packing, control_generators
+from netctrl.intlinalg import EchelonBasis, int_commutator
 from netctrl.linalg import MatrixSpaceBasis, mat_mul
 
 from . import oracles
@@ -250,19 +250,33 @@ class TestProductSpan:
         entries = [list(r) for r in a.matrix.entries]
         assert p_span_dim(a, s) == oracles.pspan_dim_bruteforce(entries, s)
 
-    @settings(max_examples=40, deadline=None)
-    @given(symmetric_strategy(max_side=3))
-    def test_split_span_matches_literal_products(self, inst):
-        a, s = inst
-        entries = [list(r) for r in a.matrix.entries]
+    @staticmethod
+    def _assert_span_is_the_walk_products(a, s):
+        # the exact span, a subspace of row-major n-by-n matrices, against a
+        # MatrixSpaceBasis of the literal products u w^T of walk_matrix columns
         session = _Session(a)
-        cols = [u for j in s for u in session.columns(j)]
-        span = EchelonBasis(a.n * a.n)
-        for i, u in enumerate(cols):
-            for w in cols[i:]:
-                for part in _span_parts(u, w):
-                    span.insert(part)
-        assert span.dim == oracles.pspan_dim_bruteforce(entries, s)
+        state = control._NodeState(session, parts=("pspan",))
+        for j in sorted(set(s)):
+            control._extend_state(state, session, j)
+        cols = list(zip(*walk_matrix(a, s).entries))
+        want = MatrixSpaceBasis(a.n)
+        for u in cols:
+            for w in cols:
+                want.insert([[x * y for y in w] for x in u])
+        assert state.pspan.rational_rows() == want.vectors()
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_strategy())
+    def test_span_is_the_walk_products(self, inst):
+        self._assert_span_is_the_walk_products(*inst)
+
+    @pytest.mark.parametrize("g, s, rank", [
+        (cycle_graph(5), (1,), 3), (complete_graph(4), (1,), 2), (complete_graph(4), (1, 2), 3),
+    ], ids=["C5-1", "K4-1", "K4-12"])
+    def test_deficient_span_is_the_walk_products(self, g, s, rank):
+        a = adjacency_matrix(g)
+        assert kalman_controllable(a, s) == (False, rank)
+        self._assert_span_is_the_walk_products(a, s)
 
     @pytest.mark.parametrize("g, kind", [
         (cycle_graph(3), "adjacency"), (cycle_graph(4), "adjacency"),
@@ -282,7 +296,7 @@ class TestProductSpan:
                     assert p_span_dim(a, s) == want, (s, p)
 
     def test_span_inserts_grow_without_row_operations(self, monkeypatch):
-        # a new span part is zero on every stored pivot, so reducing it
+        # a new span product is zero on every stored pivot, so reducing it
         # makes no row operation, and it is never already in the span
         seen = {"inserts": 0, "modular": 0}
         real = EchelonBasis.insert
@@ -293,9 +307,9 @@ class TestProductSpan:
                 return real(basis, values)
             p = basis.modulus
             hit = [c for c in basis.pivots if (values[c] % p if p else values[c])]
-            assert not hit, f"a span part meets stored pivots {hit}"
+            assert not hit, f"a span product meets stored pivots {hit}"
             row = real(basis, values)
-            assert row is not None, "a span part did not grow the span"
+            assert row is not None, "a span product did not grow the span"
             seen["inserts"] += 1
             seen["modular"] += p is not None
             return row
@@ -632,7 +646,7 @@ class TestAdMap:
         packed = tuple(data.draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=size, max_size=size)))
         engine = _LieEngine(n)
         want = _packed(int_commutator(g, engine._matrix(parity, packed), 1 - 2 * parity), 1 - parity)
-        assert engine._bracket(_ad_map(g, n), (parity, packed)) == primitive(want)
+        assert engine._bracket(_ad_map(g, n), (parity, packed)) == (list(want) if any(want) else None)
 
 
 class TestLieControllable:
@@ -745,6 +759,14 @@ class TestAnalyze:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             analyze(adjacency_matrix(path_graph(3)), [])
+
+    @pytest.mark.parametrize("label", [1.5, 2.0, True, "1"], ids=repr)
+    def test_label_that_is_not_an_int_rejected(self, label):
+        # 1.5 once gave walk rank 0 and lie_dim 1, and True a control set (True,)
+        a = adjacency_matrix(path_graph(4))
+        for call in (analyze, kalman_controllable):
+            with pytest.raises(ValueError, match=rf"^vertex label {label!r} is not an int$"):
+                call(a, (label,))
 
     def test_over_cap_order_fails_before_any_work(self, monkeypatch):
         def refuse(*args):

@@ -98,6 +98,13 @@ class TestVertexSet:
     def test_empty_ok(self):
         assert vertex_set([], 3) == ()
 
+    @pytest.mark.parametrize("label", [1.5, 2.0, True, "1"], ids=repr)
+    def test_closure_rejects_a_label_that_is_not_an_int(self, label):
+        # True once read as vertex 1, and 2.0 as vertex 2
+        for s in ((label,), (1, label)):
+            with pytest.raises(ValueError, match=rf"^vertex label {label!r} is not an int$"):
+                closure(path_graph(4), s)
+
     def test_one_definition(self):
         assert vertex_set is graphs.vertex_set
 

@@ -56,6 +56,17 @@ class TestGraphType:
         with pytest.raises(ValueError):
             graph(3, [(1, 4)])
 
+    @pytest.mark.parametrize("label", [1.5, 2.0, True, "1"], ids=repr)
+    def test_rejects_a_label_or_order_that_is_not_an_int(self, label):
+        # 1.5 once made a graph that is_connected called disconnected and
+        # min_zfs failed on with TypeError
+        with pytest.raises(ValueError, match=rf"^vertex label {label!r} is not an int$"):
+            graph(3, [(label, 3)])
+        with pytest.raises(ValueError, match=rf"^vertex label {label!r} is not an int$"):
+            Graph(3, frozenset({(label, 3)}))
+        with pytest.raises(ValueError, match=rf"^graph order must be an int >= 1, got {label!r}$"):
+            graph(label, [])
+
 
 class TestParsing:
     def test_basic(self):

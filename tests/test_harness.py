@@ -80,6 +80,11 @@ class TestSweepConfig:
             SweepConfig(max_order=2, matrix_kinds=("adjacency", "hadamard"))
         with pytest.raises(ValueError):
             SweepConfig(max_order=2, matrix_kinds=("random:x",))
+        # a spec that is not a string is named, not read for a prefix
+        with pytest.raises(ValueError, match="^unknown matrix kind 5;"):
+            SweepConfig(max_order=2, matrix_kinds=(5,))
+        with pytest.raises(ValueError, match="^unknown matrix kind 7;"):
+            build_matrix(path_graph(3), 7)
         # a bare string is not iterated letter by letter
         with pytest.raises(ValueError, match="nonempty tuple of kinds, got 'adjacency'"):
             SweepConfig(max_order=3, matrix_kinds="adjacency")
@@ -92,6 +97,9 @@ class TestSweepConfig:
     def test_bad_policies_rejected(self):
         for policy in ("some", "zfs_only", "random:2", "random:0:1", "random:a:b"):
             with pytest.raises(ValueError):
+                SweepConfig(max_order=2, subset_policy=policy)
+        for policy in (None, 3):
+            with pytest.raises(ValueError, match=f"^unknown subset policy {policy};"):
                 SweepConfig(max_order=2, subset_policy=policy)
 
     def test_to_dict(self):
