@@ -72,7 +72,7 @@ def _load_graph(path: str) -> graphs.Graph:
 
 def _parse_set(spec: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in spec.split(","))
+        return tuple(graphs.parse_int(tok) for tok in spec.split(","))
     except ValueError:
         raise ValueError(f"malformed vertex set {spec!r}; want e.g. 1,3") from None
 

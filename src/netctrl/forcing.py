@@ -22,23 +22,30 @@ one neighbour map of the edge list, each built for what it serves:
 ``_wavefront``, then scans the candidate masks of size Z alone, in
 lexicographic vertex order, and returns the first that turns every vertex
 black: the lexicographically least forcing set of minimum size, which
-``is_zfs`` confirms.  Both halves cost: on the spider with nine legs of
-length 2 (order 19), the slowest graph seen at the exhaustive-search cap,
-the wavefront makes 4,448 closures and the scan 42,486, about 0.3 s in
-all (2-CPU x86, Python 3.11).
+``is_zfs`` confirms.  Each half skips the closures it can prove useless:
+the wavefront a step input it has closed before at no higher cost, and the
+scan a candidate that misses a fort left by a recent failure.  On the
+spider with nine legs of length 2 (order 19) the wavefront makes 512
+closures and the scan 2,550, about 0.03 s in all, where they made 4,448
+and 42,486, about 0.25 s, without the skips (2-CPU x86, Python 3.11).
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import os
 
 # adjacency_sets and degree are unused here, but bench/spans.py traces them as
 # forcing.adjacency_sets and forcing.degree
-from .graphs import Graph, adjacency_sets, degree, neighbours, vertex_set  # noqa: F401
+from .graphs import Graph, adjacency_sets, degree, neighbours, parse_int, vertex_set  # noqa: F401
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 20
+#: how many forts of recent failures ``_scan`` keeps; each costs one AND per
+#: candidate.  Of 4, 8, 12 and 16, 8 was as fast as any on the zfs-search
+#: cases (CHANGES.md has the measurement).
+SCAN_FORTS = 8
 
 
 def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
@@ -57,7 +64,7 @@ def check_order(n: int, cap_name: str, default: int, max_order=None) -> None:
     if max_order is None:
         raw = os.environ.get("NETCTRL_MAX_ORDER")
         try:
-            cap = default if raw is None else int(raw)
+            cap = default if raw is None else parse_int(raw)
         except ValueError:
             raise ValueError(f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}") from None
         if cap < 1:
@@ -175,6 +182,12 @@ def _wavefront(nb: list, vertices, full: int) -> int:
     full mask queued often costs more than Z (on the star of order 4 it
     costs 3, and Z = 2), and still the bound cut the closures on the
     seed-801 ``zfs-search`` cases from 41,108 to 14,007.
+
+    A step whose input mask S | N[v] was closed before at the same or a
+    lower cost is skipped too.  Its closure would be the mask the earlier
+    step got, at no lower cost, so it could lower neither ``best`` nor
+    ``bound``.  That cut the seed-801 closures from 14,007 to 11,242, and
+    those on the spider of order 19 from 4,448 to 512.
     """
     twins = {}
     for v in vertices:
@@ -185,6 +198,7 @@ def _wavefront(nb: list, vertices, full: int) -> int:
                for c in twins.values() if len(c) > 1]
     moves = [(nb[v] | 1 << v, nb[v]) for v in vertices]
     best = {0: 0}
+    seen = {}  # step input mask -> the lowest step cost it was closed at
     buckets = [[0]] + [[] for _ in vertices]  # a path never costs more than it colours
     bound = len(buckets)  # the cost of the cheapest full mask queued so far
     for cost, bucket in enumerate(buckets):
@@ -200,7 +214,11 @@ def _wavefront(nb: list, vertices, full: int) -> int:
                 step = cost + white.bit_count() - (open_nbhd & white != 0)
                 if step >= bound:
                     continue
-                t = _close(nb, s | closed_nbhd)
+                black = s | closed_nbhd
+                if seen.get(black, bound) <= step:
+                    continue
+                seen[black] = step
+                t = _close(nb, black)
                 if t == full:
                     bound = step
                 for members, lowest in classes:
@@ -211,6 +229,32 @@ def _wavefront(nb: list, vertices, full: int) -> int:
     raise AssertionError("unreachable: a step from any mask short of full colours a vertex")
 
 
+def _scan(nb: list, bits: list, z: int, full: int) -> tuple:
+    """The first mask of ``z`` bits, in lexicographic order, whose closure is
+    ``full``, as a vertex tuple (None when there is none), and the forts kept
+    when the scan stopped, the most recent first.
+
+    A failed candidate's white set ``full & ~cl(S)`` is a fort: no black
+    vertex has exactly one neighbour in it, or the closure would go on.
+    Every forcing set meets every fort, since the first force into it would
+    need such a vertex.  So a candidate that misses a kept fort is skipped
+    without its closure, and the skip is a proof that it cannot force.  The
+    forts of the last ``SCAN_FORTS`` failures are kept.
+    """
+    forts = collections.deque(maxlen=SCAN_FORTS)
+    for cand in itertools.combinations(bits, z):
+        m = sum(cand)
+        for fort in forts:
+            if not m & fort:
+                break
+        else:
+            black = _close(nb, m)
+            if black == full:
+                return tuple(b.bit_length() - 1 for b in cand), list(forts)
+            forts.appendleft(full & ~black)
+    return None, list(forts)
+
+
 def min_zfs(g: Graph, max_order=None) -> tuple:
     """Exact zero forcing number with a lexicographically-least witness.
 
@@ -219,22 +263,25 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     returned, so the witness is the lexicographically least forcing set of
     minimum size.  A scan with no success means the wavefront reported a Z
     below the true one, and raises AssertionError.  Each candidate is one
-    vertex mask closed by ``_close``; only the winner becomes a vertex
-    tuple.  The scan is what still costs, up to C(n, Z) closures, so the
-    search is exponential: guarded by ``max_order`` (default 20, or the
-    NETCTRL_MAX_ORDER environment variable; pass a positive int explicitly
-    for larger graphs).  At the cap the worst case was the spider with
-    legs of length 2 (order 19), about 0.3 s, 42,486 of its 46,934
-    closures in the scan; G(20, p) draws (p in 1/5, 7/20, 1/2) took 0.14 s
-    or less and random trees of order 20 0.02 s (2-CPU x86, Python 3.11).
+    vertex mask, closed by ``_close`` unless ``_scan`` skips it for missing
+    a fort of a recent failure, which proves that it cannot force; so the
+    witness is the same as without the skips.  Only the winner becomes a
+    vertex tuple.  The scan is what still costs, up to
+    C(n, Z) closures, so the search is exponential: guarded by
+    ``max_order`` (default 20, or the NETCTRL_MAX_ORDER environment
+    variable; pass a positive int explicitly for larger graphs).  At the
+    cap the spider with legs of length 2 (order 19) takes about 0.03 s,
+    2,550 of its 3,062 closures in the scan (42,486 of 46,934 without the
+    skips); G(20, p) draws (p in 1/5, 7/20, 1/2) took 0.08 s or less, and
+    random trees of order 20 0.06 s or less.  Past the cap the spider of
+    order 25 takes about 2 s (2-CPU x86, Python 3.11).
     """
     n = g.order
     check_order(n, "exhaustive-search", DEFAULT_MIN_ZFS_MAX_ORDER, max_order)
     nb = _masks(g)
     full = _mask(g.vertices)
-    bits = [1 << v for v in g.vertices]
     z = _wavefront(nb, g.vertices, full)
-    for cand in itertools.combinations(bits, z):
-        if _close(nb, sum(cand)) == full:
-            return z, tuple(b.bit_length() - 1 for b in cand)
-    raise AssertionError(f"unreachable: no forcing set of size {z}, the zero forcing number found")
+    witness, _ = _scan(nb, [1 << v for v in g.vertices], z, full)
+    if witness is None:
+        raise AssertionError(f"unreachable: no forcing set of size {z}, the zero forcing number found")
+    return z, witness

@@ -27,6 +27,20 @@ class GraphFormatError(ValueError):
         self.line_number = line_number
 
 
+def parse_int(token: str) -> int:
+    """``token`` read as an int, if it is ASCII digits with at most a leading ``-``.
+
+    The one integer grammar of the text inputs: graph files, ``--set`` and
+    NETCTRL_MAX_ORDER.  ``int()`` alone would also take other scripts'
+    digits, ``+``, ``_`` and surrounding whitespace.  Each caller turns the
+    ValueError into its own message.
+    """
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _label(v) -> int:
     """``v`` itself if it is an int; else ValueError naming it."""
     if type(v) is not int:  # bool is an int subclass
@@ -119,7 +133,7 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 1:
                 raise GraphFormatError(lineno, f"expected the graph order, got {line!r}")
             try:
-                order = int(tokens[0])
+                order = parse_int(tokens[0])
             except ValueError:
                 raise GraphFormatError(lineno, f"order is not an integer: {tokens[0]!r}") from None
             if order < 1:
@@ -128,7 +142,7 @@ def parse_graph(text: str) -> Graph:
         if len(tokens) != 2:
             raise GraphFormatError(lineno, f"expected 'u v', got {line!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = parse_int(tokens[0]), parse_int(tokens[1])
         except ValueError:
             raise GraphFormatError(lineno, f"vertices are not integers: {line!r}") from None
         if not (1 <= u <= order and 1 <= v <= order):

@@ -210,3 +210,12 @@ def min_zfs_size_bruteforce(adj, order):
             if len(forcing_closure_bruteforce(adj, order, cand)) == order:
                 return k
     raise AssertionError("unreachable")
+
+
+def is_fort(adj, order, fort):
+    """A fort is a nonempty vertex set that no vertex outside it has exactly
+    one neighbour in; read off the definition, vertex by vertex."""
+    fort = set(fort)
+    if not fort:
+        return False
+    return all(len(adj[v] & fort) != 1 for v in range(1, order + 1) if v not in fort)

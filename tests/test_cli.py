@@ -154,6 +154,33 @@ class TestZfsCommand:
         assert (code, out) == (2, "")
         assert "exceeds the exhaustive-search cap 3" in err
 
+    # int() alone reads each of these: Arabic-Indic three, a plus sign, a
+    # digit separator and surrounding spaces
+    @pytest.mark.parametrize("token", ["\u0663", "+3", "1_0", " 2"], ids=repr)
+    def test_set_takes_ascii_digits_only(self, capsys, p4, token):
+        code, out, err = run_cli(capsys, "zfs", "--graph", p4, "--set", f"1,{token}")
+        assert (code, out) == (2, "")
+        assert f"malformed vertex set '1,{token}'; want e.g. 1,3" in err
+
+    @pytest.mark.parametrize("raw", ["\u0663", "+3", "1_0", " 20 "], ids=repr)
+    def test_cap_variable_takes_ascii_digits_only(self, capsys, p4, monkeypatch, raw):
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", raw)
+        code, out, err = run_cli(capsys, "zfs", "--graph", p4, "--minimum")
+        assert (code, out) == (2, "")
+        assert f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}" in err
+
+    @pytest.mark.parametrize("text, words", [
+        ("\u0663\n1 2\n", "line 1: order is not an integer: '\u0663'"),
+        ("3\n2 +3\n", "line 2: vertices are not integers: '2 +3'"),
+        ("1_0\n1 2\n", "line 1: order is not an integer: '1_0'"),
+    ], ids=["arabic-indic-order", "plus-vertex", "underscore-order"])
+    def test_graph_file_takes_ascii_digits_only(self, capsys, tmp_path, text, words):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "zfs", "--graph", str(path), "--minimum")
+        assert (code, out) == (2, "")
+        assert words in err
+
     def test_set_and_minimum_mutually_exclusive(self, p4):
         with pytest.raises(SystemExit) as exc:
             main(["zfs", "--graph", p4, "--set", "1", "--minimum"])

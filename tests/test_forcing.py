@@ -21,7 +21,7 @@ from netctrl import (
 from netctrl import forcing, graphs
 from netctrl.graphs import adjacency_sets
 
-from .oracles import forcing_closure_bruteforce, min_zfs_size_bruteforce
+from .oracles import forcing_closure_bruteforce, is_fort, min_zfs_size_bruteforce
 
 
 def graph_and_subset():
@@ -197,8 +197,8 @@ def seeded_graphs():
         yield graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
 
 
-def wavefront_closures(monkeypatch, gs) -> int:
-    """The ``_close`` calls ``_wavefront`` makes over the graphs ``gs``."""
+def closures(monkeypatch, run) -> tuple:
+    """What ``run()`` returns, and the ``_close`` calls it made."""
     calls = 0
     close = forcing._close
 
@@ -208,9 +208,45 @@ def wavefront_closures(monkeypatch, gs) -> int:
         return close(nb, black)
 
     monkeypatch.setattr(forcing, "_close", counted)
-    for g in gs:
-        wavefront(g)
-    return calls
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.setattr(forcing, "_close", close)
+
+
+def wavefront_closures(monkeypatch, gs) -> int:
+    """The ``_close`` calls ``_wavefront`` makes over the graphs ``gs``."""
+    return closures(monkeypatch, lambda: [wavefront(g) for g in gs])[1]
+
+
+def spider(legs):
+    """The spider with ``legs`` legs of length 2 on vertex 1: Z is legs - 1."""
+    return graph(2 * legs + 1, [(1, 2 * i) for i in range(1, legs + 1)]
+                 + [(2 * i, 2 * i + 1) for i in range(1, legs + 1)])
+
+
+def scan(g, z):
+    """``forcing._scan`` of g at size z: the witness and the forts kept."""
+    nb, full = forcing._masks(g), forcing._mask(g.vertices)
+    return forcing._scan(nb, [1 << v for v in g.vertices], z, full)
+
+
+def scan_closures(monkeypatch, g) -> tuple:
+    """The witness of g's scan at its zero forcing number, and the ``_close``
+    calls that scan alone makes."""
+    z = wavefront(g)
+    (witness, _), calls = closures(monkeypatch, lambda: scan(g, z))
+    return witness, calls
+
+
+def seeded_sparse_graphs():
+    """40 seeded graphs of order 9..14 with n to 3n/2 edges, where failed
+    candidates leave forts that later ones miss."""
+    rng = random.Random(2019)
+    for _ in range(40):
+        n = rng.randint(9, 14)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        yield graph(n, rng.sample(pairs, rng.randint(n, 3 * n // 2)))
 
 
 class TestWavefront:
@@ -230,16 +266,16 @@ class TestWavefront:
         assert min_zfs_size_bruteforce(adjacency_sets(g), g.order) == 2
         assert wavefront(g) == 2
 
-    # closures made with the bound in place; without it they were 4,543 and 5,092
+    # closures made with the bound and the repeat skip in place; with the
+    # bound alone they were 2,585 and 4,448, and with neither 4,543 and 5,092
 
     def test_bound_saves_closures_on_seeded_random_graphs(self, monkeypatch):
-        assert wavefront_closures(monkeypatch, seeded_graphs()) <= 2_585
+        assert wavefront_closures(monkeypatch, seeded_graphs()) <= 2_060
 
     def test_bound_saves_closures_on_the_spider(self, monkeypatch):
         # nine legs of length 2 on vertex 1, order 19: the slowest search at the cap
-        g = graph(19, [(1, 2 * i) for i in range(1, 10)] + [(2 * i, 2 * i + 1) for i in range(1, 10)])
-        assert wavefront_closures(monkeypatch, [g]) <= 4_448
-        monkeypatch.undo()
+        g = spider(9)
+        assert wavefront_closures(monkeypatch, [g]) <= 512
         assert wavefront(g) == 8
 
     # closed forms past brute force: the twin classes keep each search small
@@ -312,6 +348,46 @@ class TestMinZfs:
     def test_matches_a_plain_lexicographic_scan(self, g):
         assert min_zfs(g) == lexicographic_min_zfs(g)
 
+    def test_matches_a_plain_lexicographic_scan_where_forts_skip(self, monkeypatch):
+        skipped = 0
+        for g in seeded_sparse_graphs():
+            z, witness = lexicographic_min_zfs(g)
+            assert min_zfs(g) == (z, witness), g
+            # the candidates the scan passed before its winner, each closed or skipped
+            before = list(itertools.combinations(g.vertices, z)).index(witness)
+            skipped += scan_closures(monkeypatch, g)[1] < before + 1
+        assert skipped >= 30  # the filter fired on most of the 40 graphs
+
+    @pytest.mark.parametrize("kept", [0, 1, 10**6])
+    def test_the_witness_does_not_depend_on_the_forts_kept(self, monkeypatch, kept):
+        want = [min_zfs(g) for g in seeded_sparse_graphs()]
+        monkeypatch.setattr(forcing, "SCAN_FORTS", kept)
+        assert [min_zfs(g) for g in seeded_sparse_graphs()] == want
+
+    def test_every_kept_fort_is_a_fort(self, monkeypatch):
+        # every fort the scan stores is kept, so all of them are replayed: at
+        # the zero forcing number, up to the winner, and one below it, where
+        # every candidate fails
+        monkeypatch.setattr(forcing, "SCAN_FORTS", 10**6)
+        replayed = 0
+        for g in itertools.chain(seeded_sparse_graphs(), seeded_graphs()):
+            adj = adjacency_sets(g)
+            z, _ = min_zfs(g)
+            for size in (z, z - 1):
+                witness, forts = scan(g, size)
+                assert (witness is None) == (size < z)
+                for fort in forts:
+                    members = [v for v in g.vertices if fort >> v & 1]
+                    assert is_fort(adj, g.order, members), (g, size, members)
+                replayed += len(forts)
+        assert replayed > 6_000
+
+    def test_forts_cut_the_scan_on_the_spider(self, monkeypatch):
+        # order 19: the plain scan closed 42,486 candidates, its winner included
+        witness, calls = scan_closures(monkeypatch, spider(9))
+        assert witness == (2, 4, 6, 8, 10, 12, 14, 17)
+        assert calls <= 2_550
+
     def test_a_wavefront_below_z_is_caught(self, monkeypatch):
         # only the size the wavefront reports is scanned, so a Z too low
         # finds no forcing set there and must not fall through to a larger size
@@ -356,6 +432,13 @@ class TestMinZfs:
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "lots")
         with pytest.raises(ValueError):
             min_zfs(path_graph(4))
+
+    @pytest.mark.parametrize("raw", ["\u0663", "+3", "1_0", " 20 "], ids=repr)
+    def test_env_var_takes_ascii_digits_only(self, monkeypatch, raw):
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", raw)
+        with pytest.raises(ValueError) as exc:
+            min_zfs(path_graph(4))
+        assert str(exc.value) == f"NETCTRL_MAX_ORDER must be an integer, got {raw!r}"
 
     def test_explicit_max_order_beats_env(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "3")

@@ -23,7 +23,7 @@ from netctrl import (
     to_dot,
 )
 from netctrl import forcing
-from netctrl.graphs import adjacency_sets, degree, neighbours
+from netctrl.graphs import adjacency_sets, degree, neighbours, parse_int
 
 
 def random_graph_strategy(max_order=6):
@@ -90,6 +90,16 @@ class TestParsing:
         with pytest.raises(GraphFormatError):
             parse_graph("2\n1 3\n")
 
+    @pytest.mark.parametrize("token, value", [("0", 0), ("7", 7), ("-1", -1), ("007", 7), ("1" * 30, int("1" * 30))])
+    def test_parse_int_reads_ascii_digits(self, token, value):
+        assert parse_int(token) == value
+
+    @pytest.mark.parametrize("token", ["", "-", "+3", "1_0", " 20 ", "20\n", "\u0663", "1.0", "--1", "0x1"],
+                             ids=repr)
+    def test_parse_int_refuses_everything_else(self, token):
+        with pytest.raises(ValueError, match=r"^not an integer: "):
+            parse_int(token)
+
     def test_rejects_empty_document(self):
         with pytest.raises(GraphFormatError):
             parse_graph("# nothing\n")
@@ -103,7 +113,12 @@ class TestParsing:
         ("four\n1 2\n", 1, "order is not an integer"),
         ("3\n1 2\n\n2 x\n", 4, "vertices are not integers"),
         ("3\n1 2\n3 3\n", 3, "loop edge not allowed"),
-    ], ids=["two-token-order", "non-integer-order", "non-integer-vertex", "loop-edge"])
+        ("\u0663\n1 2\n", 1, "order is not an integer"),
+        ("3\n2 +3\n", 2, "vertices are not integers"),
+        ("12_0\n1 2\n", 1, "order is not an integer"),
+        ("3\n1 \uff12\n", 2, "vertices are not integers"),
+    ], ids=["two-token-order", "non-integer-order", "non-integer-vertex", "loop-edge",
+            "arabic-indic-order", "plus-vertex", "underscore-order", "fullwidth-vertex"])
     def test_malformed_lines_name_their_line(self, text, line, words):
         with pytest.raises(GraphFormatError, match=words) as exc:
             parse_graph(text)
