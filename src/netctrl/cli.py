@@ -20,6 +20,14 @@ import sys
 from . import control, forcing, graphs, harness
 
 
+def _int_arg(token: str) -> int:
+    """An integer flag's value, read by ``graphs.parse_int``; argparse exits 2 naming a refused token."""
+    try:
+        return graphs.parse_int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {token!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netctrl",
@@ -45,12 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", help="write the report to this file instead of stdout")
 
     p_ver = sub.add_parser("verify", help="run the theorem sweeps")
-    p_ver.add_argument("--max-order", type=int, required=True)
+    p_ver.add_argument("--max-order", type=_int_arg, required=True)
     p_ver.add_argument("--kinds", default="adjacency,laplacian",
                        help="comma-separated matrix kinds")
     p_ver.add_argument("--subsets", default="all",
                        help="all, singletons, zfs, or random:K:SEED")
-    p_ver.add_argument("--seed", type=int, default=0,
+    p_ver.add_argument("--seed", type=_int_arg, default=0,
                        help="seed for the sampled graphs at orders 6 and 7")
     p_ver.add_argument("--out", help="write the full JSON outcome to this file")
 

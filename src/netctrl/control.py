@@ -171,12 +171,13 @@ def random_same_sign_matrix(g: Graph, seed: int) -> PatternMatrix:
 def parse_kind(kind: str) -> tuple:
     """Parse a matrix-kind spec into (name, seed, label_invariant).
 
-    "adjacency" and "laplacian" carry no seed.  They are label-invariant:
-    relabeling the graph by a permutation P turns the matrix A into
-    P A P^T, so every rank and dimension decided here is unchanged once the
-    control set is relabeled too.  "random:SEED" draws its weights in
-    sorted-edge order, so a relabeled graph gets other weights and the kind
-    is not label-invariant.
+    SEED is read by ``graphs.parse_int``: ASCII digits with at most a
+    leading ``-``.  "adjacency" and "laplacian" carry no seed.  They are
+    label-invariant: relabeling the graph by a permutation P turns the
+    matrix A into P A P^T, so every rank and dimension decided here is
+    unchanged once the control set is relabeled too.  "random:SEED" draws
+    its weights in sorted-edge order, so a relabeled graph gets other
+    weights and the kind is not label-invariant.
 
     Raises:
       ValueError: unknown or malformed kind spec, or one that is not a string.
@@ -185,7 +186,7 @@ def parse_kind(kind: str) -> tuple:
         return kind, None, True
     if isinstance(kind, str) and kind.startswith("random:"):
         try:
-            return "random", int(kind.split(":", 1)[1]), False
+            return "random", graphs.parse_int(kind.split(":", 1)[1]), False
         except ValueError:
             raise ValueError(f"malformed matrix kind {kind!r}; want random:SEED") from None
     raise ValueError(f"unknown matrix kind {kind!r}; want adjacency, laplacian, or random:SEED")
@@ -366,9 +367,24 @@ class _LieEngine:
     included, is at most its rational one, and n^2 there proves n^2.
     Modulo 2 the parts need not form a direct sum, which only lowers the
     modular result.
+
+    A full closure stops as soon as it holds one control vertex's cross.
+    ``grown`` keeps two counts per generator, at 2g + parity: how many
+    brackets [g, X] of a projector g = E_jj grew the span, by the part they
+    land in.  Every [E_jj, X] lies in the cross of j, span{E_jk ± E_kj :
+    k != j}, whose symmetric and skew halves have dimension n - 1 each, and
+    a bracket that grew the span is independent of every earlier element.
+    So once both counts reach n - 1 the whole cross is in the algebra, and
+    the cross and E_jj generate gl(n): [E_kj, E_jl] = E_kl for k != l and
+    [E_kj, E_jk] = E_kk - E_jj.  Then ``dim`` is set to n^2, the queue is
+    dropped and ``elems`` and ``bases`` stay short of it.  Modulo p a grown
+    bracket reduces an integer bracket with E_jj, so the counts prove the
+    rational case as the dimension does.  A deficient closure never
+    reaches them, and with a cap below n^2 they are not read.  Projector
+    pairs run first, which is what fills the counts early.
     """
 
-    __slots__ = ("side", "bases", "dim", "elems", "gens", "pending")
+    __slots__ = ("side", "bases", "dim", "elems", "gens", "pending", "grown")
 
     def __init__(self, side: int, modulus=None):
         self.side = side
@@ -378,6 +394,7 @@ class _LieEngine:
         self.elems: list = []
         self.gens: list = []
         self.pending = deque()
+        self.grown: list = []
 
     def copy(self) -> "_LieEngine":
         dup = _LieEngine.__new__(_LieEngine)
@@ -387,6 +404,7 @@ class _LieEngine:
         dup.elems = list(self.elems)
         dup.gens = list(self.gens)
         dup.pending = deque(self.pending)
+        dup.grown = list(self.grown)
         return dup
 
     def _offer(self, parity: int, packed, residue: bool = True) -> bool:
@@ -433,6 +451,8 @@ class _LieEngine:
 
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
+        n = self.side
+        cap = min(cap, n * n)
         for gen in int_generators:
             if self.dim >= cap:
                 return self.dim
@@ -446,15 +466,24 @@ class _LieEngine:
             i, j = _packing(self.side, _SYM)[support[0]]
             # one nonzero, on the diagonal: the projector e_j e_j^T
             projector = len(support) == 1 and i == j
-            self.gens.append((_projector_ad(self.side, j) if projector else _ad_map(gen, self.side), projector))
+            self.gens.append((_projector_ad(n, j) if projector else _ad_map(gen, n), projector))
+            self.grown += (0, 0)
             g = len(self.gens) - 1
             self._queue((g, e) for e in range(len(self.elems) - 1))
-        gens, elems, pending = self.gens, self.elems, self.pending
+        gens, elems, pending, grown = self.gens, self.elems, self.pending, self.grown
         while pending and self.dim < cap:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
-            packed = self._bracket(gens[g][0], elems[e])
+            ad, projector = gens[g]
+            packed = self._bracket(ad, elems[e])
             if packed is not None and self._offer(parity, packed):
+                if projector:
+                    k = 2 * g + parity
+                    grown[k] += 1
+                    if grown[k] >= n - 1 and grown[k ^ 1] >= n - 1 and cap == n * n:
+                        self.dim = cap
+                        pending.clear()
+                        break
                 e = len(elems) - 1
                 self._queue((h, e) for h in range(len(gens)))
         return self.dim
@@ -478,17 +507,20 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         to n^2, the dimension of gl(n, R), which no closure exceeds.
       max_order: refuse sides beyond this; exact closure cost grows
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
-        |G| generators).
+        |G| generators; a full one stops at about half its elements,
+        ``_LieEngine``).
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
         an exact closure past 16 emits a warning.
 
     The closure is first run modulo the prime when ``cap`` allows n^2.  A
     full dimension there proves the rational one, and the canonical basis
     of gl(n, R) is the unit matrices, so that basis is returned at once
-    (``MatrixSpaceBasis.full``).  Any other closure runs exactly: with
-    ``control_generators`` of a ``random:7`` matrix and S = {1} the exact
-    closure of the complete graph took 3.1 s at n = 14 and 15 s at n = 16,
-    its modular one 0.19 s at n = 16 (2-CPU x86, Python 3.11).
+    (``MatrixSpaceBasis.full``), as it is for an exact closure that comes
+    out full, whose elements may stop short of n^2.  Any other closure runs
+    exactly: with ``control_generators`` of a ``random:7`` matrix and
+    S = {1} the exact closure of the complete graph took 0.14 s at n = 14
+    and 0.53 s at n = 16, and all of ``lie_closure`` by the modular one
+    0.05 and 0.08 s (2-CPU x86, Python 3.11).
 
     Returns:
       (dim, basis) with basis the MatrixSpaceBasis of the closure in
@@ -519,6 +551,9 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     _warn_if_past_default(n)
     engine = _LieEngine(n)
     dim = engine.extend(int_gens, cap)
+    if dim == n * n:
+        # a certified closure keeps fewer elements than its dimension
+        return dim, MatrixSpaceBasis.full(n)
     basis = MatrixSpaceBasis(n)
     for parity, packed in engine.elems:
         basis.insert(engine._matrix(parity, packed))

@@ -77,7 +77,7 @@ def _parse_policy(policy: str) -> tuple:
         parts = policy.split(":")
         if len(parts) == 3:
             try:
-                count, seed = int(parts[1]), int(parts[2])
+                count, seed = graphs.parse_int(parts[1]), graphs.parse_int(parts[2])
             except ValueError:
                 count = 0
             if count >= 1:

@@ -155,10 +155,12 @@ def pspan_dim_bruteforce(a, members):
     return basis.dim
 
 
-def lie_dim_bruteforce(gens):
+def lie_basis_bruteforce(gens):
     """All-pairs commutator fixpoint with plain Fraction arithmetic.
 
-    Stops once the basis holds n^2 elements, all of gl(n).
+    Returns the rows of its basis, row-major flattened, fully reduced and
+    monic: the reduced row echelon form of the closure, with ascending
+    pivots.  Stops once the basis holds n^2 elements, all of gl(n).
     """
     n = len(gens[0])
     basis = FractionBasis(n * n)
@@ -175,10 +177,10 @@ def lie_dim_bruteforce(gens):
                 c = mat_sub(mat_mul(x, y), mat_mul(y, x))
                 if basis.insert(flatten(c)):
                     if basis.dim == n * n:
-                        return basis.dim
+                        return basis.rows
                     elems.append(c)
                     changed = True
-    return basis.dim
+    return basis.rows
 
 
 def control_lie_dim_bruteforce(a, members):
@@ -186,7 +188,7 @@ def control_lie_dim_bruteforce(a, members):
     gens = [a]
     for j in members:
         gens.append(outer(basis_vec(j, n), basis_vec(j, n)))
-    return lie_dim_bruteforce(gens)
+    return len(lie_basis_bruteforce(gens))
 
 
 def forcing_closure_bruteforce(adj, order, start):

@@ -395,6 +395,30 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    # int() alone reads each of these; the refusal names the token
+    @pytest.mark.parametrize("flag, token", [
+        ("--max-order", "\u0663"), ("--max-order", "+3"), ("--seed", "1_0"), ("--seed", " 1"),
+    ], ids=repr)
+    def test_integer_flags_take_ascii_digits_only(self, capsys, flag, token):
+        argv = ["verify", "--max-order", "2", flag, token]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: not an integer: {token!r}" in capsys.readouterr().err
+
+    def test_policy_and_kind_seeds_take_ascii_digits_only(self, capsys, p4):
+        code, out, err = run_cli(capsys, "verify", "--max-order", "3", "--subsets", "random:2:1_0")
+        assert (code, out) == (2, "")
+        assert "unknown subset policy 'random:2:1_0'" in err
+        code, out, err = run_cli(capsys, "analyze", "--graph", p4, "--set", "1", "--matrix", "random:\u0663")
+        assert (code, out) == (2, "")
+        assert "malformed matrix kind 'random:\u0663'" in err
+
+    def test_seeds_may_be_negative(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-order", "2", "--kinds", "random:-3",
+                               "--subsets", "random:1:-2", "--seed", "-4")
+        assert code == 0 and out.rstrip().endswith("PASSED")
+
     def test_bad_config_is_input_error(self, capsys):
         assert run_cli(capsys, "verify", "--max-order", "9")[0] == 2
         assert run_cli(capsys, "verify", "--max-order", "2", "--kinds", "x")[0] == 2

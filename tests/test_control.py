@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -180,6 +181,17 @@ class TestBuilders:
             with pytest.raises(ValueError):
                 control.parse_kind(bad)
 
+    # int() alone reads each of these seeds; a leading minus is the grammar's
+    @pytest.mark.parametrize("seed", ["\u0663", "+3", "1_0", " 3", "3 "], ids=repr)
+    def test_seed_takes_ascii_digits_only(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"malformed matrix kind {f'random:{seed}'!r}")):
+            control.parse_kind(f"random:{seed}")
+
+    def test_seed_may_be_negative(self):
+        g = path_graph(3)
+        assert control.parse_kind("random:-3") == ("random", -3, False)
+        assert build_matrix(g, "random:-3").matrix == random_same_sign_matrix(g, -3).matrix
+
 
 class TestWalkMatrix:
     def test_path_single_vertex(self):
@@ -354,15 +366,9 @@ class TestLieClosure:
         assert dim == 8
 
     @staticmethod
-    def _exact_closure(gens):
-        """The closure's basis built by the exact engine and inserted element by element."""
-        n = gens[0].rows
-        engine = _LieEngine(n)
-        dim = engine.extend([g for g in map(control._int_rows, gens) if g is not None], n * n)
-        basis = MatrixSpaceBasis(n)
-        for parity, packed in engine.elems:
-            basis.insert(engine._matrix(parity, packed))
-        return dim, basis
+    def _oracle_rows(gens):
+        """The closure's reduced row echelon form, from the all-pairs fixpoint oracle."""
+        return tuple(map(tuple, oracles.lie_basis_bruteforce([g.entries for g in gens])))
 
     @staticmethod
     def _engine_runs(monkeypatch):
@@ -378,24 +384,36 @@ class TestLieClosure:
         control_generators(random_same_sign_matrix(complete_graph(5), 7), (1,)),
     ], ids=["scalar", "P4", "K5-random:7"])
     def test_full_closure_is_the_unit_basis(self, monkeypatch, gens):
-        want_dim, want = self._exact_closure(gens)
+        want = self._oracle_rows(gens)
         runs = self._engine_runs(monkeypatch)
         dim, basis = lie_closure(gens)
         n = basis.side
         # the modular closure alone: no exact engine ran
         assert runs == [control._PRIME]
-        assert dim == want_dim == basis.dim == n * n
-        assert basis == want and basis.vectors() == want.vectors()
+        assert dim == len(want) == basis.dim == n * n
+        assert basis.vectors() == want
         assert basis == MatrixSpaceBasis.full(n)
+
+    def test_full_exact_closure_is_the_unit_basis(self, monkeypatch):
+        # modulo 2 this closure stops at 3 (TestModularRoute); the exact one
+        # is full, and lie_closure returns the unit basis for it too
+        gens = control_generators(pattern_matrix([[1, 1], [1, -2]]), (1,))
+        want = self._oracle_rows(gens)
+        monkeypatch.setattr(control, "_PRIME", 2)
+        runs = self._engine_runs(monkeypatch)
+        dim, basis = lie_closure(gens)
+        assert runs == [2, None]
+        assert dim == len(want) == 4
+        assert basis.vectors() == want and basis == MatrixSpaceBasis.full(2)
 
     def test_deficient_closure_is_the_exact_basis(self, monkeypatch):
         gens = control_generators(pattern_matrix(MIXED_CYCLE), (1, 3))
-        want_dim, want = self._exact_closure(gens)
+        want = self._oracle_rows(gens)
         runs = self._engine_runs(monkeypatch)
         dim, basis = lie_closure(gens)
         assert runs == [control._PRIME, None]
-        assert dim == want_dim == 8
-        assert basis == want and basis.vectors() == want.vectors()
+        assert dim == len(want) == 8
+        assert basis.vectors() == want
 
     def test_capped_closure_runs_exactly(self, monkeypatch):
         gens = control_generators(adjacency_matrix(path_graph(4)), (2,))
@@ -409,9 +427,9 @@ class TestLieClosure:
         a, s = inst
         gens = control_generators(a, s)
         dim, basis = lie_closure(gens)
-        want_dim, want = self._exact_closure(gens)
-        assert dim == want_dim
-        assert basis == want and basis.vectors() == want.vectors()
+        want = self._oracle_rows(gens)
+        assert dim == len(want)
+        assert basis.vectors() == want
 
     def test_cap_stops_early(self):
         a = adjacency_matrix(path_graph(4))
@@ -541,6 +559,11 @@ def _control_engine(a, s, modulus=None):
     return engine
 
 
+def _certified(engine):
+    """Whether the closure stopped on a projector's cross: it holds fewer elements than its dimension."""
+    return engine.dim > engine.bases[0].dim + engine.bases[1].dim
+
+
 class TestSplitLieEngine:
     """The closure kept as symmetric and skew parts, against the oracle."""
 
@@ -563,8 +586,60 @@ class TestSplitLieEngine:
         a, s = inst
         exact = _control_engine(a, s)
         modular = _control_engine(a, s, p)
-        for part in (0, 1):
-            assert modular.bases[part].dim <= exact.bases[part].dim
+        assert modular.dim <= exact.dim
+        # a certified closure stops with its parts short, so they are
+        # compared only where both closures ran to the end
+        if not (_certified(exact) or _certified(modular)):
+            for part in (0, 1):
+                assert modular.bases[part].dim <= exact.bases[part].dim
+
+
+class TestCrossCertificate:
+    """A full closure stops once a projector's grown brackets fill its cross."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([None, 2, 3, 5]), symmetric_strategy(max_side=5))
+    def test_certified_closure_has_oracle_dimension_n_squared(self, p, inst):
+        a, s = inst
+        n = a.n
+        want = oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], s)
+        engine = _control_engine(a, s, p)
+        assert engine.dim == want if p is None else engine.dim <= want
+        if _certified(engine):
+            assert engine.dim == want == n * n
+            assert all(count == 0 for count in engine.grown[:2])
+
+    @pytest.mark.parametrize("modulus", [None, control._PRIME])
+    def test_complete_8_stops_at_half_the_elements(self, monkeypatch, modulus):
+        brackets = []
+        real = _LieEngine._bracket
+        monkeypatch.setattr(_LieEngine, "_bracket",
+                            lambda self, ad, elem: brackets.append(ad) or real(self, ad, elem))
+        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (1,), modulus)
+        # run to the end, the same closure keeps 64 elements after 121 brackets
+        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 32, 51)
+        # A's brackets are not counted; E_11's fill both halves of its cross
+        assert engine.grown == [0, 0, 7, 7]
+        assert not engine.pending
+
+    # the oracle's dimensions; the isolated vertex 6 keeps every bracket's
+    # last row and column zero, so P5 + K1 closes to gl(5)
+    @pytest.mark.parametrize("edges, n, members, want", [
+        ([(1, 2), (2, 3), (3, 4), (4, 5)], 6, (1,), 25),
+        ([(1, 2), (2, 3)], 4, (1,), 9),
+        (list(itertools.combinations(range(1, 5), 2)), 4, (2, 3), 10),
+    ], ids=["P5+K1", "P3+K1", "K4"])
+    @pytest.mark.parametrize("modulus", [None, control._PRIME])
+    def test_deficient_closures_stay_uncertified(self, edges, n, members, want, modulus):
+        engine = _control_engine(adjacency_matrix(graph(n, edges)), members, modulus)
+        assert engine.dim == len(engine.elems) == want
+
+    def test_capped_closure_is_not_certified(self):
+        a = random_same_sign_matrix(complete_graph(8), 7)
+        gens = [tuple(tuple(int(x) for x in row) for row in a.matrix.entries), control._projector_rows(8, 0)]
+        engine = _LieEngine(8)
+        assert engine.extend(gens, 63) == 63
+        assert len(engine.elems) == 63
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -101,6 +102,17 @@ class TestSweepConfig:
         for policy in (None, 3):
             with pytest.raises(ValueError, match=f"^unknown subset policy {policy};"):
                 SweepConfig(max_order=2, subset_policy=policy)
+
+    # int() alone reads each of these counts and seeds
+    @pytest.mark.parametrize("policy", ["random:\u0662:1", "random:2:1_0", "random:+2:1", "random:2: 1"], ids=repr)
+    def test_policy_takes_ascii_digits_only(self, policy):
+        with pytest.raises(ValueError, match="^" + re.escape(f"unknown subset policy {policy!r};")):
+            SweepConfig(max_order=2, subset_policy=policy)
+
+    def test_policy_seed_may_be_negative(self):
+        assert harness._parse_policy("random:2:-1") == ("random", 2, -1)
+        with pytest.raises(ValueError):
+            SweepConfig(max_order=2, subset_policy="random:-2:1")
 
     def test_to_dict(self):
         cfg = SweepConfig(max_order=2, matrix_kinds=("adjacency",), seed=4)
