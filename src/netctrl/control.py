@@ -320,6 +320,18 @@ def _projector_ad(n: int, j: int) -> tuple:
     return _ad_map(_projector_rows(n, j), n)
 
 
+@lru_cache(maxsize=None)
+def _hub_coords(n: int, j: int, parity: int) -> tuple:
+    """Where row j of a packed element of this parity lies, diagonal dropped.
+
+    Returns the packed coordinates of entries (j, c) for c < j and for
+    c > j, in column order: left of the diagonal the stored entry is
+    (c, j), so a skew element's entry there is the negated stored one.
+    """
+    by_row, by_col = _packed_index(n, parity)
+    return tuple(by_col[j][:j]), tuple(by_row[j][j + 1:])
+
+
 class _LieEngine:
     """Incremental integer Lie-closure state, split into symmetric and skew parts.
 
@@ -368,23 +380,43 @@ class _LieEngine:
     Modulo 2 the parts need not form a direct sum, which only lowers the
     modular result.
 
-    A full closure stops as soon as it holds one control vertex's cross.
-    ``grown`` keeps two counts per generator, at 2g + parity: how many
-    brackets [g, X] of a projector g = E_jj grew the span, by the part they
-    land in.  Every [E_jj, X] lies in the cross of j, span{E_jk ± E_kj :
-    k != j}, whose symmetric and skew halves have dimension n - 1 each, and
-    a bracket that grew the span is independent of every earlier element.
-    So once both counts reach n - 1 the whole cross is in the algebra, and
-    the cross and E_jj generate gl(n): [E_kj, E_jl] = E_kl for k != l and
-    [E_kj, E_jk] = E_kk - E_jj.  Then ``dim`` is set to n^2, the queue is
-    dropped and ``elems`` and ``bases`` stay short of it.  Modulo p a grown
-    bracket reduces an integer bracket with E_jj, so the counts prove the
-    rational case as the dimension does.  A deficient closure never
-    reaches them, and with a cap below n^2 they are not read.  Projector
-    pairs run first, which is what fills the counts early.
+    A full closure stops as soon as the rows of one control vertex prove
+    it.  The first projector E_jj that grows the span is the hub j, and
+    ``hub_rows`` is an echelon basis of ambient n - 1, with the engine's
+    modulus, of the hub rows of the kept elements: row j of each, its
+    diagonal entry dropped (for a skew element the entries left of the
+    diagonal are the negated stored ones).  Write C+(r) and C-(r) for
+    sum_k r_k (E_jk ± E_kj) over k != j, the two halves of the cross of j.
+
+    * For X in the algebra, [E_jj, X] is C-(r) for a symmetric X and C+(r)
+      for a skew one, r the hub row of X.
+    * [E_jj, C+(r)] = C-(r) and [E_jj, C-(r)] = C+(r).
+    * So once the hub rows reach rank n - 1, both halves of the whole cross
+      are in the algebra, and the cross and E_jj generate gl(n):
+      [E_kj, E_jl] = E_kl for k != l and [E_kj, E_jk] = E_kk - E_jj.
+
+    Then ``dim`` is set to n^2, the queue is dropped and ``elems`` and
+    ``bases`` stay short of it.  Modulo p each hub row is the reduction of
+    the hub row of an integer element of the algebra, so their rank there
+    is at most the rational one, p = 2 included, and n - 1 there proves n - 1.  The rule
+    needs no count of brackets: n - 1 brackets of E_jj that grew one part
+    are independent cross elements of one half, whose hub rows are
+    independent and all in ``hub_rows``.  A deficient closure never
+    reaches the rank.
+
+    Queue rule: in a full closure (cap n^2), an element whose hub row grew
+    ``hub_rows`` has its pairs queued at the front, the non-projector (A)
+    pairs on top; every other pair is queued as above.  A full closure
+    then follows the chain [E_jj, A], [A, [E_jj, A]], [A, [A, [E_jj, A]]],
+    ...; on the complete graphs every step grows the hub rows, and with
+    one control vertex the closure stops after n + 2 elements.  With a cap
+    below n^2 the rank is not read and every pair is queued as above, so a
+    capped closure brackets in the same order as without the hub rows.
+    ``hub_rows`` is fed in ``_offer`` only, so every Lie-basis insert keeps
+    one call site (``bench/spans.py`` attributes inserts by it).
     """
 
-    __slots__ = ("side", "bases", "dim", "elems", "gens", "pending", "grown")
+    __slots__ = ("side", "bases", "dim", "elems", "gens", "pending", "hub", "hub_rows")
 
     def __init__(self, side: int, modulus=None):
         self.side = side
@@ -394,7 +426,8 @@ class _LieEngine:
         self.elems: list = []
         self.gens: list = []
         self.pending = deque()
-        self.grown: list = []
+        self.hub = None
+        self.hub_rows = None
 
     def copy(self) -> "_LieEngine":
         dup = _LieEngine.__new__(_LieEngine)
@@ -404,23 +437,50 @@ class _LieEngine:
         dup.elems = list(self.elems)
         dup.gens = list(self.gens)
         dup.pending = deque(self.pending)
-        dup.grown = list(self.grown)
+        dup.hub = self.hub
+        dup.hub_rows = None if self.hub_rows is None else self.hub_rows.copy()
         return dup
 
-    def _offer(self, parity: int, packed, residue: bool = True) -> bool:
-        """Insert a packed element; keep it and return True if the span grew.
+    def _hub_row(self, parity: int, packed) -> list:
+        """Row ``hub`` of a packed element, diagonal entry dropped."""
+        left, right = _hub_coords(self.side, self.hub, parity)
+        if parity == _SKEW:
+            return [-packed[k] for k in left] + [packed[k] for k in right]
+        return [packed[k] for k in left] + [packed[k] for k in right]
 
-        With ``residue`` (a bracket) the element kept is the row the insert
-        added, zero on every earlier pivot column, so more of its projector
-        brackets vanish before they reach an insert than those of the raw
-        bracket would.  Without it (a generator) it is kept as offered.
+    def _offer(self, parity: int, packed, residue: bool = True, hub=None) -> int:
+        """Insert a packed element; keep it if the span grew.
+
+        Returns 0 if the span did not grow, 2 if it did and a hub row grew
+        ``hub_rows``, 1 otherwise.  With ``residue`` (a
+        bracket) the element kept is the row the insert added, zero on
+        every earlier pivot column, so more of its projector brackets
+        vanish before they reach an insert than those of the raw bracket
+        would.  Without it (a generator) it is kept as offered.  ``hub``,
+        the 0-based j of a projector E_jj offered while the engine has no
+        hub, makes j the hub if the span grows, and ``hub_rows`` then
+        starts from the hub rows of every kept element.
         """
         row = self.bases[parity].insert(packed)
         if row is None:
-            return False
+            return 0
         self.dim += 1
-        self.elems.append((parity, row if residue else packed))
-        return True
+        elem = (parity, row if residue else packed)
+        self.elems.append(elem)
+        if hub is not None:
+            self.hub = hub
+            self.hub_rows = intlinalg.EchelonBasis(self.side - 1, self.bases[0].modulus)
+            fed = self.elems
+        elif self.hub_rows is not None:
+            fed = (elem,)
+        else:
+            return 1
+        grew = 1
+        for e in fed:
+            r = self._hub_row(*e)
+            if any(r) and self.hub_rows.insert(r) is not None:
+                grew = 2
+        return grew
 
     def _matrix(self, parity: int, packed) -> tuple:
         """The full integer matrix of a packed element."""
@@ -432,12 +492,17 @@ class _LieEngine:
             x[j][i] = sign * v
         return tuple(map(tuple, x))
 
-    def _queue(self, pairs) -> None:
+    def _queue(self, pairs, lead: bool = False) -> None:
+        """Queue (generator, element) pairs; with ``lead`` all at the front, A's on top."""
+        top = []
         for g, e in pairs:
             if self.gens[g][1]:
                 self.pending.appendleft((g, e))
+            elif lead:
+                top.append((g, e))
             else:
                 self.pending.append((g, e))
+        self.pending.extendleft(reversed(top))
 
     def _bracket(self, ad, elem):
         """[g, elem] packed in the opposite parity, ``ad`` the map of g; None when zero."""
@@ -449,43 +514,54 @@ class _LieEngine:
                     out[t] += v * x
         return out if any(out) else None
 
+    def _certify(self) -> bool:
+        """Whether the hub rows reach rank n - 1; if so, record dimension n^2 and drop the queue."""
+        n = self.side
+        if self.hub_rows is None or self.hub_rows.dim < n - 1:
+            return False
+        self.dim = n * n
+        self.pending.clear()
+        return True
+
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
         n = self.side
         cap = min(cap, n * n)
+        # only a full closure reads the hub rows, so only it leads with them
+        full = cap == n * n
         for gen in int_generators:
             if self.dim >= cap:
                 return self.dim
             packed = tuple(gen[i][j] for i, j in _packing(self.side, _SYM))
-            # the element is the generator itself, not its residue: then
-            # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
-            # new generator's pairs are queued
-            if not any(packed) or not self._offer(_SYM, packed, residue=False):
-                continue
             support = [k for k, v in enumerate(packed) if v]
+            if not support:
+                continue
             i, j = _packing(self.side, _SYM)[support[0]]
             # one nonzero, on the diagonal: the projector e_j e_j^T
             projector = len(support) == 1 and i == j
+            # the element is the generator itself, not its residue: then
+            # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
+            # new generator's pairs are queued
+            grew = self._offer(_SYM, packed, residue=False,
+                               hub=j if projector and self.hub is None else None)
+            if not grew:
+                continue
             self.gens.append((_projector_ad(n, j) if projector else _ad_map(gen, n), projector))
-            self.grown += (0, 0)
             g = len(self.gens) - 1
-            self._queue((g, e) for e in range(len(self.elems) - 1))
-        gens, elems, pending, grown = self.gens, self.elems, self.pending, self.grown
+            self._queue(((g, e) for e in range(len(self.elems) - 1)), full and grew == 2)
+            if full and self._certify():
+                return self.dim
+        gens, elems, pending = self.gens, self.elems, self.pending
         while pending and self.dim < cap:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
-            ad, projector = gens[g]
-            packed = self._bracket(ad, elems[e])
-            if packed is not None and self._offer(parity, packed):
-                if projector:
-                    k = 2 * g + parity
-                    grown[k] += 1
-                    if grown[k] >= n - 1 and grown[k ^ 1] >= n - 1 and cap == n * n:
-                        self.dim = cap
-                        pending.clear()
-                        break
-                e = len(elems) - 1
-                self._queue((h, e) for h in range(len(gens)))
+            packed = self._bracket(gens[g][0], elems[e])
+            grew = 0 if packed is None else self._offer(parity, packed)
+            if grew:
+                lead = full and grew == 2
+                if lead and self._certify():
+                    break
+                self._queue(((h, len(elems) - 1) for h in range(len(gens))), lead)
         return self.dim
 
 
@@ -507,8 +583,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         to n^2, the dimension of gl(n, R), which no closure exceeds.
       max_order: refuse sides beyond this; exact closure cost grows
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
-        |G| generators; a full one stops at about half its elements,
-        ``_LieEngine``).
+        |G| generators; a full one with one control vertex stops after
+        n + 2 elements, ``_LieEngine``).
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
         an exact closure past 16 emits a warning.
 
@@ -518,9 +594,10 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     (``MatrixSpaceBasis.full``), as it is for an exact closure that comes
     out full, whose elements may stop short of n^2.  Any other closure runs
     exactly: with ``control_generators`` of a ``random:7`` matrix and
-    S = {1} the exact closure of the complete graph took 0.14 s at n = 14
-    and 0.53 s at n = 16, and all of ``lie_closure`` by the modular one
-    0.05 and 0.08 s (2-CPU x86, Python 3.11).
+    S = {1} the exact closure of the complete graph took 0.005 s at n = 14
+    and 0.009 s at n = 16, and all of ``lie_closure`` by the modular one
+    0.008 and 0.013 s (2-CPU x86, Python 3.11).  A deficient closure keeps
+    all of its elements, and there coefficient growth sets the cost.
 
     Returns:
       (dim, basis) with basis the MatrixSpaceBasis of the closure in

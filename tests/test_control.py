@@ -395,9 +395,9 @@ class TestLieClosure:
         assert basis == MatrixSpaceBasis.full(n)
 
     def test_full_exact_closure_is_the_unit_basis(self, monkeypatch):
-        # modulo 2 this closure stops at 3 (TestModularRoute); the exact one
+        # modulo 2 this closure stops at 2 (TestModularRoute); the exact one
         # is full, and lie_closure returns the unit basis for it too
-        gens = control_generators(pattern_matrix([[1, 1], [1, -2]]), (1,))
+        gens = control_generators(pattern_matrix([[0, 2], [2, 1]]), (1,))
         want = self._oracle_rows(gens)
         monkeypatch.setattr(control, "_PRIME", 2)
         runs = self._engine_runs(monkeypatch)
@@ -549,9 +549,13 @@ class TestIncrementalLieEngine:
         assert not engine.pending
 
 
+def _int_matrix(a):
+    return tuple(tuple(int(x) for x in row) for row in a.matrix.entries)
+
+
 def _control_engine(a, s, modulus=None):
     n = a.n
-    gens = [tuple(tuple(int(x) for x in row) for row in a.matrix.entries)]
+    gens = [_int_matrix(a)]
     for j in s:
         gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
     engine = _LieEngine(n, modulus)
@@ -595,7 +599,7 @@ class TestSplitLieEngine:
 
 
 class TestCrossCertificate:
-    """A full closure stops once a projector's grown brackets fill its cross."""
+    """A full closure stops once the hub rows of its elements reach rank n - 1."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([None, 2, 3, 5]), symmetric_strategy(max_side=5))
@@ -605,22 +609,75 @@ class TestCrossCertificate:
         want = oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], s)
         engine = _control_engine(a, s, p)
         assert engine.dim == want if p is None else engine.dim <= want
-        if _certified(engine):
+        if engine.hub_rows is not None and engine.hub_rows.dim == n - 1:
             assert engine.dim == want == n * n
-            assert all(count == 0 for count in engine.grown[:2])
+        if _certified(engine):
+            # the hub is a control vertex and its rows reached rank n - 1
+            assert engine.hub + 1 in s
+            assert engine.hub_rows.dim == n - 1
 
-    @pytest.mark.parametrize("modulus", [None, control._PRIME])
-    def test_complete_8_stops_at_half_the_elements(self, monkeypatch, modulus):
+    @staticmethod
+    def _counting_brackets(monkeypatch):
         brackets = []
         real = _LieEngine._bracket
         monkeypatch.setattr(_LieEngine, "_bracket",
                             lambda self, ad, elem: brackets.append(ad) or real(self, ad, elem))
-        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (1,), modulus)
-        # run to the end, the same closure keeps 64 elements after 121 brackets
-        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 32, 51)
-        # A's brackets are not counted; E_11's fill both halves of its cross
-        assert engine.grown == [0, 0, 7, 7]
+        return brackets
+
+    # a hub past vertex 1 reads skew entries left of its diagonal
+    @pytest.mark.parametrize("member", [1, 5])
+    @pytest.mark.parametrize("modulus", [None, control._PRIME])
+    def test_complete_8_stops_after_n_plus_2_elements(self, monkeypatch, member, modulus):
+        brackets = self._counting_brackets(monkeypatch)
+        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,), modulus)
+        # run to the end, the same closure keeps 64 elements after 121 brackets:
+        # A, E_jj, [E_jj, A], [E_jj, [E_jj, A]] and six brackets of A in a chain
+        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 10, 9)
+        assert engine.hub == member - 1 and engine.hub_rows.dim == 7
         assert not engine.pending
+
+    @pytest.mark.parametrize("modulus", [None, control._PRIME])
+    def test_generator_order_does_not_matter(self, monkeypatch, modulus):
+        a = _int_matrix(random_same_sign_matrix(complete_graph(8), 7))
+        e33 = control._projector_rows(8, 2)
+        brackets = self._counting_brackets(monkeypatch)
+        counts = []
+        for gens in ([a, e33], [e33, a]):
+            engine = _LieEngine(8, modulus)
+            assert engine.extend(gens, 64) == 64
+            assert engine.hub == 2 and engine.hub_rows.dim == 7
+            counts.append((len(engine.elems), len(brackets)))
+            brackets.clear()
+        assert counts == [(10, 9), (10, 9)]
+
+    @pytest.mark.parametrize("modulus", [None, control._PRIME])
+    def test_non_projector_generators_have_no_hub(self, modulus):
+        a = _int_matrix(random_same_sign_matrix(complete_graph(4), 7))
+        b = _int_matrix(random_same_sign_matrix(complete_graph(4), 3))
+        engine = _LieEngine(4, modulus)
+        assert engine.extend([a, b], 16) == len(engine.elems) == 16
+        assert engine.hub is None and engine.hub_rows is None
+
+    def test_hub_rows_start_from_every_earlier_element(self):
+        # A and A^2 of P4 commute; when E_22 arrives both hub rows, (1, 1, 0)
+        # and (0, 0, 1), go in at once and one bracket chain fills the third
+        a = _int_matrix(adjacency_matrix(path_graph(4)))
+        a2 = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*a)) for row in a)
+        gens = [a, a2]
+        want = len(oracles.lie_basis_bruteforce(gens + [control._projector_rows(4, 1)]))
+        engine = _LieEngine(4)
+        assert engine.extend(gens, 16) == len(engine.elems) == 2
+        assert engine.extend([control._projector_rows(4, 1)], 16) == want == 16
+        assert engine.hub == 1 and engine.hub_rows.dim == 3
+        assert _certified(engine)
+
+    @pytest.mark.parametrize("modulus", [None, 2])
+    def test_projectors_alone_never_certify(self, modulus):
+        # every projector's hub row is zero: the closure is the diagonal
+        engine = _LieEngine(4, modulus)
+        assert engine.extend([control._projector_rows(4, j) for j in range(4)], 16) == 4
+        assert len(engine.elems) == 4
+        assert engine.hub == 0 and engine.hub_rows.dim == 0
 
     # the oracle's dimensions; the isolated vertex 6 keeps every bracket's
     # last row and column zero, so P5 + K1 closes to gl(5)
@@ -633,10 +690,11 @@ class TestCrossCertificate:
     def test_deficient_closures_stay_uncertified(self, edges, n, members, want, modulus):
         engine = _control_engine(adjacency_matrix(graph(n, edges)), members, modulus)
         assert engine.dim == len(engine.elems) == want
+        assert engine.hub_rows.dim < n - 1
 
     def test_capped_closure_is_not_certified(self):
         a = random_same_sign_matrix(complete_graph(8), 7)
-        gens = [tuple(tuple(int(x) for x in row) for row in a.matrix.entries), control._projector_rows(8, 0)]
+        gens = [_int_matrix(a), control._projector_rows(8, 0)]
         engine = _LieEngine(8)
         assert engine.extend(gens, 63) == 63
         assert len(engine.elems) == 63
@@ -1002,12 +1060,12 @@ class TestModularRoute:
         assert grown() == [(2, {"walk": 2})]
 
     def test_lie_closure_deficient_mod_p_falls_back(self, monkeypatch):
-        entries = [[1, 1], [1, -2]]
+        entries = [[0, 2], [2, 1]]
         a = pattern_matrix(entries)
         gens = [tuple(map(tuple, entries)), ((1, 0), (0, 0))]
-        # modulo 2 the symmetric and skew parts agree off the diagonal: the
-        # split closure stops at dimension 3
-        assert _LieEngine(2, 2).extend(gens, 4) == 3
+        # modulo 2, A is E_22 and its hub entry 2 vanishes: the closure
+        # stops at the two projectors' dimension 2
+        assert _LieEngine(2, 2).extend(gens, 4) == 2
         assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
         runs = []
         real = control._LieEngine
