@@ -18,10 +18,16 @@ modulo p proves full rank over the rationals; a smaller one proves nothing.
 There each stored row also keeps its support, the columns from its pivot to
 its last nonzero entry, and a row operation runs over that slice alone:
 outside it the row is zero, so the full-length operation would leave those
-entries as they were.  Sparse and banded rows (the row-major outer product
-u w^T of two walk rows is zero outside the rows where u is nonzero, a
-path's walk rows are banded) then cost what they hold, not the ambient
+entries as they were.  Sparse and banded rows (a path's walk rows, and the
+Lie elements they generate) then cost what they hold, not the ambient
 length.
+
+``PackedBasis`` is the modular basis of the product span, whose vectors
+are outer products.  It keeps each vector as one int of fixed-width slots,
+wide enough for the product of two residues, so the row-major outer
+product u w^T of two residue vectors is one multiplication,
+``pack(u, n * width) * pack(w, width)``, and an insert whose lead is past
+every stored pivot stores it with no pass over its slots.
 """
 
 from __future__ import annotations
@@ -121,6 +127,8 @@ class EchelonBasis:
         entry of the vector is final once the rows before it are applied.
         """
         v = list(values)
+        if len(v) != self.ambient:
+            raise ValueError(f"expected length {self.ambient}, got {len(v)}")
         p = self.modulus
         if p is None:
             for c, row in zip(self.pivots, self.rows):
@@ -143,11 +151,13 @@ class EchelonBasis:
         modulo p); None means the vector already lay in the span, so the
         dimension grew iff the result is truthy.
         """
-        if len(values) != self.ambient:
-            raise ValueError(f"expected length {self.ambient}, got {len(values)}")
         v = self.reduce(values)
         if v is None:
             return None
+        return self._store(v)
+
+    def _store(self, v):
+        """Store a nonzero residue in its pivot's place; return the row stored."""
         c_new = 0
         while not v[c_new]:
             c_new += 1
@@ -167,6 +177,11 @@ class EchelonBasis:
 
     def contains(self, values) -> bool:
         return self.reduce(values) is None
+
+    def entry(self, values, c: int) -> int:
+        """Entry c of a vector as this basis reads it: a residue modulo p."""
+        p = self.modulus
+        return values[c] if p is None else values[c] % p
 
     def reduced_rows(self) -> tuple:
         """The canonical form of the span: the fully reduced primitive rows.
@@ -193,6 +208,109 @@ class EchelonBasis:
             tuple(Fraction(x, row[c]) for x in row)
             for c, row in zip(self.pivots, self.reduced_rows())
         )
+
+
+def slot_width(modulus: int) -> int:
+    """Bits per slot that hold the product of any two residues modulo p.
+
+    The largest such product is (p - 1)^2, so one bit fewer does not hold it.
+    """
+    return ((modulus - 1) ** 2).bit_length()
+
+
+def pack(values, width: int) -> int:
+    """Nonnegative ints below 2^width as one int: entry i in bits [i·width, (i+1)·width)."""
+    v = 0
+    for x in reversed(values):
+        v = v << width | x
+    return v
+
+
+def unpack(v: int, width: int, count: int) -> list:
+    """The ``count`` slots of a packed int, lowest first."""
+    mask = (1 << width) - 1
+    return [v >> i * width & mask for i in range(count)]
+
+
+class PackedBasis(EchelonBasis):
+    """Echelon basis modulo a prime whose vectors and rows are packed ints.
+
+    A vector of length ``ambient`` is one nonnegative int with entry i in
+    slot i (``pack``) of ``width = slot_width(p)`` bits, read modulo p slot
+    by slot.  Its slots may hold up to 2^width - 1, so the row-major outer
+    product of two residue vectors r_a and r_b is one multiplication: with
+    r_a packed at width n·width and r_b at width, slot a·n + b of
+    ``pack(r_a, n * width) * pack(r_b, width)`` is r_a[a]·r_b[b] <= (p - 1)^2,
+    and no slot carries into the next.
+
+    The lead of a vector, its first nonzero slot, is one bit scan.  It is
+    zero before its lead, so an insert reads only the pivots at or after
+    it.  If the lead slot is nonzero modulo p and each of those pivot slots
+    is zero modulo p, the vector is its own residue and is stored as it is,
+    with no row operation and no pass over its slots.  Otherwise (leads
+    collide, or the lead slot is a nonzero multiple of p) its slots are
+    unpacked and reduced modulo p, the row operations run on that list, and
+    the residue is packed again.  A stored row's slots are kept as they
+    came, unreduced; only its pivot slot is known nonzero modulo p.  Either
+    way each row is zero modulo p on every pivot stored before it, so
+    modulo p it is a multiple of the row ``EchelonBasis`` adds with the same
+    modulus, and the pivots are those it has.
+
+    ``insert`` is inherited: every insert runs through
+    ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store`` here.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, ambient: int, modulus: int):
+        self.ambient = ambient
+        self.modulus = modulus
+        self.width = slot_width(modulus)
+        self.rows: list = []
+        self.pivots: list = []
+
+    def copy(self) -> "PackedBasis":
+        dup = PackedBasis(self.ambient, self.modulus)
+        dup.rows = list(self.rows)
+        dup.pivots = list(self.pivots)
+        return dup
+
+    def entry(self, values: int, c: int) -> int:
+        w = self.width
+        return (values >> c * w & (1 << w) - 1) % self.modulus
+
+    def _lead(self, v: int) -> int:
+        return ((v & -v).bit_length() - 1) // self.width
+
+    def reduce(self, values: int):
+        """Residue of a packed vector modulo the current span, packed; None if zero."""
+        v = values
+        if v < 0 or v.bit_length() > self.ambient * self.width:
+            raise ValueError(f"expected a packed vector of {self.ambient} slots of {self.width} bits")
+        if not v:
+            return None
+        lead = self._lead(v)
+        pivots = self.pivots
+        start = bisect_left(pivots, lead)
+        if self.entry(v, lead) and (start == len(pivots) or not any(
+                self.entry(v, c) for c in pivots[start:])):
+            return v
+        p, w, k = self.modulus, self.width, self.ambient
+        slots = [x % p for x in unpack(v, w, k)]
+        for c, row in zip(pivots[start:], self.rows[start:]):
+            x = slots[c]
+            if x:
+                r = unpack(row, w, k)
+                f = x * pow(r[c], -1, p) % p
+                slots[c:] = [(a - f * b) % p for a, b in zip(slots[c:], r[c:])]
+        return pack(slots, w) or None
+
+    def _store(self, v: int) -> int:
+        c = self._lead(v)
+        pos = bisect_left(self.pivots, c)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, c)
+        return v
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from netctrl import (
 )
 from netctrl import control, harness
 from netctrl.control import _LieEngine, _Session, _ad_map, _packing, control_generators
-from netctrl.intlinalg import EchelonBasis, int_commutator
+from netctrl.intlinalg import EchelonBasis, PackedBasis, int_commutator
 from netctrl.linalg import MatrixSpaceBasis, mat_mul
 
 from . import oracles
@@ -318,7 +318,7 @@ class TestProductSpan:
             if caller.f_code is not control._extend_state.__code__ or basis is not caller.f_locals["span"]:
                 return real(basis, values)
             p = basis.modulus
-            hit = [c for c in basis.pivots if (values[c] % p if p else values[c])]
+            hit = [c for c in basis.pivots if basis.entry(values, c)]
             assert not hit, f"a span product meets stored pivots {hit}"
             row = real(basis, values)
             assert row is not None, "a span product did not grow the span"
@@ -635,6 +635,37 @@ class TestCrossCertificate:
         assert (engine.dim, len(engine.elems), len(brackets)) == (64, 10, 9)
         assert engine.hub == member - 1 and engine.hub_rows.dim == 7
         assert not engine.pending
+        # the same closure grown by the engine beside its full walk
+        brackets.clear()
+        session = _Session(random_same_sign_matrix(complete_graph(8), 7))
+        state = control._NodeState(session, modulus, ("walk", "lie"))
+        control._extend_state(state, session, member)
+        assert state.walk.dim == 8
+        assert (state.lie.dim, len(state.lie.elems), len(brackets)) == (64, 10, 9)
+
+    @pytest.mark.parametrize("g, kind, members, walk, elems, brackets", [
+        (cycle_graph(16), "adjacency", (1,), 9, 82, 161),
+        (cycle_graph(8), "adjacency", (1,), 5, 26, 49),
+        (complete_graph(6), "adjacency", (1, 2), 3, 10, 24),
+    ], ids=["C16-1", "C8-1", "K6-12"])
+    def test_short_walk_closure_does_not_lead(self, monkeypatch, g, kind, members, walk, elems, brackets):
+        # beside a short walk the closure cannot be full, so no pair is
+        # queued at the front for the hub rows and it runs to its fixpoint
+        counted = self._counting_brackets(monkeypatch)
+        leads = []
+        real = _LieEngine._queue
+        monkeypatch.setattr(_LieEngine, "_queue",
+                            lambda self, pairs, lead=False: leads.append(lead) or real(self, pairs, lead))
+        session = _Session(build_matrix(g, kind))
+        state = control._NodeState(session, parts=("walk", "lie"))
+        for j in members:
+            control._extend_state(state, session, j)
+        assert state.walk.dim == walk
+        assert (state.lie.dim, len(state.lie.elems), len(counted)) == (elems, elems, brackets)
+        if g.order <= 6:  # the oracle takes seconds past that
+            assert elems == oracles.control_lie_dim_bruteforce(
+                [list(r) for r in build_matrix(g, kind).matrix.entries], members)
+        assert leads and not any(leads)
 
     @pytest.mark.parametrize("modulus", [None, control._PRIME])
     def test_generator_order_does_not_matter(self, monkeypatch, modulus):
@@ -1051,6 +1082,33 @@ class TestModularRoute:
         rep = analyze(a, s)
         assert inserts == {control._PRIME: modular, None: exact}
         assert rep.p_span_dim == rep.walk_rank ** 2 == modular + exact
+
+    # products grown modulo 2, 3 and 5: a walk short modulo p grows none
+    @pytest.mark.parametrize("g, kind, s, grows", [
+        (path_graph(4), "random:3", (1,), [0, 0, 16]), (cycle_graph(5), "random:3", (1,), [0, 0, 25]),
+        (cycle_graph(6), "random:1", (1, 4), [0, 36, 36]), (complete_graph(4), "adjacency", (1, 2), [0, 0, 0]),
+    ], ids=["P4-random:3", "C5-random:3", "C6-random:1", "K4-12"])
+    def test_packed_span_at_small_primes(self, monkeypatch, g, kind, s, grows):
+        # modulo 2, 3 and 5 the packed span grows all n^2 products beside a
+        # full modular walk and nothing beside a short one; either way the
+        # span's dimension is the literal products'
+        a = build_matrix(g, kind)
+        want = oracles.pspan_dim_bruteforce([[int(x) for x in row] for row in a.matrix.entries], s)
+        grown = []
+        real = EchelonBasis.insert
+
+        def counting(basis, values):
+            row = real(basis, values)
+            if isinstance(basis, PackedBasis) and row is not None:
+                grown[-1] += 1
+            return row
+
+        monkeypatch.setattr(EchelonBasis, "insert", counting)
+        for p in (2, 3, 5):
+            monkeypatch.setattr(control, "_PRIME", p)
+            grown.append(0)
+            assert p_span_dim(a, s) == want, p
+        assert grown == grows
 
     def test_walk_is_cleared_before_reduction(self, monkeypatch):
         monkeypatch.setattr(control, "_PRIME", 2)

@@ -4,7 +4,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netctrl import (
@@ -20,7 +20,16 @@ from netctrl import (
     rank,
 )
 from netctrl.control import _PRIME
-from netctrl.intlinalg import EchelonBasis, int_commutator, int_mat_mul
+from netctrl import intlinalg
+from netctrl.intlinalg import (
+    EchelonBasis,
+    PackedBasis,
+    int_commutator,
+    int_mat_mul,
+    pack,
+    slot_width,
+    unpack,
+)
 from netctrl.linalg import basis_column, mat_vec, outer
 
 from .oracles import FractionBasis, ModularEchelon, frac_rank
@@ -240,6 +249,129 @@ class TestModularEchelon:
         for basis, oracle in forks:
             for row in rows:
                 assert basis.insert(row) == oracle.insert(row)
+
+
+@st.composite
+def _slot_rows(draw):
+    """(p, k, rows): slot vectors of length k for a PackedBasis modulo p.
+
+    Entries are any value a slot holds, weighted toward 0, the residues 1
+    and p - 1, the largest product (p - 1)^2, nonzero multiples of p, the
+    slot's top bit alone and its largest value.  A combination of earlier
+    rows is taken modulo p and lifted by p where that still fits, so the
+    basis sees vectors already in its span under other slot values.
+    """
+    p = draw(st.sampled_from([2, 3, 5, _PRIME]))
+    top = (1 << slot_width(p)) - 1
+    special = {1, p - 1, (p - 1) ** 2, (top + 1) // 2, top} | {m for m in (p, 2 * p, top - top % p) if m <= top}
+    entries = st.one_of(st.just(0), st.sampled_from(sorted(special)), st.integers(min_value=0, max_value=top))
+    k = draw(st.integers(min_value=1, max_value=9))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        shape = draw(st.sampled_from(["window", "window", "zero", "combination"]))
+        if shape == "zero":
+            rows.append([0] * k)
+        elif shape == "combination" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(st.integers(min_value=0, max_value=p - 1)), draw(st.integers(min_value=0, max_value=p - 1))
+            mixed = [(a * s + b * t) % p for s, t in zip(x, y)]
+            rows.append([r + p if r + p <= top and draw(st.booleans()) else r for r in mixed])
+        else:
+            lo = draw(st.integers(min_value=0, max_value=k - 1))
+            hi = draw(st.integers(min_value=lo + 1, max_value=k))
+            rows.append([0] * lo + [draw(entries) for _ in range(lo, hi)] + [0] * (k - hi))
+    return p, k, rows
+
+
+def _monic(slots, p):
+    c = next(i for i, x in enumerate(slots) if x)
+    inv = pow(slots[c], -1, p)
+    return tuple(x * inv % p for x in slots)
+
+
+class TestPackedBasis:
+    """The packed modular kernel against the list kernel and the full-length oracle."""
+
+    # leads collide on slot 0, so the second row takes the row-operation path
+    @example(case=(3, 2, [[1, 2], [2, 1], [1, 1]]), copies=[])
+    # the lead slot 3 is a multiple of 3, so the first nonzero residue is slot 1
+    @example(case=(3, 3, [[3, 1, 0], [0, 6, 7], [0, 0, 1]]), copies=[])
+    # the lowest set bit of 16 is its slot's top bit (slot width 5 for p = 5)
+    @example(case=(5, 2, [[16, 0], [0, 16], [16, 16]]), copies=[])
+    @settings(max_examples=300, deadline=None)
+    @given(_slot_rows(), st.lists(st.booleans(), max_size=10))
+    def test_packed_kernel_matches_list_kernel(self, case, copies):
+        p, k, rows = case
+        w = slot_width(p)
+        packed, listed, oracle = PackedBasis(k, p), EchelonBasis(k, modulus=p), ModularEchelon(k, p)
+        forks = []
+        for step, row in enumerate(rows):
+            if step < len(copies) and copies[step]:
+                # the original must not see what its copy takes in
+                forks.append((packed, listed.copy()))
+                packed = packed.copy()
+            v = pack(row, w)
+            member = packed.contains(v)
+            added = packed.insert(v)
+            want = listed.insert(row)
+            assert want == oracle.insert(row)
+            assert member == (added is None) == (want is None)
+            assert (packed.dim, packed.pivots) == (listed.dim, listed.pivots)
+            if added is not None:
+                # the residue modulo p is the list kernel's row up to scale
+                assert _monic([x % p for x in unpack(added, w, k)], p) == want
+        for c, row in zip(packed.pivots, packed.rows):
+            slots = unpack(row, w, k)
+            assert packed.entry(row, c) and not any(slots[:c])
+        for original, listed in forks:
+            for row in rows:
+                assert (original.insert(pack(row, w)) is None) == (listed.insert(row) is None)
+                assert original.pivots == listed.pivots
+
+    def test_each_path_is_taken(self, monkeypatch):
+        unpacked = []
+        real = intlinalg.unpack
+        monkeypatch.setattr(intlinalg, "unpack", lambda *args: unpacked.append(args) or real(*args))
+        p = 3
+        w = slot_width(p)
+        basis = PackedBasis(3, p)
+        # distinct leads past every pivot: stored as they come, no slot unpacked
+        for row in ([1, 2, 0], [0, 4, 1]):
+            assert basis.insert(pack(row, w)) == pack(row, w)
+        assert not unpacked and basis.pivots == [0, 1]
+        # lead 0 meets pivot 0: (2, 0, 0) - 2 (1, 2, 0) - 2 (0, 1, 1) = (0, 0, 1) mod 3
+        assert basis.insert(pack([2, 0, 0], w)) == pack([0, 0, 1], w)
+        assert unpacked and basis.pivots == [0, 1, 2]
+        # a lead slot 3 = 0 mod 3 and nothing else: the zero vector modulo 3
+        fresh = PackedBasis(2, p)
+        assert fresh.insert(pack([3, 0], w)) is None and fresh.dim == 0
+        assert fresh.insert(pack([6, 2], w)) == pack([0, 2], w) and fresh.pivots == [1]
+
+    @pytest.mark.parametrize("p", [2, 3, 185_363, _PRIME])
+    def test_outer_product_slots_do_not_overflow(self, p):
+        # every slot holds the largest product (p - 1)^2, whose top bit is the
+        # slot's own; modulo 2 that fills the one-bit slot, and 185,363 is the
+        # prime below 2 * 10^5 with the least headroom relative to 2^width
+        w = slot_width(p)
+        assert (p - 1) ** 2 >> (w - 1) == 1
+        n = 5
+        for r_a, r_b in (([p - 1] * n, [p - 1] * n), ([p - 1, 0, 1, p - 1, 2 % p], [0, p - 1, p - 1, 1, p - 1])):
+            product = pack(r_a, n * w) * pack(r_b, w)
+            assert unpack(product, w, n * n) == [x * y for x in r_a for y in r_b]
+            assert product < 1 << n * n * w
+        basis = PackedBasis(n * n, p)
+        rows = [[p - 1] * c + [0] * (n - c) for c in range(n, 0, -1)]
+        for r_a in rows:
+            for r_b in rows:
+                assert basis.insert(pack(r_a, n * w) * pack(r_b, w)) is not None
+        assert basis.dim == n * n
+
+    def test_rejects_a_vector_it_cannot_hold(self):
+        basis = PackedBasis(2, 5)
+        with pytest.raises(ValueError):
+            basis.insert(1 << 2 * slot_width(5))
+        with pytest.raises(ValueError):
+            basis.insert(-1)
 
 
 class TestRank:
