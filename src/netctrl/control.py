@@ -274,50 +274,10 @@ def _packed_index(n: int, parity: int) -> tuple:
     return tuple(map(tuple, table)), tuple(zip(*table))
 
 
-def _ad_map(g, n: int) -> tuple:
-    """ad_g = [g, .] on packed coordinates, for a symmetric integer matrix g.
-
-    Entry [parity][k] lists the (target, coefficient) pairs of [g, U_k] in
-    the other parity's packing, U_k the packed unit of that parity.  As g is
-    symmetric, [g, E_rc] is row r of g placed in column c minus row c of g
-    placed in row r: O(n) pairs per unit, fewer where g is sparse.  Only
-    the entries on the target packing's triangle are summed: [g, U_k] is
-    symmetric or skew, so those determine it.
-    """
-    rows = [[(a, v) for a, v in enumerate(row) if v] for row in g]
-    maps = []
-    for parity in (_SYM, _SKEW):
-        # U_k is E_ij + E_ji (E_ii when i = j) or, skew, E_ij - E_ji
-        by_row, by_col = _packed_index(n, 1 - parity)
-        images = []
-        for i, j in _packing(n, parity):
-            acc: dict = {}
-            for r, c, s in ((i, j, 1),) if i == j else ((i, j, 1), (j, i, 1 - 2 * parity)):
-                col = by_col[c]
-                for a, v in rows[r]:
-                    k = col[a]
-                    if k is not None:
-                        acc[k] = acc.get(k, 0) + s * v
-                row = by_row[r]
-                for b, v in rows[c]:
-                    k = row[b]
-                    if k is not None:
-                        acc[k] = acc.get(k, 0) - s * v
-            images.append(tuple((k, v) for k, v in acc.items() if v))
-        maps.append(tuple(images))
-    return tuple(maps)
-
-
 @lru_cache(maxsize=None)
 def _projector_rows(n: int, j: int) -> tuple:
     """The projector e_j e_j^T (0-based j) as integer row tuples."""
     return tuple(tuple(int(r == c == j) for c in range(n)) for r in range(n))
-
-
-@lru_cache(maxsize=None)
-def _projector_ad(n: int, j: int) -> tuple:
-    """``_ad_map`` of the projector e_j e_j^T (0-based j)."""
-    return _ad_map(_projector_rows(n, j), n)
 
 
 @lru_cache(maxsize=None)
@@ -352,20 +312,18 @@ class _LieEngine:
 
     ``elems`` spans the closure: one (parity, packed) pair per insert that
     grew it, the generator itself for a generator and the reduced residue
-    for a bracket.  ``gens`` holds, per generator that grew the span, its
-    ``_ad_map`` and whether it is a projector e_j e_j^T.  A generator
-    already in the span lies in the algebra of the earlier ones, so it adds
-    nothing and is dropped.  ``pending`` holds the (generator, element)
-    index pairs not yet bracketed: a new element is queued against every
-    generator, and a new generator against every earlier element.
-    Projector pairs go to the front, since their maps are the sparsest.
-    ad_g is linear on packed coordinates, so every bracket is one loop:
-    [g, X] is the sum of x_k times the image of the unit U_k over the
-    nonzero entries x_k of X.  A projector's map is cached per (n, j); any
-    other generator's is built when it is added, so A's once per root
-    engine, shared by its copies.  ``extend`` may be called again with more
-    generators and only the new pairs are bracketed, which is what lets a
-    harness share closure work along chains of growing control sets.
+    for a bracket.  ``gens`` holds each generator that grew the span in the
+    form ``_bracket`` reads: a projector e_j e_j^T as its 0-based j, any
+    other generator as its sparse rows, the (column, value) pairs of each
+    row's nonzero entries.  A generator already in the span lies in the
+    algebra of the earlier ones, so it adds nothing and is dropped.
+    ``pending`` holds the (generator, element) index pairs not yet
+    bracketed: a new element is queued against every generator, and a new
+    generator against every earlier element.  Projector pairs go to the
+    front, since a projector's bracket costs O(n) (``_bracket``).  ``extend``
+    may be called again with more generators and only the new pairs are
+    bracketed, which is what lets a harness share closure work along chains
+    of growing control sets.
     Scaling spanning-set elements changes neither the span nor its closure.
 
     A generator and a bracket are offered as they are, unscaled: the
@@ -496,7 +454,7 @@ class _LieEngine:
         """Queue (generator, element) pairs; with ``lead`` all at the front, A's on top."""
         top = []
         for g, e in pairs:
-            if self.gens[g][1]:
+            if type(self.gens[g]) is int:
                 self.pending.appendleft((g, e))
             elif lead:
                 top.append((g, e))
@@ -504,14 +462,46 @@ class _LieEngine:
                 self.pending.append((g, e))
         self.pending.extendleft(reversed(top))
 
-    def _bracket(self, ad, elem):
-        """[g, elem] packed in the opposite parity, ``ad`` the map of g; None when zero."""
+    def _bracket(self, g, elem):
+        """[g, elem] packed in the opposite parity, g as ``gens`` holds it; None when zero.
+
+        For a projector, [E_gg, X] is the cross element of the other parity
+        whose row g is row g of X, read and written through ``_hub_coords``:
+        one of the two parities is skew, so left of the diagonal the stored
+        entry changes sign.  For A, [A, X] = P - sP^T with P = AX and s = +-1
+        the sign with X^T = sX.  An entry x of X at (i, j), and sx at (j, i)
+        for i != j, puts x times row i of A (A is symmetric) in column j of
+        P and sx times row j in column i.  A column k of P that holds y times
+        row r adds y A_ra at (a, k) for a < k and -s y A_ra at (k, a) for
+        a > k, and on the diagonal, stored only in a symmetric target (s =
+        -1), 2 y A_rk: so each nonzero entry of X makes one pass over each
+        of its rows of A, and every term lands on the target's triangle.
+        """
         parity, packed = elem
+        n = self.side
         out = [0] * self.bases[1 - parity].ambient
-        for x, image in zip(packed, ad[parity]):
-            if x:
-                for t, v in image:
-                    out[t] += v * x
+        if type(g) is int:
+            left, right = _hub_coords(n, g, parity)
+            to_left, to_right = _hub_coords(n, g, 1 - parity)
+            for s, t in zip(left, to_left):
+                out[t] = -packed[s]
+            for s, t in zip(right, to_right):
+                out[t] = packed[s]
+            return out if any(out) else None
+        by_row, by_col = _packed_index(n, 1 - parity)
+        sign = 1 - 2 * parity
+        for (i, j), x in zip(_packing(n, parity), packed):
+            if not x:
+                continue
+            for r, k, y in ((i, j, x),) if i == j else ((i, j, x), (j, i, sign * x)):
+                col, row, z = by_col[k], by_row[k], -sign * y
+                for a, v in g[r]:
+                    if a < k:
+                        out[col[a]] += v * y
+                    elif a > k:
+                        out[row[a]] += v * z
+                    elif parity:
+                        out[row[a]] += v * (y + z)
         return out if any(out) else None
 
     def _certify(self) -> bool:
@@ -546,7 +536,7 @@ class _LieEngine:
                                hub=j if projector and self.hub is None else None)
             if not grew:
                 continue
-            self.gens.append((_projector_ad(n, j) if projector else _ad_map(gen, n), projector))
+            self.gens.append(j if projector else [[(a, v) for a, v in enumerate(row) if v] for row in gen])
             g = len(self.gens) - 1
             self._queue(((g, e) for e in range(len(self.elems) - 1)), full and grew == 2)
             if full and self._certify():
@@ -555,7 +545,7 @@ class _LieEngine:
         while pending and self.dim < cap:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
-            packed = self._bracket(gens[g][0], elems[e])
+            packed = self._bracket(gens[g], elems[e])
             grew = 0 if packed is None else self._offer(parity, packed)
             if grew:
                 lead = full and grew == 2
@@ -594,9 +584,9 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     (``MatrixSpaceBasis.full``), as it is for an exact closure that comes
     out full, whose elements may stop short of n^2.  Any other closure runs
     exactly: with ``control_generators`` of a ``random:7`` matrix and
-    S = {1} the exact closure of the complete graph took 0.005 s at n = 14
-    and 0.009 s at n = 16, and all of ``lie_closure`` by the modular one
-    0.008 and 0.013 s (2-CPU x86, Python 3.11).  A deficient closure keeps
+    S = {1} the exact closure of the complete graph took 0.006 s at n = 14
+    and 0.010 s at n = 16, and all of ``lie_closure`` by the modular one
+    0.009 and 0.015 s (min of 9 CPU runs, 2-CPU x86, Python 3.11).  A deficient closure keeps
     all of its elements, and there coefficient growth sets the cost.
 
     Returns:

@@ -48,6 +48,13 @@ def _label(v) -> int:
     return v
 
 
+def _order(n) -> int:
+    """``n`` itself if it is an int >= 1; else ValueError naming it."""
+    if type(n) is not int or n < 1:  # bool is an int subclass
+        raise ValueError(f"graph order must be an int >= 1, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``1..order``.
@@ -60,8 +67,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if type(self.order) is not int or self.order < 1:  # bool is an int subclass
-            raise ValueError(f"graph order must be an int >= 1, got {self.order!r}")
+        _order(self.order)
         for u, v in self.edges:
             if not (1 <= _label(u) < _label(v) <= self.order):
                 raise ValueError(f"invalid edge ({u}, {v}) for order {self.order}")
@@ -105,7 +111,11 @@ def adjacency_sets(g: Graph) -> dict:
 
 def vertex_set(members, order: int) -> tuple:
     """Normalize an iterable of int vertex labels in 1..order to a sorted duplicate-free tuple."""
-    members = tuple(members)
+    try:
+        labels = iter(members)
+    except TypeError:
+        raise ValueError(f"vertex set {members!r} is not an iterable of vertex labels") from None
+    members = tuple(labels)
     for v in members:
         if not (1 <= _label(v) <= order):
             raise ValueError(f"vertex {v} out of range 1..{order}")
@@ -177,19 +187,19 @@ def to_dot(g: Graph) -> str:
 
 def path_graph(n: int) -> Graph:
     """Path 1-2-...-n."""
-    return graph(n, [(i, i + 1) for i in range(1, n)])
+    return graph(n, [(i, i + 1) for i in range(1, _order(n))])
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle 1-2-...-n-1; requires n >= 3."""
-    if n < 3:
+    if _order(n) < 3:
         raise ValueError(f"cycle requires n >= 3, got {n}")
     return graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def complete_graph(n: int) -> Graph:
     """All pairs adjacent."""
-    return graph(n, itertools.combinations(range(1, n + 1), 2))
+    return graph(n, itertools.combinations(range(1, _order(n) + 1), 2))
 
 
 def generate(family: str, n: int) -> Graph:

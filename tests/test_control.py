@@ -39,8 +39,8 @@ from netctrl import (
     walk_matrix,
 )
 from netctrl import control, harness
-from netctrl.control import _LieEngine, _Session, _ad_map, _packing, control_generators
-from netctrl.intlinalg import EchelonBasis, PackedBasis, int_commutator
+from netctrl.control import _LieEngine, _Session, _packing, control_generators
+from netctrl.intlinalg import EchelonBasis, PackedBasis
 from netctrl.linalg import MatrixSpaceBasis, mat_mul
 
 from . import oracles
@@ -763,44 +763,77 @@ def _packed(x, parity):
     return tuple(x[i][j] for i, j in _packing(len(x), parity))
 
 
-def _assert_unit_images(n, g):
-    """Every image of ``_ad_map(g, n)`` is the packed commutator [g, U_k] of its unit."""
-    ad = _ad_map(g, n)
+def _unpacked(n, parity, packed):
+    """The full matrix of a packed element: x at (i, j) and +-x at (j, i)."""
+    x = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(_packing(n, parity), packed):
+        x[i][j], x[j][i] = v, (1 - 2 * parity) * v
+    return x
+
+
+def _units(n):
+    """Every packed unit of both parities, as (parity, packed) elements."""
     for parity in (0, 1):
-        sign = 1 - 2 * parity
-        assert len(ad[parity]) == len(_packing(n, parity))
-        for (i, j), image in zip(_packing(n, parity), ad[parity]):
-            unit = [[0] * n for _ in range(n)]
-            unit[i][j], unit[j][i] = 1, sign
-            assert all(v for _, v in image)
-            assert len({t for t, _ in image}) == len(image)
-            got = [0] * len(_packing(n, 1 - parity))
-            for t, v in image:
-                got[t] = v
-            assert tuple(got) == _packed(int_commutator(g, unit, sign), 1 - parity)
+        size = len(_packing(n, parity))
+        for k in range(size):
+            yield parity, tuple(int(t == k) for t in range(size))
+
+
+def _assert_brackets(n, g, elements):
+    """``_bracket`` of g's stored form on each element is the Fraction commutator [g, X].
+
+    g goes through an engine of its own, so the form is the one ``extend``
+    stores: a projector e_j e_j^T (one nonzero entry, on the diagonal) as
+    j, then bracketed as E_jj, and any other nonzero g as its sparse rows.
+    """
+    engine = _LieEngine(n)
+    engine.extend([g], n * n)
+    if not any(map(any, g)):
+        assert engine.gens == []
+        return
+    (form,) = engine.gens
+    if type(form) is int:
+        assert [(r, c) for r in range(n) for c in range(n) if g[r][c]] == [(form, form)]
+        g = control._projector_rows(n, form)
+    else:
+        assert form == [[(c, v) for c, v in enumerate(row) if v] for row in g]
+    for parity, packed in elements:
+        x = _unpacked(n, parity, packed)
+        want = _packed(oracles.mat_sub(oracles.mat_mul(g, x), oracles.mat_mul(x, g)), 1 - parity)
+        assert engine._bracket(form, (parity, packed)) == (list(want) if any(want) else None)
 
 
 class TestAdMap:
-    """ad_g on packed coordinates against the matrix commutator.
+    """ad_g = [g, .] on packed coordinates, as ``_LieEngine._bracket`` builds it.
 
-    At n = 1 the skew packing is empty, so both parities' maps are checked
-    on their degenerate sides too.
+    The reference is the commutator gX - Xg in ``oracles``' Fraction
+    arithmetic.  At n = 1 the skew packing is empty, so both parities are
+    checked on their degenerate sides too.
     """
 
     @settings(max_examples=120, deadline=None)
     @given(_ad_generator())
     def test_unit_images_are_packed_commutators(self, case):
-        _assert_unit_images(*case)
+        n, g = case
+        _assert_brackets(n, g, _units(n))
 
+    # the dense form, sparse forms and every projector, not only a hub's
     @pytest.mark.parametrize("n", range(1, 8))
     def test_seeded_unit_images_are_packed_commutators(self, n):
         rng = random.Random(n)
-        for _ in range(6):
+        gens = [control._projector_rows(n, k) for k in range(n)]
+        for values in [(1, -2, 3, 7, -9)] + [(0, 0, 1, -2, 3, 7)] * 6:
             g = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    g[i][j] = g[j][i] = rng.choice((0, 0, 1, -2, 3, 7))
-            _assert_unit_images(n, tuple(map(tuple, g)))
+                    g[i][j] = g[j][i] = rng.choice(values)
+            gens.append(tuple(map(tuple, g)))
+        elements = list(_units(n))
+        for parity in (0, 1):
+            size = len(_packing(n, parity))
+            elements += [(parity, tuple(rng.randint(-5, 5) for _ in range(size))) for _ in range(3)]
+        for g in gens:
+            _assert_brackets(n, g, elements)
 
     @settings(max_examples=120, deadline=None)
     @given(_ad_generator(), st.integers(min_value=0, max_value=1), st.data())
@@ -808,9 +841,7 @@ class TestAdMap:
         n, g = case
         size = len(_packing(n, parity))
         packed = tuple(data.draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=size, max_size=size)))
-        engine = _LieEngine(n)
-        want = _packed(int_commutator(g, engine._matrix(parity, packed), 1 - 2 * parity), 1 - parity)
-        assert engine._bracket(_ad_map(g, n), (parity, packed)) == (list(want) if any(want) else None)
+        _assert_brackets(n, g, [(parity, packed)])
 
 
 class TestLieControllable:

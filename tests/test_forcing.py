@@ -9,14 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netctrl import (
+    adjacency_matrix,
+    analyze,
     closure,
     complete_graph,
     cycle_graph,
     graph,
     is_zfs,
+    kalman_controllable,
+    lie_controllable,
     min_zfs,
+    p_span_dim,
     path_graph,
     vertex_set,
+    walk_matrix,
 )
 from netctrl import forcing, graphs
 from netctrl.graphs import adjacency_sets
@@ -104,6 +110,19 @@ class TestVertexSet:
         for s in ((label,), (1, label)):
             with pytest.raises(ValueError, match=rf"^vertex label {label!r} is not an int$"):
                 closure(path_graph(4), s)
+
+    @pytest.mark.parametrize("decide", [analyze, kalman_controllable, p_span_dim, lie_controllable, walk_matrix])
+    @pytest.mark.parametrize("members", [1, None])
+    def test_control_set_that_is_not_iterable(self, decide, members):
+        # once TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match=rf"^vertex set {members!r} is not an iterable of vertex labels$"):
+            decide(adjacency_matrix(path_graph(3)), members)
+
+    @pytest.mark.parametrize("decide", [is_zfs, closure])
+    @pytest.mark.parametrize("members", [1, None])
+    def test_forcing_set_that_is_not_iterable(self, decide, members):
+        with pytest.raises(ValueError, match=rf"^vertex set {members!r} is not an iterable of vertex labels$"):
+            decide(path_graph(3), members)
 
     def test_one_definition(self):
         assert vertex_set is graphs.vertex_set

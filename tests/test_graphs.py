@@ -157,6 +157,15 @@ class TestGenerators:
         g = complete_graph(4)
         assert len(g.edges) == 6
 
+    @pytest.mark.parametrize("family", ["path", "cycle", "complete"])
+    @pytest.mark.parametrize("order", ["3", 3.0, None, True], ids=repr)
+    def test_order_that_is_not_an_int(self, family, order):
+        # once TypeError, e.g. cycle_graph('3') on '<' not supported
+        maker = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[family]
+        for build in (maker, lambda n: generate(family, n)):
+            with pytest.raises(ValueError, match=rf"^graph order must be an int >= 1, got {order!r}$"):
+                build(order)
+
     def test_generate_dispatch(self):
         assert generate("path", 4) == path_graph(4)
         assert generate("cycle", 5) == cycle_graph(5)
