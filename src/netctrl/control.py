@@ -16,17 +16,18 @@ complex arithmetic.
 
 All three are read off one engine: a ``_NodeState`` holds the walk,
 product-span and Lie bases of a control set, and ``_extend_state`` grows it
-by one control vertex.  ``_grow`` is the one routine that drives it: given
-a family of control sets, it grows each node of their prefix tree from its
-parent and returns the dimensions of every set, growing only the parts a
-caller names.  The one-shot decisions pass it a single set; the sweeps in
-``harness`` pass every subset of a matrix at once and only read the table
-it returns.
+by one control vertex, growing only the parts a caller names.  The sweeps
+in ``harness`` drive it through ``_grow``: given a family of control sets,
+it grows each node of their prefix tree from its parent and returns the
+dimensions of every set.  The one-shot decisions grow one state along
+their set in ``_dimensions``, which also reads the walk's basis.
 
 Every reported number is exact.  Each element found modulo one fixed
 prime, on integer-scaled data, reduces an integer combination of genuine
-elements, so a dimension there is at most the rational one: a full one
-proves it, and only a deficient one is recomputed exactly (``_dimensions``).
+elements, so a dimension there is at most the rational one: one that
+reaches a proved bound (full, or a deficient Lie closure's r^2 + delta,
+``_LieEngine``) is exact, and only a short one is recomputed exactly
+(``_dimensions``).
 """
 
 from __future__ import annotations
@@ -359,8 +360,38 @@ class _LieEngine:
     is at most the rational one, p = 2 included, and n - 1 there proves n - 1.  The rule
     needs no count of brackets: n - 1 brackets of E_jj that grew one part
     are independent cross elements of one half, whose hub rows are
-    independent and all in ``hub_rows``.  A deficient closure never
-    reaches the rank.
+    independent and all in ``hub_rows``.
+
+    The same rule certifies a deficient closure (lemma 1).  Let K be the
+    Krylov space of A from the e_j (j in S), r its dimension (the walk
+    rank), and take A and the E_jj (j in S) as the generators.
+
+    * Upper bound.  K holds each e_j and A K is in K; A is symmetric, so
+      A maps K^perp into itself too, and each E_jj kills it.  So every
+      element of the algebra L maps K and K^perp into themselves, and on
+      K^perp the brackets vanish and the projectors are zero: L lies in
+      gl(K) + span(A|K^perp), of dimension r^2 + delta, where delta = 1
+      exactly when some column of A lies outside K.
+    * The hub row of X is X e_j up to sign, entry j dropped: it lies in K
+      and is orthogonal to e_j, so the hub rows span at most r - 1
+      dimensions.
+    * Lower bound.  Once they reach r - 1, the cross of j inside K is in L,
+      and with E_jj it generates gl(K), as above.  So A|K is in L, hence
+      A|K^perp = A - A|K, and dim L = r^2 + delta.
+
+    ``goal`` is that pair (hub rank, dimension); the default (n - 1, n^2)
+    is the case K = R^n.  The caller supplies r and delta exact, and the
+    hub rank modulo p proves the rational one as above.  The goal's
+    dimension bounds the closure of every generator the caller offers, so
+    it also caps the closure: one that reaches it without the rank is
+    proved there too, and a certified one returns at once when offered
+    more generators (they lie in L already).  A closure whose hub rows stay
+    short of the goal's rank runs to its fixpoint, which can lie below
+    r^2 + delta (the paper's example b).  A multiple of a projector E_kk
+    offered first, as A, is the hub even for k not in S; then every
+    generator is diagonal, the hub rows stay zero, and rank r - 1 = 0
+    means one control vertex s with A e_s in span(e_s), where L = span(A,
+    E_ss) has dimension 1 + delta as well.
 
     Queue rule: in a full closure (cap n^2), an element whose hub row grew
     ``hub_rows`` has its pairs queued at the front, the non-projector (A)
@@ -374,10 +405,11 @@ class _LieEngine:
     one call site (``bench/spans.py`` attributes inserts by it).
     """
 
-    __slots__ = ("side", "bases", "dim", "elems", "gens", "pending", "hub", "hub_rows")
+    __slots__ = ("side", "goal", "bases", "dim", "elems", "gens", "pending", "hub", "hub_rows")
 
-    def __init__(self, side: int, modulus=None):
+    def __init__(self, side: int, modulus=None, goal=None):
         self.side = side
+        self.goal = (side - 1, side * side) if goal is None else goal
         self.bases = tuple(intlinalg.EchelonBasis(len(_packing(side, parity)), modulus)
                            for parity in (_SYM, _SKEW))
         self.dim = 0
@@ -390,6 +422,7 @@ class _LieEngine:
     def copy(self) -> "_LieEngine":
         dup = _LieEngine.__new__(_LieEngine)
         dup.side = self.side
+        dup.goal = self.goal
         dup.bases = (self.bases[_SYM].copy(), self.bases[_SKEW].copy())
         dup.dim = self.dim
         dup.elems = list(self.elems)
@@ -505,20 +538,20 @@ class _LieEngine:
         return out if any(out) else None
 
     def _certify(self) -> bool:
-        """Whether the hub rows reach rank n - 1; if so, record dimension n^2 and drop the queue."""
-        n = self.side
-        if self.hub_rows is None or self.hub_rows.dim < n - 1:
+        """Whether the hub rows reach the goal's rank; if so, record its dimension and drop the queue."""
+        rank, dim = self.goal
+        if self.hub_rows is None or self.hub_rows.dim < rank:
             return False
-        self.dim = n * n
+        self.dim = dim
         self.pending.clear()
         return True
 
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
         n = self.side
-        cap = min(cap, n * n)
-        # only a full closure reads the hub rows, so only it leads with them
-        full = cap == n * n
+        # only an uncapped closure reads the hub rows, so only it leads with them
+        full = cap >= n * n
+        cap = min(cap, self.goal[1])
         for gen in int_generators:
             if self.dim >= cap:
                 return self.dim
@@ -587,7 +620,9 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     S = {1} the exact closure of the complete graph took 0.006 s at n = 14
     and 0.010 s at n = 16, and all of ``lie_closure`` by the modular one
     0.009 and 0.015 s (min of 9 CPU runs, 2-CPU x86, Python 3.11).  A deficient closure keeps
-    all of its elements, and there coefficient growth sets the cost.
+    all of its elements, since its basis is returned, so it takes no
+    r^2 + delta certificate (``_LieEngine``, lemma 1) and coefficient
+    growth sets its cost.
 
     Returns:
       (dim, basis) with basis the MatrixSpaceBasis of the closure in
@@ -817,21 +852,33 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     The one place that chooses between the modular and the exact route,
     and the decisions' one check of the Lie-closure cap, made before any
     work when ``parts`` names the Lie part.  The rule: modulo the prime a
-    dimension is at most the rational one, so a full one (walk rank n, span
-    or Lie dimension n^2) proves it, only what can come out full is grown
-    there, and only a deficient one is recomputed exactly.  Each stage
-    grows its parts by ``_grow``:
+    dimension is at most the rational one, so one that reaches a proved
+    bound (walk rank n, span n^2, or the Lie goal below) is exact there,
+    and only a short one is recomputed exactly.  The walk stages grow one
+    state along ``members`` by ``_extend_state``:
 
     1. Modulo the prime, the walk, and in the same state the span when it
        is asked, which waits for a full walk (``_extend_state``).
-    2. Modulo the prime, the Lie closure, on a full walk only.  Otherwise
-       the Krylov space of A from the e_j (j in S) is proper there; it
-       holds each e_j and is mapped into itself by A and each e_j e_j^T,
-       hence by every bracket, which not every matrix does, so the closure
-       cannot be full.  Skipping it took ``analyze`` with S = {1} on the
-       adjacency matrices of cycle-16 and complete-16 from 17 and 9 ms to
-       12 and 4 ms (2-CPU x86, Python 3.11).
-    3. Exactly, only the parts that came out short.
+    2. Exactly, the walk and the span when the walk came out short.
+    3. For the Lie part, its goal from the walk rank r and delta
+       (``_LieEngine``, lemma 1): delta is 1 exactly when some row of A
+       (A is symmetric) lies outside the exact walk's span K, and 0 when
+       r = n.  One engine modulo the prime takes A and every projector
+       before its first bracket, so its hub rows see every control vertex
+       (grown one vertex at a time, cycle-40 from {1, 5} first ran all 442
+       elements of the closure from {1}).  It leads with the hub rows'
+       A-chain and stops once they reach rank r - 1, at dimension
+       r^2 + delta.  With a full walk the goal is (n - 1, n^2).
+    4. Exactly, only when that closure came out short of its goal: the
+       same closure with the same goal, over the integers.
+
+    So a short walk gives a short Lie closure by construction here, as the
+    span identity does (``_consistency``): kalman_iff_lie checks the
+    engine against itself in one-shot reports.  The sweeps still grow
+    every closure (``_grow``), and ``tests/oracles.py`` still checks it.
+    The lemma took ``analyze`` on the adjacency matrix of cycle-40 from
+    {1} from 152 to 49 ms, and from {1, 5} from 570 to 188 ms (min of 15
+    CPU runs in three interleaved passes, 2-CPU x86, Python 3.11).
 
     The modular walk pays off at large n: at n = 60 the exact one is two
     orders of magnitude slower, though at n <= 8 it is a little faster.
@@ -840,19 +887,28 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     if "lie" in parts:
         check_lie_order(n)
     session = _Session(a)
-    full = {"walk": n, "pspan": n * n, "lie": n * n}
 
-    def grown(modulus, held) -> dict:
-        return dict(zip(held, _grow(session, [members], modulus, held)[members]))
+    def grown(modulus, held) -> _NodeState:
+        state = _NodeState(session, modulus, held)
+        for j in members:
+            _extend_state(state, session, j)
+        return state
 
-    dims = grown(_PRIME, ("walk", "pspan") if "pspan" in parts else ("walk",))
-    if "lie" in parts and dims["walk"] == n:
-        dims.update(grown(_PRIME, ("lie",)))
-    exact = [name for name in parts if dims.get(name, 0) < full[name]]
-    if exact:
-        if "lie" in exact:
+    held = ("walk", "pspan") if "pspan" in parts else ("walk",)
+    state = grown(_PRIME, held)
+    if state.walk.dim < n:
+        state = grown(None, held)
+    dims = {name: getattr(state, name).dim for name in held}
+    if "lie" in parts:
+        r = dims["walk"]
+        delta = r < n and session.int_a is not None and not all(map(state.walk.contains, session.int_a))
+        goal = (r - 1, r * r + delta)
+        gens = [] if session.int_a is None else [session.int_a]
+        gens += [_projector_rows(n, j - 1) for j in members]
+        dims["lie"] = _LieEngine(n, _PRIME, goal).extend(gens, n * n)
+        if dims["lie"] < goal[1]:
             _warn_if_past_default(n, stacklevel=4)
-        dims.update(grown(None, exact))
+            dims["lie"] = _LieEngine(n, None, goal).extend(gens, n * n)
     return tuple(dims[name] for name in parts)
 
 
@@ -893,9 +949,15 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 def lie_controllable(a: PatternMatrix, s) -> tuple:
     """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S}).
 
-    Both are exact.  The closure is first run modulo a prime (on a full
-    walk there), where n^2 certifies n^2; any other dimension is recomputed
-    by the same engine over the integers, which only counts the dimension
+    Both are exact.  The closure is run modulo a prime toward a goal read
+    off the walk rank r (``_dimensions``): n^2 on a full walk, and r^2 +
+    delta on a short one, proved once row j of the elements, for a
+    control vertex j, reaches rank r - 1 (lemma 1, ``_LieEngine``); delta
+    is 1 exactly when some column of A lies outside the walk's span.  So a
+    short walk gives a short closure by construction, as it gives the span
+    r^2; the sweeps still grow every closure and ``tests/oracles.py``
+    still checks it.  A closure short of its goal there is recomputed by
+    the same engine over the integers, which only counts the dimension
     (``lie_closure`` also builds the canonical basis it returns).  Past the
     default order cap that exact route warns, as ``lie_closure`` does.
 

@@ -96,8 +96,10 @@ def frac_rank(rows):
 
 
 def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in cols] for row in a]
+    # each entry becomes a Fraction once, not once per product it enters
+    rows = [[Fraction(x) for x in row] for row in a]
+    cols = [[Fraction(y) for y in col] for col in zip(*b)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
 
 
 def mat_sub(a, b):

@@ -732,7 +732,132 @@ class TestCrossCertificate:
 
 
 @st.composite
-def _ad_generator(draw):
+def _sparse_symmetric(draw):
+    """(A, S): a mixed-sign symmetric integer A of side 1..6 with many zeros, and 1..3 controls.
+
+    With a split point k, every entry between vertices 1..k and k+1..n is
+    zero, so the pattern is disconnected.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    split = draw(st.integers(min_value=0, max_value=n))
+    e = [[0] * n for _ in range(n)]
+    for i in range(n):
+        e[i][i] = draw(st.integers(min_value=-2, max_value=2))
+        for j in range(i + 1, n):
+            if (i < split) == (j < split):
+                e[i][j] = e[j][i] = draw(st.sampled_from([0, 0, 0, -2, -1, 1, 3]))
+    s = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True, min_size=1,
+                      max_size=min(3, n)))
+    return e, tuple(s)
+
+
+def _lie_engines(monkeypatch):
+    """Every Lie engine the library builds from here on, as (modulus, goal, engine)."""
+    runs = []
+    real = control._LieEngine
+
+    def spy(side, modulus=None, goal=None):
+        engine = real(side, modulus, goal)
+        runs.append((modulus, goal, engine))
+        return engine
+
+    monkeypatch.setattr(control, "_LieEngine", spy)
+    return runs
+
+
+def _star(leaves):
+    return graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+
+
+class TestKrylovCertificate:
+    """A deficient closure stops once the hub rows reach rank r - 1 (lemma 1, ``_LieEngine``).
+
+    r is the walk rank; the dimension is then r^2 + delta, with delta = 1
+    exactly when some column of A lies outside the Krylov space of the
+    controls.  The decisions certify it modulo the prime and fall back to
+    the exact closure only when the hub rows stay short (``_dimensions``).
+    """
+
+    # the oracle takes about 0.8 s on a median side-6 instance, up to 5 s
+    @settings(max_examples=15, deadline=None)
+    @given(_sparse_symmetric())
+    def test_matches_oracle_at_every_prime(self, inst):
+        entries, s = inst
+        want = oracles.control_lie_dim_bruteforce(entries, s)
+        a = pattern_matrix(entries)
+        n = a.n
+        walk = []
+        for j in s:
+            v = oracles.basis_vec(j, n)
+            for _ in range(n):
+                walk.append(v)
+                v = oracles.mat_vec(entries, v)
+        r = oracles.frac_rank(walk)
+        # delta: some column of A (a row, A being symmetric) lies outside K
+        delta = int(oracles.frac_rank(walk + entries) > r)
+        assert want <= r * r + delta
+        for p in (control._PRIME, 2, 3, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(control, "_PRIME", p)
+                runs = _lie_engines(mp)
+                assert lie_controllable(a, s) == (want == n * n, want), f"prime {p}"
+                rep = analyze(a, s)
+            assert (rep.walk_rank, rep.lie_dim) == (r, want), f"prime {p}"
+            for modulus, goal, engine in runs:
+                assert goal == (r - 1, r * r + delta)
+                # every hub is a control vertex, or A itself when A is a
+                # multiple of a projector (``_LieEngine``)
+                assert engine.hub is None or engine.hub + 1 in s or engine.gens[0] == engine.hub
+            if want < r * r + delta:
+                # no hub-row rank proves such a closure: each decision falls back
+                assert [m for m, _, _ in runs] == [p, None, p, None]
+
+    # (graph, kind, S, walk rank r, delta): each certified modulo the prime
+    @pytest.mark.parametrize("g, kind, s, r, delta", [
+        (cycle_graph(16), "adjacency", (1,), 9, 1),
+        (cycle_graph(16), "adjacency", (1, 5), 13, 1),
+        (complete_graph(16), "adjacency", (1,), 2, 1),
+        (_star(4), "adjacency", (1,), 2, 0),
+        # vertex 4 lies in the Krylov space of vertex 1, which the closure
+        # from {1} already certifies: the projector E_44 adds nothing
+        (cycle_graph(6), "adjacency", (1, 4), 4, 1),
+    ], ids=["C16-1", "C16-15", "K16-1", "star-centre", "C6-14"])
+    def test_certified_pins(self, monkeypatch, g, kind, s, r, delta):
+        a = build_matrix(g, kind)
+        runs = _lie_engines(monkeypatch)
+        assert lie_controllable(a, s) == (False, r * r + delta)
+        [(modulus, goal, engine)] = runs
+        assert (modulus, goal) == (control._PRIME, (r - 1, r * r + delta))
+        assert engine.hub + 1 == s[0] and engine.hub_rows.dim == r - 1
+        assert _certified(engine)
+        rep = analyze(a, s)
+        assert (rep.walk_rank, rep.p_span_dim, rep.lie_dim) == (r, r * r, r * r + delta)
+        if g.order <= 6:
+            assert r * r + delta == oracles.control_lie_dim_bruteforce(
+                [list(row) for row in a.matrix.entries], s)
+
+    def test_example_c_falls_back_to_its_exact_closure(self, monkeypatch):
+        # the walk of the two blocks is full, yet the closure is gl(2) + gl(2)
+        runs = _lie_engines(monkeypatch)
+        assert lie_controllable(pattern_matrix(BLOCK_PAIRED), (1, 3)) == (False, 8)
+        assert [(m, goal) for m, goal, _ in runs] == [(control._PRIME, (3, 16)), (None, (3, 16))]
+
+    def test_example_b_falls_back_to_its_exact_closure(self, monkeypatch):
+        # a connected mixed-sign pattern whose walk is full: its hub rows
+        # stop short of rank 3 modulo the prime, so the exact closure runs
+        # to its fixpoint, 8 < 16
+        a = pattern_matrix(MIXED_CYCLE)
+        runs = _lie_engines(monkeypatch)
+        assert lie_controllable(a, (1, 3)) == (False, 8)
+        assert [(m, goal) for m, goal, _ in runs] == [(control._PRIME, (3, 16)), (None, (3, 16))]
+        modular, exact = (engine for _, _, engine in runs)
+        assert modular.hub_rows.dim < 3 and exact.hub_rows.dim < 3
+        assert exact.dim == len(exact.elems) == 8
+        assert oracles.control_lie_dim_bruteforce(MIXED_CYCLE, (1, 3)) == 8
+
+
+@st.composite
+def _bracket_generator(draw):
     """(n, g): a symmetric integer g of side 1..6, including the sparse shapes the engine meets.
 
     Shapes: a projector e_j e_j^T, a diagonal matrix with no entry 1 (so
@@ -803,8 +928,8 @@ def _assert_brackets(n, g, elements):
         assert engine._bracket(form, (parity, packed)) == (list(want) if any(want) else None)
 
 
-class TestAdMap:
-    """ad_g = [g, .] on packed coordinates, as ``_LieEngine._bracket`` builds it.
+class TestBracket:
+    """[g, .] on packed coordinates, as ``_LieEngine._bracket`` builds it.
 
     The reference is the commutator gX - Xg in ``oracles``' Fraction
     arithmetic.  At n = 1 the skew packing is empty, so both parities are
@@ -812,14 +937,14 @@ class TestAdMap:
     """
 
     @settings(max_examples=120, deadline=None)
-    @given(_ad_generator())
-    def test_unit_images_are_packed_commutators(self, case):
+    @given(_bracket_generator())
+    def test_unit_brackets_are_packed_commutators(self, case):
         n, g = case
         _assert_brackets(n, g, _units(n))
 
     # the dense form, sparse forms and every projector, not only a hub's
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_seeded_unit_images_are_packed_commutators(self, n):
+    def test_seeded_unit_brackets_are_packed_commutators(self, n):
         rng = random.Random(n)
         gens = [control._projector_rows(n, k) for k in range(n)]
         for values in [(1, -2, 3, 7, -9)] + [(0, 0, 1, -2, 3, 7)] * 6:
@@ -836,7 +961,7 @@ class TestAdMap:
             _assert_brackets(n, g, elements)
 
     @settings(max_examples=120, deadline=None)
-    @given(_ad_generator(), st.integers(min_value=0, max_value=1), st.data())
+    @given(_bracket_generator(), st.integers(min_value=0, max_value=1), st.data())
     def test_bracket_is_the_packed_commutator(self, case, parity, data):
         n, g = case
         size = len(_packing(n, parity))
@@ -879,10 +1004,14 @@ class TestLieControllable:
             assert lie_controllable(a, s) == (False, want)
 
     def test_exact_fallback_past_the_default_cap_warns(self, monkeypatch):
+        # two paths of 8 and 9 vertices, one control on each: the walk is
+        # full, but the closure is gl(8) + gl(9), so the hub rows stop at
+        # rank 7 < 16 and the exact closure runs past the default cap
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
+        edges = [(v, v + 1) for v in range(1, 8)] + [(v, v + 1) for v in range(9, 17)]
         with pytest.warns(UserWarning):
-            controllable, dim = lie_controllable(adjacency_matrix(complete_graph(17)), [1])
-        assert not controllable and dim < 17 * 17
+            controllable, dim = lie_controllable(build_matrix(graph(17, edges), "random:7"), [1, 9])
+        assert not controllable and dim == 8 * 8 + 9 * 9 < 17 * 17
 
     def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
         # the path is controllable, so the modular closure alone would succeed
@@ -1086,11 +1215,15 @@ class TestModularRoute:
         assert kalman_controllable(a, [1]) == (True, 2)
         assert grown() == [(2, {"walk": 1}), (None, {"walk": 2})]
         assert p_span_dim(a, [1]) == 4
+        lie_runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
         # the span shares the walk's state modulo p but waits there for a
-        # full walk, as the closure does: neither could come out full
+        # full walk, so it cannot come out full; the closure's goal takes the
+        # exact walk rank 2, and modulo 2 A is the identity, so the hub row
+        # (2) vanishes there and the exact closure runs
         assert grown()[2:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
-                               (2, {"walk": 1}), (None, {"lie": 4})]
+                               (2, {"walk": 1}), (None, {"walk": 2})]
+        assert [(m, goal) for m, goal, _ in lie_runs] == [(2, (1, 4)), (None, (1, 4))]
 
     @pytest.mark.parametrize("g, kind, s, modular, exact", [
         (cycle_graph(8), "adjacency", (1,), 0, 25),
@@ -1156,16 +1289,14 @@ class TestModularRoute:
         # stops at the two projectors' dimension 2
         assert _LieEngine(2, 2).extend(gens, 4) == 2
         assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
-        runs = []
-        real = control._LieEngine
-        monkeypatch.setattr(control, "_LieEngine",
-                            lambda side, modulus=None: runs.append(modulus) or real(side, modulus))
+        runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
-        assert runs == [control._PRIME]
+        # the walk is full, so the goal is (n - 1, n^2)
+        assert [(m, goal) for m, goal, _ in runs] == [(control._PRIME, (1, 4))]
         monkeypatch.setattr(control, "_PRIME", 2)
         assert lie_controllable(a, [1]) == (True, 4)
-        # one exact closure, the fallback
-        assert runs[1:] == [2, None]
+        # one exact closure, the fallback, with the same goal
+        assert [(m, goal) for m, goal, _ in runs[1:]] == [(2, (1, 4)), (None, (1, 4))]
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), _echelon_input())
