@@ -2,19 +2,21 @@
 
 A black vertex forces its unique white neighbor; the closure iterates this
 until no force applies.  The final black set does not depend on the order
-of forces, so the package runs two closures over ``graphs.neighbours``, the
-one neighbour map of the edge list, each built for what it serves:
+of forces, so the package runs two closures on the edge list, each built
+for what it serves:
 
-* ``closure`` (and ``is_zfs`` through it) applies forces one at a time,
-  always choosing the smallest eligible forcer (an eligible forcer has
-  exactly one white neighbor, so the forced vertex is never tied), which
-  makes the chronicle deterministic.  A heap of eligible forcers takes
+* ``closure`` (and ``is_zfs`` through it) reads ``graphs.neighbours``, the
+  neighbour map of the edge list, and applies forces one at a time, always
+  choosing the smallest eligible forcer (an eligible forcer has exactly one
+  white neighbor, so the forced vertex is never tied), which makes the
+  chronicle deterministic.  A heap of eligible forcers takes
   O(m log n) time in O(m) memory, independent of the declared order, so
   ``netctrl zfs --set`` works at any order.
 * ``_close`` is the kernel of the exhaustive queries: ``min_zfs`` and
   ``zfs_statuses``, the sweeps' forcing maps (kept out of the package's
-  public names).  It runs on Python ints, bit v for vertex v, over a
-  neighbour-mask table from ``_masks``.  The table takes O(n^2) bits, so
+  public names).  It runs on Python ints, bit v for vertex v, over the
+  neighbour-mask table that ``_masks`` builds straight from ``g.edges``,
+  with no neighbour sets in between.  The table takes O(n^2) bits, so
   it serves only queries already capped by order, never ``closure``: do
   not merge the two.
 
@@ -119,9 +121,13 @@ def _masks(g: Graph) -> list:
     """Neighbour masks of g: entry v has bit w set for each neighbour w of v.
 
     Indexed by vertex (entry 0 is unused); a vertex with no edge has mask 0.
+    Built straight from the edge list, one OR per edge end.
     """
-    nbrs = neighbours(g)
-    return [0] + [sum(1 << w for w in nbrs.get(v, ())) for v in g.vertices]
+    nb = [0] * (g.order + 1)
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    return nb
 
 
 def _mask(vertices) -> int:

@@ -5,8 +5,10 @@ edge-list text document: the first significant line holds the order ``n``,
 every following line holds one edge ``u v``.  Lines starting with ``#`` are
 comments, blank lines are skipped, CRLF is tolerated.
 
-Every neighbour query reads one map, ``neighbours(g)``: built from the edge
-list in O(m) memory whatever the declared order, and cached for one graph.
+Every neighbour-set query reads one map, ``neighbours(g)``: built from the
+edge list in O(m) memory whatever the declared order, and cached for one
+graph.  The exhaustive forcing search alone builds its bitmask table
+straight from the edge list (``forcing._masks``).
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Everything here is deliberately dumb and structurally different from the
 package: plain Fraction arithmetic with divide-through row reduction (the
-package kernel is fraction-free integer elimination), all-pairs fixpoint
-iteration for Lie closures (the package schedules pairs exactly once), and
-simultaneous-force rounds for zero forcing (the package applies one force
-at a time).  Agreement between the two routes is the point.
+package kernel is fraction-free integer elimination), brackets of every
+pair of elements for Lie closures (the package brackets each element with
+the generators only), and simultaneous-force rounds for zero forcing (the
+package applies one force at a time).  Agreement between the two routes is
+the point.
 """
 
 from fractions import Fraction
@@ -160,6 +161,9 @@ def pspan_dim_bruteforce(a, members):
 def lie_basis_bruteforce(gens):
     """All-pairs commutator fixpoint with plain Fraction arithmetic.
 
+    Every element kept is bracketed once with every element kept before it,
+    so each unordered pair is bracketed once ([y, x] = -[x, y]), and the
+    pairs an element forms with later ones are bracketed when those arrive.
     Returns the rows of its basis, row-major flattened, fully reduced and
     monic: the reduced row echelon form of the closure, with ascending
     pivots.  Stops once the basis holds n^2 elements, all of gl(n).
@@ -171,17 +175,16 @@ def lie_basis_bruteforce(gens):
         g = [[Fraction(x) for x in row] for row in g]
         if basis.insert(flatten(g)):
             elems.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(elems):
-            for y in list(elems):
-                c = mat_sub(mat_mul(x, y), mat_mul(y, x))
-                if basis.insert(flatten(c)):
-                    if basis.dim == n * n:
-                        return basis.rows
-                    elems.append(c)
-                    changed = True
+    done = 0
+    while done < len(elems):
+        x = elems[done]
+        for y in elems[:done]:
+            c = mat_sub(mat_mul(x, y), mat_mul(y, x))
+            if basis.insert(flatten(c)):
+                if basis.dim == n * n:
+                    return basis.rows
+                elems.append(c)
+        done += 1
     return basis.rows
 
 

@@ -630,9 +630,11 @@ class TestCrossCertificate:
     def test_complete_8_stops_after_n_plus_2_elements(self, monkeypatch, member, modulus):
         brackets = self._counting_brackets(monkeypatch)
         engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,), modulus)
-        # run to the end, the same closure keeps 64 elements after 121 brackets:
-        # A, E_jj, [E_jj, A], [E_jj, [E_jj, A]] and six brackets of A in a chain
-        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 10, 9)
+        # run to the end, the same closure keeps 64 elements after 121
+        # brackets; the hub chain [E_jj, A], [A, [E_jj, A]], ... certifies it
+        # after n - 1 brackets (the first one's hub row is A's, and each
+        # later one grows the hub rows), and the elements stay A and E_jj
+        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 2, 7)
         assert engine.hub == member - 1 and engine.hub_rows.dim == 7
         assert not engine.pending
         # the same closure grown by the engine beside its full walk
@@ -641,7 +643,7 @@ class TestCrossCertificate:
         state = control._NodeState(session, modulus, ("walk", "lie"))
         control._extend_state(state, session, member)
         assert state.walk.dim == 8
-        assert (state.lie.dim, len(state.lie.elems), len(brackets)) == (64, 10, 9)
+        assert (state.lie.dim, len(state.lie.elems), len(brackets)) == (64, 2, 7)
 
     @pytest.mark.parametrize("g, kind, members, walk, elems, brackets", [
         (cycle_graph(16), "adjacency", (1,), 9, 82, 161),
@@ -673,13 +675,14 @@ class TestCrossCertificate:
         e33 = control._projector_rows(8, 2)
         brackets = self._counting_brackets(monkeypatch)
         counts = []
+        # the hub chain starts once both are in, whichever came first
         for gens in ([a, e33], [e33, a]):
             engine = _LieEngine(8, modulus)
             assert engine.extend(gens, 64) == 64
             assert engine.hub == 2 and engine.hub_rows.dim == 7
             counts.append((len(engine.elems), len(brackets)))
             brackets.clear()
-        assert counts == [(10, 9), (10, 9)]
+        assert counts == [(2, 7), (2, 7)]
 
     @pytest.mark.parametrize("modulus", [None, control._PRIME])
     def test_non_projector_generators_have_no_hub(self, modulus):
@@ -854,6 +857,95 @@ class TestKrylovCertificate:
         assert modular.hub_rows.dim < 3 and exact.hub_rows.dim < 3
         assert exact.dim == len(exact.elems) == 8
         assert oracles.control_lie_dim_bruteforce(MIXED_CYCLE, (1, 3)) == 8
+
+
+# two paths, on vertices 1..4 and 5..7: from {1, 5} the walk is full and the
+# closure is gl(4) + gl(3), while the hub chain of vertex 1 stays on the first
+TWO_PATHS = [[int(x) for x in row] for row in build_matrix(
+    graph(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]), "random:7").matrix.entries]
+
+
+class TestHubChain:
+    """The hub chain X_0 = [E_jj, A], X_{k+1} = [A, X_k] (``_LieEngine._chain``).
+
+    Only the chain's hub rows go in.  A chain that certifies leaves the
+    elements at the generators; one that stalls hands its elements to the
+    closure, which runs to the oracle's fixpoint with every (generator,
+    element) pair bracketed once, the chain's brackets included.
+    """
+
+    @staticmethod
+    def _brackets(monkeypatch, limit):
+        # a chain that did not stop at a hub row that fails to grow would
+        # bracket forever: fail past the limit instead
+        calls = []
+        real = _LieEngine._bracket
+
+        def counting(self, g, elem):
+            calls.append(g)
+            assert len(calls) <= limit, "runaway bracket chain"
+            return real(self, g, elem)
+
+        monkeypatch.setattr(_LieEngine, "_bracket", counting)
+        return calls
+
+    @pytest.mark.parametrize("entries, s", [(MIXED_CYCLE, (1, 3)), (TWO_PATHS, (1, 5))],
+                             ids=["example-b", "two-paths-15"])
+    def test_stalled_chain_joins_the_closure(self, monkeypatch, entries, s):
+        want = oracles.control_lie_dim_bruteforce(entries, s)
+        a = pattern_matrix(entries)
+        n = a.n
+        chains = []
+        real = _LieEngine._chain
+        monkeypatch.setattr(_LieEngine, "_chain", lambda self, g: chains.append(real(self, g)) or chains[-1])
+        brackets = self._brackets(monkeypatch, n ** 4)
+        for modulus in (None, control._PRIME, 5):
+            chains.clear()
+            brackets.clear()
+            engine = _control_engine(a, s, modulus)
+            assert chains == [False], modulus
+            assert engine.hub == s[0] - 1 and engine.hub_rows.dim < n - 1
+            assert engine.dim == len(engine.elems)
+            assert engine.dim == want if modulus != 5 else engine.dim <= want
+            # each generator with those before it, each other element with every generator
+            g, e = len(engine.gens), len(engine.elems)
+            assert len(brackets) == g * (g - 1) // 2 + g * (e - g), modulus
+        assert lie_controllable(a, s) == (False, want)
+        assert analyze(a, s).lie_dim == want
+
+    @pytest.mark.parametrize("member", [1, 5])
+    def test_modular_chain_brackets_residues(self, monkeypatch, member):
+        bracketed = []
+        real = _LieEngine._bracket
+
+        def spy(self, g, elem):
+            if type(g) is not int:
+                bracketed.append(elem[1])
+            return real(self, g, elem)
+
+        monkeypatch.setattr(_LieEngine, "_bracket", spy)
+        p = control._PRIME
+        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,), p)
+        # [A, X_0], ..., [A, X_5]; X_0 is A's row j crossed, as A holds it,
+        # and every later X_k is reduced before it is bracketed
+        assert (engine.dim, len(engine.elems), len(bracketed)) == (64, 2, 6)
+        assert all(0 <= v < p for x in bracketed[1:] for v in x)
+        assert max(map(abs, bracketed[0])) <= 9
+
+    def test_zero_hub_row_starts_no_chain(self, monkeypatch):
+        # vertex 3 of the path 1-2 plus an isolated vertex: row 3 of A is
+        # zero, so [E_33, A], the chain's X_0, is zero and no chain runs
+        a = pattern_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        monkeypatch.setattr(_LieEngine, "_chain", None)
+        brackets = self._brackets(monkeypatch, 100)
+        for modulus in (None, control._PRIME):
+            brackets.clear()
+            engine = _control_engine(a, (3,), modulus)
+            assert engine.dim == len(engine.elems) == 2
+            assert engine.hub == 2 and engine.hub_rows.dim == 0
+            # [E_33, A], bracketed once by the closure
+            assert len(brackets) == 1
+        assert oracles.control_lie_dim_bruteforce([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (3,)) == 2
 
 
 @st.composite
