@@ -32,6 +32,7 @@ reaches a proved bound (full, or a deficient Lie closure's r^2 + delta,
 
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 from collections import deque
@@ -393,34 +394,37 @@ class _LieEngine:
     means one control vertex s with A e_s in span(e_s), where L = span(A,
     E_ss) has dimension 1 + delta as well.
 
-    Hub chain: the certificate reads hub rows only, and needs only that
-    the elements they come from lie in L, not that they are independent.
-    So in a full closure (cap n^2), once the hub j and A, the first
-    non-projector generator, are both in (whichever came first), while the
-    closure holds nothing but its generators and A's hub row is nonzero,
-    ``_chain`` brackets A along X_0 = [E_jj, A], X_{k+1} = [A, X_k],
-    hands only each X_k's hub row to ``hub_rows`` and reduces X_k modulo p
-    (makes it primitive when exact) before bracketing it, stopping at the
-    goal's rank with no Lie-basis insert and no queued pair.  Each X_k is in L, so the certificate stays a proof.
-    On the complete graphs every step grows the hub rows, and with one
-    control vertex the closure stops after n - 1 brackets, its elements
-    still A and E_jj.  At the first element that is zero or whose hub row
-    does not grow, the chain's elements join the closure as ordinary
-    brackets.  Its hub rows lie in the Krylov space of e_j alone, so it
-    stalls whenever that space is smaller than K, as well as on every
-    closure short of its goal (the paper's example b).  The pair the chain
-    started from, and each joined element's pair with A whose bracket the
-    chain already took, are not queued, so no bracket is computed twice,
-    and the closure goes on by the queue rule.
+    Hub walk: the certificate reads hub rows only, and needs only that
+    each row fed lies in the span of the hub rows of elements of L.  Take
+    the chain X_0 = [E_jj, A], X_{k+1} = [A, X_k] and u_k = A^k e_j.  X_k
+    is an integer combination of the products u_p u_q^T with p + q = k + 1,
+    in which u_0 u_{k+1}^T has coefficient (-1)^k, so row j of X_k is
+    +-u_{k+1} plus a combination of u_0 ... u_k.  With entry j dropped
+    (u_0 = e_j drops to zero), the hub rows of X_0 ... X_k span what
+    u_1 ... u_{k+1} span, over Q and modulo every prime; modulo p each
+    walked row is the reduction of an integer combination of the hub rows
+    of X_0 ... X_k, so its rank there still proves the rational one.  So
+    when a projector becomes the hub of a full closure (cap n^2) with A,
+    the first generator, already in, ``_hub_walk`` feeds ``hub_rows`` with
+    A^2 e_j, A^3 e_j, ... beside A's own hub row u_1, with no bracket, no
+    Lie-basis insert and no queued pair, until the goal's rank, a zero
+    power or a step that does not grow the hub rows (a power in the span
+    of u_0 ... u_k keeps every later one there).  On the complete graphs
+    every step grows the hub rows, and with one control vertex the closure
+    is certified with its elements still A and E_jj.  The walk lies in the
+    Krylov space of e_j alone, so it stalls whenever that space is smaller
+    than K, as well as on every closure short of its goal (the paper's
+    example b); then the closure goes on by the queue rule from its
+    generators, and every (generator, element) pair is bracketed once.
 
     Queue rule: in a full closure, an element whose hub row grew
     ``hub_rows`` has its pairs queued at the front, the non-projector (A)
     pairs on top; every other pair is queued as above.  With a cap below
-    n^2 no chain runs, the rank is not read and every pair is queued as
+    n^2 no walk runs, the rank is not read and every pair is queued as
     above, so a capped closure brackets in the same order as without the
-    hub rows.  ``hub_rows`` is fed in ``_offer`` only, so every Lie-basis
-    and hub-row insert keeps one call site (``bench/spans.py`` attributes
-    inserts by it).
+    hub rows.  ``hub_rows`` is fed in ``_offer`` only, the walk's rows
+    included, so every Lie-basis and hub-row insert keeps one call site
+    (``bench/spans.py`` attributes inserts by it).
     """
 
     __slots__ = ("side", "goal", "bases", "dim", "elems", "gens", "pending", "hub", "hub_rows")
@@ -457,8 +461,7 @@ class _LieEngine:
             return [-packed[k] for k in left] + [packed[k] for k in right]
         return [packed[k] for k in left] + [packed[k] for k in right]
 
-    def _offer(self, parity: int, packed, residue: bool = True, hub=None,
-               basis: bool = True, feed: bool = True) -> int:
+    def _offer(self, parity: int, packed, residue: bool = True, hub=None, walk=()) -> int:
         """Insert a packed element; keep it if the span grew.
 
         Returns 0 if the span did not grow, 2 if it did and a hub row grew
@@ -469,34 +472,26 @@ class _LieEngine:
         would.  Without it (a generator) it is kept as offered.  ``hub``,
         the 0-based j of a projector E_jj offered while the engine has no
         hub, makes j the hub if the span grows, and ``hub_rows`` then
-        starts from the hub rows of every kept element.  Without ``basis``
-        (a hub-chain element, ``_chain``) only the element's hub row is
-        inserted, and nothing is kept: 2 if it grew ``hub_rows``, else 0.
-        Without ``feed`` (a chain element joining the closure, whose hub
-        row is in already) only the Lie basis takes it.
+        starts from the hub rows of every kept element, then takes the rows
+        of ``walk`` (``_hub_walk``), which reads each insert before it
+        yields the next.
         """
-        if basis:
-            row = self.bases[parity].insert(packed)
-            if row is None:
-                return 0
-            self.dim += 1
-            elem = (parity, row if residue else packed)
-            self.elems.append(elem)
-            if not feed:
-                return 1
-        else:
-            elem = (parity, packed)
+        row = self.bases[parity].insert(packed)
+        if row is None:
+            return 0
+        self.dim += 1
+        elem = (parity, row if residue else packed)
+        self.elems.append(elem)
         if hub is not None:
             self.hub = hub
             self.hub_rows = intlinalg.EchelonBasis(self.side - 1, self.bases[0].modulus)
-            fed = self.elems
+            rows = itertools.chain([self._hub_row(*e) for e in self.elems], walk)
         elif self.hub_rows is not None:
-            fed = (elem,)
+            rows = (self._hub_row(*elem),)
         else:
             return 1
-        grew = int(basis)
-        for e in fed:
-            r = self._hub_row(*e)
+        grew = 1
+        for r in rows:
             if any(r) and self.hub_rows.insert(r) is not None:
                 grew = 2
         return grew
@@ -574,56 +569,26 @@ class _LieEngine:
         self.pending.clear()
         return True
 
-    def _chain_partner(self, g: int):
-        """The generator whose bracket with the new generator g starts the hub chain, or None.
+    def _hub_walk(self, a):
+        """A^2 e_j, A^3 e_j, ... with j the hub and A as ``gens`` holds it, entry j dropped.
 
-        Called once g grew a hub row, so the hub is in, and so is a
-        non-projector generator if every element is a generator.  The chain
-        starts once the hub and A, the first non-projector generator, are
-        both in, whichever came first, and only while the closure holds
-        nothing but its generators, so that element k is generator k.
+        ``_offer`` feeds these rows to ``hub_rows`` once it has made j the
+        hub.  Each power is reduced modulo p (made primitive when exact)
+        before A multiplies it.  The walk stops at a zero power, at a step
+        that did not grow ``hub_rows``, or once they reach the goal's rank.
         """
-        gens = self.gens
-        if len(self.elems) != len(gens):
-            return None
-        a = next(k for k, x in enumerate(gens) if type(x) is not int)
-        h = gens.index(self.hub)
-        return a + h - g if g in (a, h) else None
-
-    def _chain(self, a: int) -> bool:
-        """Bracket A = gens[a] along the hub chain; whether its hub rows certify the goal.
-
-        The chain is X_0 = [E_jj, A], X_{k+1} = [A, X_k].  X_0's hub row
-        is A's, already in ``hub_rows``; only each later element's hub row
-        goes in, and one whose hub row grew is reduced modulo p (made
-        primitive when exact) before it is bracketed.  At the first element that is zero or whose hub row does not grow,
-        the chain's elements join the closure as ordinary brackets, their
-        hub rows already fed: each one's pairs are queued but the one with
-        A when its successor was bracketed, and those whose hub rows grew
-        lead, as in ``extend``.
-        """
-        p, gen = self.bases[0].modulus, self.gens[a]
-        chain = []
-        x, parity = self._bracket(self.hub, self.elems[a]), _SKEW
-        while x is not None:
-            chain.append((parity, x))
-            x, parity = self._bracket(gen, chain[-1]), 1 - parity
-            if x is None:
-                # the last bracket with A was zero
-                chain.append(None)
-                break
-            if self._offer(parity, x, basis=False) < 2:
-                chain.append((parity, x))
-                break
-            if self._certify():
-                return True
-            x = [v % p for v in x] if p else intlinalg.primitive(x)
-        last = len(chain) - 1
-        for k, elem in enumerate(chain):
-            if elem is not None and self._offer(*elem, feed=False):
-                e = len(self.elems) - 1
-                self._queue(((h, e) for h in range(len(self.gens)) if h != a or k == last), 0 < k < last)
-        return False
+        j, p, rank = self.hub, self.bases[0].modulus, self.goal[0]
+        u = [0] * self.side
+        for c, v in a[j]:
+            u[c] = v
+        dim = -1
+        while dim < self.hub_rows.dim < rank:
+            dim = self.hub_rows.dim
+            u = [sum([v * u[c] for c, v in row]) for row in a]
+            u = [x % p for x in u] if p else intlinalg.primitive(u)
+            if u is None or not any(u):
+                return
+            yield u[:j] + u[j + 1:]
 
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
@@ -641,20 +606,19 @@ class _LieEngine:
             i, j = _packing(self.side, _SYM)[support[0]]
             # one nonzero, on the diagonal: the projector e_j e_j^T
             projector = len(support) == 1 and i == j
+            hub = j if projector and self.hub is None else None
+            # with no hub yet, no projector is in, so gens[0] is A
+            walk = self._hub_walk(self.gens[0]) if full and hub is not None and self.gens else ()
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
-            grew = self._offer(_SYM, packed, residue=False,
-                               hub=j if projector and self.hub is None else None)
+            grew = self._offer(_SYM, packed, residue=False, hub=hub, walk=walk)
             if not grew:
                 continue
             self.gens.append(j if projector else [[(a, v) for a, v in enumerate(row) if v] for row in gen])
             g = len(self.gens) - 1
-            # g's bracket with its partner is the chain's X_0, so that pair
-            # is not queued; when g grew no hub row, X_0 is zero: no chain
-            partner = self._chain_partner(g) if full and grew == 2 else None
-            self._queue(((g, e) for e in range(len(self.elems) - 1) if e != partner), full and grew == 2)
-            if full and (self._certify() or partner is not None and self._chain(partner if projector else g)):
+            self._queue(((g, e) for e in range(len(self.elems) - 1)), full and grew == 2)
+            if full and self._certify():
                 return self.dim
         gens, elems, pending = self.gens, self.elems, self.pending
         while pending and self.dim < cap:
@@ -689,7 +653,7 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
       max_order: refuse sides beyond this; exact closure cost grows
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
         |G| generators; a full one with one control vertex is often
-        certified by its hub chain of n - 1 brackets, ``_LieEngine``).
+        certified by its hub's walk with no bracket, ``_LieEngine``).
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
         an exact closure past 16 emits a warning.
 
@@ -699,9 +663,10 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     (``MatrixSpaceBasis.full``), as it is for an exact closure that comes
     out full, whose elements may stop short of n^2.  Any other closure runs
     exactly: with ``control_generators`` of a ``random:7`` matrix and
-    S = {1} the exact closure of the complete graph took 0.003 s at n = 14
-    and 0.006 s at n = 16, and all of ``lie_closure`` by the modular one
-    0.007 and 0.012 s (min of 15 CPU runs, 2-CPU x86, Python 3.11).  A deficient closure keeps
+    S = {1} the exact closure of the complete graph took 0.6 ms at n = 14
+    and 0.9 ms at n = 16, and all of ``lie_closure`` by the modular one
+    1.0 and 1.4 ms, of which ``MatrixSpaceBasis.full`` 0.25 and 0.4 ms
+    (min of 15 CPU runs, 2-CPU x86, Python 3.11).  A deficient closure keeps
     all of its elements, since its basis is returned, so it takes no
     r^2 + delta certificate (``_LieEngine``, lemma 1) and coefficient
     growth sets its cost.
@@ -868,8 +833,8 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     full: the Krylov space of A from the control vertices is then proper,
     it holds each e_j and is mapped into itself by A and each E_jj, hence
     by every bracket, which not every matrix does.  So there it is capped
-    at n^2 - 1, which it never reaches; a closure below n^2 neither runs
-    the hub chain nor reads the hub rows (``_LieEngine``), and the
+    at n^2 - 1, which it never reaches; a closure below n^2 neither walks
+    from the hub nor reads the hub rows (``_LieEngine``), and the
     dimension of the fixpoint does not depend on the queue order.
     """
     n = session.n
@@ -948,11 +913,11 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
        r = n.  One engine modulo the prime takes A and every projector in
        one call, so its hub rows see every control vertex (grown one
        vertex at a time, cycle-40 from {1, 5} first ran all 442 elements
-       of the closure from {1}).  Only the hub chain of the first control
-       vertex runs before the other projectors go in; if it stalls, the
-       closure leads with the hub rows.  It stops once they reach rank
-       r - 1, at dimension r^2 + delta.  With a full walk the goal is
-       (n - 1, n^2).
+       of the closure from {1}).  A comes first, so the first control
+       vertex becomes the hub and its walk feeds the hub rows before the
+       other projectors go in; if it stalls, the closure leads with the
+       hub rows.  It stops once they reach rank r - 1, at dimension
+       r^2 + delta.  With a full walk the goal is (n - 1, n^2).
     4. Exactly, only when that closure came out short of its goal: the
        same closure with the same goal, over the integers.
 

@@ -159,11 +159,17 @@ class MatrixSpaceBasis:
 
         Their vectors are the n^2 unit rows with pivots 0 .. n^2 - 1, which
         is already the canonical reduced form, so the rows are set directly
-        instead of inserted one by one.
+        instead of inserted one by one, each from a zero row with one entry
+        set.
         """
         basis = cls(side)
         amb = side * side
-        basis._inner.rows = [tuple(int(i == k) for i in range(amb)) for k in range(amb)]
+        rows = []
+        for k in range(amb):
+            row = [0] * amb
+            row[k] = 1
+            rows.append(tuple(row))
+        basis._inner.rows = rows
         basis._inner.pivots = list(range(amb))
         return basis
 

@@ -631,10 +631,10 @@ class TestCrossCertificate:
         brackets = self._counting_brackets(monkeypatch)
         engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,), modulus)
         # run to the end, the same closure keeps 64 elements after 121
-        # brackets; the hub chain [E_jj, A], [A, [E_jj, A]], ... certifies it
-        # after n - 1 brackets (the first one's hub row is A's, and each
-        # later one grows the hub rows), and the elements stay A and E_jj
-        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 2, 7)
+        # brackets; the hub's walk A^2 e_j, ..., A^7 e_j certifies it beside
+        # A's hub row with no bracket (each step grows the hub rows), and
+        # the elements stay A and E_jj
+        assert (engine.dim, len(engine.elems), len(brackets)) == (64, 2, 0)
         assert engine.hub == member - 1 and engine.hub_rows.dim == 7
         assert not engine.pending
         # the same closure grown by the engine beside its full walk
@@ -643,7 +643,7 @@ class TestCrossCertificate:
         state = control._NodeState(session, modulus, ("walk", "lie"))
         control._extend_state(state, session, member)
         assert state.walk.dim == 8
-        assert (state.lie.dim, len(state.lie.elems), len(brackets)) == (64, 2, 7)
+        assert (state.lie.dim, len(state.lie.elems), len(brackets)) == (64, 2, 0)
 
     @pytest.mark.parametrize("g, kind, members, walk, elems, brackets", [
         (cycle_graph(16), "adjacency", (1,), 9, 82, 161),
@@ -674,15 +674,17 @@ class TestCrossCertificate:
         a = _int_matrix(random_same_sign_matrix(complete_graph(8), 7))
         e33 = control._projector_rows(8, 2)
         brackets = self._counting_brackets(monkeypatch)
-        counts = []
-        # the hub chain starts once both are in, whichever came first
+        dims, counts = [], []
         for gens in ([a, e33], [e33, a]):
             engine = _LieEngine(8, modulus)
-            assert engine.extend(gens, 64) == 64
+            dims.append(engine.extend(gens, 64))
             assert engine.hub == 2 and engine.hub_rows.dim == 7
             counts.append((len(engine.elems), len(brackets)))
             brackets.clear()
-        assert counts == [(2, 7), (2, 7)]
+        assert dims == [64, 64]
+        # the hub's walk starts only when E_33 becomes the hub with A in;
+        # A offered after the hub leaves the hub rows to the brackets
+        assert counts == [(2, 0), (10, 9)]
 
     @pytest.mark.parametrize("modulus", [None, control._PRIME])
     def test_non_projector_generators_have_no_hub(self, modulus):
@@ -860,50 +862,106 @@ class TestKrylovCertificate:
 
 
 # two paths, on vertices 1..4 and 5..7: from {1, 5} the walk is full and the
-# closure is gl(4) + gl(3), while the hub chain of vertex 1 stays on the first
+# closure is gl(4) + gl(3), while the walk of vertex 1 stays on the first
 TWO_PATHS = [[int(x) for x in row] for row in build_matrix(
     graph(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]), "random:7").matrix.entries]
 
 
-class TestHubChain:
-    """The hub chain X_0 = [E_jj, A], X_{k+1} = [A, X_k] (``_LieEngine._chain``).
+def _span_rank(rows, ambient, p):
+    """Rank of the rows over Q, or modulo p, by the oracles' row reduction."""
+    if p is None:
+        return oracles.frac_rank(rows)
+    basis = oracles.ModularEchelon(ambient, p)
+    for row in rows:
+        basis.insert(row)
+    return basis.dim
 
-    Only the chain's hub rows go in.  A chain that certifies leaves the
-    elements at the generators; one that stalls hands its elements to the
-    closure, which runs to the oracle's fixpoint with every (generator,
-    element) pair bracketed once, the chain's brackets included.
+
+class TestHubWalk:
+    """The hub's walk A^2 e_j, A^3 e_j, ..., entry j dropped (``_LieEngine._hub_walk``).
+
+    With u_k = A^k e_j, the element X_k of the chain X_0 = [E_jj, A],
+    X_{k+1} = [A, X_k] has row j equal to +-u_{k+1} plus a combination of
+    u_0 ... u_k, so with entry j dropped the hub rows of X_0 ... X_k span
+    what u_1 ... u_{k+1} span, over Q and modulo every prime.  The walk
+    feeds those rows and brackets nothing; one that stalls leaves the
+    closure to the queue, which runs to the oracle's fixpoint with every
+    (generator, element) pair bracketed once.
     """
 
     @staticmethod
+    def _walks(mp):
+        """The rows each hub walk yields, one list per walk started."""
+        walks = []
+        real = _LieEngine._hub_walk
+
+        def recording(self, a):
+            walks.append([])
+            for row in real(self, a):
+                walks[-1].append(row)
+                # n - 2 rows that grow and one that does not, at most
+                assert len(walks[-1]) < self.side, "runaway walk"
+                yield row
+
+        mp.setattr(_LieEngine, "_hub_walk", recording)
+        return walks
+
+    @staticmethod
     def _brackets(monkeypatch, limit):
-        # a chain that did not stop at a hub row that fails to grow would
-        # bracket forever: fail past the limit instead
+        # fail past the limit instead of running away
         calls = []
         real = _LieEngine._bracket
 
         def counting(self, g, elem):
             calls.append(g)
-            assert len(calls) <= limit, "runaway bracket chain"
+            assert len(calls) <= limit, "runaway closure"
             return real(self, g, elem)
 
         monkeypatch.setattr(_LieEngine, "_bracket", counting)
         return calls
 
+    @settings(max_examples=40, deadline=None)
+    @given(_sparse_symmetric(), st.sampled_from([None, 2, 3, 5]))
+    def test_walk_spans_the_chain_hub_rows(self, inst, p):
+        entries, s = inst
+        n, j = len(entries), s[0] - 1
+        e_jj = control._projector_rows(n, j)
+        with pytest.MonkeyPatch.context() as mp:
+            walks = self._walks(mp)
+            engine = _LieEngine(n, p)
+            engine.extend([tuple(map(tuple, entries)), e_jj], n * n)
+        # a walk starts once E_jj becomes the hub with A in: not when A is
+        # zero (modulo p) or a multiple of a projector, which is the hub itself
+        assert len(walks) == (engine.hub == j and len(engine.gens) == 2)
+        if not walks:
+            return
+        [walked] = walks
+        if p is not None:
+            assert all(0 <= v < p for row in walked for v in row)
+        # A's hub row, then every walked row
+        rows = [[x for c, x in enumerate(entries[j]) if c != j]] + walked
+        x = oracles.mat_sub(oracles.mat_mul(e_jj, entries), oracles.mat_mul(entries, e_jj))
+        chain = []
+        for k in range(n + 1):
+            chain.append([int(v) for c, v in enumerate(x[j]) if c != j])
+            prefix = rows[:k + 1]
+            ranks = [_span_rank(part, n - 1, p) for part in (chain, prefix, chain + prefix)]
+            assert ranks[0] == ranks[1] == ranks[2], (k, ranks)
+            x = oracles.mat_sub(oracles.mat_mul(entries, x), oracles.mat_mul(x, entries))
+
     @pytest.mark.parametrize("entries, s", [(MIXED_CYCLE, (1, 3)), (TWO_PATHS, (1, 5))],
                              ids=["example-b", "two-paths-15"])
-    def test_stalled_chain_joins_the_closure(self, monkeypatch, entries, s):
+    def test_stalled_walk_leaves_the_closure_to_the_queue(self, monkeypatch, entries, s):
         want = oracles.control_lie_dim_bruteforce(entries, s)
         a = pattern_matrix(entries)
         n = a.n
-        chains = []
-        real = _LieEngine._chain
-        monkeypatch.setattr(_LieEngine, "_chain", lambda self, g: chains.append(real(self, g)) or chains[-1])
+        walks = self._walks(monkeypatch)
         brackets = self._brackets(monkeypatch, n ** 4)
         for modulus in (None, control._PRIME, 5):
-            chains.clear()
+            walks.clear()
             brackets.clear()
             engine = _control_engine(a, s, modulus)
-            assert chains == [False], modulus
+            assert len(walks) == 1, modulus
             assert engine.hub == s[0] - 1 and engine.hub_rows.dim < n - 1
             assert engine.dim == len(engine.elems)
             assert engine.dim == want if modulus != 5 else engine.dim <= want
@@ -914,38 +972,54 @@ class TestHubChain:
         assert analyze(a, s).lie_dim == want
 
     @pytest.mark.parametrize("member", [1, 5])
-    def test_modular_chain_brackets_residues(self, monkeypatch, member):
-        bracketed = []
-        real = _LieEngine._bracket
-
-        def spy(self, g, elem):
-            if type(g) is not int:
-                bracketed.append(elem[1])
-            return real(self, g, elem)
-
-        monkeypatch.setattr(_LieEngine, "_bracket", spy)
+    def test_modular_walk_reduces_each_power(self, monkeypatch, member):
+        a = random_same_sign_matrix(complete_graph(8), 7)
+        entries = _int_matrix(a)
+        walks = self._walks(monkeypatch)
         p = control._PRIME
-        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,), p)
-        # [A, X_0], ..., [A, X_5]; X_0 is A's row j crossed, as A holds it,
-        # and every later X_k is reduced before it is bracketed
-        assert (engine.dim, len(engine.elems), len(bracketed)) == (64, 2, 6)
-        assert all(0 <= v < p for x in bracketed[1:] for v in x)
-        assert max(map(abs, bracketed[0])) <= 9
+        engine = _control_engine(a, (member,), p)
+        assert (engine.dim, len(engine.elems)) == (64, 2)
+        # A's hub row and A^2 e_j, ..., A^7 e_j reach rank 7, each power
+        # reduced modulo p, not made primitive
+        j = member - 1
+        u = oracles.basis_vec(member, 8)
+        want = []
+        for k in range(7):
+            u = oracles.mat_vec(entries, u)
+            if k:
+                want.append([int(x) % p for c, x in enumerate(u) if c != j])
+        assert walks == [want]
 
-    def test_zero_hub_row_starts_no_chain(self, monkeypatch):
+    def test_zero_hub_row_walks_nothing(self, monkeypatch):
         # vertex 3 of the path 1-2 plus an isolated vertex: row 3 of A is
-        # zero, so [E_33, A], the chain's X_0, is zero and no chain runs
+        # zero, so A^2 e_3 is zero and the walk yields no row
         a = pattern_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        monkeypatch.setattr(_LieEngine, "_chain", None)
+        walks = self._walks(monkeypatch)
         brackets = self._brackets(monkeypatch, 100)
         for modulus in (None, control._PRIME):
+            walks.clear()
             brackets.clear()
             engine = _control_engine(a, (3,), modulus)
             assert engine.dim == len(engine.elems) == 2
             assert engine.hub == 2 and engine.hub_rows.dim == 0
+            assert walks == [[]]
             # [E_33, A], bracketed once by the closure
             assert len(brackets) == 1
         assert oracles.control_lie_dim_bruteforce([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (3,)) == 2
+
+    def test_walk_starts_from_the_hub(self, monkeypatch):
+        # vertex 1 is isolated and the path 2-3-4-5 is controlled from 2:
+        # the walk is full, the closure gl(1) + gl(4) has dimension 17, and
+        # the hub's walk from vertex 1 yields one zero row, modulo the prime
+        # and exactly.  Vertex 2's walk would fill row 1's hub rows and
+        # certify 25.
+        a = build_matrix(graph(5, [(2, 3), (3, 4), (4, 5)]), "random:7")
+        walks = self._walks(monkeypatch)
+        assert lie_controllable(a, (1, 2)) == (False, 17)
+        assert [[list(row) for row in w] for w in walks] == [[[0] * 4]] * 2
+        rep = analyze(a, (1, 2))
+        assert (rep.walk_rank, rep.lie_dim) == (5, 17)
+        assert oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], (1, 2)) == 17
 
 
 @st.composite
