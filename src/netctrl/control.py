@@ -910,24 +910,40 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     3. For the Lie part, its goal from the walk rank r and delta
        (``_LieEngine``, lemma 1): delta is 1 exactly when some row of A
        (A is symmetric) lies outside the exact walk's span K, and 0 when
-       r = n.  One engine modulo the prime takes A and every projector in
-       one call, so its hub rows see every control vertex (grown one
-       vertex at a time, cycle-40 from {1, 5} first ran all 442 elements
-       of the closure from {1}).  A comes first, so the first control
-       vertex becomes the hub and its walk feeds the hub rows before the
-       other projectors go in; if it stalls, the closure leads with the
-       hub rows.  It stops once they reach rank r - 1, at dimension
-       r^2 + delta.  With a full walk the goal is (n - 1, n^2).
+       r = n; the goal is (r - 1, r^2 + delta).  When the walk of the first
+       control vertex j alone already has rank r, read off the same state
+       (modular or exact) that gives r, the dimension is r^2 + delta with
+       no closure.  Proof: u_k = A^k e_j for k < r is then a basis of K.
+       With entry j dropped, u_1 ... u_{r-1} stay independent, since a
+       combination of them that is zero off j is a multiple of e_j = u_0.
+       By the hub-walk identity of ``_LieEngine``, they span what the hub
+       rows of the chain [E_jj, A], [A, [E_jj, A]], ... span, and those
+       are elements of L, so the hub rows of j reach rank r - 1 and lemma
+       1 gives r^2 + delta over Q.  Modulo p the state is kept only when
+       its walk is full, so the rule fires there only when vertex j's own
+       modular walk has rank n, and then both exact ranks are n too.  No
+       engine is built, so ``analyze`` on any one-vertex set runs no
+       closure.  Otherwise one engine modulo the prime takes A and every
+       projector in one call, so its hub rows see every control vertex
+       (grown one vertex at a time, cycle-40 from {1, 5} first ran all 442
+       elements of the closure from {1}).  A comes first, so the first
+       control vertex becomes the hub and its walk feeds the hub rows
+       before the other projectors go in; if it stalls, the closure leads
+       with the hub rows.  It stops once they reach rank r - 1, at
+       dimension r^2 + delta.
     4. Exactly, only when that closure came out short of its goal: the
        same closure with the same goal, over the integers.
 
     So a short walk gives a short Lie closure by construction here, as the
-    span identity does (``_consistency``): kalman_iff_lie checks the
-    engine against itself in one-shot reports.  The sweeps still grow
-    every closure (``_grow``), and ``tests/oracles.py`` still checks it.
-    The lemma took ``analyze`` on the adjacency matrix of cycle-40 from
-    {1} from 152 to 49 ms, and from {1, 5} from 570 to 188 ms (min of 15
-    CPU runs in three interleaved passes, 2-CPU x86, Python 3.11).
+    span identity does (``_consistency``), and so does a full walk whose
+    first control vertex spans it: kalman_iff_lie checks the engine
+    against itself in one-shot reports.  The sweeps still grow every
+    closure (``_grow``), and ``tests/oracles.py`` still checks it.  The
+    lemma took ``analyze`` on the adjacency matrix of cycle-40 from {1}
+    from 152 to 49 ms, and from {1, 5} from 570 to 188 ms (min of 15 CPU
+    runs in three interleaved passes, 2-CPU x86, Python 3.11); reading the
+    one-vertex dimension off the walk then took it from {1} from 49 to 44
+    ms (min of 12 interleaved process pairs of 3 CPU runs each, same host).
 
     The modular walk pays off at large n: at n = 60 the exact one is two
     orders of magnitude slower, though at n <= 8 it is a little faster.
@@ -937,27 +953,34 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
         check_lie_order(n)
     session = _Session(a)
 
-    def grown(modulus, held) -> _NodeState:
+    def grown(modulus, held) -> tuple:
+        """The state grown along ``members``, and its walk rank after the first."""
         state = _NodeState(session, modulus, held)
-        for j in members:
+        _extend_state(state, session, members[0])
+        first = state.walk.dim
+        for j in members[1:]:
             _extend_state(state, session, j)
-        return state
+        return state, first
 
     held = ("walk", "pspan") if "pspan" in parts else ("walk",)
-    state = grown(_PRIME, held)
+    state, first = grown(_PRIME, held)
     if state.walk.dim < n:
-        state = grown(None, held)
+        state, first = grown(None, held)
     dims = {name: getattr(state, name).dim for name in held}
     if "lie" in parts:
         r = dims["walk"]
         delta = r < n and session.int_a is not None and not all(map(state.walk.contains, session.int_a))
         goal = (r - 1, r * r + delta)
-        gens = [] if session.int_a is None else [session.int_a]
-        gens += [_projector_rows(n, j - 1) for j in members]
-        dims["lie"] = _LieEngine(n, _PRIME, goal).extend(gens, n * n)
-        if dims["lie"] < goal[1]:
-            _warn_if_past_default(n, stacklevel=4)
-            dims["lie"] = _LieEngine(n, None, goal).extend(gens, n * n)
+        if first == r:
+            # the first control vertex's walk spans K: it is the certificate
+            dims["lie"] = goal[1]
+        else:
+            gens = [] if session.int_a is None else [session.int_a]
+            gens += [_projector_rows(n, j - 1) for j in members]
+            dims["lie"] = _LieEngine(n, _PRIME, goal).extend(gens, n * n)
+            if dims["lie"] < goal[1]:
+                _warn_if_past_default(n, stacklevel=4)
+                dims["lie"] = _LieEngine(n, None, goal).extend(gens, n * n)
     return tuple(dims[name] for name in parts)
 
 
@@ -998,17 +1021,20 @@ def p_span_dim(a: PatternMatrix, s) -> int:
 def lie_controllable(a: PatternMatrix, s) -> tuple:
     """Lie decision: (lie_dim == n^2, lie_dim) for L(A, {e_j : j in S}).
 
-    Both are exact.  The closure is run modulo a prime toward a goal read
-    off the walk rank r (``_dimensions``): n^2 on a full walk, and r^2 +
-    delta on a short one, proved once row j of the elements, for a
-    control vertex j, reaches rank r - 1 (lemma 1, ``_LieEngine``); delta
-    is 1 exactly when some column of A lies outside the walk's span.  So a
-    short walk gives a short closure by construction, as it gives the span
-    r^2; the sweeps still grow every closure and ``tests/oracles.py``
-    still checks it.  A closure short of its goal there is recomputed by
-    the same engine over the integers, which only counts the dimension
-    (``lie_closure`` also builds the canonical basis it returns).  Past the
-    default order cap that exact route warns, as ``lie_closure`` does.
+    Both are exact.  The dimension is read off the walk rank r
+    (``_dimensions``): n^2 on a full walk, and r^2 + delta on a short one,
+    proved once row j of the elements, for a control vertex j, reaches
+    rank r - 1 (lemma 1, ``_LieEngine``); delta is 1 exactly when some
+    column of A lies outside the walk's span.  When the walk of the first
+    control vertex alone has rank r, its powers are such rows, so no
+    closure is built: every one-vertex set is such a case.  Otherwise the
+    closure is run modulo a prime toward that goal.  So a short walk gives
+    a short closure by construction, as it gives the span r^2; the sweeps
+    still grow every closure and ``tests/oracles.py`` still checks it.  A
+    closure short of its goal there is recomputed by the same engine over
+    the integers, which only counts the dimension (``lie_closure`` also
+    builds the canonical basis it returns).  Past the default order cap
+    that exact route warns, as ``lie_closure`` does.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past
@@ -1116,9 +1142,14 @@ def _consistency(n: int, walk_rank: int, p_dim: int, lie_dim: int, zfs_status: b
     The engine grows the span from the outer products of the walk's
     echelon rows, r^2 independent ones for walk rank r (``_extend_state``),
     so span_dimension_identity holds by construction and checks the engine
-    against itself.  The independent checks are the oracles' literal
-    products (``tests/oracles.py::pspan_dim_bruteforce``) for the span and
-    kalman_iff_lie, whose Lie dimension no walk row enters, for the walk.
+    against itself.  In one-shot reports so does kalman_iff_lie whenever
+    the walk of the first control vertex alone spans the walk's span,
+    every one-vertex set included: ``_dimensions`` then reads the Lie
+    dimension r^2 + delta off that walk.  The sweeps (``control._grow``)
+    still grow and certify every closure from its own rows, so there
+    kalman_iff_lie checks the walk against a Lie dimension no walk rank
+    enters, and the oracles' literal products
+    (``tests/oracles.py::pspan_dim_bruteforce``) check the span.
     """
     if not hyp:
         kalman_lie = (CHECK_SKIPPED, _HYPOTHESIS_TEXT)
@@ -1140,7 +1171,10 @@ def analyze(a: PatternMatrix, s) -> ControllabilityReport:
     The consistency records are those of ``_consistency``: the equivalence
     of the Kalman and Lie verdicts and the forcing-set implication under
     the hypotheses of ``_hypotheses``, plus the unconditional identity
-    p_span_dim = walk_rank^2.  One ``_dimensions`` call grows all three.
+    p_span_dim = walk_rank^2.  One ``_dimensions`` call grows all three;
+    when the first control vertex's walk spans the whole walk it reads
+    lie_dim off that walk, so kalman_iff_lie holds by construction there
+    and the sweeps, which grow every closure, are what check it.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past

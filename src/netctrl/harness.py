@@ -151,10 +151,12 @@ def recheck(v: Violation) -> bool:
 
     Uses the one-shot public path (``analyze``), which grows the engine's
     state from a fresh root by this one control set, with no prefix-tree
-    or orbit sharing: a finding of the sharing is confirmed without it.
-    It is the same engine, so the structurally independent check is the
-    brute-force oracles of the test suite (``tests/oracles.py``).  Returns
-    True when the recorded failure reproduces.
+    or orbit sharing: a finding of the sharing is confirmed without it.  A
+    single_vector_equivalence record is re-run as the sweep ran it, by
+    ``_single_vector_dims`` from a fresh root.  It is the same engine, so
+    the structurally independent check is the brute-force oracles of the
+    test suite (``tests/oracles.py``).  Returns True when the recorded
+    failure reproduces.
     """
     g = graphs.graph(v.order, v.edges)
     if v.matrix:
@@ -163,24 +165,36 @@ def recheck(v: Violation) -> bool:
         a = control.build_matrix(g, v.kind)
     if v.check == "distance_power_nonzero":
         return bool(control.distance_power_defects(a))
-    report = control.analyze(a, v.subset)
     if v.check == "single_vector_equivalence":
-        records = _single_vector_checks(report)
+        records = _single_vector_checks(a.n, _single_vector_dims(a, v.subset))
     else:
+        report = control.analyze(a, v.subset)
         records = [(c["check"], c["status"], c["detail"]) for c in report.consistency]
     return any(check == v.check and status == control.CHECK_VIOLATED for check, status, _ in records)
 
 
-def _single_vector_checks(report) -> tuple:
-    """The records of one single-vector sample, read off its ``analyze`` report.
+def _single_vector_dims(a, s) -> tuple:
+    """(walk, pspan, lie) of one single-vector instance, grown by the sweeps' engine.
+
+    ``analyze`` reads the Lie dimension of a one-vertex set off its walk
+    (``control._dimensions``), so there the equivalence holds by
+    construction; ``control._grow`` still grows the closure and certifies
+    it from its own rows, so the record checks the engine, not arithmetic.
+    """
+    members = control._control_set(a, s)
+    control.check_lie_order(a.n)
+    return control._grow(control._Session(a), [members], parts=control._PARTS)[members]
+
+
+def _single_vector_checks(n: int, dims: tuple) -> tuple:
+    """The records of one single-vector sample, from its (walk, pspan, lie) dimensions.
 
     For one control vector, walk rank n iff Lie dimension n^2 needs no
     hypothesis, so the first record is ``control._consistency``'s
     kalman_iff_lie asserted (``hyp=True``) and renamed; the second is the
     span identity.
     """
-    dims = (report.walk_rank, report.p_span_dim, report.lie_dim)
-    (_, status, detail), _, span = control._consistency(report.n, *dims, False, True)
+    (_, status, detail), _, span = control._consistency(n, *dims, False, True)
     return ("single_vector_equivalence", status, detail), span
 
 
@@ -450,7 +464,8 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
     uniform in -9..9 with signs free, zero entries and disconnected
     patterns allowed) and one random standard basis vector, then asserts
     walk_rank = n iff lie_dim = n^2, plus the span identity.  No graph
-    hypotheses are involved.
+    hypotheses are involved.  The dimensions come from the sweeps' engine
+    (``_single_vector_dims``), which grows every closure.
     """
     if type(samples) is not int or samples < 1:  # bool is an int subclass
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
@@ -469,7 +484,7 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
                 entries[j][k] = val
         ctrl = rng.randint(1, n)
         a = control.pattern_matrix(entries)
-        records = _single_vector_checks(control.analyze(a, (ctrl,)))
+        records = _single_vector_checks(n, _single_vector_dims(a, (ctrl,)))
         _tally(records, counts, violations, a.pattern, "explicit", (ctrl,), format_matrix(a.matrix))
     config = {"op": "single_vector", "samples": samples, "seed": seed}
     return _outcome(config, samples, counts, violations)

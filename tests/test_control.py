@@ -553,12 +553,12 @@ def _int_matrix(a):
     return tuple(tuple(int(x) for x in row) for row in a.matrix.entries)
 
 
-def _control_engine(a, s, modulus=None):
+def _control_engine(a, s, modulus=None, goal=None):
     n = a.n
     gens = [_int_matrix(a)]
     for j in s:
         gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
-    engine = _LieEngine(n, modulus)
+    engine = _LieEngine(n, modulus, goal)
     engine.extend(gens, n * n)
     return engine
 
@@ -817,26 +817,36 @@ class TestKrylovCertificate:
                 # no hub-row rank proves such a closure: each decision falls back
                 assert [m for m, _, _ in runs] == [p, None, p, None]
 
-    # (graph, kind, S, walk rank r, delta): each certified modulo the prime
-    @pytest.mark.parametrize("g, kind, s, r, delta", [
-        (cycle_graph(16), "adjacency", (1,), 9, 1),
-        (cycle_graph(16), "adjacency", (1, 5), 13, 1),
-        (complete_graph(16), "adjacency", (1,), 2, 1),
-        (_star(4), "adjacency", (1,), 2, 0),
+    # (graph, kind, S, walk rank r, delta, whether the walk of the first
+    # control vertex alone has rank r): each certified modulo the prime
+    @pytest.mark.parametrize("g, kind, s, r, delta, first_spans", [
+        (cycle_graph(16), "adjacency", (1,), 9, 1, True),
+        (cycle_graph(16), "adjacency", (1, 5), 13, 1, False),
+        (complete_graph(16), "adjacency", (1,), 2, 1, True),
+        (_star(4), "adjacency", (1,), 2, 0, True),
         # vertex 4 lies in the Krylov space of vertex 1, which the closure
         # from {1} already certifies: the projector E_44 adds nothing
-        (cycle_graph(6), "adjacency", (1, 4), 4, 1),
+        (cycle_graph(6), "adjacency", (1, 4), 4, 1, True),
     ], ids=["C16-1", "C16-15", "K16-1", "star-centre", "C6-14"])
-    def test_certified_pins(self, monkeypatch, g, kind, s, r, delta):
+    def test_certified_pins(self, monkeypatch, g, kind, s, r, delta, first_spans):
         a = build_matrix(g, kind)
         runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, s) == (False, r * r + delta)
-        [(modulus, goal, engine)] = runs
-        assert (modulus, goal) == (control._PRIME, (r - 1, r * r + delta))
+        if first_spans:
+            # the first vertex's walk is the certificate: the decisions build
+            # no engine (``_dimensions``), and the engine run on the same
+            # generators and goal certifies the same dimension
+            assert runs == []
+            engine = _control_engine(a, s, control._PRIME, (r - 1, r * r + delta))
+            assert engine.dim == r * r + delta
+        else:
+            [(modulus, goal, engine)] = runs
+            assert (modulus, goal) == (control._PRIME, (r - 1, r * r + delta))
         assert engine.hub + 1 == s[0] and engine.hub_rows.dim == r - 1
         assert _certified(engine)
         rep = analyze(a, s)
         assert (rep.walk_rank, rep.p_span_dim, rep.lie_dim) == (r, r * r, r * r + delta)
+        assert len(runs) == (0 if first_spans else 2)
         if g.order <= 6:
             assert r * r + delta == oracles.control_lie_dim_bruteforce(
                 [list(row) for row in a.matrix.entries], s)
@@ -1020,6 +1030,36 @@ class TestHubWalk:
         rep = analyze(a, (1, 2))
         assert (rep.walk_rank, rep.lie_dim) == (5, 17)
         assert oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], (1, 2)) == 17
+
+
+class TestFirstVertexWalk:
+    """A one-shot Lie dimension read off the first control vertex's walk (``_dimensions``).
+
+    When the walk of the first control vertex alone has the rank r of the
+    whole walk, its powers are the hub rows of lemma 1, so the dimension
+    is r^2 + delta and no engine is built; otherwise the engine runs.
+    """
+
+    # (A, S, prime, Lie dimension, whether the rule fires)
+    @pytest.mark.parametrize("a, s, prime, want, fires", [
+        # the first walk is short of K: a rule that fired anyway would read
+        # r^2 + delta, 49 for the two paths and 16 for example b
+        (pattern_matrix(TWO_PATHS), (1, 5), None, 25, False),
+        (pattern_matrix(MIXED_CYCLE), (1, 3), None, 8, False),
+        (adjacency_matrix(cycle_graph(16)), (1, 5), None, 170, False),
+        # delta = 1, which a rule with delta 0 would drop
+        (adjacency_matrix(cycle_graph(6)), (1, 4), None, 17, True),
+        # delta = 0; modulo 2 A e_1 is e_1, so the walk is short there, but
+        # the exact walk of vertex 1 is full
+        (pattern_matrix([[1, 2], [2, 1]]), (1,), 2, 4, True),
+    ], ids=["two-paths-15", "example-b", "C16-15", "C6-14", "2x2-mod-2"])
+    def test_rule_pins(self, monkeypatch, a, s, prime, want, fires):
+        if prime is not None:
+            monkeypatch.setattr(control, "_PRIME", prime)
+        runs = _lie_engines(monkeypatch)
+        assert lie_controllable(a, s) == (want == a.n ** 2, want)
+        assert analyze(a, s).lie_dim == want
+        assert (runs == []) == fires
 
 
 @st.composite
@@ -1384,12 +1424,17 @@ class TestModularRoute:
         lie_runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
         # the span shares the walk's state modulo p but waits there for a
-        # full walk, so it cannot come out full; the closure's goal takes the
-        # exact walk rank 2, and modulo 2 A is the identity, so the hub row
-        # (2) vanishes there and the exact closure runs
+        # full walk, so it cannot come out full; the Lie part reads the
+        # exact walk, where vertex 1 alone has rank 2 = r, so it builds no
+        # engine (``_dimensions``)
         assert grown()[2:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
                                (2, {"walk": 1}), (None, {"walk": 2})]
-        assert [(m, goal) for m, goal, _ in lie_runs] == [(2, (1, 4)), (None, (1, 4))]
+        assert lie_runs == []
+        # the closure with the same goal, run directly: modulo 2 A is the
+        # identity, so the hub row (2) vanishes there and only the exact
+        # closure reaches the goal
+        gens = [((1, 2), (2, 1)), control._projector_rows(2, 0)]
+        assert [_LieEngine(2, m, (1, 4)).extend(gens, 4) for m in (2, None)] == [2, 4]
 
     @pytest.mark.parametrize("g, kind, s, modular, exact", [
         (cycle_graph(8), "adjacency", (1,), 0, 25),
@@ -1455,14 +1500,18 @@ class TestModularRoute:
         # stops at the two projectors' dimension 2
         assert _LieEngine(2, 2).extend(gens, 4) == 2
         assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
+        prime = control._PRIME
         runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
-        # the walk is full, so the goal is (n - 1, n^2)
-        assert [(m, goal) for m, goal, _ in runs] == [(control._PRIME, (1, 4))]
+        # the walk of vertex 1 is full, modulo the prime and modulo 2 alike,
+        # so it is the certificate and no engine runs (``_dimensions``)
         monkeypatch.setattr(control, "_PRIME", 2)
         assert lie_controllable(a, [1]) == (True, 4)
-        # one exact closure, the fallback, with the same goal
-        assert [(m, goal) for m, goal, _ in runs[1:]] == [(2, (1, 4)), (None, (1, 4))]
+        assert runs == []
+        # the same closure run directly toward the goal (n - 1, n^2): it is
+        # certified at the working prime, and modulo 2 it falls short, so
+        # only the exact closure, the fallback, reaches the goal
+        assert [_LieEngine(2, m, (1, 4)).extend(gens, 4) for m in (prime, 2, None)] == [4, 2, 4]
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), _echelon_input())

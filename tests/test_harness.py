@@ -545,13 +545,21 @@ class TestSweepSingleVector:
         assert out.config == {"op": "single_vector", "samples": 40, "seed": 9}
 
     def test_violations_are_recorded_and_recheck(self, monkeypatch):
-        # an injected engine fault: every span and Lie dimension one short
+        # an injected engine fault: every span and Lie dimension one short,
+        # in the one-shot route and in the sweeps' engine, which the
+        # samples read (``harness._single_vector_dims``)
         engine = control._dimensions
+        grow = control._grow
 
         def faulty(a, members, parts):
             return tuple(d - (name != "walk") for name, d in zip(parts, engine(a, members, parts)))
 
+        def faulty_grow(session, subsets, parts):
+            return {members: tuple(d - (name != "walk") for name, d in zip(parts, dims))
+                    for members, dims in grow(session, subsets, parts=parts).items()}
+
         monkeypatch.setattr(control, "_dimensions", faulty)
+        monkeypatch.setattr(control, "_grow", faulty_grow)
         out = sweep_single_vector(12, 9)
         assert not out.passed
         by_check = {}
@@ -579,7 +587,12 @@ class TestSweepSingleVector:
             walk, pspan, _ = engine(a, members, parts)
             return walk, pspan + 2, a.n * a.n
 
+        def lie_full_grow(session, subsets, parts):
+            return {members: (walk, pspan + 2, session.n ** 2)
+                    for members, (walk, pspan, _) in grow(session, subsets, parts=parts).items()}
+
         monkeypatch.setattr(control, "_dimensions", lie_full)
+        monkeypatch.setattr(control, "_grow", lie_full_grow)
         out = sweep_single_vector(40, 9)
         equivalence = [v for v in out.violations if v.check == "single_vector_equivalence"]
         assert len(equivalence) == 1
@@ -594,6 +607,23 @@ class TestSweepSingleVector:
         assert all(recheck(v) for v in out.violations)
         monkeypatch.undo()
         assert not any(recheck(v) for v in out.violations)
+
+    def test_samples_grow_their_lie_closure(self, monkeypatch):
+        # analyze reads a one-vertex Lie dimension off the walk, so the
+        # samples read the sweeps' engine, which grows the closure: a Lie
+        # dimension one short there shows on every full-walk sample
+        grow = control._grow
+
+        def lie_short(session, subsets, parts):
+            return {members: tuple(d - (name == "lie") for name, d in zip(parts, dims))
+                    for members, dims in grow(session, subsets, parts=parts).items()}
+
+        monkeypatch.setattr(control, "_grow", lie_short)
+        out = sweep_single_vector(40, 9)
+        assert out.violations
+        assert all(v.check == "single_vector_equivalence" for v in out.violations)
+        assert all(v.detail == f"walk_rank {v.order} but lie_dim {v.order ** 2 - 1}" for v in out.violations)
+        assert all(recheck(v) for v in out.violations)
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
