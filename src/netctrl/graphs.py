@@ -220,6 +220,7 @@ def random_connected(n: int, edge_probability, seed: int, max_tries: int = 10_00
     reproduce the identical graph.  Raises RuntimeError after ``max_tries``
     rejections.
     """
+    _order(n)
     p = Fraction(edge_probability)
     if not (0 < p <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")

@@ -22,12 +22,13 @@ entries as they were.  Sparse and banded rows (a path's walk rows, and the
 Lie elements they generate) then cost what they hold, not the ambient
 length.
 
-``PackedBasis`` is the modular basis of the product span, whose vectors
-are outer products.  It keeps each vector as one int of fixed-width slots,
-wide enough for the product of two residues, so the row-major outer
-product u w^T of two residue vectors is one multiplication,
-``pack(u, n * width) * pack(w, width)``, and an insert whose lead is past
-every stored pivot stores it with no pass over its slots.
+``PackedBasis`` holds the product span modulo a prime, whose vectors are
+outer products.  Each vector is one int of fixed-width slots, wide
+enough for the product of two residues, so the row-major outer product
+u w^T of two residue vectors is one multiplication,
+``pack(u, n * width) * pack(w, width)``.  It is append-only: it takes only
+a vector whose lead is past every stored lead, reads that one slot, and
+keeps the leads alone.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class EchelonBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def copy(self) -> "EchelonBasis":
         dup = EchelonBasis(self.ambient, self.modulus)
@@ -226,14 +227,8 @@ def pack(values, width: int) -> int:
     return v
 
 
-def unpack(v: int, width: int, count: int) -> list:
-    """The ``count`` slots of a packed int, lowest first."""
-    mask = (1 << width) - 1
-    return [v >> i * width & mask for i in range(count)]
-
-
 class PackedBasis(EchelonBasis):
-    """Echelon basis modulo a prime whose vectors and rows are packed ints.
+    """Append-only span modulo a prime of packed vectors, each leading past the last.
 
     A vector of length ``ambient`` is one nonnegative int with entry i in
     slot i (``pack``) of ``width = slot_width(p)`` bits, read modulo p slot
@@ -243,18 +238,17 @@ class PackedBasis(EchelonBasis):
     ``pack(r_a, n * width) * pack(r_b, width)`` is r_a[a]·r_b[b] <= (p - 1)^2,
     and no slot carries into the next.
 
-    The lead of a vector, its first nonzero slot, is one bit scan.  It is
-    zero before its lead, so an insert reads only the pivots at or after
-    it.  If the lead slot is nonzero modulo p and each of those pivot slots
-    is zero modulo p, the vector is its own residue and is stored as it is,
-    with no row operation and no pass over its slots.  Otherwise (leads
-    collide, or the lead slot is a nonzero multiple of p) its slots are
-    unpacked and reduced modulo p, the row operations run on that list, and
-    the residue is packed again.  A stored row's slots are kept as they
-    came, unreduced; only its pivot slot is known nonzero modulo p.  Either
-    way each row is zero modulo p on every pivot stored before it, so
-    modulo p it is a multiple of the row ``EchelonBasis`` adds with the same
-    modulus, and the pivots are those it has.
+    The lead of a vector, its first nonzero slot, is one bit scan.  The
+    basis takes a vector only when its lead is past every stored lead and
+    its lead slot is nonzero modulo p.  Such a vector is zero modulo p on
+    every stored lead, so it is independent of the stored vectors modulo p
+    and grows the span by one; the leads are the pivots an ``EchelonBasis``
+    with the same modulus would have.  So only the leads are kept, ``dim``
+    counts them, and an insert reads one slot.  Any other nonzero vector
+    raises ValueError instead of being reduced: the one caller,
+    ``control._extend_state``, inserts the outer products of monic echelon
+    rows by ascending lead, and a vector out of that order is a fault
+    there.  The zero vector lies in every span (``reduce`` gives None).
 
     ``insert`` is inherited: every insert runs through
     ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store`` here.
@@ -266,14 +260,7 @@ class PackedBasis(EchelonBasis):
         self.ambient = ambient
         self.modulus = modulus
         self.width = slot_width(modulus)
-        self.rows: list = []
         self.pivots: list = []
-
-    def copy(self) -> "PackedBasis":
-        dup = PackedBasis(self.ambient, self.modulus)
-        dup.rows = list(self.rows)
-        dup.pivots = list(self.pivots)
-        return dup
 
     def entry(self, values: int, c: int) -> int:
         w = self.width
@@ -283,33 +270,21 @@ class PackedBasis(EchelonBasis):
         return ((v & -v).bit_length() - 1) // self.width
 
     def reduce(self, values: int):
-        """Residue of a packed vector modulo the current span, packed; None if zero."""
+        """``values`` itself if it grows the span, None if it is zero; else ValueError."""
         v = values
         if v < 0 or v.bit_length() > self.ambient * self.width:
             raise ValueError(f"expected a packed vector of {self.ambient} slots of {self.width} bits")
         if not v:
             return None
         lead = self._lead(v)
-        pivots = self.pivots
-        start = bisect_left(pivots, lead)
-        if self.entry(v, lead) and (start == len(pivots) or not any(
-                self.entry(v, c) for c in pivots[start:])):
-            return v
-        p, w, k = self.modulus, self.width, self.ambient
-        slots = [x % p for x in unpack(v, w, k)]
-        for c, row in zip(pivots[start:], self.rows[start:]):
-            x = slots[c]
-            if x:
-                r = unpack(row, w, k)
-                f = x * pow(r[c], -1, p) % p
-                slots[c:] = [(a - f * b) % p for a, b in zip(slots[c:], r[c:])]
-        return pack(slots, w) or None
+        last = self.pivots[-1] if self.pivots else -1
+        if lead <= last or not self.entry(v, lead):
+            raise ValueError(f"a packed vector must lead past slot {last} with a slot nonzero "
+                             f"modulo {self.modulus}; this one leads at slot {lead}")
+        return v
 
     def _store(self, v: int) -> int:
-        c = self._lead(v)
-        pos = bisect_left(self.pivots, c)
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, c)
+        self.pivots.append(self._lead(v))
         return v
 
 

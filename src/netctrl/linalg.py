@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg
+from .graphs import parse_int
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ def identity(n: int) -> RationalMatrix:
 
 def basis_column(j: int, n: int) -> tuple:
     """The j-th standard basis vector of length n (1-based j) as a tuple."""
-    if not (1 <= j <= n):
-        raise ValueError(f"index {j} out of range 1..{n}")
+    if type(j) is not int or not (1 <= j <= n):  # bool is an int subclass
+        raise ValueError(f"index {j!r} is not an int in 1..{n}")
     return tuple(Fraction(int(i == j - 1)) for i in range(n))
 
 
@@ -148,8 +149,8 @@ class MatrixSpaceBasis:
     """
 
     def __init__(self, side: int):
-        if side < 1:
-            raise ValueError("matrix side must be >= 1")
+        if type(side) is not int or side < 1:  # bool is an int subclass
+            raise ValueError(f"matrix side must be an int >= 1, got {side!r}")
         self.side = side
         self._inner = intlinalg.EchelonBasis(side * side)
 
@@ -242,7 +243,7 @@ def parse_matrix(text: str) -> RationalMatrix:
     if len(tokens) < 2:
         raise ValueError("matrix document must start with 'rows cols'")
     try:
-        nrows, ncols = int(tokens[0]), int(tokens[1])
+        nrows, ncols = parse_int(tokens[0]), parse_int(tokens[1])
     except ValueError:
         raise ValueError(f"malformed header: {tokens[0]!r} {tokens[1]!r}") from None
     if nrows < 1 or ncols < 1:

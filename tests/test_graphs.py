@@ -162,7 +162,7 @@ class TestGenerators:
     def test_order_that_is_not_an_int(self, family, order):
         # once TypeError, e.g. cycle_graph('3') on '<' not supported
         maker = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[family]
-        for build in (maker, lambda n: generate(family, n)):
+        for build in (maker, lambda n: generate(family, n), lambda n: random_connected(n, "1/2", seed=1)):
             with pytest.raises(ValueError, match=rf"^graph order must be an int >= 1, got {order!r}$"):
                 build(order)
 
