@@ -22,12 +22,12 @@ it grows each node of their prefix tree from its parent and returns the
 dimensions of every set.  The one-shot decisions grow one state along
 their set in ``_dimensions``, which also reads the walk's basis.
 
-Every reported number is exact.  Each element found modulo one fixed
-prime, on integer-scaled data, reduces an integer combination of genuine
-elements, so a dimension there is at most the rational one: one that
-reaches a proved bound (full, or a deficient Lie closure's r^2 + delta,
-``_LieEngine``) is exact, and only a short one is recomputed exactly
-(``_dimensions``).
+Every reported number is exact.  The walk and the product span are
+first grown modulo one fixed prime, on integer-scaled data: each element
+found there reduces an integer combination of genuine elements, so a
+dimension there is at most the rational one, a full one is exact, and only
+a short one is recomputed exactly (``_dimensions``).  The Lie closure runs
+over the integers alone (``_LieEngine``).
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def pattern_matrix(m) -> PatternMatrix:
       The PatternMatrix wrapping ``m``.
 
     Raises:
-      ValueError: if the matrix is not square or not exactly symmetric.
+      ValueError: if the matrix is not square, not exactly symmetric, or
+        not a matrix of rationals (``linalg.matrix``).
     """
     if not isinstance(m, RationalMatrix):
         m = matrix(m)
@@ -219,6 +220,8 @@ def projector(j: int, n: int) -> RationalMatrix:
 
 
 def _control_set(a: PatternMatrix, s) -> tuple:
+    if not isinstance(a, PatternMatrix):
+        raise ValueError(f"expected a PatternMatrix (see pattern_matrix), got {type(a).__name__}")
     members = vertex_set(s, a.n)
     if not members:
         raise ValueError("control set must be nonempty")
@@ -329,23 +332,16 @@ class _LieEngine:
     Scaling spanning-set elements changes neither the span nor its closure.
 
     A generator and a bracket are offered as they are, unscaled: the
-    insert alone scales what it stores.  Exactly, its residue comes out
-    primitive, and scaling the offered vector by k scales each of its row
-    operations by k, so the stored row is the one a primitive offer gives.
-    With a prime ``modulus`` the basis carries it, the same closure runs
-    over the integers modulo that prime and each stored row is monic.  Each
-    part's rows are reductions of integer combinations of genuine integer
-    elements of that part, so each part's dimension modulo any prime, 2
-    included, is at most its rational one, and n^2 there proves n^2.
-    Modulo 2 the parts need not form a direct sum, which only lowers the
-    modular result.
+    insert alone scales what it stores.  Its residue comes out primitive,
+    and scaling the offered vector by k scales each of its row operations
+    by k, so the stored row is the one a primitive offer gives.
 
     A full closure stops as soon as the rows of one control vertex prove
     it.  The first projector E_jj that grows the span is the hub j, and
-    ``hub_rows`` is an echelon basis of ambient n - 1, with the engine's
-    modulus, of the hub rows of the kept elements: row j of each, its
-    diagonal entry dropped (for a skew element the entries left of the
-    diagonal are the negated stored ones).  Write C+(r) and C-(r) for
+    ``hub_rows`` is an echelon basis of ambient n - 1 of the hub rows of
+    the kept elements: row j of each, its diagonal entry dropped (for a
+    skew element the entries left of the diagonal are the negated stored
+    ones).  Write C+(r) and C-(r) for
     sum_k r_k (E_jk ± E_kj) over k != j, the two halves of the cross of j.
 
     * For X in the algebra, [E_jj, X] is C-(r) for a symmetric X and C+(r)
@@ -356,12 +352,9 @@ class _LieEngine:
       [E_kj, E_jl] = E_kl for k != l and [E_kj, E_jk] = E_kk - E_jj.
 
     Then ``dim`` is set to n^2, the queue is dropped and ``elems`` and
-    ``bases`` stay short of it.  Modulo p each hub row is the reduction of
-    the hub row of an integer element of the algebra, so their rank there
-    is at most the rational one, p = 2 included, and n - 1 there proves n - 1.  The rule
-    needs no count of brackets: n - 1 brackets of E_jj that grew one part
-    are independent cross elements of one half, whose hub rows are
-    independent and all in ``hub_rows``.
+    ``bases`` stay short of it.  The rule needs no count of brackets: n - 1
+    brackets of E_jj that grew one part are independent cross elements of
+    one half, whose hub rows are independent and all in ``hub_rows``.
 
     The same rule certifies a deficient closure (lemma 1).  Let K be the
     Krylov space of A from the e_j (j in S), r its dimension (the walk
@@ -381,8 +374,7 @@ class _LieEngine:
       A|K^perp = A - A|K, and dim L = r^2 + delta.
 
     ``goal`` is that pair (hub rank, dimension); the default (n - 1, n^2)
-    is the case K = R^n.  The caller supplies r and delta exact, and the
-    hub rank modulo p proves the rational one as above.  The goal's
+    is the case K = R^n.  The caller supplies r and delta.  The goal's
     dimension bounds the closure of every generator the caller offers, so
     it also caps the closure: one that reaches it without the rank is
     proved there too, and a certified one returns at once when offered
@@ -401,11 +393,9 @@ class _LieEngine:
     in which u_0 u_{k+1}^T has coefficient (-1)^k, so row j of X_k is
     +-u_{k+1} plus a combination of u_0 ... u_k.  With entry j dropped
     (u_0 = e_j drops to zero), the hub rows of X_0 ... X_k span what
-    u_1 ... u_{k+1} span, over Q and modulo every prime; modulo p each
-    walked row is the reduction of an integer combination of the hub rows
-    of X_0 ... X_k, so its rank there still proves the rational one.  So
-    when a projector becomes the hub of a full closure (cap n^2) with A,
-    the first generator, already in, ``_hub_walk`` feeds ``hub_rows`` with
+    u_1 ... u_{k+1} span.  So when a projector becomes the hub of a full
+    closure (cap n^2) with A, the first generator, already in,
+    ``_hub_walk`` feeds ``hub_rows`` with
     A^2 e_j, A^3 e_j, ... beside A's own hub row u_1, with no bracket, no
     Lie-basis insert and no queued pair, until the goal's rank, a zero
     power or a step that does not grow the hub rows (a power in the span
@@ -429,11 +419,10 @@ class _LieEngine:
 
     __slots__ = ("side", "goal", "bases", "dim", "elems", "gens", "pending", "hub", "hub_rows")
 
-    def __init__(self, side: int, modulus=None, goal=None):
+    def __init__(self, side: int, goal=None):
         self.side = side
         self.goal = (side - 1, side * side) if goal is None else goal
-        self.bases = tuple(intlinalg.EchelonBasis(len(_packing(side, parity)), modulus)
-                           for parity in (_SYM, _SKEW))
+        self.bases = tuple(intlinalg.EchelonBasis(len(_packing(side, parity))) for parity in (_SYM, _SKEW))
         self.dim = 0
         self.elems: list = []
         self.gens: list = []
@@ -484,7 +473,7 @@ class _LieEngine:
         self.elems.append(elem)
         if hub is not None:
             self.hub = hub
-            self.hub_rows = intlinalg.EchelonBasis(self.side - 1, self.bases[0].modulus)
+            self.hub_rows = intlinalg.EchelonBasis(self.side - 1)
             rows = itertools.chain([self._hub_row(*e) for e in self.elems], walk)
         elif self.hub_rows is not None:
             rows = (self._hub_row(*elem),)
@@ -573,20 +562,19 @@ class _LieEngine:
         """A^2 e_j, A^3 e_j, ... with j the hub and A as ``gens`` holds it, entry j dropped.
 
         ``_offer`` feeds these rows to ``hub_rows`` once it has made j the
-        hub.  Each power is reduced modulo p (made primitive when exact)
-        before A multiplies it.  The walk stops at a zero power, at a step
-        that did not grow ``hub_rows``, or once they reach the goal's rank.
+        hub.  Each power is made primitive before A multiplies it.  The
+        walk stops at a zero power, at a step that did not grow
+        ``hub_rows``, or once they reach the goal's rank.
         """
-        j, p, rank = self.hub, self.bases[0].modulus, self.goal[0]
+        j, rank = self.hub, self.goal[0]
         u = [0] * self.side
         for c, v in a[j]:
             u[c] = v
         dim = -1
         while dim < self.hub_rows.dim < rank:
             dim = self.hub_rows.dim
-            u = [sum([v * u[c] for c, v in row]) for row in a]
-            u = [x % p for x in u] if p else intlinalg.primitive(u)
-            if u is None or not any(u):
+            u = intlinalg.primitive([sum([v * u[c] for c, v in row]) for row in a])
+            if u is None:
                 return
             yield u[:j] + u[j + 1:]
 
@@ -635,7 +623,7 @@ class _LieEngine:
 
 
 def _warn_if_past_default(n: int, stacklevel: int = 3) -> None:
-    """Warn that an exact closure past the default order cap may be very slow."""
+    """Warn that a Lie closure past the default order cap may be very slow."""
     if n > DEFAULT_LIE_MAX_ORDER:
         warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=stacklevel)
 
@@ -655,21 +643,18 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         |G| generators; a full one with one control vertex is often
         certified by its hub's walk with no bracket, ``_LieEngine``).
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
-        an exact closure past 16 emits a warning.
+        a closure past 16 emits a warning.
 
-    The closure is first run modulo the prime when ``cap`` allows n^2.  A
-    full dimension there proves the rational one, and the canonical basis
-    of gl(n, R) is the unit matrices, so that basis is returned at once
-    (``MatrixSpaceBasis.full``), as it is for an exact closure that comes
-    out full, whose elements may stop short of n^2.  Any other closure runs
-    exactly: with ``control_generators`` of a ``random:7`` matrix and
-    S = {1} the exact closure of the complete graph took 0.6 ms at n = 14
-    and 0.9 ms at n = 16, and all of ``lie_closure`` by the modular one
-    1.0 and 1.4 ms, of which ``MatrixSpaceBasis.full`` 0.25 and 0.4 ms
-    (min of 15 CPU runs, 2-CPU x86, Python 3.11).  A deficient closure keeps
-    all of its elements, since its basis is returned, so it takes no
-    r^2 + delta certificate (``_LieEngine``, lemma 1) and coefficient
-    growth sets its cost.
+    One closure runs, over the integers.  One that comes out full returns
+    the canonical basis of gl(n, R), the unit matrices
+    (``MatrixSpaceBasis.full``), since a certified closure keeps fewer
+    elements than its dimension: with ``control_generators`` of a
+    ``random:7`` matrix and S = {1}, all of ``lie_closure`` on the complete
+    graph took 1.6 ms at n = 14 and 2.3 ms at n = 16, of which
+    ``MatrixSpaceBasis.full`` 0.4 and 0.6 ms (min of 15 CPU runs, 2-CPU
+    x86, Python 3.11).  A deficient closure keeps all of its elements,
+    since its basis is returned, so it takes no r^2 + delta certificate
+    (``_LieEngine``, lemma 1) and coefficient growth sets its cost.
 
     Returns:
       (dim, basis) with basis the MatrixSpaceBasis of the closure in
@@ -677,8 +662,10 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
       ``vectors()``, ``matrices()`` and ``==`` read.
 
     Raises:
-      ValueError: no generators, mismatched sides, a generator that is not
-        symmetric, a cap that is not a positive int, or order over max_order.
+      ValueError: no generators, a generator that is not a matrix of
+        rationals (``linalg.matrix``), mismatched sides, a generator that is
+        not symmetric, a cap that is not a positive int, or order over
+        max_order.
     """
     mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
     if not mats:
@@ -694,14 +681,10 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         cap = n * n
     elif type(cap) is not int or cap < 1:  # bool is an int subclass
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    int_gens = [g for g in map(_int_rows, mats) if g is not None]
-    if cap >= n * n and _LieEngine(n, _PRIME).extend(int_gens, n * n) == n * n:
-        return n * n, MatrixSpaceBasis.full(n)
     _warn_if_past_default(n)
     engine = _LieEngine(n)
-    dim = engine.extend(int_gens, cap)
+    dim = engine.extend([g for g in map(_int_rows, mats) if g is not None], cap)
     if dim == n * n:
-        # a certified closure keeps fewer elements than its dimension
         return dim, MatrixSpaceBasis.full(n)
     basis = MatrixSpaceBasis(n)
     for parity, packed in engine.elems:
@@ -779,10 +762,12 @@ class _NodeState:
     names the bases the state holds; the others are None and never grown,
     so a caller pays only for what it reads.  The span grows from the
     walk's echelon rows, so the walk is kept whenever the span is.  With a
-    prime ``modulus`` every basis runs modulo it and carries it, the span's
-    as an append-only ``intlinalg.PackedBasis``, and only what can come out
-    full is grown there (``_dimensions``).  Only the exact states of
-    ``_grow`` are copied: a ``PackedBasis`` keeps no rows to copy.
+    prime ``modulus`` the walk and the span run modulo it and carry it, the
+    span as an append-only ``intlinalg.PackedBasis``, and only what can
+    come out full is grown there (``_dimensions``).  The Lie part is always
+    exact, and a short walk caps it (``_extend_state``), so it is held only
+    beside an exact walk or none.  Only the exact states of ``_grow`` are
+    copied: a ``PackedBasis`` keeps no rows to copy.
     """
 
     __slots__ = ("walk", "pspan", "lie")
@@ -794,7 +779,7 @@ class _NodeState:
         if "pspan" in parts:
             self.pspan = (intlinalg.EchelonBasis(n * n) if modulus is None
                           else intlinalg.PackedBasis(n * n, modulus))
-        self.lie = _LieEngine(n, modulus) if "lie" in parts else None
+        self.lie = _LieEngine(n) if "lie" in parts else None
         if self.lie is not None and session.int_a is not None:
             self.lie.extend([session.int_a], n * n)
 
@@ -899,13 +884,13 @@ def _grow(session: _Session, subsets, parts=_PARTS) -> dict:
 def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     """The exact dimensions named by ``parts`` for (A, members), in that order.
 
-    The one place that chooses between the modular and the exact route,
-    and the decisions' one check of the Lie-closure cap, made before any
-    work when ``parts`` names the Lie part.  The rule: modulo the prime a
-    dimension is at most the rational one, so one that reaches a proved
-    bound (walk rank n, span n^2, or the Lie goal below) is exact there,
-    and only a short one is recomputed exactly.  The walk stages grow one
-    state along ``members`` by ``_extend_state``:
+    The one place that chooses between the modular and the exact route of
+    the walk and the span, and the decisions' one check of the Lie-closure
+    cap, made before any work when ``parts`` names the Lie part.  The rule:
+    modulo the prime a dimension is at most the rational one, so a full
+    one (walk rank n, span n^2) is exact there, and only a short one is
+    recomputed exactly.  The walk stages grow one state along ``members``
+    by ``_extend_state``:
 
     1. Modulo the prime, the walk, and in the same state the span when it
        is asked, which waits for a full walk (``_extend_state``).
@@ -926,16 +911,15 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
        its walk is full, so the rule fires there only when vertex j's own
        modular walk has rank n, and then both exact ranks are n too.  No
        engine is built, so ``analyze`` on any one-vertex set runs no
-       closure.  Otherwise one engine modulo the prime takes A and every
-       projector in one call, so its hub rows see every control vertex
-       (grown one vertex at a time, cycle-40 from {1, 5} first ran all 442
-       elements of the closure from {1}).  A comes first, so the first
+       closure.  Otherwise one exact engine takes A and every projector in
+       one call, so its hub rows see every control vertex (grown one
+       vertex at a time, cycle-40 from {1, 5} first ran all 442 elements
+       of the closure from {1}).  A comes first, so the first
        control vertex becomes the hub and its walk feeds the hub rows
        before the other projectors go in; if it stalls, the closure leads
        with the hub rows.  It stops once they reach rank r - 1, at
-       dimension r^2 + delta.
-    4. Exactly, only when that closure came out short of its goal: the
-       same closure with the same goal, over the integers.
+       dimension r^2 + delta, or runs to its fixpoint short of that goal.
+       Past the default order cap it warns first, as ``lie_closure`` does.
 
     So a short walk gives a short Lie closure by construction here, as the
     span identity does (``_consistency``), and so does a full walk whose
@@ -978,12 +962,10 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
             # the first control vertex's walk spans K: it is the certificate
             dims["lie"] = goal[1]
         else:
+            _warn_if_past_default(n, stacklevel=4)
             gens = [] if session.int_a is None else [session.int_a]
             gens += [_projector_rows(n, j - 1) for j in members]
-            dims["lie"] = _LieEngine(n, _PRIME, goal).extend(gens, n * n)
-            if dims["lie"] < goal[1]:
-                _warn_if_past_default(n, stacklevel=4)
-                dims["lie"] = _LieEngine(n, None, goal).extend(gens, n * n)
+            dims["lie"] = _LieEngine(n, goal).extend(gens, n * n)
     return tuple(dims[name] for name in parts)
 
 
@@ -1032,14 +1014,13 @@ def lie_controllable(a: PatternMatrix, s) -> tuple:
     rank r - 1 (lemma 1, ``_LieEngine``); delta is 1 exactly when some
     column of A lies outside the walk's span.  When the walk of the first
     control vertex alone has rank r, its powers are such rows, so no
-    closure is built: every one-vertex set is such a case.  Otherwise the
-    closure is run modulo a prime toward that goal.  So a short walk gives
-    a short closure by construction, as it gives the span r^2; the sweeps
-    still grow every closure and ``tests/oracles.py`` still checks it.  A
-    closure short of its goal there is recomputed by the same engine over
-    the integers, which only counts the dimension (``lie_closure`` also
-    builds the canonical basis it returns).  Past the default order cap
-    that exact route warns, as ``lie_closure`` does.
+    closure is built: every one-vertex set is such a case.  Otherwise one
+    exact closure runs toward that goal and only counts the dimension
+    (``lie_closure`` also builds the canonical basis it returns); past the
+    default order cap it warns, as ``lie_closure`` does.  So a short walk
+    gives a short closure by construction, as it gives the span r^2; the
+    sweeps still grow every closure and ``tests/oracles.py`` still checks
+    it.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past

@@ -18,9 +18,8 @@ modulo p proves full rank over the rationals; a smaller one proves nothing.
 There each stored row also keeps its support, the columns from its pivot to
 its last nonzero entry, and a row operation runs over that slice alone:
 outside it the row is zero, so the full-length operation would leave those
-entries as they were.  Sparse and banded rows (a path's walk rows, and the
-Lie elements they generate) then cost what they hold, not the ambient
-length.
+entries as they were.  Sparse and banded rows (a path's walk rows) then
+cost what they hold, not the ambient length.
 
 ``PackedBasis`` holds the product span modulo a prime, whose vectors are
 outer products.  Each vector is one int of fixed-width slots, wide

@@ -61,8 +61,16 @@ class RationalMatrix:
 
 
 def matrix(rows) -> RationalMatrix:
-    """Build a RationalMatrix from any nested iterable of rational-like values."""
-    entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Build a RationalMatrix from any nested iterable of rational-like values.
+
+    Raises:
+      ValueError: no rows or columns, ragged rows, or rows that are not
+        iterables of values ``Fraction`` reads (inf, NaN and None among them).
+    """
+    try:
+        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"not a matrix of rationals: {exc}") from None
     if not entries or not entries[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(entries[0])

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,11 @@ class TestPatternMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             pattern_matrix([[1, 2, 3], [4, 5, 6]])
+        # nor anything that is not a matrix of rationals: inf once raised
+        # OverflowError, and an int TypeError
+        for bad in ([[float("inf")]], 5, [[None]]):
+            with pytest.raises(ValueError, match="^not a matrix of rationals"):
+                pattern_matrix(bad)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -370,14 +376,6 @@ class TestLieClosure:
         """The closure's reduced row echelon form, from the all-pairs fixpoint oracle."""
         return tuple(map(tuple, oracles.lie_basis_bruteforce([g.entries for g in gens])))
 
-    @staticmethod
-    def _engine_runs(monkeypatch):
-        runs = []
-        real = control._LieEngine
-        monkeypatch.setattr(control, "_LieEngine",
-                            lambda side, modulus=None: runs.append(modulus) or real(side, modulus))
-        return runs
-
     @pytest.mark.parametrize("gens", [
         [matrix([[2]])],
         control_generators(adjacency_matrix(path_graph(4)), (2,)),
@@ -385,41 +383,41 @@ class TestLieClosure:
     ], ids=["scalar", "P4", "K5-random:7"])
     def test_full_closure_is_the_unit_basis(self, monkeypatch, gens):
         want = self._oracle_rows(gens)
-        runs = self._engine_runs(monkeypatch)
+        runs = _lie_engines(monkeypatch)
         dim, basis = lie_closure(gens)
         n = basis.side
-        # the modular closure alone: no exact engine ran
-        assert runs == [control._PRIME]
+        # one engine, toward the default goal (n - 1, n^2)
+        assert [goal for goal, _ in runs] == [None]
         assert dim == len(want) == basis.dim == n * n
         assert basis.vectors() == want
         assert basis == MatrixSpaceBasis.full(n)
 
     def test_full_exact_closure_is_the_unit_basis(self, monkeypatch):
-        # modulo 2 this closure stops at 2 (TestModularRoute); the exact one
-        # is full, and lie_closure returns the unit basis for it too
+        # A's hub row (2) certifies the closure with A and E_11 its only
+        # elements, and lie_closure returns the unit basis for it
         gens = control_generators(pattern_matrix([[0, 2], [2, 1]]), (1,))
         want = self._oracle_rows(gens)
-        monkeypatch.setattr(control, "_PRIME", 2)
-        runs = self._engine_runs(monkeypatch)
+        runs = _lie_engines(monkeypatch)
         dim, basis = lie_closure(gens)
-        assert runs == [2, None]
+        [(_, engine)] = runs
+        assert _certified(engine) and len(engine.elems) == 2
         assert dim == len(want) == 4
         assert basis.vectors() == want and basis == MatrixSpaceBasis.full(2)
 
     def test_deficient_closure_is_the_exact_basis(self, monkeypatch):
         gens = control_generators(pattern_matrix(MIXED_CYCLE), (1, 3))
         want = self._oracle_rows(gens)
-        runs = self._engine_runs(monkeypatch)
+        runs = _lie_engines(monkeypatch)
         dim, basis = lie_closure(gens)
-        assert runs == [control._PRIME, None]
+        assert [goal for goal, _ in runs] == [None]
         assert dim == len(want) == 8
         assert basis.vectors() == want
 
     def test_capped_closure_runs_exactly(self, monkeypatch):
         gens = control_generators(adjacency_matrix(path_graph(4)), (2,))
-        runs = self._engine_runs(monkeypatch)
+        runs = _lie_engines(monkeypatch)
         dim, basis = lie_closure(gens, cap=5)
-        assert runs == [None] and dim == basis.dim == 5
+        assert len(runs) == 1 and dim == basis.dim == 5
 
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy(max_side=3))
@@ -447,6 +445,11 @@ class TestLieClosure:
     def test_mismatched_sides_rejected(self):
         with pytest.raises(ValueError):
             lie_closure([matrix([[1]]), matrix([[1, 0], [0, 1]])])
+        # nor a generator that is not a matrix of rationals: a PatternMatrix
+        # once raised TypeError, and inf OverflowError
+        for bad in (build_matrix(path_graph(3), "adjacency"), [[float("inf")]]):
+            with pytest.raises(ValueError, match="^not a matrix of rationals"):
+                lie_closure([bad])
 
     def test_order_cap_raises(self):
         big = [[0] * 17 for _ in range(17)]
@@ -553,12 +556,12 @@ def _int_matrix(a):
     return tuple(tuple(int(x) for x in row) for row in a.matrix.entries)
 
 
-def _control_engine(a, s, modulus=None, goal=None):
+def _control_engine(a, s, goal=None):
     n = a.n
     gens = [_int_matrix(a)]
     for j in s:
         gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
-    engine = _LieEngine(n, modulus, goal)
+    engine = _LieEngine(n, goal)
     engine.extend(gens, n * n)
     return engine
 
@@ -584,31 +587,18 @@ class TestSplitLieEngine:
             assert x == tuple(tuple(sign * v for v in col) for col in zip(*x))
             assert engine.bases[parity].contains(packed)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3, 5]), symmetric_strategy())
-    def test_modular_never_exceeds_exact(self, p, inst):
-        a, s = inst
-        exact = _control_engine(a, s)
-        modular = _control_engine(a, s, p)
-        assert modular.dim <= exact.dim
-        # a certified closure stops with its parts short, so they are
-        # compared only where both closures ran to the end
-        if not (_certified(exact) or _certified(modular)):
-            for part in (0, 1):
-                assert modular.bases[part].dim <= exact.bases[part].dim
-
 
 class TestCrossCertificate:
     """A full closure stops once the hub rows of its elements reach rank n - 1."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([None, 2, 3, 5]), symmetric_strategy(max_side=5))
-    def test_certified_closure_has_oracle_dimension_n_squared(self, p, inst):
+    @given(symmetric_strategy(max_side=5))
+    def test_certified_closure_has_oracle_dimension_n_squared(self, inst):
         a, s = inst
         n = a.n
         want = oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], s)
-        engine = _control_engine(a, s, p)
-        assert engine.dim == want if p is None else engine.dim <= want
+        engine = _control_engine(a, s)
+        assert engine.dim == want
         if engine.hub_rows is not None and engine.hub_rows.dim == n - 1:
             assert engine.dim == want == n * n
         if _certified(engine):
@@ -626,10 +616,9 @@ class TestCrossCertificate:
 
     # a hub past vertex 1 reads skew entries left of its diagonal
     @pytest.mark.parametrize("member", [1, 5])
-    @pytest.mark.parametrize("modulus", [None, control._PRIME])
-    def test_complete_8_stops_after_n_plus_2_elements(self, monkeypatch, member, modulus):
+    def test_complete_8_stops_after_n_plus_2_elements(self, monkeypatch, member):
         brackets = self._counting_brackets(monkeypatch)
-        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,), modulus)
+        engine = _control_engine(random_same_sign_matrix(complete_graph(8), 7), (member,))
         # run to the end, the same closure keeps 64 elements after 121
         # brackets; the hub's walk A^2 e_j, ..., A^7 e_j certifies it beside
         # A's hub row with no bracket (each step grows the hub rows), and
@@ -640,7 +629,7 @@ class TestCrossCertificate:
         # the same closure grown by the engine beside its full walk
         brackets.clear()
         session = _Session(random_same_sign_matrix(complete_graph(8), 7))
-        state = control._NodeState(session, modulus, ("walk", "lie"))
+        state = control._NodeState(session, parts=("walk", "lie"))
         control._extend_state(state, session, member)
         assert state.walk.dim == 8
         assert (state.lie.dim, len(state.lie.elems), len(brackets)) == (64, 2, 0)
@@ -669,14 +658,13 @@ class TestCrossCertificate:
                 [list(r) for r in build_matrix(g, kind).matrix.entries], members)
         assert leads and not any(leads)
 
-    @pytest.mark.parametrize("modulus", [None, control._PRIME])
-    def test_generator_order_does_not_matter(self, monkeypatch, modulus):
+    def test_generator_order_does_not_matter(self, monkeypatch):
         a = _int_matrix(random_same_sign_matrix(complete_graph(8), 7))
         e33 = control._projector_rows(8, 2)
         brackets = self._counting_brackets(monkeypatch)
         dims, counts = [], []
         for gens in ([a, e33], [e33, a]):
-            engine = _LieEngine(8, modulus)
+            engine = _LieEngine(8)
             dims.append(engine.extend(gens, 64))
             assert engine.hub == 2 and engine.hub_rows.dim == 7
             counts.append((len(engine.elems), len(brackets)))
@@ -686,11 +674,10 @@ class TestCrossCertificate:
         # A offered after the hub leaves the hub rows to the brackets
         assert counts == [(2, 0), (10, 9)]
 
-    @pytest.mark.parametrize("modulus", [None, control._PRIME])
-    def test_non_projector_generators_have_no_hub(self, modulus):
+    def test_non_projector_generators_have_no_hub(self):
         a = _int_matrix(random_same_sign_matrix(complete_graph(4), 7))
         b = _int_matrix(random_same_sign_matrix(complete_graph(4), 3))
-        engine = _LieEngine(4, modulus)
+        engine = _LieEngine(4)
         assert engine.extend([a, b], 16) == len(engine.elems) == 16
         assert engine.hub is None and engine.hub_rows is None
 
@@ -707,10 +694,9 @@ class TestCrossCertificate:
         assert engine.hub == 1 and engine.hub_rows.dim == 3
         assert _certified(engine)
 
-    @pytest.mark.parametrize("modulus", [None, 2])
-    def test_projectors_alone_never_certify(self, modulus):
+    def test_projectors_alone_never_certify(self):
         # every projector's hub row is zero: the closure is the diagonal
-        engine = _LieEngine(4, modulus)
+        engine = _LieEngine(4)
         assert engine.extend([control._projector_rows(4, j) for j in range(4)], 16) == 4
         assert len(engine.elems) == 4
         assert engine.hub == 0 and engine.hub_rows.dim == 0
@@ -722,9 +708,8 @@ class TestCrossCertificate:
         ([(1, 2), (2, 3)], 4, (1,), 9),
         (list(itertools.combinations(range(1, 5), 2)), 4, (2, 3), 10),
     ], ids=["P5+K1", "P3+K1", "K4"])
-    @pytest.mark.parametrize("modulus", [None, control._PRIME])
-    def test_deficient_closures_stay_uncertified(self, edges, n, members, want, modulus):
-        engine = _control_engine(adjacency_matrix(graph(n, edges)), members, modulus)
+    def test_deficient_closures_stay_uncertified(self, edges, n, members, want):
+        engine = _control_engine(adjacency_matrix(graph(n, edges)), members)
         assert engine.dim == len(engine.elems) == want
         assert engine.hub_rows.dim < n - 1
 
@@ -757,13 +742,13 @@ def _sparse_symmetric(draw):
 
 
 def _lie_engines(monkeypatch):
-    """Every Lie engine the library builds from here on, as (modulus, goal, engine)."""
+    """Every Lie engine the library builds from here on, as (goal, engine)."""
     runs = []
     real = control._LieEngine
 
-    def spy(side, modulus=None, goal=None):
-        engine = real(side, modulus, goal)
-        runs.append((modulus, goal, engine))
+    def spy(side, goal=None):
+        engine = real(side, goal)
+        runs.append((goal, engine))
         return engine
 
     monkeypatch.setattr(control, "_LieEngine", spy)
@@ -779,8 +764,8 @@ class TestKrylovCertificate:
 
     r is the walk rank; the dimension is then r^2 + delta, with delta = 1
     exactly when some column of A lies outside the Krylov space of the
-    controls.  The decisions certify it modulo the prime and fall back to
-    the exact closure only when the hub rows stay short (``_dimensions``).
+    controls.  The decisions run one exact closure toward it, which runs
+    to its fixpoint when the hub rows stay short (``_dimensions``).
     """
 
     # the oracle takes about 0.8 s on a median side-6 instance, up to 5 s
@@ -801,24 +786,29 @@ class TestKrylovCertificate:
         # delta: some column of A (a row, A being symmetric) lies outside K
         delta = int(oracles.frac_rank(walk + entries) > r)
         assert want <= r * r + delta
+        # the prime reaches the walk, which the Lie goal and the first-walk
+        # rule read, and nothing of the closure
         for p in (control._PRIME, 2, 3, 5):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(control, "_PRIME", p)
                 runs = _lie_engines(mp)
                 assert lie_controllable(a, s) == (want == n * n, want), f"prime {p}"
+                decided = len(runs)
                 rep = analyze(a, s)
             assert (rep.walk_rank, rep.lie_dim) == (r, want), f"prime {p}"
-            for modulus, goal, engine in runs:
+            # at most one exact engine per decision, the same for both
+            assert decided <= 1 and len(runs) == 2 * decided
+            for goal, engine in runs:
                 assert goal == (r - 1, r * r + delta)
                 # every hub is a control vertex, or A itself when A is a
                 # multiple of a projector (``_LieEngine``)
                 assert engine.hub is None or engine.hub + 1 in s or engine.gens[0] == engine.hub
             if want < r * r + delta:
-                # no hub-row rank proves such a closure: each decision falls back
-                assert [m for m, _, _ in runs] == [p, None, p, None]
+                # no hub-row rank proves such a closure: it runs to its fixpoint
+                assert decided == 1 and all(engine.dim == want for _, engine in runs)
 
     # (graph, kind, S, walk rank r, delta, whether the walk of the first
-    # control vertex alone has rank r): each certified modulo the prime
+    # control vertex alone has rank r): each certified by its hub rows
     @pytest.mark.parametrize("g, kind, s, r, delta, first_spans", [
         (cycle_graph(16), "adjacency", (1,), 9, 1, True),
         (cycle_graph(16), "adjacency", (1, 5), 13, 1, False),
@@ -837,11 +827,11 @@ class TestKrylovCertificate:
             # no engine (``_dimensions``), and the engine run on the same
             # generators and goal certifies the same dimension
             assert runs == []
-            engine = _control_engine(a, s, control._PRIME, (r - 1, r * r + delta))
+            engine = _control_engine(a, s, (r - 1, r * r + delta))
             assert engine.dim == r * r + delta
         else:
-            [(modulus, goal, engine)] = runs
-            assert (modulus, goal) == (control._PRIME, (r - 1, r * r + delta))
+            [(goal, engine)] = runs
+            assert goal == (r - 1, r * r + delta)
         assert engine.hub + 1 == s[0] and engine.hub_rows.dim == r - 1
         assert _certified(engine)
         rep = analyze(a, s)
@@ -855,19 +845,17 @@ class TestKrylovCertificate:
         # the walk of the two blocks is full, yet the closure is gl(2) + gl(2)
         runs = _lie_engines(monkeypatch)
         assert lie_controllable(pattern_matrix(BLOCK_PAIRED), (1, 3)) == (False, 8)
-        assert [(m, goal) for m, goal, _ in runs] == [(control._PRIME, (3, 16)), (None, (3, 16))]
+        assert [goal for goal, _ in runs] == [(3, 16)]
 
     def test_example_b_falls_back_to_its_exact_closure(self, monkeypatch):
         # a connected mixed-sign pattern whose walk is full: its hub rows
-        # stop short of rank 3 modulo the prime, so the exact closure runs
-        # to its fixpoint, 8 < 16
+        # stop short of rank 3, so the closure runs to its fixpoint, 8 < 16
         a = pattern_matrix(MIXED_CYCLE)
         runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, (1, 3)) == (False, 8)
-        assert [(m, goal) for m, goal, _ in runs] == [(control._PRIME, (3, 16)), (None, (3, 16))]
-        modular, exact = (engine for _, _, engine in runs)
-        assert modular.hub_rows.dim < 3 and exact.hub_rows.dim < 3
-        assert exact.dim == len(exact.elems) == 8
+        [(goal, engine)] = runs
+        assert goal == (3, 16) and engine.hub_rows.dim < 3
+        assert engine.dim == len(engine.elems) == 8
         assert oracles.control_lie_dim_bruteforce(MIXED_CYCLE, (1, 3)) == 8
 
 
@@ -877,24 +865,13 @@ TWO_PATHS = [[int(x) for x in row] for row in build_matrix(
     graph(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]), "random:7").matrix.entries]
 
 
-def _span_rank(rows, ambient, p):
-    """Rank of the rows over Q, or modulo p, by the oracles' row reduction."""
-    if p is None:
-        return oracles.frac_rank(rows)
-    basis = oracles.ModularEchelon(ambient, p)
-    for row in rows:
-        basis.insert(row)
-    return basis.dim
-
-
 class TestHubWalk:
     """The hub's walk A^2 e_j, A^3 e_j, ..., entry j dropped (``_LieEngine._hub_walk``).
 
     With u_k = A^k e_j, the element X_k of the chain X_0 = [E_jj, A],
     X_{k+1} = [A, X_k] has row j equal to +-u_{k+1} plus a combination of
     u_0 ... u_k, so with entry j dropped the hub rows of X_0 ... X_k span
-    what u_1 ... u_{k+1} span, over Q and modulo every prime.  The walk
-    feeds those rows and brackets nothing; one that stalls leaves the
+    what u_1 ... u_{k+1} span.  The walk feeds those rows and brackets nothing; one that stalls leaves the
     closure to the queue, which runs to the oracle's fixpoint with every
     (generator, element) pair bracketed once.
     """
@@ -931,23 +908,21 @@ class TestHubWalk:
         return calls
 
     @settings(max_examples=40, deadline=None)
-    @given(_sparse_symmetric(), st.sampled_from([None, 2, 3, 5]))
-    def test_walk_spans_the_chain_hub_rows(self, inst, p):
+    @given(_sparse_symmetric())
+    def test_walk_spans_the_chain_hub_rows(self, inst):
         entries, s = inst
         n, j = len(entries), s[0] - 1
         e_jj = control._projector_rows(n, j)
         with pytest.MonkeyPatch.context() as mp:
             walks = self._walks(mp)
-            engine = _LieEngine(n, p)
+            engine = _LieEngine(n)
             engine.extend([tuple(map(tuple, entries)), e_jj], n * n)
         # a walk starts once E_jj becomes the hub with A in: not when A is
-        # zero (modulo p) or a multiple of a projector, which is the hub itself
+        # zero or a multiple of a projector, which is the hub itself
         assert len(walks) == (engine.hub == j and len(engine.gens) == 2)
         if not walks:
             return
         [walked] = walks
-        if p is not None:
-            assert all(0 <= v < p for row in walked for v in row)
         # A's hub row, then every walked row
         rows = [[x for c, x in enumerate(entries[j]) if c != j]] + walked
         x = oracles.mat_sub(oracles.mat_mul(e_jj, entries), oracles.mat_mul(entries, e_jj))
@@ -955,7 +930,7 @@ class TestHubWalk:
         for k in range(n + 1):
             chain.append([int(v) for c, v in enumerate(x[j]) if c != j])
             prefix = rows[:k + 1]
-            ranks = [_span_rank(part, n - 1, p) for part in (chain, prefix, chain + prefix)]
+            ranks = [oracles.frac_rank(part) for part in (chain, prefix, chain + prefix)]
             assert ranks[0] == ranks[1] == ranks[2], (k, ranks)
             x = oracles.mat_sub(oracles.mat_mul(entries, x), oracles.mat_mul(x, entries))
 
@@ -967,38 +942,15 @@ class TestHubWalk:
         n = a.n
         walks = self._walks(monkeypatch)
         brackets = self._brackets(monkeypatch, n ** 4)
-        for modulus in (None, control._PRIME, 5):
-            walks.clear()
-            brackets.clear()
-            engine = _control_engine(a, s, modulus)
-            assert len(walks) == 1, modulus
-            assert engine.hub == s[0] - 1 and engine.hub_rows.dim < n - 1
-            assert engine.dim == len(engine.elems)
-            assert engine.dim == want if modulus != 5 else engine.dim <= want
-            # each generator with those before it, each other element with every generator
-            g, e = len(engine.gens), len(engine.elems)
-            assert len(brackets) == g * (g - 1) // 2 + g * (e - g), modulus
+        engine = _control_engine(a, s)
+        assert len(walks) == 1
+        assert engine.hub == s[0] - 1 and engine.hub_rows.dim < n - 1
+        assert engine.dim == len(engine.elems) == want
+        # each generator with those before it, each other element with every generator
+        g, e = len(engine.gens), len(engine.elems)
+        assert len(brackets) == g * (g - 1) // 2 + g * (e - g)
         assert lie_controllable(a, s) == (False, want)
         assert analyze(a, s).lie_dim == want
-
-    @pytest.mark.parametrize("member", [1, 5])
-    def test_modular_walk_reduces_each_power(self, monkeypatch, member):
-        a = random_same_sign_matrix(complete_graph(8), 7)
-        entries = _int_matrix(a)
-        walks = self._walks(monkeypatch)
-        p = control._PRIME
-        engine = _control_engine(a, (member,), p)
-        assert (engine.dim, len(engine.elems)) == (64, 2)
-        # A's hub row and A^2 e_j, ..., A^7 e_j reach rank 7, each power
-        # reduced modulo p, not made primitive
-        j = member - 1
-        u = oracles.basis_vec(member, 8)
-        want = []
-        for k in range(7):
-            u = oracles.mat_vec(entries, u)
-            if k:
-                want.append([int(x) % p for c, x in enumerate(u) if c != j])
-        assert walks == [want]
 
     def test_zero_hub_row_walks_nothing(self, monkeypatch):
         # vertex 3 of the path 1-2 plus an isolated vertex: row 3 of A is
@@ -1006,27 +958,23 @@ class TestHubWalk:
         a = pattern_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         walks = self._walks(monkeypatch)
         brackets = self._brackets(monkeypatch, 100)
-        for modulus in (None, control._PRIME):
-            walks.clear()
-            brackets.clear()
-            engine = _control_engine(a, (3,), modulus)
-            assert engine.dim == len(engine.elems) == 2
-            assert engine.hub == 2 and engine.hub_rows.dim == 0
-            assert walks == [[]]
-            # [E_33, A], bracketed once by the closure
-            assert len(brackets) == 1
+        engine = _control_engine(a, (3,))
+        assert engine.dim == len(engine.elems) == 2
+        assert engine.hub == 2 and engine.hub_rows.dim == 0
+        assert walks == [[]]
+        # [E_33, A], bracketed once by the closure
+        assert len(brackets) == 1
         assert oracles.control_lie_dim_bruteforce([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (3,)) == 2
 
     def test_walk_starts_from_the_hub(self, monkeypatch):
         # vertex 1 is isolated and the path 2-3-4-5 is controlled from 2:
         # the walk is full, the closure gl(1) + gl(4) has dimension 17, and
-        # the hub's walk from vertex 1 yields one zero row, modulo the prime
-        # and exactly.  Vertex 2's walk would fill row 1's hub rows and
-        # certify 25.
+        # the hub's walk from vertex 1 yields one zero row.  Vertex 2's walk
+        # would fill row 1's hub rows and certify 25.
         a = build_matrix(graph(5, [(2, 3), (3, 4), (4, 5)]), "random:7")
         walks = self._walks(monkeypatch)
         assert lie_controllable(a, (1, 2)) == (False, 17)
-        assert [[list(row) for row in w] for w in walks] == [[[0] * 4]] * 2
+        assert [[list(row) for row in w] for w in walks] == [[[0] * 4]]
         rep = analyze(a, (1, 2))
         assert (rep.walk_rank, rep.lie_dim) == (5, 17)
         assert oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], (1, 2)) == 17
@@ -1210,17 +1158,35 @@ class TestLieControllable:
             assert lie_controllable(a, s) == (False, want)
 
     def test_exact_fallback_past_the_default_cap_warns(self, monkeypatch):
-        # two paths of 8 and 9 vertices, one control on each: the walk is
-        # full, but the closure is gl(8) + gl(9), so the hub rows stop at
-        # rank 7 < 16 and the exact closure runs past the default cap
-        monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
+        # every closure built past the default cap warns, and a decision
+        # that reads its dimension off the first vertex's walk builds none
+        monkeypatch.setenv("NETCTRL_MAX_ORDER", "20")
         edges = [(v, v + 1) for v in range(1, 8)] + [(v, v + 1) for v in range(9, 17)]
-        with pytest.warns(UserWarning):
-            controllable, dim = lie_controllable(build_matrix(graph(17, edges), "random:7"), [1, 9])
-        assert not controllable and dim == 8 * 8 + 9 * 9 < 17 * 17
+        k17 = control_generators(build_matrix(complete_graph(17), "random:7"), (1,))
+        cases = [
+            # two paths of 8 and 9 vertices, one control on each: the walk is
+            # full, but the closure is gl(8) + gl(9), so the hub rows stop at
+            # rank 7 < 16 and the closure runs to its fixpoint
+            (lambda: lie_controllable(build_matrix(graph(17, edges), "random:7"), (1, 9)),
+             (False, 8 * 8 + 9 * 9), [(16, 289)]),
+            # the walk of vertex 1 of cycle-20 is short, that of {1, 2} full
+            (lambda: lie_controllable(adjacency_matrix(cycle_graph(20)), (1, 2)), (True, 400), [(19, 400)]),
+            (lambda: lie_closure(k17, max_order=17)[0], 289, [None]),
+            # the first vertex's walk is full: no closure, no warning
+            (lambda: lie_controllable(build_matrix(path_graph(20), "random:7"), (1,)), (True, 400), []),
+            (lambda: lie_controllable(build_matrix(cycle_graph(20), "random:3"), (1, 11)), (True, 400), []),
+        ]
+        for call, want, goals in cases:
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                runs = _lie_engines(mp)
+                assert call() == want
+            assert [goal for goal, _ in runs] == goals
+            assert [w.category for w in caught] == [UserWarning] * len(goals), want
 
     def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
-        # the path is controllable, so the modular closure alone would succeed
+        # the path is controllable, so its first vertex's walk alone would
+        # certify the closure
         monkeypatch.delenv("NETCTRL_MAX_ORDER", raising=False)
         with pytest.raises(ValueError, match="exceeds the Lie-closure cap 16"):
             lie_controllable(adjacency_matrix(path_graph(17)), [1])
@@ -1289,6 +1255,10 @@ class TestAnalyze:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             analyze(adjacency_matrix(path_graph(3)), [])
+        # a matrix that is not a PatternMatrix once raised AttributeError
+        for call in (analyze, kalman_controllable, p_span_dim, lie_controllable, walk_matrix):
+            with pytest.raises(ValueError, match="^expected a PatternMatrix"):
+                call([[0, 1], [1, 0]], (1,))
 
     @pytest.mark.parametrize("label", [1.5, 2.0, True, "1"], ids=repr)
     def test_label_that_is_not_an_int_rejected(self, label):
@@ -1405,9 +1375,9 @@ class TestModularRoute:
                 states.append(self)
 
         monkeypatch.setattr(control, "_NodeState", Spy)
-        # a state keeps no modulus of its own: its bases carry it
+        # a state keeps no modulus of its own: its walk carries it
         return lambda: [
-            ((st.walk if st.walk is not None else st.lie.bases[0]).modulus,
+            (st.walk.modulus,
              {name: getattr(st, name).dim
               for name in ("walk", "pspan", "lie") if getattr(st, name) is not None})
             for st in states
@@ -1430,11 +1400,6 @@ class TestModularRoute:
         assert grown()[2:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
                                (2, {"walk": 1}), (None, {"walk": 2})]
         assert lie_runs == []
-        # the closure with the same goal, run directly: modulo 2 A is the
-        # identity, so the hub row (2) vanishes there and only the exact
-        # closure reaches the goal
-        gens = [((1, 2), (2, 1)), control._projector_rows(2, 0)]
-        assert [_LieEngine(2, m, (1, 4)).extend(gens, 4) for m in (2, None)] == [2, 4]
 
     @pytest.mark.parametrize("g, kind, s, modular, exact", [
         (cycle_graph(8), "adjacency", (1,), 0, 25),
@@ -1491,27 +1456,6 @@ class TestModularRoute:
         # A is scaled to [[0, 1], [1, 0]] first, so its walk is full modulo 2
         assert kalman_controllable(pattern_matrix([[0, 2], [2, 0]]), [1]) == (True, 2)
         assert grown() == [(2, {"walk": 2})]
-
-    def test_lie_closure_deficient_mod_p_falls_back(self, monkeypatch):
-        entries = [[0, 2], [2, 1]]
-        a = pattern_matrix(entries)
-        gens = [tuple(map(tuple, entries)), ((1, 0), (0, 0))]
-        # modulo 2, A is E_22 and its hub entry 2 vanishes: the closure
-        # stops at the two projectors' dimension 2
-        assert _LieEngine(2, 2).extend(gens, 4) == 2
-        assert oracles.control_lie_dim_bruteforce(entries, (1,)) == 4
-        prime = control._PRIME
-        runs = _lie_engines(monkeypatch)
-        assert lie_controllable(a, [1]) == (True, 4)
-        # the walk of vertex 1 is full, modulo the prime and modulo 2 alike,
-        # so it is the certificate and no engine runs (``_dimensions``)
-        monkeypatch.setattr(control, "_PRIME", 2)
-        assert lie_controllable(a, [1]) == (True, 4)
-        assert runs == []
-        # the same closure run directly toward the goal (n - 1, n^2): it is
-        # certified at the working prime, and modulo 2 it falls short, so
-        # only the exact closure, the fallback, reaches the goal
-        assert [_LieEngine(2, m, (1, 4)).extend(gens, 4) for m in (prime, 2, None)] == [4, 2, 4]
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), _echelon_input())

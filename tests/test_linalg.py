@@ -58,6 +58,11 @@ class TestRationalMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             matrix([[1, 2], [3]])
+        # rows that are not iterables, or entries Fraction cannot read,
+        # once raised TypeError or OverflowError
+        for bad in (5, [5], [[None]], [[float("inf")]], [[float("nan")]], [["x"]]):
+            with pytest.raises(ValueError):
+                matrix(bad)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
