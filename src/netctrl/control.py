@@ -26,8 +26,11 @@ Every reported number is exact.  The walk and the product span are
 first grown modulo one fixed prime, on integer-scaled data: each element
 found there reduces an integer combination of genuine elements, so a
 dimension there is at most the rational one, a full one is exact, and only
-a short one is recomputed exactly (``_dimensions``).  The Lie closure runs
-over the integers alone (``_LieEngine``).
+a short one is recomputed exactly (``_dimensions``).  The prime is 32,749,
+the largest whose residue products fit one 30-bit CPython digit, so a
+residue, the product of two and each slot of a packed product
+(``intlinalg.PackedBasis``) are all one digit.  The Lie closure runs over
+the integers alone (``_LieEngine``).
 """
 
 from __future__ import annotations
@@ -64,8 +67,10 @@ CHECK_SKIPPED = "hypothesis not met"
 
 DEFAULT_LIE_MAX_ORDER = 16
 
-# the largest prime below 2^30: residues stay one-digit Python integers
-_PRIME = 1_073_741_789
+# the largest prime p with (p - 1)^2 < 2^30: the product of two residues,
+# and so every packed product slot (intlinalg.slot_width), is one 30-bit
+# CPython digit
+_PRIME = 32_749
 
 
 def check_lie_order(n: int, max_order=None) -> None:
@@ -766,8 +771,7 @@ class _NodeState:
     span as an append-only ``intlinalg.PackedBasis``, and only what can
     come out full is grown there (``_dimensions``).  The Lie part is always
     exact, and a short walk caps it (``_extend_state``), so it is held only
-    beside an exact walk or none.  Only the exact states of ``_grow`` are
-    copied: a ``PackedBasis`` keeps no rows to copy.
+    beside an exact walk or none.
     """
 
     __slots__ = ("walk", "pspan", "lie")
@@ -932,8 +936,11 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     one-vertex dimension off the walk then took it from {1} from 49 to 44
     ms (min of 12 interleaved process pairs of 3 CPU runs each, same host).
 
-    The modular walk pays off at large n: at n = 60 the exact one is two
-    orders of magnitude slower, though at n <= 8 it is a little faster.
+    The modular walk, on one-digit residues (``_PRIME``), pays off at
+    large n: from vertex 1 of complete-60 with a ``random:7`` matrix it
+    takes 26 ms and the exact one 2.9 to 4.5 s, while at n <= 8 the exact
+    one is still a little faster, 0.10 against 0.11 ms on path-8 (min of 3
+    and 200 CPU runs, two processes, 2-CPU x86, Python 3.11).
     """
     n = a.n
     if "lie" in parts:
@@ -995,8 +1002,9 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     then takes each product as one multiplication of packed rows into an
     append-only span that keeps only their leads
     (``intlinalg.PackedBasis``): path-40 with a ``random:7`` matrix from
-    S = {1}, 1,600 products, takes about 0.08 s (min of 5 CPU runs, 2-CPU
-    x86, Python 3.11).
+    S = {1}, 1,600 products, takes about 0.03 s (min of 5 CPU runs, 2-CPU
+    x86, Python 3.11), against 0.08 s with the two-digit slots of a prime
+    near 2^30.
 
     Raises:
       ValueError: empty control set or labels out of range.

@@ -25,9 +25,12 @@ cost what they hold, not the ambient length.
 outer products.  Each vector is one int of fixed-width slots, wide
 enough for the product of two residues, so the row-major outer product
 u w^T of two residue vectors is one multiplication,
-``pack(u, n * width) * pack(w, width)``.  It is append-only: it takes only
-a vector whose lead is past every stored lead, reads that one slot, and
-keeps the leads alone.
+``pack(u, n * width) * pack(w, width)``.  Modulo a prime p with
+(p - 1)^2 < 2^30, as ``control._PRIME`` is, a slot is 30 bits, one CPython
+digit: the packed left row is n^2 digits and the right one n, so the
+multiplication costs about n^3 digit steps.  It is append-only: it takes
+only a vector whose lead is past every stored lead, reads that one slot,
+and keeps the leads alone.
 """
 
 from __future__ import annotations
@@ -235,7 +238,8 @@ class PackedBasis(EchelonBasis):
     product of two residue vectors r_a and r_b is one multiplication: with
     r_a packed at width n·width and r_b at width, slot a·n + b of
     ``pack(r_a, n * width) * pack(r_b, width)`` is r_a[a]·r_b[b] <= (p - 1)^2,
-    and no slot carries into the next.
+    and no slot carries into the next.  At the working prime, 32,749, the
+    width is 30 bits, so each slot is one CPython digit.
 
     The lead of a vector, its first nonzero slot, is one bit scan.  The
     basis takes a vector only when its lead is past every stored lead and
@@ -251,6 +255,7 @@ class PackedBasis(EchelonBasis):
 
     ``insert`` is inherited: every insert runs through
     ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store`` here.
+    The leads are the whole state, so ``copy`` copies them alone.
     """
 
     __slots__ = ("width",)
@@ -285,6 +290,11 @@ class PackedBasis(EchelonBasis):
     def _store(self, v: int) -> int:
         self.pivots.append(self._lead(v))
         return v
+
+    def copy(self) -> "PackedBasis":
+        dup = PackedBasis(self.ambient, self.modulus)
+        dup.pivots = list(self.pivots)
+        return dup
 
 
 # ---------------------------------------------------------------------------

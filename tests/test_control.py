@@ -1384,12 +1384,24 @@ class TestModularRoute:
         ]
 
     def test_walk_rank_deficient_mod_p_falls_back(self, monkeypatch):
-        monkeypatch.setattr(control, "_PRIME", 2)
         grown = self._spy_on_states(monkeypatch)
+        # at the working prime: a path of order 24 whose edge (12, 13) has
+        # weight p is cut there modulo p, so the walk from vertex 1 stops at
+        # rank 12; exactly it is full, and so is the span
+        p, n = control._PRIME, 24
+        path = [[0] * n for _ in range(n)]
+        for v in range(n - 1):
+            path[v][v + 1] = path[v + 1][v] = p if v == 11 else 1
+        a = pattern_matrix(path)
+        assert kalman_controllable(a, [1]) == (True, n)
+        assert p_span_dim(a, [1]) == n * n
+        assert grown() == [(p, {"walk": 12}), (None, {"walk": n}),
+                           (p, {"walk": 12, "pspan": 0}), (None, {"walk": n, "pspan": n * n})]
+        monkeypatch.setattr(control, "_PRIME", 2)
         # A e_1 = (1, 2) is e_1 modulo 2, yet the walk rank is 2
         a = pattern_matrix([[1, 2], [2, 1]])
         assert kalman_controllable(a, [1]) == (True, 2)
-        assert grown() == [(2, {"walk": 1}), (None, {"walk": 2})]
+        assert grown()[4:] == [(2, {"walk": 1}), (None, {"walk": 2})]
         assert p_span_dim(a, [1]) == 4
         lie_runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
@@ -1397,7 +1409,7 @@ class TestModularRoute:
         # full walk, so it cannot come out full; the Lie part reads the
         # exact walk, where vertex 1 alone has rank 2 = r, so it builds no
         # engine (``_dimensions``)
-        assert grown()[2:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
+        assert grown()[6:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
                                (2, {"walk": 1}), (None, {"walk": 2})]
         assert lie_runs == []
 

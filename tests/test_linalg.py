@@ -1,6 +1,7 @@
 """Exact rational matrices, rank, and canonical matrix-space bases."""
 
 import copy
+import math
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,12 @@ class TestPackedBasis:
         # prime below 2 * 10^5 with the least headroom relative to 2^width
         w = slot_width(p)
         assert (p - 1) ** 2 >> (w - 1) == 1
+        if p == _PRIME:
+            # the working prime is the largest whose residue products fit one
+            # 30-bit CPython digit: no prime lies between it and 2^15
+            assert w == 30
+            assert not [q for q in range(p + 1, (1 << 15) + 1)
+                        if all(q % d for d in range(2, math.isqrt(q) + 1))]
         n = 5
         for r_a, r_b in (([p - 1] * n, [p - 1] * n), ([p - 1, 0, 1, p - 1, 2 % p], [0, p - 1, p - 1, 1, p - 1])):
             product = pack(r_a, n * w) * pack(r_b, w)
@@ -328,6 +335,19 @@ class TestPackedBasis:
             for r_b in rows:
                 assert basis.insert(pack(r_a, n * w) * pack(r_b, w)) is not None
         assert basis.dim == n * n
+
+    def test_copy_diverges_from_the_original(self):
+        # the leads are the whole state: after a copy each side takes its own
+        # next lead, and neither sees the other's
+        w = slot_width(5)
+        basis = PackedBasis(4, 5)
+        basis.insert(pack([1, 2, 0, 0], w))
+        dup = basis.copy()
+        assert (dup.ambient, dup.modulus, dup.width, dup.pivots) == (4, 5, w, [0])
+        assert basis.insert(pack([0, 1, 4, 0], w)) and dup.insert(pack([0, 0, 3, 1], w))
+        assert dup.insert(pack([0, 0, 0, 2], w))
+        assert (basis.pivots, basis.dim) == ([0, 1], 2)
+        assert (dup.pivots, dup.dim) == ([0, 2, 3], 3)
 
     def test_rejects_a_vector_it_cannot_hold(self):
         basis = PackedBasis(2, 5)
