@@ -170,8 +170,9 @@ def random_same_sign_matrix(g: Graph, seed: int) -> PatternMatrix:
     Off-diagonal entries on edges are uniform in 1..9 and the diagonal is
     uniform in -9..9, drawn from ``random.Random(seed)`` in a fixed order
     (sorted edges first, then the diagonal), so a seed pins the matrix.
+    A seed that is not an int raises ValueError.
     """
-    rng = random.Random(seed)
+    rng = random.Random(graphs.check_int(seed, "seed"))
     weights = [rng.randint(1, 9) for _ in g.edges]
     return _edge_matrix(g, weights, [rng.randint(-9, 9) for _ in g.vertices])
 
@@ -224,10 +225,15 @@ def projector(j: int, n: int) -> RationalMatrix:
     return outer(v, v)
 
 
-def _control_set(a: PatternMatrix, s) -> tuple:
+def _pattern(a) -> PatternMatrix:
+    """``a`` itself if it is a PatternMatrix; else ValueError naming its type."""
     if not isinstance(a, PatternMatrix):
         raise ValueError(f"expected a PatternMatrix (see pattern_matrix), got {type(a).__name__}")
-    members = vertex_set(s, a.n)
+    return a
+
+
+def _control_set(a: PatternMatrix, s) -> tuple:
+    members = vertex_set(s, _pattern(a).n)
     if not members:
         raise ValueError("control set must be nonempty")
     return members
@@ -1205,7 +1211,7 @@ def distance_power_defects(a: PatternMatrix, session=None) -> tuple:
     The walk columns are read from ``session``, a ``_Session`` of ``a``
     (a fresh one by default), so a sweep builds them once per matrix.
     """
-    n = a.n
+    n = _pattern(a).n
     if session is None:
         session = _Session(a)
     defects = []

@@ -50,11 +50,17 @@ def _label(v) -> int:
     return v
 
 
+def check_int(value, name: str, low=None) -> int:
+    """``value`` itself if it is an int of at least ``low`` (any int if None);
+    else ValueError naming it."""
+    if type(value) is not int or low is not None and value < low:  # bool is an int subclass
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+    return value
+
+
 def _order(n) -> int:
-    """``n`` itself if it is an int >= 1; else ValueError naming it."""
-    if type(n) is not int or n < 1:  # bool is an int subclass
-        raise ValueError(f"graph order must be an int >= 1, got {n!r}")
-    return n
+    return check_int(n, "graph order", 1)
 
 
 @dataclass(frozen=True)
@@ -217,10 +223,13 @@ def random_connected(n: int, edge_probability, seed: int, max_tries: int = 10_00
 
     ``edge_probability`` is an exact rational in (0, 1]; each candidate edge
     is kept with exactly that probability, so identical ``(n, p, seed)``
-    reproduce the identical graph.  Raises RuntimeError after ``max_tries``
-    rejections.
+    reproduce the identical graph.  Raises ValueError for a seed that is
+    not an int or a ``max_tries`` that is not an int >= 1, and
+    RuntimeError after ``max_tries`` rejections.
     """
     _order(n)
+    check_int(seed, "seed")
+    check_int(max_tries, "max_tries", 1)
     p = Fraction(edge_probability)
     if not (0 < p <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")

@@ -105,8 +105,7 @@ class SweepConfig:
         # bool is an int subclass, as in forcing.check_order
         if type(self.max_order) is not int or not 1 <= self.max_order <= MAX_SWEEP_ORDER:
             raise ValueError(f"max_order must be an int in 1..{MAX_SWEEP_ORDER}, got {self.max_order!r}")
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        graphs.check_int(self.seed, "seed")
         kinds = () if isinstance(self.matrix_kinds, str) else tuple(self.matrix_kinds)
         if not kinds:
             raise ValueError(f"matrix_kinds must be a nonempty tuple of kinds, got {self.matrix_kinds!r}")
@@ -469,8 +468,7 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
     """
     if type(samples) is not int or samples < 1:  # bool is an int subclass
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    graphs.check_int(seed, "seed")
     counts: Counter = Counter()
     violations: list = []
     rng = random.Random(seed)

@@ -15,11 +15,6 @@ reduced form is computed on demand, where it is read.
 An echelon basis can also run modulo a prime.  For integer vectors the rank
 modulo p is at most the rank over the rationals, so a full rank found
 modulo p proves full rank over the rationals; a smaller one proves nothing.
-There each stored row also keeps its support, the columns from its pivot to
-its last nonzero entry, and a row operation runs over that slice alone:
-outside it the row is zero, so the full-length operation would leave those
-entries as they were.  Sparse and banded rows (a path's walk rows) then
-cost what they hold, not the ambient length.
 
 ``PackedBasis`` holds the product span modulo a prime, whose vectors are
 outer products.  Each vector is one int of fixed-width slots, wide
@@ -89,22 +84,16 @@ class EchelonBasis:
     (its pivot entry is 1).  This mode is read only for its dimension and
     for the rows it adds.  For integer input that dimension is at most the
     exact one: each stored row is the reduction of an integer combination
-    of the inserted vectors.  ``supports`` holds, in row order, each row's
-    pivot c, its support end e (one past its last nonzero entry) and
-    ``row[c:e]``; row operations and the monic scaling of an insert run
-    over that slice only, so rows, pivots and residues are the ones the
-    full-length operations give.  The exact mode keeps no such state.
+    of the inserted vectors.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "modulus", "supports")
+    __slots__ = ("ambient", "rows", "pivots", "modulus")
 
     def __init__(self, ambient: int, modulus=None):
         self.ambient = ambient
         self.modulus = modulus
         self.rows: list = []
         self.pivots: list = []
-        if modulus is not None:
-            self.supports: list = []
 
     @property
     def dim(self) -> int:
@@ -114,8 +103,6 @@ class EchelonBasis:
         dup = EchelonBasis(self.ambient, self.modulus)
         dup.rows = list(self.rows)
         dup.pivots = list(self.pivots)
-        if self.modulus is not None:
-            dup.supports = list(self.supports)
         return dup
 
     def reduce(self, values):
@@ -125,7 +112,6 @@ class EchelonBasis:
         primitive integer tuple.  Modulo p: a list of residues, not yet
         monic; the one ``% p`` pass comes after all row operations, since
         the pivot entries are 1 and only the entry on each pivot is read.
-        Each row operation there touches only the row's support slice.
         Pivots ascend and each row is zero left of its pivot, so a pivot
         entry of the vector is final once the rows before it are applied.
         """
@@ -140,10 +126,10 @@ class EchelonBasis:
                     pc = row[c]
                     v = [pc * a - vc * b for a, b in zip(v, row)]
             return primitive(v)
-        for c, e, tail in self.supports:
+        for c, row in zip(self.pivots, self.rows):
             vc = v[c] % p
             if vc:
-                v[c:e] = [a - vc * b for a, b in zip(v[c:e], tail)]
+                v = [a - vc * b for a, b in zip(v, row)]
         v = [a % p for a in v]
         return v if any(v) else None
 
@@ -167,13 +153,8 @@ class EchelonBasis:
         pos = bisect_left(self.pivots, c_new)
         p = self.modulus
         if p is not None:
-            e_new = len(v)
-            while not v[e_new - 1]:
-                e_new -= 1
             inv = pow(v[c_new], -1, p)
-            tail = tuple(a * inv % p for a in v[c_new:e_new])
-            v = (0,) * c_new + tail + (0,) * (len(v) - e_new)
-            self.supports.insert(pos, (c_new, e_new, tail))
+            v = tuple(a * inv % p for a in v)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, c_new)
         return v

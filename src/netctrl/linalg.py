@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg
-from .graphs import parse_int
+from .graphs import check_int, parse_int
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ def matrix(rows) -> RationalMatrix:
 
 
 def identity(n: int) -> RationalMatrix:
+    check_int(n, "order", 1)
     return RationalMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
 
@@ -116,10 +117,8 @@ def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
     """Exact k-th power; the zeroth power is the identity."""
     if not a.is_square():
         raise ValueError("power of a non-square matrix")
-    if k < 0:
-        raise ValueError("negative power")
     result = identity(a.rows)
-    for _ in range(k):
+    for _ in range(check_int(k, "power", 0)):
         result = mat_mul(result, a)
     return result
 
@@ -137,6 +136,8 @@ def rank(m: RationalMatrix) -> int:
     Rows are individually scaled to primitive integer vectors first (rank
     is invariant under row scaling), then reduced fraction-free.
     """
+    if not isinstance(m, RationalMatrix):
+        raise ValueError(f"expected a RationalMatrix (see matrix), got {type(m).__name__}")
     basis = intlinalg.EchelonBasis(m.cols)
     for row in m.entries:
         cleared = intlinalg.clear_denominators(row)
@@ -157,9 +158,7 @@ class MatrixSpaceBasis:
     """
 
     def __init__(self, side: int):
-        if type(side) is not int or side < 1:  # bool is an int subclass
-            raise ValueError(f"matrix side must be an int >= 1, got {side!r}")
-        self.side = side
+        self.side = check_int(side, "matrix side", 1)
         self._inner = intlinalg.EchelonBasis(side * side)
 
     @classmethod

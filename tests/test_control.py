@@ -156,6 +156,11 @@ class TestBuilders:
             assert adjacency_matrix(g).matrix == matrix(adj)
             assert laplacian_matrix(g).matrix == matrix(lap)
 
+    @pytest.mark.parametrize("seed", ["7", 1.5, None, True], ids=repr)
+    def test_random_matrix_refuses_a_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+            random_same_sign_matrix(cycle_graph(5), seed)
+
     def test_random_matrix_pattern_and_ranges(self):
         g = cycle_graph(6)
         a = random_same_sign_matrix(g, 3)
@@ -1491,6 +1496,12 @@ class TestDistancePowers:
             assert distance_power_defects(adjacency_matrix(g)) == ()
             assert distance_power_defects(laplacian_matrix(g)) == ()
             assert distance_power_defects(random_same_sign_matrix(g, 11)) == ()
+
+    def test_refuses_what_is_not_a_pattern_matrix(self):
+        # a nested list once raised AttributeError on .n
+        for bad in ([[0, 1], [1, 0]], matrix([[0, 1], [1, 0]])):
+            with pytest.raises(ValueError, match=r"^expected a PatternMatrix \(see pattern_matrix\), got "):
+                distance_power_defects(bad)
 
     def test_mixed_signs_can_cancel(self):
         # walks 2-1-4 and 2-3-4 contribute +1 and -1, so (A^2)_{2,4} = 0

@@ -1,5 +1,6 @@
 """Graph type, parsing, generators, and traversal helpers."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -197,6 +198,20 @@ class TestRandomConnected:
         msg = r"no connected graph found in 3 draws \(n=6, p=1/1000, seed=0\)"
         with pytest.raises(RuntimeError, match=msg):
             random_connected(6, "1/1000", seed=0, max_tries=3)
+
+    @pytest.mark.parametrize("seed", ["1", 1.5, None, True], ids=repr)
+    def test_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+            random_connected(5, 1, seed=seed)
+
+    # 1.5 once raised TypeError in range(), 0 the RuntimeError of an exhausted draw
+    @pytest.mark.parametrize("tries", [0, -1, 1.5, "3", None, True], ids=repr)
+    def test_max_tries_that_is_not_an_int_of_at_least_one(self, tries):
+        with pytest.raises(ValueError, match=rf"^max_tries must be an int >= 1, got {re.escape(repr(tries))}$"):
+            random_connected(5, 1, seed=0, max_tries=tries)
+
+    def test_one_try_is_enough_when_it_connects(self):
+        assert random_connected(4, 1, seed=0, max_tries=1) == complete_graph(4)
 
 
 class TestTraversal:

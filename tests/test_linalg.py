@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,18 @@ class TestProductsAndPowers:
     def test_zeroth_power_is_identity(self):
         a = matrix([[2, 1], [1, 2]])
         assert mat_pow(a, 0) == identity(2)
+
+    # identity(0) once gave a matrix with no rows, whose .cols raised IndexError
+    @pytest.mark.parametrize("order", [0, -1, 1.5, "2", None, True], ids=repr)
+    def test_identity_refuses_an_order_that_is_not_an_int_of_at_least_one(self, order):
+        with pytest.raises(ValueError, match=rf"^order must be an int >= 1, got {re.escape(repr(order))}$"):
+            identity(order)
+
+    # mat_pow(m, True) once returned m, and mat_pow(m, 1.5) raised TypeError
+    @pytest.mark.parametrize("power", [-1, 1.5, "2", None, True, False], ids=repr)
+    def test_mat_pow_refuses_a_power_that_is_not_an_int_of_at_least_zero(self, power):
+        with pytest.raises(ValueError, match=rf"^power must be an int >= 0, got {re.escape(repr(power))}$"):
+            mat_pow(matrix([[2, 1], [1, 2]]), power)
 
     def test_path_adjacency_powers(self):
         # powers of the path-on-4 adjacency matrix applied to e2
@@ -231,7 +244,7 @@ def _sparse_rows(draw):
 
 
 class TestModularEchelon:
-    """The modular row operations over each row's support against full-length ones."""
+    """The modular basis, copies included, against the oracle's rows on sparse and banded input."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7, _PRIME]), _sparse_rows(), st.lists(st.booleans(), max_size=10))
@@ -369,6 +382,12 @@ class TestRank:
     @given(matrix_strategy())
     def test_matches_fraction_oracle(self, m):
         assert rank(m) == frac_rank([list(r) for r in m.entries])
+
+    def test_refuses_what_is_not_a_rational_matrix(self):
+        # a nested list once raised AttributeError on .cols
+        for bad in ([[1, 2]], ((1, 0), (0, 1)), None):
+            with pytest.raises(ValueError, match=r"^expected a RationalMatrix \(see matrix\), got "):
+                rank(bad)
 
     @settings(max_examples=60)
     @given(matrix_strategy())
