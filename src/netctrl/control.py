@@ -23,8 +23,9 @@ dimensions of every set.  The one-shot decisions grow one state along
 their set in ``_dimensions``, which also reads the walk's basis.
 
 Every reported number is exact.  The walk and the product span are
-first grown modulo one fixed prime, on integer-scaled data: each element
-found there reduces an integer combination of genuine elements, so a
+first grown modulo one fixed prime, on integer-scaled data, the walk from
+residue powers alone (``_Session.columns``): each element found there
+reduces an integer combination of genuine elements, so a
 dimension there is at most the rational one, a full one is exact, and only
 a short one is recomputed exactly (``_dimensions``).  The prime is 32,749,
 the largest whose residue products fit one 30-bit CPython digit, so a
@@ -699,7 +700,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         return dim, MatrixSpaceBasis.full(n)
     basis = MatrixSpaceBasis(n)
     for parity, packed in engine.elems:
-        basis.insert(engine._matrix(parity, packed))
+        # integer rows, exact as they are: no entry needs reading as a Fraction
+        basis.insert(RationalMatrix(engine._matrix(parity, packed)))
     return dim, basis
 
 
@@ -726,9 +728,12 @@ class _Session:
     each A v made primitive, n vectors at most.  Each is a nonzero multiple
     of a walk-matrix column A^k e_j, so they span what block j spans and
     their outer products span its products.  Once a power is zero every
-    later one is too, and those are left out.  ``columns(j, p)`` reduces
-    the same integer columns modulo p, so A is cleared of denominators and
-    content before anything is reduced.
+    later one is too, and those are left out.  ``columns(j, p)`` is the
+    residue walk: ``int_a`` reduced modulo p once, then v <- A v mod p from
+    e_j, with no exact column built.  Each is the residue of the integer
+    vector int_a^k e_j, a multiple of A^k e_j, so a full rank of these
+    proves a full walk; a power zero modulo p ends it, as every later one
+    is zero too, and the walk there is short and so recomputed exactly.
     """
 
     __slots__ = ("a", "n", "int_a", "_cols", "_defects")
@@ -744,18 +749,20 @@ class _Session:
         cols = self._cols.get((j, modulus))
         if cols is not None:
             return cols
-        if modulus is not None:
-            cols = tuple(tuple(x % modulus for x in u) for u in self.columns(j))
-        else:
-            v = tuple(int(i == j - 1) for i in range(self.n))
-            cols = [v]
-            for _ in range(self.n - 1 if self.int_a is not None else 0):
-                v = intlinalg.primitive([sum(map(mul, row, v)) for row in self.int_a])
-                if v is None:
-                    break
-                cols.append(v)
-            cols = tuple(cols)
-        self._cols[j, modulus] = cols
+        a, p = self.int_a, modulus
+        if a is not None and p is not None:
+            a = [[x % p for x in row] for row in a]
+        v = tuple(int(i == j - 1) for i in range(self.n))
+        cols = [v]
+        for _ in range(self.n - 1 if a is not None else 0):
+            if p is None:
+                v = intlinalg.primitive([sum(map(mul, row, v)) for row in a])
+            else:
+                v = tuple(sum(map(mul, row, v)) % p for row in a)
+            if v is None or not any(v):
+                break
+            cols.append(v)
+        cols = self._cols[j, modulus] = tuple(cols)
         return cols
 
     def defects(self) -> tuple:
@@ -804,18 +811,26 @@ class _NodeState:
 def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     """Grow a parent's bases by control vertex j.
 
-    The walk takes the columns of j; the product span then grows from the
-    walk's echelon rows, not from the columns.  By bilinearity the outer
-    products of the walk columns span what the outer products of any basis
-    of their span do, so the span's new elements are the row-major
-    flattenings of r_a r_b^T over the ordered pairs of walk rows with at
-    least one of them new.  With pivots c_a and c_b such a product is zero
-    before position c_a·n + c_b and holds the product of the two pivot
-    entries there.  A new walk row is zero on every older walk pivot, so a
-    new product is zero on every span pivot stored before this call; the
-    products go in by ascending (c_a, c_b), so each is zero on the pivots
-    of the batch before it too.  So every insert grows and none makes a row
-    operation, and the span's dimension is the square of the walk's.
+    The walk takes the columns of j up to the first that is already in its
+    span.  The parent's walk span W is mapped into itself by A (modulo p,
+    by A's residue): the empty one is, and once A^k e_j lies in
+    W' = W + span(e_j, ..., A^{k-1} e_j), A maps W' into W + span(A e_j,
+    ..., A^k e_j), inside W'; the same holds when the columns run out, at
+    rank n or at a zero power.  So no later column could grow the walk,
+    and it keeps the rows all of them give.
+
+    The product span then grows from the walk's echelon rows, not from the
+    columns.  By bilinearity the outer products of the walk columns span
+    what the outer products of any basis of their span do, so the span's
+    new elements are the row-major flattenings of r_a r_b^T over the
+    ordered pairs of walk rows with at least one of them new.  With pivots
+    c_a and c_b such a product is zero before position c_a·n + c_b and
+    holds the product of the two pivot entries there.  A new walk row is
+    zero on every older walk pivot, so a new product is zero on every span
+    pivot stored before this call; the products go in by ascending
+    (c_a, c_b), so each is zero on the pivots of the batch before it too.
+    So every insert grows and none makes a row operation, and the span's
+    dimension is the square of the walk's.
     Modulo p each product is the reduction of an integer element of the
     span, so a full span proves the rational one there too; it needs a full
     walk, so it waits for one and then grows from all its rows in one
@@ -840,7 +855,8 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
         # the rows the span has grown from: none modulo p, where it waits
         old = set(walk.pivots) if walk.modulus is None else ()
         for col in session.columns(j, walk.modulus):
-            walk.insert(col)
+            if walk.insert(col) is None:
+                break
         grew = span is not None and len(old) < walk.dim
         if grew and walk.modulus is None:
             rows = [(c in old, row) for c, row in zip(walk.pivots, walk.rows)]
@@ -942,11 +958,12 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     one-vertex dimension off the walk then took it from {1} from 49 to 44
     ms (min of 12 interleaved process pairs of 3 CPU runs each, same host).
 
-    The modular walk, on one-digit residues (``_PRIME``), pays off at
-    large n: from vertex 1 of complete-60 with a ``random:7`` matrix it
-    takes 26 ms and the exact one 2.9 to 4.5 s, while at n <= 8 the exact
-    one is still a little faster, 0.10 against 0.11 ms on path-8 (min of 3
-    and 200 CPU runs, two processes, 2-CPU x86, Python 3.11).
+    The modular walk, on one-digit residue powers (``_PRIME``), pays off
+    at large n: from vertex 1 of complete-60 with a ``random:7`` matrix it
+    takes 16.5 to 17.8 ms and the exact one 3.5 s, while at n <= 8 the
+    exact one is still a little faster, 0.089 to 0.092 against 0.097 to
+    0.100 ms on path-8 (min of 3 and of 15 rounds of 200 CPU runs, four
+    processes, 2-CPU x86, Python 3.11).
     """
     n = a.n
     if "lie" in parts:

@@ -15,6 +15,9 @@ reduced form is computed on demand, where it is read.
 An echelon basis can also run modulo a prime.  For integer vectors the rank
 modulo p is at most the rank over the rationals, so a full rank found
 modulo p proves full rank over the rationals; a smaller one proves nothing.
+Its input may be residues already, which reduce the integer vectors they
+stand for: the modular walk (``control._Session.columns``) is made of
+residue powers alone, with no exact arithmetic.
 
 ``PackedBasis`` holds the product span modulo a prime, whose vectors are
 outer products.  Each vector is one int of fixed-width slots, wide
@@ -24,8 +27,8 @@ u w^T of two residue vectors is one multiplication,
 (p - 1)^2 < 2^30, as ``control._PRIME`` is, a slot is 30 bits, one CPython
 digit: the packed left row is n^2 digits and the right one n, so the
 multiplication costs about n^3 digit steps.  It is append-only: it takes
-only a vector whose lead is past every stored lead, reads that one slot,
-and keeps the leads alone.
+only a vector whose lead is past every stored lead, finds that lead and
+reads its slot once per insert, and keeps the leads alone.
 """
 
 from __future__ import annotations
@@ -53,14 +56,16 @@ def primitive(values) -> tuple:
 
 
 def clear_denominators(values) -> tuple:
-    """Scale a rational vector to a primitive integer vector (None if zero)."""
-    vec = list(values)
-    scale = 1
-    for x in vec:
-        d = getattr(x, "denominator", 1)
-        if d != 1:
-            scale = scale * d // math.gcd(scale, d)
-    return primitive(int(x * scale) if scale != 1 else int(x) for x in vec)
+    """Scale a rational vector to a primitive integer vector (None if zero).
+
+    Each entry, an int or a ``Fraction``, is read once as the pair
+    ``as_integer_ratio()`` gives, in lowest terms with a positive
+    denominator; the entries are scaled by the lcm of the denominators
+    with integer arithmetic alone.
+    """
+    pairs = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*[d for _, d in pairs])
+    return primitive([num * (scale // d) for num, d in pairs])
 
 
 class EchelonBasis:
@@ -162,11 +167,6 @@ class EchelonBasis:
     def contains(self, values) -> bool:
         return self.reduce(values) is None
 
-    def entry(self, values, c: int) -> int:
-        """Entry c of a vector as this basis reads it: a residue modulo p."""
-        p = self.modulus
-        return values[c] if p is None else values[c] % p
-
     def reduced_rows(self) -> tuple:
         """The canonical form of the span: the fully reduced primitive rows.
 
@@ -228,11 +228,13 @@ class PackedBasis(EchelonBasis):
     every stored lead, so it is independent of the stored vectors modulo p
     and grows the span by one; the leads are the pivots an ``EchelonBasis``
     with the same modulus would have.  So only the leads are kept, ``dim``
-    counts them, and an insert reads one slot.  Any other nonzero vector
-    raises ValueError instead of being reduced: the one caller,
-    ``control._extend_state``, inserts the outer products of monic echelon
-    rows by ascending lead, and a vector out of that order is a fault
-    there.  The zero vector lies in every span (``reduce`` gives None).
+    counts them, and an insert finds its lead and reads that one slot once:
+    ``reduce`` returns the vector with its lead, which ``_store`` appends.
+    Any other nonzero vector raises ValueError instead of being reduced:
+    the one caller, ``control._extend_state``, inserts the outer products
+    of monic echelon rows by ascending lead, and a vector out of that order
+    is a fault there.  The zero vector lies in every span (``reduce`` gives
+    None).
 
     ``insert`` is inherited: every insert runs through
     ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store`` here.
@@ -247,29 +249,23 @@ class PackedBasis(EchelonBasis):
         self.width = slot_width(modulus)
         self.pivots: list = []
 
-    def entry(self, values: int, c: int) -> int:
-        w = self.width
-        return (values >> c * w & (1 << w) - 1) % self.modulus
-
-    def _lead(self, v: int) -> int:
-        return ((v & -v).bit_length() - 1) // self.width
-
     def reduce(self, values: int):
-        """``values`` itself if it grows the span, None if it is zero; else ValueError."""
-        v = values
-        if v < 0 or v.bit_length() > self.ambient * self.width:
-            raise ValueError(f"expected a packed vector of {self.ambient} slots of {self.width} bits")
+        """``(values, lead)`` if it grows the span, None if it is zero; else ValueError."""
+        v, w = values, self.width
+        if v < 0 or v.bit_length() > self.ambient * w:
+            raise ValueError(f"expected a packed vector of {self.ambient} slots of {w} bits")
         if not v:
             return None
-        lead = self._lead(v)
+        lead = ((v & -v).bit_length() - 1) // w
         last = self.pivots[-1] if self.pivots else -1
-        if lead <= last or not self.entry(v, lead):
+        if lead <= last or not (v >> lead * w & (1 << w) - 1) % self.modulus:
             raise ValueError(f"a packed vector must lead past slot {last} with a slot nonzero "
                              f"modulo {self.modulus}; this one leads at slot {lead}")
-        return v
+        return v, lead
 
-    def _store(self, v: int) -> int:
-        self.pivots.append(self._lead(v))
+    def _store(self, found) -> int:
+        v, lead = found
+        self.pivots.append(lead)
         return v
 
     def copy(self) -> "PackedBasis":

@@ -194,16 +194,13 @@ class MatrixSpaceBasis:
         dup._inner = self._inner.copy()
         return dup
 
-    def _vectorize(self, m) -> tuple:
-        if isinstance(m, RationalMatrix):
-            if m.rows != self.side or m.cols != self.side:
-                raise ValueError(f"expected a {self.side}x{self.side} matrix")
-            flat = [x for row in m.entries for x in row]
-        else:
-            flat = [x for row in m for x in row]
-            if len(flat) != self.dim_ambient:
-                raise ValueError(f"expected a {self.side}x{self.side} matrix")
-        return flat
+    def _vectorize(self, m) -> list:
+        """``m`` row-major; nested input is read by ``matrix``, so every entry is exact."""
+        if not isinstance(m, RationalMatrix):
+            m = matrix(m)
+        if m.rows != self.side or m.cols != self.side:
+            raise ValueError(f"expected a {self.side}x{self.side} matrix")
+        return [x for row in m.entries for x in row]
 
     def insert(self, m) -> bool:
         """Extend the span by a matrix; True iff the dimension grew."""

@@ -329,7 +329,11 @@ class TestProductSpan:
             if caller.f_code is not control._extend_state.__code__ or basis is not caller.f_locals["span"]:
                 return real(basis, values)
             p = basis.modulus
-            hit = [c for c in basis.pivots if basis.entry(values, c)]
+            if p is None:
+                hit = [c for c in basis.pivots if values[c]]
+            else:
+                mask = (1 << basis.width) - 1
+                hit = [c for c in basis.pivots if (values >> c * basis.width & mask) % p]
             assert not hit, f"a span product meets stored pivots {hit}"
             row = real(basis, values)
             assert row is not None, "a span product did not grow the span"
@@ -1466,6 +1470,86 @@ class TestModularRoute:
             grown.append(0)
             assert p_span_dim(a, s) == want, p
         assert grown == grows
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_strategy(max_side=5), st.sampled_from([2, 3, 5, control._PRIME]))
+    def test_residue_walk_is_the_residue_powers(self, inst, p):
+        # columns(j, p) is A^k e_j modulo p, A the cleared integer matrix,
+        # from k = 0 up to the first power zero modulo p, n at most
+        a, s = inst
+        session = _Session(a)
+        for j in s:
+            want, v = [], [int(i == j - 1) for i in range(a.n)]
+            while len(want) < a.n and any(x % p for x in v):
+                want.append(tuple(x % p for x in v))
+                if session.int_a is None:
+                    break
+                v = [sum(x * y for x, y in zip(row, v)) for row in session.int_a]
+            assert session.columns(j, p) == tuple(want), (j, p)
+
+    @pytest.mark.parametrize("p", [control._PRIME, 2, 3, 5])
+    def test_residue_walk_stops_at_a_power_zero_modulo_p(self, monkeypatch, p):
+        # A e_1 = (p, p) is zero modulo p, so the residue walk from {1} has
+        # rank 1, though its primitive form (1, 1) is not; exactly the walk
+        # is full, and the decisions are the oracles'
+        monkeypatch.setattr(control, "_PRIME", p)
+        entries = [[p, p], [p, 1]]
+        a = pattern_matrix(entries)
+        session = _Session(a)
+        assert session.columns(1, p) == ((1, 0),)
+        state = control._NodeState(session, p, ("walk",))
+        control._extend_state(state, session, 1)
+        assert state.walk.dim == 1
+        assert kalman_controllable(a, [1]) == (True, 2)
+        assert p_span_dim(a, [1]) == 4 == oracles.pspan_dim_bruteforce(entries, [1])
+        assert lie_controllable(a, [1]) == (True, 4)
+        assert oracles.walk_rank_bruteforce(entries, [1]) == 2
+        assert oracles.control_lie_dim_bruteforce(entries, [1]) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_strategy(max_side=5), st.sampled_from([None, 2, 3, control._PRIME]))
+    def test_walk_stops_at_its_first_column_in_the_span(self, inst, p):
+        # no later column could grow the walk, so it keeps the rows that
+        # every column of every control vertex gives
+        a, s = inst
+        session = _Session(a)
+        state = control._NodeState(session, p, ("walk",))
+        every = EchelonBasis(a.n, p)
+        for j in s:
+            control._extend_state(state, session, j)
+            for col in session.columns(j, p):
+                every.insert(col)
+            assert (state.walk.pivots, state.walk.rows) == (every.pivots, every.rows)
+
+    def test_short_walk_makes_one_insert_past_its_rank(self, monkeypatch):
+        # K8 adjacency from {1}: e_1 and A e_1 grow the walk and A^2 e_1 does
+        # not, both modulo the prime and exactly, so each walk makes 3 inserts
+        inserts = {control._PRIME: 0, None: 0}
+        real = EchelonBasis.insert
+
+        def counting(basis, values):
+            if basis.ambient == 8:
+                inserts[basis.modulus] += 1
+            return real(basis, values)
+
+        monkeypatch.setattr(EchelonBasis, "insert", counting)
+        assert kalman_controllable(adjacency_matrix(complete_graph(8)), [1]) == (False, 2)
+        assert inserts == {control._PRIME: 3, None: 3}
+
+    def test_full_residue_walk_builds_no_exact_columns(self, monkeypatch):
+        # the walk of K8 random:7 from {1} is full modulo the prime, so the
+        # one-shot route reads residue columns alone
+        moduli = []
+        real = _Session.columns
+
+        def spying(session, j, modulus=None):
+            moduli.append(modulus)
+            return real(session, j, modulus)
+
+        monkeypatch.setattr(_Session, "columns", spying)
+        rep = analyze(build_matrix(complete_graph(8), "random:7"), (1,))
+        assert (rep.walk_rank, rep.p_span_dim, rep.lie_dim) == (8, 64, 64)
+        assert moduli and None not in moduli
 
     def test_walk_is_cleared_before_reduction(self, monkeypatch):
         monkeypatch.setattr(control, "_PRIME", 2)

@@ -25,6 +25,7 @@ from netctrl.control import _PRIME
 from netctrl.intlinalg import (
     EchelonBasis,
     PackedBasis,
+    clear_denominators,
     int_commutator,
     int_mat_mul,
     pack,
@@ -188,6 +189,50 @@ class TestIntegerCommutator:
         ab, ba = int_mat_mul(a, b), int_mat_mul(b, a)
         want = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
         assert int_commutator(a, b, sign) == want
+
+
+def _cleared_by_fractions(values):
+    """The primitive integer direction of a rational vector, by Fraction arithmetic.
+
+    Dividing by the first nonzero entry makes it 1; scaling by the lcm of
+    the denominators then gives integers whose gcd is 1 (a prime dividing
+    that lcm has an entry whose denominator it divides as often), with a
+    positive leading entry.
+    """
+    vec = [Fraction(x) for x in values]
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        return None
+    vec = [x / lead for x in vec]
+    scale = math.lcm(*(x.denominator for x in vec))
+    return tuple(int(x * scale) for x in vec)
+
+
+_rational_entries = st.one_of(
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.fractions(max_denominator=10**30),
+    st.sampled_from([0, Fraction(0), Fraction(-1, 10**40 + 1), Fraction(7, 2**64)]),
+)
+
+
+class TestClearDenominators:
+    """``clear_denominators`` against the Fraction reference."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_rational_entries, max_size=8))
+    def test_matches_the_fraction_reference(self, values):
+        assert clear_denominators(values) == _cleared_by_fractions(values)
+
+    @pytest.mark.parametrize("values, want", [
+        ([], None),
+        ([0, Fraction(0), 0], None),
+        ([Fraction(-3, 4), 2, 0], (3, -8, 0)),
+        ([0, -6, Fraction(9, 2)], (0, 4, -3)),
+        ([Fraction(1, 10**40 + 1), Fraction(1, 3)], (3, 10**40 + 1)),
+        ([4, 6, 8], (2, 3, 4)),
+    ], ids=["empty", "all-zero", "negative-lead", "zero-then-negative", "large-denominator", "content"])
+    def test_examples(self, values, want):
+        assert clear_denominators(values) == want == _cleared_by_fractions(values)
 
 
 class TestExactEchelonBasis:
@@ -469,6 +514,38 @@ class TestMatrixSpaceBasis:
         b = MatrixSpaceBasis(2)
         with pytest.raises(ValueError):
             b.insert(matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+
+    def test_nested_float_entries_are_read_exactly(self):
+        # nested input goes through matrix, so 0.5 is 1/2, not int(0.5) = 0
+        b = MatrixSpaceBasis(2)
+        assert b.insert([[0.5, 0], [0, 0]])
+        assert b.dim == 1
+        assert b.vectors() == ((1, 0, 0, 0),)
+
+    def test_nested_float_entries_keep_their_direction(self):
+        # 1.5 against 1 is the direction (3, 2), not the truncated (1, 1)
+        b = MatrixSpaceBasis(2)
+        assert b.insert([[1.5, 1], [0, 0]])
+        assert b.vectors() == ((1, Fraction(2, 3), 0, 0),)
+        assert b.contains([[3, 2], [0, 0]]) and not b.contains([[1, 1], [0, 0]])
+
+    def test_nested_fractional_entry_is_not_in_the_empty_span(self):
+        assert not MatrixSpaceBasis(2).contains([[0.3, 0], [0, 0]])
+
+    @pytest.mark.parametrize("bad", [None, "x", float("inf"), float("nan")])
+    def test_nested_entry_that_is_not_rational_raises_value_error(self, bad):
+        b = MatrixSpaceBasis(2)
+        for method in (b.insert, b.contains):
+            with pytest.raises(ValueError):
+                method([[bad, 0], [0, 0]])
+        assert b.dim == 0
+
+    def test_nested_input_of_the_wrong_shape_raises_value_error(self):
+        # four entries are not enough: the rows must be two of two
+        b = MatrixSpaceBasis(2)
+        for bad in ([[1, 2, 3, 4]], [[1, 2, 3], [4]], []):
+            with pytest.raises(ValueError):
+                b.insert(bad)
 
     def test_copy_is_independent(self):
         b = MatrixSpaceBasis(2)
