@@ -22,14 +22,16 @@ it grows each node of their prefix tree from its parent and returns the
 dimensions of every set.  The one-shot decisions grow one state along
 their set in ``_dimensions``, which also reads the walk's basis.
 
-Every reported number is exact.  The walk and the product span are
-first grown modulo one fixed prime, on integer-scaled data, the walk from
-residue powers alone (``_Session.columns``): each element found there
-reduces an integer combination of genuine elements, so a
-dimension there is at most the rational one, a full one is exact, and only
-a short one is recomputed exactly (``_dimensions``).  The prime is 32,749,
-the largest whose residue products fit one 30-bit CPython digit, so a
-residue, the product of two and each slot of a packed product
+Every power A^k e_j the package reads over the integers, for the walk,
+the distance powers and the Lie engine's hub walk, is stepped by one
+generator, ``_walk``, as its reader draws it.  Every reported number is
+exact.  The walk and the product span are first grown modulo one fixed
+prime, on integer-scaled data, the walk from residue powers alone: each
+element found there reduces an integer combination of genuine elements,
+so a dimension there is at most the rational one, a full one is exact,
+and only a short one is recomputed exactly (``_dimensions``).  The prime
+is 32,749, the largest whose residue products fit one 30-bit CPython
+digit, so a residue, the product of two and each slot of a packed product
 (``intlinalg.PackedBasis``) are all one digit.  The Lie closure runs over
 the integers alone (``_LieEngine``).
 """
@@ -240,13 +242,38 @@ def _control_set(a: PatternMatrix, s) -> tuple:
     return members
 
 
-def _int_rows(m: RationalMatrix):
-    """``m`` scaled to a primitive integer matrix of row tuples; None if zero."""
+def _int_rows(m: RationalMatrix) -> tuple:
+    """``m`` scaled to a primitive integer matrix of row tuples; all zero if ``m`` is."""
     flat = intlinalg.clear_denominators([x for row in m.entries for x in row])
-    if flat is None:
-        return None
     k = m.cols
     return tuple(flat[i * k : (i + 1) * k] for i in range(m.rows))
+
+
+def _walk(a, j: int, modulus=None):
+    """e_j, A e_j, A^2 e_j, ... for the integer rows ``a`` of A and a 0-based j.
+
+    The one loop that steps these powers; each reader draws them as it
+    reads, so a power past the last one read is never made.  Exactly
+    (``modulus`` None) each power is made primitive before A multiplies it,
+    so the k-th is a nonzero multiple of A^k e_j.  Modulo a prime p, ``a``
+    is reduced once per call and each power is A times the last modulo p:
+    the residue of the integer vector a^k e_j, itself a multiple of
+    A^k e_j, with no exact power made.  The walk stops before the first
+    zero power (modulo p: zero there), since every later one is zero too,
+    and after n vectors.
+    """
+    if modulus is not None:
+        a = [[x % modulus for x in row] for row in a]
+    v = (0,) * j + (1,) + (0,) * (len(a) - j - 1)
+    yield v
+    for _ in range(len(a) - 1):
+        if modulus is None:
+            v = intlinalg.primitive([sum(map(mul, row, v)) for row in a])
+        else:
+            v = tuple(sum(map(mul, row, v)) % modulus for row in a)
+        if v is None or not any(v):
+            return
+        yield v
 
 
 def walk_matrix(a: PatternMatrix, s) -> RationalMatrix:
@@ -411,9 +438,11 @@ class _LieEngine:
     A^2 e_j, A^3 e_j, ... beside A's own hub row u_1, with no bracket, no
     Lie-basis insert and no queued pair, until the goal's rank, a zero
     power or a step that does not grow the hub rows (a power in the span
-    of u_0 ... u_k keeps every later one there).  On the complete graphs
-    every step grows the hub rows, and with one control vertex the closure
-    is certified with its elements still A and E_jj.  The walk lies in the
+    of u_0 ... u_k keeps every later one there).  It draws them from
+    ``_walk`` on ``a``, the dense rows of the first generator, kept for
+    it.  On the complete graphs every step grows the hub rows, and with one
+    control vertex the closure is certified with its elements still A and
+    E_jj.  The walk lies in the
     Krylov space of e_j alone, so it stalls whenever that space is smaller
     than K, as well as on every closure short of its goal (the paper's
     example b); then the closure goes on by the queue rule from its
@@ -429,7 +458,7 @@ class _LieEngine:
     (``bench/spans.py`` attributes inserts by it).
     """
 
-    __slots__ = ("side", "goal", "bases", "dim", "elems", "gens", "pending", "hub", "hub_rows")
+    __slots__ = ("side", "goal", "bases", "dim", "elems", "gens", "a", "pending", "hub", "hub_rows")
 
     def __init__(self, side: int, goal=None):
         self.side = side
@@ -438,6 +467,7 @@ class _LieEngine:
         self.dim = 0
         self.elems: list = []
         self.gens: list = []
+        self.a = None
         self.pending = deque()
         self.hub = None
         self.hub_rows = None
@@ -450,6 +480,7 @@ class _LieEngine:
         dup.dim = self.dim
         dup.elems = list(self.elems)
         dup.gens = list(self.gens)
+        dup.a = self.a
         dup.pending = deque(self.pending)
         dup.hub = self.hub
         dup.hub_rows = None if self.hub_rows is None else self.hub_rows.copy()
@@ -570,22 +601,19 @@ class _LieEngine:
         self.pending.clear()
         return True
 
-    def _hub_walk(self, a):
-        """A^2 e_j, A^3 e_j, ... with j the hub and A as ``gens`` holds it, entry j dropped.
+    def _hub_walk(self):
+        """A^2 e_j, A^3 e_j, ... with j the hub, entry j dropped, drawn from ``_walk`` on ``a``.
 
         ``_offer`` feeds these rows to ``hub_rows`` once it has made j the
-        hub.  Each power is made primitive before A multiplies it.  The
-        walk stops at a zero power, at a step that did not grow
+        hub.  The walk stops at a zero power, at a step that did not grow
         ``hub_rows``, or once they reach the goal's rank.
         """
         j, rank = self.hub, self.goal[0]
-        u = [0] * self.side
-        for c, v in a[j]:
-            u[c] = v
+        powers = itertools.islice(_walk(self.a, j), 2, None)
         dim = -1
         while dim < self.hub_rows.dim < rank:
             dim = self.hub_rows.dim
-            u = intlinalg.primitive([sum([v * u[c] for c, v in row]) for row in a])
+            u = next(powers, None)
             if u is None:
                 return
             yield u[:j] + u[j + 1:]
@@ -608,13 +636,15 @@ class _LieEngine:
             projector = len(support) == 1 and i == j
             hub = j if projector and self.hub is None else None
             # with no hub yet, no projector is in, so gens[0] is A
-            walk = self._hub_walk(self.gens[0]) if full and hub is not None and self.gens else ()
+            walk = self._hub_walk() if full and hub is not None and self.gens else ()
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
             grew = self._offer(_SYM, packed, residue=False, hub=hub, walk=walk)
             if not grew:
                 continue
+            if not self.gens:
+                self.a = gen
             self.gens.append(j if projector else [[(a, v) for a, v in enumerate(row) if v] for row in gen])
             g = len(self.gens) - 1
             self._queue(((g, e) for e in range(len(self.elems) - 1)), full and grew == 2)
@@ -674,12 +704,15 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
       ``vectors()``, ``matrices()`` and ``==`` read.
 
     Raises:
-      ValueError: no generators, a generator that is not a matrix of
-        rationals (``linalg.matrix``), mismatched sides, a generator that is
-        not symmetric, a cap that is not a positive int, or order over
-        max_order.
+      ValueError: generators that are not an iterable, no generators, a
+        generator that is not a matrix of rationals (``linalg.matrix``),
+        mismatched sides, a generator that is not symmetric, a cap that is
+        not a positive int, or order over max_order.
     """
-    mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
+    try:
+        mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
+    except TypeError:  # not an iterable: ``matrix`` itself raises ValueError
+        raise ValueError(f"generators must be an iterable of matrices, got {generators!r}") from None
     if not mats:
         raise ValueError("need at least one generator")
     n = mats[0].rows
@@ -695,7 +728,7 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     _warn_if_past_default(n)
     engine = _LieEngine(n)
-    dim = engine.extend([g for g in map(_int_rows, mats) if g is not None], cap)
+    dim = engine.extend(map(_int_rows, mats), cap)
     if dim == n * n:
         return dim, MatrixSpaceBasis.full(n)
     basis = MatrixSpaceBasis(n)
@@ -723,47 +756,19 @@ _PARTS = ("walk", "pspan", "lie")
 class _Session:
     """Integer data shared by every control set of one matrix.
 
-    ``int_a`` is A scaled to a primitive integer matrix, None for A = 0.
-    ``columns(j)`` is the walk of vertex j, built once on demand: e_j, then
-    each A v made primitive, n vectors at most.  Each is a nonzero multiple
-    of a walk-matrix column A^k e_j, so they span what block j spans and
-    their outer products span its products.  Once a power is zero every
-    later one is too, and those are left out.  ``columns(j, p)`` is the
-    residue walk: ``int_a`` reduced modulo p once, then v <- A v mod p from
-    e_j, with no exact column built.  Each is the residue of the integer
-    vector int_a^k e_j, a multiple of A^k e_j, so a full rank of these
-    proves a full walk; a power zero modulo p ends it, as every later one
-    is zero too, and the walk there is short and so recomputed exactly.
+    ``int_a`` is A scaled to a primitive integer matrix (all zero for
+    A = 0).  It holds no walk: each reader steps the powers of A it reads
+    from ``int_a`` with ``_walk``.  ``defects`` keeps the distance-power
+    defects of the matrix once a sweep has read them.
     """
 
-    __slots__ = ("a", "n", "int_a", "_cols", "_defects")
+    __slots__ = ("a", "n", "int_a", "_defects")
 
     def __init__(self, a: PatternMatrix):
         self.a = a
         self.n = a.n
         self.int_a = _int_rows(a.matrix)
-        self._cols: dict = {}
         self._defects = None
-
-    def columns(self, j: int, modulus=None) -> tuple:
-        cols = self._cols.get((j, modulus))
-        if cols is not None:
-            return cols
-        a, p = self.int_a, modulus
-        if a is not None and p is not None:
-            a = [[x % p for x in row] for row in a]
-        v = tuple(int(i == j - 1) for i in range(self.n))
-        cols = [v]
-        for _ in range(self.n - 1 if a is not None else 0):
-            if p is None:
-                v = intlinalg.primitive([sum(map(mul, row, v)) for row in a])
-            else:
-                v = tuple(sum(map(mul, row, v)) % p for row in a)
-            if v is None or not any(v):
-                break
-            cols.append(v)
-        cols = self._cols[j, modulus] = tuple(cols)
-        return cols
 
     def defects(self) -> tuple:
         """``distance_power_defects`` of the matrix, computed once."""
@@ -797,7 +802,7 @@ class _NodeState:
             self.pspan = (intlinalg.EchelonBasis(n * n) if modulus is None
                           else intlinalg.PackedBasis(n * n, modulus))
         self.lie = _LieEngine(n) if "lie" in parts else None
-        if self.lie is not None and session.int_a is not None:
+        if self.lie is not None:
             self.lie.extend([session.int_a], n * n)
 
     def copy(self) -> "_NodeState":
@@ -811,16 +816,20 @@ class _NodeState:
 def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     """Grow a parent's bases by control vertex j.
 
-    The walk takes the columns of j up to the first that is already in its
-    span.  The parent's walk span W is mapped into itself by A (modulo p,
+    The walk draws the powers of j from ``_walk`` while it inserts them,
+    modulo the walk's prime when it has one, and stops at the first that
+    is already in its span, so no later power is made.  Each is a nonzero
+    multiple of A^k e_j (modulo p, the residue of one), so they span what
+    block j of the walk matrix spans and their outer products span its
+    products.  The parent's walk span W is mapped into itself by A (modulo p,
     by A's residue): the empty one is, and once A^k e_j lies in
     W' = W + span(e_j, ..., A^{k-1} e_j), A maps W' into W + span(A e_j,
-    ..., A^k e_j), inside W'; the same holds when the columns run out, at
-    rank n or at a zero power.  So no later column could grow the walk,
+    ..., A^k e_j), inside W'; the same holds when the powers run out, at
+    rank n or at a zero power.  So no later power could grow the walk,
     and it keeps the rows all of them give.
 
     The product span then grows from the walk's echelon rows, not from the
-    columns.  By bilinearity the outer products of the walk columns span
+    powers.  By bilinearity the outer products of the powers span
     what the outer products of any basis of their span do, so the span's
     new elements are the row-major flattenings of r_a r_b^T over the
     ordered pairs of walk rows with at least one of them new.  With pivots
@@ -838,8 +847,8 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     multiplication of packed walk rows.  Its lead slot is 1, since the walk
     rows are monic, and its lead is past every stored one, so the insert
     reads that slot and appends the lead; the span refuses a product out of
-    that order rather than reduce it.  The walk columns are read only when
-    the walk still grows, so a Lie-only state never builds them.
+    that order rather than reduce it.  The powers are drawn only when the
+    walk still grows, so a Lie-only state never steps one.
 
     The Lie closure grows after the walk.  Beside a short walk it cannot be
     full: the Krylov space of A from the control vertices is then proper,
@@ -854,7 +863,7 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     if walk is not None and walk.dim < n:
         # the rows the span has grown from: none modulo p, where it waits
         old = set(walk.pivots) if walk.modulus is None else ()
-        for col in session.columns(j, walk.modulus):
+        for col in _walk(session.int_a, j - 1, walk.modulus):
             if walk.insert(col) is None:
                 break
         grew = span is not None and len(old) < walk.dim
@@ -986,15 +995,14 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     dims = {name: getattr(state, name).dim for name in held}
     if "lie" in parts:
         r = dims["walk"]
-        delta = r < n and session.int_a is not None and not all(map(state.walk.contains, session.int_a))
+        delta = r < n and not all(map(state.walk.contains, session.int_a))
         goal = (r - 1, r * r + delta)
         if first == r:
             # the first control vertex's walk spans K: it is the certificate
             dims["lie"] = goal[1]
         else:
             _warn_if_past_default(n, stacklevel=4)
-            gens = [] if session.int_a is None else [session.int_a]
-            gens += [_projector_rows(n, j - 1) for j in members]
+            gens = [session.int_a] + [_projector_rows(n, j - 1) for j in members]
             dims["lie"] = _LieEngine(n, goal).extend(gens, n * n)
     return tuple(dims[name] for name in parts)
 
@@ -1224,22 +1232,29 @@ def distance_power_defects(a: PatternMatrix, session=None) -> tuple:
     For a connected pattern with same-sign off-diagonal entries every
     walk of minimal length d(k, j) contributes a product of one sign, so
     the entry cannot cancel and the result should be empty.  Pairs in
-    different components are skipped.  Returns a tuple of (k, j, d).
-    The walk columns are read from ``session``, a ``_Session`` of ``a``
-    (a fresh one by default), so a sweep builds them once per matrix.
+    different components are skipped.  Returns a tuple of (k, j, d) with
+    k < j, in ascending order.
+
+    Each vertex j is walked once: one breadth-first pass over the pattern
+    gives the layers of vertices at distance d = 0, 1, ... from j, and the
+    entry (k, j) for k in layer d is entry k of A^d e_j, which power d of
+    ``_walk`` holds up to a nonzero scale.  The powers are drawn layer by
+    layer, so none past the last layer is made, and they never run out
+    first: there are at most n layers, and A is symmetric, so A^d e_j is
+    zero only when A e_j is, when j has no neighbour and one layer.
+    The integer matrix is read from ``session``, a ``_Session`` of ``a``
+    (a fresh one by default).
     """
     n = _pattern(a).n
-    if session is None:
-        session = _Session(a)
+    int_a = (session or _Session(a)).int_a
+    nbrs = graphs.neighbours(a.pattern)
     defects = []
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            d = graphs.distance(a.pattern, k, j)
-            if d == float("inf"):
-                continue
-            # the entry is entry k of A^d e_j, which the walk column d of
-            # vertex j holds up to a nonzero scale (left out when zero)
-            cols = session.columns(j)
-            if d >= len(cols) or cols[d][k - 1] == 0:
-                defects.append((k, j, d))
-    return tuple(defects)
+    for j in range(2, n + 1):
+        before, layer = set(), {j}
+        for d, u in enumerate(_walk(int_a, j - 1)):
+            defects += [(k, j, d) for k in layer if k < j and not u[k - 1]]
+            # a neighbour of layer d lies in layer d - 1, d or d + 1
+            before, layer = layer, {w for v in layer for w in nbrs.get(v, ())} - layer - before
+            if not layer:
+                break
+    return tuple(sorted(defects))

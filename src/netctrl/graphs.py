@@ -223,14 +223,18 @@ def random_connected(n: int, edge_probability, seed: int, max_tries: int = 10_00
 
     ``edge_probability`` is an exact rational in (0, 1]; each candidate edge
     is kept with exactly that probability, so identical ``(n, p, seed)``
-    reproduce the identical graph.  Raises ValueError for a seed that is
-    not an int or a ``max_tries`` that is not an int >= 1, and
-    RuntimeError after ``max_tries`` rejections.
+    reproduce the identical graph.  Raises ValueError for a probability
+    that is not a rational in (0, 1], a seed that is not an int or a
+    ``max_tries`` that is not an int >= 1, and RuntimeError after
+    ``max_tries`` rejections.
     """
     _order(n)
     check_int(seed, "seed")
     check_int(max_tries, "max_tries", 1)
-    p = Fraction(edge_probability)
+    try:
+        p = Fraction(edge_probability)
+    except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
+        raise ValueError(f"edge probability must be a rational, got {edge_probability!r}") from None
     if not (0 < p <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     rng = random.Random(seed)

@@ -235,10 +235,9 @@ def connected_graphs(n: int):
     Yields in ascending edge-bitmask order over the sorted vertex pairs;
     exhaustive enumeration is limited to n <= 5 (2^10 masks).  The sweeps
     group them into isomorphism classes with ``_canonical_labeling``.
+    An order that is not an int in 1..5 raises ValueError.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > 5:
+    if graphs.check_int(n, "order", 1) > 5:
         raise ValueError("exhaustive enumeration is limited to n <= 5")
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for mask in range(1 << len(pairs)):

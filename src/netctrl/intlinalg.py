@@ -16,7 +16,7 @@ An echelon basis can also run modulo a prime.  For integer vectors the rank
 modulo p is at most the rank over the rationals, so a full rank found
 modulo p proves full rank over the rationals; a smaller one proves nothing.
 Its input may be residues already, which reduce the integer vectors they
-stand for: the modular walk (``control._Session.columns``) is made of
+stand for: the modular walk (``control._walk`` with a modulus) is made of
 residue powers alone, with no exact arithmetic.
 
 ``PackedBasis`` holds the product span modulo a prime, whose vectors are
@@ -56,16 +56,18 @@ def primitive(values) -> tuple:
 
 
 def clear_denominators(values) -> tuple:
-    """Scale a rational vector to a primitive integer vector (None if zero).
+    """Scale a rational vector to a primitive integer vector; a zero one stays zero.
 
     Each entry, an int or a ``Fraction``, is read once as the pair
     ``as_integer_ratio()`` gives, in lowest terms with a positive
     denominator; the entries are scaled by the lcm of the denominators
-    with integer arithmetic alone.
+    with integer arithmetic alone.  A zero vector comes back as integer
+    zeros, which lie in every span, so no caller tells it apart.
     """
     pairs = [x.as_integer_ratio() for x in values]
     scale = math.lcm(*[d for _, d in pairs])
-    return primitive([num * (scale // d) for num, d in pairs])
+    cleared = [num * (scale // d) for num, d in pairs]
+    return primitive(cleared) or tuple(cleared)
 
 
 class EchelonBasis:

@@ -140,8 +140,7 @@ def rank(m: RationalMatrix) -> int:
         raise ValueError(f"expected a RationalMatrix (see matrix), got {type(m).__name__}")
     basis = intlinalg.EchelonBasis(m.cols)
     for row in m.entries:
-        cleared = intlinalg.clear_denominators(row)
-        if cleared is not None and basis.insert(cleared) and basis.dim == m.cols:
+        if basis.insert(intlinalg.clear_denominators(row)) and basis.dim == m.cols:
             break
     return basis.dim
 
@@ -204,17 +203,11 @@ class MatrixSpaceBasis:
 
     def insert(self, m) -> bool:
         """Extend the span by a matrix; True iff the dimension grew."""
-        cleared = intlinalg.clear_denominators(self._vectorize(m))
-        if cleared is None:
-            return False
-        return self._inner.insert(cleared) is not None
+        return self._inner.insert(intlinalg.clear_denominators(self._vectorize(m))) is not None
 
     def contains(self, m) -> bool:
         """Exact span-membership test; does not mutate the basis."""
-        cleared = intlinalg.clear_denominators(self._vectorize(m))
-        if cleared is None:
-            return True
-        return self._inner.contains(cleared)
+        return self._inner.contains(intlinalg.clear_denominators(self._vectorize(m)))
 
     def vectors(self) -> tuple:
         """Basis as vectorized rational rows with leading entries 1."""
@@ -242,7 +235,23 @@ class MatrixSpaceBasis:
 # integers or "p/q" fractions, whitespace-separated.
 # ---------------------------------------------------------------------------
 
+def _entry(token: str) -> Fraction:
+    """``token`` read as ``[-]digits[/digits]``, its digits by ``parse_int``, with q > 0."""
+    num, slash, den = token.partition("/")
+    q = parse_int(den) if slash else 1
+    if q <= 0:  # the sign belongs to the numerator
+        raise ValueError(f"denominator must be positive: {token!r}")
+    return Fraction(parse_int(num), q)
+
+
 def parse_matrix(text: str) -> RationalMatrix:
+    """Read the matrix text format; ValueError on any other input.
+
+    Each entry is an integer or a fraction p/q, read by ``_entry``:
+    ASCII digits, a leading ``-`` on p alone and q > 0, so ``format_matrix``
+    output reads back exactly and nothing that ``Fraction`` alone would
+    also take (``1_0``, ``0.5``, ``-2e1``, other scripts' digits) passes.
+    """
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix document must start with 'rows cols'")
@@ -256,8 +265,8 @@ def parse_matrix(text: str) -> RationalMatrix:
     if len(body) != nrows * ncols:
         raise ValueError(f"expected {nrows * ncols} entries, got {len(body)}")
     try:
-        values = [Fraction(tok) for tok in body]
-    except (ValueError, ZeroDivisionError) as exc:
+        values = [_entry(tok) for tok in body]
+    except ValueError as exc:
         raise ValueError(f"malformed entry: {exc}") from None
     return RationalMatrix(
         tuple(tuple(values[i * ncols : (i + 1) * ncols]) for i in range(nrows))

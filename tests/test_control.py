@@ -41,8 +41,8 @@ from netctrl import (
 )
 from netctrl import control, harness
 from netctrl.control import _LieEngine, _Session, _packing, control_generators
-from netctrl.intlinalg import EchelonBasis, PackedBasis
-from netctrl.linalg import MatrixSpaceBasis, mat_mul
+from netctrl.intlinalg import EchelonBasis, PackedBasis, primitive
+from netctrl.linalg import MatrixSpaceBasis, mat_mul, mat_pow
 
 from . import oracles
 
@@ -450,6 +450,11 @@ class TestLieClosure:
     def test_no_generators_rejected(self):
         with pytest.raises(ValueError):
             lie_closure([])
+
+    def test_generators_that_are_not_an_iterable_rejected(self):
+        # once TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match=r"^generators must be an iterable of matrices, got 5$"):
+            lie_closure(5)
 
     def test_mismatched_sides_rejected(self):
         with pytest.raises(ValueError):
@@ -891,9 +896,9 @@ class TestHubWalk:
         walks = []
         real = _LieEngine._hub_walk
 
-        def recording(self, a):
+        def recording(self):
             walks.append([])
-            for row in real(self, a):
+            for row in real(self):
                 walks[-1].append(row)
                 # n - 2 rows that grow and one that does not, at most
                 assert len(walks[-1]) < self.side, "runaway walk"
@@ -1474,18 +1479,17 @@ class TestModularRoute:
     @settings(max_examples=60, deadline=None)
     @given(symmetric_strategy(max_side=5), st.sampled_from([2, 3, 5, control._PRIME]))
     def test_residue_walk_is_the_residue_powers(self, inst, p):
-        # columns(j, p) is A^k e_j modulo p, A the cleared integer matrix,
-        # from k = 0 up to the first power zero modulo p, n at most
+        # the residue walk of vertex j is A^k e_j modulo p, A the cleared
+        # integer matrix, from k = 0 up to the first power zero modulo p, n
+        # at most
         a, s = inst
         session = _Session(a)
         for j in s:
             want, v = [], [int(i == j - 1) for i in range(a.n)]
             while len(want) < a.n and any(x % p for x in v):
                 want.append(tuple(x % p for x in v))
-                if session.int_a is None:
-                    break
                 v = [sum(x * y for x, y in zip(row, v)) for row in session.int_a]
-            assert session.columns(j, p) == tuple(want), (j, p)
+            assert tuple(control._walk(session.int_a, j - 1, p)) == tuple(want), (j, p)
 
     @pytest.mark.parametrize("p", [control._PRIME, 2, 3, 5])
     def test_residue_walk_stops_at_a_power_zero_modulo_p(self, monkeypatch, p):
@@ -1496,7 +1500,7 @@ class TestModularRoute:
         entries = [[p, p], [p, 1]]
         a = pattern_matrix(entries)
         session = _Session(a)
-        assert session.columns(1, p) == ((1, 0),)
+        assert tuple(control._walk(session.int_a, 0, p)) == ((1, 0),)
         state = control._NodeState(session, p, ("walk",))
         control._extend_state(state, session, 1)
         assert state.walk.dim == 1
@@ -1517,7 +1521,7 @@ class TestModularRoute:
         every = EchelonBasis(a.n, p)
         for j in s:
             control._extend_state(state, session, j)
-            for col in session.columns(j, p):
+            for col in control._walk(session.int_a, j - 1, p):
                 every.insert(col)
             assert (state.walk.pivots, state.walk.rows) == (every.pivots, every.rows)
 
@@ -1538,15 +1542,15 @@ class TestModularRoute:
 
     def test_full_residue_walk_builds_no_exact_columns(self, monkeypatch):
         # the walk of K8 random:7 from {1} is full modulo the prime, so the
-        # one-shot route reads residue columns alone
+        # one-shot route steps residue powers alone
         moduli = []
-        real = _Session.columns
+        real = control._walk
 
-        def spying(session, j, modulus=None):
+        def spying(a, j, modulus=None):
             moduli.append(modulus)
-            return real(session, j, modulus)
+            return real(a, j, modulus)
 
-        monkeypatch.setattr(_Session, "columns", spying)
+        monkeypatch.setattr(control, "_walk", spying)
         rep = analyze(build_matrix(complete_graph(8), "random:7"), (1,))
         assert (rep.walk_rank, rep.p_span_dim, rep.lie_dim) == (8, 64, 64)
         assert moduli and None not in moduli
@@ -1574,7 +1578,85 @@ class TestModularRoute:
         assert modular.pivots == sorted(modular.pivots)
 
 
+class TestWalkGenerator:
+    """``control._walk``, the one loop that steps the powers A^k e_j."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_strategy(max_side=5), st.fractions(min_value=-3, max_value=3, max_denominator=4),
+           st.sampled_from([control._PRIME, 2, 3, 5]))
+    def test_yields_the_powers_up_to_the_first_zero_and_n_at_most(self, inst, scale, p):
+        a, s = inst
+        m = a.matrix.scale(scale)
+        entries = [list(row) for row in m.entries]
+        int_a = control._int_rows(m)
+        n = a.n
+        for j in s:
+            # exactly: a primitive multiple of each Fraction power A^k e_j
+            want, v = [], oracles.basis_vec(j, n)
+            while len(want) < n and any(v):
+                want.append(v)
+                v = oracles.mat_vec(entries, v)
+            got = list(control._walk(int_a, j - 1))
+            assert len(got) == len(want), j
+            for u, w in zip(got, want):
+                assert u == primitive(u)
+                assert oracles.frac_rank([u, w]) == 1
+            # modulo p: the residues of the cleared integer powers
+            want, v = [], [int(i == j - 1) for i in range(n)]
+            while len(want) < n and any(x % p for x in v):
+                want.append(tuple(x % p for x in v))
+                v = [sum(x * y for x, y in zip(row, v)) for row in int_a]
+            assert list(control._walk(int_a, j - 1, p)) == want, (j, p)
+
+    def test_steps_only_the_powers_the_walk_reads(self, monkeypatch):
+        # K8 adjacency from {1} has walk rank 2: e_1, A e_1 and A^2 e_1, in
+        # their span, are drawn in each route, so each steps 2 powers, not
+        # the 7 of a walk built in full
+        drawn = []
+        real = control._walk
+
+        def counting(a, j, modulus=None):
+            drawn.append([modulus, 0])
+            for v in real(a, j, modulus):
+                drawn[-1][1] += 1
+                yield v
+
+        monkeypatch.setattr(control, "_walk", counting)
+        rep = analyze(adjacency_matrix(complete_graph(8)), (1,))
+        assert (rep.walk_rank, rep.p_span_dim, rep.lie_dim) == (2, 4, 5)
+        assert drawn == [[control._PRIME, 3], [None, 3]]
+
+    def test_zero_matrix_walks_e_j_alone(self):
+        # A = 0 is an all-zero integer matrix, which the Lie engine skips
+        a = pattern_matrix([[0, 0], [0, 0]])
+        int_a = control._int_rows(a.matrix)
+        assert int_a == ((0, 0), (0, 0))
+        assert [list(control._walk(int_a, 1, p)) for p in (None, 2)] == [[(0, 1)]] * 2
+        for s in ((1,), (1, 2)):
+            assert lie_controllable(a, s)[1] == oracles.control_lie_dim_bruteforce([[0, 0], [0, 0]], s)
+        assert lie_closure([a.matrix])[0] == 0
+
+
 class TestDistancePowers:
+    @settings(max_examples=80, deadline=None)
+    @given(_sparse_symmetric())
+    def test_matches_fraction_powers_at_bfs_distances(self, inst):
+        entries, _ = inst
+        a = pattern_matrix(entries)
+        n = a.n
+        want = []
+        for k in range(1, n + 1):
+            dist, queue = {k: 0}, [k]
+            for u in queue:
+                for w in range(1, n + 1):
+                    if w != u and entries[u - 1][w - 1] and w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+            for j in range(k + 1, n + 1):
+                if j in dist and mat_pow(a.matrix, dist[j]).entries[k - 1][j - 1] == 0:
+                    want.append((k, j, dist[j]))
+        assert distance_power_defects(a) == tuple(want)
+
     def test_connected_same_sign_has_no_defects(self):
         for g in (path_graph(5), cycle_graph(6), complete_graph(4)):
             assert distance_power_defects(adjacency_matrix(g)) == ()

@@ -210,6 +210,13 @@ class TestRandomConnected:
         with pytest.raises(ValueError, match=rf"^max_tries must be an int >= 1, got {re.escape(repr(tries))}$"):
             random_connected(5, 1, seed=0, max_tries=tries)
 
+    # None once raised TypeError from Fraction(), and inf OverflowError
+    @pytest.mark.parametrize("prob, why", [(None, "a rational"), (float("inf"), "a rational"),
+                                           ("x", "a rational"), (0, "in"), ("3/2", "in")], ids=repr)
+    def test_probability_that_is_not_a_rational_in_range(self, prob, why):
+        with pytest.raises(ValueError, match=rf"^edge probability must be {why}"):
+            random_connected(5, prob, seed=1)
+
     def test_one_try_is_enough_when_it_connects(self):
         assert random_connected(4, 1, seed=0, max_tries=1) == complete_graph(4)
 

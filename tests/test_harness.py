@@ -136,6 +136,12 @@ class TestGraphEnumeration:
         with pytest.raises(ValueError):
             list(connected_graphs(6))
 
+    # once TypeError, on '<' between str and int, and in range() for 2.0
+    @pytest.mark.parametrize("order", [2.0, "3", None, True], ids=repr)
+    def test_rejects_an_order_that_is_not_an_int(self, order):
+        with pytest.raises(ValueError, match=rf"^order must be an int >= 1, got {re.escape(repr(order))}$"):
+            list(connected_graphs(order))
+
     def test_large_orders_are_seeded_samples(self):
         cfg = SweepConfig(max_order=6, matrix_kinds=("adjacency",), seed=1)
         first = [g for g in _iter_graphs(cfg) if g.order == 6]
@@ -259,10 +265,16 @@ class TestSharedEngine:
                     assert lie == {s: dims[2:] for s, dims in full.items()}, (g, kind)
 
     def test_lie_only_grow_never_reads_walk_columns(self, monkeypatch):
-        def refuse(session, j, modulus=None):
-            raise AssertionError("a Lie-only state read the walk columns")
+        # the Lie engine's hub walk draws from the same generator, so only
+        # a draw for the state's walk is refused
+        real = control._walk
 
-        monkeypatch.setattr(control._Session, "columns", refuse)
+        def refuse(a, j, modulus=None):
+            if sys._getframe(1).f_code.co_name == "_extend_state":
+                raise AssertionError("a Lie-only state read the walk columns")
+            return real(a, j, modulus)
+
+        monkeypatch.setattr(control, "_walk", refuse)
         for g in (path_graph(5), cycle_graph(5)):
             for kind in ("adjacency", "random:7"):
                 table = control._grow(_session(g, kind), _all_nonempty_subsets(5), parts=("lie",))
@@ -388,7 +400,7 @@ class TestOrbitRoute:
         assert len(built) == 1 + 1 + 4 + 38
 
     def test_one_session_per_matrix(self, monkeypatch):
-        # the distance powers read the walk columns of the session the
+        # the distance powers read the integer matrix of the session the
         # subset tree already built: one session per graph class for a
         # label-invariant kind, one per labeled graph otherwise
         built = []

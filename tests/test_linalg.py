@@ -197,12 +197,12 @@ def _cleared_by_fractions(values):
     Dividing by the first nonzero entry makes it 1; scaling by the lcm of
     the denominators then gives integers whose gcd is 1 (a prime dividing
     that lcm has an entry whose denominator it divides as often), with a
-    positive leading entry.
+    positive leading entry.  A zero vector is integer zeros.
     """
     vec = [Fraction(x) for x in values]
     lead = next((x for x in vec if x), None)
     if lead is None:
-        return None
+        return tuple(int(x) for x in vec)
     vec = [x / lead for x in vec]
     scale = math.lcm(*(x.denominator for x in vec))
     return tuple(int(x * scale) for x in vec)
@@ -224,8 +224,8 @@ class TestClearDenominators:
         assert clear_denominators(values) == _cleared_by_fractions(values)
 
     @pytest.mark.parametrize("values, want", [
-        ([], None),
-        ([0, Fraction(0), 0], None),
+        ([], ()),
+        ([0, Fraction(0), 0], (0, 0, 0)),
         ([Fraction(-3, 4), 2, 0], (3, -8, 0)),
         ([0, -6, Fraction(9, 2)], (0, 4, -3)),
         ([Fraction(1, 10**40 + 1), Fraction(1, 3)], (3, 10**40 + 1)),
@@ -592,6 +592,14 @@ class TestMatrixText:
             parse_matrix("0 2\n")
         with pytest.raises(ValueError):
             parse_matrix("1 1\n1/0")
+
+    # Fraction() alone took the first six, and built a 3.3-million-bit
+    # integer for 1e1000000
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661", "0.5", "-2e1", "+1", "1e1000000",
+                                       "1/2/3", "1/0", "3/-4", "-"], ids=repr)
+    def test_refuses_an_entry_outside_the_grammar(self, entry):
+        with pytest.raises(ValueError, match=r"^malformed entry: "):
+            parse_matrix(f"1 2\n1 {entry}")
 
     @settings(max_examples=60)
     @given(matrix_strategy())
