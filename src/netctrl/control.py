@@ -28,12 +28,15 @@ generator, ``_walk``, as its reader draws it.  Every reported number is
 exact.  The walk and the product span are first grown modulo one fixed
 prime, on integer-scaled data, the walk from residue powers alone: each
 element found there reduces an integer combination of genuine elements,
-so a dimension there is at most the rational one, a full one is exact,
-and only a short one is recomputed exactly (``_dimensions``).  The prime
-is 32,749, the largest whose residue products fit one 30-bit CPython
-digit, so a residue, the product of two and each slot of a packed product
-(``intlinalg.PackedBasis``) are all one digit.  The Lie closure runs over
-the integers alone (``_LieEngine``).
+so a dimension there is at most the rational one and a full walk is
+exact.  A short walk is regrown exactly, alone: the modular span beside
+a walk of rank r_p is r_p^2, at most the rational one, which is at most
+r^2 for the exact rank r, so that span is kept when r = r_p, and only
+after a false short (r_p < r) is the exact span grown (``_dimensions``).
+The prime is 32,749, the largest whose residue products fit one 30-bit
+CPython digit, so a residue, the product of two and each slot of a packed
+product (``intlinalg.PackedBasis``) are all one digit.  The Lie closure
+runs over the integers alone (``_LieEngine``).
 """
 
 from __future__ import annotations
@@ -258,19 +261,20 @@ def _walk(a, j: int, modulus=None):
     so the k-th is a nonzero multiple of A^k e_j.  Modulo a prime p, ``a``
     is reduced once per call and each power is A times the last modulo p:
     the residue of the integer vector a^k e_j, itself a multiple of
-    A^k e_j, with no exact power made.  The walk stops before the first
-    zero power (modulo p: zero there), since every later one is zero too,
-    and after n vectors.
+    A^k e_j, with no exact power made.  The first power, A e_j, is row j
+    of ``a`` (A is symmetric), read with no multiplication.  The walk stops
+    before the first zero power (modulo p: zero there), since every later
+    one is zero too, and after n vectors.
     """
     if modulus is not None:
         a = [[x % modulus for x in row] for row in a]
     v = (0,) * j + (1,) + (0,) * (len(a) - j - 1)
     yield v
-    for _ in range(len(a) - 1):
+    for k in range(1, len(a)):
         if modulus is None:
-            v = intlinalg.primitive([sum(map(mul, row, v)) for row in a])
+            v = intlinalg.primitive([sum(map(mul, row, v)) for row in a] if k > 1 else a[j])
         else:
-            v = tuple(sum(map(mul, row, v)) % modulus for row in a)
+            v = tuple(sum(map(mul, row, v)) % modulus for row in a) if k > 1 else tuple(a[j])
         if v is None or not any(v):
             return
         yield v
@@ -605,8 +609,10 @@ class _LieEngine:
         """A^2 e_j, A^3 e_j, ... with j the hub, entry j dropped, drawn from ``_walk`` on ``a``.
 
         ``_offer`` feeds these rows to ``hub_rows`` once it has made j the
-        hub.  The walk stops at a zero power, at a step that did not grow
-        ``hub_rows``, or once they reach the goal's rank.
+        hub.  ``_walk`` reads the A e_j it skips off row j of ``a``, so the
+        first power it steps is A^2 e_j.  The walk stops at a zero power, at
+        a step that did not grow ``hub_rows``, or once they reach the goal's
+        rank.
         """
         j, rank = self.hub, self.goal[0]
         powers = itertools.islice(_walk(self.a, j), 2, None)
@@ -786,10 +792,11 @@ class _NodeState:
     so a caller pays only for what it reads.  The span grows from the
     walk's echelon rows, so the walk is kept whenever the span is.  With a
     prime ``modulus`` the walk and the span run modulo it and carry it, the
-    span as an append-only ``intlinalg.PackedBasis``, and only what can
-    come out full is grown there (``_dimensions``).  The Lie part is always
-    exact, and a short walk caps it (``_extend_state``), so it is held only
-    beside an exact walk or none.
+    span as an append-only ``intlinalg.PackedBasis`` that grows once, from
+    every walk row, when the set's last vertex goes in (``_extend_state``),
+    whether the walk is full or short.  The Lie part is always exact, and
+    a short walk caps it (``_extend_state``), so it is held only beside an
+    exact walk or none.
     """
 
     __slots__ = ("walk", "pspan", "lie")
@@ -797,10 +804,8 @@ class _NodeState:
     def __init__(self, session: _Session, modulus=None, parts=_PARTS):
         n = session.n
         self.walk = intlinalg.EchelonBasis(n, modulus) if {"walk", "pspan"} & set(parts) else None
-        self.pspan = None
-        if "pspan" in parts:
-            self.pspan = (intlinalg.EchelonBasis(n * n) if modulus is None
-                          else intlinalg.PackedBasis(n * n, modulus))
+        self.pspan = None if "pspan" not in parts else (
+            intlinalg.EchelonBasis(n * n) if modulus is None else intlinalg.PackedBasis(n * n, modulus))
         self.lie = _LieEngine(n) if "lie" in parts else None
         if self.lie is not None:
             self.lie.extend([session.int_a], n * n)
@@ -813,7 +818,7 @@ class _NodeState:
         return dup
 
 
-def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
+def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = True) -> None:
     """Grow a parent's bases by control vertex j.
 
     The walk draws the powers of j from ``_walk`` while it inserts them,
@@ -841,14 +846,20 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     So every insert grows and none makes a row operation, and the span's
     dimension is the square of the walk's.
     Modulo p each product is the reduction of an integer element of the
-    span, so a full span proves the rational one there too; it needs a full
-    walk, so it waits for one and then grows from all its rows in one
-    batch.  There the span is a ``PackedBasis``: each product is one
-    multiplication of packed walk rows.  Its lead slot is 1, since the walk
-    rows are monic, and its lead is past every stored one, so the insert
-    reads that slot and appends the lead; the span refuses a product out of
-    that order rather than reduce it.  The powers are drawn only when the
-    walk still grows, so a Lie-only state never steps one.
+    span, so the r_p^2 products of a modular walk of rank r_p prove a
+    rational span of at least r_p^2 (``_dimensions`` reads when that is
+    all of it).  That span grows once, from every walk row in one batch,
+    in the call that adds the set's ``last`` vertex, with the walk full or
+    short; an earlier call grows the modular walk alone.  There the span
+    is a ``PackedBasis``: each product is one multiplication of packed
+    walk rows.  Its lead slot is 1, since the walk rows are monic, and its
+    lead is past every stored one, so the insert reads that slot and
+    appends the lead; the span refuses a product out of that order rather
+    than reduce it.  The batch is made here, not in a helper, so each span
+    insert keeps this call site, which ``bench/test_bench.py`` and
+    ``tests/test_bench_hooks.py`` attribute inserts by.  An exact span
+    ignores ``last``.  The powers are drawn only when the walk still
+    grows, so a Lie-only state never steps one.
 
     The Lie closure grows after the walk.  Beside a short walk it cannot be
     full: the Krylov space of A from the control vertices is then proper,
@@ -861,26 +872,24 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     n = session.n
     walk, span = state.walk, state.pspan
     if walk is not None and walk.dim < n:
-        # the rows the span has grown from: none modulo p, where it waits
-        old = set(walk.pivots) if walk.modulus is None else ()
+        old = set(walk.pivots)
         for col in _walk(session.int_a, j - 1, walk.modulus):
             if walk.insert(col) is None:
                 break
-        grew = span is not None and len(old) < walk.dim
-        if grew and walk.modulus is None:
+        if span is not None and walk.modulus is None and len(old) < walk.dim:
             rows = [(c in old, row) for c, row in zip(walk.pivots, walk.rows)]
             for old_a, r_a in rows:
                 for old_b, r_b in rows:
                     if not (old_a and old_b):
                         span.insert([x * y for x in r_a for y in r_b])
-        elif grew and walk.dim == n:
-            # slot a·n + b of left * right is r_a[a]·r_b[b] < p^2, one slot each
-            w = span.width
-            rights = [intlinalg.pack(r_b, w) for r_b in walk.rows]
-            for r_a in walk.rows:
-                left = intlinalg.pack(r_a, n * w)
-                for right in rights:
-                    span.insert(left * right)
+    if span is not None and walk.modulus is not None and last:
+        # slot a·n + b of left * right is r_a[a]·r_b[b] < p^2, one slot each
+        w = span.width
+        rights = [intlinalg.pack(r_b, w) for r_b in walk.rows]
+        for r_a in walk.rows:
+            left = intlinalg.pack(r_a, n * w)
+            for right in rights:
+                span.insert(left * right)
     if state.lie is not None:
         short = walk is not None and walk.dim < n
         state.lie.extend([_projector_rows(n, j - 1)], n * n - 1 if short else n * n)
@@ -922,14 +931,21 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     The one place that chooses between the modular and the exact route of
     the walk and the span, and the decisions' one check of the Lie-closure
     cap, made before any work when ``parts`` names the Lie part.  The rule:
-    modulo the prime a dimension is at most the rational one, so a full
-    one (walk rank n, span n^2) is exact there, and only a short one is
-    recomputed exactly.  The walk stages grow one state along ``members``
-    by ``_extend_state``:
+    modulo the prime the walk rank r_p is at most the rational one r, so a
+    full modular walk is exact, and only a short one is regrown exactly,
+    alone.  The span needs no exact stage when r = r_p: the r_p^2 packed
+    products of the modular walk's rows have distinct leads, so they prove
+    a rational span of at least r_p^2, and every product of walk columns
+    lies in K ⊗ K, of dimension r^2.  So the exact span is grown only
+    after a false short (r_p < r), which grows the exact walk once more
+    beside it; at ``_PRIME`` none turned up among 4,786 exact walks, and
+    CI's "Modular false short at order 40" makes one on purpose.  The walk
+    stages grow states along ``members`` by ``_extend_state``:
 
-    1. Modulo the prime, the walk, and in the same state the span when it
-       is asked, which waits for a full walk (``_extend_state``).
-    2. Exactly, the walk and the span when the walk came out short.
+    1. Modulo the prime, the walk, and in the same state the packed span
+       when it is asked, from every walk row once the last member is in.
+    2. Exactly, the walk alone when the modular walk came out short; then,
+       after a false short with the span asked, the walk and the span.
     3. For the Lie part, its goal from the walk rank r and delta
        (``_LieEngine``, lemma 1): delta is 1 exactly when some row of A
        (A is symmetric) lies outside the exact walk's span K, and 0 when
@@ -981,18 +997,22 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
 
     def grown(modulus, held) -> tuple:
         """The state grown along ``members``, and its walk rank after the first."""
-        state = _NodeState(session, modulus, held)
-        _extend_state(state, session, members[0])
-        first = state.walk.dim
-        for j in members[1:]:
-            _extend_state(state, session, j)
+        state, first = _NodeState(session, modulus, held), None
+        for j in members:
+            _extend_state(state, session, j, j == members[-1])
+            first = first or state.walk.dim
         return state, first
 
     held = ("walk", "pspan") if "pspan" in parts else ("walk",)
     state, first = grown(_PRIME, held)
-    if state.walk.dim < n:
-        state, first = grown(None, held)
     dims = {name: getattr(state, name).dim for name in held}
+    if dims["walk"] < n:
+        state, first = grown(None, ("walk",))
+        if "pspan" in held and state.walk.dim > dims["walk"]:
+            # a false short: the packed span proves only its own square
+            state, first = grown(None, held)
+            dims["pspan"] = state.pspan.dim
+        dims["walk"] = state.walk.dim
     if "lie" in parts:
         r = dims["walk"]
         delta = r < n and not all(map(state.walk.contains, session.int_a))
@@ -1029,13 +1049,18 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     The engine grows their span from the row-major outer products of the
     walk's echelon rows, one per ordered pair, so it has dimension
     walk_rank^2 (``_extend_state``).  The result is exact
-    (``_dimensions``); modulo the prime the span waits for a full walk and
-    then takes each product as one multiplication of packed rows into an
-    append-only span that keeps only their leads
-    (``intlinalg.PackedBasis``): path-40 with a ``random:7`` matrix from
-    S = {1}, 1,600 products, takes about 0.03 s (min of 5 CPU runs, 2-CPU
-    x86, Python 3.11), against 0.08 s with the two-digit slots of a prime
-    near 2^30.
+    (``_dimensions``).  Modulo the prime the span grows beside every walk,
+    full or short, once the last control vertex is in: it takes each
+    product as one multiplication of packed rows into an append-only span
+    that keeps only their leads (``intlinalg.PackedBasis``).  Path-40 with
+    a ``random:7`` matrix from S = {1}, 1,600 products, takes about 0.03 s
+    (min of 5 CPU runs, 2-CPU x86, Python 3.11), against 0.08 s with the
+    two-digit slots of a prime near 2^30.  That span is kept unless the
+    exact walk rank exceeds the modular one, so only such a false short
+    grows the exact span: on the adjacency matrix of cycle-40 from {1, 5},
+    whose walk has rank 37 both ways, the call takes 47 to 49 ms against
+    160 to 167 ms with the 1,369 products formed exactly (min of 7 CPU
+    runs, two processes, same host).
 
     Raises:
       ValueError: empty control set or labels out of range.

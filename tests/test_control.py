@@ -8,7 +8,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netctrl import (
@@ -41,7 +41,7 @@ from netctrl import (
 )
 from netctrl import control, harness
 from netctrl.control import _LieEngine, _Session, _packing, control_generators
-from netctrl.intlinalg import EchelonBasis, PackedBasis, primitive
+from netctrl.intlinalg import EchelonBasis, primitive
 from netctrl.linalg import MatrixSpaceBasis, mat_mul, mat_pow
 
 from . import oracles
@@ -1401,7 +1401,10 @@ class TestModularRoute:
         grown = self._spy_on_states(monkeypatch)
         # at the working prime: a path of order 24 whose edge (12, 13) has
         # weight p is cut there modulo p, so the walk from vertex 1 stops at
-        # rank 12; exactly it is full, and so is the span
+        # rank 12; exactly it is full, and so is the span.  The packed span
+        # beside the modular walk has 144 products; the exact walk alone
+        # comes next, and since it is longer (a false short) the exact walk
+        # and span are grown once more
         p, n = control._PRIME, 24
         path = [[0] * n for _ in range(n)]
         for v in range(n - 1):
@@ -1410,31 +1413,34 @@ class TestModularRoute:
         assert kalman_controllable(a, [1]) == (True, n)
         assert p_span_dim(a, [1]) == n * n
         assert grown() == [(p, {"walk": 12}), (None, {"walk": n}),
-                           (p, {"walk": 12, "pspan": 0}), (None, {"walk": n, "pspan": n * n})]
+                           (p, {"walk": 12, "pspan": 144}), (None, {"walk": n}),
+                           (None, {"walk": n, "pspan": n * n})]
         monkeypatch.setattr(control, "_PRIME", 2)
         # A e_1 = (1, 2) is e_1 modulo 2, yet the walk rank is 2
         a = pattern_matrix([[1, 2], [2, 1]])
         assert kalman_controllable(a, [1]) == (True, 2)
-        assert grown()[4:] == [(2, {"walk": 1}), (None, {"walk": 2})]
+        assert grown()[5:] == [(2, {"walk": 1}), (None, {"walk": 2})]
         assert p_span_dim(a, [1]) == 4
         lie_runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
-        # the span shares the walk's state modulo p but waits there for a
-        # full walk, so it cannot come out full; the Lie part reads the
-        # exact walk, where vertex 1 alone has rank 2 = r, so it builds no
-        # engine (``_dimensions``)
-        assert grown()[6:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
-                               (2, {"walk": 1}), (None, {"walk": 2})]
+        # a false short again: the packed span of the rank-1 modular walk
+        # proves 1 alone, so the exact span is grown; the Lie part reads
+        # the exact walk, where vertex 1 alone has rank 2 = r, so it builds
+        # no engine (``_dimensions``)
+        assert grown()[7:] == [(2, {"walk": 1, "pspan": 1}), (None, {"walk": 2}),
+                               (None, {"walk": 2, "pspan": 4}), (2, {"walk": 1}), (None, {"walk": 2})]
         assert lie_runs == []
 
     @pytest.mark.parametrize("g, kind, s, modular, exact", [
-        (cycle_graph(8), "adjacency", (1,), 0, 25),
+        (cycle_graph(8), "adjacency", (1,), 25, 0),
         (cycle_graph(6), "random:1", (1, 4), 36, 0),
     ], ids=["C8-short-walk", "C6-random:1-full-walk"])
-    def test_modular_span_grows_only_beside_a_full_walk(self, monkeypatch, g, kind, s, modular, exact):
-        # cycle-8 from one vertex has walk rank 5: a modular span beside it
-        # has 25 < 64 elements and cannot certify, so only the exact stage
-        # grows one; a full walk grows all 36 modulo p and no exact one
+    def test_packed_span_kept_at_exact_rank(self, monkeypatch, g, kind, s, modular, exact):
+        # cycle-8 from one vertex has walk rank 5, modulo the prime and
+        # exactly: the 25 packed products prove a span of at least 25, and
+        # the walk's products lie in K ⊗ K, of dimension 25, so the packed
+        # span is kept and no exact product is formed; a full walk grows
+        # all 36 modulo p and no exact one either
         a = build_matrix(g, kind)
         inserts = {None: 0, control._PRIME: 0}
         real = EchelonBasis.insert
@@ -1449,15 +1455,19 @@ class TestModularRoute:
         assert inserts == {control._PRIME: modular, None: exact}
         assert rep.p_span_dim == rep.walk_rank ** 2 == modular + exact
 
-    # products grown modulo 2, 3 and 5: a walk short modulo p grows none
+    # (packed, exact) span inserts modulo 2, 3 and 5: r_p^2 packed ones
+    # beside every modular walk of rank r_p, and r^2 exact ones only after
+    # a false short, where the exact rank r is larger
     @pytest.mark.parametrize("g, kind, s, grows", [
-        (path_graph(4), "random:3", (1,), [0, 0, 16]), (cycle_graph(5), "random:3", (1,), [0, 0, 25]),
-        (cycle_graph(6), "random:1", (1, 4), [0, 36, 36]), (complete_graph(4), "adjacency", (1, 2), [0, 0, 0]),
+        (path_graph(4), "random:3", (1,), [(1, 16), (4, 16), (16, 0)]),
+        (cycle_graph(5), "random:3", (1,), [(4, 25), (4, 25), (25, 0)]),
+        (cycle_graph(6), "random:1", (1, 4), [(16, 36), (36, 0), (36, 0)]),
+        (complete_graph(4), "adjacency", (1, 2), [(9, 0), (9, 0), (9, 0)]),
     ], ids=["P4-random:3", "C5-random:3", "C6-random:1", "K4-12"])
     def test_packed_span_at_small_primes(self, monkeypatch, g, kind, s, grows):
-        # modulo 2, 3 and 5 the packed span grows all n^2 products beside a
-        # full modular walk and nothing beside a short one; either way the
-        # span's dimension is the literal products'
+        # P4 and C5 from {1} are full exactly but short modulo 2 and 3, and
+        # C6 from {1, 4} modulo 2; K4 from {1, 2} has rank 3 at every prime.
+        # Either way the span's dimension is the literal products'
         a = build_matrix(g, kind)
         want = oracles.pspan_dim_bruteforce([[int(x) for x in row] for row in a.matrix.entries], s)
         grown = []
@@ -1465,16 +1475,43 @@ class TestModularRoute:
 
         def counting(basis, values):
             row = real(basis, values)
-            if isinstance(basis, PackedBasis) and row is not None:
-                grown[-1] += 1
+            if basis.ambient == a.n * a.n and row is not None:
+                # [packed, exact]: only the exact span has no modulus
+                grown[-1][basis.modulus is None] += 1
             return row
 
         monkeypatch.setattr(EchelonBasis, "insert", counting)
         for p in (2, 3, 5):
             monkeypatch.setattr(control, "_PRIME", p)
-            grown.append(0)
+            grown.append([0, 0])
             assert p_span_dim(a, s) == want, p
-        assert grown == grows
+        assert list(map(tuple, grown)) == grows
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_strategy(max_side=5), st.sampled_from([control._PRIME, 2, 3, 5]))
+    @example((build_matrix(path_graph(4), "random:3"), (1,)), 2)
+    def test_packed_span_is_kept_unless_the_walk_was_a_false_short(self, inst, p):
+        # p_span_dim and analyze each grow the packed span beside the
+        # modular walk, of rank r_p; a short one is followed by the exact
+        # walk alone, of rank r, and only a false short (r_p < r) by the
+        # exact walk and span, whose r^2 is reported.  P4 random:3 modulo
+        # 2 is a false short: a packed span kept there would report 1
+        a, s = inst
+        entries = [list(r) for r in a.matrix.entries]
+        want = oracles.pspan_dim_bruteforce(entries, s)
+        r = oracles.walk_rank_bruteforce(entries, s)
+        for decide in (p_span_dim, lambda a, s: analyze(a, s).p_span_dim):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(control, "_PRIME", p)
+                grown = self._spy_on_states(mp)
+                assert decide(a, s) == want == r * r
+            r_p = grown()[0][1]["walk"]
+            route = [(p, {"walk": r_p, "pspan": r_p * r_p})]
+            if r_p < a.n:
+                route.append((None, {"walk": r}))
+            if r_p < r:
+                route.append((None, {"walk": r, "pspan": r * r}))
+            assert grown() == route, (p, r_p, r)
 
     @settings(max_examples=60, deadline=None)
     @given(symmetric_strategy(max_side=5), st.sampled_from([2, 3, 5, control._PRIME]))
