@@ -436,9 +436,8 @@ class _LieEngine:
     in which u_0 u_{k+1}^T has coefficient (-1)^k, so row j of X_k is
     +-u_{k+1} plus a combination of u_0 ... u_k.  With entry j dropped
     (u_0 = e_j drops to zero), the hub rows of X_0 ... X_k span what
-    u_1 ... u_{k+1} span.  So when a projector becomes the hub of a full
-    closure (cap n^2) with A, the first generator, already in,
-    ``_hub_walk`` feeds ``hub_rows`` with
+    u_1 ... u_{k+1} span.  So when a projector becomes the hub with A, the
+    first generator, already in, ``_offer`` feeds ``hub_rows`` with
     A^2 e_j, A^3 e_j, ... beside A's own hub row u_1, with no bracket, no
     Lie-basis insert and no queued pair, until the goal's rank, a zero
     power or a step that does not grow the hub rows (a power in the span
@@ -452,12 +451,13 @@ class _LieEngine:
     example b); then the closure goes on by the queue rule from its
     generators, and every (generator, element) pair is bracketed once.
 
-    Queue rule: in a full closure, an element whose hub row grew
+    Queue rule: in an uncapped closure, an element whose hub row grew
     ``hub_rows`` has its pairs queued at the front, the non-projector (A)
-    pairs on top; every other pair is queued as above.  With a cap below
-    n^2 no walk runs, the rank is not read and every pair is queued as
-    above, so a capped closure brackets in the same order as without the
-    hub rows.  ``hub_rows`` is fed in ``_offer`` only, the walk's rows
+    pairs on top; every other pair is queued as above.  A cap below n^2
+    serves only ``lie_closure``'s ``cap``: then ``hub_rows`` is fed but
+    never read, so nothing certifies and every pair is queued as above,
+    and a capped closure brackets in the same order as without the hub
+    rows.  ``hub_rows`` is fed in ``_offer`` only, the walk's rows
     included, so every Lie-basis and hub-row insert keeps one call site
     (``bench/spans.py`` attributes inserts by it).
     """
@@ -497,7 +497,7 @@ class _LieEngine:
             return [-packed[k] for k in left] + [packed[k] for k in right]
         return [packed[k] for k in left] + [packed[k] for k in right]
 
-    def _offer(self, parity: int, packed, residue: bool = True, hub=None, walk=()) -> int:
+    def _offer(self, parity: int, packed, residue: bool = True, hub=None) -> int:
         """Insert a packed element; keep it if the span grew.
 
         Returns 0 if the span did not grow, 2 if it did and a hub row grew
@@ -508,9 +508,11 @@ class _LieEngine:
         would.  Without it (a generator) it is kept as offered.  ``hub``,
         the 0-based j of a projector E_jj offered while the engine has no
         hub, makes j the hub if the span grows, and ``hub_rows`` then
-        starts from the hub rows of every kept element, then takes the rows
-        of ``walk`` (``_hub_walk``), which reads each insert before it
-        yields the next.
+        starts from the hub rows of every kept element.  With A in (``a``
+        set) they then take the hub walk A^2 e_j, A^3 e_j, ..., entry j
+        dropped, drawn from ``_walk`` on ``a`` (A e_j, A's own hub row, is
+        read off row j of ``a`` and skipped), until they reach the goal's
+        rank, at a zero power, or at a power that does not grow them.
         """
         row = self.bases[parity].insert(packed)
         if row is None:
@@ -521,7 +523,7 @@ class _LieEngine:
         if hub is not None:
             self.hub = hub
             self.hub_rows = intlinalg.EchelonBasis(self.side - 1)
-            rows = itertools.chain([self._hub_row(*e) for e in self.elems], walk)
+            rows = [self._hub_row(*e) for e in self.elems]
         elif self.hub_rows is not None:
             rows = (self._hub_row(*elem),)
         else:
@@ -530,6 +532,15 @@ class _LieEngine:
         for r in rows:
             if any(r) and self.hub_rows.insert(r) is not None:
                 grew = 2
+        if hub is not None and self.a is not None:
+            # grew is 2 already if any walk row can grow the hub rows: A's
+            # row u_1 went in above, and u_1 = 0 puts every later power on e_j
+            powers = itertools.islice(_walk(self.a, hub), 2, None)
+            while self.hub_rows.dim < self.goal[0]:
+                u = next(powers, ())  # () once the powers run out
+                r = u[:hub] + u[hub + 1:]
+                if not any(r) or self.hub_rows.insert(r) is None:
+                    break
         return grew
 
     def _matrix(self, parity: int, packed) -> tuple:
@@ -605,25 +616,6 @@ class _LieEngine:
         self.pending.clear()
         return True
 
-    def _hub_walk(self):
-        """A^2 e_j, A^3 e_j, ... with j the hub, entry j dropped, drawn from ``_walk`` on ``a``.
-
-        ``_offer`` feeds these rows to ``hub_rows`` once it has made j the
-        hub.  ``_walk`` reads the A e_j it skips off row j of ``a``, so the
-        first power it steps is A^2 e_j.  The walk stops at a zero power, at
-        a step that did not grow ``hub_rows``, or once they reach the goal's
-        rank.
-        """
-        j, rank = self.hub, self.goal[0]
-        powers = itertools.islice(_walk(self.a, j), 2, None)
-        dim = -1
-        while dim < self.hub_rows.dim < rank:
-            dim = self.hub_rows.dim
-            u = next(powers, None)
-            if u is None:
-                return
-            yield u[:j] + u[j + 1:]
-
     def extend(self, int_generators, cap: int) -> int:
         """Add symmetric generators, restore bracket closure, return the dimension."""
         n = self.side
@@ -641,12 +633,10 @@ class _LieEngine:
             # one nonzero, on the diagonal: the projector e_j e_j^T
             projector = len(support) == 1 and i == j
             hub = j if projector and self.hub is None else None
-            # with no hub yet, no projector is in, so gens[0] is A
-            walk = self._hub_walk() if full and hub is not None and self.gens else ()
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
-            grew = self._offer(_SYM, packed, residue=False, hub=hub, walk=walk)
+            grew = self._offer(_SYM, packed, residue=False, hub=hub)
             if not grew:
                 continue
             if not self.gens:
@@ -794,9 +784,8 @@ class _NodeState:
     prime ``modulus`` the walk and the span run modulo it and carry it, the
     span as an append-only ``intlinalg.PackedBasis`` that grows once, from
     every walk row, when the set's last vertex goes in (``_extend_state``),
-    whether the walk is full or short.  The Lie part is always exact, and
-    a short walk caps it (``_extend_state``), so it is held only beside an
-    exact walk or none.
+    whether the walk is full or short.  The Lie part is always exact and
+    grows the same way beside any walk or none.
     """
 
     __slots__ = ("walk", "pspan", "lie")
@@ -861,13 +850,10 @@ def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = Tru
     ignores ``last``.  The powers are drawn only when the walk still
     grows, so a Lie-only state never steps one.
 
-    The Lie closure grows after the walk.  Beside a short walk it cannot be
-    full: the Krylov space of A from the control vertices is then proper,
-    it holds each e_j and is mapped into itself by A and each E_jj, hence
-    by every bracket, which not every matrix does.  So there it is capped
-    at n^2 - 1, which it never reaches; a closure below n^2 neither walks
-    from the hub nor reads the hub rows (``_LieEngine``), and the
-    dimension of the fixpoint does not depend on the queue order.
+    The Lie closure grows after the walk, with cap n^2 beside any walk.
+    Beside a short walk of rank r it cannot certify: its hub rows stay at
+    most r - 1 < n - 1 (``_LieEngine``, lemma 1), so it runs to its
+    fixpoint, whose dimension does not depend on the queue order.
     """
     n = session.n
     walk, span = state.walk, state.pspan
@@ -891,8 +877,7 @@ def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = Tru
             for right in rights:
                 span.insert(left * right)
     if state.lie is not None:
-        short = walk is not None and walk.dim < n
-        state.lie.extend([_projector_rows(n, j - 1)], n * n - 1 if short else n * n)
+        state.lie.extend([_projector_rows(n, j - 1)], n * n)
 
 
 def _grow(session: _Session, subsets, parts=_PARTS) -> dict:

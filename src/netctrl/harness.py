@@ -45,10 +45,12 @@ set) pair, but for a label-invariant kind (adjacency, laplacian) the
 dimensions are computed once per isomorphism class: relabeling a graph and
 its control set by one permutation conjugates the matrix and the
 projectors, which changes no rank or dimension, and preserves forcing.  Per
-order the labeled graphs are mapped onto a canonical representative, one
-``_grow`` runs per (representative, kind) over every relabeled subset the
+order one ``_grow`` runs per (class, kind) over every relabeled subset the
 class needs, and each labeled pair reads its dimensions off that table.
-The table lives inside one sweep call.
+For a label-invariant kind the class of a labeled graph is its canonical
+representative; for any other kind (``random:SEED`` draws its weights by
+label) the labeled graph is its own class, under the identity labeling.
+The tables live inside one sweep call.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ class SweepConfig:
         if type(self.max_order) is not int or not 1 <= self.max_order <= MAX_SWEEP_ORDER:
             raise ValueError(f"max_order must be an int in 1..{MAX_SWEEP_ORDER}, got {self.max_order!r}")
         graphs.check_int(self.seed, "seed")
-        kinds = () if isinstance(self.matrix_kinds, str) else tuple(self.matrix_kinds)
-        if not kinds:
+        # a str or bytes is not read letter by letter, nor a set in hash order
+        if not isinstance(self.matrix_kinds, (tuple, list)) or not self.matrix_kinds:
             raise ValueError(f"matrix_kinds must be a nonempty tuple of kinds, got {self.matrix_kinds!r}")
+        kinds = tuple(self.matrix_kinds)
         keys = [control.parse_kind(kind)[:2] for kind in kinds]
         for i, kind in enumerate(kinds):
             if keys[i] in keys[:i]:
@@ -145,6 +148,13 @@ def violation_from_dict(d: dict) -> Violation:
     return control._from_image(Violation, d)
 
 
+def _expect(value, cls):
+    """``value`` itself if it is a ``cls``; else ValueError naming its type."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def recheck(v: Violation) -> bool:
     """Re-run the single instance behind a violation record.
 
@@ -155,8 +165,9 @@ def recheck(v: Violation) -> bool:
     ``_single_vector_dims`` from a fresh root.  It is the same engine, so
     the structurally independent check is the brute-force oracles of the
     test suite (``tests/oracles.py``).  Returns True when the recorded
-    failure reproduces.
+    failure reproduces; ``v`` that is not a ``Violation`` raises ValueError.
     """
+    _expect(v, Violation)
     g = graphs.graph(v.order, v.edges)
     if v.matrix:
         a = control.pattern_matrix(parse_matrix(v.matrix))
@@ -343,14 +354,14 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
     order, by default (walk_rank, p_span_dim, lie_dim).  Only those parts
     are grown.
 
-    Every kind reads its dims off a ``control._grow`` table.  For a
-    label-invariant kind, session belongs to g's canonical representative
-    and the table is that class's: one ``_grow`` per (representative, kind)
-    over the union of the relabeled subsets pi(S) its class needs, made
-    once per order and read through pi.  For any other kind, session is
-    g's own and the table is g's, one ``_grow`` per (g, kind).
+    Every kind reads its dims off one ``control._grow`` table per (class,
+    kind), made once per order over the union of the relabeled subsets
+    pi(S) the class needs, and read through pi; session is the class's.
+    For a label-invariant kind the class of g is its canonical
+    representative, with pi the map onto it; for any other kind g is its
+    own class, under the identity labeling.
     """
-    invariant = dict.fromkeys(k for k in cfg.matrix_kinds if control.parse_kind(k)[2])
+    invariant = {kind: control.parse_kind(kind)[2] for kind in cfg.matrix_kinds}
     for _, batch in itertools.groupby(_iter_graphs(cfg), key=lambda g: g.order):
         rows = []
         classes: dict = {}
@@ -359,26 +370,24 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
             subsets = select(g, zfs_map)
             if not subsets:
                 continue
-            rep = relabel = None
-            if invariant:
-                rep, pi = _canonical_labeling(g)
-                relabel = {s: tuple(sorted(pi[v] for v in s)) for s in subsets}
-                classes.setdefault(rep, set()).update(relabel.values())
-            rows.append((g, zfs_map, subsets, rep, relabel))
-        tables = {}
-        for rep, wanted in classes.items():
-            for kind in invariant:
-                session = control._Session(control.build_matrix(rep, kind))
-                tables[rep, kind] = session, control._grow(session, wanted, parts=parts)
-        for g, zfs_map, subsets, rep, relabel in rows:
+            # (class, relabeled subsets) per labeling in use, shared by its kinds
+            labels = {}
+            for flag in set(invariant.values()):
+                rep, pi = _canonical_labeling(g) if flag else (g, range(g.order + 1))
+                labels[flag] = rep, {s: tuple(sorted(pi[v] for v in s)) for s in subsets}
             for kind in cfg.matrix_kinds:
-                if kind in invariant:
-                    session, shared = tables[rep, kind]
-                    table = {s: shared[relabel[s]] for s in subsets}
-                else:
-                    session = control._Session(control.build_matrix(g, kind))
-                    table = control._grow(session, subsets, parts=parts)
-                yield g, kind, zfs_map, session, table
+                rep, relabel = labels[invariant[kind]]
+                classes.setdefault((rep, kind), set()).update(relabel.values())
+            rows.append((g, zfs_map, subsets, labels))
+        tables = {}
+        for (rep, kind), wanted in classes.items():
+            session = control._Session(control.build_matrix(rep, kind))
+            tables[rep, kind] = session, control._grow(session, wanted, parts=parts)
+        for g, zfs_map, subsets, labels in rows:
+            for kind in cfg.matrix_kinds:
+                rep, relabel = labels[invariant[kind]]
+                session, shared = tables[rep, kind]
+                yield g, kind, zfs_map, session, {s: shared[relabel[s]] for s in subsets}
 
 
 def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
@@ -403,8 +412,10 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     zfs_implies_lie and span_dimension_identity, all asserted, since every
     sweep matrix meets the connectivity and sign hypotheses.  Once per
     (graph, kind): distance_power_nonzero.  instances_checked counts
-    subset instances.
+    subset instances.  A ``cfg`` that is not a ``SweepConfig`` raises
+    ValueError.
     """
+    _expect(cfg, SweepConfig)
     counts: Counter = Counter()
     violations: list = []
     instances = 0
@@ -434,7 +445,9 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
     candidates.  Traversal is pruned to branches that still lead to a
     target, so non-forcing regions of the subset tree cost nothing, and
     only the Lie closure is grown, since the one record reads nothing else.
+    A ``cfg`` that is not a ``SweepConfig`` raises ValueError.
     """
+    _expect(cfg, SweepConfig)
     counts: Counter = Counter()
     violations: list = []
     instances = 0

@@ -653,14 +653,11 @@ class TestCrossCertificate:
         (cycle_graph(8), "adjacency", (1,), 5, 26, 49),
         (complete_graph(6), "adjacency", (1, 2), 3, 10, 24),
     ], ids=["C16-1", "C8-1", "K6-12"])
-    def test_short_walk_closure_does_not_lead(self, monkeypatch, g, kind, members, walk, elems, brackets):
-        # beside a short walk the closure cannot be full, so no pair is
-        # queued at the front for the hub rows and it runs to its fixpoint
+    def test_short_walk_closure_is_never_certified(self, monkeypatch, g, kind, members, walk, elems, brackets):
+        # beside a short walk of rank r the closure grows with cap n^2 as
+        # beside a full one, but its hub rows stay at most r - 1 < n - 1
+        # (lemma 1), so it never certifies and runs to its fixpoint
         counted = self._counting_brackets(monkeypatch)
-        leads = []
-        real = _LieEngine._queue
-        monkeypatch.setattr(_LieEngine, "_queue",
-                            lambda self, pairs, lead=False: leads.append(lead) or real(self, pairs, lead))
         session = _Session(build_matrix(g, kind))
         state = control._NodeState(session, parts=("walk", "lie"))
         for j in members:
@@ -670,7 +667,8 @@ class TestCrossCertificate:
         if g.order <= 6:  # the oracle takes seconds past that
             assert elems == oracles.control_lie_dim_bruteforce(
                 [list(r) for r in build_matrix(g, kind).matrix.entries], members)
-        assert leads and not any(leads)
+        assert state.lie.hub_rows.dim == walk - 1 < g.order - 1
+        assert not _certified(state.lie)
 
     def test_generator_order_does_not_matter(self, monkeypatch):
         a = _int_matrix(random_same_sign_matrix(complete_graph(8), 7))
@@ -880,32 +878,67 @@ TWO_PATHS = [[int(x) for x in row] for row in build_matrix(
 
 
 class TestHubWalk:
-    """The hub's walk A^2 e_j, A^3 e_j, ..., entry j dropped (``_LieEngine._hub_walk``).
+    """The hub's walk A^2 e_j, A^3 e_j, ..., entry j dropped, stepped by ``_LieEngine._offer``.
 
     With u_k = A^k e_j, the element X_k of the chain X_0 = [E_jj, A],
     X_{k+1} = [A, X_k] has row j equal to +-u_{k+1} plus a combination of
     u_0 ... u_k, so with entry j dropped the hub rows of X_0 ... X_k span
-    what u_1 ... u_{k+1} span.  The walk feeds those rows and brackets nothing; one that stalls leaves the
-    closure to the queue, which runs to the oracle's fixpoint with every
-    (generator, element) pair bracketed once.
+    what u_1 ... u_{k+1} span.  The walk feeds those rows and brackets
+    nothing, and stops at the goal's rank, a zero power or a row that does
+    not grow the hub rows; one that stalls leaves the closure to the queue,
+    which runs to the oracle's fixpoint with every (generator, element)
+    pair bracketed once.
     """
 
     @staticmethod
     def _walks(mp):
-        """The rows each hub walk yields, one list per walk started."""
+        """The rows each hub walk draws, entry j dropped, one list per walk started.
+
+        A hub walk is a ``control._walk`` that ``_offer`` draws from; it
+        skips e_j and A e_j, so its rows start at A^2 e_j.
+        """
         walks = []
-        real = _LieEngine._hub_walk
+        real = control._walk
+        offer = _LieEngine._offer.__code__
 
-        def recording(self):
+        def record(powers, j, rows, n):
+            for k, u in enumerate(powers):
+                if k >= 2:
+                    rows.append(u[:j] + u[j + 1:])
+                    # n - 2 rows that grow and one that does not, at most
+                    assert len(rows) < n, "runaway walk"
+                yield u
+
+        def recording(a, j, modulus=None):
+            powers = real(a, j, modulus)
+            if sys._getframe(1).f_code is not offer:
+                return powers
             walks.append([])
-            for row in real(self):
-                walks[-1].append(row)
-                # n - 2 rows that grow and one that does not, at most
-                assert len(walks[-1]) < self.side, "runaway walk"
-                yield row
+            return record(powers, j, walks[-1], len(a))
 
-        mp.setattr(_LieEngine, "_hub_walk", recording)
+        mp.setattr(control, "_walk", recording)
         return walks
+
+    @staticmethod
+    def _assert_stops(entries, j, walked):
+        """Check a hub walk's stop rules; return A's hub row, then every walked row.
+
+        Every walked row but the last grew the hub rows, none was drawn once
+        they had the goal's rank n - 1, and the walk stopped there, at a row
+        that did not grow them, or at a zero power A^k e_j (k = n is past
+        the walk).
+        """
+        n = len(entries)
+        rows = [[x for c, x in enumerate(entries[j]) if c != j]] + [list(r) for r in walked]
+        ranks = [oracles.frac_rank(rows[:k + 1]) for k in range(len(rows))]
+        assert all(ranks[k - 1] < ranks[k] for k in range(1, len(rows) - 1))
+        assert all(rank < n - 1 for rank in ranks[:-1])
+        k, u = len(rows) + 1, [int(c == j) for c in range(n)]
+        for _ in range(k):
+            u = [sum(x * y for x, y in zip(row, u)) for row in entries]
+        stalled = len(rows) > 1 and ranks[-1] == ranks[-2]
+        assert ranks[-1] == n - 1 or stalled or k >= n or not any(u)
+        return rows
 
     @staticmethod
     def _brackets(monkeypatch, limit):
@@ -937,8 +970,7 @@ class TestHubWalk:
         if not walks:
             return
         [walked] = walks
-        # A's hub row, then every walked row
-        rows = [[x for c, x in enumerate(entries[j]) if c != j]] + walked
+        rows = self._assert_stops(entries, j, walked)
         x = oracles.mat_sub(oracles.mat_mul(e_jj, entries), oracles.mat_mul(entries, e_jj))
         chain = []
         for k in range(n + 1):
@@ -958,6 +990,7 @@ class TestHubWalk:
         brackets = self._brackets(monkeypatch, n ** 4)
         engine = _control_engine(a, s)
         assert len(walks) == 1
+        self._assert_stops(entries, s[0] - 1, walks[0])
         assert engine.hub == s[0] - 1 and engine.hub_rows.dim < n - 1
         assert engine.dim == len(engine.elems) == want
         # each generator with those before it, each other element with every generator
@@ -979,6 +1012,21 @@ class TestHubWalk:
         # [E_33, A], bracketed once by the closure
         assert len(brackets) == 1
         assert oracles.control_lie_dim_bruteforce([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (3,)) == 2
+
+    def test_walk_stops_at_the_goal_rank(self, monkeypatch):
+        # P4 with B = E_14 + E_41 offered before E_11: the hub rows of A and
+        # B are (1, 0, 0) and (0, 0, 1), and A^2 e_1 = e_1 + e_3 gives
+        # (0, 1, 0), rank 3 = n - 1; the walk stops there, before A^3 e_1
+        a = _int_matrix(adjacency_matrix(path_graph(4)))
+        b = ((0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0))
+        gens = [a, b, control._projector_rows(4, 0)]
+        walks = self._walks(monkeypatch)
+        brackets = self._brackets(monkeypatch, 0)
+        engine = _LieEngine(4)
+        assert engine.extend(gens, 16) == 16 == len(oracles.lie_basis_bruteforce(gens))
+        assert [[list(row) for row in w] for w in walks] == [[[0, 1, 0]]]
+        assert engine.hub == 0 and engine.hub_rows.dim == 3 and len(engine.elems) == 3
+        assert not brackets
 
     def test_walk_starts_from_the_hub(self, monkeypatch):
         # vertex 1 is isolated and the path 2-3-4-5 is controlled from 2:

@@ -95,6 +95,17 @@ class TestSweepConfig:
                 SweepConfig(max_order=2, matrix_kinds=kinds)
         assert SweepConfig(max_order=2, matrix_kinds=("random:5", "random:6")).matrix_kinds == ("random:5", "random:6")
 
+    # a bytes spec was read as integers ("unknown matrix kind 97"), the
+    # others raised TypeError; a set would give the kinds in hash order
+    @pytest.mark.parametrize("bad", [None, 5, b"adjacency", {"adjacency"}, {"adjacency": 1}], ids=repr)
+    def test_kinds_that_are_not_a_tuple_or_list_rejected(self, bad):
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(max_order=2, matrix_kinds=bad)
+        assert str(exc.value) == f"matrix_kinds must be a nonempty tuple of kinds, got {bad!r}"
+
+    def test_kinds_may_be_a_list(self):
+        assert SweepConfig(max_order=2, matrix_kinds=["laplacian"]).matrix_kinds == ("laplacian",)
+
     def test_bad_policies_rejected(self):
         for policy in ("some", "zfs_only", "random:2", "random:0:1", "random:a:b"):
             with pytest.raises(ValueError):
@@ -122,6 +133,28 @@ class TestSweepConfig:
             "subset_policy": "all",
             "seed": 4,
         }
+
+
+class TestEntryPointTypes:
+    """The exported sweep entry points refuse a wrong-typed argument with ValueError."""
+
+    @pytest.mark.parametrize("entry", [sweep_equivalence, sweep_zfs_implication], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [None, {"max_order": 2}, 2, "2"], ids=repr)
+    def test_sweeps_refuse_a_config_that_is_not_a_sweep_config(self, entry, bad):
+        with pytest.raises(ValueError) as exc:
+            entry(bad)
+        assert str(exc.value) == f"expected a SweepConfig, got {type(bad).__name__}"
+
+    # a violation's dict form is read back by violation_from_dict, not here
+    @pytest.mark.parametrize("bad", [
+        None,
+        {"order": 2, "edges": [[1, 2]], "kind": "adjacency", "subset": [1], "check": "kalman_iff_lie", "detail": ""},
+        SweepConfig(max_order=2),
+    ], ids=["None", "dict", "SweepConfig"])
+    def test_recheck_refuses_a_record_that_is_not_a_violation(self, bad):
+        with pytest.raises(ValueError) as exc:
+            recheck(bad)
+        assert str(exc.value) == f"expected a Violation, got {type(bad).__name__}"
 
 
 class TestGraphEnumeration:
