@@ -161,12 +161,12 @@ def _edge_matrix(g: Graph, weights, diagonal) -> PatternMatrix:
 
 def adjacency_matrix(g: Graph) -> PatternMatrix:
     """The 0/1 adjacency matrix of ``g`` (zero diagonal)."""
-    return _edge_matrix(g, [1] * len(g.edges), [0] * g.order)
+    return _edge_matrix(g, [1] * len(graphs.check_graph(g).edges), [0] * g.order)
 
 
 def laplacian_matrix(g: Graph) -> PatternMatrix:
     """The combinatorial Laplacian D - A; off-diagonal entries are -1 on edges."""
-    nbrs = graphs.neighbours(g)
+    nbrs = graphs.neighbours(graphs.check_graph(g))
     return _edge_matrix(g, [-1] * len(g.edges), [len(nbrs.get(v, ())) for v in g.vertices])
 
 
@@ -176,8 +176,10 @@ def random_same_sign_matrix(g: Graph, seed: int) -> PatternMatrix:
     Off-diagonal entries on edges are uniform in 1..9 and the diagonal is
     uniform in -9..9, drawn from ``random.Random(seed)`` in a fixed order
     (sorted edges first, then the diagonal), so a seed pins the matrix.
-    A seed that is not an int raises ValueError.
+    A ``g`` that is not a Graph, or a seed that is not an int, raises
+    ValueError.
     """
+    graphs.check_graph(g)
     rng = random.Random(graphs.check_int(seed, "seed"))
     weights = [rng.randint(1, 9) for _ in g.edges]
     return _edge_matrix(g, weights, [rng.randint(-9, 9) for _ in g.vertices])
@@ -215,7 +217,7 @@ def build_matrix(g: Graph, kind: str) -> PatternMatrix:
       kind: "adjacency", "laplacian", or "random:SEED" with an integer seed.
 
     Raises:
-      ValueError: unknown or malformed kind spec.
+      ValueError: unknown or malformed kind spec, or ``g`` not a Graph.
     """
     name, seed, _ = parse_kind(kind)
     if name == "adjacency":

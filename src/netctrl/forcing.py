@@ -20,16 +20,21 @@ for what it serves:
   it serves only queries already capped by order, never ``closure``: do
   not merge the two.
 
-``min_zfs`` finds the zero forcing number Z by the wavefront search of
-``_wavefront``, then scans the candidate masks of size Z alone, in
-lexicographic vertex order, and returns the first that turns every vertex
-black: the lexicographically least forcing set of minimum size, which
-``is_zfs`` confirms.  Each half skips the closures it can prove useless:
-the wavefront a step input it has closed before at no higher cost, and the
-scan a candidate that misses a fort left by a recent failure.  On the
-spider with nine legs of length 2 (order 19) the wavefront makes 512
-closures and the scan 2,550, about 0.03 s in all, where they made 4,448
-and 42,486, about 0.25 s, without the skips (2-CPU x86, Python 3.11).
+``min_zfs`` finds the zero forcing number Z first.  On a forest Z is the
+path cover number (Z(T) = P(T) for every tree T: AIM Minimum Rank-Special
+Graphs Work Group, Linear Algebra Appl. 428 (2008)), which ``_forest_z``
+counts in linear time with no closure; on a graph with a cycle it comes
+from the wavefront search of ``_wavefront``.  Then ``min_zfs`` scans the
+candidate masks of size Z alone, in lexicographic vertex order, and
+returns the first that turns every vertex black: the lexicographically
+least forcing set of minimum size, which ``is_zfs`` confirms.  The search
+and the scan skip the closures they can prove useless: the wavefront a
+step input it has closed before at no higher cost, and the scan a
+candidate that misses a fort left by a recent failure.  The spider with
+nine legs of length 2 (order 19) is a tree, so its 0.02 s is the scan's
+2,550 closures (42,486 without the skips); 20 random trees of order 20
+took 0.11 s in all, against 0.18 s with the wavefront (min of 7 CPU runs,
+2-CPU x86, Python 3.11).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import os
 
 # adjacency_sets and degree are unused here, but bench/spans.py traces them as
 # forcing.adjacency_sets and forcing.degree
-from .graphs import Graph, adjacency_sets, degree, neighbours, parse_int, vertex_set  # noqa: F401
+from .graphs import Graph, adjacency_sets, check_graph, degree, neighbours, parse_int, vertex_set  # noqa: F401
 
 DEFAULT_MIN_ZFS_MAX_ORDER = 20
 #: how many forts of recent failures ``_scan`` keeps; each costs one AND per
@@ -87,7 +92,7 @@ def closure(g: Graph, s) -> tuple:
     a sorted tuple and ``chronicle`` is the replayable tuple of
     ``(forcer, forced)`` steps that produced it.
     """
-    start = vertex_set(s, g.order)
+    start = vertex_set(s, check_graph(g).order)
     nbrs = neighbours(g)
     black = set(start)
     # black vertex -> white neighbors; a count only falls, so stale heap entries read 0
@@ -235,6 +240,64 @@ def _wavefront(nb: list, vertices, full: int) -> int:
     raise AssertionError("unreachable: a step from any mask short of full colours a vertex")
 
 
+def _forest_z(nb: list, m: int):
+    """Z(G) if G, given by its neighbour masks ``nb`` and its ``m`` edges, is
+    a forest; else None.
+
+    For a tree T, Z(T) equals the path cover number P(T), the fewest
+    vertex-disjoint paths that cover T (AIM Minimum Rank-Special Graphs
+    Work Group, "Zero forcing sets and the minimum rank of graphs", Linear
+    Algebra Appl. 428 (2008) 1628-1648).  Both sides add over components,
+    so Z = P on forests too, where an isolated vertex is a path of its own.
+    A graph with c components has at least n - c edges, exactly n - c when
+    it is a forest, so m >= n rules a forest out at once, and otherwise one
+    breadth-first walk per component counts c.
+
+    P = n - J, where J is the most edges a path cover can keep: edges of
+    which no vertex meets three.  Children first, each vertex joins the
+    open ends of at most two of its children, an open child being one that
+    joined fewer than two of its own, and is open itself when it joined
+    fewer than two.  No cover keeps more edges.  A vertex can extend at most
+    one path towards its parent, and an open child extends one at no cost,
+    so joining it gains an edge; a closed child would first give up one of
+    its two, so joining it gains none.  The most a subtree keeps is then
+    what its children's subtrees keep plus min(k, 2), k its root's open
+    children, which the greedy reaches, and its root is free to join its
+    parent at no cost exactly when k < 2.  A Z too low here leaves the scan
+    in ``min_zfs`` with no forcing set, which raises AssertionError.
+    """
+    n = len(nb) - 1
+    if m >= n:
+        return None
+    kids = [0] * (n + 1)  # vertex -> the mask of its children in the walk
+    order = []  # every vertex after its parent
+    seen = c = 0
+    for root in range(1, n + 1):
+        if seen >> root & 1:
+            continue
+        c += 1
+        seen |= 1 << root
+        queue = [root]
+        for v in queue:
+            k = kids[v] = nb[v] & ~seen
+            seen |= k
+            while k:
+                low = k & -k
+                k ^= low
+                queue.append(low.bit_length() - 1)
+        order += queue
+    if m != n - c:
+        return None
+    joins = 0
+    open_ends = 0  # the vertices that joined fewer than two children
+    for v in reversed(order):
+        k = (kids[v] & open_ends).bit_count()
+        joins += min(k, 2)
+        if k < 2:
+            open_ends |= 1 << v
+    return n - joins
+
+
 def _scan(nb: list, bits: list, z: int, full: int) -> tuple:
     """The first mask of ``z`` bits, in lexicographic order, whose closure is
     ``full``, as a vertex tuple (None when there is none), and the forts kept
@@ -264,29 +327,40 @@ def _scan(nb: list, bits: list, z: int, full: int) -> tuple:
 def min_zfs(g: Graph, max_order=None) -> tuple:
     """Exact zero forcing number with a lexicographically-least witness.
 
-    ``_wavefront`` finds Z(G) first.  Then the candidate sets of size Z(G)
-    alone are scanned in lexicographic order and the first success is
-    returned, so the witness is the lexicographically least forcing set of
-    minimum size.  A scan with no success means the wavefront reported a Z
-    below the true one, and raises AssertionError.  Each candidate is one
-    vertex mask, closed by ``_close`` unless ``_scan`` skips it for missing
-    a fort of a recent failure, which proves that it cannot force; so the
-    witness is the same as without the skips.  Only the winner becomes a
-    vertex tuple.  The scan is what still costs, up to
+    Z(G) comes first: on a forest from ``_forest_z``, the path cover number,
+    which equals Z on every tree (AIM Minimum Rank-Special Graphs Work
+    Group, "Zero forcing sets and the minimum rank of graphs", Linear
+    Algebra Appl. 428 (2008) 1628-1648), and on a graph with a cycle from
+    ``_wavefront``.  Then the candidate sets of size Z(G) alone are
+    scanned in lexicographic order and the first success is returned, so
+    the witness is the lexicographically least forcing set of minimum size
+    whichever route found Z.  A scan with no success means that route
+    reported a Z below the true one, and raises AssertionError.  Each
+    candidate is one vertex mask, closed by ``_close`` unless ``_scan``
+    skips it for missing a fort of a recent failure, which proves that it
+    cannot force; so the witness is the same as without the skips.  Only
+    the winner becomes a vertex tuple.  The scan is what still costs, up to
     C(n, Z) closures, so the search is exponential: guarded by
     ``max_order`` (default 20, or the NETCTRL_MAX_ORDER environment
-    variable; pass a positive int explicitly for larger graphs).  At the
-    cap the spider with legs of length 2 (order 19) takes about 0.03 s,
-    2,550 of its 3,062 closures in the scan (42,486 of 46,934 without the
-    skips); G(20, p) draws (p in 1/5, 7/20, 1/2) took 0.08 s or less, and
-    random trees of order 20 0.06 s or less.  Past the cap the spider of
-    order 25 takes about 2 s (2-CPU x86, Python 3.11).
+    variable; pass a positive int explicitly for larger graphs), which is
+    checked before any other work.  At the cap the spider with legs of
+    length 2 (order 19), a tree, takes about 0.02 s, all of it the scan's
+    2,550 closures (42,486 without the skips); G(20, p) draws (p in 1/5,
+    7/20, 1/2) took 0.08 s or less, and 20 random trees of order 20 0.04 s
+    or less each, 0.11 s in all (0.18 s with the wavefront).  Past the cap
+    the spider of order 25 takes about 1.1 s (min of 3 to 7 CPU runs, 2-CPU
+    x86, Python 3.11).
+
+    Raises:
+      ValueError: ``g`` is not a Graph, or its order exceeds the cap.
     """
-    n = g.order
+    n = check_graph(g).order
     check_order(n, "exhaustive-search", DEFAULT_MIN_ZFS_MAX_ORDER, max_order)
     nb = _masks(g)
     full = _mask(g.vertices)
-    z = _wavefront(nb, g.vertices, full)
+    z = _forest_z(nb, len(g.edges))
+    if z is None:
+        z = _wavefront(nb, g.vertices, full)
     witness, _ = _scan(nb, [1 << v for v in g.vertices], z, full)
     if witness is None:
         raise AssertionError(f"unreachable: no forcing set of size {z}, the zero forcing number found")

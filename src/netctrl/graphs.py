@@ -63,6 +63,13 @@ def _order(n) -> int:
     return check_int(n, "graph order", 1)
 
 
+def check_graph(g):
+    """``g`` itself if it is a Graph; else ValueError naming its type."""
+    if not isinstance(g, Graph):
+        raise ValueError(f"expected a Graph, got {type(g).__name__}")
+    return g
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``1..order``.
@@ -175,7 +182,7 @@ def parse_graph(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     """Serialize to the canonical edge-list form (parse round-trips exactly)."""
-    lines = [str(g.order)]
+    lines = [str(check_graph(g).order)]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
@@ -183,7 +190,7 @@ def format_graph(g: Graph) -> str:
 def to_dot(g: Graph) -> str:
     """DOT export for visualization; never parsed back."""
     lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in g.vertices)
+    lines.extend(f"  {v};" for v in check_graph(g).vertices)
     lines.extend(f"  {u} -- {v};" for u, v in sorted(g.edges))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -253,7 +260,7 @@ def random_connected(n: int, edge_probability, seed: int, max_tries: int = 10_00
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 1."""
-    nbrs = neighbours(g)
+    nbrs = neighbours(check_graph(g))
     seen = {1}
     stack = [1]
     while stack:
@@ -267,7 +274,7 @@ def is_connected(g: Graph) -> bool:
 
 def distance(g: Graph, u: int, v: int):
     """Shortest-path edge count between u and v; math.inf when unreachable."""
-    vertex_set((u,), g.order)
+    vertex_set((u,), check_graph(g).order)
     vertex_set((v,), g.order)
     if u == v:
         return 0

@@ -15,6 +15,7 @@ from netctrl import (
     complete_graph,
     cycle_graph,
     graph,
+    is_connected,
     is_zfs,
     kalman_controllable,
     lie_controllable,
@@ -57,6 +58,56 @@ def sparse_graph(draw, max_order=8):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
     return graph(n, chosen)
+
+
+def every_small_forest(max_order=6):
+    """Every labeled forest of order 1..max_order: the edge sets of fewer
+    than n edges that close no cycle, isolated vertices included."""
+    for n in range(1, max_order + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for m in range(n):
+            for edges in itertools.combinations(pairs, m):
+                root = list(range(n + 1))
+
+                def find(v):
+                    while root[v] != v:
+                        v = root[v]
+                    return v
+
+                for u, v in edges:
+                    ru, rv = find(u), find(v)
+                    if ru == rv:
+                        break
+                    root[ru] = rv
+                else:
+                    yield graph(n, edges)
+
+
+def prufer_edges(code, n):
+    """The edges of the labeled tree on 1..n with the Pruefer code ``code``."""
+    degree = [1] * (n + 1)
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = min(u for u in range(1, n + 1) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    if n > 1:
+        edges.append(tuple(u for u in range(1, n + 1) if degree[u] == 1))
+    return edges
+
+
+@st.composite
+def drawn_forest(draw, max_order=14):
+    """A tree drawn by its Pruefer code, less some of its edges, relabeled."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    code = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=max(n - 2, 0),
+                         max_size=max(n - 2, 0)))
+    keep = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    return graph(n, [(label[u], label[v]) for (u, v), kept in zip(prufer_edges(code, n), keep) if kept])
 
 
 def lexicographic_min_zfs(g):
@@ -207,6 +258,10 @@ def wavefront(g):
     return forcing._wavefront(forcing._masks(g), g.vertices, forcing._mask(g.vertices))
 
 
+def forest_z(g):
+    return forcing._forest_z(forcing._masks(g), len(g.edges))
+
+
 def seeded_graphs():
     """150 seeded graphs of order 6..9 at four densities."""
     rng = random.Random(1723)
@@ -319,6 +374,77 @@ class TestWavefront:
         g = graph(20, [])
         assert wavefront(g) == 20
         assert min_zfs(g, max_order=20) == (20, tuple(range(1, 21)))
+
+
+def wavefront_calls(monkeypatch, g) -> int:
+    """The ``_wavefront`` calls ``min_zfs(g)`` makes."""
+    calls = 0
+    real = forcing._wavefront
+
+    def counted(nb, vertices, full):
+        nonlocal calls
+        calls += 1
+        return real(nb, vertices, full)
+
+    monkeypatch.setattr(forcing, "_wavefront", counted)
+    min_zfs(g)
+    return calls
+
+
+class TestForestZ:
+    def test_matches_bruteforce_and_a_plain_scan_on_every_small_forest(self):
+        # every labeled forest of order <= 6: 1 + 2 + 7 + 38 + 291 + 2932,
+        # isolated vertices and several components included
+        forests = list(every_small_forest())
+        assert len(forests) == 3271
+        assert sum(not is_connected(g) for g in forests) > 1000
+        for g in forests:
+            z, witness = min_zfs(g)
+            assert z == min_zfs_size_bruteforce(adjacency_sets(g), g.order), g
+            assert (z, witness) == lexicographic_min_zfs(g), g
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_forest())
+    def test_matches_the_wavefront_on_drawn_forests(self, g):
+        assert forest_z(g) == wavefront(g)
+
+    def test_is_none_exactly_on_graphs_with_a_cycle(self):
+        forests = set(every_small_forest(5))
+        for g in every_small_graph():
+            assert (forest_z(g) is None) == (g not in forests), g
+
+    @pytest.mark.parametrize("g", [
+        graph(8, [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)]),
+        graph(12, [(1, j) for j in range(2, 13)]),
+        path_graph(20),
+        graph(9, [(1, 2), (2, 3), (5, 6), (6, 7), (6, 8)]),
+    ], ids=["tree", "star", "path", "forest-with-isolated-vertices"])
+    def test_forests_skip_the_wavefront(self, monkeypatch, g):
+        assert wavefront_calls(monkeypatch, g) == 0
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), graph(5, [(1, 2), (2, 3), (1, 3)])],
+                             ids=["cycle-5", "triangle-and-two-isolated-vertices"])
+    def test_a_cycle_runs_the_wavefront(self, monkeypatch, g):
+        # the triangle has m < n, yet a cycle
+        assert wavefront_calls(monkeypatch, g) == 1
+        assert min_zfs(g) == lexicographic_min_zfs(g)
+
+    def test_a_forest_z_below_z_is_caught(self, monkeypatch):
+        # as for the wavefront: the scan at a Z too low finds no forcing set
+        g = graph(8, [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)])
+        real = forcing._forest_z
+        assert real(forcing._masks(g), len(g.edges)) == min_zfs(g)[0] == 3
+        monkeypatch.setattr(forcing, "_forest_z", lambda nb, m: real(nb, m) - 1)
+        with pytest.raises(AssertionError):
+            min_zfs(g)
+
+    def test_the_order_cap_refuses_before_any_other_work(self, monkeypatch):
+        calls = []
+        for name in ("_masks", "_forest_z", "_wavefront", "_scan"):
+            monkeypatch.setattr(forcing, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError, match="^order 21 exceeds the exhaustive-search cap 20"):
+            min_zfs(path_graph(21))
+        assert calls == []
 
 
 class TestIsZfs:

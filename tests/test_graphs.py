@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from netctrl import (
     Graph,
     GraphFormatError,
+    adjacency_matrix,
+    build_matrix,
+    closure,
     complete_graph,
     cycle_graph,
     distance,
@@ -18,9 +21,13 @@ from netctrl import (
     generate,
     graph,
     is_connected,
+    is_zfs,
+    laplacian_matrix,
+    min_zfs,
     parse_graph,
     path_graph,
     random_connected,
+    random_same_sign_matrix,
     to_dot,
 )
 from netctrl import forcing
@@ -67,6 +74,30 @@ class TestGraphType:
             Graph(3, frozenset({(label, 3)}))
         with pytest.raises(ValueError, match=rf"^graph order must be an int >= 1, got {label!r}$"):
             graph(label, [])
+
+
+# every exported function that takes a Graph; each once raised AttributeError on None
+GRAPH_TAKERS = {
+    "min_zfs": min_zfs,
+    "closure": lambda g: closure(g, (1,)),
+    "is_zfs": lambda g: is_zfs(g, (1,)),
+    "is_connected": is_connected,
+    "distance": lambda g: distance(g, 1, 2),
+    "format_graph": format_graph,
+    "to_dot": to_dot,
+    "adjacency_matrix": adjacency_matrix,
+    "laplacian_matrix": laplacian_matrix,
+    "random_same_sign_matrix": lambda g: random_same_sign_matrix(g, 7),
+    **{f"build_matrix:{kind}": lambda g, kind=kind: build_matrix(g, kind)
+       for kind in ("adjacency", "laplacian", "random:7")},
+}
+
+
+@pytest.mark.parametrize("call", GRAPH_TAKERS.values(), ids=GRAPH_TAKERS.keys())
+@pytest.mark.parametrize("bad", [None, "2\n1 2\n", [(1, 2)], {1: (2,)}], ids=repr)
+def test_what_is_not_a_graph_is_refused(call, bad):
+    with pytest.raises(ValueError, match=f"^expected a Graph, got {type(bad).__name__}$"):
+        call(bad)
 
 
 class TestParsing:
