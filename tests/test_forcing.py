@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -276,10 +277,10 @@ def closures(monkeypatch, run) -> tuple:
     calls = 0
     close = forcing._close
 
-    def counted(nb, black):
+    def counted(nb, black, todo=None):
         nonlocal calls
         calls += 1
-        return close(nb, black)
+        return close(nb, black, todo)
 
     monkeypatch.setattr(forcing, "_close", counted)
     try:
@@ -302,7 +303,7 @@ def spider(legs):
 def scan(g, z):
     """``forcing._scan`` of g at size z: the witness and the forts kept."""
     nb, full = forcing._masks(g), forcing._mask(g.vertices)
-    return forcing._scan(nb, [1 << v for v in g.vertices], z, full)
+    return forcing._scan(nb, z, full)
 
 
 def scan_closures(monkeypatch, g) -> tuple:
@@ -313,11 +314,11 @@ def scan_closures(monkeypatch, g) -> tuple:
     return witness, calls
 
 
-def seeded_sparse_graphs():
-    """40 seeded graphs of order 9..14 with n to 3n/2 edges, where failed
-    candidates leave forts that later ones miss."""
+def seeded_sparse_graphs(count=40):
+    """``count`` seeded graphs of order 9..14 with n to 3n/2 edges, where
+    failed candidates leave forts that later ones miss."""
     rng = random.Random(2019)
-    for _ in range(40):
+    for _ in range(count):
         n = rng.randint(9, 14)
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         yield graph(n, rng.sample(pairs, rng.randint(n, 3 * n // 2)))
@@ -512,10 +513,11 @@ class TestMinZfs:
     def test_every_kept_fort_is_a_fort(self, monkeypatch):
         # every fort the scan stores is kept, so all of them are replayed: at
         # the zero forcing number, up to the winner, and one below it, where
-        # every candidate fails
+        # every candidate fails.  Only closures that force something leave a
+        # fort, so it takes 300 sparse graphs to replay more than 6,000
         monkeypatch.setattr(forcing, "SCAN_FORTS", 10**6)
         replayed = 0
-        for g in itertools.chain(seeded_sparse_graphs(), seeded_graphs()):
+        for g in itertools.chain(seeded_sparse_graphs(300), seeded_graphs()):
             adj = adjacency_sets(g)
             z, _ = min_zfs(g)
             for size in (z, z - 1):
@@ -605,3 +607,71 @@ class TestMinZfs:
             min_zfs(path_graph(5), max_order=4)
         assert str(exc.value) == (
             "order 5 exceeds the exhaustive-search cap 4; pass a larger max_order argument to override")
+
+
+@st.composite
+def any_graph(draw, max_order=12):
+    """A graph of order <= max_order at any density."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    size = draw(st.integers(min_value=0, max_value=len(pairs)))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=size, max_size=size)) if pairs else []
+    return graph(n, chosen)
+
+
+class TestPrefixScan:
+    def test_matches_a_plain_lexicographic_scan_on_every_small_graph(self):
+        for g in every_small_graph():
+            assert min_zfs(g) == lexicographic_min_zfs(g), g
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_graph())
+    def test_matches_a_plain_lexicographic_scan_up_to_order_12(self, g):
+        assert min_zfs(g) == lexicographic_min_zfs(g)
+
+    @pytest.mark.parametrize("legs", [10, 11, 12])
+    def test_spider_witness(self, legs):
+        # the middles of the first legs - 2 legs, then the end of the next
+        g = spider(legs)
+        assert min_zfs(g, max_order=g.order) == (legs - 1, tuple(range(2, 2 * legs - 2, 2)) + (2 * legs - 1,))
+
+    def test_prefix_closures_cut_the_spider(self, monkeypatch):
+        # order 25, a tree, so every closure is the scan's: 111,182 with the
+        # candidates closed one by one and the recent forts skipped
+        g = spider(12)
+        (z, _), calls = closures(monkeypatch, lambda: min_zfs(g, max_order=25))
+        assert z == 11
+        assert calls <= 13_600
+
+    def test_twins_cut_the_star(self, monkeypatch):
+        # the leaves are twins, so only sets holding the lowest leaves are
+        # closed, and of the 105 sets of the hub and 13 leaves only the
+        # first; it took 106 closures with the sets closed one by one
+        g = graph(16, [(1, j) for j in range(2, 17)])
+        found, calls = closures(monkeypatch, lambda: min_zfs(g))
+        assert found == (14, tuple(range(2, 16)))
+        assert calls <= 30
+
+    def test_a_last_vertex_that_starts_no_force_is_not_closed(self, monkeypatch):
+        # three dense draws of order 14, wavefront included: closing every
+        # last vertex took 1,232 closures
+        gs = [graphs.random_connected(14, Fraction(3, 4), seed=seed) for seed in range(3)]
+        found, calls = closures(monkeypatch, lambda: [min_zfs(g) for g in gs])
+        assert found == [(9, (1, 2, 3, 4, 5, 7, 8, 9, 10)), (8, (1, 3, 4, 5, 6, 7, 10, 11)),
+                         (10, (1, 2, 3, 4, 5, 6, 8, 9, 11, 12))]
+        assert calls <= 370
+
+    def test_only_forts_of_closures_that_force_are_kept(self, monkeypatch):
+        # a closure of a mask of the scanned size that forces nothing leaves
+        # at least n - size white vertices; its fort is not kept.  Such
+        # closures are rare, as a last vertex that can start no force is
+        # not closed, so every fort of many scans is checked
+        monkeypatch.setattr(forcing, "SCAN_FORTS", 10**6)
+        kept = 0
+        for g in itertools.chain(seeded_sparse_graphs(300), seeded_graphs()):
+            z, _ = min_zfs(g)
+            for size in (z, z - 1):
+                _, forts = scan(g, size)
+                assert all(fort.bit_count() < g.order - size for fort in forts), (g, size)
+                kept += len(forts)
+        assert kept > 6_000
