@@ -173,22 +173,23 @@ def zfs_statuses(g: Graph, subsets) -> dict:
     return {s: _close(nb, _mask(s)) == full for s in subsets}
 
 
-def _twin_classes(nb: list, vertices) -> list:
+def _twin_classes(nb: list) -> list:
     """The classes of two or more vertices that share their open, or their
-    closed, neighbourhood, each in increasing order.  Swapping two members
-    of a class is an automorphism of the graph.
+    closed, neighbourhood, each in increasing order, for the graph of the
+    neighbour masks ``nb``.  Swapping two members of a class is an
+    automorphism of the graph.
 
     Both neighbourhoods key one dict: an open N(u) never equals a closed
     N[w], for w in N(u) would put u in N(w), so in N[w] = N(u).
     """
     twins = {}
-    for v in vertices:
+    for v in range(1, len(nb)):
         twins.setdefault(nb[v], []).append(v)
         twins.setdefault(nb[v] | 1 << v, []).append(v)
     return [c for c in twins.values() if len(c) > 1]
 
 
-def _wavefront(nb: list, vertices, full: int) -> int:
+def _wavefront(nb: list, twins: list) -> int:
     """Z(G) by a least-cost search over closed masks (the wavefront search of
     Brimkov, Fast & Hicks, "Computational approaches for zero forcing and
     related problems", EJOR 273 (2019)).
@@ -197,16 +198,20 @@ def _wavefront(nb: list, vertices, full: int) -> int:
     of S | N[v].  It costs the vertices of N[v] - S that must be coloured:
     all but one when v has a white neighbour (v, then black, forces the
     last one), and all of them otherwise.  Costs go into integer buckets,
-    expanded cheapest first, and the least cost of a path to ``full`` is
+    expanded cheapest first, and the least cost of a path to ``full``, the
+    mask of every vertex of the graph of the neighbour masks ``nb``, is
     Z(G): the vertices a path colours form a forcing set, and the
     chronological list of forces of a forcing set gives a path that costs
     no more than its size.
 
     Vertices with the same open, or the same closed, neighbourhood (twins,
-    ``_twin_classes``) are swapped by an automorphism, which maps closed masks to closed masks
-    and paths to paths of the same cost.  So each mask is kept only with
-    the lowest-labelled members of every twin class black; without this a
-    star has 2^(n-1) closed masks.
+    the classes ``twins`` from ``_twin_classes``) are swapped by an
+    automorphism, which maps closed masks to closed masks and paths to
+    paths of the same cost.  So each mask is kept only with the
+    lowest-labelled members of every twin class black.  Without this,
+    ``min_zfs`` made 16,392 closures on K_{2,14} against 126 with it, and
+    262,186 against 365 on the star of order 20 with the edge (2, 3)
+    added; a forest takes no wavefront (``min_zfs``).
 
     The search is bounded by ``bound``, the cost of the cheapest full mask
     queued so far: a step that costs ``bound`` or more is skipped before
@@ -215,9 +220,10 @@ def _wavefront(nb: list, vertices, full: int) -> int:
     reaches it for less passes only through steps that cost less than
     ``bound``, none of which is skipped.  ``full`` is its own twin-class
     form, so ``best`` and the buckets are as without the bound.  The first
-    full mask queued often costs more than Z (on the star of order 4 it
-    costs 3, and Z = 2), and still the bound cut the closures on the
-    seed-801 ``zfs-search`` cases from 41,108 to 14,007.
+    full mask queued often costs more than Z (on the star of order 4 with
+    the edge (2, 3) added it costs 3, and Z = 2), and still the bound cut
+    the closures on the seed-801 ``zfs-search`` cases from 41,108 to
+    14,007.
 
     The search returns ``bound`` as soon as ``cost + 1 >= bound``, without
     popping ``full`` and before the bucket of ``bound - 1`` is expanded.
@@ -240,9 +246,10 @@ def _wavefront(nb: list, vertices, full: int) -> int:
     ``bound``.  That cut the seed-801 closures from 14,007 to 11,242, and
     those on the spider of order 19 from 4,448 to 512.
     """
+    vertices = range(1, len(nb))
+    full = _mask(vertices)
     # (class mask, the masks of its k lowest members for k = 0..size)
-    classes = [(_mask(c), [_mask(c[:k]) for k in range(len(c) + 1)])
-               for c in _twin_classes(nb, vertices)]
+    classes = [(_mask(c), [_mask(c[:k]) for k in range(len(c) + 1)]) for c in twins]
     moves = [(nb[v] | 1 << v, nb[v]) for v in vertices]
     best = {0: 0}
     seen = {}  # step input mask -> the lowest step cost it was closed at
@@ -336,12 +343,13 @@ def _forest_z(nb: list, m: int):
     return n - joins
 
 
-def _scan(nb: list, z: int, full: int) -> tuple:
+def _scan(nb: list, z: int, twins: list) -> tuple:
     """The first mask of ``z`` bits, in lexicographic order, whose closure is
-    ``full``, as a vertex tuple (None when there is none), and the forts kept
-    when the scan stopped, the most recent first.  ``z`` is the zero
-    forcing number Z of the graph, or less (then no mask forces); past Z
-    the skips below would not hold.
+    ``full``, every vertex, as a vertex tuple (None when there is none),
+    and the forts kept when the scan stopped, the most recent first.  ``z``
+    is the zero forcing number Z of the graph, or less (then no mask
+    forces); past Z the skips below would not hold.  ``twins`` are the
+    graph's ``_twin_classes``.
 
     The masks are walked depth first over their lexicographic prefixes,
     the order of ``itertools.combinations``, and each prefix P is grown by
@@ -368,11 +376,12 @@ def _scan(nb: list, z: int, full: int) -> tuple:
       misses P.  Each failure there ANDs its own fort into that mask, since
       that fort misses P | v.  A shorter prefix is dropped when a kept fort
       misses it and every vertex still free to join it.
-    * Swapping two twins (``_twin_classes``) v < w maps a mask S that holds
-      w but not v to a mask of the same size that is lexicographically
-      smaller and forces exactly when S does.  So only masks that hold the
-      lowest members of each twin class are closed: the star of order 16
-      takes 25 closures, where the plain scan with forts took 106.
+    * Swapping two twins v < w (of one class of ``twins``) maps a mask S
+      that holds w but not v to a mask of the same size that is
+      lexicographically smaller and forces exactly when S does.  So only
+      masks that hold the lowest members of each twin class are closed:
+      the star of order 16 takes 25 closures, where the plain scan with
+      forts took 106.
     * A last vertex v that can start no force is not closed: its mask is
       its own closure, so it forces only if it is everything.  When the
       mask B it joins is closed, B | v forces only if v has exactly one
@@ -401,10 +410,11 @@ def _scan(nb: list, z: int, full: int) -> tuple:
     closures were most of the scan's (9,202 of the 12,212 above), and their
     forts pushed those that do cut the scan out of the ``SCAN_FORTS`` kept.
     """
+    full = _mask(range(1, len(nb)))
     forts = collections.deque(maxlen=SCAN_FORTS)
     least = min(m.bit_count() for m in nb[1:])  # the least degree
     lower = [0] * len(nb)  # vertex -> the mask of its twins below it
-    for members in _twin_classes(nb, range(1, len(nb))):
+    for members in twins:
         below = 0
         for v in members:
             lower[v] = below
@@ -508,9 +518,10 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     are not that witness: those that add a vertex the prefix already
     forces, miss a fort of a recent failure, hold a twin but not a lower
     one, or end in a vertex that can start no force; so the witness is the
-    same as without the skips.  Only the winner becomes a vertex tuple.
-    The scan is what still costs, up to C(n, Z) closures, so the search is
-    exponential: guarded by ``max_order`` (default 20, or the
+    same as without the skips.  The twin classes are found once and serve
+    both the wavefront and the scan.  Only the winner becomes a vertex
+    tuple.  The scan is what still costs, up to C(n, Z) closures, so the
+    search is exponential: guarded by ``max_order`` (default 20, or the
     NETCTRL_MAX_ORDER environment variable; pass a positive int explicitly
     for larger graphs), which is checked before any other work.  At the cap
     the spider with legs of length 2 (order 19), a tree, takes about 0.005
@@ -528,11 +539,11 @@ def min_zfs(g: Graph, max_order=None) -> tuple:
     n = check_graph(g).order
     check_order(n, "exhaustive-search", DEFAULT_MIN_ZFS_MAX_ORDER, max_order)
     nb = _masks(g)
-    full = _mask(g.vertices)
+    twins = _twin_classes(nb)
     z = _forest_z(nb, len(g.edges))
     if z is None:
-        z = _wavefront(nb, g.vertices, full)
-    witness, _ = _scan(nb, z, full)
+        z = _wavefront(nb, twins)
+    witness, _ = _scan(nb, z, twins)
     if witness is None:
         raise AssertionError(f"unreachable: no forcing set of size {z}, the zero forcing number found")
     return z, witness

@@ -23,9 +23,10 @@ the records of ``control._consistency``, the table of theorem checks that
 ``analyze`` reports too, and single_vector_equivalence is its
 kalman_iff_lie record asserted without hypotheses
 (``_single_vector_checks``).  Every check is one (check, status, detail)
-record: a sweep counts each record and turns each violated one into a
-``Violation`` with its detail, and ``recheck`` reads the same records, so
-each theorem is stated once.
+record, and each sweep yields its records to one tally (``_outcome``),
+which counts each record and turns each violated one into a
+``Violation`` with its detail.  ``recheck`` reads the same records, made
+by the same builders, so each theorem is stated once.
 
 A violation never raises; it is recorded with enough data to re-run the
 single instance in isolation.  The dimensions come from the decision
@@ -35,10 +36,12 @@ bases with its children.  It grows only the parts a sweep's checks read:
 the walk, product-span and Lie bases for the equivalence sweep, the Lie
 closure alone for the implication sweep, whose one record
 (``control._zfs_implies_lie``) reads only the Lie dimension.  This module
-only reads the tables it returns.  ``recheck`` re-runs an instance from a
-fresh root, with no prefix-tree or orbit sharing; the structurally
-independent route is the brute-force oracles of the test suite
-(``tests/oracles.py``).
+only reads the tables it returns.  ``recheck`` re-runs an instance
+through the same engine, its one control set grown by ``control._grow``
+from a fresh root (``_fresh_dims``), with no prefix-tree or orbit
+sharing: a fault of the engine reproduces there, and a fault of the
+sharing does not.  The structurally independent route is the brute-force
+oracles of the test suite (``tests/oracles.py``).
 
 Every instance is still checked and counted per labeled (graph, control
 set) pair, but for a label-invariant kind (adjacency, laplacian) the
@@ -50,7 +53,8 @@ class needs, and each labeled pair reads its dimensions off that table.
 For a label-invariant kind the class of a labeled graph is its canonical
 representative; for any other kind (``random:SEED`` draws its weights by
 label) the labeled graph is its own class, under the identity labeling.
-The tables live inside one sweep call.
+The tables live inside one sweep call: each is made at its class's first
+unit, and a labeled class's table is dropped after its one unit.
 """
 
 from __future__ import annotations
@@ -158,42 +162,49 @@ def _expect(value, cls):
 def recheck(v: Violation) -> bool:
     """Re-run the single instance behind a violation record.
 
-    Uses the one-shot public path (``analyze``), which grows the engine's
-    state from a fresh root by this one control set, with no prefix-tree
-    or orbit sharing: a finding of the sharing is confirmed without it.  A
-    single_vector_equivalence record is re-run as the sweep ran it, by
-    ``_single_vector_dims`` from a fresh root.  It is the same engine, so
-    the structurally independent check is the brute-force oracles of the
-    test suite (``tests/oracles.py``).  Returns True when the recorded
-    failure reproduces; ``v`` that is not a ``Violation`` raises ValueError.
+    The instance is re-run on the route the sweep took, by its engine, but
+    alone: ``_fresh_dims`` grows the one control set by ``control._grow``
+    from a fresh root, with no prefix-tree or orbit sharing.  Its records
+    come from the rules the sweep read: ``control._consistency`` under the
+    matrix's own hypotheses and forcing status, ``_single_vector_checks``
+    and ``_distance_record``.  So a fault of the engine reproduces and a
+    fault of the sharing does not; the structurally independent check is
+    the brute-force oracles of the test suite (``tests/oracles.py``).
+    Returns True when the recorded failure reproduces; ``v`` that is not a
+    ``Violation`` raises ValueError.
     """
     _expect(v, Violation)
     g = graphs.graph(v.order, v.edges)
-    if v.matrix:
-        a = control.pattern_matrix(parse_matrix(v.matrix))
-    else:
-        a = control.build_matrix(g, v.kind)
+    a = control.pattern_matrix(parse_matrix(v.matrix)) if v.matrix else control.build_matrix(g, v.kind)
     if v.check == "distance_power_nonzero":
-        return bool(control.distance_power_defects(a))
-    if v.check == "single_vector_equivalence":
-        records = _single_vector_checks(a.n, _single_vector_dims(a, v.subset))
+        records = [_distance_record(control.distance_power_defects(a))]
+    elif v.check == "single_vector_equivalence":
+        records = _single_vector_checks(a.n, _fresh_dims(a, v.subset))
     else:
-        report = control.analyze(a, v.subset)
-        records = [(c["check"], c["status"], c["detail"]) for c in report.consistency]
+        dims = _fresh_dims(a, v.subset)
+        hyp = all(control._hypotheses(a).values())
+        records = control._consistency(a.n, *dims, forcing.is_zfs(a.pattern, v.subset), hyp)
     return any(check == v.check and status == control.CHECK_VIOLATED for check, status, _ in records)
 
 
-def _single_vector_dims(a, s) -> tuple:
-    """(walk, pspan, lie) of one single-vector instance, grown by the sweeps' engine.
+def _fresh_dims(a, s) -> tuple:
+    """(walk, pspan, lie) of one control set, grown alone by the sweeps' engine.
 
-    ``analyze`` reads the Lie dimension of a one-vertex set off its walk
-    (``control._dimensions``), so there the equivalence holds by
-    construction; ``control._grow`` still grows the closure and certifies
-    it from its own rows, so the record checks the engine, not arithmetic.
+    ``control._grow`` grows the set from a fresh root and certifies every
+    closure from its own rows.  ``analyze`` takes its own route: it reads
+    the Lie dimension off the first control vertex's walk when that walk
+    spans the whole walk (``control._dimensions``), every one-vertex set
+    included, so there kalman_iff_lie holds by construction.
     """
     members = control._control_set(a, s)
     control.check_lie_order(a.n)
     return control._grow(control._Session(a), [members], parts=control._PARTS)[members]
+
+
+def _distance_record(defects) -> tuple:
+    """The distance_power_nonzero record of one matrix, from its defects."""
+    status = control.CHECK_VIOLATED if defects else control.CHECK_PASSED
+    return "distance_power_nonzero", status, f"zero entries at (k, j, d) = {sorted(defects)}"
 
 
 def _single_vector_checks(n: int, dims: tuple) -> tuple:
@@ -226,7 +237,26 @@ class SweepOutcome:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _outcome(config: dict, instances: int, counts: Counter, violations: list) -> SweepOutcome:
+def _outcome(config: dict, items) -> SweepOutcome:
+    """Tally every (graph, kind, members, records, matrix) item a sweep yields.
+
+    Each (check, status, detail) record counts under its check, and each
+    violated one becomes a ``Violation`` with its detail; ``matrix`` is the
+    matrix text of an explicit instance, else empty.  Each item with
+    members counts as one instance; a per-matrix item has none.
+    """
+    counts: Counter = Counter()
+    violations = []
+    instances = 0
+    for g, kind, members, records, matrix in items:
+        instances += bool(members)
+        for check, status, detail in records:
+            counts[check] += 1
+            if status == control.CHECK_VIOLATED:
+                violations.append(Violation(
+                    order=g.order, edges=tuple(sorted(g.edges)), kind=kind, subset=tuple(members),
+                    check=check, detail=detail, matrix=matrix,
+                ))
     return SweepOutcome(
         config=config,
         instances_checked=instances,
@@ -311,8 +341,8 @@ def _all_nonempty_subsets(n: int) -> list:
     ]
 
 
-def _subset_family(cfg: SweepConfig, g: Graph, zfs_map: dict, rng) -> list:
-    base, count, _ = _parse_policy(cfg.subset_policy)
+def _subset_family(policy: str, g: Graph, zfs_map: dict, rng) -> list:
+    base, count, _ = _parse_policy(policy)
     if base == "all":
         return _all_nonempty_subsets(g.order)
     if base == "singletons":
@@ -355,11 +385,14 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
     are grown.
 
     Every kind reads its dims off one ``control._grow`` table per (class,
-    kind), made once per order over the union of the relabeled subsets
-    pi(S) the class needs, and read through pi; session is the class's.
-    For a label-invariant kind the class of g is its canonical
-    representative, with pi the map onto it; for any other kind g is its
-    own class, under the identity labeling.
+    kind), over the union of the relabeled subsets pi(S) the class needs,
+    and read through pi; session is the class's.  For a label-invariant
+    kind the class of g is its canonical representative, with pi the map
+    onto it; for any other kind g is its own class, under the identity
+    labeling.  A table is made at its class's first unit, and a labeled
+    class's is dropped as its one unit is yielded, so a ``random:SEED``
+    kind holds one session at a time, not one per labeled graph of the
+    order.
     """
     invariant = {kind: control.parse_kind(kind)[2] for kind in cfg.matrix_kinds}
     for _, batch in itertools.groupby(_iter_graphs(cfg), key=lambda g: g.order):
@@ -380,25 +413,14 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
                 classes.setdefault((rep, kind), set()).update(relabel.values())
             rows.append((g, zfs_map, subsets, labels))
         tables = {}
-        for (rep, kind), wanted in classes.items():
-            session = control._Session(control.build_matrix(rep, kind))
-            tables[rep, kind] = session, control._grow(session, wanted, parts=parts)
         for g, zfs_map, subsets, labels in rows:
             for kind in cfg.matrix_kinds:
                 rep, relabel = labels[invariant[kind]]
-                session, shared = tables[rep, kind]
+                if (rep, kind) not in tables:
+                    session = control._Session(control.build_matrix(rep, kind))
+                    tables[rep, kind] = session, control._grow(session, classes[rep, kind], parts=parts)
+                session, shared = tables[rep, kind] if invariant[kind] else tables.pop((rep, kind))
                 yield g, kind, zfs_map, session, {s: shared[relabel[s]] for s in subsets}
-
-
-def _tally(records, counts: Counter, violations: list, g: Graph, kind: str, members, matrix="") -> None:
-    """Count each (check, status, detail) record; record each violated one with its detail."""
-    for check, status, detail in records:
-        counts[check] += 1
-        if status == control.CHECK_VIOLATED:
-            violations.append(Violation(
-                order=g.order, edges=tuple(sorted(g.edges)), kind=kind, subset=tuple(members),
-                check=check, detail=detail, matrix=matrix,
-            ))
 
 
 # ---------------------------------------------------------------------------
@@ -416,56 +438,46 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     ValueError.
     """
     _expect(cfg, SweepConfig)
-    counts: Counter = Counter()
-    violations: list = []
-    instances = 0
     rng = _policy_rng(cfg)
-    units = _units(cfg, lambda g, zfs_map: _subset_family(cfg, g, zfs_map, rng))
-    for g, kind, zfs_map, session, table in units:
-        defects = session.defects()
-        if defects and session.a.pattern != g:
-            # found on the representative: report them in g's labels
-            defects = control.distance_power_defects(control.build_matrix(g, kind))
-        status = control.CHECK_VIOLATED if defects else control.CHECK_PASSED
-        detail = f"zero entries at (k, j, d) = {sorted(defects)}"
-        _tally([("distance_power_nonzero", status, detail)], counts, violations, g, kind, ())
-        for members, dims in table.items():
-            instances += 1
-            checks = control._consistency(g.order, *dims, zfs_map[members], True)
-            _tally(checks, counts, violations, g, kind, members)
-    config = dict(op="equivalence", **cfg.to_dict())
-    return _outcome(config, instances, counts, violations)
+    units = _units(cfg, lambda g, zfs_map: _subset_family(cfg.subset_policy, g, zfs_map, rng))
+
+    def items():
+        for g, kind, zfs_map, session, table in units:
+            defects = session.defects()
+            if defects and session.a.pattern != g:
+                # found on the representative: report them in g's labels
+                defects = control.distance_power_defects(control.build_matrix(g, kind))
+            yield g, kind, (), [_distance_record(defects)], ""
+            for members, dims in table.items():
+                yield g, kind, members, control._consistency(g.order, *dims, zfs_map[members], True), ""
+
+    return _outcome(dict(op="equivalence", **cfg.to_dict()), items())
 
 
 def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
     """Check that every zero forcing control set is Lie controllable.
 
-    With subset_policy "all" every forcing subset is asserted; any other
-    policy asserts the minimal-by-inclusion forcing sets among its
-    candidates.  Traversal is pruned to branches that still lead to a
-    target, so non-forcing regions of the subset tree cost nothing, and
-    only the Lie closure is grown, since the one record reads nothing else.
-    A ``cfg`` that is not a ``SweepConfig`` raises ValueError.
+    With subset_policy "all" every forcing subset (the family of policy
+    "zfs") is asserted; any other policy asserts the minimal-by-inclusion
+    forcing sets among its candidates.  Traversal is pruned to branches
+    that still lead to a target, so non-forcing regions of the subset tree
+    cost nothing, and only the Lie closure is grown, since the one record
+    reads nothing else.  A ``cfg`` that is not a ``SweepConfig`` raises
+    ValueError.
     """
     _expect(cfg, SweepConfig)
-    counts: Counter = Counter()
-    violations: list = []
-    instances = 0
     rng = _policy_rng(cfg)
-    base, _, _ = _parse_policy(cfg.subset_policy)
 
     def targets(g: Graph, zfs_map: dict) -> list:
-        if base == "all":
-            return [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
-        return _minimal_members(_subset_family(cfg, g, zfs_map, rng), zfs_map)
+        if cfg.subset_policy == "all":
+            return _subset_family("zfs", g, zfs_map, rng)
+        return _minimal_members(_subset_family(cfg.subset_policy, g, zfs_map, rng), zfs_map)
 
-    for g, kind, _, _, table in _units(cfg, targets, ("lie",)):
-        for members, (lie_dim,) in table.items():
-            instances += 1
-            # every target is a forcing set
-            _tally([control._zfs_implies_lie(g.order, lie_dim, True, True)], counts, violations, g, kind, members)
-    config = dict(op="zfs_implication", **cfg.to_dict())
-    return _outcome(config, instances, counts, violations)
+    # every target is a forcing set
+    items = ((g, kind, members, [control._zfs_implies_lie(g.order, lie_dim, True, True)], "")
+             for g, kind, _, _, table in _units(cfg, targets, ("lie",))
+             for members, (lie_dim,) in table.items())
+    return _outcome(dict(op="zfs_implication", **cfg.to_dict()), items)
 
 
 def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
@@ -476,28 +488,28 @@ def sweep_single_vector(samples: int, seed: int) -> SweepOutcome:
     patterns allowed) and one random standard basis vector, then asserts
     walk_rank = n iff lie_dim = n^2, plus the span identity.  No graph
     hypotheses are involved.  The dimensions come from the sweeps' engine
-    (``_single_vector_dims``), which grows every closure.
+    (``_fresh_dims``), which grows every closure.
     """
     if type(samples) is not int or samples < 1:  # bool is an int subclass
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     graphs.check_int(seed, "seed")
-    counts: Counter = Counter()
-    violations: list = []
-    rng = random.Random(seed)
-    for _ in range(samples):
-        n = rng.randint(1, 5)
-        entries = [[0] * n for _ in range(n)]
-        for k in range(n):
-            for j in range(k, n):
-                val = rng.randint(-9, 9)
-                entries[k][j] = val
-                entries[j][k] = val
-        ctrl = rng.randint(1, n)
-        a = control.pattern_matrix(entries)
-        records = _single_vector_checks(n, _single_vector_dims(a, (ctrl,)))
-        _tally(records, counts, violations, a.pattern, "explicit", (ctrl,), format_matrix(a.matrix))
-    config = {"op": "single_vector", "samples": samples, "seed": seed}
-    return _outcome(config, samples, counts, violations)
+
+    def items():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            n = rng.randint(1, 5)
+            entries = [[0] * n for _ in range(n)]
+            for k in range(n):
+                for j in range(k, n):
+                    val = rng.randint(-9, 9)
+                    entries[k][j] = val
+                    entries[j][k] = val
+            ctrl = rng.randint(1, n)
+            a = control.pattern_matrix(entries)
+            records = _single_vector_checks(n, _fresh_dims(a, (ctrl,)))
+            yield a.pattern, "explicit", (ctrl,), records, format_matrix(a.matrix)
+
+    return _outcome({"op": "single_vector", "samples": samples, "seed": seed}, items())
 
 
 # ---------------------------------------------------------------------------

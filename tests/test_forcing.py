@@ -256,7 +256,8 @@ class TestMaskClosure:
 
 
 def wavefront(g):
-    return forcing._wavefront(forcing._masks(g), g.vertices, forcing._mask(g.vertices))
+    nb = forcing._masks(g)
+    return forcing._wavefront(nb, forcing._twin_classes(nb))
 
 
 def forest_z(g):
@@ -302,8 +303,8 @@ def spider(legs):
 
 def scan(g, z):
     """``forcing._scan`` of g at size z: the witness and the forts kept."""
-    nb, full = forcing._masks(g), forcing._mask(g.vertices)
-    return forcing._scan(nb, z, full)
+    nb = forcing._masks(g)
+    return forcing._scan(nb, z, forcing._twin_classes(nb))
 
 
 def scan_closures(monkeypatch, g) -> tuple:
@@ -382,10 +383,10 @@ def wavefront_calls(monkeypatch, g) -> int:
     calls = 0
     real = forcing._wavefront
 
-    def counted(nb, vertices, full):
+    def counted(nb, twins):
         nonlocal calls
         calls += 1
-        return real(nb, vertices, full)
+        return real(nb, twins)
 
     monkeypatch.setattr(forcing, "_wavefront", counted)
     min_zfs(g)
@@ -430,6 +431,16 @@ class TestForestZ:
         assert wavefront_calls(monkeypatch, g) == 1
         assert min_zfs(g) == lexicographic_min_zfs(g)
 
+    @pytest.mark.parametrize("g", [cycle_graph(5), graph(12, [(1, j) for j in range(2, 13)])],
+                             ids=["cycle-5", "star"])
+    def test_one_twin_table_per_search(self, monkeypatch, g):
+        # the wavefront and the scan read the one table min_zfs makes
+        calls = []
+        real = forcing._twin_classes
+        monkeypatch.setattr(forcing, "_twin_classes", lambda nb: calls.append(1) or real(nb))
+        assert min_zfs(g) == lexicographic_min_zfs(g)
+        assert len(calls) == 1
+
     def test_a_forest_z_below_z_is_caught(self, monkeypatch):
         # as for the wavefront: the scan at a Z too low finds no forcing set
         g = graph(8, [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)])
@@ -441,7 +452,7 @@ class TestForestZ:
 
     def test_the_order_cap_refuses_before_any_other_work(self, monkeypatch):
         calls = []
-        for name in ("_masks", "_forest_z", "_wavefront", "_scan"):
+        for name in ("_masks", "_twin_classes", "_forest_z", "_wavefront", "_scan"):
             monkeypatch.setattr(forcing, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(ValueError, match="^order 21 exceeds the exhaustive-search cap 20"):
             min_zfs(path_graph(21))
@@ -538,7 +549,7 @@ class TestMinZfs:
     def test_a_wavefront_below_z_is_caught(self, monkeypatch):
         # only the size the wavefront reports is scanned, so a Z too low
         # finds no forcing set there and must not fall through to a larger size
-        monkeypatch.setattr(forcing, "_wavefront", lambda nb, vertices, full: 1)
+        monkeypatch.setattr(forcing, "_wavefront", lambda nb, twins: 1)
         with pytest.raises(AssertionError):
             min_zfs(cycle_graph(5))
 

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -246,9 +247,10 @@ def _matrix_and_family(draw):
 class TestSharedEngine:
     """Prefix-tree sharing against a fresh root.
 
-    ``analyze`` grows the same engine state from a fresh root by one control
-    set alone, so this checks the sharing along the subset tree, not the
-    engine itself; ``tests/oracles.py`` is the independent check of that.
+    ``analyze`` and ``control._dimensions`` grow one control set alone from
+    a fresh root, on their own one-shot route, so this checks the sharing
+    along the subset tree; ``tests/oracles.py`` is the independent check of
+    the engine itself.
     """
 
     def test_matches_one_shot_analysis(self):
@@ -453,6 +455,22 @@ class TestOrbitRoute:
             assert out.check_counts["distance_power_nonzero"] == 1 + 1 + 4 + 38
             assert len(built) == sessions
 
+    def test_a_labeled_class_drops_its_table_after_its_unit(self, monkeypatch):
+        # each labeled graph is its own class under a random kind, so the
+        # sweep holds its session for one unit only, not for the whole order
+        alive = weakref.WeakSet()
+
+        class Tracked(control._Session):
+            def __init__(self, a):
+                super().__init__(a)
+                alive.add(self)
+
+        monkeypatch.setattr(control, "_Session", Tracked)
+        peak = 0
+        for _ in _units(SweepConfig(max_order=4, matrix_kinds=("random:3",)), _all_subsets):
+            peak = max(peak, len(alive))
+        assert 1 <= peak <= 2
+
     def test_each_sweep_call_walks_afresh(self, monkeypatch):
         calls = []
         kinds = {}
@@ -589,20 +607,16 @@ class TestSweepSingleVector:
         assert out.config == {"op": "single_vector", "samples": 40, "seed": 9}
 
     def test_violations_are_recorded_and_recheck(self, monkeypatch):
-        # an injected engine fault: every span and Lie dimension one short,
-        # in the one-shot route and in the sweeps' engine, which the
-        # samples read (``harness._single_vector_dims``)
+        # an injected engine fault: every span and Lie dimension one short
+        # in the sweeps' engine, which the samples and recheck read
+        # (``harness._fresh_dims``)
         engine = control._dimensions
         grow = control._grow
-
-        def faulty(a, members, parts):
-            return tuple(d - (name != "walk") for name, d in zip(parts, engine(a, members, parts)))
 
         def faulty_grow(session, subsets, parts):
             return {members: tuple(d - (name != "walk") for name, d in zip(parts, dims))
                     for members, dims in grow(session, subsets, parts=parts).items()}
 
-        monkeypatch.setattr(control, "_dimensions", faulty)
         monkeypatch.setattr(control, "_grow", faulty_grow)
         out = sweep_single_vector(12, 9)
         assert not out.passed
@@ -627,15 +641,10 @@ class TestSweepSingleVector:
         # the span two over, so only a deficient sample (walk rank < n) breaks
         # the equivalence, and its detail must name its own walk rank and Lie
         # dimension, not n and the span dimension
-        def lie_full(a, members, parts):
-            walk, pspan, _ = engine(a, members, parts)
-            return walk, pspan + 2, a.n * a.n
-
         def lie_full_grow(session, subsets, parts):
             return {members: (walk, pspan + 2, session.n ** 2)
                     for members, (walk, pspan, _) in grow(session, subsets, parts=parts).items()}
 
-        monkeypatch.setattr(control, "_dimensions", lie_full)
         monkeypatch.setattr(control, "_grow", lie_full_grow)
         out = sweep_single_vector(40, 9)
         equivalence = [v for v in out.violations if v.check == "single_vector_equivalence"]
@@ -691,6 +700,69 @@ class TestSweepSingleVector:
         doc = json.loads(out.to_json())
         assert doc["passed"] is True
         assert doc["instances_checked"] == 5
+
+
+def _shifted_grow(monkeypatch, shift):
+    """Patch ``control._grow`` alone: each dimension moves by ``shift(part, sets)``,
+    ``sets`` the number of distinct sets of the call."""
+    grow = control._grow
+
+    def faulty(session, subsets, parts=control._PARTS):
+        dims = grow(session, subsets, parts=parts)
+        return {members: tuple(d + shift(name, len(dims)) for name, d in zip(parts, row))
+                for members, row in dims.items()}
+
+    monkeypatch.setattr(control, "_grow", faulty)
+
+
+def _graph_violations(max_order):
+    cfg = SweepConfig(max_order=max_order, matrix_kinds=("adjacency", "random:5"))
+    return [v for out in (sweep_equivalence(cfg), sweep_zfs_implication(cfg)) for v in out.violations]
+
+
+class TestRecheckRoute:
+    """``recheck`` re-runs a record through the sweeps' engine, one set from a fresh root."""
+
+    @pytest.mark.parametrize("part, found", [
+        ("lie", {"kalman_iff_lie": 58, "zfs_implies_lie": 104}),
+        ("pspan", {"span_dimension_identity": 64}),
+    ])
+    def test_an_engine_fault_reproduces(self, monkeypatch, part, found):
+        _shifted_grow(monkeypatch, lambda name, sets: -(name == part))
+        violations = _graph_violations(3)
+        checks = {}
+        for v in violations:
+            checks[v.check] = checks.get(v.check, 0) + 1
+        assert checks == found
+        assert all(recheck(v) for v in violations)
+        monkeypatch.undo()
+        assert not any(recheck(v) for v in violations)
+
+    def test_a_sharing_fault_does_not_reproduce(self, monkeypatch):
+        # every dimension one short, but only where one table holds two or
+        # more sets: the one set that recheck grows is sound
+        _shifted_grow(monkeypatch, lambda name, sets: -(sets > 1))
+        violations = _graph_violations(3)
+        assert {v.check for v in violations} == {"zfs_implies_lie", "span_dimension_identity"}
+        assert not any(recheck(v) for v in violations)
+
+    def test_recheck_never_runs_analyze(self, monkeypatch):
+        def refuse(a, s):
+            raise AssertionError("recheck ran analyze")
+
+        _shifted_grow(monkeypatch, lambda name, sets: -(name != "walk"))
+        violations = _graph_violations(2) + list(sweep_single_vector(12, 9).violations)
+        assert {v.check for v in violations} == {
+            "kalman_iff_lie", "zfs_implies_lie", "span_dimension_identity", "single_vector_equivalence"}
+        monkeypatch.setattr(control, "analyze", refuse)
+        assert all(recheck(v) for v in violations)
+        mixed = format_matrix(pattern_matrix(MIXED_CYCLE).matrix)
+        edges = ((1, 2), (1, 4), (2, 3), (3, 4))
+        # the mixed cycle's own hypotheses fail, so of the records under the
+        # fault only the unconditional span identity is asserted and fails
+        assert [recheck(Violation(order=4, edges=edges, kind="explicit", subset=(1, 3),
+                                  check=check, detail="", matrix=mixed))
+                for check in ("kalman_iff_lie", "zfs_implies_lie", "span_dimension_identity")] == [False, False, True]
 
 
 class TestViolationRecords:
