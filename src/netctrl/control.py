@@ -42,6 +42,7 @@ runs over the integers alone (``_LieEngine``).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from collections import deque
@@ -418,18 +419,19 @@ class _LieEngine:
       and with E_jj it generates gl(K), as above.  So A|K is in L, hence
       A|K^perp = A - A|K, and dim L = r^2 + delta.
 
-    ``goal`` is that pair (hub rank, dimension); the default (n - 1, n^2)
-    is the case K = R^n.  The caller supplies r and delta.  The goal's
-    dimension bounds the closure of every generator the caller offers, so
-    it also caps the closure: one that reaches it without the rank is
-    proved there too, and a certified one returns at once when offered
-    more generators (they lie in L already).  A closure whose hub rows stay
-    short of the goal's rank runs to its fixpoint, which can lie below
-    r^2 + delta (the paper's example b).  A multiple of a projector E_kk
-    offered first, as A, is the hub even for k not in S; then every
-    generator is diagonal, the hub rows stay zero, and rank r - 1 = 0
-    means one control vertex s with A e_s in span(e_s), where L = span(A,
-    E_ss) has dimension 1 + delta as well.
+    ``extend`` takes that dimension as its ``bound``: n^2 in general, the
+    case K = R^n, or r^2 + delta from a caller that knows r and delta.  No
+    closure of the generators offered exceeds it, so the closure stops
+    there: one that reaches it without the rank is proved there too, and a
+    certified one returns at once when offered more generators (they lie
+    in L already).  The rank that certifies is the bound's root less one,
+    isqrt(bound) - 1: delta <= 1 < 2r + 1, so the root of r^2 + delta is
+    r.  A closure whose hub rows stay short of that rank runs to its
+    fixpoint, which can lie below r^2 + delta (the paper's example b).  A
+    multiple of a projector E_kk offered first, as A, is the hub even for
+    k not in S; then every generator is diagonal, the hub rows stay zero,
+    and rank r - 1 = 0 means one control vertex s with A e_s in
+    span(e_s), where L = span(A, E_ss) has dimension 1 + delta as well.
 
     Hub walk: the certificate reads hub rows only, and needs only that
     each row fed lies in the span of the hub rows of elements of L.  Take
@@ -441,7 +443,7 @@ class _LieEngine:
     u_1 ... u_{k+1} span.  So when a projector becomes the hub with A, the
     first generator, already in, ``_offer`` feeds ``hub_rows`` with
     A^2 e_j, A^3 e_j, ... beside A's own hub row u_1, with no bracket, no
-    Lie-basis insert and no queued pair, until the goal's rank, a zero
+    Lie-basis insert and no queued pair, until the certifying rank, a zero
     power or a step that does not grow the hub rows (a power in the span
     of u_0 ... u_k keeps every later one there).  It draws them from
     ``_walk`` on ``a``, the dense rows of the first generator, kept for
@@ -449,26 +451,21 @@ class _LieEngine:
     control vertex the closure is certified with its elements still A and
     E_jj.  The walk lies in the
     Krylov space of e_j alone, so it stalls whenever that space is smaller
-    than K, as well as on every closure short of its goal (the paper's
+    than K, as well as on every closure short of its bound (the paper's
     example b); then the closure goes on by the queue rule from its
     generators, and every (generator, element) pair is bracketed once.
 
-    Queue rule: in an uncapped closure, an element whose hub row grew
-    ``hub_rows`` has its pairs queued at the front, the non-projector (A)
-    pairs on top; every other pair is queued as above.  A cap below n^2
-    serves only ``lie_closure``'s ``cap``: then ``hub_rows`` is fed but
-    never read, so nothing certifies and every pair is queued as above,
-    and a capped closure brackets in the same order as without the hub
-    rows.  ``hub_rows`` is fed in ``_offer`` only, the walk's rows
-    included, so every Lie-basis and hub-row insert keeps one call site
-    (``bench/spans.py`` attributes inserts by it).
+    Queue rule: an element whose hub row grew ``hub_rows`` has its pairs
+    queued at the front, the non-projector (A) pairs on top; every other
+    pair is queued as above.  ``hub_rows`` is fed in ``_offer`` only, the
+    walk's rows included, so every Lie-basis and hub-row insert keeps one
+    call site (``bench/spans.py`` attributes inserts by it).
     """
 
-    __slots__ = ("side", "goal", "bases", "dim", "elems", "gens", "a", "pending", "hub", "hub_rows")
+    __slots__ = ("side", "bases", "dim", "elems", "gens", "a", "pending", "hub", "hub_rows")
 
-    def __init__(self, side: int, goal=None):
+    def __init__(self, side: int):
         self.side = side
-        self.goal = (side - 1, side * side) if goal is None else goal
         self.bases = tuple(intlinalg.EchelonBasis(len(_packing(side, parity))) for parity in (_SYM, _SKEW))
         self.dim = 0
         self.elems: list = []
@@ -481,7 +478,6 @@ class _LieEngine:
     def copy(self) -> "_LieEngine":
         dup = _LieEngine.__new__(_LieEngine)
         dup.side = self.side
-        dup.goal = self.goal
         dup.bases = (self.bases[_SYM].copy(), self.bases[_SKEW].copy())
         dup.dim = self.dim
         dup.elems = list(self.elems)
@@ -499,7 +495,7 @@ class _LieEngine:
             return [-packed[k] for k in left] + [packed[k] for k in right]
         return [packed[k] for k in left] + [packed[k] for k in right]
 
-    def _offer(self, parity: int, packed, residue: bool = True, hub=None) -> int:
+    def _offer(self, parity: int, packed, residue: bool = True, hub=None, rank: int = 0) -> int:
         """Insert a packed element; keep it if the span grew.
 
         Returns 0 if the span did not grow, 2 if it did and a hub row grew
@@ -513,8 +509,9 @@ class _LieEngine:
         starts from the hub rows of every kept element.  With A in (``a``
         set) they then take the hub walk A^2 e_j, A^3 e_j, ..., entry j
         dropped, drawn from ``_walk`` on ``a`` (A e_j, A's own hub row, is
-        read off row j of ``a`` and skipped), until they reach the goal's
-        rank, at a zero power, or at a power that does not grow them.
+        read off row j of ``a`` and skipped), until they reach ``rank``,
+        the certifying rank of ``extend``, at a zero power, or at a power
+        that does not grow them.
         """
         row = self.bases[parity].insert(packed)
         if row is None:
@@ -538,7 +535,7 @@ class _LieEngine:
             # grew is 2 already if any walk row can grow the hub rows: A's
             # row u_1 went in above, and u_1 = 0 puts every later power on e_j
             powers = itertools.islice(_walk(self.a, hub), 2, None)
-            while self.hub_rows.dim < self.goal[0]:
+            while self.hub_rows.dim < rank:
                 u = next(powers, ())  # () once the powers run out
                 r = u[:hub] + u[hub + 1:]
                 if not any(r) or self.hub_rows.insert(r) is None:
@@ -609,23 +606,24 @@ class _LieEngine:
                         out[row[a]] += v * (y + z)
         return out if any(out) else None
 
-    def _certify(self) -> bool:
-        """Whether the hub rows reach the goal's rank; if so, record its dimension and drop the queue."""
-        rank, dim = self.goal
+    def _certify(self, rank: int, bound: int) -> bool:
+        """Whether the hub rows reach ``rank``; if so, record ``bound`` as the dimension and drop the queue."""
         if self.hub_rows is None or self.hub_rows.dim < rank:
             return False
-        self.dim = dim
+        self.dim = bound
         self.pending.clear()
         return True
 
-    def extend(self, int_generators, cap: int) -> int:
-        """Add symmetric generators, restore bracket closure, return the dimension."""
-        n = self.side
-        # only an uncapped closure reads the hub rows, so only it leads with them
-        full = cap >= n * n
-        cap = min(cap, self.goal[1])
+    def extend(self, int_generators, bound: int) -> int:
+        """Add symmetric generators, restore bracket closure, return the dimension.
+
+        ``bound`` is a dimension that no closure of the generators offered
+        exceeds, n^2 or r^2 + delta: the closure stops there, and certifies
+        once the hub rows reach rank isqrt(bound) - 1 (lemma 1).
+        """
+        rank = math.isqrt(bound) - 1
         for gen in int_generators:
-            if self.dim >= cap:
+            if self.dim >= bound:
                 return self.dim
             packed = tuple(gen[i][j] for i, j in _packing(self.side, _SYM))
             support = [k for k, v in enumerate(packed) if v]
@@ -638,27 +636,26 @@ class _LieEngine:
             # the element is the generator itself, not its residue: then
             # [gen, gen] = 0 and [g_old, gen] = -[gen, g_old], so only the
             # new generator's pairs are queued
-            grew = self._offer(_SYM, packed, residue=False, hub=hub)
+            grew = self._offer(_SYM, packed, residue=False, hub=hub, rank=rank)
             if not grew:
                 continue
             if not self.gens:
                 self.a = gen
             self.gens.append(j if projector else [[(a, v) for a, v in enumerate(row) if v] for row in gen])
             g = len(self.gens) - 1
-            self._queue(((g, e) for e in range(len(self.elems) - 1)), full and grew == 2)
-            if full and self._certify():
+            self._queue(((g, e) for e in range(len(self.elems) - 1)), grew == 2)
+            if self._certify(rank, bound):
                 return self.dim
         gens, elems, pending = self.gens, self.elems, self.pending
-        while pending and self.dim < cap:
+        while pending and self.dim < bound:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
             packed = self._bracket(gens[g], elems[e])
             grew = 0 if packed is None else self._offer(parity, packed)
             if grew:
-                lead = full and grew == 2
-                if lead and self._certify():
+                if grew == 2 and self._certify(rank, bound):
                     break
-                self._queue(((h, len(elems) - 1) for h in range(len(gens))), lead)
+                self._queue(((h, len(elems) - 1) for h in range(len(gens))), grew == 2)
         return self.dim
 
 
@@ -668,7 +665,7 @@ def _warn_if_past_default(n: int, stacklevel: int = 3) -> None:
         warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=stacklevel)
 
 
-def lie_closure(generators, cap=None, max_order=None) -> tuple:
+def lie_closure(generators, max_order=None) -> tuple:
     """Smallest subspace containing the generators and closed under [x, y].
 
     Args:
@@ -676,8 +673,6 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         rationals), all of one side n.  The closure is computed on its
         symmetric and skew parts separately, which needs every generator
         symmetric.
-      cap: a positive int; stop once the dimension reaches it.  Defaults
-        to n^2, the dimension of gl(n, R), which no closure exceeds.
       max_order: refuse sides beyond this; exact closure cost grows
         steeply with n (vectors of length n^2, O(dim·|G|) brackets for
         |G| generators; a full one with one control vertex is often
@@ -685,7 +680,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
         a closure past 16 emits a warning.
 
-    One closure runs, over the integers.  One that comes out full returns
+    One closure runs, over the integers, bounded by n^2, the dimension of
+    gl(n, R), which no closure exceeds.  One that comes out full returns
     the canonical basis of gl(n, R), the unit matrices
     (``MatrixSpaceBasis.full``), since a certified closure keeps fewer
     elements than its dimension: with ``control_generators`` of a
@@ -704,8 +700,8 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
     Raises:
       ValueError: generators that are not an iterable, no generators, a
         generator that is not a matrix of rationals (``linalg.matrix``),
-        mismatched sides, a generator that is not symmetric, a cap that is
-        not a positive int, or order over max_order.
+        mismatched sides, a generator that is not symmetric, or order over
+        max_order.
     """
     try:
         mats = [m if isinstance(m, RationalMatrix) else matrix(m) for m in generators]
@@ -720,13 +716,9 @@ def lie_closure(generators, cap=None, max_order=None) -> tuple:
         if not m.is_symmetric():
             raise ValueError("generators must be symmetric")
     check_lie_order(n, max_order)
-    if cap is None:
-        cap = n * n
-    elif type(cap) is not int or cap < 1:  # bool is an int subclass
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
     _warn_if_past_default(n)
     engine = _LieEngine(n)
-    dim = engine.extend(map(_int_rows, mats), cap)
+    dim = engine.extend(map(_int_rows, mats), n * n)
     if dim == n * n:
         return dim, MatrixSpaceBasis.full(n)
     basis = MatrixSpaceBasis(n)
@@ -852,7 +844,7 @@ def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = Tru
     ignores ``last``.  The powers are drawn only when the walk still
     grows, so a Lie-only state never steps one.
 
-    The Lie closure grows after the walk, with cap n^2 beside any walk.
+    The Lie closure grows after the walk, with bound n^2 beside any walk.
     Beside a short walk of rank r it cannot certify: its hub rows stay at
     most r - 1 < n - 1 (``_LieEngine``, lemma 1), so it runs to its
     fixpoint, whose dimension does not depend on the queue order.
@@ -933,10 +925,11 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
        when it is asked, from every walk row once the last member is in.
     2. Exactly, the walk alone when the modular walk came out short; then,
        after a false short with the span asked, the walk and the span.
-    3. For the Lie part, its goal from the walk rank r and delta
+    3. For the Lie part, its bound from the walk rank r and delta
        (``_LieEngine``, lemma 1): delta is 1 exactly when some row of A
        (A is symmetric) lies outside the exact walk's span K, and 0 when
-       r = n; the goal is (r - 1, r^2 + delta).  When the walk of the first
+       r = n; the bound is r^2 + delta, whose root less one, r - 1, is the
+       hub-row rank that certifies it.  When the walk of the first
        control vertex j alone already has rank r, read off the same state
        (modular or exact) that gives r, the dimension is r^2 + delta with
        no closure.  Proof: u_k = A^k e_j for k < r is then a basis of K.
@@ -956,7 +949,7 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
        control vertex becomes the hub and its walk feeds the hub rows
        before the other projectors go in; if it stalls, the closure leads
        with the hub rows.  It stops once they reach rank r - 1, at
-       dimension r^2 + delta, or runs to its fixpoint short of that goal.
+       dimension r^2 + delta, or runs to its fixpoint short of that bound.
        Past the default order cap it warns first, as ``lie_closure`` does.
 
     So a short walk gives a short Lie closure by construction here, as the
@@ -1003,14 +996,14 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     if "lie" in parts:
         r = dims["walk"]
         delta = r < n and not all(map(state.walk.contains, session.int_a))
-        goal = (r - 1, r * r + delta)
+        bound = r * r + delta
         if first == r:
             # the first control vertex's walk spans K: it is the certificate
-            dims["lie"] = goal[1]
+            dims["lie"] = bound
         else:
             _warn_if_past_default(n, stacklevel=4)
             gens = [session.int_a] + [_projector_rows(n, j - 1) for j in members]
-            dims["lie"] = _LieEngine(n, goal).extend(gens, n * n)
+            dims["lie"] = _LieEngine(n).extend(gens, bound)
     return tuple(dims[name] for name in parts)
 
 
@@ -1066,12 +1059,12 @@ def lie_controllable(a: PatternMatrix, s) -> tuple:
     column of A lies outside the walk's span.  When the walk of the first
     control vertex alone has rank r, its powers are such rows, so no
     closure is built: every one-vertex set is such a case.  Otherwise one
-    exact closure runs toward that goal and only counts the dimension
-    (``lie_closure`` also builds the canonical basis it returns); past the
-    default order cap it warns, as ``lie_closure`` does.  So a short walk
-    gives a short closure by construction, as it gives the span r^2; the
-    sweeps still grow every closure and ``tests/oracles.py`` still checks
-    it.
+    exact closure runs, bounded by r^2 + delta, and only counts the
+    dimension (``lie_closure`` also builds the canonical basis it
+    returns); past the default order cap it warns, as ``lie_closure``
+    does.  So a short walk gives a short closure by construction, as it
+    gives the span r^2; the sweeps still grow every closure and
+    ``tests/oracles.py`` still checks it.
 
     Raises:
       ValueError: empty control set, labels out of range, or an order past

@@ -6,9 +6,9 @@ every following line holds one edge ``u v``.  Lines starting with ``#`` are
 comments, blank lines are skipped, CRLF is tolerated.
 
 Every neighbour-set query reads one map, ``neighbours(g)``: built from the
-edge list in O(m) memory whatever the declared order, and cached for one
-graph.  The exhaustive forcing search alone builds its bitmask table
-straight from the edge list (``forcing._masks``).
+edge list in O(m) memory whatever the declared order.  The exhaustive
+forcing search alone builds its bitmask table straight from the edge list
+(``forcing._masks``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 class GraphFormatError(ValueError):
@@ -102,14 +101,12 @@ def graph(order: int, edges=()) -> Graph:
     return Graph(order, frozenset(normalized))
 
 
-@lru_cache(maxsize=1)
 def neighbours(g: Graph) -> dict:
     """Vertex -> frozenset of neighbours, for the vertices that lie on an edge.
 
     The one neighbour build of the package.  A vertex with no edge has no
     entry (read it as ``.get(v, ())``), so the map is O(m) whatever the
-    declared order.  The last graph's map is cached and shared: treat it as
-    read-only (its values are frozensets).
+    declared order.
     """
     adj = {}
     for u, v in g.edges:

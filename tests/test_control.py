@@ -395,8 +395,8 @@ class TestLieClosure:
         runs = _lie_engines(monkeypatch)
         dim, basis = lie_closure(gens)
         n = basis.side
-        # one engine, toward the default goal (n - 1, n^2)
-        assert [goal for goal, _ in runs] == [None]
+        # one engine, bounded by n^2
+        assert [bound for bound, _ in runs] == [n * n]
         assert dim == len(want) == basis.dim == n * n
         assert basis.vectors() == want
         assert basis == MatrixSpaceBasis.full(n)
@@ -418,15 +418,9 @@ class TestLieClosure:
         want = self._oracle_rows(gens)
         runs = _lie_engines(monkeypatch)
         dim, basis = lie_closure(gens)
-        assert [goal for goal, _ in runs] == [None]
+        assert [bound for bound, _ in runs] == [16]
         assert dim == len(want) == 8
         assert basis.vectors() == want
-
-    def test_capped_closure_runs_exactly(self, monkeypatch):
-        gens = control_generators(adjacency_matrix(path_graph(4)), (2,))
-        runs = _lie_engines(monkeypatch)
-        dim, basis = lie_closure(gens, cap=5)
-        assert len(runs) == 1 and dim == basis.dim == 5
 
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy(max_side=3))
@@ -437,11 +431,6 @@ class TestLieClosure:
         want = self._oracle_rows(gens)
         assert dim == len(want)
         assert basis.vectors() == want
-
-    def test_cap_stops_early(self):
-        a = adjacency_matrix(path_graph(4))
-        dim, _ = lie_closure(control_generators(a, (2,)), cap=5)
-        assert dim == 5
 
     def test_asymmetric_generator_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -501,11 +490,10 @@ class TestLieClosure:
             lie_closure([matrix([[0, 1], [1, 0]])], max_order=bad)
         assert str(exc.value) == f"max_order must be a positive integer, got {bad!r}"
 
-    @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, "5"])
-    def test_cap_must_be_a_positive_int(self, bad):
-        with pytest.raises(ValueError) as exc:
-            lie_closure([matrix([[0, 1], [1, 0]])], cap=bad)
-        assert str(exc.value) == f"cap must be a positive integer, got {bad!r}"
+    def test_takes_no_cap(self):
+        # n^2 bounds every closure; no caller stops one short of its fixpoint
+        with pytest.raises(TypeError):
+            lie_closure([matrix([[0, 1], [1, 0]])], cap=5)
 
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy(max_side=3))
@@ -570,13 +558,14 @@ def _int_matrix(a):
     return tuple(tuple(int(x) for x in row) for row in a.matrix.entries)
 
 
-def _control_engine(a, s, goal=None):
+def _control_engine(a, s, bound=None):
+    """The engine's closure of A and the projectors of ``s``, bounded by ``bound`` (n^2 by default)."""
     n = a.n
     gens = [_int_matrix(a)]
     for j in s:
         gens.append(tuple(tuple(int(r == c == j - 1) for c in range(n)) for r in range(n)))
-    engine = _LieEngine(n, goal)
-    engine.extend(gens, n * n)
+    engine = _LieEngine(n)
+    engine.extend(gens, n * n if bound is None else bound)
     return engine
 
 
@@ -654,7 +643,7 @@ class TestCrossCertificate:
         (complete_graph(6), "adjacency", (1, 2), 3, 10, 24),
     ], ids=["C16-1", "C8-1", "K6-12"])
     def test_short_walk_closure_is_never_certified(self, monkeypatch, g, kind, members, walk, elems, brackets):
-        # beside a short walk of rank r the closure grows with cap n^2 as
+        # beside a short walk of rank r the closure grows with bound n^2 as
         # beside a full one, but its hub rows stay at most r - 1 < n - 1
         # (lemma 1), so it never certifies and runs to its fixpoint
         counted = self._counting_brackets(monkeypatch)
@@ -725,13 +714,6 @@ class TestCrossCertificate:
         assert engine.dim == len(engine.elems) == want
         assert engine.hub_rows.dim < n - 1
 
-    def test_capped_closure_is_not_certified(self):
-        a = random_same_sign_matrix(complete_graph(8), 7)
-        gens = [_int_matrix(a), control._projector_rows(8, 0)]
-        engine = _LieEngine(8)
-        assert engine.extend(gens, 63) == 63
-        assert len(engine.elems) == 63
-
 
 @st.composite
 def _sparse_symmetric(draw):
@@ -754,16 +736,19 @@ def _sparse_symmetric(draw):
 
 
 def _lie_engines(monkeypatch):
-    """Every Lie engine the library builds from here on, as (goal, engine)."""
+    """Every ``extend`` call on a Lie engine the library builds from here on, as (bound, engine).
+
+    The library's ``lie_closure`` and ``_dimensions`` extend each engine
+    they build once; an engine built in a test is not recorded.
+    """
     runs = []
-    real = control._LieEngine
 
-    def spy(side, goal=None):
-        engine = real(side, goal)
-        runs.append((goal, engine))
-        return engine
+    class Recorded(control._LieEngine):
+        def extend(self, int_generators, bound):
+            runs.append((bound, self))
+            return super().extend(int_generators, bound)
 
-    monkeypatch.setattr(control, "_LieEngine", spy)
+    monkeypatch.setattr(control, "_LieEngine", Recorded)
     return runs
 
 
@@ -798,7 +783,7 @@ class TestKrylovCertificate:
         # delta: some column of A (a row, A being symmetric) lies outside K
         delta = int(oracles.frac_rank(walk + entries) > r)
         assert want <= r * r + delta
-        # the prime reaches the walk, which the Lie goal and the first-walk
+        # the prime reaches the walk, which the Lie bound and the first-walk
         # rule read, and nothing of the closure
         for p in (control._PRIME, 2, 3, 5):
             with pytest.MonkeyPatch.context() as mp:
@@ -810,8 +795,8 @@ class TestKrylovCertificate:
             assert (rep.walk_rank, rep.lie_dim) == (r, want), f"prime {p}"
             # at most one exact engine per decision, the same for both
             assert decided <= 1 and len(runs) == 2 * decided
-            for goal, engine in runs:
-                assert goal == (r - 1, r * r + delta)
+            for bound, engine in runs:
+                assert bound == r * r + delta
                 # every hub is a control vertex, or A itself when A is a
                 # multiple of a projector (``_LieEngine``)
                 assert engine.hub is None or engine.hub + 1 in s or engine.gens[0] == engine.hub
@@ -837,13 +822,13 @@ class TestKrylovCertificate:
         if first_spans:
             # the first vertex's walk is the certificate: the decisions build
             # no engine (``_dimensions``), and the engine run on the same
-            # generators and goal certifies the same dimension
+            # generators and bound certifies the same dimension
             assert runs == []
-            engine = _control_engine(a, s, (r - 1, r * r + delta))
+            engine = _control_engine(a, s, r * r + delta)
             assert engine.dim == r * r + delta
         else:
-            [(goal, engine)] = runs
-            assert goal == (r - 1, r * r + delta)
+            [(bound, engine)] = runs
+            assert bound == r * r + delta
         assert engine.hub + 1 == s[0] and engine.hub_rows.dim == r - 1
         assert _certified(engine)
         rep = analyze(a, s)
@@ -857,7 +842,9 @@ class TestKrylovCertificate:
         # the walk of the two blocks is full, yet the closure is gl(2) + gl(2)
         runs = _lie_engines(monkeypatch)
         assert lie_controllable(pattern_matrix(BLOCK_PAIRED), (1, 3)) == (False, 8)
-        assert [goal for goal, _ in runs] == [(3, 16)]
+        [(bound, engine)] = runs
+        assert bound == 16 and engine.hub_rows.dim < 3
+        assert engine.dim == len(engine.elems) == 8
 
     def test_example_b_falls_back_to_its_exact_closure(self, monkeypatch):
         # a connected mixed-sign pattern whose walk is full: its hub rows
@@ -865,8 +852,8 @@ class TestKrylovCertificate:
         a = pattern_matrix(MIXED_CYCLE)
         runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, (1, 3)) == (False, 8)
-        [(goal, engine)] = runs
-        assert goal == (3, 16) and engine.hub_rows.dim < 3
+        [(bound, engine)] = runs
+        assert bound == 16 and engine.hub_rows.dim < 3
         assert engine.dim == len(engine.elems) == 8
         assert oracles.control_lie_dim_bruteforce(MIXED_CYCLE, (1, 3)) == 8
 
@@ -884,7 +871,7 @@ class TestHubWalk:
     X_{k+1} = [A, X_k] has row j equal to +-u_{k+1} plus a combination of
     u_0 ... u_k, so with entry j dropped the hub rows of X_0 ... X_k span
     what u_1 ... u_{k+1} span.  The walk feeds those rows and brackets
-    nothing, and stops at the goal's rank, a zero power or a row that does
+    nothing, and stops at the certifying rank, a zero power or a row that does
     not grow the hub rows; one that stalls leaves the closure to the queue,
     which runs to the oracle's fixpoint with every (generator, element)
     pair bracketed once.
@@ -924,7 +911,7 @@ class TestHubWalk:
         """Check a hub walk's stop rules; return A's hub row, then every walked row.
 
         Every walked row but the last grew the hub rows, none was drawn once
-        they had the goal's rank n - 1, and the walk stopped there, at a row
+        they had the certifying rank n - 1, and the walk stopped there, at a row
         that did not grow them, or at a zero power A^k e_j (k = n is past
         the walk).
         """
@@ -1013,7 +1000,7 @@ class TestHubWalk:
         assert len(brackets) == 1
         assert oracles.control_lie_dim_bruteforce([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (3,)) == 2
 
-    def test_walk_stops_at_the_goal_rank(self, monkeypatch):
+    def test_walk_stops_at_the_certifying_rank(self, monkeypatch):
         # P4 with B = E_14 + E_41 offered before E_11: the hub rows of A and
         # B are (1, 0, 0) and (0, 0, 1), and A^2 e_1 = e_1 + e_3 gives
         # (0, 1, 0), rank 3 = n - 1; the walk stops there, before A^3 e_1
@@ -1230,21 +1217,21 @@ class TestLieControllable:
             # full, but the closure is gl(8) + gl(9), so the hub rows stop at
             # rank 7 < 16 and the closure runs to its fixpoint
             (lambda: lie_controllable(build_matrix(graph(17, edges), "random:7"), (1, 9)),
-             (False, 8 * 8 + 9 * 9), [(16, 289)]),
+             (False, 8 * 8 + 9 * 9), [289]),
             # the walk of vertex 1 of cycle-20 is short, that of {1, 2} full
-            (lambda: lie_controllable(adjacency_matrix(cycle_graph(20)), (1, 2)), (True, 400), [(19, 400)]),
-            (lambda: lie_closure(k17, max_order=17)[0], 289, [None]),
+            (lambda: lie_controllable(adjacency_matrix(cycle_graph(20)), (1, 2)), (True, 400), [400]),
+            (lambda: lie_closure(k17, max_order=17)[0], 289, [289]),
             # the first vertex's walk is full: no closure, no warning
             (lambda: lie_controllable(build_matrix(path_graph(20), "random:7"), (1,)), (True, 400), []),
             (lambda: lie_controllable(build_matrix(cycle_graph(20), "random:3"), (1, 11)), (True, 400), []),
         ]
-        for call, want, goals in cases:
+        for call, want, bounds in cases:
             with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 runs = _lie_engines(mp)
                 assert call() == want
-            assert [goal for goal, _ in runs] == goals
-            assert [w.category for w in caught] == [UserWarning] * len(goals), want
+            assert [bound for bound, _ in runs] == bounds
+            assert [w.category for w in caught] == [UserWarning] * len(bounds), want
 
     def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
         # the path is controllable, so its first vertex's walk alone would

@@ -30,7 +30,7 @@ from netctrl import (
     random_same_sign_matrix,
     to_dot,
 )
-from netctrl import forcing
+from netctrl import forcing, graphs
 from netctrl.graphs import adjacency_sets, degree, neighbours, parse_int
 
 
@@ -322,7 +322,6 @@ class TestNeighbours:
 
     def test_memory_does_not_grow_with_the_declared_order(self):
         g = graph(10**6, [(1, 2)])
-        neighbours.cache_clear()
         tracemalloc.start()
         try:
             assert neighbours(g) == {1: frozenset({2}), 2: frozenset({1})}
@@ -331,9 +330,20 @@ class TestNeighbours:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_min_zfs_builds_no_neighbour_map(self):
-        # its bitmask table comes straight from the edge list (forcing._masks)
+    def test_min_zfs_builds_no_neighbour_map(self, monkeypatch):
+        # its bitmask table comes straight from the edge list (forcing._masks);
+        # forcing imports the name, so both bindings are counted
         g = random_connected(14, Fraction(1, 2), seed=5)
-        neighbours.cache_clear()
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return neighbours(g)
+
+        for module in (graphs, forcing):
+            monkeypatch.setattr(module, "neighbours", counting)
         forcing.min_zfs(g)
-        assert neighbours.cache_info()[:2] == (0, 0)
+        assert calls == []
+        # the wrapper does see the neighbour map that closure builds
+        forcing.closure(g, (1,))
+        assert calls == [g]
