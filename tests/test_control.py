@@ -1,6 +1,7 @@
 """Controllability decisions: walk rank, product span, Lie closure, analyze."""
 
 import itertools
+import math
 import random
 import re
 import sys
@@ -713,6 +714,61 @@ class TestCrossCertificate:
         engine = _control_engine(adjacency_matrix(graph(n, edges)), members)
         assert engine.dim == len(engine.elems) == want
         assert engine.hub_rows.dim < n - 1
+
+
+class TestOneBound:
+    """``extend``'s bound is the engine's one stop: its root less one is the certifying rank."""
+
+    def test_engine_takes_its_side_alone(self):
+        with pytest.raises(TypeError):
+            _LieEngine(4, (3, 16))
+        with pytest.raises(TypeError):
+            _LieEngine(4).extend([control._projector_rows(4, 0)])
+
+    # the oracle's fixpoints, below n^2, with hub rows of rank n - 2, one
+    # short of the root of n^2 less one
+    @pytest.mark.parametrize("g, members, want", [
+        (cycle_graph(4), (1,), 9),
+        (graph(4, [(1, 2), (1, 3), (1, 4)]), (2,), 9),
+        (path_graph(5), (2,), 16),
+    ], ids=["C4-1", "star3-2", "P5-2"])
+    def test_hub_rows_one_short_run_to_the_fixpoint(self, g, members, want):
+        a = adjacency_matrix(g)
+        n = g.order
+        engine = _control_engine(a, members)
+        assert engine.hub_rows.dim == math.isqrt(n * n) - 2
+        assert engine.dim == len(engine.elems) == want < n * n
+        assert not engine.pending and not _certified(engine)
+        assert want == oracles.control_lie_dim_bruteforce([list(r) for r in a.matrix.entries], members)
+
+    @pytest.mark.parametrize("g, kind, member", [
+        (complete_graph(8), "random:7", 1),
+        (path_graph(6), "adjacency", 1),
+        (path_graph(4), "adjacency", 2),
+    ], ids=["K8-1", "P6-1", "P4-2"])
+    def test_certified_closure_takes_no_more_generators(self, g, kind, member):
+        # every generator lies in gl(n) once the closure is certified there,
+        # so the engine returns before it inserts one
+        a = build_matrix(g, kind)
+        n = g.order
+        engine = _control_engine(a, (member,))
+        assert _certified(engine) and engine.dim == n * n
+        elems, gens = list(engine.elems), list(engine.gens)
+        more = [control._projector_rows(n, j) for j in range(n)]
+        more.append(_int_matrix(random_same_sign_matrix(g, 3)))
+        assert engine.extend(more, n * n) == n * n
+        assert (engine.elems, engine.gens) == (elems, gens)
+        assert not engine.pending
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closure_with_no_hub_stops_at_the_bound(self, n):
+        # two generic generators on K_n generate gl(n) with no projector to
+        # certify it: the closure stops at n^2 with pairs still queued
+        gens = [_int_matrix(random_same_sign_matrix(complete_graph(n), seed)) for seed in (7, 3)]
+        engine = _LieEngine(n)
+        assert engine.extend(gens, n * n) == len(engine.elems) == n * n
+        assert engine.hub is None and engine.pending
+        assert len(oracles.lie_basis_bruteforce(gens)) == n * n
 
 
 @st.composite
