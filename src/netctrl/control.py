@@ -126,38 +126,38 @@ def pattern_matrix(m) -> PatternMatrix:
         raise ValueError("matrix is not symmetric")
     n = m.rows
     edges = set()
-    positive = negative = False
+    signs = set()
     for k in range(n):
         row = m.entries[k]
         for j in range(k + 1, n):
             x = row[j]
             if x:
                 edges.add((k + 1, j + 1))
-                if x > 0:
-                    positive = True
-                else:
-                    negative = True
-    if positive and negative:
-        sign_class = MIXED
-    elif negative:
-        sign_class = ALL_NEGATIVE
-    else:
-        sign_class = ALL_POSITIVE
-    return PatternMatrix(n=n, matrix=m, sign_class=sign_class, pattern=graphs.graph(n, edges))
+                signs.add(x > 0)
+    return PatternMatrix(n=n, matrix=m, sign_class=_sign_class(signs), pattern=graphs.graph(n, edges))
+
+
+def _sign_class(signs: set) -> str:
+    """The sign class of the nonzero off-diagonal entries, from the set of their ``x > 0``."""
+    return MIXED if len(signs) > 1 else ALL_NEGATIVE if signs == {False} else ALL_POSITIVE
 
 
 def _edge_matrix(g: Graph, weights, diagonal) -> PatternMatrix:
     """Fill a graph-built matrix: weights on the sorted edges, then the diagonal.
 
     Weight i goes to both entries of the i-th edge of ``sorted(g.edges)``
-    and ``diagonal[j]`` to (j, j); every other entry is zero.
+    and ``diagonal[j]`` to (j, j); every other entry is zero.  Every
+    caller's weights are nonzero, so ``g`` is the pattern and the signs of
+    the weights are the sign class, with nothing to re-derive from the
+    entries (``pattern_matrix``).
     """
     entries = [[Fraction(0)] * g.order for _ in range(g.order)]
     for (u, v), w in zip(sorted(g.edges), weights, strict=True):
         entries[u - 1][v - 1] = entries[v - 1][u - 1] = Fraction(w)
     for j, d in enumerate(diagonal):
         entries[j][j] = Fraction(d)
-    return pattern_matrix(RationalMatrix(tuple(map(tuple, entries))))
+    sign_class = _sign_class({w > 0 for w in weights})
+    return PatternMatrix(g.order, RationalMatrix(tuple(map(tuple, entries))), sign_class, g)
 
 
 def adjacency_matrix(g: Graph) -> PatternMatrix:

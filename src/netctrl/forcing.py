@@ -13,8 +13,9 @@ for what it serves:
   O(m log n) time in O(m) memory, independent of the declared order, so
   ``netctrl zfs --set`` works at any order.
 * ``_close`` is the kernel of the exhaustive queries: ``min_zfs`` and
-  ``zfs_statuses``, the sweeps' forcing maps (kept out of the package's
-  public names).  It runs on Python ints, bit v for vertex v, over the
+  ``_ForcingMap``, the sweeps' forcing maps (kept out of the package's
+  public names), which close a subset only when a sweep first reads its
+  status.  It runs on Python ints, bit v for vertex v, over the
   neighbour-mask table that ``_masks`` builds straight from ``g.edges``,
   with no neighbour sets in between.  The table takes O(n^2) bits, so
   it serves only queries already capped by order, never ``closure``: do
@@ -167,10 +168,25 @@ def _close(nb: list, black: int, todo=None) -> int:
     return black
 
 
-def zfs_statuses(g: Graph, subsets) -> dict:
-    """{s: whether s is a zero forcing set of g} for each vertex tuple s in ``subsets``."""
-    nb, full = _masks(g), _mask(g.vertices)
-    return {s: _close(nb, _mask(s)) == full for s in subsets}
+class _ForcingMap(dict):
+    """{vertex tuple s: whether s is a zero forcing set of g}, closed on read.
+
+    The sweeps' forcing map: ``m[s]`` closes s (``_close`` over the table
+    of ``_masks``) the first time it is read and keeps the answer, so a
+    sweep pays one closure per distinct subset it reads, not one per
+    subset of the graph.  Only ``[]`` closes; ``get`` and ``in`` see the
+    subsets read so far.
+    """
+
+    __slots__ = ("nb", "full")
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.nb, self.full = _masks(g), _mask(g.vertices)
+
+    def __missing__(self, s) -> bool:
+        forces = self[s] = _close(self.nb, _mask(s)) == self.full
+        return forces
 
 
 def _twin_classes(nb: list) -> list:

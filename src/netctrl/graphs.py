@@ -8,7 +8,8 @@ comments, blank lines are skipped, CRLF is tolerated.
 Every neighbour-set query reads one map, ``neighbours(g)``: built from the
 edge list in O(m) memory whatever the declared order.  The exhaustive
 forcing search alone builds its bitmask table straight from the edge list
-(``forcing._masks``).
+(``forcing._masks``), and ``is_connected`` needs no neighbour sets: it
+joins components over the edge list.
 """
 
 from __future__ import annotations
@@ -256,17 +257,37 @@ def random_connected(n: int, edge_probability, seed: int, max_tries: int = 10_00
 # ---------------------------------------------------------------------------
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 1."""
-    nbrs = neighbours(check_graph(g))
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in nbrs.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.order
+    """True iff every vertex is reachable from vertex 1 (``_spans`` of the edges)."""
+    return _spans(check_graph(g).order, g.edges)
+
+
+def _spans(order: int, edges) -> bool:
+    """True iff the edge pairs join all of vertices 1..order into one component.
+
+    A union-find (path halving; a vertex absent from ``root`` is a root)
+    counts the edges that join two components, and the answer is yes once
+    order - 1 of them have.  No neighbour map is built, so the memory is
+    O(m) whatever the order, and ``harness.connected_graphs`` tests its
+    edge masks here before it builds a Graph.
+    """
+    root = {}
+    need = order - 1
+    for u, v in edges:
+        if not need:
+            break
+        u, v = _root(root, u), _root(root, v)
+        if u != v:
+            root[u] = v
+            need -= 1
+    return not need
+
+
+def _root(root: dict, x: int) -> int:
+    """The root of x's component in ``root``, halving x's path on the way."""
+    while x in root:
+        # x's parent becomes its grandparent (or stays, if it is the root)
+        root[x] = x = root.get(root[x], root[x])
+    return x
 
 
 def distance(g: Graph, u: int, v: int):

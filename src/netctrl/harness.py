@@ -51,10 +51,24 @@ projectors, which changes no rank or dimension, and preserves forcing.  Per
 order one ``_grow`` runs per (class, kind) over every relabeled subset the
 class needs, and each labeled pair reads its dimensions off that table.
 For a label-invariant kind the class of a labeled graph is its canonical
-representative; for any other kind (``random:SEED`` draws its weights by
-label) the labeled graph is its own class, under the identity labeling.
-The tables live inside one sweep call: each is made at its class's first
-unit, and a labeled class's table is dropped after its one unit.
+representative, found once per class and order: the class's first graph
+runs ``_canonical_labeling``, whose one pass over the relabelings also
+gives every graph of its orbit, by its edge bitmask, the representative
+and a map onto it (``_class_label``).  For any other kind (``random:SEED``
+draws its weights by label) the labeled graph is its own class, under the
+identity labeling.  The tables live inside one sweep call: each is made at
+its class's first unit, and a labeled class's table is dropped after its
+one unit.
+
+Per-graph set-up is paid only where it is read.  ``connected_graphs``
+tests each edge mask's pairs for connectivity and builds a ``Graph`` only
+for a connected one, a graph-built matrix takes its graph as its pattern
+(``control._edge_matrix``), the subset policy is parsed once per sweep
+call (``_subset_family``), and each graph's forcing statuses are closed on
+read (``forcing._ForcingMap``): the first time the subset family, the
+minimality test of ``_minimal_members`` or a zfs_implies_lie record asks
+for a subset.  Under policy ``all`` every subset is still read, so every
+one is closed.
 """
 
 from __future__ import annotations
@@ -274,8 +288,10 @@ def connected_graphs(n: int):
     """All labeled connected graphs on vertices 1..n, isomorphic ones included.
 
     Yields in ascending edge-bitmask order over the sorted vertex pairs;
-    exhaustive enumeration is limited to n <= 5 (2^10 masks).  The sweeps
-    group them into isomorphism classes with ``_canonical_labeling``.
+    exhaustive enumeration is limited to n <= 5 (2^10 masks).  Each mask's
+    edge pairs are tested for connectivity as they are (``graphs._spans``),
+    so a ``Graph`` is built only for a connected one.  The sweeps group
+    them into isomorphism classes with ``_canonical_labeling``.
     An order that is not an int in 1..5 raises ValueError.
     """
     if graphs.check_int(n, "order", 1) > 5:
@@ -283,9 +299,8 @@ def connected_graphs(n: int):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-        g = graphs.graph(n, edges)
-        if graphs.is_connected(g):
-            yield g
+        if graphs._spans(n, edges):
+            yield Graph(n, frozenset(edges))
 
 
 def _iter_graphs(cfg: SweepConfig):
@@ -318,20 +333,50 @@ def _relabelings(n: int) -> tuple:
 
 
 def _canonical_labeling(g: Graph) -> tuple:
-    """A canonical representative of g's isomorphism class, and a map onto it.
+    """A canonical representative of g's isomorphism class, a map onto it, and g's orbit.
 
     The representative is the relabeling of g with the least edge bitmask
     over the sorted vertex pairs, found by trying every permutation (n! of
     them, so meant for small n; McKay and Piperno, "Practical graph
     isomorphism, II", J. Symbolic Comput. 60 (2014), give the general
-    method).  Returns (representative, pi), where pi[v] is the label that
-    vertex v of g has in the representative, so isomorphic graphs get one
-    representative.
+    method).  Returns (representative, pi, images): pi[v] is the label
+    that vertex v of g has in the representative, so isomorphic graphs get
+    one representative, and images maps the edge bitmask of every
+    relabeling sigma(g) to the first sigma, in ``_relabelings`` order,
+    that gives it; pi is the first that gives the representative.
     """
     pairs, perms = _relabelings(g.order)
     edges = [pairs.index(e) for e in g.edges]
-    best, pi = min((sum([bits[i] for i in edges]), pi) for pi, bits in perms)
-    return graphs.graph(g.order, [p for i, p in enumerate(pairs) if best >> i & 1]), pi
+    images: dict = {}
+    for sigma, bits in perms:
+        images.setdefault(sum([bits[i] for i in edges]), sigma)
+    best = min(images)
+    return graphs.graph(g.order, [p for i, p in enumerate(pairs) if best >> i & 1]), images[best], images
+
+
+def _class_label(g: Graph, orbit: dict) -> tuple:
+    """(rep, pi): g's canonical representative and a map of g onto it, off ``orbit``.
+
+    ``orbit`` maps the edge bitmask of every labeled graph in the orbit of
+    a class seen so far to that class's ``_canonical_labeling`` result.  A
+    graph outside it is canonicalized and its whole orbit added, so one
+    labeling runs per class; at a sampled order (6, 7), where a class is
+    seldom met twice, only the graph itself is added.  A graph h = sigma(g0) of the orbit of the
+    class's first graph g0, with g0's map pi, gets pi o sigma^-1: vertex
+    sigma(v) of h is vertex v of g0, which is pi[v] in the representative.
+    """
+    pairs, _ = _relabelings(g.order)
+    mask = sum(1 << pairs.index(e) for e in g.edges)
+    if mask not in orbit:
+        found = _canonical_labeling(g)
+        # a sampled order (6, 7) seldom meets a class twice, so only g is kept
+        orbit.update(dict.fromkeys(found[2] if g.order <= 5 else (mask,), found))
+    rep, pi, images = orbit[mask]
+    sigma = images[mask]
+    label = [0] * (g.order + 1)
+    for v in g.vertices:
+        label[sigma[v]] = pi[v]
+    return rep, label
 
 
 def _all_nonempty_subsets(n: int) -> list:
@@ -341,36 +386,40 @@ def _all_nonempty_subsets(n: int) -> list:
     ]
 
 
-def _subset_family(policy: str, g: Graph, zfs_map: dict, rng) -> list:
-    base, count, _ = _parse_policy(policy)
+def _subset_family(policy: str):
+    """The subsets ``policy`` selects on a graph, as a function of (g, zfs_map).
+
+    The policy is parsed once per sweep call.  A ``random:K:SEED`` family
+    draws from one generator seeded here, so each graph, in enumeration
+    order, takes the next K distinct nonempty subsets' masks, sorted.
+    Policy ``zfs`` reads the forcing status of every subset.
+    """
+    base, count, seed = _parse_policy(policy)
     if base == "all":
-        return _all_nonempty_subsets(g.order)
+        return lambda g, zfs_map: _all_nonempty_subsets(g.order)
     if base == "singletons":
-        return [(j,) for j in g.vertices]
+        return lambda g, zfs_map: [(j,) for j in g.vertices]
     if base == "zfs":
-        return [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
-    total = (1 << g.order) - 1
-    masks = sorted(rng.sample(range(1, total + 1), min(count, total)))
-    return [tuple(j + 1 for j in range(g.order) if mask >> j & 1) for mask in masks]
+        return lambda g, zfs_map: [s for s in _all_nonempty_subsets(g.order) if zfs_map[s]]
+    rng = random.Random(seed)
 
+    def sample(g: Graph, zfs_map: dict) -> list:
+        total = (1 << g.order) - 1
+        masks = sorted(rng.sample(range(1, total + 1), min(count, total)))
+        return [tuple(j + 1 for j in range(g.order) if mask >> j & 1) for mask in masks]
 
-def _policy_rng(cfg: SweepConfig):
-    base, _, seed = _parse_policy(cfg.subset_policy)
-    return random.Random(seed) if base == "random" else None
+    return sample
 
 
 def _minimal_members(family, zfs_map: dict) -> list:
-    """The forcing sets in ``family`` with no proper forcing subset."""
-    out = []
-    for s in family:
-        if not zfs_map[s]:
-            continue
-        if all(
-            not zfs_map.get(tuple(v for v in s if v != drop), False)
-            for drop in s
-        ):
-            out.append(s)
-    return out
+    """The forcing sets in ``family`` with no proper forcing subset.
+
+    Forcing is closed under supersets, so a forcing set is minimal when no
+    one-vertex drop forces.  A singleton's one drop is the empty set, which
+    forces no graph and is not read.
+    """
+    return [s for s in family if zfs_map[s] and (
+        len(s) == 1 or not any(zfs_map[tuple(v for v in s if v != drop)] for drop in s))]
 
 
 def _units(cfg: SweepConfig, select, parts=control._PARTS):
@@ -378,35 +427,41 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
 
     ``select(g, zfs_map)`` gives the subsets to check on g; it is called for
     every graph of an order, in enumeration order, before that order's first
-    unit is yielded.  Yields (g, kind, zfs_map, session, table), where
-    table maps each selected subset, in ``select`` order, to its dims: the
-    dimensions named by ``parts`` (a subset of ``control._PARTS``), in that
-    order, by default (walk_rank, p_span_dim, lie_dim).  Only those parts
-    are grown.
+    unit is yielded.  zfs_map is g's ``forcing._ForcingMap``: each subset's
+    forcing status is closed the first time ``select`` or a check reads it,
+    so a sampled policy closes only the subsets it draws and their drops.
+    Yields (g, kind, zfs_map, session, table), where table maps each
+    selected subset, in ``select`` order, to its dims: the dimensions named
+    by ``parts`` (a subset of ``control._PARTS``), in that order, by
+    default (walk_rank, p_span_dim, lie_dim).  Only those parts are grown.
 
     Every kind reads its dims off one ``control._grow`` table per (class,
     kind), over the union of the relabeled subsets pi(S) the class needs,
     and read through pi; session is the class's.  For a label-invariant
-    kind the class of g is its canonical representative, with pi the map
-    onto it; for any other kind g is its own class, under the identity
-    labeling.  A table is made at its class's first unit, and a labeled
-    class's is dropped as its one unit is yielded, so a ``random:SEED``
-    kind holds one session at a time, not one per labeled graph of the
-    order.
+    kind the class of g is its canonical representative, with pi a map
+    onto it.  Per order ``_canonical_labeling`` runs once per class, at the
+    class's first selected graph, and its orbit gives every later graph of
+    the class its representative and map (``_class_label``).  For any other
+    kind g is its own class, under the identity labeling, and nothing is
+    canonicalized.  A table is made at its class's first unit, and a
+    labeled class's is dropped as its one unit is yielded, so a
+    ``random:SEED`` kind holds one session at a time, not one per labeled
+    graph of the order.
     """
     invariant = {kind: control.parse_kind(kind)[2] for kind in cfg.matrix_kinds}
     for _, batch in itertools.groupby(_iter_graphs(cfg), key=lambda g: g.order):
         rows = []
         classes: dict = {}
+        orbit: dict = {}
         for g in batch:
-            zfs_map = forcing.zfs_statuses(g, _all_nonempty_subsets(g.order))
+            zfs_map = forcing._ForcingMap(g)
             subsets = select(g, zfs_map)
             if not subsets:
                 continue
             # (class, relabeled subsets) per labeling in use, shared by its kinds
             labels = {}
             for flag in set(invariant.values()):
-                rep, pi = _canonical_labeling(g) if flag else (g, range(g.order + 1))
+                rep, pi = _class_label(g, orbit) if flag else (g, range(g.order + 1))
                 labels[flag] = rep, {s: tuple(sorted(pi[v] for v in s)) for s in subsets}
             for kind in cfg.matrix_kinds:
                 rep, relabel = labels[invariant[kind]]
@@ -438,8 +493,7 @@ def sweep_equivalence(cfg: SweepConfig) -> SweepOutcome:
     ValueError.
     """
     _expect(cfg, SweepConfig)
-    rng = _policy_rng(cfg)
-    units = _units(cfg, lambda g, zfs_map: _subset_family(cfg.subset_policy, g, zfs_map, rng))
+    units = _units(cfg, _subset_family(cfg.subset_policy))
 
     def items():
         for g, kind, zfs_map, session, table in units:
@@ -466,12 +520,13 @@ def sweep_zfs_implication(cfg: SweepConfig) -> SweepOutcome:
     ValueError.
     """
     _expect(cfg, SweepConfig)
-    rng = _policy_rng(cfg)
+    if cfg.subset_policy == "all":
+        targets = _subset_family("zfs")
+    else:
+        family = _subset_family(cfg.subset_policy)
 
-    def targets(g: Graph, zfs_map: dict) -> list:
-        if cfg.subset_policy == "all":
-            return _subset_family("zfs", g, zfs_map, rng)
-        return _minimal_members(_subset_family(cfg.subset_policy, g, zfs_map, rng), zfs_map)
+        def targets(g: Graph, zfs_map: dict) -> list:
+            return _minimal_members(family(g, zfs_map), zfs_map)
 
     # every target is a forcing set
     items = ((g, kind, members, [control._zfs_implies_lie(g.order, lie_dim, True, True)], "")

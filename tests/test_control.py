@@ -40,7 +40,7 @@ from netctrl import (
     report_from_dict,
     walk_matrix,
 )
-from netctrl import control, harness
+from netctrl import control, forcing, graphs, harness
 from netctrl.control import _LieEngine, _Session, _packing, control_generators
 from netctrl.intlinalg import EchelonBasis, primitive
 from netctrl.linalg import MatrixSpaceBasis, mat_mul, mat_pow
@@ -156,6 +156,26 @@ class TestBuilders:
             ]
             assert adjacency_matrix(g).matrix == matrix(adj)
             assert laplacian_matrix(g).matrix == matrix(lap)
+
+    def test_graph_built_matrices_are_their_own_pattern_matrices(self, monkeypatch):
+        # the builders place only nonzero weights, so the graph is the
+        # pattern and the weights' signs are the sign class; pattern_matrix
+        # derives both from the entries, and the builders never call it
+        cases = [graph(1, []), graph(6, [(2, 4)])]
+        for n in range(2, 5):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for r in range(len(pairs) + 1):
+                cases.extend(graph(n, chosen) for chosen in itertools.combinations(pairs, r))
+        derive = control.pattern_matrix
+        built = []
+        monkeypatch.setattr(control, "pattern_matrix", lambda m: pytest.fail("a builder derived its pattern"))
+        for g in cases:
+            for kind in ("adjacency", "laplacian", "random:1", "random:2"):
+                built.append((g, build_matrix(g, kind)))
+        monkeypatch.setattr(control, "pattern_matrix", derive)
+        for g, a in built:
+            assert a == pattern_matrix(a.matrix)
+            assert a.pattern == g
 
     @pytest.mark.parametrize("seed", ["7", 1.5, None, True], ids=repr)
     def test_random_matrix_refuses_a_seed_that_is_not_an_int(self, seed):
@@ -1323,6 +1343,19 @@ class TestAnalyze:
             "span_dimension_identity": CHECK_PASSED,
         }
         assert rep.theorem_violations == ()
+
+    def test_one_neighbour_map_per_call(self, monkeypatch):
+        # is_zfs builds the pattern's neighbour map, and the connectivity
+        # hypothesis joins components over the edge list without one
+        built = []
+        build = graphs.neighbours
+        for module in (graphs, forcing):
+            monkeypatch.setattr(module, "neighbours", lambda g: built.append(g) or build(g))
+        for a, s in ((adjacency_matrix(path_graph(4)), [1]), (pattern_matrix(BLOCK_PAIRED), [1, 3])):
+            built.clear()
+            rep = analyze(a, s)
+            assert built == [a.pattern]
+            assert rep.hypotheses["connected"] == (a.pattern == path_graph(4))
 
     def test_path_interior_vertex_not_forcing(self):
         a = adjacency_matrix(path_graph(4))

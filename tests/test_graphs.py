@@ -258,6 +258,29 @@ class TestTraversal:
         assert not is_connected(graph(4, [(1, 2), (3, 4)]))
         assert is_connected(graph(1, []))
 
+    @settings(max_examples=200)
+    @given(random_graph_strategy(max_order=9))
+    def test_is_connected_agrees_with_a_flood_fill(self, g):
+        reached = {1}
+        while True:
+            more = {w for e in g.edges if reached & set(e) for w in e} - reached
+            if not more:
+                break
+            reached |= more
+        assert is_connected(g) == (len(reached) == g.order)
+
+    def test_is_connected_builds_no_neighbour_map_at_any_order(self, monkeypatch):
+        monkeypatch.setattr(graphs, "neighbours", lambda g: pytest.fail("a neighbour map was built"))
+        g = graph(10**6, [(v, v + 1) for v in range(1, 1001)])
+        tracemalloc.start()
+        try:
+            assert not is_connected(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert is_connected(graph(3000, [(v, v + 1) for v in range(1, 3000)]))
+
     def test_distance(self):
         g = path_graph(5)
         assert distance(g, 1, 5) == 4

@@ -31,11 +31,12 @@ from netctrl import (
     sweep_zfs_implication,
     violation_from_dict,
 )
-from netctrl import control, harness
-from netctrl.forcing import zfs_statuses
+from netctrl import control, forcing, harness
+from netctrl.forcing import _ForcingMap
 from netctrl.harness import (
     _all_nonempty_subsets,
     _canonical_labeling,
+    _class_label,
     _iter_graphs,
     _minimal_members,
     _units,
@@ -176,6 +177,24 @@ class TestGraphEnumeration:
         with pytest.raises(ValueError, match=rf"^order must be an int >= 1, got {re.escape(repr(order))}$"):
             list(connected_graphs(order))
 
+    def test_masks_in_ascending_order_over_the_sorted_pairs(self):
+        # an enumeration of its own: every edge subset in bitmask order, kept
+        # when a flood fill from vertex 1 reaches every vertex
+        for n in range(1, 6):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            want = []
+            for mask in range(2 ** len(pairs)):
+                edges = [pairs[i] for i in range(len(pairs)) if mask & 2 ** i]
+                reached = {1}
+                while True:
+                    more = {w for e in edges if reached & set(e) for w in e} - reached
+                    if not more:
+                        break
+                    reached |= more
+                if len(reached) == n:
+                    want.append(edges)
+            assert [sorted(g.edges) for g in connected_graphs(n)] == want
+
     def test_large_orders_are_seeded_samples(self):
         cfg = SweepConfig(max_order=6, matrix_kinds=("adjacency",), seed=1)
         first = [g for g in _iter_graphs(cfg) if g.order == 6]
@@ -190,16 +209,56 @@ class TestSubsetMachinery:
     def test_minimal_members_of_path4(self):
         g = path_graph(4)
         family = _all_nonempty_subsets(4)
-        zfs_map = zfs_statuses(g, family)
+        zfs_map = _ForcingMap(g)
         assert set(_minimal_members(family, zfs_map)) == {(1,), (4,), (2, 3)}
 
-    def test_zfs_statuses_match_is_zfs_on_every_small_graph(self):
+    def test_a_singletons_empty_drop_reads_as_not_forcing(self):
+        # a plain dict raises on any key it lacks, so the empty drop is never read
+        assert _minimal_members([(1,), (2,), (1, 2)], {(1,): True, (2,): False, (1, 2): True}) == [(1,)]
+        zfs_map = _ForcingMap(path_graph(3))
+        assert _minimal_members([(1,), (3,)], zfs_map) == [(1,), (3,)]
+        assert set(zfs_map) == {(1,), (3,)}
+
+    def test_forcing_map_matches_is_zfs_on_every_small_graph(self):
         for n in range(1, 6):
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             for mask in range(1 << len(pairs)):
                 g = graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-                want = {s: is_zfs(g, s) for s in _all_nonempty_subsets(n)}
-                assert zfs_statuses(g, _all_nonempty_subsets(n)) == want, g
+                zfs_map = _ForcingMap(g)
+                for s in _all_nonempty_subsets(n):
+                    assert zfs_map[s] == is_zfs(g, s), (g, s)
+
+    def test_forcing_map_closes_each_subset_it_reads_once(self, monkeypatch):
+        closed = []
+        close = forcing._close
+        maps = []
+
+        class Reading(_ForcingMap):
+            __slots__ = ("graph", "read")
+
+            def __init__(self, g):
+                super().__init__(g)
+                self.graph, self.read = g, []
+                maps.append(self)
+
+            def __getitem__(self, s):
+                self.read.append(s)
+                return super().__getitem__(s)
+
+        monkeypatch.setattr(forcing, "_close", lambda nb, black: closed.append(black) or close(nb, black))
+        monkeypatch.setattr(forcing, "_ForcingMap", Reading)
+        cfg = SweepConfig(max_order=4, matrix_kinds=("adjacency", "random:5"), subset_policy="random:8:3")
+        for sweep in (sweep_equivalence, sweep_zfs_implication):
+            closed.clear()
+            maps.clear()
+            assert sweep(cfg).passed
+            assert len(maps) == 1 + 1 + 4 + 38
+            for zfs_map in maps:
+                assert set(zfs_map) == set(zfs_map.read)
+                assert all(forces == is_zfs(zfs_map.graph, s) for s, forces in zfs_map.items())
+            assert len(closed) == sum(len(set(zfs_map.read)) for zfs_map in maps)
+            # closing every subset of every graph took 1 + 3 + 4 * 7 + 38 * 15
+            assert len(closed) < 602
 
     def test_grow_walks_the_prefix_tree(self, monkeypatch):
         grown = []
@@ -349,12 +408,45 @@ class TestOrbitRoute:
         for n in range(1, 6):
             reps = set()
             for g in connected_graphs(n):
-                rep, pi = _canonical_labeling(g)
+                rep, pi, _ = _canonical_labeling(g)
                 assert sorted(pi[1:]) == list(range(1, n + 1))
                 assert _relabeled(g, pi) == rep
                 reps.add(rep)
             counts.append(len(reps))
         assert counts == [1, 1, 2, 6, 21]
+
+    def test_orbit_labels_map_every_graph_onto_its_representative(self):
+        for n in range(1, 6):
+            orbit = {}
+            for g in connected_graphs(n):
+                rep, pi = _class_label(g, orbit)
+                assert sorted(pi[1:]) == list(range(1, n + 1))
+                assert _relabeled(g, pi) == rep
+                assert rep == _canonical_labeling(g)[0]
+            assert len(orbit) == [1, 1, 4, 38, 728][n - 1]
+        # a sampled order keeps the graph alone, not its orbit
+        for g in _iter_graphs(SweepConfig(max_order=7, seed=4)):
+            if g.order > 5:
+                orbit = {}
+                rep, pi = _class_label(g, orbit)
+                assert _relabeled(g, pi) == rep == _canonical_labeling(g)[0]
+                assert len(orbit) == 1
+
+    def test_one_canonical_labeling_per_class(self, monkeypatch):
+        seen = []
+        labeling = harness._canonical_labeling
+        monkeypatch.setattr(harness, "_canonical_labeling", lambda g: seen.append(g) or labeling(g))
+        for sweep in (sweep_equivalence, sweep_zfs_implication):
+            seen.clear()
+            assert sweep(SweepConfig(max_order=4, matrix_kinds=("adjacency", "laplacian"))).passed
+            reps = [labeling(g)[0] for g in seen]
+            assert len(set(reps)) == len(reps)
+            assert [sum(g.order == n for g in seen) for n in range(1, 5)] == [1, 1, 2, 6]
+            # a random:SEED kind's class is the labeled graph, so nothing is canonicalized
+            seen.clear()
+            assert sweep(SweepConfig(max_order=6, matrix_kinds=("random:5", "random:9"),
+                                         subset_policy="random:4:1", seed=2)).passed
+            assert seen == []
 
     def test_isomorphic_graphs_share_a_representative(self):
         rng = random.Random(5)
@@ -384,7 +476,7 @@ class TestOrbitRoute:
             rng.shuffle(image)
             h = _relabeled(g, (0, *image))
             s = tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 2))))
-            rep, pi = _canonical_labeling(h)
+            rep, pi, _ = _canonical_labeling(h)
             mapped = tuple(sorted(pi[v] for v in s))
             [(walk, pspan, lie)] = control._grow(_session(rep, kind), [mapped]).values()
             a = [list(row) for row in build_matrix(h, kind).matrix.entries]
@@ -575,7 +667,7 @@ class TestSweepZfsImplication:
         expected = 0
         for n in range(1, 4):
             for g in connected_graphs(n):
-                expected += sum(zfs_statuses(g, _all_nonempty_subsets(n)).values())
+                expected += sum(is_zfs(g, s) for s in _all_nonempty_subsets(n))
         assert expected == 26
         assert out.instances_checked == 26
         assert out.check_counts == {"zfs_implies_lie": 26}
