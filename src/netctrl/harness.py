@@ -360,8 +360,7 @@ def _class_label(g: Graph, orbit: dict) -> tuple:
     ``orbit`` maps the edge bitmask of every labeled graph in the orbit of
     a class seen so far to that class's ``_canonical_labeling`` result.  A
     graph outside it is canonicalized and its whole orbit added, so one
-    labeling runs per class; at a sampled order (6, 7), where a class is
-    seldom met twice, only the graph itself is added.  A graph h = sigma(g0) of the orbit of the
+    labeling runs per class.  A graph h = sigma(g0) of the orbit of the
     class's first graph g0, with g0's map pi, gets pi o sigma^-1: vertex
     sigma(v) of h is vertex v of g0, which is pi[v] in the representative.
     """
@@ -369,8 +368,7 @@ def _class_label(g: Graph, orbit: dict) -> tuple:
     mask = sum(1 << pairs.index(e) for e in g.edges)
     if mask not in orbit:
         found = _canonical_labeling(g)
-        # a sampled order (6, 7) seldom meets a class twice, so only g is kept
-        orbit.update(dict.fromkeys(found[2] if g.order <= 5 else (mask,), found))
+        orbit.update(dict.fromkeys(found[2], found))
     rep, pi, images = orbit[mask]
     sigma = images[mask]
     label = [0] * (g.order + 1)
