@@ -38,27 +38,41 @@ closure alone for the implication sweep, whose one record
 (``control._zfs_implies_lie``) reads only the Lie dimension.  This module
 only reads the tables it returns.  ``recheck`` re-runs an instance
 through the same engine, its one control set grown by ``control._grow``
-from a fresh root (``_fresh_dims``), with no prefix-tree or orbit
-sharing: a fault of the engine reproduces there, and a fault of the
-sharing does not.  The structurally independent route is the brute-force
-oracles of the test suite (``tests/oracles.py``).
+from a fresh root (``_fresh_dims``), with no prefix-tree, isomorphism-class
+or automorphism-orbit sharing: a fault of the engine reproduces there, and
+a fault of the sharing does not.  The structurally independent route is
+the brute-force oracles of the test suite (``tests/oracles.py``).
 
 Every instance is still checked and counted per labeled (graph, control
 set) pair, but for a label-invariant kind (adjacency, laplacian) the
-dimensions are computed once per isomorphism class: relabeling a graph and
-its control set by one permutation conjugates the matrix and the
-projectors, which changes no rank or dimension, and preserves forcing.  Per
-order one ``_grow`` runs per (class, kind) over every relabeled subset the
-class needs, and each labeled pair reads its dimensions off that table.
+dimensions are computed once per isomorphism class and, inside it, once
+per automorphism orbit of control sets.  Label-invariance means that
+relabeling a graph G by a permutation matrix P turns A(G) into
+P A(G) P^T = A(PG).  P maps the walk columns A^k e_j of a control set S
+onto those of P(S), its projectors e_j e_j^T onto theirs, and every
+bracket of them onto the same bracket of the images; conjugation by P is
+invertible and linear, so (G, S) and (PG, P(S)) have the same walk rank,
+product-span and Lie dimensions, and P preserves forcing too.  So per
+order one ``_grow`` runs per (class, kind), on the class's canonical
+representative R.  An automorphism sigma of R is a relabeling with
+sigma(R) = R, so P_sigma A(R) P_sigma^T = A(R) and S and sigma(S) have the
+same three dimensions: each relabeled set the class needs is mapped to
+its orbit representative under Aut(R), and ``_grow`` takes the orbit
+representatives only.  Each labeled pair reads its dimensions off that
+table through both maps.
+
 For a label-invariant kind the class of a labeled graph is its canonical
 representative, found once per class and order: the class's first graph
 runs ``_canonical_labeling``, whose one pass over the relabelings also
 gives every graph of its orbit, by its edge bitmask, the representative
-and a map onto it (``_class_label``).  For any other kind (``random:SEED``
-draws its weights by label) the labeled graph is its own class, under the
-identity labeling.  The tables live inside one sweep call: each is made at
-its class's first unit, and a labeled class's table is dropped after its
-one unit.
+and a map onto it (``_class_label``).  Aut(R) is found once per class
+(``_automorphisms``), and each orbit of control sets is enumerated once,
+at its first set, which maps all of its members to the least sorted image
+(``_subset_orbit``).  For any other kind (``random:SEED`` draws its
+weights by label) the labeled graph is its own class, under the identity
+labeling, and no automorphism is computed.  The tables live inside one
+sweep call: each is made at its class's first unit, and a labeled class's
+table is dropped after its one unit.
 
 Per-graph set-up is paid only where it is read.  ``connected_graphs``
 tests each edge mask's pairs for connectivity and builds a ``Graph`` only
@@ -178,7 +192,8 @@ def recheck(v: Violation) -> bool:
 
     The instance is re-run on the route the sweep took, by its engine, but
     alone: ``_fresh_dims`` grows the one control set by ``control._grow``
-    from a fresh root, with no prefix-tree or orbit sharing.  Its records
+    from a fresh root, on its own labeled matrix, with no prefix-tree,
+    isomorphism-class or automorphism-orbit sharing.  Its records
     come from the rules the sweep read: ``control._consistency`` under the
     matrix's own hypotheses and forcing status, ``_single_vector_checks``
     and ``_distance_record``.  So a fault of the engine reproduces and a
@@ -316,20 +331,20 @@ def _iter_graphs(cfg: SweepConfig):
 
 @lru_cache(maxsize=None)
 def _relabelings(n: int) -> tuple:
-    """The sorted vertex pairs of order n, and every relabeling's action on them.
+    """The sorted vertex pairs of order n with their bits, and every relabeling's action on them.
 
-    Each relabeling is a pair (pi, bits): pi[v] is the new label of vertex
-    v (pi[0] is unused) and bits[i] is the edge-bitmask bit of the image of
-    pair i.
+    Returns (index, perms): index maps each sorted pair, in order, to its
+    bit position in an edge bitmask, so an edge's bit is one lookup.  Each relabeling is a pair (pi, bits):
+    pi[v] is the new label of vertex v (pi[0] is unused) and bits[i] is the
+    edge-bitmask bit of the image of pair i; the identity comes first.
     """
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    index = {p: i for i, p in enumerate(pairs)}
+    index = {(u, v): i for i, (u, v) in enumerate(itertools.combinations(range(1, n + 1), 2))}
     perms = []
     for image in itertools.permutations(range(1, n + 1)):
         pi = (0,) + image
-        bits = tuple(1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in pairs)
+        bits = tuple(1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in index)
         perms.append((pi, bits))
-    return tuple(pairs), tuple(perms)
+    return index, tuple(perms)
 
 
 def _canonical_labeling(g: Graph) -> tuple:
@@ -345,13 +360,13 @@ def _canonical_labeling(g: Graph) -> tuple:
     relabeling sigma(g) to the first sigma, in ``_relabelings`` order,
     that gives it; pi is the first that gives the representative.
     """
-    pairs, perms = _relabelings(g.order)
-    edges = [pairs.index(e) for e in g.edges]
+    index, perms = _relabelings(g.order)
+    edges = [index[e] for e in g.edges]
     images: dict = {}
     for sigma, bits in perms:
         images.setdefault(sum([bits[i] for i in edges]), sigma)
     best = min(images)
-    return graphs.graph(g.order, [p for i, p in enumerate(pairs) if best >> i & 1]), images[best], images
+    return graphs.graph(g.order, [p for p, i in index.items() if best >> i & 1]), images[best], images
 
 
 def _class_label(g: Graph, orbit: dict) -> tuple:
@@ -364,8 +379,8 @@ def _class_label(g: Graph, orbit: dict) -> tuple:
     class's first graph g0, with g0's map pi, gets pi o sigma^-1: vertex
     sigma(v) of h is vertex v of g0, which is pi[v] in the representative.
     """
-    pairs, _ = _relabelings(g.order)
-    mask = sum(1 << pairs.index(e) for e in g.edges)
+    index, _ = _relabelings(g.order)
+    mask = sum(1 << index[e] for e in g.edges)
     if mask not in orbit:
         found = _canonical_labeling(g)
         orbit.update(dict.fromkeys(found[2], found))
@@ -375,6 +390,32 @@ def _class_label(g: Graph, orbit: dict) -> tuple:
     for v in g.vertices:
         label[sigma[v]] = pi[v]
     return rep, label
+
+
+def _automorphisms(g: Graph) -> tuple:
+    """Aut(g): every relabeling pi, in ``_relabelings`` order, with pi(g) = g.
+
+    The identity comes first.  Tries every permutation, as
+    ``_canonical_labeling`` does, so it is meant for small n.
+    """
+    index, perms = _relabelings(g.order)
+    edges = [index[e] for e in g.edges]
+    mask = sum(1 << i for i in edges)
+    return tuple(pi for pi, bits in perms if sum([bits[i] for i in edges]) == mask)
+
+
+def _subset_orbit(s: tuple, aut: tuple, known: dict) -> tuple:
+    """The representative of control set s's orbit under the automorphisms ``aut``.
+
+    The representative is the lexicographically least sorted image tau(s)
+    over tau in ``aut``.  ``known`` maps every set of an orbit met so far
+    to its representative; a set outside it has its whole orbit added, so
+    each orbit costs one pass over ``aut``.
+    """
+    if s not in known:
+        images = {tuple(sorted(tau[v] for v in s)) for tau in aut}
+        known.update(dict.fromkeys(images, min(images)))
+    return known[s]
 
 
 def _all_nonempty_subsets(n: int) -> list:
@@ -434,14 +475,25 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
     default (walk_rank, p_span_dim, lie_dim).  Only those parts are grown.
 
     Every kind reads its dims off one ``control._grow`` table per (class,
-    kind), over the union of the relabeled subsets pi(S) the class needs,
-    and read through pi; session is the class's.  For a label-invariant
-    kind the class of g is its canonical representative, with pi a map
-    onto it.  Per order ``_canonical_labeling`` runs once per class, at the
-    class's first selected graph, and its orbit gives every later graph of
-    the class its representative and map (``_class_label``).  For any other
-    kind g is its own class, under the identity labeling, and nothing is
-    canonicalized.  A table is made at its class's first unit, and a
+    kind), over the union of the relabeled subsets the class needs, and
+    read through the same map; session is the class's.  For a kind that
+    is not label-invariant (``random:SEED``) g is its own class, under the
+    identity labeling, and its table is grown over the selected subsets
+    themselves: nothing is canonicalized and no automorphism is computed.
+
+    For a label-invariant kind the class of g is its canonical
+    representative R, with pi a map of g onto it: relabeling by P_pi turns
+    A(g) into P_pi A(g) P_pi^T = A(R) and maps the walk columns, projectors
+    and brackets of S onto those of pi(S), so (g, S) and (R, pi(S)) have
+    the same dimensions.  An automorphism tau of R fixes A(R) in the same
+    way, so pi(S) and tau(pi(S)) have the same dimensions too, and S is
+    read at the representative of pi(S)'s orbit under Aut(R), its least
+    sorted image (``_subset_orbit``); ``_grow`` takes one set per orbit.
+    Per order ``_canonical_labeling`` runs once per class, at the class's
+    first selected graph, and its orbit gives every later graph of the
+    class its representative and map (``_class_label``); Aut(R) is found
+    once per class (``_automorphisms``), and each orbit of control sets is
+    enumerated once.  A table is made at its class's first unit, and a
     labeled class's is dropped as its one unit is yielded, so a
     ``random:SEED`` kind holds one session at a time, not one per labeled
     graph of the order.
@@ -451,6 +503,8 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
         rows = []
         classes: dict = {}
         orbit: dict = {}
+        # per class representative: (its automorphisms, each set's orbit representative)
+        set_orbits: dict = {}
         for g in batch:
             zfs_map = forcing._ForcingMap(g)
             subsets = select(g, zfs_map)
@@ -460,7 +514,12 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
             labels = {}
             for flag in set(invariant.values()):
                 rep, pi = _class_label(g, orbit) if flag else (g, range(g.order + 1))
-                labels[flag] = rep, {s: tuple(sorted(pi[v] for v in s)) for s in subsets}
+                images = (tuple(sorted(pi[v] for v in s)) for s in subsets)
+                if flag:
+                    if rep not in set_orbits:
+                        set_orbits[rep] = _automorphisms(rep), {}
+                    images = (_subset_orbit(t, *set_orbits[rep]) for t in images)
+                labels[flag] = rep, dict(zip(subsets, images))
             for kind in cfg.matrix_kinds:
                 rep, relabel = labels[invariant[kind]]
                 classes.setdefault((rep, kind), set()).update(relabel.values())

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -16,6 +17,7 @@ from netctrl import (
     Violation,
     analyze,
     build_matrix,
+    complete_graph,
     connected_graphs,
     cycle_graph,
     format_matrix,
@@ -35,6 +37,7 @@ from netctrl import control, forcing, harness
 from netctrl.forcing import _ForcingMap
 from netctrl.harness import (
     _all_nonempty_subsets,
+    _automorphisms,
     _canonical_labeling,
     _class_label,
     _iter_graphs,
@@ -159,6 +162,16 @@ class TestEntryPointTypes:
         assert str(exc.value) == f"expected a Violation, got {type(bad).__name__}"
 
 
+def _flood_fills(n, edges):
+    """Whether a flood fill from vertex 1 over ``edges`` reaches all n vertices."""
+    reached = {1}
+    while True:
+        more = {w for e in edges if reached & set(e) for w in e} - reached
+        if not more:
+            return len(reached) == n
+        reached |= more
+
+
 class TestGraphEnumeration:
     def test_labeled_connected_counts(self):
         assert [sum(1 for _ in connected_graphs(n)) for n in range(1, 6)] == [
@@ -185,13 +198,7 @@ class TestGraphEnumeration:
             want = []
             for mask in range(2 ** len(pairs)):
                 edges = [pairs[i] for i in range(len(pairs)) if mask & 2 ** i]
-                reached = {1}
-                while True:
-                    more = {w for e in edges if reached & set(e) for w in e} - reached
-                    if not more:
-                        break
-                    reached |= more
-                if len(reached) == n:
+                if _flood_fills(n, edges):
                     want.append(edges)
             assert [sorted(g.edges) for g in connected_graphs(n)] == want
 
@@ -586,6 +593,114 @@ class TestOrbitRoute:
         # one walk per graph class for adjacency, one per labeled graph for random
         assert per_call.count("adjacency") == 1 + 1 + 2 + 6
         assert per_call.count("random:4") == 1 + 1 + 4 + 38
+
+
+def _pair_orbits(n, forcing_only=False):
+    """Orbits of (connected graph, nonempty control set) pairs of order n.
+
+    Counted by brute force: each pair is relabeled by every permutation and
+    the least (edges, set) image names its orbit.  Connectivity is a flood
+    fill from vertex 1, and forcing the oracles' simultaneous-rounds closure.
+    """
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    perms = [(0, *image) for image in itertools.permutations(range(1, n + 1))]
+    orbits = set()
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        if not _flood_fills(n, edges):
+            continue
+        adj = {v: [w for e in edges if v in e for w in e if w != v] for v in range(1, n + 1)}
+        for s in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n + 1), k) for k in range(1, n + 1)):
+            if forcing_only and len(oracles.forcing_closure_bruteforce(adj, n, s)) < n:
+                continue
+            orbits.add(min((tuple(sorted(tuple(sorted((pi[u], pi[v]))) for u, v in edges)),
+                            tuple(sorted(pi[v] for v in s))) for pi in perms))
+    return len(orbits)
+
+
+class TestControlSetOrbits:
+    """For a label-invariant kind ``_grow`` takes one control set per automorphism orbit.
+
+    An automorphism sigma of the class representative fixes its matrix,
+    so S and sigma(S) have the same three dimensions and one of them is
+    grown for both.
+    """
+
+    def test_automorphism_groups_of_small_graphs(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                aut = _automorphisms(g)
+                assert aut[0] == tuple(range(n + 1))
+                assert len(set(aut)) == len(aut)
+                assert all(_relabeled(g, pi) == g for pi in aut)
+                # orbit-stabilizer: the orbit holds every distinct relabeling of g
+                assert len(aut) * len(_canonical_labeling(g)[2]) == math.factorial(n)
+        star = graph(5, [(1, v) for v in range(2, 6)])
+        groups = [_automorphisms(g) for g in (complete_graph(5), cycle_graph(5), path_graph(5), star)]
+        assert [len(aut) for aut in groups] == [120, 10, 2, 24]
+
+    def test_orbit_shared_dims_match_fresh_roots_and_oracles(self):
+        reps = {_canonical_labeling(g)[0] for n in range(1, 6) for g in connected_graphs(n)}
+
+        def reps_only(g, zfs_map):
+            return _all_nonempty_subsets(g.order) if g in reps else []
+
+        units = 0
+        for g, kind, _, _, table in _units(SweepConfig(max_order=5), reps_only):
+            a = build_matrix(g, kind)
+            entries = [list(row) for row in a.matrix.entries]
+            for s, (walk, pspan, lie) in table.items():
+                assert (walk, pspan, lie) == harness._fresh_dims(a, s), (g, kind, s)
+                if g.order <= 4:
+                    assert walk == oracles.walk_rank_bruteforce(entries, s), (g, kind, s)
+                    assert lie == oracles.control_lie_dim_bruteforce(entries, s), (g, kind, s)
+                # the literal-product oracle takes 5 s over the order-4 sets
+                if g.order <= 3:
+                    assert pspan == oracles.pspan_dim_bruteforce(entries, s), (g, kind, s)
+            units += 1
+        assert units == 2 * (1 + 1 + 2 + 6 + 21)
+
+    def test_one_grown_set_per_orbit(self, monkeypatch):
+        grown = []
+        engine = control._grow
+
+        def counting(session, subsets, parts):
+            grown.append(len(set(subsets)))
+            return engine(session, subsets, parts=parts)
+
+        monkeypatch.setattr(control, "_grow", counting)
+        cfg = SweepConfig(max_order=4)
+        for sweep, forcing_only in ((sweep_equivalence, False), (sweep_zfs_implication, True)):
+            grown.clear()
+            assert sweep(cfg).passed
+            assert sum(grown) == 2 * sum(_pair_orbits(n, forcing_only) for n in range(1, 5))
+
+    def test_random_kinds_compute_no_automorphisms(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a random kind computed automorphisms")
+
+        grown = []
+        engine = control._grow
+
+        def recording(session, subsets, parts):
+            grown.append(set(subsets))
+            return engine(session, subsets, parts=parts)
+
+        monkeypatch.setattr(harness, "_automorphisms", refuse)
+        monkeypatch.setattr(control, "_grow", recording)
+        # each labeled graph is its own class: one table per (graph, kind),
+        # over exactly the sets selected on that graph
+        sampled = SweepConfig(max_order=6, matrix_kinds=("random:5", "random:9"),
+                              subset_policy="random:8:1", seed=2)
+        assert sweep_equivalence(sampled).passed
+        family = harness._subset_family(sampled.subset_policy)
+        drawn = [set(family(g, None)) for g in _iter_graphs(sampled)]
+        assert grown == [sets for sets in drawn for _ in sampled.matrix_kinds]
+        grown.clear()
+        full = SweepConfig(max_order=4, matrix_kinds=("random:5",))
+        assert sweep_zfs_implication(full).passed
+        assert grown == [{s for s in _all_nonempty_subsets(g.order) if is_zfs(g, s)} for g in _iter_graphs(full)]
 
 
 class TestSweepEquivalence:
