@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import control, forcing, graphs, harness
@@ -238,6 +239,10 @@ def main(argv=None) -> int:
         "examples": _run_examples,
     }
     try:
+        # samefile raises on a missing path; a missing graph fails on read
+        paths = (args.out, getattr(args, "graph", None))
+        if all(paths) and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+            raise ValueError(f"--out {args.out} is the --graph file; it would be truncated before it is read")
         # opened (and truncated) before any work, as a shell redirect would,
         # so a path that cannot be written fails at once
         with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as out:

@@ -1122,9 +1122,16 @@ def _image(value):
 def _from_image(cls, d: dict):
     """Rebuild a record dataclass from its ``_image``, lists as tuples.
 
-    A field missing from ``d`` keeps its default; one without a default
-    raises KeyError.
+    A field missing from ``d`` keeps its default.  A ``d`` that is not a
+    dict raises ValueError naming its type, and one that lacks a field
+    with no default raises ValueError naming the field.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a dict, got {type(d).__name__}")
+    missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} image lacks field {', '.join(map(repr, missing))}")
+
     def frozen(value):
         if isinstance(value, list):
             return tuple(map(frozen, value))

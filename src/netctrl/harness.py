@@ -54,32 +54,31 @@ bracket of them onto the same bracket of the images; conjugation by P is
 invertible and linear, so (G, S) and (PG, P(S)) have the same walk rank,
 product-span and Lie dimensions, and P preserves forcing too.  So per
 order one ``_grow`` runs per (class, kind), on the class's canonical
-representative R.  An automorphism sigma of R is a relabeling with
-sigma(R) = R, so P_sigma A(R) P_sigma^T = A(R) and S and sigma(S) have the
-same three dimensions: each relabeled set the class needs is mapped to
-its orbit representative under Aut(R), and ``_grow`` takes the orbit
-representatives only.  Each labeled pair reads its dimensions off that
-table through both maps.
+representative R, and it takes one control set per orbit: every
+relabeling sigma with sigma(G) = R carries (G, S) onto (R, sigma(S)), so
+S is keyed by its least sorted image sigma(S) over all of them, and each
+labeled pair reads its dimensions off that table at its key.
 
-For a label-invariant kind the class of a labeled graph is its canonical
-representative, found once per class and order: the class's first graph
-runs ``_canonical_labeling``, whose one pass over the relabelings also
-gives every graph of its orbit, by its edge bitmask, the representative
-and a map onto it (``_class_label``).  Aut(R) is found once per class
-(``_automorphisms``), and each orbit of control sets is enumerated once,
-at its first set, which maps all of its members to the least sorted image
-(``_subset_orbit``).  For any other kind (``random:SEED`` draws its
-weights by label) the labeled graph is its own class, under the identity
-labeling, and no automorphism is computed.  The tables live inside one
-sweep call: each is made at its class's first unit, and a labeled class's
+For a label-invariant kind the class of a labeled graph is found, and
+its sets keyed, through one class record per class and order: the
+class's first graph g0 runs ``_canonical_labeling``, whose one pass over
+the relabelings gives the representative, every graph of g0's orbit by
+its edge bitmask with every relabeling that gives it, and the orbit
+table of g0's control sets, indexed by subset bitmask.  A later graph
+t(g0) of the class reads a set S at t^-1(S) in that table
+(``_class_keys``).  For any other kind (``random:SEED`` draws its
+weights by label) the labeled graph is its own class and each set its
+own key; nothing is canonicalized.  The tables live inside one sweep
+call: each is made at its class's first unit, and a labeled class's
 table is dropped after its one unit.
 
 Per-graph set-up is paid only where it is read.  ``connected_graphs``
 tests each edge mask's pairs for connectivity and builds a ``Graph`` only
 for a connected one, a graph-built matrix takes its graph as its pattern
 (``control._edge_matrix``), the subset policy is parsed once per sweep
-call (``_subset_family``), and each graph's forcing statuses are closed on
-read (``forcing._ForcingMap``): the first time the subset family, the
+call (``_subset_family``), every subset's tuple is built once per order
+(``_subsets``), and each graph's forcing statuses are closed on read
+(``forcing._ForcingMap``): the first time the subset family, the
 minimality test of ``_minimal_members`` or a zfs_implies_lie record asks
 for a subset.  Under policy ``all`` every subset is still read, so every
 one is closed.
@@ -347,82 +346,62 @@ def _relabelings(n: int) -> tuple:
     return index, tuple(perms)
 
 
+@lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple:
+    """Every subset of 1..n as a sorted tuple, indexed by its bitmask: bit j - 1 holds vertex j."""
+    return tuple(tuple(j + 1 for j in range(n) if mask >> j & 1) for mask in range(1 << n))
+
+
+def _all_nonempty_subsets(n: int) -> tuple:
+    return _subsets(n)[1:]
+
+
 def _canonical_labeling(g: Graph) -> tuple:
-    """A canonical representative of g's isomorphism class, a map onto it, and g's orbit.
+    """g's class record: the canonical representative, g's orbit, and its control sets' orbit table.
 
     The representative is the relabeling of g with the least edge bitmask
     over the sorted vertex pairs, found by trying every permutation (n! of
     them, so meant for small n; McKay and Piperno, "Practical graph
     isomorphism, II", J. Symbolic Comput. 60 (2014), give the general
-    method).  Returns (representative, pi, images): pi[v] is the label
-    that vertex v of g has in the representative, so isomorphic graphs get
-    one representative, and images maps the edge bitmask of every
-    relabeling sigma(g) to the first sigma, in ``_relabelings`` order,
-    that gives it; pi is the first that gives the representative.
+    method).  Returns (representative, images, canon) from that one pass.
+    images maps the edge bitmask of every relabeling sigma(g) to every
+    sigma, in ``_relabelings`` order, that gives it (sigma[v] is the label
+    of g's vertex v), so the representative's entry is the coset C0 of the
+    relabelings that map g onto it, |Aut| of them.  canon maps the bitmask
+    of every subset x of g's vertices to its least sorted image c(x) over
+    c in C0.
     """
     index, perms = _relabelings(g.order)
     edges = [index[e] for e in g.edges]
     images: dict = {}
     for sigma, bits in perms:
-        images.setdefault(sum([bits[i] for i in edges]), sigma)
+        images.setdefault(sum([bits[i] for i in edges]), []).append(sigma)
     best = min(images)
-    return graphs.graph(g.order, [p for p, i in index.items() if best >> i & 1]), images[best], images
+    canon = [min(tuple(sorted(c[v] for v in x)) for c in images[best]) for x in _subsets(g.order)]
+    return graphs.graph(g.order, [p for p, i in index.items() if best >> i & 1]), images, canon
 
 
-def _class_label(g: Graph, orbit: dict) -> tuple:
-    """(rep, pi): g's canonical representative and a map of g onto it, off ``orbit``.
+def _class_keys(g: Graph, orbit: dict, subsets) -> tuple:
+    """(rep, keys): g's class representative and each subset's key in its class's orbit table.
 
     ``orbit`` maps the edge bitmask of every labeled graph in the orbit of
-    a class seen so far to that class's ``_canonical_labeling`` result.  A
-    graph outside it is canonicalized and its whole orbit added, so one
-    labeling runs per class.  A graph h = sigma(g0) of the orbit of the
-    class's first graph g0, with g0's map pi, gets pi o sigma^-1: vertex
-    sigma(v) of h is vertex v of g0, which is pi[v] in the representative.
+    a class seen so far to that class's record (``_canonical_labeling``).
+    A graph outside it is canonicalized and its whole orbit added, so one
+    labeling runs per class.  g is t(g0) for the class's first graph g0
+    and t the first relabeling the record lists for g's mask, so a set S
+    of g is t^-1(S) in g0 and is keyed by canon[t^-1(S)].
     """
     index, _ = _relabelings(g.order)
     mask = sum(1 << index[e] for e in g.edges)
     if mask not in orbit:
-        found = _canonical_labeling(g)
-        orbit.update(dict.fromkeys(found[2], found))
-    rep, pi, images = orbit[mask]
-    sigma = images[mask]
-    label = [0] * (g.order + 1)
+        record = _canonical_labeling(g)
+        orbit.update(dict.fromkeys(record[1], record))
+    rep, images, canon = orbit[mask]
+    t = images[mask][0]
+    bit = [0] * (g.order + 1)
     for v in g.vertices:
-        label[sigma[v]] = pi[v]
-    return rep, label
-
-
-def _automorphisms(g: Graph) -> tuple:
-    """Aut(g): every relabeling pi, in ``_relabelings`` order, with pi(g) = g.
-
-    The identity comes first.  Tries every permutation, as
-    ``_canonical_labeling`` does, so it is meant for small n.
-    """
-    index, perms = _relabelings(g.order)
-    edges = [index[e] for e in g.edges]
-    mask = sum(1 << i for i in edges)
-    return tuple(pi for pi, bits in perms if sum([bits[i] for i in edges]) == mask)
-
-
-def _subset_orbit(s: tuple, aut: tuple, known: dict) -> tuple:
-    """The representative of control set s's orbit under the automorphisms ``aut``.
-
-    The representative is the lexicographically least sorted image tau(s)
-    over tau in ``aut``.  ``known`` maps every set of an orbit met so far
-    to its representative; a set outside it has its whole orbit added, so
-    each orbit costs one pass over ``aut``.
-    """
-    if s not in known:
-        images = {tuple(sorted(tau[v] for v in s)) for tau in aut}
-        known.update(dict.fromkeys(images, min(images)))
-    return known[s]
-
-
-def _all_nonempty_subsets(n: int) -> list:
-    return [
-        tuple(j + 1 for j in range(n) if mask >> j & 1)
-        for mask in range(1, 1 << n)
-    ]
+        bit[t[v]] = 1 << v - 1
+    return rep, {s: canon[sum([bit[u] for u in s])] for s in subsets}
 
 
 def _subset_family(policy: str):
@@ -445,7 +424,7 @@ def _subset_family(policy: str):
     def sample(g: Graph, zfs_map: dict) -> list:
         total = (1 << g.order) - 1
         masks = sorted(rng.sample(range(1, total + 1), min(count, total)))
-        return [tuple(j + 1 for j in range(g.order) if mask >> j & 1) for mask in masks]
+        return [_subsets(g.order)[mask] for mask in masks]
 
     return sample
 
@@ -475,25 +454,27 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
     default (walk_rank, p_span_dim, lie_dim).  Only those parts are grown.
 
     Every kind reads its dims off one ``control._grow`` table per (class,
-    kind), over the union of the relabeled subsets the class needs, and
-    read through the same map; session is the class's.  For a kind that
-    is not label-invariant (``random:SEED``) g is its own class, under the
-    identity labeling, and its table is grown over the selected subsets
-    themselves: nothing is canonicalized and no automorphism is computed.
+    kind), over the keys of the subsets the class needs; session is the
+    class's.  For a kind that is not label-invariant (``random:SEED``) g
+    is its own class and each subset its own key: the table is grown over
+    the selected subsets themselves, and nothing is canonicalized.
 
     For a label-invariant kind the class of g is its canonical
-    representative R, with pi a map of g onto it: relabeling by P_pi turns
-    A(g) into P_pi A(g) P_pi^T = A(R) and maps the walk columns, projectors
-    and brackets of S onto those of pi(S), so (g, S) and (R, pi(S)) have
-    the same dimensions.  An automorphism tau of R fixes A(R) in the same
-    way, so pi(S) and tau(pi(S)) have the same dimensions too, and S is
-    read at the representative of pi(S)'s orbit under Aut(R), its least
-    sorted image (``_subset_orbit``); ``_grow`` takes one set per orbit.
-    Per order ``_canonical_labeling`` runs once per class, at the class's
-    first selected graph, and its orbit gives every later graph of the
-    class its representative and map (``_class_label``); Aut(R) is found
-    once per class (``_automorphisms``), and each orbit of control sets is
-    enumerated once.  A table is made at its class's first unit, and a
+    representative R.  Relabeling by a permutation sigma with sigma(g) = R
+    turns A(g) into P_sigma A(g) P_sigma^T = A(R) and maps the walk
+    columns, projectors and brackets of S onto those of sigma(S), so
+    (g, S) and (R, sigma(S)) have the same dimensions, for every such
+    sigma.  S is keyed by the least sorted image sigma(S) over all of
+    them, which is the same for every set of its orbit, and ``_grow``
+    takes one set per key.  The key is read off the class record that
+    ``_canonical_labeling`` makes in its one pass over the relabelings,
+    at the class's first selected graph g0: C0, the relabelings c with
+    c(g0) = R, and canon, each subset x of g0 keyed by its least sorted
+    image c(x) over c in C0.  A graph g = t(g0) of the class reads S at
+    canon[t^-1(S)] (``_class_keys``), and that is S's key: sigma(g) = R
+    holds exactly when sigma o t maps g0 onto R, that is when
+    sigma = c o t^-1 for some c in C0, so the images sigma(S) are the
+    images c(t^-1(S)).  A table is made at its class's first unit, and a
     labeled class's is dropped as its one unit is yielded, so a
     ``random:SEED`` kind holds one session at a time, not one per labeled
     graph of the order.
@@ -503,23 +484,14 @@ def _units(cfg: SweepConfig, select, parts=control._PARTS):
         rows = []
         classes: dict = {}
         orbit: dict = {}
-        # per class representative: (its automorphisms, each set's orbit representative)
-        set_orbits: dict = {}
         for g in batch:
             zfs_map = forcing._ForcingMap(g)
             subsets = select(g, zfs_map)
             if not subsets:
                 continue
-            # (class, relabeled subsets) per labeling in use, shared by its kinds
-            labels = {}
-            for flag in set(invariant.values()):
-                rep, pi = _class_label(g, orbit) if flag else (g, range(g.order + 1))
-                images = (tuple(sorted(pi[v] for v in s)) for s in subsets)
-                if flag:
-                    if rep not in set_orbits:
-                        set_orbits[rep] = _automorphisms(rep), {}
-                    images = (_subset_orbit(t, *set_orbits[rep]) for t in images)
-                labels[flag] = rep, dict(zip(subsets, images))
+            # (class, each subset's key) per labeling in use, shared by its kinds
+            labels = {flag: _class_keys(g, orbit, subsets) if flag else (g, dict(zip(subsets, subsets)))
+                      for flag in set(invariant.values())}
             for kind in cfg.matrix_kinds:
                 rep, relabel = labels[invariant[kind]]
                 classes.setdefault((rep, kind), set()).update(relabel.values())

@@ -564,6 +564,17 @@ class TestPlumbing:
         assert "malformed vertex set" in err
         assert target.read_text() == ""
 
+    @pytest.mark.parametrize("argv", [("zfs", "--set", "1"), ("analyze", "--set", "1")], ids=["zfs", "analyze"])
+    def test_out_naming_the_graph_file_is_refused(self, capsys, p4, tmp_path, argv):
+        # once truncated the graph to 0 bytes, then failed on the empty document
+        link = tmp_path / "link.txt"
+        link.symlink_to(p4)
+        for out in (p4, str(link)):
+            code, stdout, err = run_cli(capsys, argv[0], "--graph", p4, *argv[1:], "--out", out)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: ") and "--graph" in err
+            assert Path(p4).read_text() == P4_TEXT
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])

@@ -1447,6 +1447,17 @@ class TestAnalyze:
         rep = analyze(adjacency_matrix(cycle_graph(4)), [1, 2])
         assert report_from_dict(rep.to_dict()) == rep
 
+    def test_malformed_report_images_raise_value_error(self):
+        # once KeyError on a missing field and TypeError on a list
+        image = analyze(adjacency_matrix(cycle_graph(4)), [1, 2]).to_dict()
+        del image["lie_dim"]
+        with pytest.raises(ValueError, match="lacks field 'lie_dim'"):
+            report_from_dict(image)
+        with pytest.raises(ValueError, match="lacks field 'control_set'"):
+            report_from_dict({"n": 1})
+        with pytest.raises(ValueError, match="expected a dict, got list"):
+            report_from_dict([])
+
     @settings(max_examples=25, deadline=None)
     @given(symmetric_strategy())
     def test_span_identity_always_passes(self, inst):

@@ -37,9 +37,8 @@ from netctrl import control, forcing, harness
 from netctrl.forcing import _ForcingMap
 from netctrl.harness import (
     _all_nonempty_subsets,
-    _automorphisms,
     _canonical_labeling,
-    _class_label,
+    _class_keys,
     _iter_graphs,
     _minimal_members,
     _units,
@@ -409,32 +408,49 @@ def _all_subsets(g, zfs_map):
     return _all_nonempty_subsets(g.order)
 
 
+def _least_images(g, rep, subsets):
+    """Each subset's least sorted image sigma(S) over every permutation sigma with sigma(g) = rep."""
+    perms = [(0, *image) for image in itertools.permutations(range(1, g.order + 1))]
+    onto = [pi for pi in perms if _relabeled(g, pi) == rep]
+    return {s: min(tuple(sorted(pi[v] for v in s)) for pi in onto) for s in subsets}
+
+
 class TestOrbitRoute:
     def test_graph_orbit_counts_and_maps(self):
         counts = []
         for n in range(1, 6):
             reps = set()
             for g in connected_graphs(n):
-                rep, pi, _ = _canonical_labeling(g)
-                assert sorted(pi[1:]) == list(range(1, n + 1))
-                assert _relabeled(g, pi) == rep
+                rep, images, canon = _canonical_labeling(g)
+                index, _ = harness._relabelings(n)
+                for mask, sigmas in images.items():
+                    for sigma in sigmas:
+                        assert sorted(sigma[1:]) == list(range(1, n + 1))
+                        assert sum(1 << index[e] for e in _relabeled(g, sigma).edges) == mask
+                # C0, the relabelings that map g onto the representative
+                assert all(_relabeled(g, c) == rep for c in images[min(images)])
+                assert len(canon) == 1 << n
                 reps.add(rep)
             counts.append(len(reps))
         assert counts == [1, 1, 2, 6, 21]
 
     def test_orbit_labels_map_every_graph_onto_its_representative(self):
+        # each set's key is its least sorted image over every relabeling
+        # of its graph onto the representative, brute-forced here
         for n in range(1, 6):
             orbit = {}
+            subsets = _all_nonempty_subsets(n)
             for g in connected_graphs(n):
-                rep, pi = _class_label(g, orbit)
-                assert sorted(pi[1:]) == list(range(1, n + 1))
-                assert _relabeled(g, pi) == rep
+                rep, keys = _class_keys(g, orbit, subsets)
                 assert rep == _canonical_labeling(g)[0]
+                assert keys == _least_images(g, rep, subsets), g
             assert len(orbit) == [1, 1, 4, 38, 728][n - 1]
         for g in _iter_graphs(SweepConfig(max_order=7, seed=4)):
             if g.order > 5:
-                rep, pi = _class_label(g, {})
-                assert _relabeled(g, pi) == rep == _canonical_labeling(g)[0]
+                subsets = _all_nonempty_subsets(g.order)
+                rep, keys = _class_keys(g, {}, subsets)
+                assert rep == _canonical_labeling(g)[0]
+                assert keys == _least_images(g, rep, subsets)
 
     def test_one_canonical_labeling_per_class(self, monkeypatch):
         seen = []
@@ -480,9 +496,11 @@ class TestOrbitRoute:
             rng.shuffle(image)
             h = _relabeled(g, (0, *image))
             s = tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 2))))
-            rep, pi, _ = _canonical_labeling(h)
-            mapped = tuple(sorted(pi[v] for v in s))
-            [(walk, pspan, lie)] = control._grow(_session(rep, kind), [mapped]).values()
+            # g opens the class record, so h reads s through its relabeling
+            orbit = {}
+            _class_keys(g, orbit, ())
+            rep, keys = _class_keys(h, orbit, [s])
+            [(walk, pspan, lie)] = control._grow(_session(rep, kind), [keys[s]]).values()
             a = [list(row) for row in build_matrix(h, kind).matrix.entries]
             assert walk == oracles.walk_rank_bruteforce(a, s)
             assert pspan == oracles.pspan_dim_bruteforce(a, s)
@@ -628,17 +646,21 @@ class TestControlSetOrbits:
     """
 
     def test_automorphism_groups_of_small_graphs(self):
+        # C0, the relabelings of g onto its representative, has |Aut(g)| members
+        def coset(g):
+            rep, images, _ = _canonical_labeling(g)
+            return rep, images, images[min(images)]
+
         for n in range(1, 6):
             for g in connected_graphs(n):
-                aut = _automorphisms(g)
-                assert aut[0] == tuple(range(n + 1))
-                assert len(set(aut)) == len(aut)
-                assert all(_relabeled(g, pi) == g for pi in aut)
+                rep, images, c0 = coset(g)
+                assert len(set(c0)) == len(c0)
+                assert all(_relabeled(g, c) == rep for c in c0)
                 # orbit-stabilizer: the orbit holds every distinct relabeling of g
-                assert len(aut) * len(_canonical_labeling(g)[2]) == math.factorial(n)
+                assert len(c0) * len(images) == math.factorial(n)
         star = graph(5, [(1, v) for v in range(2, 6)])
-        groups = [_automorphisms(g) for g in (complete_graph(5), cycle_graph(5), path_graph(5), star)]
-        assert [len(aut) for aut in groups] == [120, 10, 2, 24]
+        groups = [coset(g)[2] for g in (complete_graph(5), cycle_graph(5), path_graph(5), star)]
+        assert [len(c0) for c0 in groups] == [120, 10, 2, 24]
 
     def test_orbit_shared_dims_match_fresh_roots_and_oracles(self):
         reps = {_canonical_labeling(g)[0] for n in range(1, 6) for g in connected_graphs(n)}
@@ -678,7 +700,7 @@ class TestControlSetOrbits:
 
     def test_random_kinds_compute_no_automorphisms(self, monkeypatch):
         def refuse(g):
-            raise AssertionError("a random kind computed automorphisms")
+            raise AssertionError("a random kind built a class record")
 
         grown = []
         engine = control._grow
@@ -687,7 +709,7 @@ class TestControlSetOrbits:
             grown.append(set(subsets))
             return engine(session, subsets, parts=parts)
 
-        monkeypatch.setattr(harness, "_automorphisms", refuse)
+        monkeypatch.setattr(harness, "_canonical_labeling", refuse)
         monkeypatch.setattr(control, "_grow", recording)
         # each labeled graph is its own class: one table per (graph, kind),
         # over exactly the sets selected on that graph
@@ -992,6 +1014,18 @@ class TestViolationRecords:
             "detail": "",
         })
         assert v.matrix == ""
+
+    @pytest.mark.parametrize("image, message", [
+        ({}, "lacks field 'order', 'edges', 'kind', 'subset', 'check', 'detail'"),
+        ({"order": 2, "edges": [[1, 2]], "kind": "adjacency", "subset": [1], "check": "kalman_iff_lie"},
+         "lacks field 'detail'"),
+        ([], "expected a dict, got list"),
+        ("order", "expected a dict, got str"),
+    ], ids=["empty", "no-detail", "list", "str"])
+    def test_malformed_images_raise_value_error(self, image, message):
+        # once KeyError on a missing field and TypeError on a list
+        with pytest.raises(ValueError, match=re.escape(message)):
+            violation_from_dict(image)
 
     def test_recheck_healthy_instance_does_not_reproduce(self):
         v = Violation(
