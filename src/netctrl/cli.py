@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(path: str) -> graphs.Graph:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark some editors write first
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read graph file {path}: {exc}") from None

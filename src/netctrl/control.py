@@ -918,7 +918,7 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     lies in K ⊗ K, of dimension r^2.  So the exact span is grown only
     after a false short (r_p < r), which grows the exact walk once more
     beside it; at ``_PRIME`` none turned up among 4,786 exact walks, and
-    CI's "Modular false short at order 40" makes one on purpose.  The walk
+    ``ci/test_scale.py`` makes one on purpose at order 40.  The walk
     stages grow states along ``members`` by ``_extend_state``:
 
     1. Modulo the prime, the walk, and in the same state the packed span

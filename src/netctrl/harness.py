@@ -160,7 +160,9 @@ class Violation:
 
     ``kind`` is a matrix-kind spec, or "explicit" when the instance matrix
     is not graph-built; then ``matrix`` holds it in matrix text format.
-    ``subset`` is empty for per-matrix checks.
+    ``subset`` is empty for per-matrix checks.  A field of the wrong type,
+    as a record read back from JSON may carry, raises ValueError naming it,
+    so ``recheck`` never runs on one.
     """
 
     order: int
@@ -170,6 +172,20 @@ class Violation:
     check: str
     detail: str
     matrix: str = ""
+
+    def __post_init__(self):
+        def refuse(name, want):
+            raise ValueError(f"Violation field {name!r} must be {want}, got {getattr(self, name)!r}")
+
+        graphs.check_int(self.order, "Violation field 'order'")
+        if not isinstance(self.edges, tuple) or not all(
+                isinstance(e, tuple) and len(e) == 2 and all(type(v) is int for v in e) for e in self.edges):
+            refuse("edges", "a tuple of vertex pairs")
+        if not isinstance(self.subset, tuple) or not all(type(v) is int for v in self.subset):
+            refuse("subset", "a tuple of vertices")
+        for name in ("kind", "check", "detail", "matrix"):
+            if not isinstance(getattr(self, name), str):
+                refuse(name, "a str")
 
     def to_dict(self) -> dict:
         return control._image(self)

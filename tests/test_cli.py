@@ -512,6 +512,15 @@ class TestPlumbing:
         assert err.startswith(f"error: cannot read graph file {bad}: ")
         assert "can't decode byte 0xff" in err
 
+    @pytest.mark.parametrize("argv", [("zfs", "--minimum"), ("analyze", "--set", "1")], ids=["zfs", "analyze"])
+    def test_graph_file_may_start_with_a_byte_order_mark(self, capsys, p4, tmp_path, argv):
+        # once exit 2 with "line 1: order is not an integer: '\ufeff4'"
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + P4_TEXT.encode())
+        plain = run_cli(capsys, argv[0], "--graph", p4, *argv[1:], "--report", "json")
+        assert plain[0] == 0
+        assert run_cli(capsys, argv[0], "--graph", str(marked), *argv[1:], "--report", "json") == plain
+
     def test_malformed_graph_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3\n1 2\nbogus\n")

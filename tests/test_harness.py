@@ -1,5 +1,6 @@
 """Verification sweeps, violation records, and worked-example replication."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -992,6 +993,9 @@ class TestRecheckRoute:
 
 
 class TestViolationRecords:
+    IMAGE = {"order": 2, "edges": [[1, 2]], "kind": "adjacency", "subset": [1], "check": "kalman_iff_lie",
+             "detail": ""}
+
     def test_dict_round_trip(self):
         v = Violation(
             order=4,
@@ -1005,15 +1009,19 @@ class TestViolationRecords:
         assert violation_from_dict(v.to_dict()) == v
 
     def test_matrix_field_defaults_empty(self):
-        v = violation_from_dict({
-            "order": 2,
-            "edges": [[1, 2]],
-            "kind": "adjacency",
-            "subset": [1],
-            "check": "kalman_iff_lie",
-            "detail": "",
-        })
-        assert v.matrix == ""
+        assert violation_from_dict(self.IMAGE).matrix == ""
+
+    @pytest.mark.parametrize("field, value", [
+        ("order", "2"), ("order", True), ("edges", 5), ("edges", [[1]]), ("edges", [[1, "2"]]),
+        ("kind", 5), ("subset", 1), ("subset", [1.0]), ("check", None), ("detail", 5), ("matrix", 5),
+    ], ids=["order-str", "order-bool", "edges-int", "edges-single", "edges-str", "kind", "subset-int",
+            "subset-float", "check", "detail", "matrix"])
+    def test_wrong_field_types_raise_value_error_naming_the_field(self, field, value):
+        # "edges": 5 once raised TypeError, "matrix": 5 AttributeError in recheck
+        with pytest.raises(ValueError, match=f"Violation field '{field}' must be"):
+            violation_from_dict(dict(self.IMAGE, **{field: value}))
+        with pytest.raises(ValueError, match=f"Violation field '{field}' must be"):
+            recheck(dataclasses.replace(violation_from_dict(self.IMAGE), **{field: value}))
 
     @pytest.mark.parametrize("image, message", [
         ({}, "lacks field 'order', 'edges', 'kind', 'subset', 'check', 'detail'"),
