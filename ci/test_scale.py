@@ -14,6 +14,8 @@ import random
 import signal
 import subprocess
 import sys
+import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -124,7 +126,10 @@ def test_dense_one_shot_analyze_at_order_30(tmp_path):
     # certifies it once row 1's hub rows reach rank 29, with no bracket and
     # only A and E_11 kept as elements
     assert analyze(tmp_path, 60, complete_graph(30), "random:7", "1", max_order=30) == (30, 900, 900)
-    with deadline(60):
+    # certified by the hub walk, with no bracket, so no warning past the
+    # default cap
+    with deadline(60), warnings.catch_warnings():
+        warnings.simplefilter("error")
         generators = control_generators(build_matrix(complete_graph(30), "random:7"), (1,))
         assert lie_closure(generators, max_order=30)[0] == 900
 
@@ -233,16 +238,17 @@ def test_hub_walk_at_order_40(tmp_path):
     # rows beside A's, at ambient 1600, with no bracket and no Lie-basis
     # insert past A and E_11
     assert analyze(tmp_path, 60, path_graph(40), "random:7", "1", max_order=40) == (40, 1600, 1600)
-    with deadline(60):
+    with deadline(60), warnings.catch_warnings():
+        warnings.simplefilter("error")
         generators = control_generators(build_matrix(path_graph(40), "random:7"), (1,))
         assert lie_closure(generators, max_order=40)[0] == 1600
 
 
 def test_packed_product_span_at_order_40():
     # the walk is full modulo the prime, so its 1600 outer products each go
-    # into the append-only packed span as one multiplication of packed walk
-    # rows, each leading past the last and kept as its lead alone; a product
-    # out of that order raises.  Only the span is asked, so no Lie order cap
+    # into the packed lead set as one multiplication of packed walk rows,
+    # each leading past the last and kept as its lead alone; a product out
+    # of that order raises.  Only the span is asked, so no Lie order cap
     # applies
     with deadline(60):
         assert p_span_dim(build_matrix(path_graph(40), "random:7"), (1,)) == 1600
@@ -265,12 +271,11 @@ def test_sampled_sweeps_through_the_cli_at_order_5(tmp_path):
         (5_845, "a2cd2f28260fccc89ff0ee9b0aa00ee15a8bb5e3f6693c749015c10de10ea1b8")])
 
 
-def test_sweep_memory_at_order_5():
+def test_sweep_memory_at_order_5(monkeypatch):
     # a random:SEED kind has one class per labeled graph, 728 at order 5,
     # and each class's session and table are dropped after its one unit, so
     # both sweeps over three random kinds peak at most 18 MiB over a bare
-    # import (7.4 to 7.6 MiB on Python 3.11, x86; 18.4 to 19.2 MiB when
-    # every table of an order is kept to its end)
+    # import (7.0 to 7.3 MiB on Python 3.11, x86)
     sweeps = ("from netctrl import SweepConfig, sweep_equivalence, sweep_zfs_implication; "
               "cfg = SweepConfig(max_order=5, matrix_kinds=('random:101', 'random:202', 'random:303')); "
               "assert sweep_equivalence(cfg).passed and sweep_zfs_implication(cfg).passed; ")
@@ -279,6 +284,24 @@ def test_sweep_memory_at_order_5():
     report = "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
     swept, bare = (int(python(120, "-c", code + report)) for code in (sweeps, "import netctrl; "))
     assert swept - bare <= 18 * 1024
+    # a table holds little once the exact span keeps only its leads, so
+    # keeping every table of an order to its end peaks at 14.3 to 14.4 MiB,
+    # inside that bound.  The number of sessions alive at once does not move
+    # with their size: at most two, the one in use and the next one being
+    # built, where keeping every table holds all 3 x 728
+    alive, peak = weakref.WeakSet(), []
+
+    class Counted(control._Session):
+        def __init__(self, a):
+            super().__init__(a)
+            alive.add(self)
+            peak.append(len(alive))
+
+    monkeypatch.setattr(control, "_Session", Counted)
+    cfg = SweepConfig(max_order=5, matrix_kinds=("random:101", "random:202", "random:303"))
+    with deadline(120):
+        assert sweep_equivalence(cfg).passed and sweep_zfs_implication(cfg).passed
+    assert 0 < max(peak) <= 2
 
 
 def burnside_orbits(max_order):

@@ -35,7 +35,7 @@ r^2 for the exact rank r, so that span is kept when r = r_p, and only
 after a false short (r_p < r) is the exact span grown (``_dimensions``).
 The prime is 32,749, the largest whose residue products fit one 30-bit
 CPython digit, so a residue, the product of two and each slot of a packed
-product (``intlinalg.PackedBasis``) are all one digit.  The Lie closure
+product (``intlinalg.LeadBasis``) are all one digit.  The Lie closure
 runs over the integers alone (``_LieEngine``).
 """
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import warnings
 from collections import deque
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -619,7 +620,10 @@ class _LieEngine:
 
         ``bound`` is a dimension that no closure of the generators offered
         exceeds, n^2 or r^2 + delta: the closure stops there, and certifies
-        once the hub rows reach rank isqrt(bound) - 1 (lemma 1).
+        once the hub rows reach rank isqrt(bound) - 1 (lemma 1).  Past the
+        default order cap it warns that it may be very slow when it goes on
+        to bracket after the generators and the hub walk, and only then: a
+        closure that the hub walk certifies takes no bracket.
         """
         rank = math.isqrt(bound) - 1
         for gen in int_generators:
@@ -647,6 +651,8 @@ class _LieEngine:
             if self._certify(rank, bound):
                 return self.dim
         gens, elems, pending = self.gens, self.elems, self.pending
+        if pending and self.dim < bound and self.side > DEFAULT_LIE_MAX_ORDER:
+            _warn_slow(self.side)
         while pending and self.dim < bound:
             g, e = pending.popleft()
             parity = 1 - elems[e][0]
@@ -659,10 +665,13 @@ class _LieEngine:
         return self.dim
 
 
-def _warn_if_past_default(n: int, stacklevel: int = 3) -> None:
-    """Warn that a Lie closure past the default order cap may be very slow."""
-    if n > DEFAULT_LIE_MAX_ORDER:
-        warnings.warn(f"Lie closure on order {n} runs exact arithmetic on length-{n * n} vectors and may be very slow", stacklevel=stacklevel)
+def _warn_slow(n: int) -> None:
+    """Warn, at the first caller outside this module, that a closure on order n may be very slow."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(f"Lie closure on order {n} goes on past its hub walk with exact arithmetic "
+                  f"on length-{n * n} vectors and may be very slow", stacklevel=level)
 
 
 def lie_closure(generators, max_order=None) -> tuple:
@@ -678,7 +687,8 @@ def lie_closure(generators, max_order=None) -> tuple:
         |G| generators; a full one with one control vertex is often
         certified by its hub's walk with no bracket, ``_LieEngine``).
         Defaults to 16, or the NETCTRL_MAX_ORDER environment variable;
-        a closure past 16 emits a warning.
+        a closure past 16 that goes on past its hub walk to bracket emits
+        a warning (``_LieEngine.extend``).
 
     One closure runs, over the integers, bounded by n^2, the dimension of
     gl(n, R), which no closure exceeds.  One that comes out full returns
@@ -716,7 +726,6 @@ def lie_closure(generators, max_order=None) -> tuple:
         if not m.is_symmetric():
             raise ValueError("generators must be symmetric")
     check_lie_order(n, max_order)
-    _warn_if_past_default(n)
     engine = _LieEngine(n)
     dim = engine.extend(map(_int_rows, mats), n * n)
     if dim == n * n:
@@ -774,10 +783,12 @@ class _NodeState:
     Lie closure; ``_extend_state`` adds one control vertex.  ``parts``
     names the bases the state holds; the others are None and never grown,
     so a caller pays only for what it reads.  The span grows from the
-    walk's echelon rows, so the walk is kept whenever the span is.  With a
-    prime ``modulus`` the walk and the span run modulo it and carry it, the
-    span as an append-only ``intlinalg.PackedBasis`` that grows once, from
-    every walk row, when the set's last vertex goes in (``_extend_state``),
+    walk's echelon rows, so the walk is kept whenever the span is.  The
+    span is an ``intlinalg.LeadBasis``: its products have distinct leads,
+    which prove its dimension, so it keeps the set of their leads and no
+    rows.  With a prime ``modulus`` the walk and the span run modulo it and
+    carry it, the span on packed products that grow it once, from every
+    walk row, when the set's last vertex goes in (``_extend_state``),
     whether the walk is full or short.  The Lie part is always exact and
     grows the same way beside any walk or none.
     """
@@ -787,8 +798,7 @@ class _NodeState:
     def __init__(self, session: _Session, modulus=None, parts=_PARTS):
         n = session.n
         self.walk = intlinalg.EchelonBasis(n, modulus) if {"walk", "pspan"} & set(parts) else None
-        self.pspan = None if "pspan" not in parts else (
-            intlinalg.EchelonBasis(n * n) if modulus is None else intlinalg.PackedBasis(n * n, modulus))
+        self.pspan = intlinalg.LeadBasis(n * n, modulus) if "pspan" in parts else None
         self.lie = _LieEngine(n) if "lie" in parts else None
         if self.lie is not None:
             self.lie.extend([session.int_a], n * n)
@@ -827,19 +837,24 @@ def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = Tru
     pivot stored before this call; the products go in by ascending
     (c_a, c_b), so each is zero on the pivots of the batch before it too.
     So every insert grows and none makes a row operation, and the span's
-    dimension is the square of the walk's.
+    dimension is the square of the walk's.  The span is therefore kept as
+    its set of leads alone (``intlinalg.LeadBasis``): each product is
+    formed and its lead found, distinct leads prove independence by
+    triangularity, and a lead already stored raises instead of being
+    reduced, since it would break this proof.  The products lie in
+    K ⊗ K, of dimension r^2 for the walk rank r, so the r^2 leads are all
+    of the span.
     Modulo p each product is the reduction of an integer element of the
     span, so the r_p^2 products of a modular walk of rank r_p prove a
     rational span of at least r_p^2 (``_dimensions`` reads when that is
     all of it).  That span grows once, from every walk row in one batch,
     in the call that adds the set's ``last`` vertex, with the walk full or
-    short; an earlier call grows the modular walk alone.  There the span
-    is a ``PackedBasis``: each product is one multiplication of packed
-    walk rows.  Its lead slot is 1, since the walk rows are monic, and its
-    lead is past every stored one, so the insert reads that slot and
-    appends the lead; the span refuses a product out of that order rather
-    than reduce it.  The batch is made here, not in a helper, so each span
-    insert keeps this call site, which ``bench/test_bench.py`` and
+    short; an earlier call grows the modular walk alone.  There each
+    product is one multiplication of packed walk rows.  Its lead slot is
+    1, since the walk rows are monic, and its lead is past every stored
+    one, so the insert reads that slot and appends the lead; the span
+    refuses a product out of that order.  The batch is made here, not in
+    a helper, so each span insert keeps this call site, which ``bench/test_bench.py`` and
     ``tests/test_bench_hooks.py`` attribute inserts by.  An exact span
     ignores ``last``.  The powers are drawn only when the walk still
     grows, so a Lie-only state never steps one.
@@ -883,7 +898,23 @@ def _grow(session: _Session, subsets, parts=_PARTS) -> dict:
     except the last, which takes it over.  A dimension does not depend on
     the order in which a span was built, so each equals that of a fresh
     root grown by its set alone.
+
+    A full node grows nothing below it.  Walk rank, span dimension and Lie
+    dimension are each monotone in S: the walk columns, their products and
+    the generators of S lie among those of any superset.  Each is bounded,
+    by n for the walk and by n^2, the dimension of gl(n, R), for the span
+    and the Lie closure.  So once a node reaches the bound in every part
+    named, every set of its subtree, each a superset of the node, has
+    those dimensions too; the span at n^2 holds the walk at n, so a part
+    held but not named is at its bound as well.  ``_grow`` writes them for
+    each set of the subtree, found through ``kids``, and copies no state
+    and grows none there.  No check of the engine is lost: grown, such a
+    set would do no engine work either, since the walk stops at rank n,
+    the span grows only with the walk, and ``_LieEngine.extend`` returns
+    at its bound n^2.
     """
+    n = session.n
+    full = tuple(n if name == "walk" else n * n for name in parts)
     dims = dict.fromkeys(subsets)
     kids: dict = {}
     for s in dims:
@@ -897,8 +928,17 @@ def _grow(session: _Session, subsets, parts=_PARTS) -> dict:
             members = parent + (j,)
             state = base if j == children[-1] else base.copy()
             _extend_state(state, session, j)
+            got = tuple(getattr(state, name).dim for name in parts)
+            if got == full:
+                below = [members]
+                while below:
+                    node = below.pop()
+                    if node in dims:
+                        dims[node] = full
+                    below.extend(node + (k,) for k in kids.get(node, ()))
+                continue
             if members in dims:
-                dims[members] = tuple(getattr(state, name).dim for name in parts)
+                dims[members] = got
             if members in kids:
                 stack.append((members, state))
     return dims
@@ -950,7 +990,8 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
        before the other projectors go in; if it stalls, the closure leads
        with the hub rows.  It stops once they reach rank r - 1, at
        dimension r^2 + delta, or runs to its fixpoint short of that bound.
-       Past the default order cap it warns first, as ``lie_closure`` does.
+       Past the default order cap it warns once it goes on past the hub
+       walk, as ``lie_closure`` does.
 
     So a short walk gives a short Lie closure by construction here, as the
     span identity does (``_consistency``), and so does a full walk whose
@@ -1001,7 +1042,6 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
             # the first control vertex's walk spans K: it is the certificate
             dims["lie"] = bound
         else:
-            _warn_if_past_default(n, stacklevel=4)
             gens = [session.int_a] + [_projector_rows(n, j - 1) for j in members]
             dims["lie"] = _LieEngine(n).extend(gens, bound)
     return tuple(dims[name] for name in parts)
@@ -1027,20 +1067,22 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     outer product u w^T of two walk-matrix columns, and the products over
     all pairs k, j in S are the outer products of all pairs of columns.
     The engine grows their span from the row-major outer products of the
-    walk's echelon rows, one per ordered pair, so it has dimension
-    walk_rank^2 (``_extend_state``).  The result is exact
+    walk's echelon rows, one per ordered pair.  Their leads are distinct,
+    so the span keeps its set of leads alone (``intlinalg.LeadBasis``) and
+    has dimension walk_rank^2 (``_extend_state``).  The result is exact
     (``_dimensions``).  Modulo the prime the span grows beside every walk,
     full or short, once the last control vertex is in: it takes each
-    product as one multiplication of packed rows into an append-only span
-    that keeps only their leads (``intlinalg.PackedBasis``).  Path-40 with
-    a ``random:7`` matrix from S = {1}, 1,600 products, takes about 0.03 s
-    (min of 5 CPU runs, 2-CPU x86, Python 3.11), against 0.08 s with the
-    two-digit slots of a prime near 2^30.  That span is kept unless the
-    exact walk rank exceeds the modular one, so only such a false short
-    grows the exact span: on the adjacency matrix of cycle-40 from {1, 5},
-    whose walk has rank 37 both ways, the call takes 47 to 49 ms against
-    160 to 167 ms with the 1,369 products formed exactly (min of 7 CPU
-    runs, two processes, same host).
+    product as one multiplication of packed rows, each leading past the
+    last.  Path-40 with a ``random:7`` matrix from S = {1}, 1,600
+    products, takes about 0.03 s (min of 5 CPU runs, 2-CPU x86, Python
+    3.11), against 0.08 s with the two-digit slots of a prime near 2^30.
+    That span is kept unless the exact walk rank exceeds the modular one,
+    so only such a false short grows the exact span: on the adjacency
+    matrix of cycle-40 from {1, 5}, whose walk has rank 37 both ways, the
+    call takes 58 ms against 74 ms for the exact walk and its 1,369
+    products formed exactly into the lead set, and 189 ms when the exact
+    span reduced each product against its stored rows (min of 7 CPU runs,
+    one process each, same host).
 
     Raises:
       ValueError: empty control set or labels out of range.
@@ -1061,9 +1103,9 @@ def lie_controllable(a: PatternMatrix, s) -> tuple:
     closure is built: every one-vertex set is such a case.  Otherwise one
     exact closure runs, bounded by r^2 + delta, and only counts the
     dimension (``lie_closure`` also builds the canonical basis it
-    returns); past the default order cap it warns, as ``lie_closure``
-    does.  So a short walk gives a short closure by construction, as it
-    gives the span r^2; the sweeps still grow every closure and
+    returns); past the default order cap it warns if it goes on past its
+    hub walk, as ``lie_closure`` does.  So a short walk gives a short
+    closure by construction, as it gives the span r^2; the sweeps still grow every closure and
     ``tests/oracles.py`` still checks it.
 
     Raises:

@@ -19,16 +19,16 @@ Its input may be residues already, which reduce the integer vectors they
 stand for: the modular walk (``control._walk`` with a modulus) is made of
 residue powers alone, with no exact arithmetic.
 
-``PackedBasis`` holds the product span modulo a prime, whose vectors are
-outer products.  Each vector is one int of fixed-width slots, wide
-enough for the product of two residues, so the row-major outer product
-u w^T of two residue vectors is one multiplication,
-``pack(u, n * width) * pack(w, width)``.  Modulo a prime p with
-(p - 1)^2 < 2^30, as ``control._PRIME`` is, a slot is 30 bits, one CPython
-digit: the packed left row is n^2 digits and the right one n, so the
-multiplication costs about n^3 digit steps.  It is append-only: it takes
-only a vector whose lead is past every stored lead, finds that lead and
-reads its slot once per insert, and keeps the leads alone.
+``LeadBasis`` holds the product span, whose vectors are outer products of
+echelon rows with distinct leads: it keeps only their leads, which prove
+the dimension by triangularity, and makes no row operation.  Modulo a
+prime each vector is one int of fixed-width slots, wide enough for the
+product of two residues, so the row-major outer product u w^T of two
+residue vectors is one multiplication, ``pack(u, n * width) * pack(w,
+width)``.  Modulo a prime p with (p - 1)^2 < 2^30, as ``control._PRIME``
+is, a slot is 30 bits, one CPython digit: the packed left row is n^2
+digits and the right one n, so the multiplication costs about n^3 digit
+steps.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress, count
 from operator import mul
 
 
@@ -212,66 +213,88 @@ def pack(values, width: int) -> int:
     return v
 
 
-class PackedBasis(EchelonBasis):
-    """Append-only span modulo a prime of packed vectors, each leading past the last.
+class LeadBasis(EchelonBasis):
+    """Span of vectors with distinct leads, kept as its set of leads alone.
 
-    A vector of length ``ambient`` is one nonnegative int with entry i in
-    slot i (``pack``) of ``width = slot_width(p)`` bits, read modulo p slot
-    by slot.  Its slots may hold up to 2^width - 1, so the row-major outer
-    product of two residue vectors r_a and r_b is one multiplication: with
-    r_a packed at width n·width and r_b at width, slot a·n + b of
-    ``pack(r_a, n * width) * pack(r_b, width)`` is r_a[a]·r_b[b] <= (p - 1)^2,
-    and no slot carries into the next.  At the working prime, 32,749, the
-    width is 30 bits, so each slot is one CPython digit.
+    The lead of a vector is its first nonzero entry.  Vectors whose leads
+    are distinct, each nonzero on its own lead, are independent by
+    triangularity: order them by lead, and each is zero on the leads of
+    those after it.  So a basis that takes only vectors with a new lead
+    grows by one on each, ``dim`` counts the leads, and the vectors
+    themselves need not be kept: ``reduce`` finds the lead, ``_store``
+    records it, and no row operation runs.  ``pivots`` holds the leads in
+    ascending order, as an ``EchelonBasis`` with the same vectors would.
+    Its one caller, ``control._extend_state``, inserts the outer products
+    r_a r_b^T of echelon walk rows, which lead at c_a·n + c_b for the
+    pivots c_a and c_b, so the leads are distinct; a vector that breaks
+    the rule is a fault there, and raises ValueError instead of being
+    reduced.  The zero vector lies in every span (``reduce`` gives None).
 
-    The lead of a vector, its first nonzero slot, is one bit scan.  The
-    basis takes a vector only when its lead is past every stored lead and
-    its lead slot is nonzero modulo p.  Such a vector is zero modulo p on
-    every stored lead, so it is independent of the stored vectors modulo p
-    and grows the span by one; the leads are the pivots an ``EchelonBasis``
-    with the same modulus would have.  So only the leads are kept, ``dim``
-    counts them, and an insert finds its lead and reads that one slot once:
-    ``reduce`` returns the vector with its lead, which ``_store`` appends.
-    Any other nonzero vector raises ValueError instead of being reduced:
-    the one caller, ``control._extend_state``, inserts the outer products
-    of monic echelon rows by ascending lead, and a vector out of that order
-    is a fault there.  The zero vector lies in every span (``reduce`` gives
-    None).
+    Exact (``modulus`` None): a vector is a sequence of ints, and any lead
+    not yet stored is taken.  The exact span grows along a prefix tree of
+    control sets, where a new walk row may lead before an older one, so
+    its leads arrive in any order.
+
+    Modulo a prime p: a vector of length ``ambient`` is one nonnegative
+    int with entry i in slot i (``pack``) of ``width = slot_width(p)``
+    bits, read modulo p slot by slot.  Its slots may hold up to
+    2^width - 1, so the row-major outer product of two residue vectors r_a
+    and r_b is one multiplication: with r_a packed at width n·width and
+    r_b at width, slot a·n + b of ``pack(r_a, n * width) * pack(r_b,
+    width)`` is r_a[a]·r_b[b] <= (p - 1)^2, and no slot carries into the
+    next.  At the working prime, 32,749, the width is 30 bits, so each
+    slot is one CPython digit.  The lead, the first nonzero slot, is one
+    bit scan.  The span grows once, from every walk row by ascending
+    (c_a, c_b), so a vector is taken only when its lead is past every
+    stored lead and its lead slot is nonzero modulo p: then it is zero
+    modulo p on every stored lead and independent of the stored vectors
+    modulo p.
 
     ``insert`` is inherited: every insert runs through
-    ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store`` here.
-    The leads are the whole state, so ``copy`` copies them alone.
+    ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store``
+    here.  The leads are the whole state, so ``copy`` copies them alone.
     """
 
     __slots__ = ("width",)
 
-    def __init__(self, ambient: int, modulus: int):
+    def __init__(self, ambient: int, modulus=None):
         self.ambient = ambient
         self.modulus = modulus
-        self.width = slot_width(modulus)
+        self.width = None if modulus is None else slot_width(modulus)
         self.pivots: list = []
 
-    def reduce(self, values: int):
-        """``(values, lead)`` if it grows the span, None if it is zero; else ValueError."""
-        v, w = values, self.width
-        if v < 0 or v.bit_length() > self.ambient * w:
-            raise ValueError(f"expected a packed vector of {self.ambient} slots of {w} bits")
-        if not v:
+    def reduce(self, v):
+        """``(v, lead, position)`` if it grows the span, None if it is zero; else ValueError."""
+        leads, p = self.pivots, self.modulus
+        if p is not None:
+            w = self.width
+            if v < 0 or v.bit_length() > self.ambient * w:
+                raise ValueError(f"expected a packed vector of {self.ambient} slots of {w} bits")
+            if not v:
+                return None
+            lead = ((v & -v).bit_length() - 1) // w
+            last = leads[-1] if leads else -1
+            if lead <= last or not (v >> lead * w & (1 << w) - 1) % p:
+                raise ValueError(f"a packed vector must lead past slot {last} with a slot nonzero "
+                                 f"modulo {p}; this one leads at slot {lead}")
+            return v, lead, len(leads)
+        if len(v) != self.ambient:
+            raise ValueError(f"expected length {self.ambient}, got {len(v)}")
+        lead = next(compress(count(), v), None)
+        if lead is None:
             return None
-        lead = ((v & -v).bit_length() - 1) // w
-        last = self.pivots[-1] if self.pivots else -1
-        if lead <= last or not (v >> lead * w & (1 << w) - 1) % self.modulus:
-            raise ValueError(f"a packed vector must lead past slot {last} with a slot nonzero "
-                             f"modulo {self.modulus}; this one leads at slot {lead}")
-        return v, lead
+        pos = bisect_left(leads, lead)
+        if pos < len(leads) and leads[pos] == lead:
+            raise ValueError(f"a vector must lead at an entry not yet stored; this one leads at {lead}")
+        return v, lead, pos
 
-    def _store(self, found) -> int:
-        v, lead = found
-        self.pivots.append(lead)
+    def _store(self, found):
+        v, lead, pos = found
+        self.pivots.insert(pos, lead)
         return v
 
-    def copy(self) -> "PackedBasis":
-        dup = PackedBasis(self.ambient, self.modulus)
+    def copy(self) -> "LeadBasis":
+        dup = LeadBasis(self.ambient, self.modulus)
         dup.pivots = list(self.pivots)
         return dup
 

@@ -46,6 +46,19 @@ OUTCOME_SHA256 = {
     "outcome9": "dbc208539adfe43b9cd57ead45d8b1e6b2dd5c49a034d484967b349f5bea624d",
 }
 
+# sha256 of each sweep's to_json() at order 6 over two kinds, one label
+# invariant and one not, under the sampled, one-vertex and forcing-set
+# policies: (equivalence, implication)
+ORDER6_KINDS = ("adjacency", "random:101")
+ORDER6_SHA256 = {
+    "random:8:1": ("e1f3d3092a3d91c3fe9c24ad10e00137802358e8cfc6534bb9f996afcf535beb",
+                   "773ae09b943303e5d53a76e391cbe84dcef6b94496a54a713be432fad9c44e13"),
+    "singletons": ("93ce5395db56d518d51e75b65ae36de93bb5e5303f2e14fe4e1a5d8711b684de",
+                   "fae4eb07eae085b606e8aefd5a8507aee89125bb5d5dcb5de67ae445f4354b36"),
+    "zfs": ("7145b0202fc308f6ead6e33caa1a09ca912d5f38cbadeb32a90ad501fdffd421",
+            "8c21b785c9b55da26676a41c5cc9ba3f0167ae8bf997ead0b3167d3573aac6ca"),
+}
+
 MIXED_CYCLE = [[0, 1, 0, 1], [1, 0, -1, 0], [0, -1, 0, 1], [1, 0, 1, 0]]
 BLOCK_PAIRED = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -207,3 +220,11 @@ def test_outcome_bytes_are_pinned(outcome5, outcome6, outcome9):
     outcomes = {"outcome5": outcome5, "outcome6": outcome6, "outcome9": outcome9}
     got = {name: hashlib.sha256(o.to_json().encode()).hexdigest() for name, o in outcomes.items()}
     assert got == OUTCOME_SHA256
+
+
+@pytest.mark.parametrize("policy", ORDER6_SHA256)
+def test_order_six_bytes_are_pinned(policy):
+    cfg = SweepConfig(max_order=6, matrix_kinds=ORDER6_KINDS, subset_policy=policy)
+    got = tuple(hashlib.sha256(sweep(cfg).to_json().encode()).hexdigest()
+                for sweep in (sweep_equivalence, sweep_zfs_implication))
+    assert got == ORDER6_SHA256[policy]

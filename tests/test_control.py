@@ -296,8 +296,10 @@ class TestProductSpan:
 
     @staticmethod
     def _assert_span_is_the_walk_products(a, s):
-        # the exact span, a subspace of row-major n-by-n matrices, against a
-        # MatrixSpaceBasis of the literal products u w^T of walk_matrix columns
+        # the exact span keeps only its leads.  The products r_a r_b^T of the
+        # state's stored walk rows span, as a MatrixSpaceBasis, what the
+        # literal products u w^T of walk_matrix columns span, and their
+        # leads, one per product and all distinct, are the span's leads
         session = _Session(a)
         state = control._NodeState(session, parts=("pspan",))
         for j in sorted(set(s)):
@@ -307,7 +309,14 @@ class TestProductSpan:
         for u in cols:
             for w in cols:
                 want.insert([[x * y for y in w] for x in u])
-        assert state.pspan.rational_rows() == want.vectors()
+        got, leads = MatrixSpaceBasis(a.n), []
+        for r_a in state.walk.rows:
+            for r_b in state.walk.rows:
+                got.insert([[x * y for y in r_b] for x in r_a])
+                leads.append(next(i for i, x in enumerate(x * y for x in r_a for y in r_b) if x))
+        assert got == want
+        assert state.pspan.pivots == sorted(leads) == sorted(set(leads))
+        assert state.pspan.dim == want.dim
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_strategy())
@@ -481,11 +490,18 @@ class TestLieClosure:
             lie_closure([matrix(big)])
 
     def test_order_past_the_default_cap_warns(self):
-        big = [[Fraction(0)] * 17 for _ in range(17)]
-        big[0][0] = Fraction(1)
-        with pytest.warns(UserWarning):
-            dim, _ = lie_closure([matrix(big)], max_order=17)
-        assert dim == 1
+        # past the default cap a closure warns once it goes on past its hub
+        # walk to bracket: E_11 alone takes no bracket and does not warn;
+        # E_11 and E_22 commute, but their pair is bracketed
+        e11, e22 = ([[Fraction(int(i == j == k)) for j in range(17)] for i in range(17)] for k in (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lie_closure([matrix(e11)], max_order=17)[0] == 1
+        with pytest.warns(UserWarning, match="goes on past its hub walk") as caught:
+            dim, _ = lie_closure([matrix(e11), matrix(e22)], max_order=17)
+        assert dim == 2
+        # the warning names the caller's line, not one inside the library
+        assert [w.filename for w in caught] == [__file__]
 
     def test_env_var_adjusts_cap(self, monkeypatch):
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "2")
@@ -493,7 +509,9 @@ class TestLieClosure:
             lie_closure([matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])])
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "17")
         big = [[Fraction(0)] * 17 for _ in range(17)]
-        with pytest.warns(UserWarning):
+        # the zero closure takes no bracket, so it gives no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             dim, _ = lie_closure([matrix(big)])
         assert dim == 0
 
@@ -1283,8 +1301,10 @@ class TestLieControllable:
             assert lie_controllable(a, s) == (False, want)
 
     def test_exact_fallback_past_the_default_cap_warns(self, monkeypatch):
-        # every closure built past the default cap warns, and a decision
-        # that reads its dimension off the first vertex's walk builds none
+        # every closure built past the default cap that goes on past its hub
+        # walk to bracket warns; one that the hub walk certifies does not,
+        # and a decision that reads its dimension off the first vertex's
+        # walk builds none
         monkeypatch.setenv("NETCTRL_MAX_ORDER", "20")
         edges = [(v, v + 1) for v in range(1, 8)] + [(v, v + 1) for v in range(9, 17)]
         k17 = control_generators(build_matrix(complete_graph(17), "random:7"), (1,))
@@ -1293,21 +1313,22 @@ class TestLieControllable:
             # full, but the closure is gl(8) + gl(9), so the hub rows stop at
             # rank 7 < 16 and the closure runs to its fixpoint
             (lambda: lie_controllable(build_matrix(graph(17, edges), "random:7"), (1, 9)),
-             (False, 8 * 8 + 9 * 9), [289]),
+             (False, 8 * 8 + 9 * 9), [289], 1),
             # the walk of vertex 1 of cycle-20 is short, that of {1, 2} full
-            (lambda: lie_controllable(adjacency_matrix(cycle_graph(20)), (1, 2)), (True, 400), [400]),
-            (lambda: lie_closure(k17, max_order=17)[0], 289, [289]),
+            (lambda: lie_controllable(adjacency_matrix(cycle_graph(20)), (1, 2)), (True, 400), [400], 1),
+            # the hub walk of vertex 1 certifies the closure with no bracket
+            (lambda: lie_closure(k17, max_order=17)[0], 289, [289], 0),
             # the first vertex's walk is full: no closure, no warning
-            (lambda: lie_controllable(build_matrix(path_graph(20), "random:7"), (1,)), (True, 400), []),
-            (lambda: lie_controllable(build_matrix(cycle_graph(20), "random:3"), (1, 11)), (True, 400), []),
+            (lambda: lie_controllable(build_matrix(path_graph(20), "random:7"), (1,)), (True, 400), [], 0),
+            (lambda: lie_controllable(build_matrix(cycle_graph(20), "random:3"), (1, 11)), (True, 400), [], 0),
         ]
-        for call, want, bounds in cases:
+        for call, want, bounds, warned in cases:
             with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 runs = _lie_engines(mp)
                 assert call() == want
             assert [bound for bound, _ in runs] == bounds
-            assert [w.category for w in caught] == [UserWarning] * len(bounds), want
+            assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)] * warned, want
 
     def test_order_cap_holds_on_the_modular_route(self, monkeypatch):
         # the path is controllable, so its first vertex's walk alone would

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from netctrl.harness import (
     _all_nonempty_subsets,
     _canonical_labeling,
     _class_keys,
+    _fresh_dims,
     _iter_graphs,
     _minimal_members,
     _units,
@@ -277,10 +279,56 @@ class TestSubsetMachinery:
             extend(state, session, j)
 
         monkeypatch.setattr(control, "_extend_state", recording)
+        # K4 adjacency: the walk has rank 2 from one vertex and 3 from two,
+        # so no node short of three vertices is full, and each node of the
+        # tree () -> 1, 2; (1,) -> 2, 3; (1, 2) -> 3, 4 is grown once
+        family = [(1, 2, 3), (1, 2, 4), (1, 3), (2,)]
+        dims = control._grow(_session(complete_graph(4), "adjacency"), family)
+        assert list(dims) == family
+        assert dims == {(1, 2, 3): (4, 16, 16), (1, 2, 4): (4, 16, 16), (1, 3): (3, 9, 10), (2,): (2, 4, 5)}
+        assert sorted(grown) == [(1,), (1, 2), (1, 2, 3), (1, 2, 4), (1, 3), (2,)]
+        # {1, 2, 3} is full in every part, so {1, 2, 3, 4} below it is read
+        # as full and not grown
+        grown.clear()
+        dims = control._grow(_session(complete_graph(4), "adjacency"), [(1, 2, 3, 4), (1, 3)])
+        assert dims == {(1, 2, 3, 4): (4, 16, 16), (1, 3): (3, 9, 10)}
+        assert sorted(grown) == [(1,), (1, 2), (1, 2, 3), (1, 3)]
+        # an end vertex of a path is full, so nothing below {1} is grown
+        grown.clear()
         dims = control._grow(_session(path_graph(3), "adjacency"), [(1, 2), (1, 3), (2,)])
-        assert list(dims) == [(1, 2), (1, 3), (2,)]
-        # the nodes of the tree: () -> 1, 2 and (1,) -> 2, 3, each grown once
-        assert sorted(grown) == [(1,), (1, 2), (1, 3), (2,)]
+        assert dims == {(1, 2): (3, 9, 9), (1, 3): (3, 9, 9), (2,): (2, 4, 4)}
+        assert sorted(grown) == [(1,), (2,)]
+
+    @pytest.mark.parametrize("short", range(3), ids=control._PARTS)
+    def test_a_node_a_step_short_in_one_part_is_grown_below(self, monkeypatch, short):
+        # _grow's full-node rule on scripted dimensions at n = 3: {1} is at
+        # its bound in every part but one, a step short there (walk 2, span
+        # 8 or Lie 8), so the sets below it are grown and keep their own
+        # dimensions; {2} is full, so {2, 3} below it is not grown
+        full = (3, 9, 9)
+        script = {(1,): tuple(d - (i == short) for i, d in enumerate(full)),
+                  (1, 2): (3, 9, 8), (1, 2, 3): full, (2,): full, (2, 3): (0, 0, 0)}
+        grown = []
+
+        class Scripted:
+            def __init__(self, session, parts=control._PARTS, members=()):
+                self.members = members
+
+            def copy(self):
+                return Scripted(None, members=self.members)
+
+            def __getattr__(self, name):
+                return SimpleNamespace(dim=script[self.members][control._PARTS.index(name)])
+
+        def extend(state, session, j):
+            state.members += (j,)
+            grown.append(state.members)
+
+        monkeypatch.setattr(control, "_NodeState", Scripted)
+        monkeypatch.setattr(control, "_extend_state", extend)
+        dims = control._grow(_session(path_graph(3), "adjacency"), list(script))
+        assert dims == {**script, (2, 3): full}
+        assert sorted(grown) == [(1,), (1, 2), (1, 2, 3), (2,)]
 
 
 def _session(g, kind):
@@ -352,6 +400,29 @@ class TestSharedEngine:
             # the literal-product oracle takes a fifth of a second at order 5
             if a.n <= 4:
                 assert pspan == oracles.pspan_dim_bruteforce(entries, members)
+
+    @pytest.mark.parametrize("g, kind", [
+        (path_graph(4), "random:3"), (cycle_graph(4), "random:11"), (complete_graph(4), "random:5"),
+        (path_graph(5), "random:3"), (cycle_graph(5), "random:11"),
+    ], ids=["P4", "C4", "K4", "P5", "C5"])
+    def test_sets_below_full_nodes_match_fresh_roots_and_oracles(self, g, kind):
+        # every nonempty subset, so full nodes have sets nested below them,
+        # which _grow reads as full without growing them
+        a = build_matrix(g, kind)
+        n = g.order
+        entries = [[int(x) for x in row] for row in a.matrix.entries]
+        subsets = _all_nonempty_subsets(n)
+        table = control._grow(control._Session(a), subsets)
+        full = (n, n * n, n * n)
+        below = [s for s in subsets if any(table[s[:i]] == full for i in range(1, len(s)))]
+        assert below
+        for s in subsets:
+            assert table[s] == _fresh_dims(a, s) == control._dimensions(a, s, control._PARTS), s
+            assert table[s][0] == oracles.walk_rank_bruteforce(entries, s)
+        # the literal-product and Lie oracles take about 0.1 s a set at order 5
+        for s in below if n <= 4 else below[:2]:
+            assert full == (table[s][0], oracles.pspan_dim_bruteforce(entries, s),
+                            oracles.control_lie_dim_bruteforce(entries, s)), s
 
     def test_lie_only_grow_is_the_lie_column(self):
         # every labeled graph of order <= 4, disconnected ones included

@@ -24,7 +24,7 @@ from netctrl import (
 from netctrl.control import _PRIME
 from netctrl.intlinalg import (
     EchelonBasis,
-    PackedBasis,
+    LeadBasis,
     clear_denominators,
     int_commutator,
     int_mat_mul,
@@ -329,7 +329,7 @@ def _monic_echelon_rows(draw):
 
 
 class TestPackedBasis:
-    """The append-only packed span: leads past the last one grow it, anything else is refused."""
+    """``LeadBasis`` modulo a prime, on packed vectors: leads past the last one grow it, anything else is refused."""
 
     @settings(max_examples=200, deadline=None)
     @given(_monic_echelon_rows())
@@ -337,7 +337,7 @@ class TestPackedBasis:
         # the products _extend_state inserts: r_a r_b^T in ascending (c_a, c_b)
         p, n, rows = case
         w = slot_width(p)
-        packed, listed = PackedBasis(n * n, p), EchelonBasis(n * n, modulus=p)
+        packed, listed = LeadBasis(n * n, p), EchelonBasis(n * n, modulus=p)
         for r_a in rows:
             for r_b in rows:
                 product = pack(r_a, n * w) * pack(r_b, w)
@@ -355,7 +355,7 @@ class TestPackedBasis:
     ], ids=["repeated-lead", "same-lead", "lead-before-last", "lead-slot-3-mod-3", "lead-slot-6-mod-3"])
     def test_refuses_a_vector_out_of_lead_order(self, p, first, second):
         w = slot_width(p)
-        basis = PackedBasis(3, p)
+        basis = LeadBasis(3, p)
         if first:
             assert basis.insert(pack(first, w)) == pack(first, w)
         with pytest.raises(ValueError, match=r"^a packed vector must lead past slot"):
@@ -363,7 +363,7 @@ class TestPackedBasis:
         assert basis.dim == len(basis.pivots) == (1 if first else 0)
 
     def test_zero_vector_is_in_the_span(self):
-        basis = PackedBasis(2, 3)
+        basis = LeadBasis(2, 3)
         assert basis.insert(0) is None and basis.dim == 0
 
     @pytest.mark.parametrize("p", [2, 3, 185_363, _PRIME])
@@ -384,7 +384,7 @@ class TestPackedBasis:
             product = pack(r_a, n * w) * pack(r_b, w)
             assert _slots(product, w, n * n) == [x * y for x in r_a for y in r_b]
             assert product < 1 << n * n * w
-        basis = PackedBasis(n * n, p)
+        basis = LeadBasis(n * n, p)
         # row c leads at slot c, so the products lead at c_a·n + c_b, in order;
         # modulo 3 each lead slot holds 4, whose lowest set bit is the top bit
         # of its 3-bit slot
@@ -398,7 +398,7 @@ class TestPackedBasis:
         # the leads are the whole state: after a copy each side takes its own
         # next lead, and neither sees the other's
         w = slot_width(5)
-        basis = PackedBasis(4, 5)
+        basis = LeadBasis(4, 5)
         basis.insert(pack([1, 2, 0, 0], w))
         dup = basis.copy()
         assert (dup.ambient, dup.modulus, dup.width, dup.pivots) == (4, 5, w, [0])
@@ -408,11 +408,67 @@ class TestPackedBasis:
         assert (dup.pivots, dup.dim) == ([0, 2, 3], 3)
 
     def test_rejects_a_vector_it_cannot_hold(self):
-        basis = PackedBasis(2, 5)
+        basis = LeadBasis(2, 5)
         with pytest.raises(ValueError):
             basis.insert(1 << 2 * slot_width(5))
         with pytest.raises(ValueError):
             basis.insert(-1)
+
+
+@st.composite
+def _exact_echelon_rows(draw):
+    """(n, rows, order): integer rows with distinct pivots and an insertion order of their pairs."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    pivots = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    entries = st.integers(min_value=-4, max_value=4)
+    rows = [[0] * c + [draw(entries.filter(bool))] + [draw(entries) for _ in range(c + 1, n)] for c in pivots]
+    pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows))]
+    return n, rows, draw(st.permutations(pairs))
+
+
+class TestLeadBasis:
+    """The exact lead set: any lead not yet stored grows it, a repeated one is refused."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_echelon_rows())
+    def test_products_grow_once_in_any_order(self, case):
+        # along a prefix tree a new walk row may lead before an older one, so
+        # the products r_a r_b^T, leading at c_a·n + c_b, arrive in any order
+        n, rows, order = case
+        leads, listed = LeadBasis(n * n), EchelonBasis(n * n)
+        for a, b in order:
+            product = [x * y for x in rows[a] for y in rows[b]]
+            assert leads.insert(product) == product
+            assert listed.insert(product) is not None
+        assert leads.dim == len(rows) ** 2 == listed.dim
+        assert leads.pivots == listed.pivots
+
+    @pytest.mark.parametrize("first, second", [
+        ([0, 1, 5], [0, 2, 0]),
+        ([0, 3, 0], [0, -3, 0]),
+        ([2, 0, 0], [1, 1, 1]),
+    ], ids=["same-lead", "negated", "lead-0"])
+    def test_refuses_a_repeated_lead(self, first, second):
+        basis = LeadBasis(3)
+        assert basis.insert(first) == first
+        with pytest.raises(ValueError, match=r"^a vector must lead at an entry not yet stored"):
+            basis.insert(second)
+        assert (basis.dim, basis.pivots) == (1, [first.index(next(filter(None, first)))])
+
+    def test_zero_vector_is_in_the_span_and_length_is_checked(self):
+        basis = LeadBasis(4)
+        assert basis.insert([0, 0, 0, 0]) is None and basis.dim == 0
+        with pytest.raises(ValueError, match="expected length 4"):
+            basis.insert([1, 0, 0])
+
+    def test_copy_diverges_from_the_original(self):
+        basis = LeadBasis(4)
+        basis.insert([0, 0, 1, 0])
+        dup = basis.copy()
+        assert (dup.ambient, dup.modulus, dup.pivots) == (4, None, [2])
+        assert basis.insert([0, 7, 0, 1]) and dup.insert([3, 0, 0, 0]) and dup.insert([0, 0, 0, 1])
+        assert (basis.pivots, basis.dim) == ([1, 2], 2)
+        assert (dup.pivots, dup.dim) == ([0, 2, 3], 3)
 
 
 class TestRank:
