@@ -82,6 +82,21 @@ def spy(monkeypatch, owner, name, note):
     return real
 
 
+def exact_span_insert(basis):
+    """Whether an insert ``spy`` notes is a span insert at ambient 1600 beside an exact walk.
+
+    The span carries no modulus: the walk in the frame of the
+    ``_extend_state`` call that makes the insert tells an exact insert from
+    a modular one.
+    """
+    if basis.ambient != 1600:
+        return False
+    frame = sys._getframe(1)
+    while frame.f_code is not control._extend_state.__code__:
+        frame = frame.f_back
+    return frame.f_locals["walk"].modulus is None
+
+
 def modular_walk_rank(a):
     """The rank of the walk from vertex 1 modulo the working prime alone."""
     session = control._Session(a)
@@ -176,12 +191,12 @@ def test_two_control_vertices_at_the_lie_cap(tmp_path, monkeypatch):
 def test_deficient_walk_at_order_40(monkeypatch):
     # cycle-40 from one vertex has walk rank 21, modulo the prime and
     # exactly, so the modular walk comes out short, the exact walk alone is
-    # grown next, and the packed span of the 21 modular rows, 441 products
-    # that prove a span of at least 21^2, is kept: no exact span insert runs
-    # at ambient 1600.  No Lie part is asked, so no order cap applies
+    # grown next, and the span beside the 21 modular rows, 441 products that
+    # prove a span of at least 21^2, is kept: no exact span insert runs at
+    # ambient 1600.  No Lie part is asked, so no order cap applies
     exact = []
     spy(monkeypatch, intlinalg.EchelonBasis, "insert",
-        lambda basis, values: exact.append(basis.modulus is None and basis.ambient == 1600))
+        lambda basis, values: exact.append(exact_span_insert(basis)))
     a = adjacency_matrix(cycle_graph(40))
     with deadline(60):
         assert (kalman_controllable(a, (1,)), p_span_dim(a, (1,))) == ((False, 21), 441)
@@ -192,12 +207,12 @@ def test_modular_false_short_at_order_40(monkeypatch):
     # a path of order 40 whose edge (20, 21) has weight equal to the working
     # prime: each residue power A^k e_1 crosses that edge as zero, so the
     # modular walk from vertex 1 stays on vertices 1..20, though the exact
-    # one is full; its packed span proves only 400, so after the exact walk
-    # alone finds rank 40 the walk and the span are grown exactly, at
+    # one is full; the span beside it proves only 400, so after the exact
+    # walk alone finds rank 40 the walk and the span are grown exactly, at
     # ambient 1600
     exact = []
     spy(monkeypatch, intlinalg.EchelonBasis, "insert",
-        lambda basis, values: exact.append(basis.modulus is None and basis.ambient == 1600))
+        lambda basis, values: exact.append(exact_span_insert(basis)))
     a = pattern_matrix([[control._PRIME if {u, v} == {19, 20} else int(abs(u - v) == 1) for v in range(40)]
                         for u in range(40)])
     with deadline(60):
@@ -246,12 +261,22 @@ def test_hub_walk_at_order_40(tmp_path):
 
 def test_packed_product_span_at_order_40():
     # the walk is full modulo the prime, so its 1600 outer products each go
-    # into the packed lead set as one multiplication of packed walk rows,
-    # each leading past the last and kept as its lead alone; a product out
-    # of that order raises.  Only the span is asked, so no Lie order cap
-    # applies
+    # into the lead set as its support mask, one multiplication of two walk
+    # rows' masks, and are kept as their leads alone; a repeated lead
+    # raises.  Only the span is asked, so no Lie order cap applies
     with deadline(60):
         assert p_span_dim(build_matrix(path_graph(40), "random:7"), (1,)) == 1600
+
+
+def test_product_span_at_order_60():
+    # ambient 3600: the dense walk of the complete graph and the banded one
+    # of the path are full modulo the prime from vertex 1, and the cycle's
+    # stops at rank 31 both ways, so its 961 products beside the modular
+    # walk are kept.  Each product is one multiplication of support masks
+    with deadline(60):
+        assert p_span_dim(build_matrix(complete_graph(60), "random:7"), (1,)) == 3600
+        assert p_span_dim(build_matrix(path_graph(60), "random:7"), (1,)) == 3600
+        assert p_span_dim(adjacency_matrix(cycle_graph(60)), (1,)) == 961
 
 
 def test_sweeps_through_the_cli_at_order_5(tmp_path):

@@ -34,9 +34,12 @@ a walk of rank r_p is r_p^2, at most the rational one, which is at most
 r^2 for the exact rank r, so that span is kept when r = r_p, and only
 after a false short (r_p < r) is the exact span grown (``_dimensions``).
 The prime is 32,749, the largest whose residue products fit one 30-bit
-CPython digit, so a residue, the product of two and each slot of a packed
-product (``intlinalg.LeadBasis``) are all one digit.  The Lie closure
-runs over the integers alone (``_LieEngine``).
+CPython digit, so a residue and the product of two residues are each one
+digit, in the residue powers of ``_walk`` and in the row operations of the
+modular ``intlinalg.EchelonBasis``.  The product span needs no digit of its
+own: each product goes in as its support mask, the same for the exact and
+the modular walk (``_extend_state``).  The Lie closure runs over the
+integers alone (``_LieEngine``).
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ CHECK_SKIPPED = "hypothesis not met"
 
 DEFAULT_LIE_MAX_ORDER = 16
 
-# the largest prime p with (p - 1)^2 < 2^30: the product of two residues,
-# and so every packed product slot (intlinalg.slot_width), is one 30-bit
-# CPython digit
+# the largest prime p with (p - 1)^2 < 2^30: a residue and the product of
+# two are each one 30-bit CPython digit, in _walk's residue powers and in
+# the modular EchelonBasis's row operations
 _PRIME = 32_749
 
 
@@ -786,11 +789,12 @@ class _NodeState:
     walk's echelon rows, so the walk is kept whenever the span is.  The
     span is an ``intlinalg.LeadBasis``: its products have distinct leads,
     which prove its dimension, so it keeps the set of their leads and no
-    rows.  With a prime ``modulus`` the walk and the span run modulo it and
-    carry it, the span on packed products that grow it once, from every
-    walk row, when the set's last vertex goes in (``_extend_state``),
-    whether the walk is full or short.  The Lie part is always exact and
-    grows the same way beside any walk or none.
+    rows, and takes each product as its support mask.  With a prime
+    ``modulus`` the walk runs modulo it and carries it; the span has no
+    modulus, and grows from the walk's rows by one rule beside the exact
+    and the modular walk alike, in each call that grows the walk
+    (``_extend_state``).  The Lie part is always exact and grows the same
+    way beside any walk or none.
     """
 
     __slots__ = ("walk", "pspan", "lie")
@@ -798,7 +802,7 @@ class _NodeState:
     def __init__(self, session: _Session, modulus=None, parts=_PARTS):
         n = session.n
         self.walk = intlinalg.EchelonBasis(n, modulus) if {"walk", "pspan"} & set(parts) else None
-        self.pspan = intlinalg.LeadBasis(n * n, modulus) if "pspan" in parts else None
+        self.pspan = intlinalg.LeadBasis(n * n) if "pspan" in parts else None
         self.lie = _LieEngine(n) if "lie" in parts else None
         if self.lie is not None:
             self.lie.extend([session.int_a], n * n)
@@ -811,7 +815,7 @@ class _NodeState:
         return dup
 
 
-def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = True) -> None:
+def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     """Grow a parent's bases by control vertex j.
 
     The walk draws the powers of j from ``_walk`` while it inserts them,
@@ -832,32 +836,31 @@ def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = Tru
     new elements are the row-major flattenings of r_a r_b^T over the
     ordered pairs of walk rows with at least one of them new.  With pivots
     c_a and c_b such a product is zero before position c_a·n + c_b and
-    holds the product of the two pivot entries there.  A new walk row is
-    zero on every older walk pivot, so a new product is zero on every span
-    pivot stored before this call; the products go in by ascending
-    (c_a, c_b), so each is zero on the pivots of the batch before it too.
-    So every insert grows and none makes a row operation, and the span's
-    dimension is the square of the walk's.  The span is therefore kept as
-    its set of leads alone (``intlinalg.LeadBasis``): each product is
-    formed and its lead found, distinct leads prove independence by
-    triangularity, and a lead already stored raises instead of being
-    reduced, since it would break this proof.  The products lie in
-    K ⊗ K, of dimension r^2 for the walk rank r, so the r^2 leads are all
-    of the span.
-    Modulo p each product is the reduction of an integer element of the
-    span, so the r_p^2 products of a modular walk of rank r_p prove a
-    rational span of at least r_p^2 (``_dimensions`` reads when that is
-    all of it).  That span grows once, from every walk row in one batch,
-    in the call that adds the set's ``last`` vertex, with the walk full or
-    short; an earlier call grows the modular walk alone.  There each
-    product is one multiplication of packed walk rows.  Its lead slot is
-    1, since the walk rows are monic, and its lead is past every stored
-    one, so the insert reads that slot and appends the lead; the span
-    refuses a product out of that order.  The batch is made here, not in
-    a helper, so each span insert keeps this call site, which ``bench/test_bench.py`` and
-    ``tests/test_bench_hooks.py`` attribute inserts by.  An exact span
-    ignores ``last``.  The powers are drawn only when the walk still
-    grows, so a Lie-only state never steps one.
+    holds the product of the two pivot entries there.  The walk's pivots
+    are distinct, so these leads are too, and each new one differs from
+    every lead stored before this call, whose pivots are both old.  So
+    every insert grows the span and the span's dimension is the square of
+    the walk's.  The span is therefore kept as its set of leads alone
+    (``intlinalg.LeadBasis``): each product is formed and its lead found,
+    distinct leads prove independence by triangularity, and a lead
+    already stored raises instead of being reduced, since it would break
+    this proof.  The products lie in K ⊗ K, of dimension r^2 for the walk
+    rank r, so the r^2 leads are all of the span.
+    A lead needs only the product's support.  Entry (a, b) of r_a r_b^T
+    is r_a[a]·r_b[b], nonzero iff both factors are, over the integers and
+    modulo a prime alike, so with ``left`` holding bit a·n for each
+    nonzero r_a[a] and ``right`` bit b for each nonzero r_b[b], ``left *
+    right`` is the product's support mask: its bits a·n + b are distinct,
+    so nothing carries, and its lowest is the lead.  One loop takes the
+    exact and the modular walk alike.  Modulo p each product is the
+    reduction of an integer element of the span, so the r_p^2 products of
+    a modular walk of rank r_p prove a rational span of at least r_p^2
+    (``_dimensions`` reads when that is all of it).  The inserts are made
+    here, not in a helper, so each span insert keeps this call site, which
+    ``bench/test_bench.py`` and ``tests/test_bench_hooks.py`` attribute
+    inserts by, splitting the walk's from the span's by the local ``n``.
+    The powers are drawn only when the walk still grows, so a Lie-only
+    state never steps one.
 
     The Lie closure grows after the walk, with bound n^2 beside any walk.
     Beside a short walk of rank r it cannot certify: its hub rows stay at
@@ -871,20 +874,14 @@ def _extend_state(state: _NodeState, session: _Session, j: int, last: bool = Tru
         for col in _walk(session.int_a, j - 1, walk.modulus):
             if walk.insert(col) is None:
                 break
-        if span is not None and walk.modulus is None and len(old) < walk.dim:
-            rows = [(c in old, row) for c, row in zip(walk.pivots, walk.rows)]
-            for old_a, r_a in rows:
-                for old_b, r_b in rows:
+        if span is not None and len(old) < walk.dim:
+            # bit a·n + b of left * right is set iff r_a[a]·r_b[b] is nonzero
+            rows = [(c in old, intlinalg.support(row, n), intlinalg.support(row))
+                    for c, row in zip(walk.pivots, walk.rows)]
+            for old_a, left, _ in rows:
+                for old_b, _, right in rows:
                     if not (old_a and old_b):
-                        span.insert([x * y for x in r_a for y in r_b])
-    if span is not None and walk.modulus is not None and last:
-        # slot a·n + b of left * right is r_a[a]·r_b[b] < p^2, one slot each
-        w = span.width
-        rights = [intlinalg.pack(r_b, w) for r_b in walk.rows]
-        for r_a in walk.rows:
-            left = intlinalg.pack(r_a, n * w)
-            for right in rights:
-                span.insert(left * right)
+                        span.insert(left * right)
     if state.lie is not None:
         state.lie.extend([_projector_rows(n, j - 1)], n * n)
 
@@ -952,7 +949,7 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     cap, made before any work when ``parts`` names the Lie part.  The rule:
     modulo the prime the walk rank r_p is at most the rational one r, so a
     full modular walk is exact, and only a short one is regrown exactly,
-    alone.  The span needs no exact stage when r = r_p: the r_p^2 packed
+    alone.  The span needs no exact stage when r = r_p: the r_p^2
     products of the modular walk's rows have distinct leads, so they prove
     a rational span of at least r_p^2, and every product of walk columns
     lies in K ⊗ K, of dimension r^2.  So the exact span is grown only
@@ -961,8 +958,8 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     ``ci/test_scale.py`` makes one on purpose at order 40.  The walk
     stages grow states along ``members`` by ``_extend_state``:
 
-    1. Modulo the prime, the walk, and in the same state the packed span
-       when it is asked, from every walk row once the last member is in.
+    1. Modulo the prime, the walk, and in the same state the span when it
+       is asked, beside each member's walk rows as they grow.
     2. Exactly, the walk alone when the modular walk came out short; then,
        after a false short with the span asked, the walk and the span.
     3. For the Lie part, its bound from the walk rank r and delta
@@ -1020,7 +1017,7 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
         """The state grown along ``members``, and its walk rank after the first."""
         state, first = _NodeState(session, modulus, held), None
         for j in members:
-            _extend_state(state, session, j, j == members[-1])
+            _extend_state(state, session, j)
             first = first or state.walk.dim
         return state, first
 
@@ -1030,7 +1027,7 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     if dims["walk"] < n:
         state, first = grown(None, ("walk",))
         if "pspan" in held and state.walk.dim > dims["walk"]:
-            # a false short: the packed span proves only its own square
+            # a false short: the modular span proves only its own square
             state, first = grown(None, held)
             dims["pspan"] = state.pspan.dim
         dims["walk"] = state.walk.dim
@@ -1069,20 +1066,15 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     The engine grows their span from the row-major outer products of the
     walk's echelon rows, one per ordered pair.  Their leads are distinct,
     so the span keeps its set of leads alone (``intlinalg.LeadBasis``) and
-    has dimension walk_rank^2 (``_extend_state``).  The result is exact
-    (``_dimensions``).  Modulo the prime the span grows beside every walk,
-    full or short, once the last control vertex is in: it takes each
-    product as one multiplication of packed rows, each leading past the
-    last.  Path-40 with a ``random:7`` matrix from S = {1}, 1,600
-    products, takes about 0.03 s (min of 5 CPU runs, 2-CPU x86, Python
-    3.11), against 0.08 s with the two-digit slots of a prime near 2^30.
-    That span is kept unless the exact walk rank exceeds the modular one,
-    so only such a false short grows the exact span: on the adjacency
-    matrix of cycle-40 from {1, 5}, whose walk has rank 37 both ways, the
-    call takes 58 ms against 74 ms for the exact walk and its 1,369
-    products formed exactly into the lead set, and 189 ms when the exact
-    span reduced each product against its stored rows (min of 7 CPU runs,
-    one process each, same host).
+    has dimension walk_rank^2 (``_extend_state``).  Each product goes in
+    as its support mask, one multiplication of two walk rows' masks, by
+    the same rule beside the exact and the modular walk.  The result is
+    exact (``_dimensions``): the span beside the modular walk is kept
+    unless the exact walk rank exceeds the modular one, so only such a
+    false short grows the exact span.  Path-40 with a ``random:7`` matrix
+    from S = {1}, 1,600 products, takes 5.2 to 5.6 ms, and complete-60
+    from {1}, 3,600 products, 20 to 22 ms (min of 5 CPU runs, two
+    processes, 2-CPU x86, Python 3.11).
 
     Raises:
       ValueError: empty control set or labels out of range.

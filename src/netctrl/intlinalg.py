@@ -21,14 +21,14 @@ residue powers alone, with no exact arithmetic.
 
 ``LeadBasis`` holds the product span, whose vectors are outer products of
 echelon rows with distinct leads: it keeps only their leads, which prove
-the dimension by triangularity, and makes no row operation.  Modulo a
-prime each vector is one int of fixed-width slots, wide enough for the
-product of two residues, so the row-major outer product u w^T of two
-residue vectors is one multiplication, ``pack(u, n * width) * pack(w,
-width)``.  Modulo a prime p with (p - 1)^2 < 2^30, as ``control._PRIME``
-is, a slot is 30 bits, one CPython digit: the packed left row is n^2
-digits and the right one n, so the multiplication costs about n^3 digit
-steps.
+the dimension by triangularity, and makes no row operation.  A lead needs
+only the vector's support, so each vector goes in as its support mask, one
+int with bit i set where entry i is nonzero.  Entry (a, b) of an outer
+product r_a r_b^T is r_a[a]·r_b[b], nonzero iff both factors are, over the
+integers and modulo a prime alike (a field has no zero divisors), so the
+mask of the row-major product is ``support(r_a, n) * support(r_b)``: the
+bits a·n + b it sums are distinct, and nothing carries.  The exact and the
+modular walk give the span in this one form.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, count
 from operator import mul
 
 
@@ -197,20 +196,9 @@ class EchelonBasis:
         )
 
 
-def slot_width(modulus: int) -> int:
-    """Bits per slot that hold the product of any two residues modulo p.
-
-    The largest such product is (p - 1)^2, so one bit fewer does not hold it.
-    """
-    return ((modulus - 1) ** 2).bit_length()
-
-
-def pack(values, width: int) -> int:
-    """Nonnegative ints below 2^width as one int: entry i in bits [i·width, (i+1)·width)."""
-    v = 0
-    for x in reversed(values):
-        v = v << width | x
-    return v
+def support(values, stride: int = 1) -> int:
+    """The support mask of a vector: bit i·stride set for each nonzero entry i."""
+    return sum(1 << i * stride for i, x in enumerate(values) if x)
 
 
 class LeadBasis(EchelonBasis):
@@ -224,65 +212,38 @@ class LeadBasis(EchelonBasis):
     themselves need not be kept: ``reduce`` finds the lead, ``_store``
     records it, and no row operation runs.  ``pivots`` holds the leads in
     ascending order, as an ``EchelonBasis`` with the same vectors would.
-    Its one caller, ``control._extend_state``, inserts the outer products
-    r_a r_b^T of echelon walk rows, which lead at c_a·n + c_b for the
-    pivots c_a and c_b, so the leads are distinct; a vector that breaks
-    the rule is a fault there, and raises ValueError instead of being
-    reduced.  The zero vector lies in every span (``reduce`` gives None).
 
-    Exact (``modulus`` None): a vector is a sequence of ints, and any lead
-    not yet stored is taken.  The exact span grows along a prefix tree of
-    control sets, where a new walk row may lead before an older one, so
-    its leads arrive in any order.
-
-    Modulo a prime p: a vector of length ``ambient`` is one nonnegative
-    int with entry i in slot i (``pack``) of ``width = slot_width(p)``
-    bits, read modulo p slot by slot.  Its slots may hold up to
-    2^width - 1, so the row-major outer product of two residue vectors r_a
-    and r_b is one multiplication: with r_a packed at width n·width and
-    r_b at width, slot a·n + b of ``pack(r_a, n * width) * pack(r_b,
-    width)`` is r_a[a]·r_b[b] <= (p - 1)^2, and no slot carries into the
-    next.  At the working prime, 32,749, the width is 30 bits, so each
-    slot is one CPython digit.  The lead, the first nonzero slot, is one
-    bit scan.  The span grows once, from every walk row by ascending
-    (c_a, c_b), so a vector is taken only when its lead is past every
-    stored lead and its lead slot is nonzero modulo p: then it is zero
-    modulo p on every stored lead and independent of the stored vectors
-    modulo p.
+    A vector of length ``ambient`` goes in as its support mask
+    (``support``), a nonnegative int below 2^ambient; its lead is the
+    lowest set bit, and it has no modulus.  Its one caller,
+    ``control._extend_state``, inserts the masks of the outer products
+    r_a r_b^T of echelon walk rows, exact or residue, which lead at
+    c_a·n + c_b for the pivots c_a and c_b, so the leads are distinct.  The
+    span grows along a prefix tree of control sets, where a new walk row
+    may lead before an older one, so any lead not yet stored is taken.  A
+    repeated lead is a fault there, and raises ValueError instead of being
+    reduced, as does a negative mask or one past ``ambient`` bits.  The
+    zero mask lies in every span (``reduce`` gives None).
 
     ``insert`` is inherited: every insert runs through
     ``EchelonBasis.insert``, which calls the ``reduce`` and ``_store``
     here.  The leads are the whole state, so ``copy`` copies them alone.
     """
 
-    __slots__ = ("width",)
+    __slots__ = ()
 
-    def __init__(self, ambient: int, modulus=None):
+    def __init__(self, ambient: int):
         self.ambient = ambient
-        self.modulus = modulus
-        self.width = None if modulus is None else slot_width(modulus)
         self.pivots: list = []
 
     def reduce(self, v):
         """``(v, lead, position)`` if it grows the span, None if it is zero; else ValueError."""
-        leads, p = self.pivots, self.modulus
-        if p is not None:
-            w = self.width
-            if v < 0 or v.bit_length() > self.ambient * w:
-                raise ValueError(f"expected a packed vector of {self.ambient} slots of {w} bits")
-            if not v:
-                return None
-            lead = ((v & -v).bit_length() - 1) // w
-            last = leads[-1] if leads else -1
-            if lead <= last or not (v >> lead * w & (1 << w) - 1) % p:
-                raise ValueError(f"a packed vector must lead past slot {last} with a slot nonzero "
-                                 f"modulo {p}; this one leads at slot {lead}")
-            return v, lead, len(leads)
-        if len(v) != self.ambient:
-            raise ValueError(f"expected length {self.ambient}, got {len(v)}")
-        lead = next(compress(count(), v), None)
-        if lead is None:
+        if v < 0 or v.bit_length() > self.ambient:
+            raise ValueError(f"expected a support mask of at most {self.ambient} bits")
+        if not v:
             return None
+        lead = (v & -v).bit_length() - 1
+        leads = self.pivots
         pos = bisect_left(leads, lead)
         if pos < len(leads) and leads[pos] == lead:
             raise ValueError(f"a vector must lead at an entry not yet stored; this one leads at {lead}")
@@ -294,7 +255,7 @@ class LeadBasis(EchelonBasis):
         return v
 
     def copy(self) -> "LeadBasis":
-        dup = LeadBasis(self.ambient, self.modulus)
+        dup = LeadBasis(self.ambient)
         dup.pivots = list(self.pivots)
         return dup
 

@@ -358,12 +358,10 @@ class TestProductSpan:
             caller = sys._getframe(1)
             if caller.f_code is not control._extend_state.__code__ or basis is not caller.f_locals["span"]:
                 return real(basis, values)
-            p = basis.modulus
-            if p is None:
-                hit = [c for c in basis.pivots if values[c]]
-            else:
-                mask = (1 << basis.width) - 1
-                hit = [c for c in basis.pivots if (values >> c * basis.width & mask) % p]
+            # each product goes in as its support mask; the walk in the same
+            # frame tells a modular insert from an exact one
+            p = caller.f_locals["walk"].modulus
+            hit = [c for c in basis.pivots if values >> c & 1]
             assert not hit, f"a span product meets stored pivots {hit}"
             row = real(basis, values)
             assert row is not None, "a span product did not grow the span"
@@ -1557,8 +1555,8 @@ class TestModularRoute:
         grown = self._spy_on_states(monkeypatch)
         # at the working prime: a path of order 24 whose edge (12, 13) has
         # weight p is cut there modulo p, so the walk from vertex 1 stops at
-        # rank 12; exactly it is full, and so is the span.  The packed span
-        # beside the modular walk has 144 products; the exact walk alone
+        # rank 12; exactly it is full, and so is the span.  The span beside
+        # the modular walk has 144 products; the exact walk alone
         # comes next, and since it is longer (a false short) the exact walk
         # and span are grown once more
         p, n = control._PRIME, 24
@@ -1579,7 +1577,7 @@ class TestModularRoute:
         assert p_span_dim(a, [1]) == 4
         lie_runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
-        # a false short again: the packed span of the rank-1 modular walk
+        # a false short again: the span beside the rank-1 modular walk
         # proves 1 alone, so the exact span is grown; the Lie part reads
         # the exact walk, where vertex 1 alone has rank 2 = r, so it builds
         # no engine (``_dimensions``)
@@ -1593,9 +1591,9 @@ class TestModularRoute:
     ], ids=["C8-short-walk", "C6-random:1-full-walk"])
     def test_packed_span_kept_at_exact_rank(self, monkeypatch, g, kind, s, modular, exact):
         # cycle-8 from one vertex has walk rank 5, modulo the prime and
-        # exactly: the 25 packed products prove a span of at least 25, and
-        # the walk's products lie in K ⊗ K, of dimension 25, so the packed
-        # span is kept and no exact product is formed; a full walk grows
+        # exactly: the 25 products beside the modular walk prove a span of at
+        # least 25, and the walk's products lie in K ⊗ K, of dimension 25, so
+        # that span is kept and no exact product is formed; a full walk grows
         # all 36 modulo p and no exact one either
         a = build_matrix(g, kind)
         inserts = {None: 0, control._PRIME: 0}
@@ -1603,7 +1601,8 @@ class TestModularRoute:
 
         def counting(basis, values):
             if basis.ambient == a.n * a.n:
-                inserts[basis.modulus] += 1
+                # the span has no modulus: the walk beside it carries one
+                inserts[sys._getframe(1).f_locals["walk"].modulus] += 1
             return real(basis, values)
 
         monkeypatch.setattr(EchelonBasis, "insert", counting)
@@ -1611,7 +1610,7 @@ class TestModularRoute:
         assert inserts == {control._PRIME: modular, None: exact}
         assert rep.p_span_dim == rep.walk_rank ** 2 == modular + exact
 
-    # (packed, exact) span inserts modulo 2, 3 and 5: r_p^2 packed ones
+    # (modular, exact) span inserts modulo 2, 3 and 5: r_p^2 modular ones
     # beside every modular walk of rank r_p, and r^2 exact ones only after
     # a false short, where the exact rank r is larger
     @pytest.mark.parametrize("g, kind, s, grows", [
@@ -1632,8 +1631,9 @@ class TestModularRoute:
         def counting(basis, values):
             row = real(basis, values)
             if basis.ambient == a.n * a.n and row is not None:
-                # [packed, exact]: only the exact span has no modulus
-                grown[-1][basis.modulus is None] += 1
+                # [modular, exact]: only the exact walk beside the span has
+                # no modulus
+                grown[-1][sys._getframe(1).f_locals["walk"].modulus is None] += 1
             return row
 
         monkeypatch.setattr(EchelonBasis, "insert", counting)
@@ -1647,11 +1647,11 @@ class TestModularRoute:
     @given(symmetric_strategy(max_side=5), st.sampled_from([control._PRIME, 2, 3, 5]))
     @example((build_matrix(path_graph(4), "random:3"), (1,)), 2)
     def test_packed_span_is_kept_unless_the_walk_was_a_false_short(self, inst, p):
-        # p_span_dim and analyze each grow the packed span beside the
+        # p_span_dim and analyze each grow the span beside the
         # modular walk, of rank r_p; a short one is followed by the exact
         # walk alone, of rank r, and only a false short (r_p < r) by the
         # exact walk and span, whose r^2 is reported.  P4 random:3 modulo
-        # 2 is a false short: a packed span kept there would report 1
+        # 2 is a false short: the modular span kept there would report 1
         a, s = inst
         entries = [list(r) for r in a.matrix.entries]
         want = oracles.pspan_dim_bruteforce(entries, s)

@@ -28,8 +28,7 @@ from netctrl.intlinalg import (
     clear_denominators,
     int_commutator,
     int_mat_mul,
-    pack,
-    slot_width,
+    support,
 )
 from netctrl.linalg import basis_column, mat_vec, outer
 
@@ -312,10 +311,9 @@ class TestModularEchelon:
                 assert basis.insert(row) == oracle.insert(row)
 
 
-def _slots(v, width, count):
-    """The ``count`` slots of a packed int, lowest first."""
-    mask = (1 << width) - 1
-    return [v >> i * width & mask for i in range(count)]
+def _mask(values, p=None):
+    """The support mask of the literal vector, reduced modulo p when p is given."""
+    return sum(1 << i for i, x in enumerate(values) if (x if p is None else x % p))
 
 
 @st.composite
@@ -329,117 +327,125 @@ def _monic_echelon_rows(draw):
 
 
 class TestPackedBasis:
-    """``LeadBasis`` modulo a prime, on packed vectors: leads past the last one grow it, anything else is refused."""
+    """``LeadBasis`` beside a modular walk: residue products go in as support masks, one bit per entry."""
 
     @settings(max_examples=200, deadline=None)
     @given(_monic_echelon_rows())
     def test_lead_ordered_products_each_grow_once(self, case):
-        # the products _extend_state inserts: r_a r_b^T in ascending (c_a, c_b)
+        # the products _extend_state inserts beside one modular walk: r_a r_b^T
+        # in ascending (c_a, c_b), each as its support mask
         p, n, rows = case
-        w = slot_width(p)
-        packed, listed = LeadBasis(n * n, p), EchelonBasis(n * n, modulus=p)
+        packed, listed = LeadBasis(n * n), EchelonBasis(n * n, modulus=p)
         for r_a in rows:
             for r_b in rows:
-                product = pack(r_a, n * w) * pack(r_b, w)
+                product = support(r_a, n) * support(r_b)
                 assert packed.insert(product) == product
                 assert listed.insert([x * y % p for x in r_a for y in r_b]) is not None
         assert packed.dim == len(rows) ** 2 == listed.dim
         assert packed.pivots == listed.pivots
 
-    @pytest.mark.parametrize("p, first, second", [
-        (3, [0, 1, 2], [0, 1, 2]),
-        (3, [0, 1, 2], [0, 2, 0]),
-        (5, [0, 4, 1], [1, 0, 0]),
-        (3, [], [3, 1, 0]),
-        (3, [1, 0, 0], [0, 6, 1]),
+    @pytest.mark.parametrize("p, first, second, taken", [
+        (3, [0, 1, 2], [0, 1, 2], False),
+        (3, [0, 1, 2], [0, 2, 0], False),
+        (5, [0, 4, 1], [1, 0, 0], True),
+        (3, [], [3, 1, 0], True),
+        (3, [1, 0, 0], [0, 6, 1], True),
     ], ids=["repeated-lead", "same-lead", "lead-before-last", "lead-slot-3-mod-3", "lead-slot-6-mod-3"])
-    def test_refuses_a_vector_out_of_lead_order(self, p, first, second):
-        w = slot_width(p)
-        basis = LeadBasis(3, p)
+    def test_takes_any_new_lead_and_refuses_a_stored_one(self, p, first, second, taken):
+        # the mask of a residue vector leaves out every entry zero modulo p,
+        # and a lead not yet stored is taken in any order
+        basis = LeadBasis(3)
         if first:
-            assert basis.insert(pack(first, w)) == pack(first, w)
-        with pytest.raises(ValueError, match=r"^a packed vector must lead past slot"):
-            basis.insert(pack(second, w))
-        assert basis.dim == len(basis.pivots) == (1 if first else 0)
+            assert basis.insert(_mask(first, p)) == _mask(first, p)
+        if taken:
+            assert basis.insert(_mask(second, p)) == _mask(second, p)
+        else:
+            with pytest.raises(ValueError, match=r"^a vector must lead at an entry not yet stored"):
+                basis.insert(_mask(second, p))
+        assert basis.dim == len(basis.pivots) == (1 if first else 0) + taken
 
     def test_zero_vector_is_in_the_span(self):
-        basis = LeadBasis(2, 3)
+        basis = LeadBasis(2)
         assert basis.insert(0) is None and basis.dim == 0
 
     @pytest.mark.parametrize("p", [2, 3, 185_363, _PRIME])
     def test_outer_product_slots_do_not_overflow(self, p):
-        # every slot holds the largest product (p - 1)^2, whose top bit is the
-        # slot's own; modulo 2 that fills the one-bit slot, and 185,363 is the
-        # prime below 2 * 10^5 with the least headroom relative to 2^width
-        w = slot_width(p)
-        assert (p - 1) ** 2 >> (w - 1) == 1
-        if p == _PRIME:
-            # the working prime is the largest whose residue products fit one
-            # 30-bit CPython digit: no prime lies between it and 2^15
-            assert w == 30
-            assert not [q for q in range(p + 1, (1 << 15) + 1)
-                        if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        # each entry of a product is one bit of its mask, at a·n + b: the
+        # bits of support(r_a, n) * support(r_b) never carry, whatever the
+        # residues, and the mask stays below 2^(n·n)
         n = 5
         for r_a, r_b in (([p - 1] * n, [p - 1] * n), ([p - 1, 0, 1, p - 1, 2 % p], [0, p - 1, p - 1, 1, p - 1])):
-            product = pack(r_a, n * w) * pack(r_b, w)
-            assert _slots(product, w, n * n) == [x * y for x in r_a for y in r_b]
-            assert product < 1 << n * n * w
-        basis = LeadBasis(n * n, p)
-        # row c leads at slot c, so the products lead at c_a·n + c_b, in order;
-        # modulo 3 each lead slot holds 4, whose lowest set bit is the top bit
-        # of its 3-bit slot
+            product = support(r_a, n) * support(r_b)
+            assert product == _mask([x * y for x in r_a for y in r_b], p)
+            assert product < 1 << n * n
+        basis = LeadBasis(n * n)
+        # row c leads at entry c, so the products lead at c_a·n + c_b, in order
         rows = [[0] * c + [p - 1] * (n - c) for c in range(n)]
         for r_a in rows:
             for r_b in rows:
-                assert basis.insert(pack(r_a, n * w) * pack(r_b, w)) is not None
+                assert basis.insert(support(r_a, n) * support(r_b)) is not None
         assert basis.dim == n * n
+
+    def test_working_prime_is_the_largest_with_one_digit_products(self):
+        # a residue and the product of two are each one 30-bit CPython digit
+        # in the modular walk and echelon basis: 32,749 is the largest prime p
+        # with (p - 1)^2 < 2^30, since no prime lies between it and 2^15, and
+        # every prime q past 2^15 has (q - 1)^2 >= 2^30
+        assert (_PRIME - 1) ** 2 < 1 << 30
+        assert all(_PRIME % d for d in range(2, math.isqrt(_PRIME) + 1))
+        assert not [q for q in range(_PRIME + 1, (1 << 15) + 1)
+                    if all(q % d for d in range(2, math.isqrt(q) + 1))]
 
     def test_copy_diverges_from_the_original(self):
         # the leads are the whole state: after a copy each side takes its own
         # next lead, and neither sees the other's
-        w = slot_width(5)
-        basis = LeadBasis(4, 5)
-        basis.insert(pack([1, 2, 0, 0], w))
+        basis = LeadBasis(4)
+        basis.insert(_mask([1, 2, 0, 0]))
         dup = basis.copy()
-        assert (dup.ambient, dup.modulus, dup.width, dup.pivots) == (4, 5, w, [0])
-        assert basis.insert(pack([0, 1, 4, 0], w)) and dup.insert(pack([0, 0, 3, 1], w))
-        assert dup.insert(pack([0, 0, 0, 2], w))
+        assert (dup.ambient, dup.pivots) == (4, [0])
+        assert basis.insert(_mask([0, 1, 4, 0])) and dup.insert(_mask([0, 0, 3, 1]))
+        assert dup.insert(_mask([0, 0, 0, 2]))
         assert (basis.pivots, basis.dim) == ([0, 1], 2)
         assert (dup.pivots, dup.dim) == ([0, 2, 3], 3)
 
     def test_rejects_a_vector_it_cannot_hold(self):
-        basis = LeadBasis(2, 5)
+        basis = LeadBasis(2)
         with pytest.raises(ValueError):
-            basis.insert(1 << 2 * slot_width(5))
+            basis.insert(1 << 2)
         with pytest.raises(ValueError):
             basis.insert(-1)
 
 
 @st.composite
-def _exact_echelon_rows(draw):
-    """(n, rows, order): integer rows with distinct pivots and an insertion order of their pairs."""
+def _rows_and_order(draw, moduli=(None, 2, 3, 5, _PRIME)):
+    """(p, n, rows, order): rows with distinct pivots, exact or residues, and an order of their pairs.
+
+    Exact rows (p None) hold negatives and zeros past the pivot; residue
+    rows hold any residue there and a nonzero pivot entry.
+    """
+    p = draw(st.sampled_from(moduli))
     n = draw(st.integers(min_value=1, max_value=5))
     pivots = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
-    entries = st.integers(min_value=-4, max_value=4)
+    entries = st.integers(min_value=-4, max_value=4) if p is None else st.integers(min_value=0, max_value=p - 1)
     rows = [[0] * c + [draw(entries.filter(bool))] + [draw(entries) for _ in range(c + 1, n)] for c in pivots]
     pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows))]
-    return n, rows, draw(st.permutations(pairs))
+    return p, n, rows, draw(st.permutations(pairs))
 
 
 class TestLeadBasis:
     """The exact lead set: any lead not yet stored grows it, a repeated one is refused."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_exact_echelon_rows())
+    @given(_rows_and_order(moduli=(None,)))
     def test_products_grow_once_in_any_order(self, case):
         # along a prefix tree a new walk row may lead before an older one, so
         # the products r_a r_b^T, leading at c_a·n + c_b, arrive in any order
-        n, rows, order = case
+        _, n, rows, order = case
         leads, listed = LeadBasis(n * n), EchelonBasis(n * n)
         for a, b in order:
-            product = [x * y for x in rows[a] for y in rows[b]]
+            product = support(rows[a], n) * support(rows[b])
             assert leads.insert(product) == product
-            assert listed.insert(product) is not None
+            assert listed.insert([x * y for x in rows[a] for y in rows[b]]) is not None
         assert leads.dim == len(rows) ** 2 == listed.dim
         assert leads.pivots == listed.pivots
 
@@ -450,25 +456,53 @@ class TestLeadBasis:
     ], ids=["same-lead", "negated", "lead-0"])
     def test_refuses_a_repeated_lead(self, first, second):
         basis = LeadBasis(3)
-        assert basis.insert(first) == first
+        assert basis.insert(_mask(first)) == _mask(first)
         with pytest.raises(ValueError, match=r"^a vector must lead at an entry not yet stored"):
-            basis.insert(second)
+            basis.insert(_mask(second))
         assert (basis.dim, basis.pivots) == (1, [first.index(next(filter(None, first)))])
 
     def test_zero_vector_is_in_the_span_and_length_is_checked(self):
         basis = LeadBasis(4)
-        assert basis.insert([0, 0, 0, 0]) is None and basis.dim == 0
-        with pytest.raises(ValueError, match="expected length 4"):
-            basis.insert([1, 0, 0])
+        assert basis.insert(_mask([0, 0, 0, 0])) is None and basis.dim == 0
+        with pytest.raises(ValueError, match="expected a support mask of at most 4 bits"):
+            basis.insert(_mask([0, 0, 0, 0, 1]))
 
     def test_copy_diverges_from_the_original(self):
         basis = LeadBasis(4)
-        basis.insert([0, 0, 1, 0])
+        basis.insert(_mask([0, 0, 1, 0]))
         dup = basis.copy()
-        assert (dup.ambient, dup.modulus, dup.pivots) == (4, None, [2])
-        assert basis.insert([0, 7, 0, 1]) and dup.insert([3, 0, 0, 0]) and dup.insert([0, 0, 0, 1])
+        assert (dup.ambient, dup.pivots) == (4, [2])
+        assert basis.insert(_mask([0, 7, 0, 1])) and dup.insert(_mask([3, 0, 0, 0])) and dup.insert(_mask([0, 0, 0, 1]))
         assert (basis.pivots, basis.dim) == ([1, 2], 2)
         assert (dup.pivots, dup.dim) == ([0, 2, 3], 3)
+
+
+class TestSupportMask:
+    """The support of r_a r_b^T is the product of the supports of its factors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rows_and_order())
+    def test_mask_product_is_the_support_of_the_literal_product(self, case):
+        # entry (a, b) of r_a r_b^T is nonzero iff both factors are, over the
+        # integers and modulo a prime alike, so the bits a·n + b of
+        # left * right carry nothing; inserted in any order the masks give
+        # the pivots an echelon basis gives the literal products
+        p, n, rows, order = case
+        leads, listed = LeadBasis(n * n), EchelonBasis(n * n, p)
+        for a, b in order:
+            product = [x * y for x in rows[a] for y in rows[b]]
+            left, right = support(rows[a], n), support(rows[b])
+            assert left * right == _mask(product, p)
+            assert leads.insert(left * right) is not None
+            assert listed.insert(product) is not None
+        assert leads.dim == len(rows) ** 2 == listed.dim
+        assert leads.pivots == listed.pivots
+
+    def test_support_is_one_bit_per_nonzero_entry_at_its_stride(self):
+        assert support([]) == support([0, 0]) == 0
+        assert support([3, 0, -1, 0]) == 0b0101
+        assert support([3, 0, -1], 4) == 1 | 1 << 8
+        assert support([0, 5], 3) * support([7, 0, -2]) == 1 << 3 | 1 << 5
 
 
 class TestRank:
