@@ -135,8 +135,8 @@ def test_dense_one_shot_analyze_at_order_24(tmp_path):
 
 
 def test_dense_one_shot_analyze_at_order_30(tmp_path):
-    # ambient 900, each product one multiplication of packed walk rows with
-    # one 30-bit slot per product entry.  lie_closure still builds the
+    # ambient 900, each product one multiplication of two walk rows'
+    # support masks, kept as its lead alone.  lie_closure still builds the
     # closure over the integers: the hub's walk A^2 e_1, A^3 e_1, ...
     # certifies it once row 1's hub rows reach rank 29, with no bracket and
     # only A and E_11 kept as elements
@@ -190,34 +190,36 @@ def test_two_control_vertices_at_the_lie_cap(tmp_path, monkeypatch):
 
 def test_deficient_walk_at_order_40(monkeypatch):
     # cycle-40 from one vertex has walk rank 21, modulo the prime and
-    # exactly, so the modular walk comes out short, the exact walk alone is
-    # grown next, and the span beside the 21 modular rows, 441 products that
-    # prove a span of at least 21^2, is kept: no exact span insert runs at
-    # ambient 1600.  No Lie part is asked, so no order cap applies
+    # exactly, so the modular walk comes out short and grows no span; the
+    # exact walk and span are grown next, and all 441 span inserts at
+    # ambient 1600 are exact.  No Lie part is asked, so no order cap applies
     exact = []
     spy(monkeypatch, intlinalg.EchelonBasis, "insert",
         lambda basis, values: exact.append(exact_span_insert(basis)))
     a = adjacency_matrix(cycle_graph(40))
     with deadline(60):
         assert (kalman_controllable(a, (1,)), p_span_dim(a, (1,))) == ((False, 21), 441)
-    assert sum(exact) == 0
+    assert sum(exact) == 441
 
 
 def test_modular_false_short_at_order_40(monkeypatch):
     # a path of order 40 whose edge (20, 21) has weight equal to the working
     # prime: each residue power A^k e_1 crosses that edge as zero, so the
     # modular walk from vertex 1 stays on vertices 1..20, though the exact
-    # one is full; the span beside it proves only 400, so after the exact
-    # walk alone finds rank 40 the walk and the span are grown exactly, at
-    # ambient 1600
-    exact = []
+    # one is full.  The short modular walk grows no span, so the exact walk
+    # and span are grown next, once: p_span_dim steps the exact powers of
+    # vertex 1 in one walk and makes its 1600 span inserts at ambient 1600
+    exact, moduli = [], []
     spy(monkeypatch, intlinalg.EchelonBasis, "insert",
         lambda basis, values: exact.append(exact_span_insert(basis)))
+    spy(monkeypatch, control, "_walk", lambda a, j, modulus=None: moduli.append(modulus))
     a = pattern_matrix([[control._PRIME if {u, v} == {19, 20} else int(abs(u - v) == 1) for v in range(40)]
                         for u in range(40)])
     with deadline(60):
-        assert (modular_walk_rank(a), kalman_controllable(a, (1,)), p_span_dim(a, (1,))) == (20, (True, 40), 1600)
-    assert sum(exact) == 1600
+        assert (modular_walk_rank(a), kalman_controllable(a, (1,))) == (20, (True, 40))
+        moduli.clear()
+        assert p_span_dim(a, (1,)) == 1600
+    assert sum(exact) == 1600 and moduli == [control._PRIME, None]
 
 
 def test_modular_walk_at_order_60(monkeypatch):
@@ -271,8 +273,9 @@ def test_packed_product_span_at_order_40():
 def test_product_span_at_order_60():
     # ambient 3600: the dense walk of the complete graph and the banded one
     # of the path are full modulo the prime from vertex 1, and the cycle's
-    # stops at rank 31 both ways, so its 961 products beside the modular
-    # walk are kept.  Each product is one multiplication of support masks
+    # stops at rank 31 both ways, so its modular walk grows no span and its
+    # 961 products are formed beside the exact walk.  Each product is one
+    # multiplication of support masks
     with deadline(60):
         assert p_span_dim(build_matrix(complete_graph(60), "random:7"), (1,)) == 3600
         assert p_span_dim(build_matrix(path_graph(60), "random:7"), (1,)) == 3600

@@ -25,21 +25,20 @@ their set in ``_dimensions``, which also reads the walk's basis.
 Every power A^k e_j the package reads over the integers, for the walk,
 the distance powers and the Lie engine's hub walk, is stepped by one
 generator, ``_walk``, as its reader draws it.  Every reported number is
-exact.  The walk and the product span are first grown modulo one fixed
-prime, on integer-scaled data, the walk from residue powers alone: each
-element found there reduces an integer combination of genuine elements,
-so a dimension there is at most the rational one and a full walk is
-exact.  A short walk is regrown exactly, alone: the modular span beside
-a walk of rank r_p is r_p^2, at most the rational one, which is at most
-r^2 for the exact rank r, so that span is kept when r = r_p, and only
-after a false short (r_p < r) is the exact span grown (``_dimensions``).
-The prime is 32,749, the largest whose residue products fit one 30-bit
-CPython digit, so a residue and the product of two residues are each one
-digit, in the residue powers of ``_walk`` and in the row operations of the
-modular ``intlinalg.EchelonBasis``.  The product span needs no digit of its
-own: each product goes in as its support mask, the same for the exact and
-the modular walk (``_extend_state``).  The Lie closure runs over the
-integers alone (``_LieEngine``).
+exact.  The walk is first grown modulo one fixed prime, on integer-scaled
+data, from residue powers alone: each element found there reduces an
+integer combination of genuine elements, so its rank there is at most the
+rational one.  So a modular walk answers only at full rank: a full walk
+is exact, and the span grown beside it is then n^2, while a short one
+grows no span and the walk and the span are grown exactly, once
+(``_dimensions``).  The prime is 32,749, the largest whose residue
+products fit one 30-bit CPython digit, so a residue and the product of
+two residues are each one digit, in the residue powers of ``_walk`` and
+in the row operations of the modular ``intlinalg.EchelonBasis``.  The
+product span needs no digit of its own: each product goes in as its
+support mask, the same for the exact and the modular walk
+(``_extend_state``).  The Lie closure runs over the integers alone
+(``_LieEngine``).
 """
 
 from __future__ import annotations
@@ -790,10 +789,11 @@ class _NodeState:
     span is an ``intlinalg.LeadBasis``: its products have distinct leads,
     which prove its dimension, so it keeps the set of their leads and no
     rows, and takes each product as its support mask.  With a prime
-    ``modulus`` the walk runs modulo it and carries it; the span has no
-    modulus, and grows from the walk's rows by one rule beside the exact
-    and the modular walk alike, in each call that grows the walk
-    (``_extend_state``).  The Lie part is always exact and grows the same
+    ``modulus`` the walk runs modulo it and carries it.  The span has no
+    modulus and grows from the walk's rows by one rule: beside an exact
+    walk in each call that grows it, and beside a modular walk only in the
+    call that makes it full, since a modular walk answers only at full
+    rank (``_extend_state``).  The Lie part is always exact and grows the same
     way beside any walk or none.
     """
 
@@ -852,11 +852,15 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     nonzero r_a[a] and ``right`` bit b for each nonzero r_b[b], ``left *
     right`` is the product's support mask: its bits a·n + b are distinct,
     so nothing carries, and its lowest is the lead.  One loop takes the
-    exact and the modular walk alike.  Modulo p each product is the
-    reduction of an integer element of the span, so the r_p^2 products of
-    a modular walk of rank r_p prove a rational span of at least r_p^2
-    (``_dimensions`` reads when that is all of it).  The inserts are made
-    here, not in a helper, so each span insert keeps this call site, which
+    exact and the modular walk alike, but a modular walk answers only at
+    full rank: there the exact rank is n too, and the span n^2, while a
+    short one proves nothing and is grown again exactly with its span
+    (``_dimensions``).  So a modular walk grows its span only in the call
+    that makes it full.  Until then the span holds nothing, so a modular
+    walk takes every row as new and that call inserts all n^2 products
+    (once full, the walk is never grown again); an exact walk grows its
+    span in each call that grows the walk.  The inserts are made here,
+    not in a helper, so each span insert keeps this call site, which
     ``bench/test_bench.py`` and ``tests/test_bench_hooks.py`` attribute
     inserts by, splitting the walk's from the span's by the local ``n``.
     The powers are drawn only when the walk still grows, so a Lie-only
@@ -870,11 +874,11 @@ def _extend_state(state: _NodeState, session: _Session, j: int) -> None:
     n = session.n
     walk, span = state.walk, state.pspan
     if walk is not None and walk.dim < n:
-        old = set(walk.pivots)
+        old = set(walk.pivots) if walk.modulus is None else set()
         for col in _walk(session.int_a, j - 1, walk.modulus):
             if walk.insert(col) is None:
                 break
-        if span is not None and len(old) < walk.dim:
+        if span is not None and len(old) < walk.dim and (walk.modulus is None or walk.dim == n):
             # bit a·n + b of left * right is set iff r_a[a]·r_b[b] is nonzero
             rows = [(c in old, intlinalg.support(row, n), intlinalg.support(row))
                     for c, row in zip(walk.pivots, walk.rows)]
@@ -947,21 +951,19 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     The one place that chooses between the modular and the exact route of
     the walk and the span, and the decisions' one check of the Lie-closure
     cap, made before any work when ``parts`` names the Lie part.  The rule:
-    modulo the prime the walk rank r_p is at most the rational one r, so a
-    full modular walk is exact, and only a short one is regrown exactly,
-    alone.  The span needs no exact stage when r = r_p: the r_p^2
-    products of the modular walk's rows have distinct leads, so they prove
-    a rational span of at least r_p^2, and every product of walk columns
-    lies in K ⊗ K, of dimension r^2.  So the exact span is grown only
-    after a false short (r_p < r), which grows the exact walk once more
-    beside it; at ``_PRIME`` none turned up among 4,786 exact walks, and
-    ``ci/test_scale.py`` makes one on purpose at order 40.  The walk
-    stages grow states along ``members`` by ``_extend_state``:
+    a modular walk answers only at full rank.  Modulo the prime the walk
+    rank is at most the rational one, so a full modular walk is exact and
+    the span beside it is n^2; a short one proves nothing, so it grows no
+    span, and the walk and the span are grown exactly, once.  A false
+    short (an exact walk longer than the modular one) costs no more than a
+    true one; ``ci/test_scale.py`` makes one on purpose at order 40.  The
+    walk stages grow states along ``members`` by ``_extend_state``, and
+    the dimensions are read from the one state kept:
 
     1. Modulo the prime, the walk, and in the same state the span when it
-       is asked, beside each member's walk rows as they grow.
-    2. Exactly, the walk alone when the modular walk came out short; then,
-       after a false short with the span asked, the walk and the span.
+       is asked, grown once the walk is full.
+    2. Only when that walk is short, exactly, the walk and the span when it
+       is asked.
     3. For the Lie part, its bound from the walk rank r and delta
        (``_LieEngine``, lemma 1): delta is 1 exactly when some row of A
        (A is symmetric) lies outside the exact walk's span K, and 0 when
@@ -995,15 +997,15 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
     first control vertex spans it: kalman_iff_lie checks the engine
     against itself in one-shot reports.  The sweeps still grow every
     closure (``_grow``), and ``tests/oracles.py`` still checks it.  The
-    lemma took ``analyze`` on the adjacency matrix of cycle-40 from {1}
-    from 152 to 49 ms, and from {1, 5} from 570 to 188 ms (min of 15 CPU
-    runs in three interleaved passes, 2-CPU x86, Python 3.11); reading the
-    one-vertex dimension off the walk then took it from {1} from 49 to 44
-    ms (min of 12 interleaved process pairs of 3 CPU runs each, same host).
+    lemma keeps the one-shot closures short: ``analyze`` on the adjacency
+    matrix of cycle-40 takes 3.3 to 3.4 ms from {1}, with no closure, and
+    19.6 to 19.8 ms from {1, 5}, whose closure stops at 37^2 + 1 where its
+    fixpoint would keep 1,370 elements (min of 7 and of 3 CPU runs, two
+    processes, 2-CPU x86, Python 3.11).
 
     The modular walk, on one-digit residue powers (``_PRIME``), pays off
     at large n: from vertex 1 of complete-60 with a ``random:7`` matrix it
-    takes 16.5 to 17.8 ms and the exact one 3.5 s, while at n <= 8 the
+    takes 16 to 17 ms and the exact one 2.9 to 3.0 s, while at n <= 8 the
     exact one is still a little faster, 0.089 to 0.092 against 0.097 to
     0.100 ms on path-8 (min of 3 and of 15 rounds of 200 CPU runs, four
     processes, 2-CPU x86, Python 3.11).
@@ -1023,14 +1025,9 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
 
     held = ("walk", "pspan") if "pspan" in parts else ("walk",)
     state, first = grown(_PRIME, held)
+    if state.walk.dim < n:
+        state, first = grown(None, held)
     dims = {name: getattr(state, name).dim for name in held}
-    if dims["walk"] < n:
-        state, first = grown(None, ("walk",))
-        if "pspan" in held and state.walk.dim > dims["walk"]:
-            # a false short: the modular span proves only its own square
-            state, first = grown(None, held)
-            dims["pspan"] = state.pspan.dim
-        dims["walk"] = state.walk.dim
     if "lie" in parts:
         r = dims["walk"]
         delta = r < n and not all(map(state.walk.contains, session.int_a))
@@ -1047,8 +1044,8 @@ def _dimensions(a: PatternMatrix, members: tuple, parts: tuple) -> tuple:
 def kalman_controllable(a: PatternMatrix, s) -> tuple:
     """Kalman decision: (walk_rank == n, walk_rank), both exact.
 
-    A full rank is certified modulo a prime; a smaller rank there is
-    recomputed exactly.
+    A modular walk answers only at full rank, where it is a proof; a short
+    one is grown again exactly (``_dimensions``).
 
     Raises:
       ValueError: empty control set or labels out of range.
@@ -1069,12 +1066,12 @@ def p_span_dim(a: PatternMatrix, s) -> int:
     has dimension walk_rank^2 (``_extend_state``).  Each product goes in
     as its support mask, one multiplication of two walk rows' masks, by
     the same rule beside the exact and the modular walk.  The result is
-    exact (``_dimensions``): the span beside the modular walk is kept
-    unless the exact walk rank exceeds the modular one, so only such a
-    false short grows the exact span.  Path-40 with a ``random:7`` matrix
-    from S = {1}, 1,600 products, takes 5.2 to 5.6 ms, and complete-60
-    from {1}, 3,600 products, 20 to 22 ms (min of 5 CPU runs, two
-    processes, 2-CPU x86, Python 3.11).
+    exact (``_dimensions``): a modular walk answers only at full rank,
+    where its span is n^2, and a short one grows no span, so the walk and
+    the span are then grown exactly, once.  Path-40 with a ``random:7``
+    matrix from S = {1}, 1,600 products, takes 5.2 to 5.6 ms, and
+    complete-60 from {1}, 3,600 products, 20 to 22 ms (min of 5 CPU runs,
+    two processes, 2-CPU x86, Python 3.11).
 
     Raises:
       ValueError: empty control set or labels out of range.

@@ -1446,9 +1446,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("g, s, most", [(path_graph(4), (2,), 4), (cycle_graph(6), (1,), 12)],
                              ids=["P4", "C6"])
     def test_walk_is_not_rebuilt_per_decision(self, monkeypatch, g, s, most):
-        # the walk is one modular pass, which the modular span grows from in
-        # the same state, plus one exact pass when deficient (the cycle): 4
-        # and 12 inserts, where three separate decisions took 12 and 24
+        # the walk is one modular pass, plus one exact pass when deficient
+        # (the cycle), and the span grows beside the walk that answers, in
+        # its state: 4 and 12 inserts, where three separate decisions took
+        # 12 and 24
         a = adjacency_matrix(g)
         walk_inserts = []
         real = EchelonBasis.insert
@@ -1499,6 +1500,14 @@ class TestAnalyze:
         assert kalman_controllable(a, s)[1] == kalman_controllable(scaled, s)[1]
         assert p_span_dim(a, s) == p_span_dim(scaled, s)
         assert lie_controllable(a, s)[1] == lie_controllable(scaled, s)[1]
+
+
+def _cut_path(n, weight):
+    """The path of order n with edge (n/2, n/2 + 1) weighted ``weight`` and every other edge 1."""
+    path = [[0] * n for _ in range(n)]
+    for v in range(n - 1):
+        path[v][v + 1] = path[v + 1][v] = weight if v == n // 2 - 1 else 1
+    return path
 
 
 def _echelon_input():
@@ -1555,46 +1564,76 @@ class TestModularRoute:
         grown = self._spy_on_states(monkeypatch)
         # at the working prime: a path of order 24 whose edge (12, 13) has
         # weight p is cut there modulo p, so the walk from vertex 1 stops at
-        # rank 12; exactly it is full, and so is the span.  The span beside
-        # the modular walk has 144 products; the exact walk alone
-        # comes next, and since it is longer (a false short) the exact walk
-        # and span are grown once more
+        # rank 12; exactly it is full, and so is the span.  The short modular
+        # walk grows no span, and the exact walk and span are grown next,
+        # once
         p, n = control._PRIME, 24
-        path = [[0] * n for _ in range(n)]
-        for v in range(n - 1):
-            path[v][v + 1] = path[v + 1][v] = p if v == 11 else 1
-        a = pattern_matrix(path)
+        a = pattern_matrix(_cut_path(n, p))
         assert kalman_controllable(a, [1]) == (True, n)
         assert p_span_dim(a, [1]) == n * n
         assert grown() == [(p, {"walk": 12}), (None, {"walk": n}),
-                           (p, {"walk": 12, "pspan": 144}), (None, {"walk": n}),
-                           (None, {"walk": n, "pspan": n * n})]
+                           (p, {"walk": 12, "pspan": 0}), (None, {"walk": n, "pspan": n * n})]
         monkeypatch.setattr(control, "_PRIME", 2)
         # A e_1 = (1, 2) is e_1 modulo 2, yet the walk rank is 2
         a = pattern_matrix([[1, 2], [2, 1]])
         assert kalman_controllable(a, [1]) == (True, 2)
-        assert grown()[5:] == [(2, {"walk": 1}), (None, {"walk": 2})]
+        assert grown()[4:] == [(2, {"walk": 1}), (None, {"walk": 2})]
         assert p_span_dim(a, [1]) == 4
         lie_runs = _lie_engines(monkeypatch)
         assert lie_controllable(a, [1]) == (True, 4)
-        # a false short again: the span beside the rank-1 modular walk
-        # proves 1 alone, so the exact span is grown; the Lie part reads
-        # the exact walk, where vertex 1 alone has rank 2 = r, so it builds
-        # no engine (``_dimensions``)
-        assert grown()[7:] == [(2, {"walk": 1, "pspan": 1}), (None, {"walk": 2}),
-                               (None, {"walk": 2, "pspan": 4}), (2, {"walk": 1}), (None, {"walk": 2})]
+        # a short walk again: the exact walk and span are grown once; the
+        # Lie part reads the exact walk, where vertex 1 alone has rank 2 =
+        # r, so it builds no engine (``_dimensions``)
+        assert grown()[6:] == [(2, {"walk": 1, "pspan": 0}), (None, {"walk": 2, "pspan": 4}),
+                               (2, {"walk": 1}), (None, {"walk": 2})]
         assert lie_runs == []
 
+    def test_short_modular_walk_steps_one_exact_walk(self, monkeypatch):
+        # the cut path of order 24 from {1}: the short modular walk is
+        # followed by one exact walk, which grows the walk and the span
+        # together, so the exact powers of vertex 1 are stepped once
+        moduli = []
+        real = control._walk
+
+        def spying(a, j, modulus=None):
+            moduli.append(modulus)
+            return real(a, j, modulus)
+
+        monkeypatch.setattr(control, "_walk", spying)
+        assert p_span_dim(pattern_matrix(_cut_path(24, control._PRIME)), [1]) == 576
+        assert moduli == [control._PRIME, None]
+
+    def test_modular_span_grows_at_the_vertex_that_fills_the_walk(self, monkeypatch):
+        # cycle-8 adjacency from {1, 2}: the modular walk has rank 5 after
+        # vertex 1 and 8 after vertex 2, so the first call grows no span and
+        # the second inserts all 64 products, the old rows' too
+        a = adjacency_matrix(cycle_graph(8))
+        calls, inserts = [], []
+        real_extend, real_insert = control._extend_state, EchelonBasis.insert
+
+        def extending(state, session, j):
+            calls.append(j)
+            return real_extend(state, session, j)
+
+        def counting(basis, values):
+            if basis.ambient == 64:
+                inserts.append(len(calls))
+            return real_insert(basis, values)
+
+        monkeypatch.setattr(control, "_extend_state", extending)
+        monkeypatch.setattr(EchelonBasis, "insert", counting)
+        assert p_span_dim(a, [1, 2]) == 64
+        assert calls == [1, 2] and inserts == [2] * 64
+
     @pytest.mark.parametrize("g, kind, s, modular, exact", [
-        (cycle_graph(8), "adjacency", (1,), 25, 0),
+        (cycle_graph(8), "adjacency", (1,), 0, 25),
         (cycle_graph(6), "random:1", (1, 4), 36, 0),
     ], ids=["C8-short-walk", "C6-random:1-full-walk"])
-    def test_packed_span_kept_at_exact_rank(self, monkeypatch, g, kind, s, modular, exact):
+    def test_span_grows_beside_the_walk_that_answers(self, monkeypatch, g, kind, s, modular, exact):
         # cycle-8 from one vertex has walk rank 5, modulo the prime and
-        # exactly: the 25 products beside the modular walk prove a span of at
-        # least 25, and the walk's products lie in K ⊗ K, of dimension 25, so
-        # that span is kept and no exact product is formed; a full walk grows
-        # all 36 modulo p and no exact one either
+        # exactly: the short modular walk grows no span, and the 25 products
+        # are formed beside the exact walk alone; a full walk grows all 36
+        # modulo p and no exact one
         a = build_matrix(g, kind)
         inserts = {None: 0, control._PRIME: 0}
         real = EchelonBasis.insert
@@ -1610,14 +1649,14 @@ class TestModularRoute:
         assert inserts == {control._PRIME: modular, None: exact}
         assert rep.p_span_dim == rep.walk_rank ** 2 == modular + exact
 
-    # (modular, exact) span inserts modulo 2, 3 and 5: r_p^2 modular ones
-    # beside every modular walk of rank r_p, and r^2 exact ones only after
-    # a false short, where the exact rank r is larger
+    # (modular, exact) span inserts modulo 2, 3 and 5: n^2 modular ones
+    # beside a full modular walk and none beside a short one, which is
+    # followed by r^2 exact ones for the exact rank r
     @pytest.mark.parametrize("g, kind, s, grows", [
-        (path_graph(4), "random:3", (1,), [(1, 16), (4, 16), (16, 0)]),
-        (cycle_graph(5), "random:3", (1,), [(4, 25), (4, 25), (25, 0)]),
-        (cycle_graph(6), "random:1", (1, 4), [(16, 36), (36, 0), (36, 0)]),
-        (complete_graph(4), "adjacency", (1, 2), [(9, 0), (9, 0), (9, 0)]),
+        (path_graph(4), "random:3", (1,), [(0, 16), (0, 16), (16, 0)]),
+        (cycle_graph(5), "random:3", (1,), [(0, 25), (0, 25), (25, 0)]),
+        (cycle_graph(6), "random:1", (1, 4), [(0, 36), (36, 0), (36, 0)]),
+        (complete_graph(4), "adjacency", (1, 2), [(0, 9), (0, 9), (0, 9)]),
     ], ids=["P4-random:3", "C5-random:3", "C6-random:1", "K4-12"])
     def test_packed_span_at_small_primes(self, monkeypatch, g, kind, s, grows):
         # P4 and C5 from {1} are full exactly but short modulo 2 and 3, and
@@ -1646,12 +1685,11 @@ class TestModularRoute:
     @settings(max_examples=40, deadline=None)
     @given(symmetric_strategy(max_side=5), st.sampled_from([control._PRIME, 2, 3, 5]))
     @example((build_matrix(path_graph(4), "random:3"), (1,)), 2)
-    def test_packed_span_is_kept_unless_the_walk_was_a_false_short(self, inst, p):
-        # p_span_dim and analyze each grow the span beside the
-        # modular walk, of rank r_p; a short one is followed by the exact
-        # walk alone, of rank r, and only a false short (r_p < r) by the
-        # exact walk and span, whose r^2 is reported.  P4 random:3 modulo
-        # 2 is a false short: the modular span kept there would report 1
+    def test_modular_span_grows_only_beside_a_full_walk(self, inst, p):
+        # p_span_dim and analyze each grow the modular walk, of rank r_p,
+        # and the span beside it only when r_p = n, where it is n^2; a short
+        # one is followed by the exact walk and span, once, whose r^2 is
+        # reported.  P4 random:3 modulo 2 is a false short (r_p = 1 < r = 4)
         a, s = inst
         entries = [list(r) for r in a.matrix.entries]
         want = oracles.pspan_dim_bruteforce(entries, s)
@@ -1662,10 +1700,8 @@ class TestModularRoute:
                 grown = self._spy_on_states(mp)
                 assert decide(a, s) == want == r * r
             r_p = grown()[0][1]["walk"]
-            route = [(p, {"walk": r_p, "pspan": r_p * r_p})]
+            route = [(p, {"walk": r_p, "pspan": a.n * a.n if r_p == a.n else 0})]
             if r_p < a.n:
-                route.append((None, {"walk": r}))
-            if r_p < r:
                 route.append((None, {"walk": r, "pspan": r * r}))
             assert grown() == route, (p, r_p, r)
 
